@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-serve bench-fleet bench-router fuzz cover clean
+.PHONY: all build test race race-sweep lint bench bench-build bench-serve bench-fleet bench-router fuzz cover clean
 
 all: build lint test
 
@@ -15,6 +15,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-sweep runs the daemon packages (the engine's memo tables, the HTTP
+# chassis and the three daemons built on it) twenty times under the race
+# detector; one failing run fails the target.
+race-sweep:
+	$(GO) test -race -count=20 ./internal/engine ./internal/httpd ./internal/serve ./internal/router ./internal/controller
+
+# bench-build vets and tests the benchmark module. bench/ is outside the
+# root module (it is compiled against internal APIs through a replace
+# directive), so build/test/lint above never see it.
+bench-build:
+	cd bench && $(GO) vet . && $(GO) test .
 
 lint:
 	$(GO) vet ./...

@@ -43,8 +43,6 @@ type (
 	// ScheduleSpec is the unified schedule request for Build: scheme,
 	// placement policy (scheduler), shape, and the policy's inputs.
 	ScheduleSpec = schedule.Spec
-	// ChimeraConfig parameterizes NewChimera.
-	ChimeraConfig = schedule.ChimeraConfig
 	// ConcatMode selects the N > D scaling method (§3.5).
 	ConcatMode = schedule.ConcatMode
 	// CostModel supplies unit op costs for schedule analysis.
@@ -62,28 +60,10 @@ const (
 )
 
 // Build constructs the schedule a ScheduleSpec describes: the named scheme
-// re-placed by the named scheduler ("" or "fixed" keeps the scheme's own
-// placement, bit-identical to the deprecated constructors below). This is
-// the preferred construction entry point.
+// ("chimera", "gpipe", "dapple", "gems", "pipedream", "pipedream-2bw",
+// "1f1b") re-placed by the named scheduler ("" or "fixed" keeps the scheme's
+// own placement).
 func Build(spec ScheduleSpec) (*Schedule, error) { return schedule.Build(spec) }
-
-// NewChimera builds a bidirectional pipeline schedule (§3.1–§3.6).
-//
-// Deprecated: use Build with ScheduleSpec{Scheme: "chimera", D: …, N: …,
-// F: …, Concat: …}; this wrapper remains for compatibility and produces
-// bit-identical schedules.
-func NewChimera(cfg ChimeraConfig) (*Schedule, error) {
-	return Build(ScheduleSpec{Scheme: "chimera", D: cfg.D, N: cfg.N, F: cfg.F, Concat: cfg.Concat})
-}
-
-// NewSchedule builds any supported scheme by name: "chimera", "gpipe",
-// "dapple", "gems", "pipedream", "pipedream-2bw", "1f1b".
-//
-// Deprecated: use Build with ScheduleSpec{Scheme: scheme, D: d, N: n}; this
-// wrapper remains for compatibility and produces bit-identical schedules.
-func NewSchedule(scheme string, d, n int) (*Schedule, error) {
-	return Build(ScheduleSpec{Scheme: scheme, D: d, N: n})
-}
 
 // Schemes lists the supported scheme names.
 func Schemes() []string { return schedule.Schemes() }
@@ -170,12 +150,7 @@ func DefaultEngine() *Engine { return engine.Default() }
 
 // NewEngine builds a private engine with the given worker-pool size
 // (workers <= 0 selects GOMAXPROCS).
-func NewEngine(workers int) *Engine {
-	if workers <= 0 {
-		return engine.New()
-	}
-	return engine.New(engine.Workers(workers))
-}
+func NewEngine(workers int) *Engine { return engine.New(engine.Workers(workers)) }
 
 // Sweep evaluates every spec concurrently on the shared engine and returns
 // outcomes in input order.
@@ -272,7 +247,7 @@ const (
 // PlanFleet allocates cluster nodes across competing jobs and picks each
 // job's (W, D, B) with the §3.4 planner, maximizing Σ priority·throughput.
 // Runs on the shared engine; deterministic at any pool size.
-func PlanFleet(req FleetRequest) (*FleetAllocation, error) { return fleet.Allocate(req) }
+func PlanFleet(req FleetRequest) (*FleetAllocation, error) { return fleet.AllocateOn(nil, req) }
 
 // PlanFleetOn is PlanFleet on a caller-supplied engine.
 func PlanFleetOn(e *Engine, req FleetRequest) (*FleetAllocation, error) {
@@ -281,14 +256,14 @@ func PlanFleetOn(e *Engine, req FleetRequest) (*FleetAllocation, error) {
 
 // SimulateFleet replays a job arrival/departure trace through the
 // allocator as a deterministic discrete-event simulation.
-func SimulateFleet(sc FleetScenario) (*FleetSimResult, error) { return fleet.Simulate(sc) }
+func SimulateFleet(sc FleetScenario) (*FleetSimResult, error) { return fleet.SimulateOn(nil, sc) }
 
 // SimulateFleetElastic replays an elastic trace — arrivals plus node
 // failures, drains, and joins — re-planning incrementally on every event
 // with migration-cost-aware preemption and deadline-aware priority aging.
 // Bit-deterministic at any engine pool size.
 func SimulateFleetElastic(sc FleetElasticScenario) (*FleetElasticResult, error) {
-	return fleet.SimulateElastic(sc)
+	return fleet.SimulateElasticOn(nil, sc)
 }
 
 // NewFleetAllocator builds an allocator that reuses one plan memo across

@@ -12,7 +12,7 @@ import (
 // TestFacadeScheduleRoundTrip exercises the public API end to end: build,
 // render, analyze.
 func TestFacadeScheduleRoundTrip(t *testing.T) {
-	s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 4})
+	s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestFacadeSchemes(t *testing.T) {
 		t.Fatalf("schemes: %v", chimera.Schemes())
 	}
 	for _, name := range chimera.Schemes() {
-		if _, err := chimera.NewSchedule(name, 4, 4); err != nil {
+		if _, err := chimera.Build(chimera.ScheduleSpec{Scheme: name, D: 4, N: 4}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := chimera.NewSchedule("bogus", 4, 4); err == nil {
+	if _, err := chimera.Build(chimera.ScheduleSpec{Scheme: "bogus", D: 4, N: 4}); err == nil {
 		t.Fatal("unknown scheme must error")
 	}
 }
@@ -57,7 +57,7 @@ func TestFacadeSchemes(t *testing.T) {
 // TestFacadeSimulateAndPlan runs the simulator and the planner through the
 // facade.
 func TestFacadeSimulateAndPlan(t *testing.T) {
-	s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 8, Concat: chimera.Direct})
+	s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 8, Concat: chimera.Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFacadeSimulateAndPlan(t *testing.T) {
 
 func mustGPT2Sched(t *testing.T) *chimera.Schedule {
 	t.Helper()
-	s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 8, N: 8})
+	s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 8, N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func mustGPT2Sched(t *testing.T) *chimera.Schedule {
 // TestFacadeTraining trains through the facade and checks equivalence.
 func TestFacadeTraining(t *testing.T) {
 	spec := chimera.ModelSpec{Vocab: 17, Dim: 8, Heads: 2, SeqLen: 4, Layers: 4, Seed: 7}
-	s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 4})
+	s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,35 +7,9 @@ import (
 	"chimera"
 )
 
-// TestFacadeBuildSpec covers the unified ScheduleSpec entry point and the
-// deprecated wrappers' bit-identical delegation.
+// TestFacadeBuildSpec covers the unified ScheduleSpec entry point's
+// scheduler axis (TestFacadeSchemes builds every scheme through it).
 func TestFacadeBuildSpec(t *testing.T) {
-	viaSpec, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 8, F: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWrapper, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 8, F: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaSpec.Workers, viaWrapper.Workers) ||
-		!reflect.DeepEqual(viaSpec.Replicas, viaWrapper.Replicas) {
-		t.Fatal("NewChimera diverged from Build")
-	}
-	for _, scheme := range chimera.Schemes() {
-		a, err := chimera.Build(chimera.ScheduleSpec{Scheme: scheme, D: 4, N: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		b, err := chimera.NewSchedule(scheme, 4, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if !reflect.DeepEqual(a.Workers, b.Workers) {
-			t.Fatalf("%s: NewSchedule diverged from Build", scheme)
-		}
-	}
-
 	reshaped, err := chimera.Build(chimera.ScheduleSpec{
 		Scheme: "chimera", Scheduler: "heft", D: 4, N: 8,
 		SpeedFactors: []float64{1, 1, 2, 1},

@@ -44,18 +44,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"chimera/internal/controller"
 	"chimera/internal/engine"
@@ -163,12 +159,9 @@ func runController(sc serve.FleetScenario, addr string, workers, capacity, maxIn
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	log.Printf("chimera-fleet: controller listening on %s (%d nodes, %d jobs, max inflight=%d)",
 		addr, sc.Cluster.Nodes, len(sc.Jobs), c.MaxInflight())
-	if err := c.ListenAndServe(ctx, addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := c.Run(addr); err != nil {
 		return err
 	}
 	log.Printf("chimera-fleet: controller stopped")

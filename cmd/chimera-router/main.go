@@ -22,16 +22,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"chimera/internal/router"
@@ -69,12 +64,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	log.Printf("chimera-router: listening on %s, %d replicas (%s), vnodes=%d",
 		*addr, len(rt.Ring().Replicas()), strings.Join(rt.Ring().Replicas(), ", "), *vnodes)
-	if err := rt.ListenAndServe(ctx, *addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := rt.Run(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, "chimera-router:", err)
 		os.Exit(1)
 	}

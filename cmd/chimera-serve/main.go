@@ -25,16 +25,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"chimera/internal/serve"
@@ -91,12 +87,9 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	log.Printf("chimera-serve: version %s (%s), listening on %s (engine workers=%d, cache capacity=%d, max inflight=%d)",
 		serve.BuildVersion(), runtime.Version(), *addr, s.Engine().WorkerCount(), *capacity, s.MaxInflight())
-	if err := s.ListenAndServe(ctx, *addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := s.Run(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, "chimera-serve:", err)
 		os.Exit(1)
 	}

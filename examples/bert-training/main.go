@@ -20,7 +20,7 @@ func main() {
 		b       = 2       // sequences per micro-batch
 		iters   = 15
 	)
-	sched, err := chimera.NewChimera(chimera.ChimeraConfig{D: d, N: n})
+	sched, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: d, N: n})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("%s on %d workers, B̂=%d — Eq. 1 ranking:\n", m.Name, req.P, req.MiniBatch)
 	for i, pr := range preds {
 		// Cross-check each prediction against the simulator.
-		sched, err := chimera.NewChimera(chimera.ChimeraConfig{D: pr.D, N: pr.N, Concat: chimera.Direct})
+		sched, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: pr.D, N: pr.N, Concat: chimera.Direct})
 		if err != nil {
 			log.Fatal(err)
 		}

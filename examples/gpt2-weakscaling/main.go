@@ -28,13 +28,7 @@ func main() {
 				if n < 1 {
 					continue
 				}
-				var sched *chimera.Schedule
-				var err error
-				if scheme == "chimera" {
-					sched, err = chimera.NewChimera(chimera.ChimeraConfig{D: d, N: n, Concat: chimera.Direct})
-				} else {
-					sched, err = chimera.NewSchedule(scheme, d, n)
-				}
+				sched, err := chimera.Build(chimera.ScheduleSpec{Scheme: scheme, D: d, N: n})
 				if err != nil {
 					continue
 				}

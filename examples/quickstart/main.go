@@ -12,7 +12,7 @@ import (
 
 func main() {
 	// 1. A Chimera schedule: D=4 stages, N=4 micro-batches per worker.
-	sched, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 4})
+	sched, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func main() {
 	fmt.Println(analysis)
 
 	// 4. Compare with DAPPLE, the state-of-the-art synchronous baseline.
-	dapple, err := chimera.NewSchedule("dapple", 4, 4)
+	dapple, err := chimera.Build(chimera.ScheduleSpec{Scheme: "dapple", D: 4, N: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 		100*(1-analysis.BubbleRatioEqual/da.BubbleRatioEqual))
 
 	// 5. Simulate one BERT-48 training iteration on 32 P100 nodes.
-	bigSched, err := chimera.NewChimera(chimera.ChimeraConfig{D: 8, N: 8, Concat: chimera.Direct})
+	bigSched, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 8, N: 8, Concat: chimera.Direct})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func show(title string, s *chimera.Schedule, cm chimera.CostModel) {
 func main() {
 	fmt.Println("All schemes at D=4, N=4 (backward = 2× forward, as in Fig. 2):")
 	for _, name := range chimera.Schemes() {
-		s, err := chimera.NewSchedule(name, 4, 4)
+		s, err := chimera.Build(chimera.ScheduleSpec{Scheme: name, D: 4, N: 4})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func main() {
 
 	fmt.Println("Chimera N>D scaling methods at D=4, N=8 (Fig. 7):")
 	for _, mode := range []chimera.ConcatMode{chimera.Direct, chimera.ForwardDoubling, chimera.BackwardHalving} {
-		s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 4, N: 8, Concat: mode})
+		s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 4, N: 8, Concat: mode})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func main() {
 	}
 
 	fmt.Println("Four 8-stage pipelines, f=2 (Fig. 8, equal-cost model):")
-	s, err := chimera.NewChimera(chimera.ChimeraConfig{D: 8, N: 8, F: 2})
+	s, err := chimera.Build(chimera.ScheduleSpec{Scheme: "chimera", D: 8, N: 8, F: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

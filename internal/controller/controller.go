@@ -10,7 +10,7 @@
 // The controller is a single serialized state machine: one mutex orders
 // every ingested batch, so the applied event sequence is exactly the
 // append-only log the sim records. That log is the correctness anchor —
-// replaying it through fleet.SimulateElastic reproduces the controller's
+// replaying it through fleet.SimulateElasticOn reproduces the controller's
 // event records and current allocation bit for bit (the live log is a
 // byte-identical prefix of the replay's; the replay goes on to retire the
 // still-resident instances). All wire encoding goes through the serve
@@ -23,18 +23,16 @@
 package controller
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
 	"chimera/internal/engine"
 	"chimera/internal/fleet"
+	"chimera/internal/httpd"
 	"chimera/internal/obs"
 	"chimera/internal/serve"
 )
@@ -62,14 +60,16 @@ type Config struct {
 }
 
 // Controller is the fleet control plane. Build with New; the zero value is
-// not usable.
+// not usable. The embedded chassis supplies Handler, Run, ListenAndServe and
+// Serve; on shutdown /readyz answers 503 "draining", sheds carry the
+// drain-aware Retry-After, and the event streams are closed so they cannot
+// hold the bounded shutdown to its timeout.
 type Controller struct {
-	mux         *http.ServeMux
-	inflight    chan struct{}
-	maxInflight int
-	reg         *obs.Registry
-	started     time.Time
-	hub         *hub
+	*httpd.Daemon
+	admission *httpd.Admission
+	reg       *obs.Registry
+	started   time.Time
+	hub       *hub
 
 	// mu serializes the state machine: every batch applies under it, so
 	// the recorded event log is the exact applied order.
@@ -99,34 +99,21 @@ func New(cfg Config) (*Controller, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		opts := []engine.Option{engine.Observe(reg)}
-		if cfg.Workers > 0 {
-			opts = append(opts, engine.Workers(cfg.Workers))
-		}
-		if cfg.CacheCapacity > 0 {
-			opts = append(opts, engine.Capacity(cfg.CacheCapacity))
-		}
-		eng = engine.New(opts...)
-	}
+	eng := engine.ForDaemon(cfg.Engine, reg, cfg.Workers, cfg.CacheCapacity)
 	alloc := fleet.NewAllocatorCap(eng, cfg.CacheCapacity)
 	alloc.Observe(reg)
 	sim, err := alloc.NewElasticSim(esc)
 	if err != nil {
 		return nil, err
 	}
-	maxInflight := cfg.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
+	mux := http.NewServeMux()
+	h := newHub()
 	c := &Controller{
-		inflight:    make(chan struct{}, maxInflight),
-		maxInflight: maxInflight,
-		reg:         reg,
-		started:     time.Now(),
-		hub:         newHub(),
-		sim:         sim,
+		Daemon:  httpd.NewDaemon(mux, httpd.Lifecycle{OnShutdown: h.closeAll}),
+		reg:     reg,
+		started: time.Now(),
+		hub:     h,
+		sim:     sim,
 
 		eventsTotal:   reg.Counter("controller_events_total", "live events accepted into the simulation"),
 		batchesTotal:  reg.Counter("controller_batches_total", "event batches applied"),
@@ -139,79 +126,25 @@ func New(cfg Config) (*Controller, error) {
 		streamClients: reg.Gauge("controller_stream_clients", "connected allocation-stream subscribers"),
 	}
 	c.nodesGauge.Set(int64(sim.NodeCount()))
+	c.admission = httpd.NewAdmission(cfg.MaxInflight, "controller at capacity, retry later",
+		c.shedTotal.Inc, c.RetryAfter)
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fleet/events", c.admitted(c.handleEvents))
-	mux.HandleFunc("POST /v1/fleet/whatif", c.admitted(c.handleWhatIf))
+	mux.HandleFunc("POST /v1/fleet/events", c.admission.Wrap(c.handleEvents))
+	mux.HandleFunc("POST /v1/fleet/whatif", c.admission.Wrap(c.handleWhatIf))
 	mux.HandleFunc("GET /v1/fleet/allocation", c.handleAllocation)
 	mux.HandleFunc("GET /v1/fleet/events/log", c.handleLog)
 	mux.HandleFunc("GET /v1/fleet/stream", c.handleStream)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.HandleFunc("GET /readyz", c.handleReady)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux = mux
+	mux.HandleFunc("GET /metrics", httpd.Metrics(reg))
 	return c, nil
 }
-
-// Handler returns the controller's HTTP handler (for embedding and tests).
-func (c *Controller) Handler() http.Handler { return c.mux }
 
 // Registry returns the controller's metric registry.
 func (c *Controller) Registry() *obs.Registry { return c.reg }
 
 // MaxInflight reports the admission-control bound.
-func (c *Controller) MaxInflight() int { return c.maxInflight }
-
-// ListenAndServe serves the controller on addr until ctx is cancelled.
-func (c *Controller) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe on a caller-supplied listener.
-func (c *Controller) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{
-		Handler:           c.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	// Close SSE streams on shutdown: Shutdown waits for active handlers,
-	// and a stream would otherwise hold it until the client hangs up.
-	hs.RegisterOnShutdown(c.hub.closeAll)
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		return hs.Shutdown(sctx)
-	}
-}
-
-// maxBodyBytes mirrors the serve tier's request-body cap.
-const maxBodyBytes = 1 << 20
-
-// admitted wraps a heavy handler with the serve tier's admission policy: a
-// request takes one of MaxInflight slots immediately or is shed with 429.
-func (c *Controller) admitted(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case c.inflight <- struct{}{}:
-			defer func() { <-c.inflight }()
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-			h(w, r)
-		default:
-			c.shedTotal.Inc()
-			w.Header().Set("Retry-After", "1")
-			c.writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "controller at capacity, retry later"})
-		}
-	}
-}
+func (c *Controller) MaxInflight() int { return c.admission.Max() }
 
 // EventsRequest is the POST /v1/fleet/events body: one batch of live
 // events, any order within the batch, every time strictly after the last
@@ -239,16 +172,16 @@ type EventsResponse struct {
 func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req EventsRequest
 	if err := serve.DecodeStrict(r.Body, &req); err != nil {
-		c.badRequest(w, err)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Events) == 0 {
-		c.badRequest(w, errString("controller: events must be non-empty"))
+		httpd.WriteError(w, http.StatusBadRequest, "controller: events must be non-empty")
 		return
 	}
 	events, err := serve.ResolveFleetEvents(req.Events)
 	if err != nil {
-		c.badRequest(w, err)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -268,12 +201,12 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// longer matches the recorded log, so stop serving it.
 			c.poisoned = err
 			c.mu.Unlock()
-			c.writeJSON(w, http.StatusInternalServerError, serve.ErrorResponse{Error: "controller poisoned: " + err.Error()})
+			httpd.WriteError(w, http.StatusInternalServerError, "controller poisoned: "+err.Error())
 			return
 		}
 		c.mu.Unlock()
 		c.rejectsTotal.Inc()
-		c.unprocessable(w, err)
+		httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	c.version++
@@ -297,7 +230,7 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if raw, err := json.Marshal(update); err == nil {
 		c.hub.publish(raw)
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // AllocationResponse is GET /v1/fleet/allocation (and each SSE update's
@@ -320,7 +253,7 @@ func (c *Controller) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := c.allocationLocked()
 	c.mu.Unlock()
-	c.writeJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // allocationLocked snapshots the current allocation; c.mu must be held.
@@ -355,7 +288,7 @@ func (c *Controller) handleLog(w http.ResponseWriter, r *http.Request) {
 		Log:     serve.NewFleetEventRecords(snap.Log),
 	}
 	c.mu.Unlock()
-	c.writeJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // WhatIfRequest is the POST /v1/fleet/whatif body: a hypothesis to evaluate
@@ -392,16 +325,16 @@ type WhatIfResponse struct {
 func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := serve.DecodeStrict(r.Body, &req); err != nil {
-		c.badRequest(w, err)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Events) == 0 && req.MigrationPenalty == nil && len(req.Deadlines) == 0 {
-		c.badRequest(w, errString("controller: whatif needs events, migration_penalty or deadlines"))
+		httpd.WriteError(w, http.StatusBadRequest, "controller: whatif needs events, migration_penalty or deadlines")
 		return
 	}
 	events, err := serve.ResolveFleetEvents(req.Events)
 	if err != nil {
-		c.badRequest(w, err)
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -417,13 +350,13 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 
 	if req.MigrationPenalty != nil {
 		if err := fork.SetMigrationPenalty(*req.MigrationPenalty); err != nil {
-			c.badRequest(w, err)
+			httpd.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	for _, d := range req.Deadlines {
 		if err := fork.SetDeadline(d.Job, d.Deadline); err != nil {
-			c.unprocessable(w, err)
+			httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
 	}
@@ -431,16 +364,16 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if err := fork.Ingest(events); err != nil {
 			// The fork is discarded either way; an apply failure poisons
 			// nothing but means the hypothesis has no answer.
-			c.unprocessable(w, err)
+			httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
 	} else if err := fork.ReplanNow(); err != nil {
-		c.unprocessable(w, err)
+		httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	snap := fork.Snapshot()
 	c.whatifsTotal.Inc()
-	c.writeJSON(w, http.StatusOK, WhatIfResponse{
+	httpd.WriteJSON(w, http.StatusOK, WhatIfResponse{
 		BaseVersion: baseVersion, Now: fork.Now(),
 		Nodes: fork.NodeCount(), Residents: fork.Residents(),
 		Cost:       snap.Cost,
@@ -455,7 +388,7 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		c.writeJSON(w, http.StatusInternalServerError, serve.ErrorResponse{Error: "controller: streaming unsupported by this connection"})
+		httpd.WriteError(w, http.StatusInternalServerError, "controller: streaming unsupported by this connection")
 		return
 	}
 	sub := c.hub.subscribe()
@@ -526,44 +459,23 @@ func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "poisoned"
 	}
 	c.mu.Unlock()
-	c.writeJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleReady mirrors the serve tier's readiness split: 200 while the
-// state machine accepts events, 503 once poisoned.
+// state machine accepts events, 503 once poisoned or once shutdown has begun.
 func (c *Controller) handleReady(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	poisoned := c.poisoned != nil
 	c.mu.Unlock()
-	if poisoned {
-		c.writeJSON(w, http.StatusServiceUnavailable, serve.ReadyResponse{Status: "poisoned"})
-		return
+	switch {
+	case poisoned:
+		httpd.WriteJSON(w, http.StatusServiceUnavailable, serve.ReadyResponse{Status: "poisoned"})
+	case c.Draining():
+		httpd.WriteJSON(w, http.StatusServiceUnavailable, serve.ReadyResponse{Status: "draining"})
+	default:
+		httpd.WriteJSON(w, http.StatusOK, serve.ReadyResponse{Status: "ready"})
 	}
-	c.writeJSON(w, http.StatusOK, serve.ReadyResponse{Status: "ready"})
-}
-
-func (c *Controller) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.reg.WritePrometheus(w)
-}
-
-func (c *Controller) writeJSON(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(raw)
-}
-
-func (c *Controller) badRequest(w http.ResponseWriter, err error) {
-	c.writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
-}
-
-func (c *Controller) unprocessable(w http.ResponseWriter, err error) {
-	c.writeJSON(w, http.StatusUnprocessableEntity, serve.ErrorResponse{Error: err.Error()})
 }
 
 func (c *Controller) unavailable(w http.ResponseWriter) {
@@ -573,9 +485,5 @@ func (c *Controller) unavailable(w http.ResponseWriter) {
 		msg = "controller poisoned: " + c.poisoned.Error()
 	}
 	c.mu.Unlock()
-	c.writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: msg})
+	httpd.WriteError(w, http.StatusServiceUnavailable, msg)
 }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

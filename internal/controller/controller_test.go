@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -393,6 +394,47 @@ func TestControllerStream(t *testing.T) {
 	update := read("update")
 	if update.Version != 2 || update.Residents != 2 {
 		t.Fatalf("stream update %+v, want version 2 with 2 residents", update)
+	}
+}
+
+// TestControllerDrainContract: a controller that has begun shutdown answers
+// /readyz 503 "draining", and its sheds tell clients to stay away for what
+// remains of the shutdown bound instead of inviting a 1-second retry against
+// a closing listener.
+func TestControllerDrainContract(t *testing.T) {
+	c, ts := newTestController(t, Config{MaxInflight: 1})
+	c.admission.TryAcquire() // hold the only slot so every heavy request sheds
+	defer c.admission.Release()
+	shedRetryAfter := func() string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/fleet/events", "application/json", strings.NewReader(`{"events":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status %d, want 429", resp.StatusCode)
+		}
+		return resp.Header.Get("Retry-After")
+	}
+
+	if status, body := get(t, ts, "/readyz"); status != http.StatusOK || !strings.Contains(string(body), `"ready"`) {
+		t.Fatalf("/readyz before shutdown: %d %s", status, body)
+	}
+	if ra := shedRetryAfter(); ra != "1" {
+		t.Fatalf("pre-drain Retry-After %q, want \"1\"", ra)
+	}
+
+	c.BeginDrain()
+	if status, body := get(t, ts, "/readyz"); status != http.StatusServiceUnavailable || !strings.Contains(string(body), `"draining"`) {
+		t.Fatalf("/readyz during shutdown: %d %s, want 503 draining", status, body)
+	}
+	ra, err := strconv.Atoi(shedRetryAfter())
+	if err != nil || ra < 10 || ra > 15 {
+		t.Fatalf("draining Retry-After %d (err %v), want it to cover the 15s shutdown bound", ra, err)
+	}
+	if got := c.Registry().Snapshot().Counters["controller_shed_total"]; got != 2 {
+		t.Fatalf("controller_shed_total = %d, want 2", got)
 	}
 }
 

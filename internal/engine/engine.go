@@ -313,6 +313,17 @@ func ReferenceCore() Option {
 	return func(e *Engine) { e.refCore = true }
 }
 
+// ForDaemon resolves a daemon's engine configuration: own when the caller
+// supplied an engine (it keeps whatever instrumentation it was built with),
+// otherwise a new engine registered on reg with workers pool slots
+// (0 = GOMAXPROCS) and every memo table bounded to capacity (0 = unbounded).
+func ForDaemon(own *Engine, reg *obs.Registry, workers, capacity int) *Engine {
+	if own != nil {
+		return own
+	}
+	return New(Observe(reg), Workers(workers), Capacity(capacity))
+}
+
 // New builds an engine with a GOMAXPROCS-sized pool and empty caches.
 func New(opts ...Option) *Engine {
 	e := &Engine{

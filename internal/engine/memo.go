@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -25,24 +24,28 @@ import (
 type Memo[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int // 0 = unbounded
-	entries  map[K]*memoEntry[V]
-	// order is the LRU list (front = most recently used); element values
-	// are keys. Maintained only when capacity > 0.
-	order     *list.List
+	entries  map[K]*memoEntry[K, V]
+	// lru is the sentinel of the circular recency list threaded through the
+	// entries: lru.next is the most recently used entry, lru.prev the least.
+	// Every table keeps it (Range order is recency order, bounded or not);
+	// only a bounded table evicts from it.
+	lru       memoEntry[K, V]
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-type memoEntry[V any] struct {
+type memoEntry[K comparable, V any] struct {
 	once sync.Once
 	v    V
 	// done publishes v: set (after v is written) by the goroutine that ran
 	// the computation, so Cached can hand out v without arming once.
 	done atomic.Bool
-	// elem is the entry's position in the LRU order; nil when the table is
-	// unbounded or the entry has been evicted. Guarded by Memo.mu.
-	elem *list.Element
+	// key and the recency links live in the entry itself, so a miss costs
+	// one allocation and a hit none. prev/next are guarded by Memo.mu and
+	// nil once the entry has been evicted.
+	key        K
+	prev, next *memoEntry[K, V]
 }
 
 // NewMemo returns an empty, unbounded memoization table.
@@ -56,10 +59,42 @@ func NewMemoCap[K comparable, V any](capacity int) *Memo[K, V] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Memo[K, V]{
+	m := &Memo[K, V]{
 		capacity: capacity,
-		entries:  make(map[K]*memoEntry[V]),
-		order:    list.New(),
+		entries:  make(map[K]*memoEntry[K, V]),
+	}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
+}
+
+// touch makes e the most recently used entry. m.mu must be held.
+func (m *Memo[K, V]) touch(e *memoEntry[K, V]) {
+	if m.lru.next == e {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	m.pushFront(e)
+}
+
+// pushFront links an unlinked entry in as the most recently used. m.mu must
+// be held.
+func (m *Memo[K, V]) pushFront(e *memoEntry[K, V]) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// insert adds a new entry at the recency front and, on a bounded table,
+// evicts from the back until the bound holds. The new entry sits at the
+// front, so with capacity ≥ 1 it is never its own victim. m.mu must be held.
+func (m *Memo[K, V]) insert(e *memoEntry[K, V]) {
+	m.entries[e.key] = e
+	m.pushFront(e)
+	for m.capacity > 0 && len(m.entries) > m.capacity {
+		victim := m.lru.prev
+		victim.prev.next, m.lru.prev = &m.lru, victim.prev
+		victim.prev, victim.next = nil, nil
+		delete(m.entries, victim.key)
+		m.evictions.Add(1)
 	}
 }
 
@@ -71,25 +106,10 @@ func (m *Memo[K, V]) Do(key K, fn func() V) V {
 	m.mu.Lock()
 	e, ok := m.entries[key]
 	if ok {
-		if e.elem != nil {
-			m.order.MoveToFront(e.elem)
-		}
+		m.touch(e)
 	} else {
-		e = &memoEntry[V]{}
-		m.entries[key] = e
-		if m.capacity > 0 {
-			e.elem = m.order.PushFront(key)
-			// The new entry sits at the front, so with capacity ≥ 1 it is
-			// never its own victim.
-			for len(m.entries) > m.capacity {
-				back := m.order.Back()
-				victim := back.Value.(K)
-				m.order.Remove(back)
-				m.entries[victim].elem = nil
-				delete(m.entries, victim)
-				m.evictions.Add(1)
-			}
-		}
+		e = &memoEntry[K, V]{key: key}
+		m.insert(e)
 	}
 	m.mu.Unlock()
 	if ok {
@@ -116,9 +136,7 @@ func (m *Memo[K, V]) Cached(key K) (v V, ok bool) {
 	m.mu.Lock()
 	e, found := m.entries[key]
 	if found && e.done.Load() {
-		if e.elem != nil {
-			m.order.MoveToFront(e.elem)
-		}
+		m.touch(e)
 		m.mu.Unlock()
 		m.hits.Add(1)
 		return e.v, true
@@ -154,13 +172,13 @@ func (m *Memo[K, V]) Capacity() int {
 	return m.capacity
 }
 
-// Range calls fn for every completed entry, least-recently used first (so a
-// bounded table restored in Range order reproduces the LRU recency of the
-// source). In-flight computations are skipped — only published values are
-// visited. On an unbounded table the order is unspecified. fn runs outside
-// the table lock (the pairs are collected under it first), so it may call
-// back into the Memo; returning false stops the iteration. This is the
-// export half of the serve tier's cache snapshot.
+// Range calls fn for every completed entry, least-recently used first —
+// on every table, bounded or not — so a table restored in Range order
+// reproduces the recency of the source. In-flight computations are skipped —
+// only published values are visited. fn runs outside the table lock (the
+// pairs are collected under it first), so it may call back into the Memo;
+// returning false stops the iteration. This is the export half of the serve
+// tier's cache snapshot.
 func (m *Memo[K, V]) Range(fn func(key K, value V) bool) {
 	if m == nil {
 		return
@@ -171,19 +189,9 @@ func (m *Memo[K, V]) Range(fn func(key K, value V) bool) {
 	}
 	m.mu.Lock()
 	pairs := make([]kv, 0, len(m.entries))
-	if m.capacity > 0 {
-		// Bounded: the LRU list holds every resident key, back = oldest.
-		for el := m.order.Back(); el != nil; el = el.Prev() {
-			k := el.Value.(K)
-			if e := m.entries[k]; e != nil && e.done.Load() {
-				pairs = append(pairs, kv{k, e.v})
-			}
-		}
-	} else {
-		for k, e := range m.entries {
-			if e.done.Load() {
-				pairs = append(pairs, kv{k, e.v})
-			}
+	for e := m.lru.prev; e != &m.lru; e = e.prev {
+		if e.done.Load() {
+			pairs = append(pairs, kv{e.key, e.v})
 		}
 	}
 	m.mu.Unlock()
@@ -203,19 +211,18 @@ func (m *Memo[K, V]) Range(fn func(key K, value V) bool) {
 // snapshot.
 //
 // Restoring a snapshot larger than the capacity therefore *truncates*, and
-// does so correctly: entries arrive in Range order (least recently used
-// first), each insert lands at the LRU front, and eviction always claims
-// the back — an earlier-restored (older) entry, never the entry just
-// inserted (with capacity ≥ 1 an insert is never its own victim). The
-// surviving entries are exactly the source's most-recently-used `capacity`
-// entries with their relative recency preserved, which is the documented
-// "Range order reproduces LRU recency" invariant applied to the smaller
-// table. Put returns true for an insert even if a later insert evicts it.
+// does so correctly whatever the source's bound was: entries arrive in Range
+// order (least recently used first), each insert lands at the recency
+// front, and eviction always claims the back — an earlier-restored (older)
+// entry, never the entry just inserted. The surviving entries are exactly
+// the source's most-recently-used `capacity` entries with their relative
+// recency preserved. Put returns true for an insert even if a later insert
+// evicts it.
 func (m *Memo[K, V]) Put(key K, value V) bool {
 	if m == nil {
 		return false
 	}
-	e := &memoEntry[V]{v: value}
+	e := &memoEntry[K, V]{key: key, v: value}
 	e.once.Do(func() {}) // burn the once so a later Do never recomputes
 	e.done.Store(true)
 	m.mu.Lock()
@@ -223,18 +230,7 @@ func (m *Memo[K, V]) Put(key K, value V) bool {
 	if _, ok := m.entries[key]; ok {
 		return false
 	}
-	m.entries[key] = e
-	if m.capacity > 0 {
-		e.elem = m.order.PushFront(key)
-		for len(m.entries) > m.capacity {
-			back := m.order.Back()
-			victim := back.Value.(K)
-			m.order.Remove(back)
-			m.entries[victim].elem = nil
-			delete(m.entries, victim)
-			m.evictions.Add(1)
-		}
-	}
+	m.insert(e)
 	return true
 }
 
@@ -254,8 +250,8 @@ func (m *Memo[K, V]) Reset() {
 		return
 	}
 	m.mu.Lock()
-	m.entries = make(map[K]*memoEntry[V])
-	m.order = list.New()
+	m.entries = make(map[K]*memoEntry[K, V])
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	m.mu.Unlock()
 	m.hits.Store(0)
 	m.misses.Store(0)

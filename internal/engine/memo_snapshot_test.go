@@ -5,24 +5,26 @@ import (
 	"testing"
 )
 
-// TestMemoRangeLRUOrder: on a bounded table, Range must visit completed
-// entries least-recently used first, so an export/import round trip
-// reproduces the source's eviction order.
+// TestMemoRangeLRUOrder: on every table — bounded or the default unbounded
+// one — Range must visit completed entries least-recently used first, so an
+// export/import round trip reproduces the source's recency.
 func TestMemoRangeLRUOrder(t *testing.T) {
-	m := NewMemoCap[string, int](3)
-	m.Do("a", func() int { return 1 })
-	m.Do("b", func() int { return 2 })
-	m.Do("c", func() int { return 3 })
-	if _, ok := m.Cached("a"); !ok { // refresh a: eviction order becomes b, c, a
-		t.Fatal("a should be cached")
-	}
-	var keys []string
-	m.Range(func(k string, v int) bool {
-		keys = append(keys, k)
-		return true
-	})
-	if want := []string{"b", "c", "a"}; !reflect.DeepEqual(keys, want) {
-		t.Fatalf("Range order %v, want %v", keys, want)
+	for _, capacity := range []int{3, 0} {
+		m := NewMemoCap[string, int](capacity)
+		m.Do("a", func() int { return 1 })
+		m.Do("b", func() int { return 2 })
+		m.Do("c", func() int { return 3 })
+		if _, ok := m.Cached("a"); !ok { // refresh a: recency becomes b, c, a
+			t.Fatal("a should be cached")
+		}
+		var keys []string
+		m.Range(func(k string, v int) bool {
+			keys = append(keys, k)
+			return true
+		})
+		if want := []string{"b", "c", "a"}; !reflect.DeepEqual(keys, want) {
+			t.Fatalf("capacity %d: Range order %v, want %v", capacity, keys, want)
+		}
 	}
 }
 
@@ -176,44 +178,54 @@ func TestMemoPutReportsInsert(t *testing.T) {
 
 // TestMemoRestoreIntoSmallerCapacity: restoring a snapshot into a table
 // with a smaller capacity than the snapshot's entry count must truncate to
-// the *newest* entries with their relative recency preserved — each insert
-// lands at the LRU front and eviction claims the back, so restore can never
-// evict the entry it just inserted, only older ones. This is the documented
-// "Range order reproduces LRU recency" invariant under truncation.
+// the source's most-recently-*used* entries with their relative recency
+// preserved — each insert lands at the recency front and eviction claims the
+// back, so restore can never evict the entry it just inserted, only older
+// ones. The unbounded source is the regression: it used to Range in map
+// order, so the survivors were a random subset.
 func TestMemoRestoreIntoSmallerCapacity(t *testing.T) {
-	src := NewMemoCap[string, int](5)
-	for _, k := range []string{"a", "b", "c", "d", "e"} { // recency: a oldest … e newest
-		k := k
-		src.Do(k, func() int { return int(k[0]) })
-	}
-
-	dst := NewMemoCap[string, int](2)
-	inserted := 0
-	src.Range(func(k string, v int) bool {
-		if dst.Put(k, v) {
-			inserted++
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	for _, srcCap := range []int{len(keys), 0} {
+		src := NewMemoCap[string, int](srcCap)
+		for _, k := range keys { // recency: a oldest … l newest
+			k := k
+			src.Do(k, func() int { return int(k[0]) })
 		}
-		return true
-	})
-	// Every Put inserted (no duplicates), even though only 2 survive.
-	if inserted != 5 {
-		t.Fatalf("inserted=%d, want 5", inserted)
-	}
-	if dst.Len() != 2 {
-		t.Fatalf("Len=%d, want the capacity 2", dst.Len())
-	}
-	if dst.Evictions() != 3 {
-		t.Fatalf("Evictions=%d, want 3", dst.Evictions())
-	}
-	// Survivors are the source's two most-recent entries, oldest-first in
-	// Range order — the source's recency, truncated.
-	var order []string
-	dst.Range(func(k string, _ int) bool { order = append(order, k); return true })
-	if want := []string{"d", "e"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("restored order %v, want %v (newest survive, recency preserved)", order, want)
-	}
-	if v, ok := dst.Cached("e"); !ok || v != int('e') {
-		t.Fatalf("newest entry lost: got %d (ok=%v)", v, ok)
+		// Use, not insertion, decides: a hit and a Do on old entries make
+		// the recency tail …, k, l, c, a.
+		if _, ok := src.Cached("c"); !ok {
+			t.Fatal("c should be cached")
+		}
+		src.Do("a", func() int { t.Error("a recomputed"); return 0 })
+
+		dst := NewMemoCap[string, int](3)
+		inserted := 0
+		src.Range(func(k string, v int) bool {
+			if dst.Put(k, v) {
+				inserted++
+			}
+			return true
+		})
+		// Every Put inserted (no duplicates), even though only 3 survive.
+		if inserted != len(keys) {
+			t.Fatalf("source capacity %d: inserted=%d, want %d", srcCap, inserted, len(keys))
+		}
+		if dst.Len() != 3 {
+			t.Fatalf("source capacity %d: Len=%d, want the capacity 3", srcCap, dst.Len())
+		}
+		if got, want := dst.Evictions(), uint64(len(keys)-3); got != want {
+			t.Fatalf("source capacity %d: Evictions=%d, want %d", srcCap, got, want)
+		}
+		// Survivors are exactly the source's three most-recently-used
+		// entries, oldest-first in Range order.
+		var order []string
+		dst.Range(func(k string, _ int) bool { order = append(order, k); return true })
+		if want := []string{"l", "c", "a"}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("source capacity %d: restored order %v, want %v (most recently used survive, recency preserved)", srcCap, order, want)
+		}
+		if v, ok := dst.Cached("a"); !ok || v != int('a') {
+			t.Fatalf("source capacity %d: newest entry lost: got %d (ok=%v)", srcCap, v, ok)
+		}
 	}
 }
 

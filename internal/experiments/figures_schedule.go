@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"chimera/internal/perfmodel"
 	"chimera/internal/schedule"
 	"chimera/internal/trace"
 )
@@ -42,7 +41,7 @@ func Figure6() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cf, cb, err := perfmodel.CriticalPath(s)
+	cf, cb, err := schedule.CriticalPath(s)
 	if err != nil {
 		return nil, err
 	}

@@ -109,15 +109,9 @@ func NewAllocatorCap(e *engine.Engine, capacity int) *Allocator {
 // much of the greedy search repeated candidate plans absorbed.
 func (a *Allocator) PlanStats() (hits, misses uint64) { return a.plans.Stats() }
 
-// Allocate solves one fleet-allocation problem on the process-wide default
-// engine.
-func Allocate(req Request) (*Allocation, error) {
-	return NewAllocator(nil).Allocate(req)
-}
-
-// AllocateOn is Allocate on a caller-supplied engine (pool size and caches
-// under the caller's control) with a throwaway plan memo; callers that
-// allocate repeatedly should hold a NewAllocator instead.
+// AllocateOn solves one fleet-allocation problem on e (nil selects the
+// shared default engine) with a throwaway plan memo; callers that allocate
+// repeatedly should hold a NewAllocator instead.
 func AllocateOn(e *engine.Engine, req Request) (*Allocation, error) {
 	return NewAllocator(e).Allocate(req)
 }

@@ -382,13 +382,8 @@ type ElasticResult struct {
 	Final []FinalShare
 }
 
-// SimulateElastic replays an elastic scenario on the process-wide default
-// engine.
-func SimulateElastic(sc ElasticScenario) (*ElasticResult, error) {
-	return NewAllocator(nil).SimulateElastic(sc)
-}
-
-// SimulateElasticOn is SimulateElastic on a caller-supplied engine.
+// SimulateElasticOn replays an elastic scenario on e (nil selects the
+// shared default engine).
 func SimulateElasticOn(e *engine.Engine, sc ElasticScenario) (*ElasticResult, error) {
 	return NewAllocator(e).SimulateElastic(sc)
 }

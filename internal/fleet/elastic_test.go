@@ -529,7 +529,7 @@ func TestElasticValidation(t *testing.T) {
 		sc := base
 		sc.Events = append([]Event(nil), base.Events...)
 		tc.mut(&sc)
-		_, err := SimulateElastic(sc)
+		_, err := SimulateElasticOn(nil, sc)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -542,7 +542,7 @@ func TestElasticValidation(t *testing.T) {
 	sc := base
 	sc.Events = append([]Event(nil), base.Events...)
 	sc.Events[3].Node = 99
-	if _, err := SimulateElastic(sc); err == nil || !strings.Contains(err.Error(), "absent node") {
+	if _, err := SimulateElasticOn(nil, sc); err == nil || !strings.Contains(err.Error(), "absent node") {
 		t.Errorf("failing an absent node: err = %v", err)
 	}
 }

@@ -239,7 +239,7 @@ func TestValidateRejections(t *testing.T) {
 	for _, tc := range cases {
 		req := Request{Cluster: pizDaintCluster(8, nil), Jobs: []Job{{Name: "a", Model: model.BERT48(), MiniBatch: 64}}}
 		tc.mut(&req)
-		if _, err := Allocate(req); err == nil {
+		if _, err := AllocateOn(nil, req); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -64,12 +64,8 @@ type SimResult struct {
 	Jobs          []JobRun
 }
 
-// Simulate replays a scenario on the process-wide default engine.
-func Simulate(sc Scenario) (*SimResult, error) {
-	return NewAllocator(nil).Simulate(sc)
-}
-
-// SimulateOn is Simulate on a caller-supplied engine.
+// SimulateOn replays a scenario on e (nil selects the shared default
+// engine).
 func SimulateOn(e *engine.Engine, sc Scenario) (*SimResult, error) {
 	return NewAllocator(e).Simulate(sc)
 }

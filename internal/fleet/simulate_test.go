@@ -182,7 +182,7 @@ func TestSimulateValidation(t *testing.T) {
 		sc := base
 		sc.Trace = append([]Arrival(nil), base.Trace...)
 		tc.mut(&sc)
-		if _, err := Simulate(sc); err == nil {
+		if _, err := SimulateOn(nil, sc); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -29,13 +29,6 @@ import (
 	"chimera/internal/sim"
 )
 
-// CriticalPath returns (Cf, Cb), the Eq. 1 critical-path counts. It
-// forwards to schedule.CriticalPath, which owns the dependency-structure
-// probe (kept here for API compatibility).
-func CriticalPath(s *schedule.Schedule) (cf, cb int, err error) {
-	return schedule.CriticalPath(s)
-}
-
 // Prediction is the model's estimate for one configuration.
 type Prediction struct {
 	W, D, B    int
@@ -51,7 +44,7 @@ type Prediction struct {
 
 // Predict evaluates Eq. 1 for a Chimera configuration.
 func Predict(cfg sim.Config) (*Prediction, error) {
-	cf, cb, err := CriticalPath(cfg.Schedule)
+	cf, cb, err := schedule.CriticalPath(cfg.Schedule)
 	if err != nil {
 		return nil, err
 	}

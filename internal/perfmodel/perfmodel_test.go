@@ -16,7 +16,7 @@ func TestCriticalPathFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, cb, err := CriticalPath(s)
+	cf, cb, err := schedule.CriticalPath(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCriticalPathScalesWithD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, cb, err := CriticalPath(s)
+		cf, cb, err := schedule.CriticalPath(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestCriticalPathBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, cb, err := CriticalPath(s)
+	cf, cb, err := schedule.CriticalPath(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,9 +132,9 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// fnv64a is the 64-bit FNV-1a hash; inlined (rather than hash/fnv) so key
-// lookup allocates nothing.
-func fnv64a(s string) uint64 {
+// fnv64a is the 64-bit FNV-1a hash of a key or a request body; inlined
+// (rather than hash/fnv) so key lookup allocates nothing.
+func fnv64a[T string | []byte](s T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211

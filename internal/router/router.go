@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"chimera/internal/httpd"
 	"chimera/internal/obs"
 	"chimera/internal/serve"
 )
@@ -106,15 +107,16 @@ func (rs *replicaState) setReady(up bool) {
 }
 
 // Router is the consistent-hash front tier. Build with New; the zero value
-// is not usable.
+// is not usable. The embedded chassis supplies Handler, Run, ListenAndServe
+// and Serve, which run the health loop (Start) alongside the listener.
 type Router struct {
+	*httpd.Daemon
 	ring        *Ring
 	reps        map[string]*replicaState
 	client      *http.Client
 	maxAttempts int
 	healthEvery time.Duration
 	healthWait  time.Duration
-	mux         *http.ServeMux
 	reg         *obs.Registry
 	started     time.Time
 
@@ -125,7 +127,7 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	ring := NewRing(cfg.Replicas, cfg.VNodes)
 	if len(ring.Replicas()) == 0 {
-		return nil, errString("router: at least one replica is required")
+		return nil, errors.New("router: at least one replica is required")
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -179,22 +181,19 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(len(ring.Replicas())) })
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", rt.handleKeyed(planKey))
+	mux.HandleFunc("POST /v1/plan", rt.handleKeyed(cacheKey))
 	mux.HandleFunc("POST /v1/plan:batch", rt.handleBatch)
-	mux.HandleFunc("POST /v1/fleet/plan", rt.handleKeyed(fleetPlanKey))
-	mux.HandleFunc("POST /v1/fleet/simulate", rt.handleKeyed(fleetSimKey))
+	mux.HandleFunc("POST /v1/fleet/plan", rt.handleKeyed(cacheKey))
+	mux.HandleFunc("POST /v1/fleet/simulate", rt.handleKeyed(cacheKey))
 	mux.HandleFunc("POST /v1/simulate", rt.handleKeyed(rawKey))
 	mux.HandleFunc("POST /v1/analyze", rt.handleKeyed(rawKey))
 	mux.HandleFunc("POST /v1/render", rt.handleKeyed(rawKey))
 	mux.HandleFunc("GET /v1/schedules", rt.handleKeyed(pathKey))
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux = mux
+	mux.HandleFunc("GET /metrics", httpd.Metrics(reg))
+	rt.Daemon = httpd.NewDaemon(mux, httpd.Lifecycle{Background: rt.Start})
 	return rt, nil
 }
-
-// Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Ring returns the router's consistent-hash ring.
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -249,94 +248,17 @@ func (rt *Router) CheckNow(ctx context.Context) {
 	wg.Wait()
 }
 
-// ListenAndServe serves the router on addr until ctx is cancelled, running
-// the health loop alongside.
-func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe on a caller-supplied listener.
-func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
-	hctx, stopHealth := context.WithCancel(ctx)
-	defer stopHealth()
-	go rt.Start(hctx)
-	hs := &http.Server{
-		Handler:           rt.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		return hs.Shutdown(sctx)
-	}
-}
-
-// maxBodyBytes mirrors the serve tier's request-body cap.
-const maxBodyBytes = 1 << 20
-
-// keyFunc derives a request's routing key from its body. Keys use the same
-// canonicalization as the serve tier's response caches, so every equivalent
-// request — however its optional fields are spelled — lands on the replica
-// whose caches already hold it.
+// keyFunc derives a request's routing key from its body.
 type keyFunc func(path string, body []byte) string
 
-// planKey routes /v1/plan by the resolved plan request's canonical JSON —
-// exactly the serve plan-cache key. Bodies that fail to decode or resolve
-// fall back to a raw-body hash; the owning replica then emits the same 400
-// a direct request would get.
-func planKey(path string, body []byte) string {
-	var req serve.PlanRequest
-	if err := serve.DecodeStrict(bytes.NewReader(body), &req); err == nil {
-		if preq, err := req.Resolve(); err == nil {
-			if raw, err := json.Marshal(preq); err == nil {
-				return "plan:" + string(raw)
-			}
-		}
-	}
-	return rawKey(path, body)
-}
-
-// fleetPlanKey routes /v1/fleet/plan by the resolved request's canonical
-// JSON — the serve fleet-cache key.
-func fleetPlanKey(path string, body []byte) string {
-	var req serve.FleetPlanRequest
-	if err := serve.DecodeStrict(bytes.NewReader(body), &req); err == nil {
-		if freq, err := req.Resolve(); err == nil {
-			if raw, err := json.Marshal(freq); err == nil {
-				return "fleet:" + string(raw)
-			}
-		}
-	}
-	return rawKey(path, body)
-}
-
-// fleetSimKey routes /v1/fleet/simulate by the resolved scenario's
-// canonical JSON — the serve fleet-sim cache key (classic and elastic
-// scenarios marshal to distinct shapes, so keys cannot collide).
-func fleetSimKey(path string, body []byte) string {
-	var sc serve.FleetScenario
-	if err := serve.DecodeStrict(bytes.NewReader(body), &sc); err == nil {
-		if sc.Elastic() {
-			if esc, err := sc.ResolveElastic(); err == nil {
-				if raw, err := json.Marshal(esc); err == nil {
-					return "fleetsim:" + string(raw)
-				}
-			}
-		} else if csc, err := sc.Resolve(); err == nil {
-			if raw, err := json.Marshal(csc); err == nil {
-				return "fleetsim:" + string(raw)
-			}
-		}
+// cacheKey routes the cached endpoints by the serve tier's own canonical
+// cache key, so every equivalent request — however its optional fields are
+// spelled — lands on the replica whose caches already hold it. Bodies that
+// fail to decode or resolve fall back to a raw-body hash; the owning replica
+// then emits the same 400 a direct request would get.
+func cacheKey(path string, body []byte) string {
+	if key, ok := serve.CanonicalKey(path, body); ok {
+		return key
 	}
 	return rawKey(path, body)
 }
@@ -345,42 +267,43 @@ func fleetSimKey(path string, body []byte) string {
 // for these endpoints, but equal bodies still reuse one replica's engine
 // caches (memoized schedules, critical paths).
 func rawKey(path string, body []byte) string {
-	return "raw:" + path + ":" + fmt.Sprintf("%016x", fnv64aBytes(body))
+	return "raw:" + path + ":" + fmt.Sprintf("%016x", fnv64a(body))
 }
 
 // pathKey routes body-less GETs by path alone.
 func pathKey(path string, _ []byte) string { return "path:" + path }
 
-func fnv64aBytes(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
 // handleKeyed forwards one request to its key's owner, failing over along
 // the ring on transport errors and 5xx.
 func (rt *Router) handleKeyed(key keyFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, "router: read body: "+err.Error())
-			return
+		if body, ok := readBody(w, r); ok {
+			rt.proxy(w, r, key(r.URL.Path, body), body)
 		}
-		resp, err := rt.forward(r, key(r.URL.Path, body), r.URL.Path, body)
-		if err != nil {
-			rt.unrouted.Add(1)
-			rt.writeError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-		relay(w, resp)
 	}
+}
+
+// readBody reads the (capped) request body, answering 400 itself when it
+// cannot.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	httpd.LimitBody(w, r)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, "router: read body: "+err.Error())
+	}
+	return body, err == nil
+}
+
+// proxy forwards body to key's owners and relays the answer, or 502 when
+// every attempt failed.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+	resp, err := rt.forward(r, key, r.URL.Path, body)
+	if err != nil {
+		rt.unrouted.Add(1)
+		httpd.WriteError(w, http.StatusBadGateway, err.Error())
+		return
+	}
+	relay(w, resp)
 }
 
 // forwarded is a fully buffered upstream response, ready to relay or merge.
@@ -464,7 +387,7 @@ func (rt *Router) forward(r *http.Request, key, path string, body []byte) (*forw
 		}, nil
 	}
 	if lastErr == nil {
-		lastErr = errString("no replica available")
+		lastErr = errors.New("no replica available")
 	}
 	return nil, fmt.Errorf("router: all attempts failed: %w", lastErr)
 }
@@ -488,22 +411,15 @@ func relay(w http.ResponseWriter, f *forwarded) {
 // forward with the same failover policy as single requests, and the merged
 // reply marshals through the same serve codec shape.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "router: read body: "+err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req serve.BatchPlanRequest
 	if err := serve.DecodeStrict(bytes.NewReader(body), &req); err != nil || len(req.Requests) == 0 || len(req.Requests) > serve.MaxBatchItems {
 		// Malformed, empty, or oversized: forward whole to one replica so
 		// the client gets the serve tier's own 400, byte-identical.
-		resp, ferr := rt.forward(r, rawKey(r.URL.Path, body), r.URL.Path, body)
-		if ferr != nil {
-			rt.unrouted.Add(1)
-			rt.writeError(w, http.StatusBadGateway, ferr.Error())
-			return
-		}
-		relay(w, resp)
+		rt.proxy(w, r, rawKey(r.URL.Path, body), body)
 		return
 	}
 	// Group item indices by owning replica. Items that fail to resolve
@@ -513,10 +429,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Requests {
 		raw, err := json.Marshal(item)
 		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, "router: encode item: "+err.Error())
+			httpd.WriteError(w, http.StatusBadRequest, "router: encode item: "+err.Error())
 			return
 		}
-		owner := rt.ring.Owner(planKey("/v1/plan", raw))
+		owner := rt.ring.Owner(cacheKey("/v1/plan", raw))
 		groups[owner] = append(groups[owner], i)
 	}
 	owners := make([]string, 0, len(groups))
@@ -544,7 +460,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// whose ownership placed the group, so failover walks the same
 			// owner sequence a single request for it would.
 			firstRaw, _ := json.Marshal(req.Requests[idxs[0]])
-			f, err := rt.forward(r, planKey("/v1/plan", firstRaw), r.URL.Path, subBody)
+			f, err := rt.forward(r, cacheKey("/v1/plan", firstRaw), r.URL.Path, subBody)
 			if err != nil {
 				errs[gi] = err
 				return
@@ -571,18 +487,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, err := range errs {
 		if err != nil {
 			rt.unrouted.Add(1)
-			rt.writeError(w, http.StatusBadGateway, "router: batch scatter: "+err.Error())
+			httpd.WriteError(w, http.StatusBadGateway, "router: batch scatter: "+err.Error())
 			return
 		}
 	}
-	raw, err := json.Marshal(serve.BatchPlanResponse{Items: len(results), Results: results})
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "router: encode batch reply")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	httpd.WriteJSON(w, http.StatusOK, serve.BatchPlanResponse{Items: len(results), Results: results})
 }
 
 // HealthResponse is the router's own GET /healthz reply.
@@ -619,27 +528,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "unrouted"
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.reg.WritePrometheus(w)
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(raw)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	rt.writeJSON(w, status, serve.ErrorResponse{Error: msg})
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 func truncate(b []byte, n int) string {
@@ -648,7 +537,3 @@ func truncate(b []byte, n int) string {
 	}
 	return string(b[:n]) + "…"
 }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

@@ -87,7 +87,7 @@ func TestRouterConsistentRoutingAndIdentity(t *testing.T) {
 		}
 	}
 
-	owner := f.router.Ring().Owner(planKey("/v1/plan", []byte(planBody)))
+	owner := f.router.Ring().Owner(cacheKey("/v1/plan", []byte(planBody)))
 	for _, ts := range f.backends {
 		want := uint64(0)
 		if ts.URL == owner {
@@ -112,7 +112,7 @@ func TestRouterConsistentRoutingAndIdentity(t *testing.T) {
 // counter increments, and passive detection marks it not-ready.
 func TestRouterFailover(t *testing.T) {
 	f := newFleet(t, 3)
-	owner := f.router.Ring().Owner(planKey("/v1/plan", []byte(planBody)))
+	owner := f.router.Ring().Owner(cacheKey("/v1/plan", []byte(planBody)))
 	for i, ts := range f.backends {
 		if ts.URL == owner {
 			f.backends[i].Close()
@@ -123,7 +123,7 @@ func TestRouterFailover(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("failover plan: %d %s", status, body)
 	}
-	next := f.router.Ring().Owners(planKey("/v1/plan", []byte(planBody)), 2)[1]
+	next := f.router.Ring().Owners(cacheKey("/v1/plan", []byte(planBody)), 2)[1]
 	if got := f.byURL(next).Snapshot().Requests.Plan; got != 1 {
 		t.Fatalf("next owner %s answered %d plans, want 1", next, got)
 	}
@@ -171,7 +171,7 @@ func TestRouter429Passthrough(t *testing.T) {
 // touching the draining replica.
 func TestRouterRoutesAroundDraining(t *testing.T) {
 	f := newFleet(t, 2)
-	owner := f.router.Ring().Owner(planKey("/v1/plan", []byte(planBody)))
+	owner := f.router.Ring().Owner(cacheKey("/v1/plan", []byte(planBody)))
 	f.byURL(owner).BeginDrain()
 	f.router.CheckNow(context.Background())
 	if f.router.reps[owner].ready.Load() {
@@ -295,7 +295,7 @@ func TestRouterBatchScatterGather(t *testing.T) {
 	// replicas owning ≥1 item answered one batch, the rest none.
 	wantBatches := map[string]uint64{}
 	for _, item := range items {
-		wantBatches[f.router.Ring().Owner(planKey("/v1/plan", []byte(item)))] = 1
+		wantBatches[f.router.Ring().Owner(cacheKey("/v1/plan", []byte(item)))] = 1
 	}
 	for _, ts := range f.backends {
 		if got := f.byURL(ts.URL).Snapshot().Requests.PlanBatch; got != wantBatches[ts.URL] {

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"chimera/internal/engine"
+	"chimera/internal/httpd"
 	"chimera/internal/model"
 	"chimera/internal/obs"
 	"chimera/internal/perfmodel"
@@ -717,9 +718,7 @@ type StatsResponse struct {
 }
 
 // ErrorResponse is the body of every non-2xx reply.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
+type ErrorResponse = httpd.ErrorResponse
 
 // ReadyResponse is the /readyz reply: the readiness half of the liveness/
 // readiness split. Status is "ready" (HTTP 200) while the server accepts new

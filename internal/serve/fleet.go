@@ -441,12 +441,6 @@ func NewFleetSimResponse(r *fleet.SimResult) FleetSimResponse {
 	return out
 }
 
-// FleetPolicies lists the allocation policy names the service accepts.
-func FleetPolicies() []string { return fleet.Policies() }
-
-// FleetReplanModes lists the re-plan mode names the service accepts.
-func FleetReplanModes() []string { return fleet.ReplanModes() }
-
 // FleetEventRecordJSON is one processed event of an elastic replay.
 type FleetEventRecordJSON struct {
 	At   float64 `json:"at"`

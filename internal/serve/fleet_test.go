@@ -281,7 +281,7 @@ func TestFleetScenarioResolve(t *testing.T) {
 	if len(resolved.Trace) != 2 || resolved.Trace[1].Job != "small" || resolved.Policy != fleet.PlannerGuided {
 		t.Fatalf("scenario resolved wrong: %+v", resolved)
 	}
-	if _, err := fleet.Simulate(resolved); err != nil {
+	if _, err := fleet.SimulateOn(nil, resolved); err != nil {
 		t.Fatal(err)
 	}
 

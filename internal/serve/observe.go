@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,22 +14,12 @@ import (
 	"chimera/internal/obs"
 )
 
-// endpointMetrics pre-resolves one endpoint's latency histograms so the
-// request path never touches the registry mutex. The cache label splits
-// latency by response-cache disposition: "hit" and "miss" for the cached
-// endpoints, "none" for endpoints without a response cache (and for shed
-// requests, which never reach a handler).
-type endpointMetrics struct {
-	byCache map[string]*obs.Histogram
-}
-
 // serveObs is the serving tier's observability state: the registry, the
-// per-endpoint instrument handles, the span flight recorder, the request-ID
-// generator, and the optional access log.
+// span flight recorder, the request-ID generator, and the optional access
+// log.
 type serveObs struct {
-	reg       *obs.Registry
-	recorder  *obs.Recorder
-	endpoints map[string]*endpointMetrics
+	reg      *obs.Registry
+	recorder *obs.Recorder
 
 	// batchItems records /v1/plan:batch sizes. The obs histogram buckets
 	// durations, so a batch of n items is observed as n seconds — the
@@ -49,7 +38,10 @@ type serveObs struct {
 	logFormat string
 }
 
-// cacheLabels are the dispositions each endpoint histogram is split by.
+// cacheLabels are the dispositions each endpoint's latency histogram is
+// split by: "hit" and "miss" for the cached endpoints, "none" for endpoints
+// without a response cache (and for shed requests, which never reach a
+// handler).
 var cacheLabels = []string{"hit", "miss", "none"}
 
 // initObserve builds the server's observability state and registers the
@@ -58,9 +50,6 @@ var cacheLabels = []string{"hit", "miss", "none"}
 // read-through CounterFuncs, so the request path pays nothing for them.
 func (s *Server) initObserve(cfg Config) {
 	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	depth := cfg.FlightRecorder
 	if depth == 0 {
 		depth = 256
@@ -74,29 +63,15 @@ func (s *Server) initObserve(cfg Config) {
 	o := &serveObs{
 		reg:       reg,
 		recorder:  recorder,
-		endpoints: make(map[string]*endpointMetrics),
 		idPrefix:  hex.EncodeToString(prefix[:]),
 		logWriter: cfg.AccessLog,
 		logFormat: cfg.LogFormat,
 	}
-	for _, ep := range []string{
-		"plan", "plan_batch", "fleet_plan", "fleet_simulate", "simulate", "analyze",
-		"render", "schedules", "stats", "health", "ready", "cache_snapshot",
-		"metrics", "debug_requests",
-	} {
-		em := &endpointMetrics{byCache: make(map[string]*obs.Histogram, len(cacheLabels))}
-		for _, c := range cacheLabels {
-			em.byCache[c] = reg.Histogram("serve_request_duration_seconds",
-				"request latency by endpoint and response-cache disposition",
-				obs.L("endpoint", ep), obs.L("cache", c))
-		}
-		o.endpoints[ep] = em
-	}
 
 	reg.GaugeFunc("serve_inflight", "requests holding an admission slot",
-		func() float64 { return float64(len(s.inflight)) })
+		func() float64 { return float64(s.admission.Inflight()) })
 	reg.GaugeFunc("serve_max_inflight", "admission-control slot bound",
-		func() float64 { return float64(s.maxInflight) })
+		func() float64 { return float64(s.admission.Max()) })
 	reg.CounterFunc("serve_shed_total", "requests shed by admission control",
 		s.shed.Load)
 	reg.CounterFunc("serve_client_errors_total", "4xx responses",
@@ -113,29 +88,23 @@ func (s *Server) initObserve(cfg Config) {
 		reg.CounterFunc("serve_requests_total", "requests reaching each handler",
 			src.Load, obs.L("endpoint", ep))
 	}
-	for name, memo := range map[string]interface {
-		Stats() (hits, misses uint64)
-		Evictions() uint64
-		Len() int
-	}{
-		"plan": s.planCache, "fleet_plan": s.fleetCache, "fleet_simulate": s.fleetSimCache,
-	} {
-		memo := memo
-		label := obs.L("cache", name)
+	for _, c := range s.caches {
+		c := c
+		label := obs.L("cache", c.info().name)
 		reg.CounterFunc("serve_cache_hits_total", "response-cache hits",
-			func() uint64 { h, _ := memo.Stats(); return h }, label)
+			func() uint64 { return c.table().Hits }, label)
 		reg.CounterFunc("serve_cache_misses_total", "response-cache misses",
-			func() uint64 { _, m := memo.Stats(); return m }, label)
+			func() uint64 { return c.table().Misses }, label)
 		reg.CounterFunc("serve_cache_evictions_total", "response-cache LRU evictions",
-			memo.Evictions, label)
+			func() uint64 { return c.table().Evictions }, label)
 		reg.GaugeFunc("serve_cache_entries", "response-cache resident entries",
-			func() float64 { return float64(memo.Len()) }, label)
+			func() float64 { return float64(c.table().Entries) }, label)
 	}
 	o.batchItems = reg.Histogram("serve_batch_items",
 		"items per /v1/plan:batch request (bucketed as seconds: n items = n s)")
 	reg.GaugeFunc("serve_ready", "1 while accepting new work, 0 once draining",
 		func() float64 {
-			if s.draining.Load() {
+			if s.Draining() {
 				return 0
 			}
 			return 1
@@ -188,7 +157,14 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // context and retired into the flight recorder, the endpoint latency
 // histogram split by cache disposition, and the optional access log line.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	em := s.obs.endpoints[endpoint]
+	// Resolved once per route, so the request path never touches the
+	// registry mutex.
+	byCache := make(map[string]*obs.Histogram, len(cacheLabels))
+	for _, c := range cacheLabels {
+		byCache[c] = s.obs.reg.Histogram("serve_request_duration_seconds",
+			"request latency by endpoint and response-cache disposition",
+			obs.L("endpoint", endpoint), obs.L("cache", c))
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := s.obs.nextRequestID(r)
@@ -200,10 +176,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			sw.status = http.StatusOK
 		}
 		cache := span.Attr("cache")
-		if _, ok := em.byCache[cache]; !ok {
+		if _, ok := byCache[cache]; !ok {
 			cache = "none"
 		}
-		em.byCache[cache].Since(start)
+		byCache[cache].Since(start)
 		span.SetAttr("status", strconv.Itoa(sw.status))
 		rec := span.Finish()
 		s.obs.recorder.Record(rec)
@@ -250,13 +226,6 @@ func (o *serveObs) logRequest(r *http.Request, id string, status int, cache stri
 	o.logMu.Unlock()
 }
 
-// handleMetrics serves the registry in the Prometheus text exposition
-// format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.obs.reg.WritePrometheus(w)
-}
-
 // DebugRequestsResponse is the /debug/requests reply: the flight
 // recorder's retained spans, newest first.
 type DebugRequestsResponse struct {
@@ -278,17 +247,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		resp.Requests = []obs.SpanRecord{}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// mountPprof exposes the standard runtime profiles under /debug/pprof/.
-// Opt-in: profiles can reveal operational detail and cost CPU to collect,
-// so the daemon only mounts them behind Config.EnablePprof.
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // Registry exposes the server's metric registry (for embedders that want

@@ -228,9 +228,9 @@ func TestPprofOptIn(t *testing.T) {
 func TestShedObservability(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	// Fill the only slot so the next request sheds.
-	s.inflight <- struct{}{}
+	s.admission.TryAcquire()
 	status, _ := post(t, ts, "/v1/plan", planBody)
-	<-s.inflight
+	s.admission.Release()
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", status)
 	}

@@ -1,21 +1,19 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"chimera/internal/engine"
 	"chimera/internal/fleet"
+	"chimera/internal/httpd"
 	"chimera/internal/obs"
 	"chimera/internal/perfmodel"
 	"chimera/internal/schedule"
@@ -71,32 +69,20 @@ type Config struct {
 }
 
 // Server routes the HTTP/JSON API onto a shared evaluation engine. Build
-// with New; the zero value is not usable.
+// with New; the zero value is not usable. The embedded chassis supplies
+// Handler, Run, ListenAndServe, Serve (drain: /readyz answers 503 and
+// /healthz reports "draining" while the listener stays open for
+// Config.DrainDelay, then in-flight requests get Config.DrainTimeout),
+// BeginDrain and Draining.
 type Server struct {
-	eng          *engine.Engine
-	mux          *http.ServeMux
-	inflight     chan struct{}
-	maxInflight  int
-	drainTimeout time.Duration
+	*httpd.Daemon
+	eng       *engine.Engine
+	admission *httpd.Admission
 
-	// planCache memoizes encoded /v1/plan responses keyed by the resolved
-	// (value-type) plan request. The engine memoizes schedule construction
-	// and critical paths, but PlanOn re-runs its Eq. 1 replays per call;
-	// for a daemon the whole response is the natural memoization unit —
-	// a warm plan is one lookup plus one write. Single-flight, and bounded
-	// by the same CacheCapacity as the engine tables.
-	planCache *engine.Memo[perfmodel.PlanRequest, planOutcome]
-
-	// fleetCache is planCache for /v1/fleet/plan. A fleet.Request holds
-	// slices, so it cannot itself be a comparable memo key; the key is its
-	// canonical JSON encoding (field order is fixed by the struct, so
-	// equal resolved requests encode to equal bytes).
-	fleetCache *engine.Memo[string, planOutcome]
-
-	// fleetSimCache is the same for /v1/fleet/simulate, keyed by the
-	// canonical JSON of the resolved scenario (classic or elastic — the two
-	// marshal to distinct shapes, so keys cannot collide across modes).
-	fleetSimCache *engine.Memo[string, planOutcome]
+	// caches are the response caches of the cached endpoints, in snapshot
+	// order; planCache is caches[0] with its key type, for /v1/plan:batch.
+	caches    []responseCache
+	planCache *cache[perfmodel.PlanRequest]
 
 	// allocator carries the fleet allocator's plan memo across requests
 	// (it shares the server's engine underneath).
@@ -104,18 +90,6 @@ type Server struct {
 
 	// started anchors /healthz's uptime report.
 	started time.Time
-
-	// draining flips once graceful shutdown begins: /readyz answers 503 and
-	// /healthz reports "draining" so routers stop sending new work while the
-	// listener is still open (see Config.DrainDelay).
-	draining atomic.Bool
-	// drainStart is when BeginDrain flipped (unix nanos, 0 before): sheds
-	// during the drain window compute a Retry-After that outlives the
-	// replica instead of inviting a 1-second retry against a closing
-	// listener.
-	drainStart atomic.Int64
-	// drainDelay is Config.DrainDelay.
-	drainDelay time.Duration
 
 	// snapshotPath is Config.SnapshotPath; the snapshot bookkeeping feeds
 	// the serve_snapshot_* series.
@@ -133,247 +107,75 @@ type Server struct {
 	shed, clientErrors, serverErrors                                                                                atomic.Uint64
 }
 
-// planOutcome is one cached plan: exactly one of body and err is set.
-type planOutcome struct {
-	body []byte
-	err  error
-}
-
 // New builds a Server and its engine.
 func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		opts := []engine.Option{engine.Observe(cfg.Registry)}
-		if cfg.Workers > 0 {
-			opts = append(opts, engine.Workers(cfg.Workers))
-		}
-		if cfg.CacheCapacity > 0 {
-			opts = append(opts, engine.Capacity(cfg.CacheCapacity))
-		}
-		eng = engine.New(opts...)
-	}
-	maxInflight := cfg.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	drain := cfg.DrainTimeout
-	if drain <= 0 {
-		drain = 15 * time.Second
-	}
+	eng := engine.ForDaemon(cfg.Engine, cfg.Registry, cfg.Workers, cfg.CacheCapacity)
+	mux := http.NewServeMux()
 	s := &Server{
-		eng:           eng,
-		inflight:      make(chan struct{}, maxInflight),
-		maxInflight:   maxInflight,
-		drainTimeout:  drain,
-		drainDelay:    cfg.DrainDelay,
-		snapshotPath:  cfg.SnapshotPath,
-		planCache:     engine.NewMemoCap[perfmodel.PlanRequest, planOutcome](cfg.CacheCapacity),
-		fleetCache:    engine.NewMemoCap[string, planOutcome](cfg.CacheCapacity),
-		fleetSimCache: engine.NewMemoCap[string, planOutcome](cfg.CacheCapacity),
-		allocator:     fleet.NewAllocatorCap(eng, cfg.CacheCapacity),
-		started:       time.Now(),
+		Daemon:       httpd.NewDaemon(mux, httpd.Lifecycle{DrainDelay: cfg.DrainDelay, ShutdownTimeout: cfg.DrainTimeout}),
+		eng:          eng,
+		snapshotPath: cfg.SnapshotPath,
+		allocator:    fleet.NewAllocatorCap(eng, cfg.CacheCapacity),
+		started:      time.Now(),
+	}
+	s.admission = httpd.NewAdmission(cfg.MaxInflight, "server at capacity, retry later",
+		func() { s.shed.Add(1) }, s.RetryAfter)
+	s.planCache = newCache(s, planEndpoint, cfg.CacheCapacity, &s.plan)
+	s.caches = []responseCache{
+		s.planCache,
+		newCache(s, fleetPlanEndpoint, cfg.CacheCapacity, &s.fleetPlan),
+		newCache(s, fleetSimEndpoint, cfg.CacheCapacity, &s.fleetSim),
 	}
 	s.initObserve(cfg)
 	s.allocator.Observe(cfg.Registry)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", s.instrument("plan", s.admitted(s.handlePlan)))
-	mux.HandleFunc("POST /v1/plan:batch", s.instrument("plan_batch", s.admitted(s.handlePlanBatch)))
-	mux.HandleFunc("POST /v1/cache/snapshot", s.instrument("cache_snapshot", s.admitted(s.handleCacheSnapshot)))
+	for _, c := range s.caches {
+		mux.HandleFunc("POST "+c.info().path, s.instrument(c.info().name, s.admission.Wrap(c.handle)))
+	}
+	mux.HandleFunc("POST /v1/plan:batch", s.instrument("plan_batch", s.admission.Wrap(s.handlePlanBatch)))
+	mux.HandleFunc("POST /v1/cache/snapshot", s.instrument("cache_snapshot", s.admission.Wrap(s.handleCacheSnapshot)))
 	mux.HandleFunc("GET /readyz", s.instrument("ready", s.handleReady))
-	mux.HandleFunc("POST /v1/fleet/plan", s.instrument("fleet_plan", s.admitted(s.handleFleetPlan)))
-	mux.HandleFunc("POST /v1/fleet/simulate", s.instrument("fleet_simulate", s.admitted(s.handleFleetSimulate)))
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.admitted(s.handleSimulate)))
-	mux.HandleFunc("POST /v1/analyze", s.instrument("analyze", s.admitted(s.handleAnalyze)))
-	mux.HandleFunc("POST /v1/render", s.instrument("render", s.admitted(s.handleRender)))
+	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.admission.Wrap(s.handleSimulate)))
+	mux.HandleFunc("POST /v1/analyze", s.instrument("analyze", s.admission.Wrap(s.handleAnalyze)))
+	mux.HandleFunc("POST /v1/render", s.instrument("render", s.admission.Wrap(s.handleRender)))
 	mux.HandleFunc("GET /v1/schedules", s.instrument("schedules", s.handleSchedules))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	mux.HandleFunc("GET /healthz", s.instrument("health", s.handleHealth))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("GET /metrics", s.instrument("metrics", httpd.Metrics(cfg.Registry)))
 	mux.HandleFunc("GET /debug/requests", s.instrument("debug_requests", s.handleDebugRequests))
 	if cfg.EnablePprof {
-		mountPprof(mux)
+		httpd.MountPprof(mux)
 	}
-	s.mux = mux
 	return s
 }
-
-// Handler returns the service's HTTP handler (for embedding and tests).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Engine returns the server's evaluation engine.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // MaxInflight reports the admission-control bound.
-func (s *Server) MaxInflight() int { return s.maxInflight }
+func (s *Server) MaxInflight() int { return s.admission.Max() }
 
-// ListenAndServe serves on addr until ctx is cancelled, then drains
-// in-flight requests (bounded by DrainTimeout) before returning.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe on a caller-supplied listener (tests use a
-// pre-bound port). It always closes the listener.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{
-		Handler: s.mux,
-		// Bound connection-level resource use: a client cannot hold a
-		// connection open unboundedly while trickling headers, and idle
-		// keep-alive connections are reaped.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// Flip readiness first, then keep the listener open for DrainDelay:
-		// a router polling /readyz (or any LB) sees "draining" and routes
-		// around this replica while it can still answer, instead of new
-		// requests racing the listener close.
-		s.BeginDrain()
-		if s.drainDelay > 0 {
-			select {
-			case err := <-errc:
-				return err
-			case <-time.After(s.drainDelay):
-			}
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), s.drainTimeout)
-		defer cancel()
-		return hs.Shutdown(drainCtx)
-	}
-}
-
-// BeginDrain marks the server as draining: /readyz flips to 503 and
-// /healthz reports "draining". Serve calls it automatically when its context
-// is cancelled; exposed so embedders driving their own http.Server can wire
-// the same readiness contract.
-func (s *Server) BeginDrain() {
-	if s.draining.CompareAndSwap(false, true) {
-		s.drainStart.Store(time.Now().UnixNano())
-	}
-}
-
-// Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// maxBodyBytes caps request bodies; every valid request is far smaller, and
-// without it one client could buffer gigabytes into a decode while holding
-// an admission slot.
-const maxBodyBytes = 1 << 20
-
-// admitted wraps a heavy handler with admission control: a request either
-// takes one of MaxInflight slots immediately or is shed with 429 — it never
-// queues, so offered load beyond the bound cannot pile up work or memory.
-func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-			h(w, r)
-		default:
-			s.shed.Add(1)
-			w.Header().Set("Retry-After", s.retryAfter())
-			s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "server at capacity, retry later"})
-		}
-	}
-}
-
-// retryAfter is the shed hint in whole seconds: 1 under normal overload,
-// but once draining it covers what remains of the drain window plus the
-// in-flight shutdown bound — this replica is going away, so a shed client
-// should come back after it is gone (and land elsewhere via its router)
-// rather than hammer a dying replica at 1-second intervals.
-func (s *Server) retryAfter() string {
-	if !s.draining.Load() {
-		return "1"
-	}
-	rem := s.drainDelay + s.drainTimeout
-	if start := s.drainStart.Load(); start > 0 {
-		rem -= time.Since(time.Unix(0, start))
-	}
-	secs := int(math.Ceil(rem.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
+// writeJSON replies through the chassis, counting an encoding failure as a
+// server error.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
+	if !httpd.WriteJSON(w, status, v) {
 		s.serverErrors.Add(1)
-		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(raw)
 }
 
 // badRequest replies 400 with the validation error.
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.clientErrors.Add(1)
-	s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	httpd.WriteError(w, http.StatusBadRequest, err.Error())
 }
 
 // unprocessable replies 422: the request was well-formed but has no
 // feasible/constructible answer (e.g. no configuration fits memory).
 func (s *Server) unprocessable(w http.ResponseWriter, err error) {
 	s.clientErrors.Add(1)
-	s.writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.plan.Add(1)
-	span := obs.SpanFrom(r.Context())
-	span.StartPhase("decode")
-	var req PlanRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	preq, err := req.Resolve()
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	span.StartPhase("cache")
-	computed := false
-	out := s.planCache.Do(preq, func() planOutcome {
-		computed = true
-		span.StartPhase("plan")
-		preds, err := perfmodel.PlanOn(s.eng, preq)
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		span.StartPhase("encode")
-		raw, err := json.Marshal(NewPlanResponse(preq.Model.Name, preq.P, preq.MiniBatch, preds))
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		return planOutcome{body: raw}
-	})
-	span.EndPhase()
-	span.SetAttr("cache", cacheDisposition(computed))
-	if out.err != nil {
-		s.unprocessable(w, out.err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.body)
+	httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 }
 
 // handlePlanBatch answers /v1/plan:batch: N plan problems validated
@@ -395,7 +197,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(req.Requests)
 	if n == 0 {
-		s.badRequest(w, errString("plan batch: requests must be non-empty"))
+		s.badRequest(w, errors.New("plan batch: requests must be non-empty"))
 		return
 	}
 	if n > MaxBatchItems {
@@ -419,7 +221,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		if resolveErr[i] != nil {
 			continue
 		}
-		if out, ok := s.planCache.Cached(resolved[i]); ok {
+		if out, ok := s.planCache.memo.Cached(resolved[i]); ok {
 			outs[i], have[i] = out, true
 		} else if _, dup := missIdx[resolved[i]]; !dup {
 			missIdx[resolved[i]] = len(missReqs)
@@ -455,7 +257,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				continue
 			}
-			outs[i] = s.planCache.Do(resolved[i], func() planOutcome { return missOuts[j] })
+			outs[i] = s.planCache.memo.Do(resolved[i], func() planOutcome { return missOuts[j] })
 			have[i] = true
 		}
 	}
@@ -475,137 +277,6 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleFleetPlan(w http.ResponseWriter, r *http.Request) {
-	s.fleetPlan.Add(1)
-	span := obs.SpanFrom(r.Context())
-	span.StartPhase("decode")
-	var req FleetPlanRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	freq, err := req.Resolve()
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	key, err := json.Marshal(freq)
-	if err != nil {
-		s.serverErrors.Add(1)
-		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "encoding failure"})
-		return
-	}
-	span.StartPhase("cache")
-	computed := false
-	out := s.fleetCache.Do(string(key), func() planOutcome {
-		computed = true
-		span.StartPhase("allocate")
-		al, err := s.allocator.Allocate(freq)
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		span.StartPhase("encode")
-		raw, err := json.Marshal(NewFleetPlanResponse(al))
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		return planOutcome{body: raw}
-	})
-	span.EndPhase()
-	span.SetAttr("cache", cacheDisposition(computed))
-	if out.err != nil {
-		s.unprocessable(w, out.err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.body)
-}
-
-// handleFleetSimulate replays a fleet scenario — classic (trace) or
-// elastic (events with node churn). Responses cache under the canonical
-// JSON of the resolved scenario, and both reply shapes encode through the
-// same constructors chimera-fleet -json uses, so a served simulation is
-// byte-identical to the in-process encoding.
-func (s *Server) handleFleetSimulate(w http.ResponseWriter, r *http.Request) {
-	s.fleetSim.Add(1)
-	span := obs.SpanFrom(r.Context())
-	span.StartPhase("decode")
-	var sc FleetScenario
-	if err := DecodeStrict(r.Body, &sc); err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	var key []byte
-	var run func() (any, error)
-	if sc.Elastic() {
-		esc, err := sc.ResolveElastic()
-		if err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		if key, err = json.Marshal(esc); err != nil {
-			s.serverErrors.Add(1)
-			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "encoding failure"})
-			return
-		}
-		run = func() (any, error) {
-			res, err := s.allocator.SimulateElastic(esc)
-			if err != nil {
-				return nil, err
-			}
-			return NewFleetElasticResponse(res), nil
-		}
-	} else {
-		csc, err := sc.Resolve()
-		if err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		if len(csc.Trace) == 0 {
-			s.badRequest(w, errEmptyFleetTrace)
-			return
-		}
-		if key, err = json.Marshal(csc); err != nil {
-			s.serverErrors.Add(1)
-			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "encoding failure"})
-			return
-		}
-		run = func() (any, error) {
-			res, err := s.allocator.Simulate(csc)
-			if err != nil {
-				return nil, err
-			}
-			return NewFleetSimResponse(res), nil
-		}
-	}
-	span.StartPhase("cache")
-	computed := false
-	out := s.fleetSimCache.Do(string(key), func() planOutcome {
-		computed = true
-		span.StartPhase("simulate")
-		resp, err := run()
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		span.StartPhase("encode")
-		raw, err := json.Marshal(resp)
-		if err != nil {
-			return planOutcome{err: err}
-		}
-		return planOutcome{body: raw}
-	})
-	span.EndPhase()
-	span.SetAttr("cache", cacheDisposition(computed))
-	if out.err != nil {
-		s.unprocessable(w, out.err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.body)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -744,7 +415,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.health.Add(1)
 	status := "ok"
-	if s.draining.Load() {
+	if s.Draining() {
 		status = "draining"
 	}
 	s.writeJSON(w, http.StatusOK, HealthResponse{
@@ -761,7 +432,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // can tell "busy draining" from "dead".
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.ready.Add(1)
-	if s.draining.Load() {
+	if s.Draining() {
 		s.writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: "draining"})
 		return
 	}
@@ -776,7 +447,7 @@ func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.cacheSnapshot.Add(1)
 	span := obs.SpanFrom(r.Context())
 	if s.snapshotPath == "" {
-		s.unprocessable(w, errString("cache snapshot: no snapshot path configured (start chimera-serve with -snapshot)"))
+		s.unprocessable(w, errors.New("cache snapshot: no snapshot path configured (start chimera-serve with -snapshot)"))
 		return
 	}
 	span.StartPhase("snapshot")
@@ -784,7 +455,7 @@ func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
 	span.EndPhase()
 	if err != nil {
 		s.serverErrors.Add(1)
-		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, SnapshotResponse{Path: s.snapshotPath, Entries: st.Entries, Bytes: st.Bytes})
@@ -835,34 +506,18 @@ func (s *Server) Snapshot() StatsResponse {
 			Render: s.render.Load(), Health: s.health.Load(), Ready: s.ready.Load(),
 			Stats: s.stats.Load(), CacheSnapshot: s.cacheSnapshot.Load(),
 		},
-		Shed:          s.shed.Load(),
-		ClientErrors:  s.clientErrors.Load(),
-		ServerErrors:  s.serverErrors.Load(),
-		MaxInflight:   s.maxInflight,
-		PlanCache:     memoStats(s.planCache),
-		FleetCache:    memoStats(s.fleetCache),
-		FleetSimCache: memoStats(s.fleetSimCache),
-		Engine:        NewEngineStats(s.eng.WorkerCount(), s.eng.Stats()),
+		Shed:         s.shed.Load(),
+		ClientErrors: s.clientErrors.Load(),
+		ServerErrors: s.serverErrors.Load(),
+		MaxInflight:  s.admission.Max(),
+		Engine:       NewEngineStats(s.eng.WorkerCount(), s.eng.Stats()),
 	}
-	if s.obs != nil {
-		snap := s.obs.reg.Snapshot()
-		resp.Metrics = &snap
+	for _, c := range s.caches {
+		*c.info().statField(&resp) = c.table()
 	}
+	snap := s.obs.reg.Snapshot()
+	resp.Metrics = &snap
 	return resp
-}
-
-// cacheDisposition names a response-cache lookup's outcome for span attrs
-// and the endpoint latency histograms' cache label.
-func cacheDisposition(computed bool) string {
-	if computed {
-		return "miss"
-	}
-	return "hit"
-}
-
-func memoStats[K comparable](m *engine.Memo[K, planOutcome]) CacheTableJSON {
-	hits, misses := m.Stats()
-	return CacheTableJSON{Hits: hits, Misses: misses, Evictions: m.Evictions(), Entries: m.Len()}
 }
 
 type errUnknownFormat string
@@ -870,9 +525,3 @@ type errUnknownFormat string
 func (e errUnknownFormat) Error() string {
 	return "render: unknown format \"" + string(e) + "\" (have ascii, svg, chrome)"
 }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
-
-const errEmptyFleetTrace = errString("fleet: scenario has neither a trace nor events to simulate")

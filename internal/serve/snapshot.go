@@ -21,18 +21,18 @@ package serve
 //
 // Only successful outcomes (err == nil) are persisted: cached errors are
 // cheap to recompute and freezing them across restarts would pin transient
-// failures. Entries are written in Range order (least-recently used first)
-// so restoring into a bounded table reproduces the source's LRU recency.
+// failures. Entries are written in Range order (least-recently used first,
+// whatever the source's bound) so restoring into a bounded table reproduces
+// the source's recency.
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"time"
-
-	"chimera/internal/perfmodel"
 )
 
 const (
@@ -40,28 +40,13 @@ const (
 	snapshotVersion = 1
 )
 
-// snapshotPayload is the JSON body between the header and the checksum.
+// snapshotPayload is the JSON body between the header and the checksum: one
+// array of snapEntry per response cache (see endpointInfo.snapField).
 type snapshotPayload struct {
-	CreatedUnixNano int64            `json:"created_unix_nano"`
-	Plan            []planSnapEntry  `json:"plan"`
-	Fleet           []keyedSnapEntry `json:"fleet"`
-	FleetSim        []keyedSnapEntry `json:"fleet_sim"`
-}
-
-// planSnapEntry is one plan-cache entry. The key is the resolved
-// perfmodel.PlanRequest itself (exported basic-typed fields only, so JSON
-// round-trips it to an equal comparable value); the body is the exact
-// response bytes /v1/plan served.
-type planSnapEntry struct {
-	Key  perfmodel.PlanRequest `json:"key"`
-	Body []byte                `json:"body"`
-}
-
-// keyedSnapEntry is one fleet or fleet-sim cache entry; the key is already
-// the canonical JSON string those caches use.
-type keyedSnapEntry struct {
-	Key  string `json:"key"`
-	Body []byte `json:"body"`
+	CreatedUnixNano int64           `json:"created_unix_nano"`
+	Plan            json.RawMessage `json:"plan"`
+	Fleet           json.RawMessage `json:"fleet"`
+	FleetSim        json.RawMessage `json:"fleet_sim"`
 }
 
 // SnapshotStats reports what a WriteSnapshot call persisted.
@@ -77,24 +62,15 @@ type SnapshotStats struct {
 func (s *Server) WriteSnapshot(path string) (SnapshotStats, error) {
 	now := time.Now()
 	payload := snapshotPayload{CreatedUnixNano: now.UnixNano()}
-	s.planCache.Range(func(k perfmodel.PlanRequest, v planOutcome) bool {
-		if v.err == nil {
-			payload.Plan = append(payload.Plan, planSnapEntry{Key: k, Body: v.body})
+	entries := 0
+	for _, c := range s.caches {
+		table, n, err := c.export()
+		if err != nil {
+			return SnapshotStats{}, fmt.Errorf("cache snapshot: encode: %w", err)
 		}
-		return true
-	})
-	s.fleetCache.Range(func(k string, v planOutcome) bool {
-		if v.err == nil {
-			payload.Fleet = append(payload.Fleet, keyedSnapEntry{Key: k, Body: v.body})
-		}
-		return true
-	})
-	s.fleetSimCache.Range(func(k string, v planOutcome) bool {
-		if v.err == nil {
-			payload.FleetSim = append(payload.FleetSim, keyedSnapEntry{Key: k, Body: v.body})
-		}
-		return true
-	})
+		*c.info().snapField(&payload) = table
+		entries += n
+	}
 	raw, err := encodeSnapshot(payload)
 	if err != nil {
 		return SnapshotStats{}, err
@@ -109,20 +85,20 @@ func (s *Server) WriteSnapshot(path string) (SnapshotStats, error) {
 	}
 	s.lastSnapshotNano.Store(now.UnixNano())
 	s.snapshotsWritten.Add(1)
-	n := len(payload.Plan) + len(payload.Fleet) + len(payload.FleetSim)
-	return SnapshotStats{Entries: n, Bytes: int64(len(raw))}, nil
+	return SnapshotStats{Entries: entries, Bytes: int64(len(raw))}, nil
 }
 
 // RestoreSnapshot loads a snapshot written by WriteSnapshot into the
 // response caches and returns how many entries it actually inserted:
 // entries the live caches already held are not counted (existing entries
 // win — Memo.Put never overwrites — so restoring into a warm server cannot
-// clobber fresher computations). Snapshot entries arrive in LRU order, so a
-// cache with a smaller capacity than the snapshot truncates to the
-// snapshot's most-recently-used entries, recency preserved; the truncated
-// inserts still count (they were inserted, then evicted by later ones).
-// Any validation failure — wrong magic, unsupported version, truncation,
-// checksum mismatch — is returned without touching the caches.
+// clobber fresher computations). Snapshot entries arrive least recently
+// used first, so a cache with a smaller capacity than the snapshot truncates
+// to the snapshot's most-recently-used entries, recency preserved; the
+// truncated inserts still count (they were inserted, then evicted by later
+// ones). Any validation failure — wrong magic, unsupported version,
+// truncation, checksum mismatch, an undecodable table — is returned without
+// touching the caches.
 func (s *Server) RestoreSnapshot(path string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -132,21 +108,15 @@ func (s *Server) RestoreSnapshot(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	inserts := make([]func() int, len(s.caches))
+	for i, c := range s.caches {
+		if inserts[i], err = c.decode(*c.info().snapField(&payload)); err != nil {
+			return 0, fmt.Errorf("cache snapshot: decode payload: %w", err)
+		}
+	}
 	n := 0
-	for _, e := range payload.Plan {
-		if s.planCache.Put(e.Key, planOutcome{body: e.Body}) {
-			n++
-		}
-	}
-	for _, e := range payload.Fleet {
-		if s.fleetCache.Put(e.Key, planOutcome{body: e.Body}) {
-			n++
-		}
-	}
-	for _, e := range payload.FleetSim {
-		if s.fleetSimCache.Put(e.Key, planOutcome{body: e.Body}) {
-			n++
-		}
+	for _, insert := range inserts {
+		n += insert()
 	}
 	s.restoredEntries.Store(int64(n))
 	// The age gauge dates from when the snapshot was taken, not when it was
@@ -176,10 +146,10 @@ func decodeSnapshot(raw []byte) (snapshotPayload, error) {
 	var payload snapshotPayload
 	headerLen := len(snapshotMagic) + 4 + 8
 	if len(raw) < headerLen {
-		return payload, errString("cache snapshot: truncated header")
+		return payload, errors.New("cache snapshot: truncated header")
 	}
 	if string(raw[:len(snapshotMagic)]) != snapshotMagic {
-		return payload, errString("cache snapshot: bad magic (not a chimera cache snapshot)")
+		return payload, errors.New("cache snapshot: bad magic (not a chimera cache snapshot)")
 	}
 	version := binary.BigEndian.Uint32(raw[len(snapshotMagic):])
 	if version != snapshotVersion {

@@ -136,6 +136,41 @@ func TestSnapshotRestoreSmallerAndWarm(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoresParentFixture: testdata/parent_v1.chimsnap was written
+// by the commit before the response caches became one type (three plans, one
+// fleet plan, a classic and an elastic fleet simulation). The CHIMSNAP v1
+// format did not change, so it must restore all six entries, each warm.
+func TestSnapshotRestoresParentFixture(t *testing.T) {
+	dst, ts := newTestServer(t, Config{})
+	n, err := dst.RestoreSnapshot(filepath.Join("testdata", "parent_v1.chimsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 6 {
+		t.Fatalf("restored %d entries from the parent commit's snapshot, want 6", n)
+	}
+	for _, rq := range [][2]string{
+		{"/v1/plan", planBody},
+		{"/v1/fleet/plan", fleetBody},
+		{"/v1/fleet/simulate", fleetClassicSimBody},
+		{"/v1/fleet/simulate", fleetElasticBody},
+	} {
+		if status, body := post(t, ts, rq[0], rq[1]); status != http.StatusOK {
+			t.Fatalf("%s after restore: %d %s", rq[0], status, body)
+		}
+	}
+	st := dst.Snapshot()
+	for name, c := range map[string]CacheTableJSON{"plan": st.PlanCache, "fleet": st.FleetCache, "fleet_sim": st.FleetSimCache} {
+		if c.Misses != 0 || c.Hits == 0 {
+			t.Errorf("%s cache after restore: hits=%d misses=%d, want every request warm", name, c.Hits, c.Misses)
+		}
+	}
+	if st.PlanCache.Entries != 3 || st.FleetCache.Entries != 1 || st.FleetSimCache.Entries != 2 {
+		t.Errorf("restored entries plan=%d fleet=%d fleet_sim=%d, want 3/1/2",
+			st.PlanCache.Entries, st.FleetCache.Entries, st.FleetSimCache.Entries)
+	}
+}
+
 // TestSnapshotRefusesDamage: every container-validation failure — bad
 // magic, unsupported version, truncation at several depths, a flipped
 // payload bit — must refuse the file without inserting anything.
