@@ -91,6 +91,18 @@ func (k ScheduleKey) canonical() ScheduleKey {
 	return k
 }
 
+// residencyEquivalent maps a canonical key onto the cheapest key whose
+// schedule has the same residency profile: a fixed-placement Chimera key
+// shortens as schedule.ChimeraConfig.ResidencyEquivalent says; every other
+// key — a list scheduler re-places ops, so the generator's periodicity is
+// gone; baselines never had it — maps to itself.
+func (k ScheduleKey) residencyEquivalent() ScheduleKey {
+	if k.Scheme == "chimera" && k.Scheduler == "" {
+		k.N = schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}.ResidencyEquivalent().N
+	}
+	return k
+}
+
 // keyOf returns the ScheduleKey describing an already-built schedule; it is
 // the inverse of buildSchedule and guards the cache's canonical-key
 // invariant (see the engine tests).
@@ -432,6 +444,21 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 		return nil, err
 	}
 	return s.Graph()
+}
+
+// Residency returns the activation-residency profile of the schedule
+// identified by key — what sim.FitsResidency prices — without necessarily
+// building that schedule: the profile rides the memoized schedule of the
+// key's residency-equivalent (for a long fixed-placement Chimera schedule, a
+// much shorter one), which computes it once and caches it as it does its
+// graph. A memory-fit search over many N therefore shares a few small
+// schedule-memo entries instead of building every schedule it asks about.
+func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
+	s, err := e.Schedule(key.canonical().residencyEquivalent())
+	if err != nil {
+		return nil, err
+	}
+	return s.Residency(), nil
 }
 
 // CriticalPath returns the memoized (Cf, Cb) critical-path counts for the

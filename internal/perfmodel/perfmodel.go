@@ -220,6 +220,17 @@ func PlanOn(e *engine.Engine, req PlanRequest) ([]*Prediction, error) {
 // identical to what PlanOn would return for that request alone — PlanOn is
 // this function at batch size one.
 func PlanBatchOn(e *engine.Engine, reqs []PlanRequest) ([][]*Prediction, []error) {
+	return planBatch(e, reqs, planOne)
+}
+
+// candidateSearch is planOne's shape: the greedy max-B search at one
+// (W, D, scheduler) candidate.
+type candidateSearch func(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error)
+
+// planBatch is PlanBatchOn over a given per-candidate search; the seam lets
+// the equivalence suite run the same grid and ranking over its reference
+// search.
+func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*Prediction, []error) {
 	type candidate struct {
 		req   int // index into reqs
 		d     int
@@ -272,7 +283,7 @@ func PlanBatchOn(e *engine.Engine, reqs []PlanRequest) ([][]*Prediction, []error
 	e.ForEach(len(grid), func(i int) {
 		c := grid[i]
 		req := reqs[c.req]
-		preds[i], errs[i] = planOne(e, req, req.P/c.d, c.d, c.sched, factorsOf[c.req])
+		preds[i], errs[i] = one(e, req, req.P/c.d, c.d, c.sched, factorsOf[c.req])
 	})
 	for i, p := range preds {
 		if errs[i] != nil || p == nil {
@@ -338,56 +349,77 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // only if no B fits plainly, the largest B that fits with recomputation.
 // sched "" plans the fixed placement; a policy name plans the re-shaped
 // schedule that policy produces for the request's speed factors.
+//
+// The search is one pass over B, largest first, and asks only residency
+// profiles (engine.Residency — for the fixed placement a handful of short
+// schedules shared by every N in the sweep): it stops at the first B that
+// fits plainly, remembering on the way the first that fits with
+// recomputation. Only the (D, N = B̂/(W·B)) it settles on is built, compiled
+// and replayed.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
-	// The canonical factor encoding is loop-invariant; encoding it once here
-	// (instead of per candidate B) keeps the b-loop allocation-free until a
-	// schedule is actually built.
+	// The canonical factor encoding is loop-invariant: encode it once.
 	speed := ""
 	if sched != "" {
 		speed = sim.EncodeSpeedFactors(factors)
 	}
-	for _, allowRecompute := range []bool{false, true} {
-		for b := req.MaxB; b >= 1; b /= 2 {
-			if perPipe%b != 0 {
-				continue
-			}
-			n := perPipe / b
-			key := engine.ChimeraKey(d, n, 0, schedule.Direct)
-			if sched != "" {
-				key.Scheduler = sched
-				key.Speed = speed
-			}
-			sch, err := e.Schedule(key)
-			if err != nil {
-				continue
-			}
-			cfg := sim.Config{
-				Model: req.Model, Schedule: sch, MicroBatch: b, W: w,
-				SpeedFactors: factors,
-				Device:       req.Device, Network: req.Network,
-			}
-			plain, withRec, err := sim.FitsMemory(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if !plain && !(allowRecompute && withRec) {
-				continue
-			}
-			cfg.Recompute = !plain
-			cf, cb, err := e.CriticalPath(key)
-			if err != nil {
-				return nil, err
-			}
-			pred, err := PredictWithCritical(cfg, cf, cb)
-			if err != nil {
-				return nil, err
-			}
-			pred.Scheduler = sched
-			return pred, nil
+	keyOf := func(b int) engine.ScheduleKey {
+		key := engine.ChimeraKey(d, perPipe/b, 0, schedule.Direct)
+		if sched != "" {
+			key.Scheduler, key.Speed = sched, speed
+		}
+		return key
+	}
+	cfg := sim.Config{
+		Model: req.Model, W: w, SpeedFactors: factors,
+		Device: req.Device, Network: req.Network,
+	}
+	plainB, recB := 0, 0 // first B fitting plainly / with recomputation
+	for b := req.MaxB; b >= 1 && plainB == 0; b /= 2 {
+		if perPipe%b != 0 {
+			continue
+		}
+		res, err := e.Residency(keyOf(b))
+		if err != nil {
+			continue
+		}
+		cfg.MicroBatch = b
+		plain, withRec, err := sim.FitsResidency(cfg, res)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case plain:
+			plainB = b
+		case withRec && recB == 0:
+			// Keep going: a smaller B that fits without recomputation
+			// outranks any B that needs it.
+			recB = b
 		}
 	}
-	return nil, nil
+	cfg.MicroBatch = plainB
+	if plainB == 0 {
+		if recB == 0 {
+			return nil, nil
+		}
+		cfg.MicroBatch, cfg.Recompute = recB, true
+	}
+	key := keyOf(cfg.MicroBatch)
+	sch, err := e.Schedule(key)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Schedule = sch
+	cf, cb, err := e.CriticalPath(key)
+	if err != nil {
+		return nil, err
+	}
+	pred, err := PredictWithCritical(cfg, cf, cb)
+	if err != nil {
+		return nil, err
+	}
+	pred.Scheduler = sched
+	return pred, nil
 }
 
 // ModelError returns |predicted − simulated| / simulated iteration time for

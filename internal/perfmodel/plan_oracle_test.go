@@ -1,0 +1,169 @@
+package perfmodel
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"chimera/internal/engine"
+	"chimera/internal/model"
+	"chimera/internal/schedule"
+	"chimera/internal/sim"
+)
+
+// twoPassPlanOne is planOne as it stood before residency profiles: a plain
+// sweep over B and then a recompute sweep over the same keys, each step
+// building the full (D, N) schedule and asking FitsMemory about it. It
+// survives only here, as the reference the one-pass search is checked
+// against.
+func twoPassPlanOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
+	perPipe := req.MiniBatch / w
+	speed := ""
+	if sched != "" {
+		speed = sim.EncodeSpeedFactors(factors)
+	}
+	for _, allowRecompute := range []bool{false, true} {
+		for b := req.MaxB; b >= 1; b /= 2 {
+			if perPipe%b != 0 {
+				continue
+			}
+			n := perPipe / b
+			key := engine.ChimeraKey(d, n, 0, schedule.Direct)
+			if sched != "" {
+				key.Scheduler = sched
+				key.Speed = speed
+			}
+			sch, err := e.Schedule(key)
+			if err != nil {
+				continue
+			}
+			cfg := sim.Config{
+				Model: req.Model, Schedule: sch, MicroBatch: b, W: w,
+				SpeedFactors: factors,
+				Device:       req.Device, Network: req.Network,
+			}
+			plain, withRec, err := sim.FitsMemory(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if !plain && !(allowRecompute && withRec) {
+				continue
+			}
+			cfg.Recompute = !plain
+			cf, cb, err := e.CriticalPath(key)
+			if err != nil {
+				return nil, err
+			}
+			pred, err := PredictWithCritical(cfg, cf, cb)
+			if err != nil {
+				return nil, err
+			}
+			pred.Scheduler = sched
+			return pred, nil
+		}
+	}
+	return nil, nil
+}
+
+// oracleRequests is the request set of equivalence test (c): a stride
+// through the benchmark's plan grid (inline model shapes × P × B̂ × both
+// platforms), heterogeneous "auto" requests that sweep every placement
+// policy, recompute-only and mixed-fit shapes, and an infeasible request.
+func oracleRequests() []PlanRequest {
+	var out []PlanRequest
+	shapes := []struct{ hidden, heads, seq int }{
+		{1024, 16, 128}, {1280, 20, 512}, {1536, 16, 1024}, {2048, 32, 256}, {2560, 32, 512},
+	}
+	platforms := []struct {
+		dev sim.Device
+		net sim.Network
+	}{{sim.PizDaintNode(), sim.AriesNetwork()}, {sim.V100Node(), sim.NVLinkIBNetwork()}}
+	i := 0
+	for _, layers := range []int{24, 32, 48, 64, 96} {
+		for _, sh := range shapes {
+			for _, p := range []int{8, 16, 32, 64, 128} {
+				for _, bhat := range []int{128, 256, 512, 1024} {
+					for _, pf := range platforms {
+						// 1000 grid points; every 11th keeps all five values of
+						// every axis in play at a tenth of the cost.
+						if i++; i%11 != 0 {
+							continue
+						}
+						out = append(out, PlanRequest{
+							Model: model.Config{
+								Name:   fmt.Sprintf("bench-l%d-h%d-s%d", layers, sh.hidden, sh.seq),
+								Layers: layers, Hidden: sh.hidden, Heads: sh.heads, Vocab: 50257, SeqLen: sh.seq,
+							},
+							P: p, MiniBatch: bhat, Device: pf.dev, Network: pf.net,
+						})
+					}
+				}
+			}
+		}
+	}
+	out = append(out, planRequests()...)
+	for _, factors := range [][]float64{
+		{1, 1, 1, 1, 2, 1, 1, 1},
+		{1, 1.25, 1.5, 1.75},
+		{1.5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3},
+	} {
+		for _, sel := range []string{"auto", "heft"} {
+			req := hetPlanRequest(sel, factors)
+			out = append(out, req)
+			req.MaxB, req.MiniBatch = 64, 1024 // long schedules under list placement
+			out = append(out, req)
+		}
+	}
+	// An odd mini-batch: N is not a power of two, so partial trailing units.
+	out = append(out, PlanRequest{
+		Model: model.BERT48(), P: 8, MiniBatch: 8 * 3 * 5 * 7,
+		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(), MaxB: 32,
+	})
+	// Infeasible: nothing fits a device this small.
+	tiny := sim.PizDaintNode()
+	tiny.MemBytes = 1 << 20
+	out = append(out, PlanRequest{
+		Model: model.GPT2(), P: 16, MiniBatch: 256, Device: tiny, Network: sim.AriesNetwork(),
+	})
+	return out
+}
+
+// TestPlanMatchesTwoPassSearch is equivalence test (c): PlanOn's rankings
+// are deeply equal to the two-pass reference's — every field of every row,
+// errors included — on cold engines.
+func TestPlanMatchesTwoPassSearch(t *testing.T) {
+	reqs := oracleRequests()
+	if testing.Short() {
+		reqs = reqs[len(reqs)-30:]
+	}
+	feasible, infeasible, recompute := 0, 0, 0
+	for i, req := range reqs {
+		got, gerr := PlanOn(engine.New(engine.Workers(1)), req)
+		wants, werrs := planBatch(engine.New(engine.Workers(1)), []PlanRequest{req}, twoPassPlanOne)
+		want, werr := wants[0], werrs[0]
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("request %d %+v: error %v, reference %v", i, req, gerr, werr)
+		}
+		if errors.Is(werr, ErrInfeasible) {
+			if !errors.Is(gerr, ErrInfeasible) {
+				t.Fatalf("request %d: ErrInfeasible not preserved: %v", i, gerr)
+			}
+			infeasible++
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("request %d %+v:\n got %+v\nwant %+v", i, req, dump(got), dump(want))
+		}
+		feasible++
+		for _, p := range want {
+			if p.Recompute {
+				recompute++
+			}
+		}
+	}
+	if !testing.Short() && (infeasible == 0 || recompute == 0) {
+		t.Fatalf("request set lost its coverage: %d infeasible, %d recompute rows", infeasible, recompute)
+	}
+	t.Logf("%d feasible plans (%d recompute rows) and %d infeasible equal the two-pass reference", feasible, recompute, infeasible)
+}

@@ -20,6 +20,19 @@ func BenchmarkChimeraConstructD32F4(b *testing.B) {
 	}
 }
 
+// BenchmarkChimeraBuildD16N256 is the cold planner's unit of construction
+// work: a long direct-concatenation schedule (8192 ops), emission plus
+// sortWorkerOps. Allocations are reported because the build is allocation-
+// bound: they should stay a constant, not grow with D or N.
+func BenchmarkChimeraBuildD16N256(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Chimera(ChimeraConfig{D: 16, N: 256}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkReplayD32N128(b *testing.B) {
 	s, err := Chimera(ChimeraConfig{D: 32, N: 128, Concat: Direct})
 	if err != nil {

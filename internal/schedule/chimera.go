@@ -45,6 +45,22 @@ type ChimeraConfig struct {
 	Concat ConcatMode
 }
 
+// ResidencyEquivalent returns the shortest configuration known to have the
+// same residency profile as cfg (cfg itself when none is known). A direct-
+// concatenation, F = 1 schedule repeats with a period of one basic unit —
+// D micro-batches, 2D slots — and a unit's ops span fewer than 4D slots, so
+// it only ever overlaps its immediate neighbours: every live-count vector a
+// worker reaches at N ≥ 2D it already reaches at N′ = D + (N mod D), one
+// full unit followed by the same partial one. TestResidencyPeriodic pins
+// this for every even D ≤ 128 up to N = 1024. F > 1, forward doubling and
+// backward halving are out of scope and map to themselves.
+func (cfg ChimeraConfig) ResidencyEquivalent() ChimeraConfig {
+	if cfg.F <= 1 && cfg.Concat == Direct && cfg.D >= 2 && cfg.N >= 2*cfg.D {
+		cfg.N = cfg.D + cfg.N%cfg.D
+	}
+	return cfg
+}
+
 // Chimera builds the bidirectional pipeline schedule of §3.1–§3.6.
 func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 	d, n, f := cfg.D, cfg.N, cfg.F
@@ -78,11 +94,23 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 
 	switch {
 	case n <= d || cfg.Concat == Direct:
-		buildChimeraDirect(s, cfg, f)
+		// A micro-batch visits every worker once on its way through the
+		// pipeline and once on the way back: a forward and a backward op.
+		s.reserveOps(2 * n)
+		buildChimeraDirect(s, f)
 	case cfg.Concat == ForwardDoubling || cfg.Concat == BackwardHalving:
 		if n%d != 0 {
 			return nil, fmt.Errorf("chimera: %v needs N a multiple of D, got N=%d D=%d", cfg.Concat, n, d)
 		}
+		// Halving: a forward and two half backwards per micro-batch.
+		// Doubling: a unit's D forwards carry 2D micro-batches (3D ops),
+		// and the odd residual unit is a plain one (2D ops).
+		perWorker := 3 * n
+		if cfg.Concat == ForwardDoubling {
+			units := n / d
+			perWorker = 3*d*(units/2) + 2*d*(units%2)
+		}
+		s.reserveOps(perWorker)
 		buildChimeraDoubling(s, cfg, f)
 		s.DoubledForward = true
 		s.HalvedBackward = cfg.Concat == BackwardHalving
@@ -93,9 +121,18 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 	return s, nil
 }
 
-// emitPair records a forward+backward pair placement for micro-batch set
-// micros of replica r, using the base-unit slot formulas offset by
-// unitOffset.
+// reserveOps gives every worker an empty op list with room for perWorker
+// ops, all carved from one allocation, so emission never regrows a list.
+func (s *Schedule) reserveOps(perWorker int) {
+	backing := make([]Op, s.D*perWorker)
+	for w := range s.Workers {
+		s.Workers[w] = backing[w*perWorker : w*perWorker : (w+1)*perWorker]
+	}
+}
+
+// emitPair records a forward+backward pair placement for micro-batch mb of
+// replica r, the m-th of its pipeline within the unit, using the base-unit
+// slot formulas offset by unitOffset.
 //
 // Base-unit slotting (equal-cost model): within pipeline-local order m,
 // every pipeline — regardless of f — places F(m, s) at slot s + 2m and
@@ -114,46 +151,51 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 // The per-worker idle is D/f − 2 slots, i.e. Table 3's bubble ratio
 // (D−2f)/(2fN+D−2f) = (D/f−2)/(2N+D/f−2). TestChimeraFConflictFree
 // exercises this over many (D, f).
-func (s *Schedule) emitPair(r int, micros []int, m int, phase, unitOffset int) {
+func (s *Schedule) emitPair(r, mb, m, unitOffset int) {
 	d := s.D
 	rm := s.Replicas[r]
+	micros := microRun(mb, 1)
 	for st := 0; st < d; st++ {
 		w := rm.WorkerOf[st]
-		fSlot := st + 2*m + phase + unitOffset
-		bSlot := 2*d - 1 - st + 2*m + phase + unitOffset
+		fSlot := st + 2*m + unitOffset
+		bSlot := 2*d - 1 - st + 2*m + unitOffset
 		s.Workers[w] = append(s.Workers[w],
-			Op{Kind: Forward, Stage: st, Replica: r, Micros: internMicros(micros), prio: fSlot})
-		s.Workers[w] = append(s.Workers[w],
-			Op{Kind: Backward, Stage: st, Replica: r, Micros: internMicros(micros), prio: bSlot})
+			Op{Kind: Forward, Stage: st, Replica: r, Micros: micros, prio: fSlot},
+			Op{Kind: Backward, Stage: st, Replica: r, Micros: micros, prio: bSlot})
 	}
-	for _, mb := range micros {
-		s.MicroReplica[mb] = r
+	s.MicroReplica[mb] = r
+}
+
+// emitPlainUnit deals inUnit ≤ D consecutive micro-batches starting at mb to
+// the 2f pipelines — pipeline p = down0, up0, down1, up1, ... gets its
+// ceil-fair share, locally 1F1B ordered — as one basic unit at unitOffset.
+func (s *Schedule) emitPlainUnit(order, counts []int, mb, unitOffset int) {
+	for pi, rep := range order {
+		for m := 0; m < counts[pi]; m++ {
+			s.emitPair(rep, mb, m, unitOffset)
+			mb++
+		}
 	}
 }
 
 // buildChimeraDirect handles N ≤ D and direct concatenation of basic units.
 // Micro-batches are dealt to the 2f pipelines round-robin (down pipelines
 // first), each unit carrying up to D micro-batches.
-func buildChimeraDirect(s *Schedule, cfg ChimeraConfig, f int) {
+func buildChimeraDirect(s *Schedule, f int) {
 	d, n := s.D, s.N
 	unitSpan := 2 * d // busy slots per worker per unit: seamless concat offset
+	order := pipelineDealOrder(f)
+	full := fairShare(d, 2*f)
 	mb := 0
 	for unit := 0; mb < n; unit++ {
+		counts := full
 		inUnit := n - mb
 		if inUnit > d {
 			inUnit = d
+		} else if inUnit < d {
+			counts = fairShare(inUnit, 2*f)
 		}
-		// Deal this unit's micro-batches: pipeline p = down0, up0, down1,
-		// up1, ... gets ceil-fair share, locally 1F1B ordered.
-		order := pipelineDealOrder(f)
-		counts := fairShare(inUnit, 2*f)
-		local := 0
-		for pi, rep := range order {
-			for m := 0; m < counts[pi]; m++ {
-				s.emitPair(rep, []int{mb + local}, m, 0, unit*unitSpan)
-				local++
-			}
-		}
+		s.emitPlainUnit(order, counts, mb, unit*unitSpan)
 		mb += inUnit
 	}
 }
@@ -215,15 +257,7 @@ func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f int) {
 	}
 	if k == 1 {
 		// Odd residual: one plain bidirectional unit of D micro-batches.
-		order := pipelineDealOrder(f)
-		counts := fairShare(d, 2*f)
-		local := 0
-		for pi, rep := range order {
-			for m := 0; m < counts[pi]; m++ {
-				s.emitPair(rep, []int{mb + local}, m, 0, offset)
-				local++
-			}
-		}
+		s.emitPlainUnit(pipelineDealOrder(f), fairShare(d, 2*f), mb, offset)
 	}
 }
 

@@ -361,3 +361,22 @@ func TestStagesOnWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestChimeraBuildAllocations: op lists are reserved exactly and re-ordered
+// into one shared array, so a build's allocation count is a small constant —
+// it must not grow with N (list regrowth) nor beyond D (a list per worker).
+func TestChimeraBuildAllocations(t *testing.T) {
+	for _, cfg := range []ChimeraConfig{
+		{D: 16, N: 256}, {D: 16, N: 40}, {D: 32, N: 64, F: 4},
+		{D: 8, N: 24, Concat: ForwardDoubling}, {D: 8, N: 32, Concat: BackwardHalving},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Chimera(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(cfg.D + 16); allocs > limit {
+			t.Errorf("%+v: %.0f allocations per build, want ≤ D + 16 = %.0f", cfg, allocs, limit)
+		}
+	}
+}

@@ -47,20 +47,3 @@ func microRun(m, n int) []int {
 	t := microTable(m + n)
 	return t[m : m+n : m+n]
 }
-
-// internMicros returns a shared identity subslice equal to micros when its
-// ids are one consecutive run (every generator emits such runs), falling
-// back to a private copy otherwise.
-func internMicros(micros []int) []int {
-	if len(micros) == 0 {
-		return nil
-	}
-	for i := 1; i < len(micros); i++ {
-		if micros[i] != micros[0]+i {
-			out := make([]int, len(micros))
-			copy(out, micros)
-			return out
-		}
-	}
-	return microRun(micros[0], len(micros))
-}

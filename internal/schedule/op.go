@@ -112,6 +112,11 @@ type Schedule struct {
 	compileOnce sync.Once
 	compiled    *Graph
 	compileErr  error
+
+	// Activation-residency profile, built lazily once per schedule under the
+	// same immutability contract (see residency.go).
+	residencyOnce sync.Once
+	residency     *Residency
 }
 
 // ReplicasPerWorker returns how many model replicas have a stage on each

@@ -1,7 +1,5 @@
 package schedule
 
-import "sort"
-
 // CostModel supplies integer op durations for timeline replay. Durations are
 // in arbitrary units (the unit-cost analyses use F=1 or F=2/B=2 style
 // ratios; the simulator package uses nanoseconds).
@@ -150,28 +148,16 @@ func (tl *Timeline) WorkerBubbles() []int64 {
 // ActivationHighWater returns, per worker, the peak number of in-flight
 // micro-batch activations (forward done on this worker, backward not yet),
 // in units of one micro-batch's activation memory Ma. Order-derived: timing
-// does not change residency, only the op order does.
+// does not change residency, only the op order does — so it is read off the
+// schedule's residency profile.
 //
 // Under forward doubling, a doubled forward holds 2 units (the paper's 2×
 // activation cost). Under backward halving, each half backward releases ½.
 func (s *Schedule) ActivationHighWater() []float64 {
+	res := s.Residency()
 	out := make([]float64, s.D)
-	for w, ops := range s.Workers {
-		var live, peak float64
-		for _, op := range ops {
-			switch {
-			case op.Kind == Forward:
-				live += float64(len(op.Micros))
-			case op.Half != 0:
-				live -= 0.5 * float64(len(op.Micros))
-			default:
-				live -= float64(len(op.Micros))
-			}
-			if live > peak {
-				peak = live
-			}
-		}
-		out[w] = peak
+	for w := range out {
+		out[w] = float64(res.Workers[w].PeakUnits()) / 2
 	}
 	return out
 }
@@ -181,39 +167,89 @@ func (s *Schedule) ActivationHighWater() []float64 {
 // micro-batch, lower-bounded by 1 (the live weights). For synchronous
 // schemes this equals 1 and is not used.
 func (s *Schedule) WeightStashHighWater() []int {
-	hw := s.ActivationHighWater()
-	out := make([]int, len(hw))
-	for i, v := range hw {
-		n := int(v)
-		if n < 1 {
-			n = 1
-		}
-		out[i] = n
+	res := s.Residency()
+	out := make([]int, s.D)
+	for w := range out {
+		out[w] = res.Workers[w].WeightStash()
 	}
 	return out
 }
 
-// sortWorkerOps orders each worker's list by construction priority, with a
-// deterministic tiebreak (replica, kind, micro). Generators call this after
-// emitting ops with prio slots; most emit in already-sorted order, which the
-// pre-scan detects to skip the sort (schedule construction is the uncached
-// sweep's hot path, and sort.SliceStable on sorted input still pays the
-// full comparator traffic).
+// sortWorkerOps orders each worker's list by construction priority slot,
+// with opLess' deterministic tiebreak inside a slot (kind, replica, micro,
+// half) and emission order between ops opLess cannot tell apart — the order
+// a stable sort by opLess would produce. Generators call this after emitting
+// ops with prio slots. Most emit in already-sorted order, which the pre-scan
+// detects; the rest are placed by slot: prio is a dense integer (a slot
+// index, so its range is within a small factor of the op count), so a
+// counting pass puts every op at its final position in O(n), and opLess is
+// consulted only inside a slot holding more than one op. Re-ordered lists
+// share one backing array.
 func (s *Schedule) sortWorkerOps() {
-	for w := range s.Workers {
-		ops := s.Workers[w]
-		sorted := true
-		for i := 1; i < len(ops); i++ {
-			if opLess(ops[i], ops[i-1]) {
-				sorted = false
-				break
-			}
-		}
-		if sorted {
+	var out []Op    // backing array for every re-ordered list
+	var start []int // slot → next free position, reused across workers
+	for w, ops := range s.Workers {
+		if opsSorted(ops) {
 			continue
 		}
-		sort.SliceStable(ops, func(i, j int) bool { return opLess(ops[i], ops[j]) })
+		if out == nil {
+			n := 0
+			for _, rest := range s.Workers[w:] {
+				n += len(rest)
+			}
+			out = make([]Op, n)
+		}
+		dst := out[:len(ops):len(ops)]
+		out = out[len(ops):]
+		start = placeBySlot(dst, ops, start)
+		s.Workers[w] = dst
 	}
+}
+
+func opsSorted(ops []Op) bool {
+	for i := 1; i < len(ops); i++ {
+		if opLess(ops[i], ops[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// placeBySlot writes ops into dst (same length, non-empty) in sortWorkerOps
+// order; start is scratch it may grow and returns for reuse.
+func placeBySlot(dst, ops []Op, start []int) []int {
+	lo, hi := ops[0].prio, ops[0].prio
+	for i := range ops {
+		if p := ops[i].prio; p < lo {
+			lo = p
+		} else if p > hi {
+			hi = p
+		}
+	}
+	span := hi - lo + 2
+	if cap(start) < span {
+		start = make([]int, span)
+	} else {
+		start = start[:span]
+		clear(start)
+	}
+	for i := range ops {
+		start[ops[i].prio-lo+1]++
+	}
+	for p := 1; p < span; p++ {
+		start[p] += start[p-1]
+	}
+	for i := range ops {
+		p := ops[i].prio - lo
+		dst[start[p]] = ops[i]
+		start[p]++
+	}
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].prio == dst[j-1].prio && opLess(dst[j], dst[j-1]); j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return start
 }
 
 func opLess(a, b Op) bool {

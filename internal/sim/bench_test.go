@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"chimera/internal/model"
@@ -37,5 +38,27 @@ func BenchmarkPeakMemoryBERTD16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PeakMemory(&cfg, stages)
+	}
+}
+
+// BenchmarkFitsMemory prices a cached schedule's residency profile: O(D)
+// work whatever N is, so the N16 and N512 cases should read alike.
+func BenchmarkFitsMemory(b *testing.B) {
+	for _, dn := range [][2]int{{8, 16}, {8, 512}, {16, 64}} {
+		b.Run(fmt.Sprintf("D%dN%d", dn[0], dn[1]), func(b *testing.B) {
+			s, err := schedule.Chimera(schedule.ChimeraConfig{D: dn[0], N: dn[1]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Model: model.BERT48(), Schedule: s, MicroBatch: 4, W: 2}
+			s.Residency()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := FitsMemory(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,109 +8,127 @@ import (
 // PeakMemory returns the per-worker peak memory in bytes for the
 // configuration: training state for every hosted stage replica (plus
 // stashed weight versions for asynchronous schemes) and the peak activation
-// residency derived from the schedule's op order.
+// residency priced off the schedule's residency profile.
 //
 // With recomputation, each in-flight micro-batch holds only its boundary
 // input; one full stage activation set is transiently materialized during
 // the backward pass (the recompute working set).
 func PeakMemory(cfg *Config, stages []model.Stage) []int64 {
-	s := cfg.Schedule
-	out := make([]int64, s.D)
-	for w := 0; w < s.D; w++ {
-		out[w] = weightMemory(cfg, stages, w) + activationPeak(cfg, stages, w)
+	res := cfg.Schedule.Residency()
+	out := weightMemory(cfg, stages, res)
+	act := stageActivationBytes(cfg, stages)
+	for w := range out {
+		out[w] += activationPeak(cfg, act, &res.Workers[w], cfg.Recompute)
 	}
 	return out
 }
 
-func weightMemory(cfg *Config, stages []model.Stage, w int) int64 {
-	s := cfg.Schedule
-	var bytes int64
-	placements := s.StagesOn(w)
-	var stash []int
-	if !s.Synchronous {
-		stash = s.WeightStashHighWater()
-	}
-	for _, pl := range placements {
-		st := stages[pl.Stage]
-		if cfg.ZeRO && s.Synchronous {
-			// ZeRO-1: weights + gradients stay replicated (8 B/param); the
-			// optimizer state (momentum, 4 B/param) is sharded across the
-			// stage's holder group.
-			r := int64(len(s.Replicas) * cfg.W)
-			bytes += st.Params() * (8 + (4+r-1)/r)
-		} else {
-			bytes += st.WeightBytes()
-		}
-		if !s.Synchronous {
-			versions := 1
-			switch s.Scheme {
+// weightMemory returns, per worker, the training-state bytes of the stage
+// replicas it hosts.
+func weightMemory(cfg *Config, stages []model.Stage, res *schedule.Residency) []int64 {
+	out := make([]int64, len(res.Workers))
+	for w := range res.Workers {
+		wr := &res.Workers[w]
+		// Asynchronous schemes stash extra weight versions: PipeDream one per
+		// in-flight micro-batch (lower-bounded by the live weights),
+		// PipeDream-2BW a double buffer.
+		versions := int64(1)
+		if !res.Synchronous {
+			switch res.Scheme {
 			case "pipedream":
-				versions = stash[w]
+				versions = int64(wr.WeightStash())
 			case "pipedream-2bw":
 				versions = 2
 			}
+		}
+		for _, pl := range wr.Hosted {
+			params := stages[pl.Stage].Params()
+			if cfg.ZeRO && res.Synchronous {
+				// ZeRO-1: weights + gradients stay replicated (8 B/param); the
+				// optimizer state (momentum, 4 B/param) is sharded across the
+				// stage's holder group.
+				r := int64(res.Replicas * cfg.W)
+				out[w] += params * (8 + (4+r-1)/r)
+			} else {
+				out[w] += params * model.BytesPerParamTraining
+			}
 			// Extra stashed versions store weights only (fp32), not
 			// gradients or optimizer state.
-			bytes += int64(versions-1) * st.Params() * 4
+			out[w] += (versions - 1) * params * 4
 		}
 	}
-	return bytes
+	return out
 }
 
-// activationPeak walks the worker's op order tracking live activation bytes
-// per (replica, stage): + on forward, − on backward (half backwards release
-// half). Timing cannot change residency; order alone determines it.
-func activationPeak(cfg *Config, stages []model.Stage, w int) int64 {
-	s := cfg.Schedule
-	var live, peak float64
-	var maxWorkingSet int64
-	for _, op := range s.Workers[w] {
-		st := stages[op.Stage]
-		perMicro := float64(st.ActivationBytes(cfg.MicroBatch))
-		if cfg.Recompute {
-			perMicro = float64(cfg.Model.BoundaryBytes(cfg.MicroBatch))
-			if ws := st.ActivationBytes(cfg.MicroBatch); ws > maxWorkingSet {
-				maxWorkingSet = ws
+// stageActivationBytes returns each stage's full activation footprint for
+// one micro-batch of the configuration's size.
+func stageActivationBytes(cfg *Config, stages []model.Stage) []int64 {
+	act := make([]int64, len(stages))
+	for i := range stages {
+		act[i] = stages[i].ActivationBytes(cfg.MicroBatch)
+	}
+	return act
+}
+
+// activationPeak prices one worker's residency profile: the most bytes any
+// of its Pareto-maximal live vectors holds, at act[stage] per resident
+// micro-batch — or, with recomputation, at the boundary input per
+// micro-batch plus the largest working set among the stages that run here.
+// Counts are in half-micro-batches, so the sum is halved (rounding down,
+// as the byte-walk this replaces truncated).
+func activationPeak(cfg *Config, act []int64, wr *schedule.WorkerResidency, recompute bool) int64 {
+	boundary := cfg.Model.BoundaryBytes(cfg.MicroBatch)
+	var peak, workingSet int64
+	for _, v := range wr.Peaks {
+		var sum int64
+		for k, units := range v {
+			perMicro := act[wr.Hosted[k].Stage]
+			if recompute {
+				if units > 0 && perMicro > workingSet {
+					workingSet = perMicro
+				}
+				perMicro = boundary
 			}
+			sum += int64(units) * perMicro
 		}
-		n := float64(len(op.Micros))
-		switch {
-		case op.Kind == schedule.Forward:
-			live += perMicro * n
-		case op.Half != 0:
-			live -= perMicro * n / 2
-		default:
-			live -= perMicro * n
-		}
-		if live > peak {
-			peak = live
+		if sum > peak {
+			peak = sum
 		}
 	}
-	return int64(peak) + maxWorkingSet
+	return peak/2 + workingSet
 }
 
 // FitsMemory reports whether the configuration fits device memory without
 // recomputation, and whether it fits with recomputation — the decision the
 // paper's figures annotate with R and OOM.
 func FitsMemory(cfg Config) (plain, withRecompute bool, err error) {
-	if err := validate(&cfg); err != nil {
+	if cfg.Schedule == nil {
+		return false, false, errNilSchedule
+	}
+	return FitsResidency(cfg, cfg.Schedule.Residency())
+}
+
+// FitsResidency is FitsMemory answered from a residency profile alone:
+// cfg.Schedule is not consulted, so a caller holding the profile of an
+// equivalent (shorter) schedule — the planner's B search, through
+// engine.Residency — never builds the schedule it is asking about. The
+// model is partitioned and weights are priced once for both answers.
+func FitsResidency(cfg Config, res *schedule.Residency) (plain, withRecompute bool, err error) {
+	if err := validateFor(&cfg, len(res.Workers)); err != nil {
 		return false, false, err
 	}
-	stages, err := cfg.Model.Partition(cfg.Schedule.D)
+	stages, err := cfg.Model.Partition(len(res.Workers))
 	if err != nil {
 		return false, false, err
 	}
-	cfg.Recompute = false
-	plain = true
-	for _, m := range PeakMemory(&cfg, stages) {
-		if m > cfg.Device.MemBytes {
+	weights := weightMemory(&cfg, stages, res)
+	act := stageActivationBytes(&cfg, stages)
+	plain, withRecompute = true, true
+	for w := range res.Workers {
+		if weights[w]+activationPeak(&cfg, act, &res.Workers[w], false) > cfg.Device.MemBytes {
 			plain = false
 		}
-	}
-	cfg.Recompute = true
-	withRecompute = true
-	for _, m := range PeakMemory(&cfg, stages) {
-		if m > cfg.Device.MemBytes {
+		if weights[w]+activationPeak(&cfg, act, &res.Workers[w], true) > cfg.Device.MemBytes {
 			withRecompute = false
 		}
 	}

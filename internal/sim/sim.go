@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -181,10 +182,18 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+var errNilSchedule = errors.New("sim: nil schedule")
+
 func validate(cfg *Config) error {
 	if cfg.Schedule == nil {
-		return fmt.Errorf("sim: nil schedule")
+		return errNilSchedule
 	}
+	return validateFor(cfg, cfg.Schedule.D)
+}
+
+// validateFor checks (and defaults) everything about cfg that does not need
+// the schedule itself, only its depth d.
+func validateFor(cfg *Config, d int) error {
 	if cfg.MicroBatch < 1 {
 		return fmt.Errorf("sim: micro-batch must be ≥1, got %d", cfg.MicroBatch)
 	}
@@ -195,9 +204,9 @@ func validate(cfg *Config) error {
 		cfg.Interference = 0.15
 	}
 	if len(cfg.SpeedFactors) != 0 {
-		if len(cfg.SpeedFactors) != cfg.Schedule.D {
+		if len(cfg.SpeedFactors) != d {
 			return fmt.Errorf("sim: %d speed factors for D=%d workers (lengths must match)",
-				len(cfg.SpeedFactors), cfg.Schedule.D)
+				len(cfg.SpeedFactors), d)
 		}
 		for w, f := range cfg.SpeedFactors {
 			if !validSpeedFactor(f) {
