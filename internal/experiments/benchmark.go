@@ -33,7 +33,7 @@ type SweepBenchmark struct {
 	// Speedup is parallel over serial throughput (configs/sec): the
 	// engine's combined pool + cache benefit on the repeated-walk access
 	// pattern. UncachedSpeedup isolates the engine core's code-level wins
-	// (compiled-graph arenas, flat producer tables, interned keys) with
+	// (compiled graphs, pooled replay scratch, flat producer tables, interned keys) with
 	// both caches off: one uncached pass on the reference replay core (the
 	// retained map interpreter driving the same simulator) against one
 	// uncached pass on the optimized core, at the same pool size — so the

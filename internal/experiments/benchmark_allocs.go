@@ -10,12 +10,12 @@ import (
 
 // AllocsBenchmark is the allocs section of BENCH_sweep.json: steady-state
 // heap traffic on the engine's two hot paths. CI gates ReplayAllocsPerOp
-// at exactly 0 — a warm graph replay must recycle its timeline arena — and
+// at exactly 0 — a warm graph replay must recycle its pooled scratch — and
 // the memo-hit row documents that a warm Evaluate is allocation-free too.
 // The miss row sizes what a cold lookup costs (entry, map slot, closure)
 // for contrast; it has no gate.
 type AllocsBenchmark struct {
-	// Replay* time g.ReplayWith with a warm arena pool (the timeline is
+	// Replay* time g.ReplayWith with a warm replay pool (the timeline is
 	// released back each iteration), on the largest tracked schedule
 	// (Chimera D=16 N=64).
 	ReplayAllocsPerOp int64   `json:"replay_allocs_per_op"`
@@ -46,12 +46,7 @@ func replayAllocCase() (*schedule.Graph, schedule.ReplayConfig, error) {
 	if err != nil {
 		return nil, schedule.ReplayConfig{}, err
 	}
-	cm := schedule.UnitPractical
-	rc := schedule.ReplayConfig{
-		OpCost:   func(_ int, op schedule.Op) int64 { return cm.Cost(op) },
-		EdgeCost: func(schedule.Op) int64 { return cm.P2P },
-	}
-	return g, rc, nil
+	return g, schedule.UnitPractical.ReplayConfig(), nil
 }
 
 // BenchmarkAllocs measures the allocs section. It uses testing.Benchmark
@@ -64,7 +59,7 @@ func BenchmarkAllocs() (*AllocsBenchmark, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.ReplayWith(rc).Release() // warm the arena pool
+	g.ReplayWith(rc).Release() // warm the replay pool
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

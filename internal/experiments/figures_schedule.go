@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"chimera/internal/schedule"
@@ -46,19 +45,17 @@ func Figure6() (*Report, error) {
 		return nil, err
 	}
 	r.addf("critical path: Cf=%d forward passes, Cb=%d backward passes (paper: Cf=6, Cb=10)", cf, cb)
-	tl, err := s.Replay(schedule.UnitPractical)
+	ro, err := s.Readout(schedule.UnitPractical.ReplayConfig())
 	if err != nil {
 		return nil, err
 	}
-	ready := s.GradReady(tl)
-	ends := tl.ComputeEnd()
+	defer ro.Release()
 	r.addf("free overlap regions per worker (gradient-ready → compute-end), practical units:")
 	for w := 0; w < s.D; w++ {
 		var parts []string
-		for pl, t := range ready[w] {
-			parts = append(parts, fmt.Sprintf("stage%d(r%d): %d", pl.Stage, pl.Replica, ends[w]-t))
+		for _, gr := range ro.GradReady(w) {
+			parts = append(parts, fmt.Sprintf("stage%d(r%d): %d", gr.Stage, gr.Replica, ro.ComputeEnd(w)-gr.At))
 		}
-		sort.Strings(parts)
 		r.addf("  P%d: %s", w, strings.Join(parts, "  "))
 	}
 	r.Metrics["cf"], r.Metrics["cb"] = float64(cf), float64(cb)

@@ -1,10 +1,12 @@
 package perfmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
 
@@ -55,4 +57,43 @@ func BenchmarkPlanWarm(b *testing.B) {
 		}
 	}
 	benchPlan(b, e, false)
+}
+
+// BenchmarkPredictWithCritical is one Eq. 1 evaluation on a compiled
+// schedule: two priced replays and the grad-ready read-out, nothing cached
+// between calls. The hetero cases add per-worker speed factors, which
+// multiply the number of distinct op shapes by D.
+func BenchmarkPredictWithCritical(b *testing.B) {
+	for _, dn := range [][2]int{{16, 64}, {32, 256}} {
+		d, n := dn[0], dn[1]
+		s, err := schedule.Chimera(schedule.ChimeraConfig{D: d, N: n})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cf, cb, err := schedule.CriticalPath(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		speed := make([]float64, d)
+		for w := range speed {
+			speed[w] = 1 + 0.05*float64(w%4)
+		}
+		for _, c := range []struct {
+			name    string
+			factors []float64
+		}{{"homog", nil}, {"hetero", speed}} {
+			cfg := sim.Config{
+				Model: model.GPT2(), Schedule: s, MicroBatch: 2, W: 4, SpeedFactors: c.factors,
+				Device: sim.PizDaintNode(), Network: sim.AriesNetwork(),
+			}
+			b.Run(fmt.Sprintf("D%dN%d/%s", d, n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := PredictWithCritical(cfg, cf, cb); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -86,7 +86,7 @@ func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
 		}
 		return cfg.SpeedFactors[w]
 	}
-	tlC, err := s.ReplayWith(schedule.ReplayConfig{
+	roC, err := s.Readout(schedule.ReplayConfig{
 		OpCost: func(w int, op schedule.Op) int64 {
 			c := ftOf(op.Stage) * float64(len(op.Micros))
 			if op.Kind == schedule.Backward {
@@ -109,15 +109,15 @@ func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
 	meanFLOPs /= float64(len(stages))
 	ft := meanFLOPs * b / rate
 	p2p := cfg.Network.P2PCost(cfg.Model.BoundaryBytes(cfg.MicroBatch))
-	compute := float64(tlC.Makespan)*quantum + p2p*float64(cf+cb)
-	tlC.Release()
+	compute := float64(roC.Makespan())*quantum + p2p*float64(cf+cb)
+	roC.Release()
 
 	// Unoverlapped gradient synchronization: per worker, allreduce costs
 	// exceeding the free region between gradient completion and the end of
 	// local compute (§3.4, Fig. 6). Per-worker speed factors scale the
 	// replay's unit costs so a straggler's gradients complete late.
 	unitCM := schedule.CostModel{FUnit: 1000, BUnit: int64(1000 * btMult)}
-	tl, err := s.ReplayWith(schedule.ReplayConfig{
+	ro, err := s.Readout(schedule.ReplayConfig{
 		OpCost: func(w int, op schedule.Op) int64 {
 			return int64(factor(w) * float64(unitCM.Cost(op)))
 		},
@@ -126,17 +126,19 @@ func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ro.Release()
 	scale := ft / 1000 // seconds per replay unit
-	ready := s.GradReady(tl)
-	ends := tl.ComputeEnd()
-	tl.Release()
 	r := len(s.Replicas) * cfg.W
 	var unoverlapped float64
 	for w := 0; w < s.D; w++ {
+		end := ro.ComputeEnd(w)
+		// Placements arrive ordered by (stage, replica): the float sum below
+		// does not commute, so a fixed order is what makes the prediction a
+		// function of its inputs.
 		var u float64
-		for pl, rq := range ready[w] {
-			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[pl.Stage].Params()*4)
-			slack := float64(ends[w]-rq) * scale
+		for _, gr := range ro.GradReady(w) {
+			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[gr.Stage].Params()*4)
+			slack := float64(end-gr.At) * scale
 			// Mirror the eager-sync-opt semantics: a stage with a
 			// meaningful free region launches eagerly and only its spill
 			// remains; middle stages pay the full cost after compute.

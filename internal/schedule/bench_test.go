@@ -46,6 +46,34 @@ func BenchmarkReplayD32N128(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayMakespanD32N128 is the replay kernel alone on the same
+// schedule: priced shape vectors in, makespan out — what a planner-path
+// replay costs once its few dozen shapes are priced.
+func BenchmarkReplayMakespanD32N128(b *testing.B) {
+	s, err := Chimera(ChimeraConfig{D: 32, N: 128, Concat: Direct})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := s.Graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := g.Readout(UnitPractical.ReplayConfig())
+	defer r.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.run(r.end, r.cost, r.edge)
+		var makespan int64
+		for w := 0; w < s.D; w++ {
+			makespan = max(makespan, r.ComputeEnd(w))
+		}
+		if makespan != r.Makespan() {
+			b.Fatalf("makespan %d, want %d", makespan, r.Makespan())
+		}
+	}
+}
+
 func BenchmarkValidateD16N64(b *testing.B) {
 	s, err := Chimera(ChimeraConfig{D: 16, N: 64, Concat: Direct})
 	if err != nil {

@@ -2,11 +2,11 @@ package schedule
 
 // cpProbeA/cpProbeB are the two perturbed cost models CriticalPath replays.
 // They are lifted to ReplayConfigs once at init so the probes themselves
-// allocate nothing: with a warm graph arena a CriticalPath call is
+// allocate nothing: with a warm replay pool a CriticalPath call is
 // allocation-free.
 var (
-	cpProbeA = CostModel{FUnit: 100, BUnit: 200}.replayConfig()
-	cpProbeB = CostModel{FUnit: 101, BUnit: 200}.replayConfig()
+	cpProbeA = CostModel{FUnit: 100, BUnit: 200}.ReplayConfig()
+	cpProbeB = CostModel{FUnit: 101, BUnit: 200}.ReplayConfig()
 )
 
 // CriticalPath returns (Cf, Cb): the number of forward and backward passes
@@ -17,21 +17,20 @@ var (
 //
 // These are the Cf and Cb of the paper's Eq. 1 (§3.4). The counts depend
 // only on the schedule's dependency structure, so they are memoized per
-// ScheduleKey by internal/engine. Both probes are flat topological passes
-// over the schedule's compiled Graph — the graph is built once and shared —
-// and their timelines are released back to the graph's arena pool, so only
-// the makespans survive the call.
+// ScheduleKey by internal/engine. Both probes are kernel passes over the
+// schedule's compiled Graph — the graph is built once and shared — read out
+// as makespans only.
 func CriticalPath(s *Schedule) (cf, cb int, err error) {
 	g, err := s.Graph()
 	if err != nil {
 		return 0, 0, err
 	}
-	tl := g.ReplayWith(cpProbeA)
-	m1 := tl.Makespan
-	tl.Release()
-	tl = g.ReplayWith(cpProbeB)
-	m2 := tl.Makespan
-	tl.Release()
+	probe := func(rc ReplayConfig) int64 {
+		r := g.Readout(rc)
+		defer r.Release()
+		return r.Makespan()
+	}
+	m1, m2 := probe(cpProbeA), probe(cpProbeB)
 	cf = int(m2 - m1)
 	cb = int((m1 - int64(cf)*100) / 200)
 	return cf, cb, nil

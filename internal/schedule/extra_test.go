@@ -131,18 +131,19 @@ func TestCheckDNErrors(t *testing.T) {
 // a gradient-ready time.
 func TestGradReadyCoversAllPlacements(t *testing.T) {
 	s := mustChimera(t, ChimeraConfig{D: 8, N: 8, F: 2})
-	tl, err := s.Replay(UnitPractical)
+	r, err := s.Readout(UnitPractical.ReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready := s.GradReady(tl)
+	defer r.Release()
 	for w := 0; w < s.D; w++ {
-		if len(ready[w]) != len(s.Replicas) {
-			t.Fatalf("worker %d has %d ready entries, want %d", w, len(ready[w]), len(s.Replicas))
+		ready := r.GradReady(w)
+		if len(ready) != len(s.Replicas) {
+			t.Fatalf("worker %d has %d ready entries, want %d", w, len(ready), len(s.Replicas))
 		}
-		for pl, tr := range ready[w] {
-			if tr <= 0 {
-				t.Fatalf("worker %d placement %+v ready at %d", w, pl, tr)
+		for _, gr := range ready {
+			if gr.At <= 0 {
+				t.Fatalf("worker %d placement %+v ready at %d", w, gr.StagePlacement, gr.At)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -12,21 +13,29 @@ import (
 // program order, stored as flat int-indexed CSR arrays with cross-worker
 // edges flagged (they pay ReplayConfig.EdgeCost).
 //
-// Compilation resolves the dependency tokens — a pure function of the
-// schedule — exactly once; replaying any number of cost models afterwards is
-// a single topological pass, O(ops + edges), with no maps and no rescanning.
-// This is the tune-then-print access pattern of the paper's §4 evaluation:
-// the planner and the figure sweeps replay one schedule under many costs.
+// Compilation resolves, exactly once, the two things about a schedule that
+// no cost model changes: the dependency tokens, and the op shapes. A shape
+// is what a cost may depend on — (worker, kind, stage, replica, micro count,
+// half), never which micro-batch — so a schedule of thousands of ops has a
+// few dozen (the paper prices a pass by its kind and stage, Eq. 1, and the
+// §3.5 variants only by how many (half) micro-batches it carries). Replaying
+// a cost model is then: price each shape once, and run one topological pass
+// over two int64 vectors, O(ops + edges), with no maps, no closures and no
+// rescanning. This is the tune-then-print access pattern of the paper's §4
+// evaluation: the planner and the figure sweeps replay one schedule under
+// many costs.
 //
-// A Graph is immutable after Compile and safe for concurrent replays.
+// The graph reads ops through the schedule it was compiled from and keeps no
+// copy of them. A Graph is immutable after Compile and safe for concurrent
+// replays.
 type Graph struct {
 	s *Schedule
 	// base[w] is the node id of worker w's first op; base[D] is the node
 	// count.
 	base []int32
-	// ops[id] is the op at node id; worker[id] the worker executing it.
-	ops    []Op
-	worker []int32
+	// shape[id] indexes shapes: the pricing class of node id.
+	shape  []uint16
+	shapes []opShape
 	// CSR predecessor lists: node id's predecessors are
 	// pred[predStart[id]:predStart[id+1]]. An edge whose producer runs on
 	// a different worker than the consumer (it pays ReplayConfig.EdgeCost)
@@ -37,6 +46,26 @@ type Graph struct {
 	// order is a topological order of the node ids (existence is proven at
 	// compile time; a cycle is the compile-time deadlock error).
 	order []int32
+	// grad[gradStart[w]:gradStart[w+1]] lists the (replica, stage)
+	// placements with a backward op on worker w, ordered by (stage,
+	// replica), each with the node of its last backward op in w's program
+	// order — where that placement's weight gradients are complete.
+	gradStart []int32
+	grad      []gradNode
+}
+
+// opShape is one pricing class: every node of the shape runs on worker,
+// agrees with op in kind, stage, replica, micro count and half, and costs
+// the same under any ReplayConfig. count is how many nodes share it.
+type opShape struct {
+	worker int
+	op     Op
+	count  int
+}
+
+type gradNode struct {
+	StagePlacement
+	node int32
 }
 
 // predAt unpacks edge e: the producing node id and whether the edge
@@ -47,6 +76,13 @@ func (g *Graph) predAt(e int32) (int32, bool) {
 		return ^p, true
 	}
 	return p, false
+}
+
+// at returns the worker and op of node id, read through the source
+// schedule. Replay never needs it; placement policies and error paths do.
+func (g *Graph) at(id int32) (int, *Op) {
+	w := sort.Search(len(g.base)-2, func(w int) bool { return g.base[w+1] > id })
+	return w, &g.s.Workers[w][id-g.base[w]]
 }
 
 // producerTab maps dependency tokens to producing node ids through a flat
@@ -117,7 +153,7 @@ func (s *Schedule) Graph() (*Graph, error) {
 
 // Nodes returns the op count; Edges the dependency-edge count (data edges
 // plus worker program-order edges).
-func (g *Graph) Nodes() int { return len(g.ops) }
+func (g *Graph) Nodes() int { return len(g.shape) }
 func (g *Graph) Edges() int { return len(g.pred) }
 
 // depTokens calls fn with every data token op consumes: forward activations
@@ -152,42 +188,82 @@ func compileGraph(s *Schedule) (*Graph, error) {
 		return nil, fmt.Errorf("schedule %q (D=%d N=%d): %d ops exceed the graph's int32 node space", s.Scheme, s.D, s.N, total)
 	}
 	g := &Graph{
-		s:      s,
-		base:   make([]int32, s.D+1),
-		ops:    make([]Op, 0, total),
-		worker: make([]int32, 0, total),
+		s:         s,
+		base:      make([]int32, s.D+1),
+		shape:     make([]uint16, total),
+		predStart: make([]int32, total+1),
+		gradStart: make([]int32, s.D+1),
 	}
-	for w, ops := range s.Workers {
-		g.base[w] = int32(len(g.ops))
-		g.ops = append(g.ops, ops...)
-		for range ops {
-			g.worker = append(g.worker, int32(w))
-		}
-	}
-	g.base[s.D] = int32(len(g.ops))
 
-	// The producer table needs the micro-id range up front; micro ids are
-	// dense small integers by construction, so the flat table stays tiny
-	// (2·maxMicro·D·3 entries). maxEdges bounds the CSR: one program-order
-	// edge per op plus at most one data token per carried micro.
-	maxMicro, maxEdges := 0, 0
-	for _, op := range g.ops {
-		maxEdges += 1 + len(op.Micros)
-		for _, m := range op.Micros {
-			if m < 0 {
-				return nil, fmt.Errorf("schedule %q (D=%d N=%d): op %s has negative micro-batch id", s.Scheme, s.D, s.N, op)
+	// The flat tables below need every index range up front. Micro ids are
+	// dense small integers by construction, so the producer table stays tiny
+	// (2·maxMicro·D·3 entries); replicas and maxLen (the widest micro list)
+	// size the shape table. maxEdges bounds the CSR: one program-order edge
+	// per op plus at most one data token per carried micro.
+	maxMicro, maxEdges, maxLen, replicas := 0, 0, 1, 1
+	nodes := int32(0)
+	for w, ops := range s.Workers {
+		g.base[w] = nodes
+		nodes += int32(len(ops))
+		for i := range ops {
+			op := &ops[i]
+			if op.Kind > Backward || op.Stage < 0 || op.Stage >= s.D || op.Replica < 0 || op.Half > 2 || len(op.Micros) == 0 {
+				return nil, fmt.Errorf("schedule %q (D=%d N=%d): op %s on worker %d is malformed (kind, stage, replica, half or micro list out of range)", s.Scheme, s.D, s.N, *op, w)
 			}
-			if m >= maxMicro {
-				maxMicro = m + 1
+			maxEdges += 1 + len(op.Micros)
+			maxLen = max(maxLen, len(op.Micros))
+			replicas = max(replicas, op.Replica+1)
+			for _, m := range op.Micros {
+				if m < 0 {
+					return nil, fmt.Errorf("schedule %q (D=%d N=%d): op %s has negative micro-batch id", s.Scheme, s.D, s.N, *op)
+				}
+				maxMicro = max(maxMicro, m+1)
 			}
 		}
 	}
+	g.base[s.D] = nodes
+
+	// One pass registers every token's producer, names each node's shape and
+	// records where each placement's gradients complete. Like producerTab,
+	// the shape and last-backward tables are flat, and need no clearing
+	// between workers: nodes and shapes are numbered worker-major, so an
+	// entry (stored +1) left by an earlier worker is recognizably stale —
+	// it is no greater than the current worker's first id. Both tables index
+	// placements as stage·replicas + replica, so scanning lastB in index
+	// order yields the (stage, replica) order of the grad-ready read-out.
 	producer := getProducerTab(s.D, maxMicro)
 	defer producerPool.Put(producer)
-	for id, op := range g.ops {
-		for _, m := range op.Micros {
-			producer.putFirst(depKey{op.Kind, m, op.Stage, op.Half}, int32(id))
+	shapeTab := make([]int32, s.D*replicas*2*maxLen*3)
+	lastB := make([]int32, s.D*replicas)
+	for w, ops := range s.Workers {
+		firstNode, firstShape := g.base[w], int32(len(g.shapes))
+		for i := range ops {
+			op := &ops[i]
+			id := firstNode + int32(i)
+			for _, m := range op.Micros {
+				producer.putFirst(depKey{op.Kind, m, op.Stage, op.Half}, id)
+			}
+			pl := op.Stage*replicas + op.Replica
+			slot := &shapeTab[((pl*2+int(op.Kind))*maxLen+len(op.Micros)-1)*3+int(op.Half)]
+			if *slot <= firstShape {
+				g.shapes = append(g.shapes, opShape{worker: w, op: *op})
+				*slot = int32(len(g.shapes))
+			}
+			g.shapes[*slot-1].count++
+			g.shape[id] = uint16(*slot - 1)
+			if op.Kind == Backward {
+				lastB[pl] = id + 1
+			}
 		}
+		for pl, v := range lastB {
+			if v > firstNode {
+				g.grad = append(g.grad, gradNode{StagePlacement{Replica: pl % replicas, Stage: pl / replicas}, v - 1})
+			}
+		}
+		g.gradStart[w+1] = int32(len(g.grad))
+	}
+	if len(g.shapes) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("schedule %q (D=%d N=%d): %d op shapes exceed the graph's uint16 shape space", s.Scheme, s.D, s.N, len(g.shapes))
 	}
 
 	// Build the predecessor CSR in a single pass: edges are emitted
@@ -196,34 +272,36 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	// producer — an unresolvable token is the first class of construction
 	// deadlock, and it is diagnosable exactly here, with the op, worker
 	// and token in hand.
-	g.predStart = make([]int32, total+1)
 	pred := make([]int32, maxEdges)
 	var compileErr error
 	e := int32(0)
-	for id, op := range g.ops {
-		w := g.worker[id]
-		g.predStart[id] = e
-		if int32(id) > g.base[w] {
-			pred[e] = int32(id) - 1 // program-order edge to the previous op
-			e++
-		}
-		s.depTokens(op, func(k depKey) {
-			p, ok := producer.get(k)
-			if !ok {
-				if compileErr == nil {
-					compileErr = fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
-						s.Scheme, s.D, s.N, op, w, k)
+	for w, ops := range s.Workers {
+		lo, hi := g.base[w], g.base[w+1]
+		for i, op := range ops {
+			id := lo + int32(i)
+			g.predStart[id] = e
+			if i > 0 {
+				pred[e] = id - 1 // program-order edge to the previous op
+				e++
+			}
+			s.depTokens(op, func(k depKey) {
+				p, ok := producer.get(k)
+				if !ok {
+					if compileErr == nil {
+						compileErr = fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
+							s.Scheme, s.D, s.N, op, w, k)
+					}
+					return
 				}
-				return
+				if p < lo || p >= hi { // produced on another worker
+					p = ^p
+				}
+				pred[e] = p
+				e++
+			})
+			if compileErr != nil {
+				return nil, compileErr
 			}
-			if g.worker[p] != w {
-				p = ^p
-			}
-			pred[e] = p
-			e++
-		})
-		if compileErr != nil {
-			return nil, compileErr
 		}
 	}
 	g.predStart[total] = e
@@ -240,7 +318,7 @@ func compileGraph(s *Schedule) (*Graph, error) {
 // before one of its dependencies on the same worker); the error names the
 // first blocked op in worker order and the dependency token it waits on.
 func (g *Graph) topoSort(producer *producerTab) error {
-	total := len(g.ops)
+	total := g.Nodes()
 	edges := int(g.predStart[total])
 	// One pooled scratch block for the whole sort: indeg | succStart |
 	// succ. The successor CSR is built with the pointer-shift trick —
@@ -263,7 +341,7 @@ func (g *Graph) topoSort(producer *producerTab) error {
 	indeg := block[:total]
 	succStart := block[total : 2*total+1]
 	succ := block[2*total+1:]
-	for id := range g.ops {
+	for id := 0; id < total; id++ {
 		indeg[id] = g.predStart[id+1] - g.predStart[id]
 		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
 			p, _ := g.predAt(e)
@@ -273,7 +351,7 @@ func (g *Graph) topoSort(producer *producerTab) error {
 	for id := 0; id < total; id++ {
 		succStart[id+1] += succStart[id]
 	}
-	for id := range g.ops {
+	for id := 0; id < total; id++ {
 		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
 			p, _ := g.predAt(e)
 			succ[succStart[p]] = int32(id)
@@ -327,7 +405,7 @@ func (g *Graph) deadlockError(indeg []int32, producer *producerTab) error {
 			// First blocked op of the lowest blocked worker. Its program-
 			// order predecessors all scheduled (it is the first blocked one
 			// only if indeg counts a data dep)... find the unmet data token.
-			op := g.ops[id]
+			op := s.Workers[w][id-g.base[w]]
 			var unmet *depKey
 			s.depTokens(op, func(k depKey) {
 				if unmet != nil {
@@ -344,99 +422,32 @@ func (g *Graph) deadlockError(indeg []int32, producer *producerTab) error {
 				continue
 			}
 			p, _ := producer.get(*unmet)
+			pw, pop := g.at(p)
 			return fmt.Errorf("schedule %q (D=%d N=%d): deadlock with %d ops unscheduled: op %s on worker %d waits on %s, whose producer %s on worker %d cannot run",
-				s.Scheme, s.D, s.N, remaining, op, w, *unmet, g.ops[p], g.worker[p])
+				s.Scheme, s.D, s.N, remaining, op, w, *unmet, *pop, pw)
 		}
 	}
 	return fmt.Errorf("schedule %q (D=%d N=%d): deadlock with %d ops unscheduled", s.Scheme, s.D, s.N, remaining)
 }
 
-// replayArena is recyclable replay scratch: the timeline it fills (rows
-// carved from a single flat backing array) plus the per-node finish-time
-// array the pass consumes. Arenas live in one process-wide pool — the
-// uncached sweep compiles a fresh graph per evaluation, so per-graph pools
-// would never warm up — and rebind to whichever graph takes them: the
-// backing arrays grow to the largest graph seen and the row headers are
-// re-carved only when the graph changes. Timeline.Release returns them.
-type replayArena struct {
-	g    *Graph
-	tl   Timeline
-	end  []int64 // per-node finish times, indexed by node id
-	flat []int64 // backing store for the timeline's Start/End rows
-}
-
-var arenaPool sync.Pool
-
 // topoScratchPool recycles topoSort's scratch block across compilations
 // (the uncached sweep compiles a fresh graph per evaluation).
 var topoScratchPool sync.Pool
 
-func (g *Graph) getArena() *replayArena {
-	a, _ := arenaPool.Get().(*replayArena)
-	if a == nil {
-		a = &replayArena{}
-	}
-	if a.g == g {
-		a.tl.arena = a
-		return a
-	}
-	s := g.s
-	total := len(g.ops)
-	if cap(a.end) < total {
-		a.end = make([]int64, total)
-		a.flat = make([]int64, 2*total)
-	}
-	a.end = a.end[:total]
-	if cap(a.tl.Start) < s.D {
-		a.tl.Start = make([][]int64, s.D)
-		a.tl.End = make([][]int64, s.D)
-		a.tl.BusyTime = make([]int64, s.D)
-	}
-	a.tl.Start = a.tl.Start[:s.D]
-	a.tl.End = a.tl.End[:s.D]
-	a.tl.BusyTime = a.tl.BusyTime[:s.D]
-	for w := 0; w < s.D; w++ {
-		lo, hi := int(g.base[w]), int(g.base[w+1])
-		a.tl.Start[w] = a.flat[lo:hi:hi]
-		a.tl.End[w] = a.flat[total+lo : total+hi : total+hi]
-	}
-	a.g = g
-	a.tl.arena = a
-	return a
-}
-
-// ReplayWith evaluates the graph under rc in one topological pass: an op
-// starts at the latest of its predecessors' finish times (cross-worker edges
-// add EdgeCost) and runs for OpCost. The recurrence is exactly the map
+// run is the replay kernel, the one loop every replay entry point reaches:
+// an op finishes at the latest of its predecessors' finish times (cross-worker
+// edges add the consumer's edge cost) plus its own cost. cost and edge are
+// indexed by shape; end by node id. The recurrence is exactly the map
 // interpreter's greedy semantics — each worker executes its list in order,
-// blocking on receives — so timelines are bit-identical to it.
-//
-// The returned timeline's arrays come from the graph's arena pool; callers
-// that are done reading may hand them back with Timeline.Release, making
-// steady-state replay allocation-free. A timeline that is never released is
-// simply collected — Release is an optimization, not an obligation.
-func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline {
-	a := g.getArena()
-	tl := &a.tl
-	tl.Makespan = 0
-	tl.released = false
-	for w := range tl.BusyTime {
-		tl.BusyTime[w] = 0
-	}
-	end := a.end
+// blocking on receives — so finish times are bit-identical to it.
+func (g *Graph) run(end, cost, edge []int64) {
 	for _, id := range g.order {
-		op := &g.ops[id]
-		w := g.worker[id]
+		sh := g.shape[id]
 		var start int64
-		edge, haveEdge := int64(0), false
-		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
-			p := g.pred[e]
+		for _, p := range g.pred[g.predStart[id]:g.predStart[id+1]] {
 			var t int64
 			if p < 0 {
-				if !haveEdge {
-					edge, haveEdge = rc.EdgeCost(*op), true
-				}
-				t = end[^p] + edge
+				t = end[^p] + edge[sh]
 			} else {
 				t = end[p]
 			}
@@ -444,19 +455,158 @@ func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline {
 				start = t
 			}
 		}
-		fin := start + rc.OpCost(int(w), *op)
-		end[id] = fin
-		i := id - g.base[w]
-		tl.Start[w][i], tl.End[w][i] = start, fin
-		tl.BusyTime[w] += fin - start
-		if fin > tl.Makespan {
-			tl.Makespan = fin
-		}
+		end[id] = start + cost[sh]
 	}
+}
+
+// Readout is a replay reduced to what the planner path reads — makespan,
+// per-worker compute-end and per-placement gradient-ready times — taken
+// straight from the kernel's finish-time array, with no per-op timeline in
+// between. It doubles as the recyclable scratch of a replay (finish array,
+// priced shape vectors, and the Timeline view ReplayWith presents), drawn
+// from one process-wide pool — the uncached sweep compiles a fresh graph per
+// evaluation, so per-graph pools would never warm up — and sized to the
+// largest graph seen. Release returns it; nothing read from a Readout, nor
+// the Timeline presented from it, may be used afterwards.
+//
+// The read-outs take a worker's last node as its latest: finish times are
+// non-decreasing along a worker's program order because op costs are
+// non-negative, which every cost model here guarantees.
+type Readout struct {
+	g        *Graph
+	end      []int64     // finish time per node
+	cost     []int64     // op cost per shape
+	edge     []int64     // cross-worker edge cost per shape
+	ready    []GradReady // one per g.grad entry
+	makespan int64
+	start    []int64 // start time per node; filled only for a Timeline
+	tl       Timeline
+}
+
+// GradReady is the moment one stage replica's weight gradients are fully
+// accumulated on its worker — the finish of its last backward op — and their
+// allreduce may be launched eagerly (§3.2 of the paper).
+type GradReady struct {
+	StagePlacement
+	At int64
+}
+
+var readoutPool sync.Pool
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Readout replays the graph under rc: it prices each shape once, runs the
+// kernel, and returns the read-outs. Steady state allocates nothing when
+// callers Release what they are done with; a Readout that is never released
+// is simply collected — Release is an optimization, not an obligation.
+func (g *Graph) Readout(rc ReplayConfig) *Readout {
+	r, _ := readoutPool.Get().(*Readout)
+	if r == nil {
+		r = &Readout{}
+	}
+	r.g = g
+	r.end = grow(r.end, len(g.shape))
+	r.cost, r.edge = grow(r.cost, len(g.shapes)), grow(r.edge, len(g.shapes))
+	for i := range g.shapes {
+		sh := &g.shapes[i]
+		r.cost[i], r.edge[i] = rc.OpCost(sh.worker, sh.op), rc.EdgeCost(sh.op)
+	}
+	g.run(r.end, r.cost, r.edge)
+	r.makespan = 0
+	for w := 0; w < g.s.D; w++ {
+		r.makespan = max(r.makespan, r.ComputeEnd(w))
+	}
+	r.ready = grow(r.ready, len(g.grad))
+	for i, gn := range g.grad {
+		r.ready[i] = GradReady{gn.StagePlacement, r.end[gn.node]}
+	}
+	return r
+}
+
+// Makespan is the completion time of the last op.
+func (r *Readout) Makespan() int64 { return r.makespan }
+
+// ComputeEnd is the completion time of worker w's final op: 0 for a worker
+// the placement left without ops.
+func (r *Readout) ComputeEnd(w int) int64 {
+	lo, hi := r.g.base[w], r.g.base[w+1]
+	if lo == hi {
+		return 0
+	}
+	return r.end[hi-1]
+}
+
+// GradReady lists, ordered by (stage, replica), every placement with a
+// backward op on worker w and when its gradients are ready. An idle worker
+// has none. The slice is the Readout's own: valid until Release.
+func (r *Readout) GradReady(w int) []GradReady {
+	return r.ready[r.g.gradStart[w]:r.g.gradStart[w+1]]
+}
+
+// BubbleRatio is Timeline.BubbleRatio without the timeline: a worker's busy
+// time is the summed cost of its ops, count·cost per shape.
+func (r *Readout) BubbleRatio() float64 {
+	total := r.makespan * int64(r.g.s.D)
+	if total == 0 {
+		return 0
+	}
+	var busy int64
+	for i := range r.g.shapes {
+		busy += int64(r.g.shapes[i].count) * r.cost[i]
+	}
+	return float64(total-busy) / float64(total)
+}
+
+// Release hands the Readout back to the pool so the next replay reuses its
+// arrays without allocating. It drops the graph first: pooled scratch is
+// plain arrays and pins no graph or schedule. Safe on a nil receiver; a
+// second Release is a no-op.
+func (r *Readout) Release() {
+	if r == nil || r.g == nil {
+		return
+	}
+	r.g = nil
+	readoutPool.Put(r)
+}
+
+// timeline presents the replay as a per-op Timeline: End rows are views
+// into the worker-major finish array, an op started its cost before it
+// finished, and a worker was busy for the summed cost of its ops.
+func (r *Readout) timeline() *Timeline {
+	g, tl := r.g, &r.tl
+	d := g.s.D
+	r.start = grow(r.start, len(g.shape))
+	for id, sh := range g.shape {
+		r.start[id] = r.end[id] - r.cost[sh]
+	}
+	tl.Start, tl.End, tl.BusyTime = grow(tl.Start, d), grow(tl.End, d), grow(tl.BusyTime, d)
+	for w := 0; w < d; w++ {
+		lo, hi := g.base[w], g.base[w+1]
+		tl.Start[w], tl.End[w], tl.BusyTime[w] = r.start[lo:hi:hi], r.end[lo:hi:hi], 0
+	}
+	for i := range g.shapes {
+		tl.BusyTime[g.shapes[i].worker] += int64(g.shapes[i].count) * r.cost[i]
+	}
+	tl.Makespan, tl.replay = r.makespan, r
 	return tl
+}
+
+// ReplayWith evaluates the graph under rc and presents the per-op timeline
+// (see Readout for the replay itself; callers that need no Start/End rows
+// should take the Readout instead). The timeline's arrays are the pooled
+// Readout's: Timeline.Release hands them back.
+func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline {
+	return g.Readout(rc).timeline()
 }
 
 // Replay is ReplayWith under a uniform cost model.
 func (g *Graph) Replay(cm CostModel) *Timeline {
-	return g.ReplayWith(cm.replayConfig())
+	return g.ReplayWith(cm.ReplayConfig())
 }

@@ -11,9 +11,10 @@ import (
 // FuzzGraphReplayEquivalence hammers the compiled-graph replay against the
 // retained map interpreter (internal/refinterp) over fuzzer-chosen schemes,
 // depths, micro-batch counts and cost models: any (scheme, d, n) both can
-// build must replay to bit-identical timelines and Eq. 1 critical paths
-// under any cost model. The committed seed corpus (testdata/fuzz) covers
-// every scheme; CI additionally fuzzes for a bounded time.
+// build must replay to bit-identical timelines, read-outs (makespan,
+// compute-end, grad-ready) and Eq. 1 critical paths under any cost model.
+// The committed seed corpus (testdata/fuzz) covers every scheme; CI
+// additionally fuzzes for a bounded time.
 func FuzzGraphReplayEquivalence(f *testing.F) {
 	seeds := []struct {
 		scheme      string
@@ -64,6 +65,7 @@ func FuzzGraphReplayEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(got.BusyTime, want.BusyTime) {
 			t.Fatalf("%s d=%d n=%d cm=%+v: busy times diverge", scheme, d, n, cm)
 		}
+		checkReadout(t, scheme, s, cm.ReplayConfig())
 		gcf, gcb, gerr := schedule.CriticalPath(s)
 		wcf, wcb, werr := refinterp.CriticalPath(s)
 		if (gerr == nil) != (werr == nil) {

@@ -45,7 +45,36 @@ func equivSchedules(t *testing.T) []equivCase {
 		s, err := schedule.Chimera(c)
 		add("chimera-variant", s, err)
 	}
+	// List-placed schedules: workers host uneven numbers of placements, and
+	// a severe straggler is left with no ops at all.
+	idle := false
+	for _, policy := range []string{"heft", "cpop", "lb"} {
+		for _, spec := range []schedule.Spec{
+			{Scheme: "chimera", D: 4, N: 8, SpeedFactors: []float64{1, 1.5, 1, 1.25}},
+			{Scheme: "chimera", D: 8, N: 16, SpeedFactors: []float64{1, 1, 1, 1, 64, 1, 1, 1}},
+			{Scheme: "chimera", D: 4, N: 8, Concat: schedule.ForwardDoubling, SpeedFactors: []float64{1, 1, 8, 1}},
+			{Scheme: "dapple", D: 4, N: 8, SpeedFactors: []float64{2, 1, 1, 1}},
+		} {
+			spec.Scheduler = policy
+			s, err := schedule.Build(spec)
+			add(policy+"-"+spec.Scheme, s, err)
+			idle = idle || idleWorker(s) >= 0
+		}
+	}
+	if !idle {
+		t.Fatal("no list-placed schedule of the grid leaves a worker idle")
+	}
 	return out
+}
+
+// idleWorker returns a worker the placement left without ops, or -1.
+func idleWorker(s *schedule.Schedule) int {
+	for w, ops := range s.Workers {
+		if len(ops) == 0 {
+			return w
+		}
+	}
+	return -1
 }
 
 // assertTimelinesEqual requires bit-identical Start/End/BusyTime/Makespan.
@@ -62,22 +91,42 @@ func assertTimelinesEqual(t *testing.T, name, model string, got, want *schedule.
 	}
 }
 
+// equivCostModels are the uniform cost models of the equivalence grid.
+var equivCostModels = []struct {
+	name string
+	cm   schedule.CostModel
+}{
+	{"unit-equal", schedule.UnitEqual},
+	{"unit-practical", schedule.UnitPractical},
+	{"practical-p2p", schedule.CostModel{FUnit: 1, BUnit: 2, P2P: 3}},
+	{"calibrated-p2p", schedule.CostModel{FUnit: 173, BUnit: 391, P2P: 29}},
+}
+
+// heteroReplayConfig exercises the OpCost(worker, op) seam: per-worker
+// multipliers and op-dependent edge costs. Both hooks vary with every field
+// of an op's shape (and nothing else), so a shape table that merged two
+// distinct shapes would price one of them wrong and diverge from the
+// interpreter, which prices per op.
+var heteroReplayConfig = schedule.ReplayConfig{
+	OpCost: func(w int, op schedule.Op) int64 {
+		base := int64(3 * len(op.Micros))
+		if op.Kind == schedule.Backward {
+			base = int64(7 * len(op.Micros))
+		}
+		return base*int64(w+1) + int64(5*op.Stage+11*op.Replica+13*int(op.Half))
+	},
+	EdgeCost: func(op schedule.Op) int64 {
+		return int64(2*len(op.Micros) + 1 + op.Stage + 3*op.Replica + 2*int(op.Half) + int(op.Kind))
+	},
+}
+
 // TestGraphReplayEquivalence: the compiled-graph topological pass must
 // produce bit-identical timelines to the retained map interpreter across
 // every scheme × cost model × variant, including a heterogeneous
 // (worker-dependent) cost assignment through the ReplayWith seam.
 func TestGraphReplayEquivalence(t *testing.T) {
-	costModels := []struct {
-		name string
-		cm   schedule.CostModel
-	}{
-		{"unit-equal", schedule.UnitEqual},
-		{"unit-practical", schedule.UnitPractical},
-		{"practical-p2p", schedule.CostModel{FUnit: 1, BUnit: 2, P2P: 3}},
-		{"calibrated-p2p", schedule.CostModel{FUnit: 173, BUnit: 391, P2P: 29}},
-	}
 	for _, c := range equivSchedules(t) {
-		for _, m := range costModels {
+		for _, m := range equivCostModels {
 			got, err := c.s.Replay(m.cm)
 			if err != nil {
 				t.Fatalf("%s/%s: graph replay: %v", c.name, m.name, err)
@@ -88,23 +137,11 @@ func TestGraphReplayEquivalence(t *testing.T) {
 			}
 			assertTimelinesEqual(t, c.name, m.name, got, want)
 		}
-		// Heterogeneous costs through ReplayWith: per-worker multipliers and
-		// op-dependent edge costs exercise the OpCost(worker, op) seam.
-		rc := schedule.ReplayConfig{
-			OpCost: func(w int, op schedule.Op) int64 {
-				base := int64(3 * len(op.Micros))
-				if op.Kind == schedule.Backward {
-					base = int64(7 * len(op.Micros))
-				}
-				return base * int64(w+1)
-			},
-			EdgeCost: func(op schedule.Op) int64 { return int64(2*len(op.Micros) + 1) },
-		}
-		got, err := c.s.ReplayWith(rc)
+		got, err := c.s.ReplayWith(heteroReplayConfig)
 		if err != nil {
 			t.Fatalf("%s/hetero: graph replay: %v", c.name, err)
 		}
-		want, err := refinterp.ReplayWith(c.s, rc)
+		want, err := refinterp.ReplayWith(c.s, heteroReplayConfig)
 		if err != nil {
 			t.Fatalf("%s/hetero: interpreter replay: %v", c.name, err)
 		}

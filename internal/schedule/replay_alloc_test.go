@@ -3,7 +3,7 @@ package schedule
 import "testing"
 
 // BenchmarkReplayAllocs measures a warm graph replay on the largest tracked
-// schedule. The arena pool recycles the timeline and finish-time arrays, so
+// schedule. The replay pool recycles the timeline and finish-time arrays, so
 // steady state is 0 allocs/op — the number CI gates via BENCH_sweep's
 // allocs section. Run with -benchmem to see it.
 func BenchmarkReplayAllocs(b *testing.B) {
@@ -15,8 +15,8 @@ func BenchmarkReplayAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rc := UnitPractical.replayConfig()
-	g.ReplayWith(rc).Release() // warm the arena pool
+	rc := UnitPractical.ReplayConfig()
+	g.ReplayWith(rc).Release() // warm the replay pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -119,7 +119,7 @@ func newPlacementDAG(g *Graph, costs CostModel, speed []float64) (*placementDAG,
 	if costs.FUnit < 1 || costs.BUnit < 1 || costs.P2P < 0 {
 		return nil, fmt.Errorf("schedule: placement cost model needs FUnit ≥ 1, BUnit ≥ 1, P2P ≥ 0, got %+v", costs)
 	}
-	total := len(g.ops)
+	total := g.Nodes()
 	p := &placementDAG{
 		base: base, g: g, costs: costs, speed: speed,
 		nodeCost: make([]float64, total),
@@ -128,18 +128,21 @@ func newPlacementDAG(g *Graph, costs CostModel, speed []float64) (*placementDAG,
 		succs:    make([][]int32, total),
 	}
 	p.groupLoad = make([]float64, len(base.Replicas)*base.D)
-	for id, op := range g.ops {
-		p.nodeCost[id] = float64(costs.Cost(op))
-		p.group[id] = int32(op.Replica*base.D + op.Stage)
-		p.groupLoad[p.group[id]] += p.nodeCost[id]
-		e := g.predStart[id]
-		if int32(id) > g.base[g.worker[id]] {
-			e++ // the worker's program-order edge: old placement, not data
-		}
-		for ; e < g.predStart[id+1]; e++ {
-			pd, _ := g.predAt(e)
-			p.preds[id] = append(p.preds[id], pd)
-			p.succs[pd] = append(p.succs[pd], int32(id))
+	for w, ops := range base.Workers {
+		for i, op := range ops {
+			id := g.base[w] + int32(i)
+			p.nodeCost[id] = float64(costs.Cost(op))
+			p.group[id] = int32(op.Replica*base.D + op.Stage)
+			p.groupLoad[p.group[id]] += p.nodeCost[id]
+			e := g.predStart[id]
+			if i > 0 {
+				e++ // the worker's program-order edge: old placement, not data
+			}
+			for ; e < g.predStart[id+1]; e++ {
+				pd, _ := g.predAt(e)
+				p.preds[id] = append(p.preds[id], pd)
+				p.succs[pd] = append(p.succs[pd], id)
+			}
 		}
 	}
 	return p, nil
@@ -284,7 +287,8 @@ func (p *placementDAG) eftSchedule(name string, prio []float64, pinned []int32) 
 	out := p.emptyReshaped(name, groupWorker)
 	for w, ids := range perWorker {
 		for i, id := range ids {
-			op := p.g.ops[id]
+			_, src := p.g.at(id)
+			op := *src
 			op.prio = i
 			out.Workers[w] = append(out.Workers[w], op)
 		}
@@ -516,11 +520,14 @@ func (lbScheduler) Schedule(g *Graph, costs CostModel, speed []float64) (*Schedu
 		id    int32
 	}
 	moved := make([][]placedOp, d)
-	for id := range p.nodeCost {
-		w := g.worker[id]
-		nw := groupWorker[p.group[id]]
-		moved[nw] = append(moved[nw], placedOp{tl.Start[w][int32(id)-g.base[w]], int32(id)})
+	for w, starts := range tl.Start {
+		for i, start := range starts {
+			id := g.base[w] + int32(i)
+			nw := groupWorker[p.group[id]]
+			moved[nw] = append(moved[nw], placedOp{start, id})
+		}
 	}
+	tl.Release()
 	for nw, ops := range moved {
 		sort.Slice(ops, func(i, j int) bool {
 			if ops[i].start != ops[j].start {
@@ -529,7 +536,8 @@ func (lbScheduler) Schedule(g *Graph, costs CostModel, speed []float64) (*Schedu
 			return ops[i].id < ops[j].id
 		})
 		for i, po := range ops {
-			op := p.g.ops[po.id]
+			_, src := p.g.at(po.id)
+			op := *src
 			op.prio = i
 			out.Workers[nw] = append(out.Workers[nw], op)
 		}

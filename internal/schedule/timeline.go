@@ -46,24 +46,21 @@ type Timeline struct {
 	// BusyTime[w] is the total op duration on worker w.
 	BusyTime []int64
 
-	// arena links a graph-replay timeline back to its recyclable scratch
-	// (nil for timelines built elsewhere, e.g. the reference interpreter);
-	// released guards against double-Release.
-	arena    *replayArena
-	released bool
+	// replay links a graph-replay timeline back to the pooled Readout whose
+	// arrays it views (nil for timelines built elsewhere, e.g. the reference
+	// interpreter).
+	replay *Readout
 }
 
-// Release hands the timeline's arrays back to the owning graph's arena pool
-// so the next replay reuses them without allocating. Callers must not read
-// the timeline after releasing it. Safe to call on any timeline: one whose
-// arrays were not pooled (the reference interpreter's, or a nil receiver)
-// is left untouched, and a second Release is a no-op.
+// Release hands the timeline's arrays back to the replay pool so the next
+// replay reuses them without allocating. Callers must not read the timeline
+// after releasing it. Safe to call on any timeline: one whose arrays were
+// not pooled (the reference interpreter's, or a nil receiver) is left
+// untouched, and a second Release is a no-op.
 func (tl *Timeline) Release() {
-	if tl == nil || tl.arena == nil || tl.released {
-		return
+	if tl != nil {
+		tl.replay.Release()
 	}
-	tl.released = true
-	arenaPool.Put(tl.arena)
 }
 
 // depKey identifies the data token produced by an op for one micro-batch
@@ -77,14 +74,21 @@ type depKey struct {
 
 // ReplayConfig generalizes replay costing: OpCost gives the duration of an
 // op on its worker; EdgeCost gives the communication delay added to a
-// dependency edge that crosses workers (e.g. α + β·activationBytes).
+// dependency edge that crosses workers into op (e.g. α + β·activationBytes).
+//
+// Both must be set, return non-negative values, and be pure functions of
+// the worker and the op's shape — kind, stage, replica, micro count
+// (len(op.Micros)) and half — never of which micro-batches the op carries:
+// graph replay calls each once per shape, on a representative op, not once
+// per op (the reference interpreter still calls them per op; they agree
+// exactly when the contract holds).
 type ReplayConfig struct {
 	OpCost   func(worker int, op Op) int64
 	EdgeCost func(op Op) int64
 }
 
-// replayConfig lifts a uniform cost model into the ReplayWith seam.
-func (cm CostModel) replayConfig() ReplayConfig {
+// ReplayConfig lifts a uniform cost model into the ReplayWith seam.
+func (cm CostModel) ReplayConfig() ReplayConfig {
 	return ReplayConfig{
 		OpCost:   func(_ int, op Op) int64 { return cm.Cost(op) },
 		EdgeCost: func(Op) int64 { return cm.P2P },
@@ -119,6 +123,17 @@ func (s *Schedule) ReplayWith(rc ReplayConfig) (*Timeline, error) {
 		return nil, err
 	}
 	return g.ReplayWith(rc), nil
+}
+
+// Readout replays the schedule under rc and returns the planner-facing
+// read-outs without materializing a timeline (see Graph.Readout). Errors are
+// ReplayWith's.
+func (s *Schedule) Readout(rc ReplayConfig) (*Readout, error) {
+	g, err := s.Graph()
+	if err != nil {
+		return nil, err
+	}
+	return g.Readout(rc), nil
 }
 
 // BubbleRatio returns the fraction of worker-time spent idle within the
@@ -266,38 +281,4 @@ func opLess(a, b Op) bool {
 		return a.Micros[0] < b.Micros[0]
 	}
 	return a.Half < b.Half
-}
-
-// ComputeEnd returns per-worker completion time of the final op.
-func (tl *Timeline) ComputeEnd() []int64 {
-	out := make([]int64, len(tl.End))
-	for w, ends := range tl.End {
-		for _, e := range ends {
-			if e > out[w] {
-				out[w] = e
-			}
-		}
-	}
-	return out
-}
-
-// GradReady returns, per worker, the completion time of the last backward op
-// of each (replica, stage) hosted there: the moment that stage replica's
-// weight gradients are fully accumulated and their allreduce may be launched
-// eagerly (§3.2 of the paper).
-func (s *Schedule) GradReady(tl *Timeline) []map[StagePlacement]int64 {
-	out := make([]map[StagePlacement]int64, s.D)
-	for w, ops := range s.Workers {
-		out[w] = make(map[StagePlacement]int64)
-		for i, op := range ops {
-			if op.Kind != Backward {
-				continue
-			}
-			key := StagePlacement{Replica: op.Replica, Stage: op.Stage}
-			if tl.End[w][i] > out[w][key] {
-				out[w][key] = tl.End[w][i]
-			}
-		}
-	}
-	return out
 }

@@ -87,14 +87,78 @@ type Config struct {
 	Network Network
 }
 
+// readout is what Run reads off a replay, whichever core produced it.
+type readout interface {
+	Makespan() int64
+	BubbleRatio() float64
+	ComputeEnd(w int) int64
+	// GradReady lists worker w's hosted placements ordered by (stage,
+	// replica), each with its gradient-ready time.
+	GradReady(w int) []schedule.GradReady
+	Release()
+}
+
 // replay evaluates s under rc through the configured core. The returned
-// timeline must be handed back via schedule.(*Timeline).Release once the
-// caller is done reading it (a no-op for reference timelines).
-func (c *Config) replay(s *schedule.Schedule, rc schedule.ReplayConfig) (*schedule.Timeline, error) {
+// read-out must be released once the caller is done reading it.
+func (c *Config) replay(s *schedule.Schedule, rc schedule.ReplayConfig) (readout, error) {
 	if c.ReferenceReplay {
-		return refinterp.ReplayWith(s, rc)
+		tl, err := refinterp.ReplayWith(s, rc)
+		if err != nil {
+			return nil, err
+		}
+		return refReadout{s, tl}, nil
 	}
-	return s.ReplayWith(rc)
+	r, err := s.Readout(rc)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// refReadout reads the same facts off a reference-interpreter timeline. The
+// reference path compiles no graph (it is the seed implementation benchmarks
+// measure against), so gradient-ready times come from a walk of the op
+// lists instead of the graph's compile-time index.
+type refReadout struct {
+	s  *schedule.Schedule
+	tl *schedule.Timeline
+}
+
+func (r refReadout) Makespan() int64      { return r.tl.Makespan }
+func (r refReadout) BubbleRatio() float64 { return r.tl.BubbleRatio() }
+func (refReadout) Release()               {}
+
+func (r refReadout) ComputeEnd(w int) int64 {
+	ends := r.tl.End[w]
+	if len(ends) == 0 {
+		return 0
+	}
+	return ends[len(ends)-1]
+}
+
+func (r refReadout) GradReady(w int) []schedule.GradReady {
+	var out []schedule.GradReady
+	ops := r.s.Workers[w]
+next:
+	for i := len(ops) - 1; i >= 0; i-- { // backwards: a placement's last backward is met first
+		if ops[i].Kind != schedule.Backward {
+			continue
+		}
+		pl := schedule.StagePlacement{Replica: ops[i].Replica, Stage: ops[i].Stage}
+		for _, gr := range out {
+			if gr.StagePlacement == pl {
+				continue next
+			}
+		}
+		out = append(out, schedule.GradReady{StagePlacement: pl, At: r.tl.End[w][i]})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Stage != out[j].Stage {
+			return out[i].Stage < out[j].Stage
+		}
+		return out[i].Replica < out[j].Replica
+	})
+	return out
 }
 
 // speedFactor returns worker w's compute-time multiplier (1 when
@@ -140,18 +204,15 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	coster := newOpCoster(&cfg, stages, s)
-	tl, err := cfg.replay(s, schedule.ReplayConfig{
-		OpCost:   coster.opCost,
-		EdgeCost: coster.edgeCost,
-	})
+	rc := cfg.replayConfig(stages)
+	ro, err := cfg.replay(s, rc)
 	if err != nil {
 		return nil, err
 	}
-	defer tl.Release()
+	defer ro.Release()
 	res := &Result{
-		BubbleRatio:  tl.BubbleRatio(),
-		ComputeSpan:  float64(tl.Makespan) * timeQuantum,
+		BubbleRatio:  ro.BubbleRatio(),
+		ComputeSpan:  float64(ro.Makespan()) * timeQuantum,
 		PeakMemBytes: PeakMemory(&cfg, stages),
 		MiniBatch:    cfg.MicroBatch * s.N * cfg.W,
 	}
@@ -161,13 +222,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	computeEnd := tl.ComputeEnd()
-	gradReady := s.GradReady(tl)
 	var iterEnd float64
 	if s.Synchronous {
-		iterEnd = syncFinish(&cfg, stages, computeEnd, gradReady)
+		iterEnd = syncFinish(&cfg, stages, ro)
 	} else {
-		iterEnd = asyncFinish(&cfg, stages, coster, tl)
+		iterEnd = asyncFinish(&cfg, stages, rc, ro.Makespan())
 	}
 	res.IterTime = iterEnd
 	span := res.ComputeSpan
@@ -226,18 +285,32 @@ func validateFor(cfg *Config, d int) error {
 
 func toQ(sec float64) int64 { return int64(math.Round(sec / timeQuantum)) }
 
-// opCoster memoizes quantized op and edge costs per shape. An op's cost
-// depends only on (worker when heterogeneous, stage, kind, micro count,
-// half) — a few hundred shapes — while a replay queries it once per op
-// (thousands), each recomputing FLOPs, efficiency curves and a rounding.
-// The table caches the exact toQ(opSeconds(...)) value, so replays are
-// bit-identical with and without it (the reference interpreter and the
-// compiled graph share one coster per Run). Entries are stored +1 so the
-// zero value means "not yet computed"; shapes beyond the sized table
-// (a doubled-N replay with wider ops) fall through to the direct path.
+// replayConfig prices the schedule's ops and cross-worker edges in replay
+// units. Graph replay calls the hooks once per op shape, so they compute
+// directly; the reference interpreter calls them once per op, so its copy is
+// memoized.
+func (c *Config) replayConfig(stages []model.Stage) schedule.ReplayConfig {
+	rc := schedule.ReplayConfig{
+		OpCost:   func(w int, op schedule.Op) int64 { return toQ(opSeconds(c, stages, w, op)) },
+		EdgeCost: func(op schedule.Op) int64 { return toQ(edgeSeconds(c, op)) },
+	}
+	if c.ReferenceReplay {
+		coster := newOpCoster(rc, c.Schedule, len(c.SpeedFactors) != 0)
+		return schedule.ReplayConfig{OpCost: coster.opCost, EdgeCost: coster.edgeCost}
+	}
+	return rc
+}
+
+// opCoster memoizes a ReplayConfig per shape for the reference interpreter.
+// An op's cost depends only on (worker when heterogeneous, stage, kind,
+// micro count, half) — a few hundred shapes — while the interpreter queries
+// it once per op (thousands), each recomputing FLOPs, efficiency curves and
+// a rounding. The table caches the exact value, so replays are bit-identical
+// with and without it. Entries are stored +1 so the zero value means "not
+// yet computed"; shapes beyond the sized table (a doubled-N replay with
+// wider ops) fall through to the direct path.
 type opCoster struct {
-	cfg    *Config
-	stages []model.Stage
+	rc     schedule.ReplayConfig
 	d      int
 	perW   bool
 	maxLen int
@@ -245,7 +318,7 @@ type opCoster struct {
 	edge   []int64
 }
 
-func newOpCoster(cfg *Config, stages []model.Stage, s *schedule.Schedule) *opCoster {
+func newOpCoster(rc schedule.ReplayConfig, s *schedule.Schedule, perW bool) *opCoster {
 	maxLen := 1
 	for _, ops := range s.Workers {
 		for i := range ops {
@@ -254,9 +327,9 @@ func newOpCoster(cfg *Config, stages []model.Stage, s *schedule.Schedule) *opCos
 			}
 		}
 	}
-	c := &opCoster{cfg: cfg, stages: stages, d: s.D, perW: len(cfg.SpeedFactors) != 0, maxLen: maxLen}
+	c := &opCoster{rc: rc, d: s.D, perW: perW, maxLen: maxLen}
 	wc := 1
-	if c.perW {
+	if perW {
 		wc = s.D
 	}
 	block := make([]int64, (wc*s.D*2+1)*maxLen*3)
@@ -268,7 +341,7 @@ func newOpCoster(cfg *Config, stages []model.Stage, s *schedule.Schedule) *opCos
 func (c *opCoster) opCost(w int, op schedule.Op) int64 {
 	li := len(op.Micros) - 1
 	if li >= c.maxLen {
-		return toQ(opSeconds(c.cfg, c.stages, w, op))
+		return c.rc.OpCost(w, op)
 	}
 	wi := 0
 	if c.perW {
@@ -282,7 +355,7 @@ func (c *opCoster) opCost(w int, op schedule.Op) int64 {
 	if v := c.cost[i]; v != 0 {
 		return v - 1
 	}
-	v := toQ(opSeconds(c.cfg, c.stages, w, op))
+	v := c.rc.OpCost(w, op)
 	c.cost[i] = v + 1
 	return v
 }
@@ -290,13 +363,13 @@ func (c *opCoster) opCost(w int, op schedule.Op) int64 {
 func (c *opCoster) edgeCost(op schedule.Op) int64 {
 	li := len(op.Micros) - 1
 	if li >= c.maxLen {
-		return toQ(edgeSeconds(c.cfg, op))
+		return c.rc.EdgeCost(op)
 	}
 	i := li*3 + int(op.Half)
 	if v := c.edge[i]; v != 0 {
 		return v - 1
 	}
-	v := toQ(edgeSeconds(c.cfg, op))
+	v := c.rc.EdgeCost(op)
 	c.edge[i] = v + 1
 	return v
 }
@@ -341,17 +414,17 @@ func edgeSeconds(cfg *Config, op schedule.Op) float64 {
 // synchronized across all workers holding a replica of s and across the W
 // data-parallel copies: r = replicas·W members (§3.3: local gradient size
 // unchanged, member count grows with W).
-func syncFinish(cfg *Config, stages []model.Stage, computeEnd []int64, gradReady []map[schedule.StagePlacement]int64) float64 {
+func syncFinish(cfg *Config, stages []model.Stage, ro readout) float64 {
 	s := cfg.Schedule
 	r := len(s.Replicas) * cfg.W
 	var worst float64
 	for w := 0; w < s.D; w++ {
-		ce := float64(computeEnd[w]) * timeQuantum
+		ce := float64(ro.ComputeEnd(w)) * timeQuantum
 		// Collect this worker's allreduces sorted by gradient-ready time;
 		// they serialize on the worker's single network interface. The sort
 		// breaks ready-time ties on (stage, replica) so the launch order —
-		// and therefore the result — is deterministic even though gradReady
-		// is a map (concurrent sweeps compare results bit-for-bit).
+		// and therefore the result — is a total order (concurrent sweeps
+		// compare results bit-for-bit).
 		type arOp struct {
 			ready, cost    float64
 			stage, replica int
@@ -361,13 +434,13 @@ func syncFinish(cfg *Config, stages []model.Stage, computeEnd []int64, gradReady
 		if cf <= 0 || cf > 1 {
 			cf = 1
 		}
-		for pl, readyQ := range gradReady[w] {
-			bytes := int64(float64(stages[pl.Stage].Params()*4) * cf)
+		for _, gr := range ro.GradReady(w) {
+			bytes := int64(float64(stages[gr.Stage].Params()*4) * cf)
 			ops = append(ops, arOp{
-				ready:   float64(readyQ) * timeQuantum,
+				ready:   float64(gr.At) * timeQuantum,
 				cost:    cfg.Network.AllReduceCost(cfg.Allreduce, r, bytes),
-				stage:   pl.Stage,
-				replica: pl.Replica,
+				stage:   gr.Stage,
+				replica: gr.Replica,
 			})
 		}
 		sort.Slice(ops, func(i, j int) bool {
@@ -443,17 +516,13 @@ func syncFinish(cfg *Config, stages []model.Stage, computeEnd []int64, gradReady
 // synchronization adds per the scheme: PipeDream after every micro-batch
 // backward across the W pipelines; PipeDream-2BW one accumulated allreduce,
 // half-overlapped.
-func asyncFinish(cfg *Config, stages []model.Stage, coster *opCoster, tl *schedule.Timeline) float64 {
+func asyncFinish(cfg *Config, stages []model.Stage, rc schedule.ReplayConfig, makespan int64) float64 {
 	s := cfg.Schedule
-	steady := float64(tl.Makespan) * timeQuantum
+	steady := float64(makespan) * timeQuantum
 	if doubled, err := schedule.ByName(s.Scheme, s.D, 2*s.N); err == nil {
-		tl2, err := cfg.replay(doubled, schedule.ReplayConfig{
-			OpCost:   coster.opCost,
-			EdgeCost: coster.edgeCost,
-		})
-		if err == nil {
-			steady = float64(tl2.Makespan-tl.Makespan) * timeQuantum
-			tl2.Release()
+		if ro2, err := cfg.replay(doubled, rc); err == nil {
+			steady = float64(ro2.Makespan()-makespan) * timeQuantum
+			ro2.Release()
 		}
 	}
 	var worstSync float64
