@@ -17,10 +17,13 @@ race:
 	$(GO) test -race ./...
 
 # race-sweep runs the daemon packages (the engine's memo tables, the HTTP
-# chassis and the three daemons built on it) twenty times under the race
-# detector; one failing run fails the target.
+# chassis and the three daemons built on it) and the fleet layer (plan
+# curves shared by a live sim and its forks) twenty times under the race
+# detector; one failing run fails the target. The fleet run is -short: its
+# single-threaded oracle suites shrink, the concurrency tests do not.
 race-sweep:
 	$(GO) test -race -count=20 ./internal/engine ./internal/httpd ./internal/serve ./internal/router ./internal/controller
+	$(GO) test -race -count=20 -short ./internal/fleet
 
 # bench-build vets and tests the benchmark module. bench/ is outside the
 # root module (it is compiled against internal APIs through a replace

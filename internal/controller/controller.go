@@ -227,8 +227,12 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c.replanSeconds.Observe(elapsed)
 	c.nodesGauge.Set(int64(resp.Nodes))
 	c.residentsG.Set(int64(resp.Residents))
-	if raw, err := json.Marshal(update); err == nil {
-		c.hub.publish(raw)
+	// Nobody listening, nothing to encode: a subscriber that attaches after
+	// this check reads the state this batch produced from its own snapshot.
+	if c.hub.subscribed() {
+		if raw, err := json.Marshal(update); err == nil {
+			c.hub.publish(raw)
+		}
 	}
 	httpd.WriteJSON(w, http.StatusOK, resp)
 }
@@ -319,9 +323,10 @@ type WhatIfResponse struct {
 }
 
 // handleWhatIf forks the live simulation and applies the hypothesis to the
-// fork. The fork is a deep copy sharing the allocator's plan memo, so it
-// only pays for plans the hypothesis actually changes; forking holds the
-// state lock, applying does not — a slow hypothesis never blocks ingestion.
+// fork. The fork is a deep copy sharing the allocator and the live sim's
+// plan curves, so it only pays for plans nobody has needed before; forking
+// holds the state lock, applying does not — a slow hypothesis never blocks
+// ingestion, and the two may read and fill the curves concurrently.
 func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := serve.DecodeStrict(r.Body, &req); err != nil {
@@ -371,12 +376,11 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	snap := fork.Snapshot()
 	c.whatifsTotal.Inc()
 	httpd.WriteJSON(w, http.StatusOK, WhatIfResponse{
 		BaseVersion: baseVersion, Now: fork.Now(),
 		Nodes: fork.NodeCount(), Residents: fork.Residents(),
-		Cost:       snap.Cost,
+		Cost:       fork.Cost(),
 		Allocation: serve.NewFleetFinalShares(fork.Shares()),
 	})
 }

@@ -36,6 +36,14 @@ func (h *hub) unsubscribe(ch chan []byte) {
 	delete(h.subs, ch)
 }
 
+// subscribed reports whether anyone is attached — whether an update is
+// worth encoding at all.
+func (h *hub) subscribed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs) > 0
+}
+
 // publish delivers msg to every subscriber that has buffer room.
 func (h *hub) publish(msg []byte) {
 	h.mu.Lock()

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"chimera/internal/engine"
 	"chimera/internal/perfmodel"
-	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
 
@@ -74,8 +74,15 @@ type Allocator struct {
 	// plans memoizes best-prediction plan outcomes keyed by the full
 	// PlanRequest — the same comparable key chimera-serve's plan cache
 	// uses. The engine underneath additionally shares schedule and
-	// critical-path memos with every other engine user.
+	// critical-path memos with every other engine user. The search itself
+	// never probes it per candidate: a planCurve resolves each (job, P) slot
+	// through it once and is read by index afterwards.
 	plans *engine.Memo[perfmodel.PlanRequest, planResult]
+	// curveHits counts candidate-plan values read from already-resolved
+	// curve slots; planned counts planner runs. With the memo's own hit
+	// count they are the bid counters PlanStats reports.
+	curveHits atomic.Uint64
+	planned   atomic.Uint64
 	// met holds the instrument handles attached by Observe (nil =
 	// uninstrumented).
 	met *fleetMetrics
@@ -105,9 +112,14 @@ func NewAllocatorCap(e *engine.Engine, capacity int) *Allocator {
 	return &Allocator{eng: e, plans: engine.NewMemoCap[perfmodel.PlanRequest, planResult](capacity)}
 }
 
-// PlanStats reports the allocator's plan-memo hit and miss counts — how
-// much of the greedy search repeated candidate plans absorbed.
-func (a *Allocator) PlanStats() (hits, misses uint64) { return a.plans.Stats() }
+// PlanStats reports the allocator's bid counters — how much of the greedy
+// search repeated candidate plans absorbed. Every candidate-plan value the
+// search reads counts once: as a hit when it came from a resolved curve slot
+// or the plan memo, as a miss when the planner had to run.
+func (a *Allocator) PlanStats() (hits, misses uint64) {
+	memoHits, _ := a.plans.Stats()
+	return a.curveHits.Load() + memoHits, a.planned.Load()
+}
 
 // AllocateOn solves one fleet-allocation problem on e (nil selects the
 // shared default engine) with a throwaway plan memo; callers that allocate
@@ -125,20 +137,28 @@ func (a *Allocator) Allocate(req Request) (*Allocation, error) {
 	}
 	defer a.observeAllocate()()
 	pool := sortedPool(req.Cluster)
+	// One plan curve per request job, alive for this call only: the plan
+	// memo stays the one retained cache.
+	bids := make([]bidder, len(req.Jobs))
+	for i, j := range req.Jobs {
+		bids[i] = bidder{curve: newPlanCurve(req.Cluster, j, len(pool)), prio: j.priority()}
+	}
 	var shares [][]node
-	var err error
 	switch req.policy() {
 	case EqualSplit:
 		shares = equalSplit(pool, len(req.Jobs))
 	case PlannerGuided:
-		shares, err = a.plannerGuided(req, pool)
+		// Grow every job from zero nodes over the pool's whole quanta — the
+		// static entry point of the concave-envelope greedy (see greedyGrow).
+		var err error
+		shares, _, err = a.greedyGrow(bids, make([][]node, len(req.Jobs)), pool[:len(pool)/Quantum*Quantum], nil)
 		if err != nil {
 			return nil, err
 		}
 	}
 	out := &Allocation{Policy: req.policy(), Nodes: req.Cluster.Nodes, Jobs: make([]JobAllocation, len(req.Jobs))}
 	for i, j := range req.Jobs {
-		v, err := a.jobValue(req.Cluster, j, shares[i])
+		v, err := a.jobValue(bids[i].curve, shares[i])
 		if err != nil {
 			return nil, err
 		}
@@ -202,50 +222,124 @@ func equalSplit(pool []node, jobs int) [][]node {
 	return shares
 }
 
-// planBest returns the memoized best §3.4 prediction for a job on p
-// homogeneous workers; nil (no error) when p admits no feasible
-// configuration.
-func (a *Allocator) planBest(c Cluster, j Job, p int) (*perfmodel.Prediction, error) {
-	return a.plan(perfmodel.PlanRequest{
-		Model: j.Model, P: p, MiniBatch: j.MiniBatch, MaxB: j.MaxB,
-		Device: c.Device, Network: c.Network,
-	})
+// plan returns the best §3.4 prediction for a full PlanRequest through the
+// plan memo; a zero result (no prediction, no error) means the request
+// admits no feasible configuration. It never waits on another caller's
+// planner run: the work-stealing pool runs other bodies in place while a
+// nested ForEach waits, so a body blocked on a computation suspended beneath
+// it on the same stack would deadlock. Two concurrent first requests for
+// one key may therefore both run the planner — they compute equal results
+// and the memo keeps one.
+func (a *Allocator) plan(req perfmodel.PlanRequest) planResult {
+	if out, ok := a.plans.Cached(req); ok {
+		return out
+	}
+	a.planned.Add(1)
+	var out planResult
+	preds, err := perfmodel.PlanOn(a.eng, req)
+	switch {
+	case err == nil:
+		out.pred = preds[0]
+	case !errors.Is(err, perfmodel.ErrInfeasible):
+		out.err = err
+	}
+	a.plans.Put(req, out)
+	return out
 }
 
-// planList is planBest with the share's actual per-node factors and the
-// cluster's placement policy: the planner sweeps list-scheduled placements
-// re-shaped around the stragglers (restricted to D = node count, so the
-// factors describe exactly those workers). The prediction already pays the
-// stragglers positionally — no division by the slowest factor afterwards.
-func (a *Allocator) planList(c Cluster, j Job, factors []float64) (*perfmodel.Prediction, error) {
-	return a.plan(perfmodel.PlanRequest{
-		Model: j.Model, P: len(factors), MiniBatch: j.MiniBatch, MaxB: j.MaxB,
-		Device: c.Device, Network: c.Network,
-		SpeedFactors: sim.EncodeSpeedFactors(factors),
-		Scheduler:    c.Scheduler,
-	})
+// planCurve is one (cluster, job) pair's plan table over the worker count:
+// slot P/Quantum−1 holds the best §3.4 prediction for the job on P
+// homogeneous workers (or its infeasibility, or the planner's error), nil
+// until someone needs it. A slot is resolved through the plan memo and
+// published with an atomic store, and is immutable afterwards, so any
+// number of scans — a live sim, its what-if forks, two pool bodies bidding
+// for two instances of one job — read and fill one curve without a lock
+// (none could be held across the planner, see plan). Racing resolvers
+// publish equal values. The table covers the job's MaxNodes cap, or the
+// pool for an uncapped job, and is re-published larger when joins outgrow
+// it; a store that loses that race is simply resolved again from the memo.
+//
+// A curve lives as long as its owner — an ElasticSim (one per vocabulary
+// job, shared with its forks) or a single Allocate call — so the plan memo
+// stays the allocator's only retained cache.
+type planCurve struct {
+	// req is the job's plan request with P unset, sched the cluster's
+	// list-scheduling policy ("" = none), maxNodes the job's cap (0 = none).
+	req      perfmodel.PlanRequest
+	sched    string
+	maxNodes int
+	slots    atomic.Pointer[[]atomic.Pointer[planResult]]
 }
 
-// plan memoizes the best prediction for a full PlanRequest; nil (no error)
-// when the request admits no feasible configuration.
-func (a *Allocator) plan(req perfmodel.PlanRequest) (*perfmodel.Prediction, error) {
-	out := a.plans.Do(req, func() planResult {
-		preds, err := perfmodel.PlanOn(a.eng, req)
-		if err != nil {
-			if errors.Is(err, perfmodel.ErrInfeasible) {
-				return planResult{}
-			}
-			return planResult{err: err}
+// newPlanCurve builds the job's empty curve sized for a pool of nodes.
+func newPlanCurve(c Cluster, j Job, nodes int) *planCurve {
+	cv := &planCurve{
+		req: perfmodel.PlanRequest{
+			Model: j.Model, MiniBatch: j.MiniBatch, MaxB: j.MaxB,
+			Device: c.Device, Network: c.Network,
+		},
+		sched: c.Scheduler, maxNodes: j.MaxNodes,
+	}
+	if j.MaxNodes > 0 && j.MaxNodes < nodes {
+		nodes = j.MaxNodes
+	}
+	slots := make([]atomic.Pointer[planResult], nodes/Quantum)
+	cv.slots.Store(&slots)
+	return cv
+}
+
+// saturated reports whether n nodes reach the job's cap: beyond it the
+// job's value is flat, so capped jobs saturate instead of absorbing ever
+// more quanta.
+func (cv *planCurve) saturated(n int) bool { return cv.maxNodes > 0 && n >= cv.maxNodes }
+
+// table returns the slot table, grown to hold slot index i.
+func (cv *planCurve) table(i int) []atomic.Pointer[planResult] {
+	for {
+		old := cv.slots.Load()
+		if i < len(*old) {
+			return *old
 		}
-		return planResult{pred: preds[0]}
-	})
-	return out.pred, out.err
+		grown := make([]atomic.Pointer[planResult], max(2*len(*old), i+1))
+		for k := range *old {
+			grown[k].Store((*old)[k].Load())
+		}
+		cv.slots.CompareAndSwap(old, &grown)
+	}
+}
+
+// publish stores slot p's resolution and returns the stored value.
+func (cv *planCurve) publish(p int, out planResult) *planResult {
+	idx := p/Quantum - 1
+	cv.table(idx)[idx].Store(&out)
+	return &out
+}
+
+// request is the job's plan request on p homogeneous workers.
+func (cv *planCurve) request(p int) perfmodel.PlanRequest {
+	req := cv.req
+	req.P = p
+	return req
+}
+
+// planList is the list-scheduled bid: the job planned on the prefix's actual
+// per-node factors under the cluster's placement policy. The planner sweeps
+// list-scheduled placements re-shaped around the stragglers (restricted to
+// D = node count, so the factors describe exactly those workers), and the
+// prediction already pays the stragglers positionally — no division by the
+// slowest factor afterwards. The bid depends on the factor sequence, not on
+// (job, P), so it cannot live on the curve and stays on the plan memo.
+func (a *Allocator) planList(cv *planCurve, factors []float64) planResult {
+	req := cv.request(len(factors))
+	req.SpeedFactors = sim.EncodeSpeedFactors(factors)
+	req.Scheduler = cv.sched
+	return a.plan(req)
 }
 
 // jobValue is the best achievable (plan, throughput) for a job holding the
-// given nodes: the plan may use any even prefix of the fastest-first node
-// list, paying the straggler factor of the slowest node it uses. Selection
-// is total: throughput descending, then fewer nodes used.
+// given nodes: the plan may use any even prefix of the node list, paying
+// the straggler factor of the slowest node it uses. Selection is total:
+// throughput descending, then fewer nodes used.
 type jobValue struct {
 	pred   *perfmodel.Prediction
 	used   int
@@ -253,21 +347,117 @@ type jobValue struct {
 	tp     float64
 }
 
-func (a *Allocator) jobValue(c Cluster, j Job, nodes []node) (jobValue, error) {
-	vals, err := a.prefixValues(c, j, nodes)
-	if err != nil {
-		return jobValue{}, err
-	}
-	return vals[len(nodes)/Quantum*Quantum], nil
+// prefixScan is the state of a walk along a job's node list: the best
+// jobValue achievable within the nodes walked so far — the running maximum
+// every search in this package reads — and what extending the walk needs.
+// The zero value is a walk of no nodes. Because the state is a value, a
+// scan can be resumed: fork it, extend the fork over a candidate's extra
+// nodes, and the original still stands for the shared base.
+//
+// The straggler factor of a prefix is the *maximum* factor within it —
+// correct for any node order, which matters for the elastic warm start,
+// where a surviving share concatenated with the free pool is not
+// fastest-first (on a sorted pool the maximum is simply the last node).
+type prefixScan struct {
+	best      jobValue
+	maxFactor float64
+	// n counts the nodes walked; an odd n holds a node waiting for its
+	// pair, which may arrive with the next extension.
+	n int
+	// first and mixed track prefix uniformity for the list-scheduled bid;
+	// factors is the walked factor sequence, kept only when the cluster
+	// names a scheduler.
+	first   float64
+	mixed   bool
+	factors []float64
+	// hits counts values read from resolved curve slots since the caller
+	// last flushed them into the allocator's bid counter.
+	hits int
 }
 
-// plannerGuided grows every job from zero nodes over the whole pool — the
-// static entry point of the concave-envelope greedy (see greedyGrow).
-func (a *Allocator) plannerGuided(req Request, pool []node) ([][]node, error) {
-	shares := make([][]node, len(req.Jobs))
-	rest := pool[:len(pool)/Quantum*Quantum] // whole quanta only
-	shares, _, err := a.greedyGrow(req.Cluster, req.Jobs, shares, rest, nil)
-	return shares, err
+// fork returns a copy of the scan to extend independently: the original
+// keeps standing for the shared base, the copy's walked factors no longer
+// share its backing array, and its hit count starts over.
+func (st *prefixScan) fork() prefixScan {
+	c := *st
+	c.factors = c.factors[:len(c.factors):len(c.factors)]
+	c.hits = 0
+	return c
+}
+
+// scan extends st along nodes, evaluating the job's curve at every even
+// prefix length up to its cap. This loop is the only reader of a curve's
+// values.
+func (a *Allocator) scan(cv *planCurve, st *prefixScan, nodes []node) error {
+	slots := *cv.slots.Load()
+	for i, nd := range nodes {
+		if cv.saturated(st.n) {
+			st.n += len(nodes) - i
+			return nil
+		}
+		if nd.Factor > st.maxFactor {
+			st.maxFactor = nd.Factor
+		}
+		if st.n == 0 {
+			st.first = nd.Factor
+		} else if nd.Factor != st.first {
+			st.mixed = true
+		}
+		if cv.sched != "" {
+			st.factors = append(st.factors, nd.Factor)
+		}
+		st.n++
+		if st.n%Quantum != 0 {
+			continue
+		}
+		idx := st.n/Quantum - 1
+		if idx >= len(slots) {
+			slots = cv.table(idx)
+		}
+		r := slots[idx].Load()
+		if r == nil {
+			r = cv.publish(st.n, a.plan(cv.request(st.n)))
+		} else {
+			st.hits++
+		}
+		if r.err != nil {
+			return r.err
+		}
+		if r.pred != nil {
+			if tp := r.pred.Throughput / st.maxFactor; st.best.pred == nil || tp > st.best.tp {
+				st.best = jobValue{pred: r.pred, used: st.n, factor: st.maxFactor, tp: tp}
+			}
+		}
+		// The list-scheduled bid: only worth planning when the prefix is
+		// genuinely heterogeneous — on uniform factors every policy defers
+		// to the fixed placement and the candidate duplicates the one above.
+		if cv.sched != "" && st.mixed {
+			hp := a.planList(cv, st.factors)
+			if hp.err != nil {
+				return hp.err
+			}
+			if hp.pred != nil && (st.best.pred == nil || hp.pred.Throughput > st.best.tp) {
+				st.best = jobValue{pred: hp.pred, used: st.n, factor: 1, tp: hp.pred.Throughput}
+			}
+		}
+	}
+	return nil
+}
+
+// jobValue scans the whole node list and returns its last value.
+func (a *Allocator) jobValue(cv *planCurve, nodes []node) (jobValue, error) {
+	var st prefixScan
+	err := a.scan(cv, &st, nodes)
+	a.curveHits.Add(uint64(st.hits))
+	return st.best, err
+}
+
+// bidder is one job competing for quanta in greedyGrow: its plan curve and
+// its objective weight (the aged effective priority when the elastic
+// simulator re-plans).
+type bidder struct {
+	curve *planCurve
+	prio  float64
 }
 
 // greedyGrow repeatedly grants front quanta of rest to the job with the
@@ -283,40 +473,30 @@ func (a *Allocator) plannerGuided(req Request, pool []node) ([][]node, error) {
 // extension improves any job, the remainder stays free and is returned.
 // evals, when non-nil, counts job evaluations (one per job per round) — the
 // re-plan work measure the elastic benchmark reports.
-func (a *Allocator) greedyGrow(c Cluster, jobs []Job, shares [][]node, rest []node, evals *int) ([][]node, []node, error) {
-	type jobEval struct {
-		vals []jobValue
-		err  error
-	}
-	evaled := make([]jobEval, len(jobs))
+//
+// A round is one scan per job, fused with the rate scan: the walk along the
+// job's share continues quantum by quantum into rest and stops at the job's
+// cap — beyond it the value is flat, so a larger k has the same gain at a
+// strictly lower rate and can never win the strict comparison. Rounds and
+// jobs run serially in input order, so the selection and *evals are
+// deterministic; the planning they may need was done up front, in parallel,
+// by resolveAhead.
+func (a *Allocator) greedyGrow(bids []bidder, shares [][]node, rest []node, evals *int) ([][]node, []node, error) {
+	a.resolveAhead(bids, shares, len(rest))
 	for len(rest) >= Quantum {
-		// Each round's job evaluations are independent, so they go to the
-		// engine pool as one irregular task set (the per-job cost varies
-		// wildly with share size and plan-memo warmth). Every evaluation
-		// nests further ForEach calls — PlanOn fans its (W, D, B) grid out
-		// on the same engine — which the work-stealing pool runs in place
-		// on the submitting worker's deque. The rate scan below stays
-		// serial in job input order, so the selection (and *evals, counted
-		// in the same order) is identical to the sequential loop's.
-		a.eng.ForEach(len(jobs), func(i int) {
-			// One pass over the job's share extended by the whole
-			// remaining pool yields its value at every candidate size.
-			vals, err := a.prefixValues(c, jobs[i], withNodes(shares[i], rest))
-			evaled[i] = jobEval{vals: vals, err: err}
-		})
 		bestJob, bestK, bestRate := -1, 0, 0.0
-		for i, j := range jobs {
-			if evaled[i].err != nil {
-				return nil, nil, evaled[i].err
+		hits := 0
+		for i, b := range bids {
+			var st prefixScan
+			if err := a.scan(b.curve, &st, shares[i]); err != nil {
+				return nil, nil, err
 			}
-			if evals != nil {
-				*evals++
-			}
-			vals := evaled[i].vals
-			base := len(shares[i]) / Quantum * Quantum
-			cur := vals[base].tp
-			for k := 1; k*Quantum <= len(rest); k++ {
-				gain := j.priority() * (vals[base+k*Quantum].tp - cur)
+			cur := st.best.tp
+			for k := 1; k*Quantum <= len(rest) && !b.curve.saturated(st.n); k++ {
+				if err := a.scan(b.curve, &st, rest[(k-1)*Quantum:k*Quantum]); err != nil {
+					return nil, nil, err
+				}
+				gain := b.prio * (st.best.tp - cur)
 				if gain <= 0 {
 					continue
 				}
@@ -324,7 +504,12 @@ func (a *Allocator) greedyGrow(c Cluster, jobs []Job, shares [][]node, rest []no
 					bestJob, bestK, bestRate = i, k, rate
 				}
 			}
+			hits += st.hits
+			if evals != nil {
+				*evals++
+			}
 		}
+		a.curveHits.Add(uint64(hits))
 		if bestJob < 0 {
 			break // no extension helps anyone — leave the rest idle
 		}
@@ -334,58 +519,56 @@ func (a *Allocator) greedyGrow(c Cluster, jobs []Job, shares [][]node, rest []no
 	return shares, rest, nil
 }
 
-// prefixValues returns, for every even prefix length m of nodes, the best
-// jobValue achievable within the first m nodes (the running maximum the
-// greedy's rate scan reads). Index by prefix length; odd entries are
-// unused. The straggler factor of a prefix is the *maximum* factor within
-// it — correct for any node order, which matters for the elastic warm
-// start, where a surviving share concatenated with the free pool is not
-// fastest-first (on a sorted pool the maximum is simply the last node, so
-// the static path is unchanged). A job's MaxNodes cap truncates the scan:
-// beyond it the value is flat, so capped jobs saturate instead of
-// absorbing ever more quanta.
-func (a *Allocator) prefixValues(c Cluster, j Job, nodes []node) ([]jobValue, error) {
-	vals := make([]jobValue, len(nodes)+1)
-	factors := make([]float64, len(nodes))
-	for i, n := range nodes {
-		factors[i] = n.Factor
+// resolveAhead resolves every curve slot greedyGrow's rounds can read and
+// nobody has resolved yet — each job's even prefixes of its share plus the
+// whole remaining pool, up to its cap; later rounds only read within that
+// range. Slots the plan memo already holds (a fresh curve on a warm
+// allocator) are published on the spot; the rest are planned as one
+// irregular task set on the engine pool, one plan per body. Every plan
+// nests further ForEach calls (PlanOn fans its (W, D, B) grid out on the
+// same engine), which the work-stealing pool runs in place on the
+// submitting worker's deque. With nothing to plan — every re-plan on a warm
+// allocator — the pool is not entered at all. Which slots get resolved here
+// never changes a value a scan reads, only who plans it.
+func (a *Allocator) resolveAhead(bids []bidder, shares [][]node, rest int) {
+	type coldSlot struct {
+		cv *planCurve
+		p  int
 	}
-	var best jobValue
-	maxFactor := 0.0
-	for q := Quantum; q <= len(nodes); q += Quantum {
-		for _, n := range nodes[q-Quantum : q] {
-			if n.Factor > maxFactor {
-				maxFactor = n.Factor
+	var cold []coldSlot
+	var queued map[perfmodel.PlanRequest]bool // jobs may share a request
+	for i, b := range bids {
+		top := (len(shares[i]) + rest) / Quantum * Quantum
+		if b.curve.saturated(top) {
+			top = b.curve.maxNodes
+		}
+		slots := *b.curve.slots.Load()
+		for p := Quantum; p <= top; p += Quantum {
+			if idx := p/Quantum - 1; idx < len(slots) && slots[idx].Load() != nil {
+				continue
 			}
-		}
-		if j.MaxNodes > 0 && q > j.MaxNodes {
-			vals[q] = best
-			continue
-		}
-		pred, err := a.planBest(c, j, q)
-		if err != nil {
-			return nil, err
-		}
-		if pred != nil {
-			if tp := pred.Throughput / maxFactor; best.pred == nil || tp > best.tp {
-				best = jobValue{pred: pred, used: q, factor: maxFactor, tp: tp}
+			req := b.curve.request(p)
+			if out, ok := a.plans.Cached(req); ok {
+				b.curve.publish(p, out)
+				continue
 			}
-		}
-		// The list-scheduled bid: only worth planning when the prefix is
-		// genuinely heterogeneous — on uniform factors every policy defers
-		// to the fixed placement and the candidate duplicates the one above.
-		if c.Scheduler != "" && !schedule.UniformSpeed(factors[:q]) {
-			hp, err := a.planList(c, j, factors[:q])
-			if err != nil {
-				return nil, err
+			if queued[req] {
+				continue
 			}
-			if hp != nil && (best.pred == nil || hp.Throughput > best.tp) {
-				best = jobValue{pred: hp, used: q, factor: 1, tp: hp.Throughput}
+			if queued == nil {
+				queued = make(map[perfmodel.PlanRequest]bool)
 			}
+			queued[req] = true
+			cold = append(cold, coldSlot{b.curve, p})
 		}
-		vals[q] = best
 	}
-	return vals, nil
+	if len(cold) == 0 {
+		return
+	}
+	a.eng.ForEach(len(cold), func(i int) {
+		cv, p := cold[i].cv, cold[i].p
+		cv.publish(p, a.plan(cv.request(p)))
+	})
 }
 
 // withNodes appends extra nodes to a share without aliasing the pool slice

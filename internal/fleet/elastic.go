@@ -247,13 +247,13 @@ func (sc ElasticScenario) validateConfig() error {
 // by the trace validator and the controller's live ingestion path, so both
 // reject a malformed event with the same message (i names the event in its
 // container: trace index for traces, batch position for live batches).
-func validateEvent(byName map[string]bool, i int, ev Event) error {
+func validateEvent[V any](byName map[string]V, i int, ev Event) error {
 	if ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0) {
 		return fmt.Errorf("fleet: events[%d] time must be finite and ≥ 0, got %g", i, ev.At)
 	}
 	switch ev.kind() {
 	case EvArrival:
-		if !byName[ev.Job] {
+		if _, ok := byName[ev.Job]; !ok {
 			return fmt.Errorf("fleet: events[%d] names unknown job %q", i, ev.Job)
 		}
 		if !(ev.Work > 0) || math.IsInf(ev.Work, 0) {
@@ -402,6 +402,9 @@ type einstance struct {
 	share  []node
 	plan   *perfmodel.Prediction
 	factor float64
+	// curve is the job's plan curve, owned by the simulation and shared by
+	// every instance of the job (and by forks).
+	curve *planCurve
 	// needy marks the instance for re-planning this round; failed marks a
 	// forced restart caused by node_fail (full penalty instead of half).
 	needy  bool
@@ -521,16 +524,19 @@ func insertSorted(pool []node, n node) []node {
 	return pool
 }
 
-// freeNodes returns present minus every instance's share, fastest-first.
-func freeNodes(present []node, active []*einstance) []node {
-	assigned := make(map[int]bool)
-	for _, in := range active {
+// freeNodes returns present minus every resident instance's share,
+// fastest-first.
+func (s *ElasticSim) freeNodes() []node {
+	assigned := make([]bool, s.nextID) // node ids are dense below nextID
+	held := 0
+	for _, in := range s.active {
 		for _, n := range in.share {
 			assigned[n.ID] = true
 		}
+		held += len(in.share)
 	}
-	free := make([]node, 0, len(present))
-	for _, n := range present {
+	free := make([]node, 0, len(s.present)-held)
+	for _, n := range s.present {
 		if !assigned[n.ID] {
 			free = append(free, n)
 		}
@@ -557,8 +563,8 @@ func finalShares(active []*einstance) []FinalShare {
 // applyShare installs a (possibly oversized) share on an instance: the
 // share is trimmed to the even prefix the best plan drives, and rate, plan
 // and straggler factor refresh from it.
-func (a *Allocator) applyShare(sc ElasticScenario, in *einstance, share []node) error {
-	v, err := a.jobValue(sc.Cluster, in.job, share)
+func (a *Allocator) applyShare(in *einstance, share []node) error {
+	v, err := a.jobValue(in.curve, share)
 	if err != nil {
 		return err
 	}
@@ -572,42 +578,54 @@ func (a *Allocator) applyShare(sc ElasticScenario, in *einstance, share []node) 
 	return nil
 }
 
-// replanElastic re-plans after an event batch and settles the consequences:
+// replan re-plans after an event batch and settles the consequences:
 // restart penalties for changed running instances, start times, starvation
 // anchors.
-func (a *Allocator) replanElastic(sc ElasticScenario, res *ElasticResult, runs map[int]*ElasticJobRun,
-	active []*einstance, present []node, now, tau float64) error {
-	if len(active) == 0 {
+func (s *ElasticSim) replan() error {
+	if len(s.active) == 0 {
 		return nil
 	}
-	defer a.observeReplan(res, res.JobsEvaluated)()
+	res := s.res
+	defer s.a.observeReplan(res, res.JobsEvaluated)()
 	res.Reallocations++
 
-	// Snapshot the pre-replan execution state for restart detection.
-	oldIDs := make([][]int, len(active))
-	oldPlans := make([]*perfmodel.Prediction, len(active))
-	oldRates := make([]float64, len(active))
-	for i, in := range active {
-		oldIDs[i] = nodeIDs(in.share)
+	// Snapshot the pre-replan execution state for restart detection; instance
+	// i's node ids are oldIDs[idEnd[i-1]:idEnd[i]].
+	oldIDs := make([]int, 0, len(s.present))
+	idEnd := make([]int, len(s.active))
+	oldPlans := make([]*perfmodel.Prediction, len(s.active))
+	oldRates := make([]float64, len(s.active))
+	for i, in := range s.active {
+		for _, n := range in.share {
+			oldIDs = append(oldIDs, n.ID)
+		}
+		idEnd[i] = len(oldIDs)
 		oldPlans[i] = in.plan
 		oldRates[i] = in.rate
 	}
 
+	full := res.Policy == EqualSplit || s.sc.replan() == ReplanFull
 	var err error
-	if res.Policy == EqualSplit || sc.replan() == ReplanFull {
-		err = a.replanFull(sc, res, active, present, now, tau)
-	} else {
-		err = a.replanIncremental(sc, res, active, present, now, tau)
+	switch {
+	case s.replanWith != nil:
+		err = s.replanWith(s, full)
+	case full:
+		err = s.replanFull()
+	default:
+		err = s.replanIncremental()
 	}
 	if err != nil {
 		return err
 	}
 
 	// Settle: penalties, starts, starvation anchors.
-	for i, in := range active {
-		run := runs[in.trace]
-		if oldRates[i] > 0 && !sameAllocation(oldIDs[i], oldPlans[i], in) {
-			pen := sc.MigrationPenalty * float64(oldPlans[i].D)
+	idStart := 0
+	for i, in := range s.active {
+		run := s.runs[in.trace]
+		ids := oldIDs[idStart:idEnd[i]]
+		idStart = idEnd[i]
+		if oldRates[i] > 0 && !sameAllocation(ids, oldPlans[i], in) {
+			pen := s.sc.MigrationPenalty * float64(oldPlans[i].D)
 			if !in.failed {
 				pen /= 2 // graceful: the pipeline flushes instead of discarding
 			}
@@ -622,46 +640,49 @@ func (a *Allocator) replanElastic(sc ElasticScenario, res *ElasticResult, runs m
 		if in.rate > 0 {
 			if !in.started {
 				in.started = true
-				run.StartAt = now
-				run.Wait = now - run.ArriveAt
+				run.StartAt = s.now
+				run.Wait = s.now - run.ArriveAt
 			}
 			in.starvedSince = -1
 		} else if in.starvedSince < 0 {
-			in.starvedSince = now
+			in.starvedSince = s.now
 		}
 	}
 	return nil
 }
 
+// bidders lines the instances up for greedyGrow at their aged priorities.
+func (s *ElasticSim) bidders(ins []*einstance) []bidder {
+	bids := make([]bidder, len(ins))
+	for i, in := range ins {
+		bids[i] = bidder{curve: in.curve, prio: in.effPriority(s.now, s.tau)}
+	}
+	return bids
+}
+
 // replanFull re-runs the static policy from scratch over every resident
 // instance — the reference re-planner.
-func (a *Allocator) replanFull(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
-	jobs := make([]Job, len(active))
-	for i, in := range active {
-		jobs[i] = in.job
-		jobs[i].Priority = in.effPriority(now, tau)
-	}
-	pool := present[:len(present)/Quantum*Quantum]
+func (s *ElasticSim) replanFull() error {
+	pool := s.present[:len(s.present)/Quantum*Quantum]
 	var shares [][]node
-	if res.Policy == EqualSplit {
-		shares = equalSplit(pool, len(jobs))
+	if s.res.Policy == EqualSplit {
+		shares = equalSplit(pool, len(s.active))
 		// equalSplit carves subslices of the pool; shares must own their
 		// nodes, because churn events mutate `present` in place and would
 		// otherwise rewrite every aliased share underneath the instances.
 		for i := range shares {
 			shares[i] = append([]node(nil), shares[i]...)
 		}
-		res.JobsEvaluated += len(jobs)
+		s.res.JobsEvaluated += len(s.active)
 	} else {
 		var err error
-		shares, _, err = a.greedyGrow(sc.Cluster, jobs, make([][]node, len(jobs)), pool, &res.JobsEvaluated)
+		shares, _, err = s.a.greedyGrow(s.bidders(s.active), make([][]node, len(s.active)), pool, &s.res.JobsEvaluated)
 		if err != nil {
 			return err
 		}
 	}
-	for i, in := range active {
-		if err := a.applyShare(sc, in, shares[i]); err != nil {
+	for i, in := range s.active {
+		if err := s.a.applyShare(in, shares[i]); err != nil {
 			return err
 		}
 	}
@@ -681,37 +702,32 @@ func (a *Allocator) replanFull(sc ElasticScenario, res *ElasticResult, active []
 //   - priority aging: an instance still starved after the greedy may evict
 //     quanta from a running instance once its aged priority makes the swap
 //     a strict improvement of the weighted objective.
-func (a *Allocator) replanIncremental(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
+func (s *ElasticSim) replanIncremental() error {
 	var needy []*einstance
-	for _, in := range active {
+	for _, in := range s.active {
 		if in.needy || in.rate <= 0 {
 			needy = append(needy, in)
 		}
 	}
 	if len(needy) > 0 {
-		jobs := make([]Job, len(needy))
 		bases := make([][]node, len(needy))
 		for i, in := range needy {
-			jobs[i] = in.job
-			jobs[i].Priority = in.effPriority(now, tau)
 			bases[i] = in.share
 		}
-		free := freeNodes(present, active)
-		shares, _, err := a.greedyGrow(sc.Cluster, jobs, bases, free, &res.JobsEvaluated)
+		shares, _, err := s.a.greedyGrow(s.bidders(needy), bases, s.freeNodes(), &s.res.JobsEvaluated)
 		if err != nil {
 			return err
 		}
 		for i, in := range needy {
-			if err := a.applyShare(sc, in, shares[i]); err != nil {
+			if err := s.a.applyShare(in, shares[i]); err != nil {
 				return err
 			}
 		}
 	}
-	if err := a.extendRunning(sc, res, active, present, now); err != nil {
+	if err := s.extendRunning(); err != nil {
 		return err
 	}
-	return a.preemptForStarved(sc, res, active, present, now, tau)
+	return s.preemptForStarved()
 }
 
 // extendRunning offers leftover free nodes to running instances, one pass
@@ -719,41 +735,48 @@ func (a *Allocator) replanIncremental(sc ElasticScenario, res *ElasticResult, ac
 // taken only when it pays for itself: extra sequences over the instance's
 // remaining runtime at the new rate must exceed the sequences lost to the
 // restart debt (Δtp · remaining/tp_new > penalty · tp_new). With a zero
-// migration penalty this reduces to plain greedy growth.
-func (a *Allocator) extendRunning(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now float64) error {
-	free := freeNodes(present, active)
+// migration penalty this reduces to plain greedy growth. Each instance is
+// one scan along its share and on into the free pool, up to its cap (the
+// flat tail beyond it can only tie, and ties keep the smaller extension).
+func (s *ElasticSim) extendRunning() error {
+	free := s.freeNodes()
 	if len(free) < Quantum {
 		return nil
 	}
-	for _, in := range active {
+	hits := 0
+	defer func() { s.a.curveHits.Add(uint64(hits)) }()
+	for _, in := range s.active {
 		if in.rate <= 0 || len(free) < Quantum {
 			continue
 		}
-		vals, err := a.prefixValues(sc.Cluster, in.job, withNodes(in.share, free))
-		if err != nil {
+		var st prefixScan
+		if err := s.a.scan(in.curve, &st, in.share); err != nil {
 			return err
 		}
-		res.JobsEvaluated++
+		s.res.JobsEvaluated++
 		bestK, bestNet := 0, 0.0
-		for k := 1; k*Quantum <= len(free); k++ {
-			v := vals[len(in.share)+k*Quantum]
+		for k := 1; k*Quantum <= len(free) && !in.curve.saturated(st.n); k++ {
+			if err := s.a.scan(in.curve, &st, free[(k-1)*Quantum:k*Quantum]); err != nil {
+				return err
+			}
+			v := st.best
 			if v.tp <= in.rate {
 				continue
 			}
-			pen := sc.MigrationPenalty * float64(in.plan.D) / 2
+			pen := s.sc.MigrationPenalty * float64(in.plan.D) / 2
 			net := (v.tp-in.rate)*(in.remaining/v.tp) - pen*v.tp
 			if net > bestNet {
 				bestK, bestNet = k, net
 			}
 		}
+		hits += st.hits
 		if bestK == 0 {
 			continue
 		}
-		if err := a.applyShare(sc, in, withNodes(in.share, free[:bestK*Quantum])); err != nil {
+		if err := s.a.applyShare(in, withNodes(in.share, free[:bestK*Quantum])); err != nil {
 			return err
 		}
-		free = freeNodes(present, active)
+		free = s.freeNodes()
 	}
 	return nil
 }
@@ -766,65 +789,99 @@ func (a *Allocator) extendRunning(sc ElasticScenario, res *ElasticResult, active
 // quanta), the donor pays the migration penalty through the usual restart
 // diff, and aging guarantees a starved job's side of the comparison grows
 // without bound — it eventually wins quanta.
-func (a *Allocator) preemptForStarved(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
-	for _, s := range active {
-		if s.rate > 0 {
+//
+// What no move can have changed is computed once per re-plan: the free
+// pool and every donor's shrink values (its throughput on each even prefix
+// of its share) are kept across starved instances and dropped only when a
+// move is applied. The starved instance's own share + free is scanned once
+// per instance, and each (donor, k) candidate resumes a fork of that state
+// over just the k quanta the donor would release.
+func (s *ElasticSim) preemptForStarved() error {
+	var (
+		free []node
+		// shrink[at[i]+m] is resident i's throughput on the first m quanta
+		// of its share; at[i] < 0 until it has been scanned as a donor.
+		shrink []float64
+		at     []int
+		fresh  bool // free, shrink and at reflect the current shares
+		hits   int
+	)
+	defer func() { s.a.curveHits.Add(uint64(hits)) }()
+	for _, in := range s.active {
+		if in.rate > 0 {
 			continue
 		}
-		free := freeNodes(present, active)
-		effS := s.effPriority(now, tau)
-		type move struct {
-			donor *einstance
-			k     int
-			net   float64
-			share []node
+		if at == nil {
+			at = make([]int, len(s.active))
+			shrink = make([]float64, 0, len(s.present)/Quantum+len(s.active))
 		}
-		var best *move
-		for _, d := range active {
-			if d == s || d.rate <= 0 || len(d.share) < Quantum {
+		if !fresh {
+			free, shrink, fresh = s.freeNodes(), shrink[:0], true
+			for i := range at {
+				at[i] = -1
+			}
+		}
+		var base prefixScan
+		if err := s.a.scan(in.curve, &base, in.share); err != nil {
+			return err
+		}
+		if err := s.a.scan(in.curve, &base, free); err != nil {
+			return err
+		}
+		hits += base.hits
+		effS := in.effPriority(s.now, s.tau)
+		var donor *einstance
+		bestK, bestNet := 0, 0.0
+		for di, d := range s.active {
+			if d == in || d.rate <= 0 || len(d.share) < Quantum {
 				continue
 			}
-			dVals, err := a.prefixValues(sc.Cluster, d.job, d.share)
-			if err != nil {
-				return err
+			if at[di] < 0 {
+				at[di] = len(shrink)
+				shrink = append(shrink, 0)
+				var st prefixScan
+				for q := Quantum; q <= len(d.share); q += Quantum {
+					if err := s.a.scan(d.curve, &st, d.share[q-Quantum:q]); err != nil {
+						return err
+					}
+					shrink = append(shrink, st.best.tp)
+				}
+				hits += st.hits
 			}
-			res.JobsEvaluated++
-			effD := d.effPriority(now, tau)
+			s.res.JobsEvaluated++
+			effD := d.effPriority(s.now, s.tau)
 			for k := 1; k*Quantum <= len(d.share); k++ {
 				keep := len(d.share) - k*Quantum
-				released := d.share[keep:]
-				cand := withNodes(withNodes(s.share, free), released)
-				sv, err := a.jobValue(sc.Cluster, s.job, cand)
-				if err != nil {
+				cand := base.fork()
+				if err := s.a.scan(in.curve, &cand, d.share[keep:]); err != nil {
 					return err
 				}
-				res.JobsEvaluated++ // the starved side's scan is re-plan work too
-				if sv.pred == nil {
+				hits += cand.hits
+				s.res.JobsEvaluated++ // the starved side's scan is re-plan work too
+				if cand.best.pred == nil {
 					continue
 				}
-				net := effS*sv.tp - effD*(d.rate-dVals[keep].tp)
-				if net <= 0 {
-					continue
-				}
+				net := effS*cand.best.tp - effD*(d.rate-shrink[at[di]+keep/Quantum])
 				// Strictly-greater replacement: candidates are scanned in
 				// (donor arrival order, quanta ascending), so equal nets
 				// keep the earliest donor and the smallest eviction.
-				if best == nil || net > best.net {
-					best = &move{donor: d, k: k, net: net, share: cand}
+				if net > bestNet {
+					donor, bestK, bestNet = d, k, net
 				}
 			}
 		}
-		if best == nil {
+		if donor == nil {
 			continue
 		}
-		keep := len(best.donor.share) - best.k*Quantum
-		if err := a.applyShare(sc, best.donor, best.donor.share[:keep:keep]); err != nil {
+		keep := len(donor.share) - bestK*Quantum
+		grown := withNodes(withNodes(in.share, free), donor.share[keep:])
+		if err := s.a.applyShare(donor, donor.share[:keep:keep]); err != nil {
 			return err
 		}
-		if err := a.applyShare(sc, s, best.share); err != nil {
+		if err := s.a.applyShare(in, grown); err != nil {
 			return err
 		}
+		fresh = false
 	}
 	return nil
 }

@@ -15,7 +15,13 @@
 // the greedy below a step. Every candidate evaluation is a full §3.4 plan,
 // memoized by its PlanRequest through the shared engine's schedule and
 // critical-path caches plus a fleet-level plan memo, so the O(nodes·jobs)
-// greedy loop pays for each distinct (job, P) plan exactly once.
+// greedy loop pays for each distinct (job, P) plan exactly once — and reads
+// it by index afterwards: each job's plans over P sit in a plan curve
+// (planCurve), a table whose slots are resolved through that memo on first
+// use and walked by one resumable prefix scan (Allocator.scan), the only
+// code that reads a curve. The static allocator builds its curves per call;
+// the elastic simulator keeps one per vocabulary job for its lifetime and
+// shares them with its what-if forks.
 //
 // Heterogeneous clusters: Cluster.SpeedFactors gives each node a
 // compute-time multiplier (1 = nominal, 2 = twice as slow). Nodes are

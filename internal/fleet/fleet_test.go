@@ -197,15 +197,12 @@ func lookaheadMemBytes(t *testing.T, cluster Cluster, m model.Config) int64 {
 	for mem := int64(1) << 24; mem <= 1<<34; mem *= 2 {
 		c := cluster
 		c.Device.MemBytes = mem
-		p2, err := a.planBest(c, job, 2)
-		if err != nil {
-			t.Fatal(err)
+		cv := newPlanCurve(c, job, 6)
+		p2, p6 := a.plan(cv.request(2)), a.plan(cv.request(6))
+		if p2.err != nil || p6.err != nil {
+			t.Fatal(p2.err, p6.err)
 		}
-		p6, err := a.planBest(c, job, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p2 == nil && p6 != nil {
+		if p2.pred == nil && p6.pred != nil {
 			return mem
 		}
 	}
@@ -272,7 +269,8 @@ func TestAllocatorCapBoundsPlanMemo(t *testing.T) {
 }
 
 // TestAllocatorMemoReuse: re-allocating the same request on one Allocator
-// hits the plan memo instead of replanning.
+// hits the plan memo (through the call's fresh curves) instead of
+// replanning.
 func TestAllocatorMemoReuse(t *testing.T) {
 	a := NewAllocator(engine.New(engine.Workers(1)))
 	req := Request{Cluster: pizDaintCluster(16, nil), Jobs: benchMix()}
@@ -280,12 +278,13 @@ func TestAllocatorMemoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, misses0 := a.plans.Stats()
+	hits0, misses0 := a.PlanStats()
 	second, err := a.Allocate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := a.plans.Stats()
+	hits, misses := a.PlanStats()
+	hits -= hits0
 	if misses != misses0 {
 		t.Fatalf("second allocation planned %d new requests", misses-misses0)
 	}

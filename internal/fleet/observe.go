@@ -26,9 +26,12 @@ type fleetMetrics struct {
 //	fleet_replans_total           counter
 //	fleet_jobs_reevaluated_total  counter; divided by fleet_replans_total it
 //	                              is the mean jobs re-evaluated per batch
-//	fleet_allocator_bids_total{result="hit"|"miss"}  candidate-plan lookups
-//	                              ("bids") the greedy search made, read
-//	                              through from the plan memo's counters
+//	fleet_allocator_bids_total{result="hit"|"miss"}  candidate-plan values
+//	                              ("bids") the search read, as PlanStats
+//	                              counts them: a hit came from a resolved
+//	                              plan-curve slot (added once per scan, not
+//	                              per read) or from the plan memo, a miss
+//	                              ran the planner
 //
 // A nil registry leaves the allocator uninstrumented. Instrumentation never
 // changes results: every hook is a clock read plus atomic adds outside the
@@ -47,10 +50,10 @@ func (a *Allocator) Observe(reg *obs.Registry) {
 		jobsReevaluated: reg.Counter("fleet_jobs_reevaluated_total",
 			"job evaluations performed across elastic re-plans"),
 	}
-	reg.CounterFunc("fleet_allocator_bids_total", "candidate-plan bids served from the plan memo",
-		func() uint64 { h, _ := a.plans.Stats(); return h }, obs.L("result", "hit"))
+	reg.CounterFunc("fleet_allocator_bids_total", "candidate-plan bids served from a plan curve or the plan memo",
+		func() uint64 { h, _ := a.PlanStats(); return h }, obs.L("result", "hit"))
 	reg.CounterFunc("fleet_allocator_bids_total", "candidate-plan bids computed by the planner",
-		func() uint64 { _, m := a.plans.Stats(); return m }, obs.L("result", "miss"))
+		func() uint64 { _, m := a.PlanStats(); return m }, obs.L("result", "miss"))
 }
 
 // observeAllocate times one Allocate call; it returns a func to defer (nil

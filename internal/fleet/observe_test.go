@@ -9,7 +9,7 @@ import (
 )
 
 // TestObserveFleetSeries: an instrumented allocator records allocation and
-// re-plan metrics; the bid counters read through from the plan memo.
+// re-plan metrics; the bid counters read through from PlanStats.
 func TestObserveFleetSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := NewAllocator(engine.New(engine.Workers(1)))

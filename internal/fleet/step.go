@@ -22,8 +22,8 @@ package fleet
 // split what replay merges into a single re-plan, breaking bit-equality.
 //
 // Fork supports what-if forecasting: a deep copy of the simulation state
-// that shares the allocator — and therefore the engine's plan memo — so a
-// fork pays only for plans the hypothesis actually changes.
+// that shares the allocator and the per-job plan curves, so a fork pays only
+// for plans nobody has needed before.
 
 import (
 	"fmt"
@@ -44,7 +44,13 @@ type ElasticSim struct {
 	a      *Allocator
 	sc     ElasticScenario
 	byName map[string]Job
+	// curves holds one plan curve per vocabulary job, built once and shared
+	// with every fork: a plan any of them resolves is read by all by index.
+	curves map[string]*planCurve
 	tau    float64
+	// replanWith, when non-nil, replaces the built-in re-planners — the seam
+	// the oracle equivalence test drives the pre-curve search through.
+	replanWith func(s *ElasticSim, full bool) error
 
 	res  *ElasticResult
 	runs map[int]*ElasticJobRun
@@ -77,8 +83,10 @@ type ElasticSim struct {
 // must already be validated (at least its config part).
 func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
 	byName := make(map[string]Job, len(sc.Jobs))
+	curves := make(map[string]*planCurve, len(sc.Jobs))
 	for _, j := range sc.Jobs {
 		byName[j.Name] = j
+		curves[j.Name] = newPlanCurve(sc.Cluster, j, sc.Cluster.Nodes)
 	}
 	res := &ElasticResult{
 		Policy:       (Request{Policy: sc.Policy}).policy(),
@@ -92,7 +100,7 @@ func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
 		res.Replan = ReplanFull
 	}
 	return &ElasticSim{
-		a: a, sc: sc, byName: byName, tau: sc.agingTau(),
+		a: a, sc: sc, byName: byName, curves: curves, tau: sc.agingTau(),
 		res:     res,
 		runs:    make(map[int]*ElasticJobRun),
 		present: sortedPool(sc.Cluster),
@@ -206,7 +214,7 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 			}
 			s.runs[ie.idx] = &ElasticJobRun{Job: ev.Job, Trace: ie.idx, ArriveAt: ev.At, StartAt: -1, DoneAt: -1}
 			s.active = append(s.active, &einstance{
-				trace: ie.idx, job: s.byName[ev.Job], remaining: ev.Work,
+				trace: ie.idx, job: s.byName[ev.Job], curve: s.curves[ev.Job], remaining: ev.Work,
 				needy: true, starvedSince: s.now,
 			})
 			s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvArrival, Job: ev.Job, Trace: ie.idx, Node: -1})
@@ -267,7 +275,7 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 		}
 	}
 	if changed {
-		return s.a.replanElastic(s.sc, s.res, s.runs, s.active, s.present, s.now, s.tau)
+		return s.replan()
 	}
 	return nil
 }
@@ -365,14 +373,12 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	if total := len(s.events) + len(batch); total > MaxEvents {
 		return fmt.Errorf("fleet: ingest: %d events would exceed the trace limit %d", total, MaxEvents)
 	}
-	byName := make(map[string]bool, len(s.byName))
-	for name := range s.byName {
-		byName[name] = true
-	}
+	churn := false
 	for i, ev := range batch {
-		if err := validateEvent(byName, i, ev); err != nil {
+		if err := validateEvent(s.byName, i, ev); err != nil {
 			return err
 		}
+		churn = churn || ev.kind() != EvArrival
 		if len(s.events) > 0 && ev.At <= s.lastBatch {
 			return fmt.Errorf("fleet: ingest: events[%d] at t=%g is not after the last ingested batch (t=%g)", i, ev.At, s.lastBatch)
 		}
@@ -390,25 +396,26 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	})
 	// Pre-walk churn against the evolving node set so a bad batch is
 	// rejected before any state mutates (arrival residency depends on
-	// departures and cannot be pre-checked; it errors at apply time).
-	ids := make(map[int]bool, len(s.present))
-	for _, n := range s.present {
-		ids[n.ID] = true
-	}
-	nextID := s.nextID
-	for _, k := range ord {
-		switch ev := batch[k]; ev.kind() {
-		case EvNodeFail, EvNodeDrain:
-			if !ids[ev.Node] {
-				return fmt.Errorf("fleet: ingest: events[%d] %s targets absent node %d", k, ev.kind(), ev.Node)
+	// departures and cannot be pre-checked; it errors at apply time). A
+	// batch of arrivals alone has nothing to walk.
+	if churn {
+		ids := make([]bool, s.nextID, s.nextID+len(batch)) // present, by node id
+		for _, n := range s.present {
+			ids[n.ID] = true
+		}
+		for _, k := range ord {
+			switch ev := batch[k]; ev.kind() {
+			case EvNodeFail, EvNodeDrain:
+				if ev.Node >= len(ids) || !ids[ev.Node] {
+					return fmt.Errorf("fleet: ingest: events[%d] %s targets absent node %d", k, ev.kind(), ev.Node)
+				}
+				ids[ev.Node] = false
+			case EvNodeJoin:
+				if len(ids)+1 > MaxElasticNodes {
+					return fmt.Errorf("fleet: ingest: events[%d] join would exceed the node limit %d", k, MaxElasticNodes)
+				}
+				ids = append(ids, true)
 			}
-			delete(ids, ev.Node)
-		case EvNodeJoin:
-			if nextID+1 > MaxElasticNodes {
-				return fmt.Errorf("fleet: ingest: events[%d] join would exceed the node limit %d", k, MaxElasticNodes)
-			}
-			ids[nextID] = true
-			nextID++
 		}
 	}
 	// Commit: trace indices continue the raw log, in applied order, so the
@@ -457,6 +464,10 @@ func (s *ElasticSim) Shares() []FinalShare { return finalShares(s.active) }
 func (s *ElasticSim) NodeCount() int { return len(s.present) }
 func (s *ElasticSim) Residents() int { return len(s.active) }
 
+// Cost is the bill so far: Σ price over the present pool integrated to the
+// current time — Snapshot().Cost without the snapshot.
+func (s *ElasticSim) Cost() float64 { return s.costSeconds }
+
 // Snapshot returns the result so far: the counters, the processed event
 // log, the per-arrival runs in trace order, the allocation in effect, and
 // cost/utilization integrated to the current time (unlike a completed
@@ -469,7 +480,7 @@ func (s *ElasticSim) Snapshot() ElasticResult {
 	if s.poolAtMakespan > 0 {
 		out.Utilization = s.busySeconds / s.poolAtMakespan
 	}
-	out.Cost = s.costSeconds
+	out.Cost = s.Cost()
 	out.Jobs = nil
 	var wait float64
 	for i := 0; i < len(s.events); i++ {
@@ -487,8 +498,10 @@ func (s *ElasticSim) Snapshot() ElasticResult {
 
 // Fork deep-copies the simulation state for what-if exploration: the copy
 // can ingest hypothetical events or move knobs without touching the live
-// sim. The allocator — and with it the engine's plan memo — is shared, so a
-// fork only pays for plans its hypothesis actually changes.
+// sim. The allocator and the per-job plan curves are shared — curve slots
+// are published atomically, so the fork and the live sim may apply
+// concurrently — and a fork only pays for plans its hypothesis is the first
+// to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
 	c.byName = make(map[string]Job, len(s.byName))
@@ -558,5 +571,5 @@ func (s *ElasticSim) SetDeadline(job string, d float64) error {
 // knobs — how a what-if fork surfaces the allocation its hypothesis
 // implies when the hypothesis changed knobs rather than events.
 func (s *ElasticSim) ReplanNow() error {
-	return s.a.replanElastic(s.sc, s.res, s.runs, s.active, s.present, s.now, s.tau)
+	return s.replan()
 }

@@ -160,6 +160,20 @@ func TestElasticSimIngestRules(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "absent node") {
 		t.Fatalf("want an absent-node error for the not-yet-joined id, got %v", err)
 	}
+	// One node cannot leave twice in a batch, but a node joined earlier in
+	// the batch may fail later in it — the walk follows the evolving pool.
+	if err := live.Ingest([]Event{
+		{At: 40, Kind: EvNodeFail, Node: 3},
+		{At: 41, Kind: EvNodeDrain, Node: 3},
+	}); err == nil || !strings.Contains(err.Error(), "absent node") {
+		t.Fatalf("want an absent-node error for a node leaving twice, got %v", err)
+	}
+	if err := live.Ingest([]Event{
+		{At: 50, Kind: EvNodeJoin},
+		{At: 51, Kind: EvNodeFail, Node: 16},
+	}); err != nil {
+		t.Fatalf("fail of a node joined earlier in the batch rejected: %v", err)
+	}
 	// Trace-mode sims reject Ingest.
 	trace := elasticScenario(ReplanIncremental, 0)
 	if _, err := a.NewElasticSim(trace); err == nil || !strings.Contains(err.Error(), "no pre-recorded events") {
@@ -267,8 +281,8 @@ func TestElasticSimSpotCost(t *testing.T) {
 	if err := live.Ingest([]Event{{At: 20, Kind: EvNodeDrain, Node: 17}}); err != nil {
 		t.Fatal(err)
 	}
-	if want := 10 * 1.25; live.Snapshot().Cost != want {
-		t.Fatalf("cost = %g, want %g", live.Snapshot().Cost, want)
+	if want := 10 * 1.25; live.Snapshot().Cost != want || live.Cost() != want {
+		t.Fatalf("cost = %g (snapshot) / %g (Cost), want %g", live.Snapshot().Cost, live.Cost(), want)
 	}
 	// The classic trace path reports the same accounting.
 	trace := sc
