@@ -253,10 +253,6 @@ type Engine struct {
 	// the free-list of group slots.
 	groups    []atomic.Pointer[taskGroup]
 	groupFree chan uint32
-	// running maps goroutine id → held slot for every goroutine currently
-	// executing pool bodies, so nested ForEach calls reuse their slot
-	// instead of deadlocking on a second token.
-	running sync.Map
 
 	// refCore routes evaluations through the retained reference replay
 	// interpreter (see ReferenceCore) instead of the compiled graph core.

@@ -99,29 +99,57 @@ func (m *Memo[K, V]) insert(e *memoEntry[K, V]) {
 }
 
 // Do returns the memoized value for key, computing it with fn on first use.
+// If fn unwinds instead of returning (a panic, which propagates to the Do
+// caller that ran it), nothing is cached: the entry is dropped from the
+// table, a caller that was waiting on it retries through a fresh entry, and
+// the next Do for the key runs fn again.
 func (m *Memo[K, V]) Do(key K, fn func() V) V {
 	if m == nil {
 		return fn()
 	}
+	for {
+		m.mu.Lock()
+		e, ok := m.entries[key]
+		if ok {
+			m.touch(e)
+		} else {
+			e = &memoEntry[K, V]{key: key}
+			m.insert(e)
+		}
+		m.mu.Unlock()
+		if ok {
+			m.hits.Add(1)
+		} else {
+			m.misses.Add(1)
+		}
+		e.once.Do(func() {
+			// sync.Once counts an unwound call as done; the entry would answer
+			// every later Do with the zero value.
+			defer func() {
+				if !e.done.Load() {
+					m.drop(e)
+				}
+			}()
+			e.v = fn()
+			e.done.Store(true)
+		})
+		if e.done.Load() {
+			return e.v
+		}
+	}
+}
+
+// drop removes e from the table if it is still the resident entry for its
+// key (it may have been evicted, or the table reset, meanwhile).
+func (m *Memo[K, V]) drop(e *memoEntry[K, V]) {
 	m.mu.Lock()
-	e, ok := m.entries[key]
-	if ok {
-		m.touch(e)
-	} else {
-		e = &memoEntry[K, V]{key: key}
-		m.insert(e)
+	defer m.mu.Unlock()
+	if m.entries[e.key] != e {
+		return
 	}
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	e.once.Do(func() {
-		e.v = fn()
-		e.done.Store(true)
-	})
-	return e.v
+	delete(m.entries, e.key)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // Cached returns the completed value for key, if any. It is the allocation-

@@ -297,3 +297,81 @@ func TestEngineCapacityOption(t *testing.T) {
 		t.Fatalf("default engine Capacity = %d, want 0", def.Capacity)
 	}
 }
+
+// TestMemoDoPanicNotCached: sync.Once treats a panicking call as done, so a
+// computation that unwinds used to leave an entry answering every later Do
+// with the zero value (for the serve tier's response cache, an empty 200).
+// The entry must vanish instead: invisible to Len, Range and Cached, and the
+// next Do computes.
+func TestMemoDoPanicNotCached(t *testing.T) {
+	for _, capacity := range []int{0, 2} {
+		m := NewMemoCap[string, int](capacity)
+		m.Do("other", func() int { return 7 })
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("capacity %d: recovered %v, want the computation's panic", capacity, r)
+				}
+			}()
+			m.Do("k", func() int { panic("boom") })
+		}()
+		if got := m.Len(); got != 1 {
+			t.Fatalf("capacity %d: Len = %d after a panicked Do, want 1 (the other key)", capacity, got)
+		}
+		if v, ok := m.Cached("k"); ok {
+			t.Fatalf("capacity %d: Cached exposes the dead entry (%d)", capacity, v)
+		}
+		m.Range(func(k string, _ int) bool {
+			if k == "k" {
+				t.Fatalf("capacity %d: Range exposes the dead entry", capacity)
+			}
+			return true
+		})
+		calls := 0
+		for i := 0; i < 2; i++ {
+			if got := m.Do("k", func() int { calls++; return 42 }); got != 42 {
+				t.Fatalf("capacity %d: Do after a panicked Do = %d, want 42", capacity, got)
+			}
+		}
+		if calls != 1 {
+			t.Fatalf("capacity %d: fn ran %d times after the panic, want 1 (recomputed once, then cached)", capacity, calls)
+		}
+		// The recency list survived the unlink: both keys, oldest first.
+		var order []string
+		m.Range(func(k string, _ int) bool { order = append(order, k); return true })
+		if len(order) != 2 || order[0] != "other" || order[1] != "k" {
+			t.Fatalf("capacity %d: Range order %v, want [other k]", capacity, order)
+		}
+	}
+}
+
+// TestMemoDoPanicWaiterRetries: a Do that was waiting on the computation
+// that panicked must not return the zero value either — it retries through
+// a fresh entry and computes.
+func TestMemoDoPanicWaiterRetries(t *testing.T) {
+	m := NewMemo[string, int]()
+	entered, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		m.Do("k", func() int {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	got := make(chan int)
+	go func() { got <- m.Do("k", func() int { return 42 }) }()
+	// Let the waiter reach the entry's Once if it is going to; either way
+	// (waiting there, or arriving after the drop) it must compute 42.
+	time.Sleep(5 * time.Millisecond)
+	close(release)
+	select {
+	case v := <-got:
+		if v != 42 {
+			t.Fatalf("waiter got %d from a panicked computation, want its own 42", v)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("waiter never returned")
+	}
+}

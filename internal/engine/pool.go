@@ -25,11 +25,26 @@ import (
 // The Workers(n) bound is engine-wide and token-based: every goroutine
 // executing bodies (ForEach caller or helper) holds one of n slot tokens,
 // so concurrent ForEach/Sweep/Plan callers collectively run at most n
-// bodies at a time. Nested calls are re-entrant: a body that calls ForEach
-// on the same engine is detected through the running-goroutine registry and
-// reuses its held slot — it pushes the child tasks onto its own deque and
-// drains/steals them in place instead of waiting for a second token, so
-// nested evaluation cannot deadlock under saturation.
+// bodies at a time.
+//
+// Admission asks nothing about who is calling. ForEach takes a token with a
+// non-blocking receive and runs; the pool keeps no record of which goroutine
+// holds which slot. Only when every token is out does it ask the one
+// question that matters — "is this call already inside a pool body?" — and
+// answers it from the caller's own stack: every body, on every path, is
+// entered through runBody, so a goroutine with runBody's call site among its
+// return addresses is executing a body and already occupies a token (its
+// own, or the one under which an enclosing in-place call runs). Such a
+// nested call runs its children in place, serially, on that token; it never
+// waits, so nested evaluation cannot deadlock under saturation. Any other
+// caller on a saturated pool blocks until a token returns. A nested call
+// that does find a spare token simply takes it: its children land on that
+// slot's deque and stay stealable.
+//
+// The stack carries function addresses, not engines: a body of engine A that
+// calls into a saturated engine B is also "inside a body" and runs in place
+// on B, one body over B's bound. No path in this repository nests across
+// engines.
 type taskGroup struct {
 	fn        func(int)
 	remaining atomic.Int64
@@ -46,44 +61,71 @@ const groupSlots = 256
 // helper tolerates before returning its slot token to the engine.
 const helperMaxMisses = 16
 
-// gid returns the current goroutine's id, parsed from the runtime stack
-// header ("goroutine N [running]:"). One call per ForEach, off the body
-// hot path.
-func gid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for _, c := range buf[10:n] { // skip "goroutine "
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
 // ForEach runs fn(i) for every i in [0, n) on the engine's worker pool and
 // returns when all calls have completed. fn must write results into
 // per-index slots (not append to shared state) so that the output is
 // deterministic regardless of execution order. fn may call ForEach (or
-// Sweep/Plan helpers that do) on the same engine: the nested call runs on
-// the caller's already-held worker slot.
+// Sweep/Plan helpers that do) on the same engine: the nested call takes a
+// spare worker slot if there is one and otherwise runs in place on the slot
+// its enclosing body occupies. The slot is released even if fn panics on
+// the calling goroutine, so a recovered panic costs the engine nothing.
 func (e *Engine) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	id := gid()
-	if slot, ok := e.running.Load(id); ok {
-		// Nested call from a goroutine already executing pool bodies:
-		// reuse its slot; do not touch the token channel.
-		e.forEachOn(slot.(int), n, fn)
-		return
+	var slot int
+	select {
+	case slot = <-e.slots:
+	default:
+		if insideBody() {
+			// Nested call on a saturated pool. The enclosing body's interval
+			// already covers these, so they are not timed again.
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
+			return
+		}
+		slot = <-e.slots // blocks: enforces the engine-wide Workers bound
 	}
-	slot := <-e.slots // blocks: enforces the engine-wide Workers bound
-	e.running.Store(id, slot)
+	defer func() { e.slots <- slot }()
 	e.forEachOn(slot, n, fn)
-	e.running.Delete(id)
-	e.slots <- slot
+}
+
+// runBody is the one call site through which every pool body is entered. It
+// is kept out of line so that site's return address is on the stack of any
+// goroutine executing a body; insideBody looks for it.
+//
+//go:noinline
+func runBody(fn func(int), i int) { fn(i) }
+
+// bodyPC is the return address of runBody's call to fn, read once off a
+// probe body's own stack.
+var bodyPC = func() (pc uintptr) {
+	runBody(func(int) {
+		var pcs [2]uintptr // this closure, then its caller: runBody
+		runtime.Callers(1, pcs[:])
+		pc = pcs[1]
+	}, 0)
+	return pc
+}()
+
+// insideBody reports whether the calling goroutine is executing a pool
+// body, by scanning its return addresses for bodyPC. It runs only when the
+// pool is saturated; the buffer lives on the stack, and a stack deeper than
+// the buffer is read in windows.
+func insideBody() bool {
+	var pcs [64]uintptr
+	for skip := 0; ; skip += len(pcs) {
+		n := runtime.Callers(skip, pcs[:])
+		for _, pc := range pcs[:n] {
+			if pc == bodyPC {
+				return true
+			}
+		}
+		if n < len(pcs) {
+			return false
+		}
+	}
 }
 
 // forEachOn runs the group on the calling goroutine, which holds slot.
@@ -136,35 +178,32 @@ func (e *Engine) forEachOn(slot, n int, fn func(int)) {
 // runInline executes the group serially on the held slot — the Workers(1)
 // reference path and the group-table-exhaustion fallback.
 func (e *Engine) runInline(slot, n int, fn func(int)) {
-	m := e.met
-	if m != nil && slot < len(m.workerBusy) {
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			fn(i)
-			m.workerBusy[slot].Add(uint64(time.Since(start)))
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
-		fn(i)
+		e.runTimed(slot, fn, i)
 	}
 }
 
 // runTask resolves a claimed packed word and executes its body on slot.
 func (e *Engine) runTask(slot int, v uint64) {
 	g := e.groups[uint32(v>>32)-1].Load()
-	i := int(uint32(v))
-	m := e.met
-	if m != nil && slot < len(m.workerBusy) {
-		start := time.Now()
-		g.fn(i)
-		m.workerBusy[slot].Add(uint64(time.Since(start)))
-	} else {
-		g.fn(i)
-	}
+	e.runTimed(slot, g.fn, int(uint32(v)))
 	if g.remaining.Add(-1) == 0 {
 		close(g.done)
 	}
+}
+
+// runTimed runs one body on slot, charging its wall time to the slot's busy
+// counter when a registry is attached. A slot is held by one goroutine and
+// each nesting level holds its own, so a slot's intervals never overlap.
+func (e *Engine) runTimed(slot int, fn func(int), i int) {
+	m := e.met
+	if m == nil {
+		runBody(fn, i)
+		return
+	}
+	start := time.Now()
+	runBody(fn, i)
+	m.workerBusy[slot].Add(uint64(time.Since(start)))
 }
 
 // spawnHelpers lends up to want idle slot tokens to helper goroutines that
@@ -185,12 +224,7 @@ func (e *Engine) spawnHelpers(g *taskGroup, want int) {
 // may push children there), steals from victims, and returns its slot when
 // the group that spawned it completes or no work surfaces for a while.
 func (e *Engine) helper(slot int, g *taskGroup) {
-	id := gid()
-	e.running.Store(id, slot)
-	defer func() {
-		e.running.Delete(id)
-		e.slots <- slot
-	}()
+	defer func() { e.slots <- slot }()
 	d := e.deques[slot]
 	misses := 0
 	for {

@@ -57,11 +57,17 @@ func Predict(cfg sim.Config) (*Prediction, error) {
 // planner, the experiment grids) obtain them once from the engine's memo
 // instead of re-probing per configuration.
 func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
-	s := cfg.Schedule
-	stages, err := cfg.Model.Partition(s.D)
+	stages, err := cfg.Model.Partition(cfg.Schedule.D)
 	if err != nil {
 		return nil, err
 	}
+	return predict(cfg, stages, cf, cb)
+}
+
+// predict is Eq. 1 over the caller's stage table: cfg.Model partitioned at
+// cfg.Schedule.D.
+func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, error) {
+	s := cfg.Schedule
 	// Micro-benchmarked Ft per stage (the embedding and head stages are
 	// heavier than the repeated middle stages; at extreme depths — one
 	// layer per stage — the head becomes the pipeline's rate limiter, so a
@@ -357,7 +363,9 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // schedules shared by every N in the sweep): it stops at the first B that
 // fits plainly, remembering on the way the first that fits with
 // recomputation. Only the (D, N = B̂/(W·B)) it settles on is built, compiled
-// and replayed.
+// and replayed. (model, D) is fixed for the whole candidate, so the stage
+// table is derived once and priced by every fit and by Eq. 1, and the fits
+// share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.
@@ -376,6 +384,10 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		Model: req.Model, W: w, SpeedFactors: factors,
 		Device: req.Device, Network: req.Network,
 	}
+	// Partitioned at the first B whose profile resolves: a candidate that
+	// never gets that far reports nothing, not a partition error.
+	var stages []model.Stage
+	var fit sim.MemoryFit
 	plainB, recB := 0, 0 // first B fitting plainly / with recomputation
 	for b := req.MaxB; b >= 1 && plainB == 0; b /= 2 {
 		if perPipe%b != 0 {
@@ -385,8 +397,13 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		if err != nil {
 			continue
 		}
+		if stages == nil {
+			if stages, err = req.Model.Partition(d); err != nil {
+				return nil, err
+			}
+		}
 		cfg.MicroBatch = b
-		plain, withRec, err := sim.FitsResidency(cfg, res)
+		plain, withRec, err := fit.Fits(cfg, stages, res)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +433,7 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 	if err != nil {
 		return nil, err
 	}
-	pred, err := PredictWithCritical(cfg, cf, cb)
+	pred, err := predict(cfg, stages, cf, cb)
 	if err != nil {
 		return nil, err
 	}

@@ -167,3 +167,32 @@ func TestPlanMatchesTwoPassSearch(t *testing.T) {
 	}
 	t.Logf("%d feasible plans (%d recompute rows) and %d infeasible equal the two-pass reference", feasible, recompute, infeasible)
 }
+
+// TestPlanOneUnresolvableProfiles: planOne derives its stage table once per
+// candidate, and must still not ask for it before a residency profile
+// resolves. At an odd D no Chimera schedule exists, so every B's lookup
+// errors and the candidate reports nothing — as the reference does — even
+// though 48 layers do not split into 5 stages either: partitioning earlier
+// would turn a silently skipped candidate into an error.
+func TestPlanOneUnresolvableProfiles(t *testing.T) {
+	req := PlanRequest{
+		Model: model.BERT48(), P: 15, MiniBatch: 192, MaxB: 64,
+		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(),
+	}
+	const w, d = 3, 5
+	if _, err := req.Model.Partition(d); err == nil {
+		t.Fatal("test premise: the model must not partition at this depth")
+	}
+	e := engine.New(engine.Workers(1))
+	if _, err := e.Residency(engine.ChimeraKey(d, req.MiniBatch/w, 0, schedule.Direct)); err == nil {
+		t.Fatal("test premise: no residency profile may resolve at this depth")
+	}
+	want, werr := twoPassPlanOne(e, req, w, d, "", nil)
+	got, gerr := planOne(e, req, w, d, "", nil)
+	if want != nil || werr != nil {
+		t.Fatalf("reference reported (%+v, %v), want nothing", want, werr)
+	}
+	if got != nil || gerr != nil {
+		t.Fatalf("planOne reported (%+v, %v), reference nothing", got, gerr)
+	}
+}

@@ -1,9 +1,23 @@
 package sim
 
 import (
+	"fmt"
+
 	"chimera/internal/model"
 	"chimera/internal/schedule"
 )
+
+// MemoryFit is the memory model's working storage: what a fit prices before
+// it reads a residency profile — training-state bytes per worker, activation
+// bytes per stage. The zero value is ready to use. One value may be driven
+// through any sequence of configurations, depths and schemes — every call
+// re-sizes, clears and refills it, and nothing carries over — so a search
+// over many micro-batch sizes (the planner's, per candidate) allocates once.
+// Not safe for concurrent use.
+type MemoryFit struct {
+	weights []int64 // per worker
+	act     []int64 // per stage
+}
 
 // PeakMemory returns the per-worker peak memory in bytes for the
 // configuration: training state for every hosted stage replica (plus
@@ -15,18 +29,30 @@ import (
 // the backward pass (the recompute working set).
 func PeakMemory(cfg *Config, stages []model.Stage) []int64 {
 	res := cfg.Schedule.Residency()
-	out := weightMemory(cfg, stages, res)
-	act := stageActivationBytes(cfg, stages)
-	for w := range out {
-		out[w] += activationPeak(cfg, act, &res.Workers[w], cfg.Recompute)
+	var m MemoryFit // fresh: the result is the caller's to keep
+	m.price(cfg, stages, res)
+	for w := range m.weights {
+		m.weights[w] += activationPeak(cfg, m.act, &res.Workers[w], cfg.Recompute)
 	}
-	return out
+	return m.weights
 }
 
-// weightMemory returns, per worker, the training-state bytes of the stage
-// replicas it hosts.
-func weightMemory(cfg *Config, stages []model.Stage, res *schedule.Residency) []int64 {
-	out := make([]int64, len(res.Workers))
+// zeroed returns s with length n and every element zero, reusing its array
+// when that is large enough.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// price fills the scratch for one configuration: per worker, the
+// training-state bytes of the stage replicas it hosts; per stage, the full
+// activation footprint of one micro-batch of the configuration's size.
+func (m *MemoryFit) price(cfg *Config, stages []model.Stage, res *schedule.Residency) {
+	m.weights = zeroed(m.weights, len(res.Workers))
 	for w := range res.Workers {
 		wr := &res.Workers[w]
 		// Asynchronous schemes stash extra weight versions: PipeDream one per
@@ -48,26 +74,19 @@ func weightMemory(cfg *Config, stages []model.Stage, res *schedule.Residency) []
 				// optimizer state (momentum, 4 B/param) is sharded across the
 				// stage's holder group.
 				r := int64(res.Replicas * cfg.W)
-				out[w] += params * (8 + (4+r-1)/r)
+				m.weights[w] += params * (8 + (4+r-1)/r)
 			} else {
-				out[w] += params * model.BytesPerParamTraining
+				m.weights[w] += params * model.BytesPerParamTraining
 			}
 			// Extra stashed versions store weights only (fp32), not
 			// gradients or optimizer state.
-			out[w] += (versions - 1) * params * 4
+			m.weights[w] += (versions - 1) * params * 4
 		}
 	}
-	return out
-}
-
-// stageActivationBytes returns each stage's full activation footprint for
-// one micro-batch of the configuration's size.
-func stageActivationBytes(cfg *Config, stages []model.Stage) []int64 {
-	act := make([]int64, len(stages))
+	m.act = zeroed(m.act, len(stages))
 	for i := range stages {
-		act[i] = stages[i].ActivationBytes(cfg.MicroBatch)
+		m.act[i] = stages[i].ActivationBytes(cfg.MicroBatch)
 	}
-	return act
 }
 
 // activationPeak prices one worker's residency profile: the most bytes any
@@ -110,9 +129,10 @@ func FitsMemory(cfg Config) (plain, withRecompute bool, err error) {
 
 // FitsResidency is FitsMemory answered from a residency profile alone:
 // cfg.Schedule is not consulted, so a caller holding the profile of an
-// equivalent (shorter) schedule — the planner's B search, through
-// engine.Residency — never builds the schedule it is asking about. The
-// model is partitioned and weights are priced once for both answers.
+// equivalent (shorter) schedule never builds the schedule it is asking
+// about. It partitions the model and prices on fresh scratch; a caller
+// asking about one (model, D) many times holds both and calls
+// (*MemoryFit).Fits.
 func FitsResidency(cfg Config, res *schedule.Residency) (plain, withRecompute bool, err error) {
 	if err := validateFor(&cfg, len(res.Workers)); err != nil {
 		return false, false, err
@@ -121,18 +141,39 @@ func FitsResidency(cfg Config, res *schedule.Residency) (plain, withRecompute bo
 	if err != nil {
 		return false, false, err
 	}
-	weights := weightMemory(&cfg, stages, res)
-	act := stageActivationBytes(&cfg, stages)
+	plain, withRecompute = new(MemoryFit).fits(&cfg, stages, res)
+	return plain, withRecompute, nil
+}
+
+// Fits is FitsResidency over the caller's stage table — cfg.Model
+// partitioned at the profile's depth, which the planner's micro-batch search
+// (through engine.Residency) derives once per candidate rather than once per
+// B tried — reusing m's storage. Nothing but the storage outlives the call:
+// cfg is validated and the scratch cleared every time.
+func (m *MemoryFit) Fits(cfg Config, stages []model.Stage, res *schedule.Residency) (plain, withRecompute bool, err error) {
+	if err := validateFor(&cfg, len(res.Workers)); err != nil {
+		return false, false, err
+	}
+	if len(stages) != len(res.Workers) {
+		return false, false, fmt.Errorf("sim: %d stages for a residency profile of %d workers", len(stages), len(res.Workers))
+	}
+	plain, withRecompute = m.fits(&cfg, stages, res)
+	return plain, withRecompute, nil
+}
+
+// fits prices a validated configuration once and answers both questions.
+func (m *MemoryFit) fits(cfg *Config, stages []model.Stage, res *schedule.Residency) (plain, withRecompute bool) {
+	m.price(cfg, stages, res)
 	plain, withRecompute = true, true
 	for w := range res.Workers {
-		if weights[w]+activationPeak(&cfg, act, &res.Workers[w], false) > cfg.Device.MemBytes {
+		if m.weights[w]+activationPeak(cfg, m.act, &res.Workers[w], false) > cfg.Device.MemBytes {
 			plain = false
 		}
-		if weights[w]+activationPeak(&cfg, act, &res.Workers[w], true) > cfg.Device.MemBytes {
+		if m.weights[w]+activationPeak(cfg, m.act, &res.Workers[w], true) > cfg.Device.MemBytes {
 			withRecompute = false
 		}
 	}
-	return plain, withRecompute, nil
+	return plain, withRecompute
 }
 
 // AutoRun simulates the configuration, enabling recomputation automatically
