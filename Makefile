@@ -18,17 +18,21 @@ race:
 
 # race-sweep runs the daemon packages (the engine's pool and memo tables,
 # the HTTP chassis and the three daemons built on it) and the fleet layer
-# (plan curves shared by a live sim and its forks) twenty times under the
-# race detector; one failing run fails the target. The engine runs at
-# -cpu 1,4: on one P a pool saturates and nested calls run in place, on four
-# helpers steal and nested calls find spare tokens — different code, and the
-# runner's core count should not pick which is swept. The fleet run is
-# -short: its single-threaded oracle suites shrink, the concurrency tests do
-# not.
+# (plan curves shared by a live sim and its forks) twenty times, and the
+# planner core five times, under the race detector; one failing run fails
+# the target. The engine runs at -cpu 1,4: on one P a pool saturates and
+# nested calls run in place, on four helpers steal and nested calls find
+# spare tokens — different code, and the runner's core count should not pick
+# which is swept. The fleet run is -short: its single-threaded oracle suites
+# shrink, the concurrency tests do not. The schedule and perfmodel packages
+# are in because graph compile and replay draw from three process-wide pools
+# (producerPool, topoScratchPool, readoutPool) that concurrent planners
+# share.
 race-sweep:
 	$(GO) test -race -count=20 -cpu 1,4 ./internal/engine
 	$(GO) test -race -count=20 ./internal/httpd ./internal/serve ./internal/router ./internal/controller
 	$(GO) test -race -count=20 -short ./internal/fleet
+	$(GO) test -race -count=5 ./internal/schedule ./internal/perfmodel
 
 # bench-build vets and tests the benchmark module. bench/ is outside the
 # root module (it is compiled against internal APIs through a replace

@@ -14,12 +14,12 @@ func GPipe(d, n int) (*Schedule, error) {
 		s.Workers[w] = make([]Op, 0, 2*n)
 		for m := 0; m < n; m++ {
 			s.Workers[w] = append(s.Workers[w],
-				Op{Kind: Forward, Stage: w, Replica: 0, Micros: microRun(m, 1), prio: w + m})
+				Op{Kind: Forward, Stage: w, Replica: 0, Micros: microRun(m, 1), prio: int32(w + m)})
 		}
 		for m := 0; m < n; m++ {
 			// Backwards drain in micro-batch order from the last stage.
 			s.Workers[w] = append(s.Workers[w],
-				Op{Kind: Backward, Stage: w, Replica: 0, Micros: microRun(m, 1), prio: n + d + (d - 1 - w) + m})
+				Op{Kind: Backward, Stage: w, Replica: 0, Micros: microRun(m, 1), prio: int32(n + d + (d - 1 - w) + m)})
 		}
 	}
 	s.sortWorkerOps()
@@ -57,7 +57,7 @@ func dapple1F1B(name string, d, n int, synchronous bool) (*Schedule, error) {
 		if warmup > n {
 			warmup = n
 		}
-		slot := w // first forward arrives after w hops
+		slot := int32(w) // first forward arrives after w hops
 		nextF, nextB := 0, 0
 		for nextF < warmup {
 			s.Workers[w] = append(s.Workers[w],
@@ -110,8 +110,8 @@ func GEMS(d, n int) (*Schedule, error) {
 		for st := 0; st < d; st++ {
 			w := rm.WorkerOf[st]
 			s.Workers[w] = append(s.Workers[w],
-				Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: base + st},
-				Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: base + 2*d - 1 - st})
+				Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: int32(base + st)},
+				Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: int32(base + 2*d - 1 - st)})
 		}
 	}
 	s.sortWorkerOps()

@@ -21,13 +21,31 @@ func BenchmarkChimeraConstructD32F4(b *testing.B) {
 }
 
 // BenchmarkChimeraBuildD16N256 is the cold planner's unit of construction
-// work: a long direct-concatenation schedule (8192 ops), emission plus
-// sortWorkerOps. Allocations are reported because the build is allocation-
-// bound: they should stay a constant, not grow with D or N.
+// work: a long direct-concatenation schedule (8192 ops), each written once
+// into the schedule's one op array. Allocations are reported because the
+// build is allocation-bound: they should stay a constant, not grow with D or
+// N (TestChimeraBuildWritesOnce gates count and bytes).
 func BenchmarkChimeraBuildD16N256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Chimera(ChimeraConfig{D: 16, N: 256}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileD16N256 is the cold planner's other unit of construction
+// work: compiling that schedule's 8192 ops to the graph IR — producer table,
+// shape table, predecessor CSR, topological order.
+func BenchmarkCompileD16N256(b *testing.B) {
+	s, err := Chimera(ChimeraConfig{D: 16, N: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compileGraph(s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,6 +63,18 @@ func (cfg ChimeraConfig) ResidencyEquivalent() ChimeraConfig {
 
 // Chimera builds the bidirectional pipeline schedule of §3.1–§3.6.
 func Chimera(cfg ChimeraConfig) (*Schedule, error) {
+	return chimera(cfg, doublingUpPhase)
+}
+
+// doublingUpPhase staggers the up pipelines of a doubled/halved unit against
+// the down pipelines. The value is fixed by measurement (see
+// TestDoublingPhaseChoice): it minimizes the replayed makespan over the
+// candidate phases for the evaluated depths.
+const doublingUpPhase = 0
+
+// chimera is Chimera with the 1F2B units' up-pipeline phase as an argument,
+// so the test that justifies the constant can build the alternatives.
+func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 	d, n, f := cfg.D, cfg.N, cfg.F
 	if f == 0 {
 		f = 1
@@ -77,12 +89,14 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 		return nil, fmt.Errorf("chimera: N must be ≥1, got %d", n)
 	}
 	s := &Schedule{
-		Scheme:      "chimera",
-		D:           d,
-		N:           n,
-		F:           f,
-		Workers:     make([][]Op, d),
-		Synchronous: true,
+		Scheme:       "chimera",
+		D:            d,
+		N:            n,
+		F:            f,
+		Workers:      make([][]Op, d),
+		Replicas:     make([]ReplicaMap, 0, 2*f),
+		Synchronous:  true,
+		MicroReplica: make([]int, n),
 	}
 	for i := 0; i < f; i++ {
 		s.Replicas = append(s.Replicas, downMap(d, f, i))
@@ -90,13 +104,9 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 	for i := 0; i < f; i++ {
 		s.Replicas = append(s.Replicas, upMap(d, f, i))
 	}
-	s.MicroReplica = make([]int, n)
 
 	switch {
 	case n <= d || cfg.Concat == Direct:
-		// A micro-batch visits every worker once on its way through the
-		// pipeline and once on the way back: a forward and a backward op.
-		s.reserveOps(2 * n)
 		buildChimeraDirect(s, f)
 	case cfg.Concat == ForwardDoubling || cfg.Concat == BackwardHalving:
 		if n%d != 0 {
@@ -111,13 +121,13 @@ func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 			perWorker = 3*d*(units/2) + 2*d*(units%2)
 		}
 		s.reserveOps(perWorker)
-		buildChimeraDoubling(s, cfg, f)
+		buildChimeraDoubling(s, cfg, f, upPhase)
 		s.DoubledForward = true
 		s.HalvedBackward = cfg.Concat == BackwardHalving
+		s.sortWorkerOps()
 	default:
 		return nil, fmt.Errorf("chimera: unknown concat mode %v", cfg.Concat)
 	}
-	s.sortWorkerOps()
 	return s, nil
 }
 
@@ -130,9 +140,9 @@ func (s *Schedule) reserveOps(perWorker int) {
 	}
 }
 
-// emitPair records a forward+backward pair placement for micro-batch mb of
-// replica r, the m-th of its pipeline within the unit, using the base-unit
-// slot formulas offset by unitOffset.
+// pairSlots gives the construction slots of the forward and backward op of
+// stage st for the m-th micro-batch of a pipeline within a basic unit that
+// starts at slot unitOffset.
 //
 // Base-unit slotting (equal-cost model): within pipeline-local order m,
 // every pipeline — regardless of f — places F(m, s) at slot s + 2m and
@@ -151,14 +161,20 @@ func (s *Schedule) reserveOps(perWorker int) {
 // The per-worker idle is D/f − 2 slots, i.e. Table 3's bubble ratio
 // (D−2f)/(2fN+D−2f) = (D/f−2)/(2N+D/f−2). TestChimeraFConflictFree
 // exercises this over many (D, f).
+func pairSlots(d, st, m, unitOffset int) (fSlot, bSlot int32) {
+	return int32(st + 2*m + unitOffset), int32(2*d - 1 - st + 2*m + unitOffset)
+}
+
+// emitPair appends the forward+backward pair of micro-batch mb of replica r,
+// the m-th of its pipeline within the unit at unitOffset, to every worker
+// the replica crosses (micro-major emission: sortWorkerOps orders it later).
 func (s *Schedule) emitPair(r, mb, m, unitOffset int) {
 	d := s.D
 	rm := s.Replicas[r]
 	micros := microRun(mb, 1)
 	for st := 0; st < d; st++ {
 		w := rm.WorkerOf[st]
-		fSlot := st + 2*m + unitOffset
-		bSlot := 2*d - 1 - st + 2*m + unitOffset
+		fSlot, bSlot := pairSlots(d, st, m, unitOffset)
 		s.Workers[w] = append(s.Workers[w],
 			Op{Kind: Forward, Stage: st, Replica: r, Micros: micros, prio: fSlot},
 			Op{Kind: Backward, Stage: st, Replica: r, Micros: micros, prio: bSlot})
@@ -180,54 +196,117 @@ func (s *Schedule) emitPlainUnit(order, counts []int, mb, unitOffset int) {
 
 // buildChimeraDirect handles N ≤ D and direct concatenation of basic units.
 // Micro-batches are dealt to the 2f pipelines round-robin (down pipelines
-// first), each unit carrying up to D micro-batches.
+// first), each unit carrying up to D micro-batches and starting 2D slots —
+// its busy slots per worker — after the previous one.
+//
+// This is the one generator the planner calls, so it writes each op once.
+// Every slot is closed-form, so instead of emitting micro-major and sorting
+// a copy, each worker's ops are enumerated twice straight from the formulas
+// — once to count ops per slot, once to place them — and land at their final
+// index in the schedule's single backing array.
 func buildChimeraDirect(s *Schedule, f int) {
 	d, n := s.D, s.N
-	unitSpan := 2 * d // busy slots per worker per unit: seamless concat offset
-	order := pipelineDealOrder(f)
-	full := fairShare(d, 2*f)
-	mb := 0
-	for unit := 0; mb < n; unit++ {
-		counts := full
-		inUnit := n - mb
-		if inUnit > d {
-			inUnit = d
-		} else if inUnit < d {
-			counts = fairShare(inUnit, 2*f)
+	units := (n + d - 1) / d
+	// stageOn[r·D + w] is the stage of replica r that worker w hosts.
+	stageOn := make([]int32, 2*f*d)
+	for r, rm := range s.Replicas {
+		for st, w := range rm.WorkerOf {
+			stageOn[r*d+w] = int32(st)
 		}
-		s.emitPlainUnit(order, counts, mb, unit*unitSpan)
-		mb += inUnit
+	}
+	backing := make([]Op, 2*n*d) // a forward and a backward per micro-batch per worker
+	var slots slotTable
+	for w := range s.Workers {
+		dst := backing[2*n*w : 2*n*(w+1) : 2*n*(w+1)]
+		// A unit's last backward runs D/f − 2 slots into its successor's span.
+		slots.reset(0, int32(2*d*units+d))
+		s.directWorkerOps(w, f, stageOn, &slots, nil)
+		ties := slots.prefix()
+		s.directWorkerOps(w, f, stageOn, &slots, dst)
+		if ties {
+			settleTies(dst)
+		}
+		s.Workers[w] = dst
+	}
+	for mb0 := 0; mb0 < n; mb0 += d {
+		for pi := 0; pi < 2*f; pi++ {
+			count, first := dealt(min(d, n-mb0), 2*f, pi)
+			for mb := mb0 + first; mb < mb0+first+count; mb++ {
+				s.MicroReplica[mb] = dealReplica(f, pi)
+			}
+		}
 	}
 }
 
-// pipelineDealOrder alternates directions so that for f=1 the down pipeline
-// receives ⌈N/2⌉ and the up pipeline ⌊N/2⌋ micro-batches (paper §3.1).
-// Replicas 0..f-1 are down pipelines, f..2f-1 up pipelines.
+// directWorkerOps enumerates worker w's ops of a direct-concatenation
+// schedule, pipeline by pipeline and unit by unit. With a nil dst it only
+// counts them into slots; otherwise it writes each op to the index slots
+// hands out for its slot.
+func (s *Schedule) directWorkerOps(w, f int, stageOn []int32, slots *slotTable, dst []Op) {
+	d, n := s.D, s.N
+	micros := microTable(n)
+	for pi := 0; pi < 2*f; pi++ {
+		rep := dealReplica(f, pi)
+		st := int(stageOn[rep*d+w])
+		for mb0 := 0; mb0 < n; mb0 += d {
+			count, first := dealt(min(d, n-mb0), 2*f, pi)
+			for m := 0; m < count; m++ {
+				fSlot, bSlot := pairSlots(d, st, m, 2*mb0) // unit mb0/D starts at slot 2D·(mb0/D)
+				if dst == nil {
+					slots.count(fSlot)
+					slots.count(bSlot)
+					continue
+				}
+				mb := mb0 + first + m
+				carried := micros[mb : mb+1 : mb+1]
+				// dst is still zeroed, so the fields are stored one by one: a
+				// whole-Op assignment is a typed move, which runs a write
+				// barrier over all 48 bytes whenever the collector is marking
+				// (often — a cold plan allocates megabytes); this way only
+				// the Micros pointer goes through it.
+				fo, bo := &dst[slots.take(fSlot)], &dst[slots.take(bSlot)]
+				fo.Kind, fo.prio, fo.Stage, fo.Replica, fo.Micros = Forward, fSlot, st, rep, carried
+				bo.Kind, bo.prio, bo.Stage, bo.Replica, bo.Micros = Backward, bSlot, st, rep, carried
+			}
+		}
+	}
+}
+
+// dealReplica is the replica behind position pi of the deal order: the
+// directions alternate — down0, up0, down1, up1, ... — so that for f=1 the
+// down pipeline receives ⌈N/2⌉ and the up pipeline ⌊N/2⌋ micro-batches
+// (paper §3.1). Replicas 0..f-1 are down pipelines, f..2f-1 up pipelines.
+func dealReplica(f, pi int) int {
+	return (pi%2)*f + pi/2
+}
+
+// pipelineDealOrder lists dealReplica over the 2f pipelines.
 func pipelineDealOrder(f int) []int {
-	out := make([]int, 0, 2*f)
-	for i := 0; i < f; i++ {
-		out = append(out, i, f+i)
+	out := make([]int, 2*f)
+	for pi := range out {
+		out[pi] = dealReplica(f, pi)
 	}
 	return out
 }
 
-// fairShare splits n items into k nearly equal counts (first ones larger).
+// dealt splits n items over k pipelines in nearly equal runs (first ones
+// larger) and returns how many the i-th gets and the index of its first.
+func dealt(n, k, i int) (count, first int) {
+	count, first = n/k, i*(n/k)+min(i, n%k)
+	if i < n%k {
+		count++
+	}
+	return count, first
+}
+
+// fairShare lists dealt's counts over all k pipelines.
 func fairShare(n, k int) []int {
 	out := make([]int, k)
 	for i := range out {
-		out[i] = n / k
-	}
-	for i := 0; i < n%k; i++ {
-		out[i]++
+		out[i], _ = dealt(n, k, i)
 	}
 	return out
 }
-
-// doublingUpPhase staggers the up pipelines of a doubled/halved unit against
-// the down pipelines. The value is fixed by measurement (see
-// TestDoublingPhaseChoice): it minimizes the replayed makespan over the
-// candidate phases for the evaluated depths.
-var doublingUpPhase = 0
 
 // buildChimeraDoubling constructs the forward-doubling / backward-halving
 // schedules of §3.5. Both share the "1F2B" unit shape (one forward slot, two
@@ -235,13 +314,13 @@ var doublingUpPhase = 0
 // micro-batches and the unit covers 2D of them; under halving the forward op
 // carries one micro-batch whose backward runs as two half-size passes, so
 // the unit covers D micro-batches.
-func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f int) {
+func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f, upPhase int) {
 	d, n := s.D, s.N
 	halving := cfg.Concat == BackwardHalving
 	mb, offset := 0, 0
 	if halving {
 		for mb < n {
-			emitOneF2BUnit(s, f, mb, offset, true)
+			emitOneF2BUnit(s, f, mb, offset, upPhase, true)
 			mb += d
 			// Busy slots per worker per unit: D forwards + 2D half-backwards.
 			offset += 3 * d
@@ -250,7 +329,7 @@ func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f int) {
 	}
 	k := n / d
 	for k >= 2 {
-		emitOneF2BUnit(s, f, mb, offset, false)
+		emitOneF2BUnit(s, f, mb, offset, upPhase, false)
 		mb += 2 * d
 		offset += 3 * d
 		k -= 2
@@ -263,9 +342,9 @@ func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f int) {
 
 // emitOneF2BUnit emits one 1F2B-shaped unit. Down/up pipelines each carry
 // D/2f forward slots spaced 3f apart (forward + two backward slots per
-// position at the last stage); up pipelines are phase-shifted by
-// doublingUpPhase, with residual collisions resolved by replay order.
-func emitOneF2BUnit(s *Schedule, f int, mbBase, offset int, halving bool) {
+// position at the last stage); up pipelines are phase-shifted by upPhase,
+// with residual collisions resolved by replay order.
+func emitOneF2BUnit(s *Schedule, f int, mbBase, offset, upPhase int, halving bool) {
 	d := s.D
 	order := pipelineDealOrder(f)
 	slotsPerPipe := d / (2 * f)
@@ -274,7 +353,7 @@ func emitOneF2BUnit(s *Schedule, f int, mbBase, offset int, halving bool) {
 		rm := s.Replicas[rep]
 		phase := 0
 		if !rm.Down {
-			phase += doublingUpPhase
+			phase = upPhase
 		}
 		for j := 0; j < slotsPerPipe; j++ {
 			fSlot := offset + phase + 3*j
@@ -287,9 +366,9 @@ func emitOneF2BUnit(s *Schedule, f int, mbBase, offset int, halving bool) {
 				for st := 0; st < d; st++ {
 					w := rm.WorkerOf[st]
 					s.Workers[w] = append(s.Workers[w],
-						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: fSlot + st},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 1, prio: b0Slot - st},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 2, prio: b1Slot - st})
+						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: int32(fSlot + st)},
+						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 1, prio: int32(b0Slot - st)},
+						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 2, prio: int32(b1Slot - st)})
 				}
 			} else {
 				m0, m1 := mbBase+local, mbBase+local+1
@@ -298,9 +377,9 @@ func emitOneF2BUnit(s *Schedule, f int, mbBase, offset int, halving bool) {
 				for st := 0; st < d; st++ {
 					w := rm.WorkerOf[st]
 					s.Workers[w] = append(s.Workers[w],
-						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m0, 2), prio: fSlot + st},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m0, 1), prio: b0Slot - st},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m1, 1), prio: b1Slot - st})
+						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m0, 2), prio: int32(fSlot + st)},
+						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m0, 1), prio: int32(b0Slot - st)},
+						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m1, 1), prio: int32(b1Slot - st)})
 				}
 			}
 		}
@@ -312,7 +391,3 @@ func emitOneF2BUnit(s *Schedule, f int, mbBase, offset int, halving bool) {
 func OneF1B(d, n int) (*Schedule, error) {
 	return dapple1F1B("1f1b", d, n, true)
 }
-
-// SetDoublingUpPhase overrides the up-pipeline phase of the 1F2B units; it
-// exists for schedule-construction experiments and tests.
-func SetDoublingUpPhase(p int) { doublingUpPhase = p }

@@ -214,10 +214,8 @@ func TestDoublingMemoryDoubles(t *testing.T) {
 // the best of the candidate offsets for the evaluated depths (a measured
 // design choice, cf. DESIGN.md ablations).
 func TestDoublingPhaseChoice(t *testing.T) {
-	defer SetDoublingUpPhase(0)
 	span := func(d, n, phase int) int64 {
-		SetDoublingUpPhase(phase)
-		s, err := Chimera(ChimeraConfig{D: d, N: n, Concat: ForwardDoubling})
+		s, err := chimera(ChimeraConfig{D: d, N: n, Concat: ForwardDoubling}, phase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +226,11 @@ func TestDoublingPhaseChoice(t *testing.T) {
 		return tl.Makespan
 	}
 	for _, c := range []struct{ d, n int }{{4, 8}, {8, 16}, {16, 32}} {
-		best := span(c.d, c.n, 0)
-		for p := 1; p <= 4; p++ {
+		best := span(c.d, c.n, doublingUpPhase)
+		for p := 0; p <= 4; p++ {
 			if s := span(c.d, c.n, p); s < best {
-				t.Errorf("D=%d N=%d: phase %d (span %d) beats configured phase 0 (span %d)",
-					c.d, c.n, p, s, best)
+				t.Errorf("D=%d N=%d: phase %d (span %d) beats configured phase %d (span %d)",
+					c.d, c.n, p, s, doublingUpPhase, best)
 			}
 		}
 	}

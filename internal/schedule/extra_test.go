@@ -148,3 +148,37 @@ func TestGradReadyCoversAllPlacements(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsMalformedHeader: Schedule is a public alias, so a
+// hand-built one may carry header slices shorter than D and N say. Validate
+// must name the field instead of indexing past it; compile, which indexes
+// its per-worker tables by D, must refuse a wrong worker count too.
+func TestValidateRejectsMalformedHeader(t *testing.T) {
+	ops := [][]Op{{{Kind: Forward, Micros: []int{0}}, {Kind: Backward, Micros: []int{0}}}}
+	whole := func() *Schedule {
+		return &Schedule{
+			Scheme: "hand-built", D: 1, N: 1, Workers: ops,
+			Replicas:     []ReplicaMap{{Down: true, WorkerOf: []int{0}}},
+			MicroReplica: []int{0},
+		}
+	}
+	if err := whole().Validate(); err != nil {
+		t.Fatalf("the well-formed literal must validate: %v", err)
+	}
+	for field, breakIt := range map[string]func(*Schedule){
+		"MicroReplica": func(s *Schedule) { s.MicroReplica = nil },
+		"Workers":      func(s *Schedule) { s.Workers = append(s.Workers, nil) },
+		"WorkerOf":     func(s *Schedule) { s.Replicas[0].WorkerOf = nil },
+	} {
+		s := whole()
+		breakIt(s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s too short or long: want an error naming it, got %v", field, err)
+		}
+	}
+	s := whole()
+	s.Workers = append(s.Workers, nil)
+	if _, err := s.Graph(); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("compile with D+1 worker lists: want an error naming Workers, got %v", err)
+	}
+}

@@ -43,8 +43,10 @@ type Graph struct {
 	// the id's sign instead of a parallel []bool.
 	predStart []int32
 	pred      []int32
-	// order is a topological order of the node ids (existence is proven at
-	// compile time; a cycle is the compile-time deadlock error).
+	// order is a topological order of the node ids: a permutation in which
+	// every predecessor comes before its consumer (existence is proven at
+	// compile time; a cycle is the compile-time deadlock error). Which valid
+	// order it is, nothing may depend on — see topoSort.
 	order []int32
 	// grad[gradStart[w]:gradStart[w+1]] lists the (replica, stage)
 	// placements with a backward op on worker w, ordered by (stage,
@@ -78,6 +80,18 @@ func (g *Graph) predAt(e int32) (int32, bool) {
 	return p, false
 }
 
+// dataEdges returns the range of node id's data edges in pred, given the
+// first node of its worker: every node but a worker's first leads with its
+// program-order edge, then carries one data edge per consumed token, in
+// Micros order.
+func (g *Graph) dataEdges(id, workerFirst int32) (from, to int32) {
+	from = g.predStart[id]
+	if id > workerFirst {
+		from++
+	}
+	return from, g.predStart[id+1]
+}
+
 // at returns the worker and op of node id, read through the source
 // schedule. Replay never needs it; placement policies and error paths do.
 func (g *Graph) at(id int32) (int, *Op) {
@@ -87,31 +101,32 @@ func (g *Graph) at(id int32) (int, *Op) {
 
 // producerTab maps dependency tokens to producing node ids through a flat
 // index instead of a hash map: token (kind, micro, stage, half) lives at
-// ((kind·maxMicro + micro)·D + stage)·3 + half. Compilation is the
+// ((kind·maxMicro + micro)·D + stage)·halves + half, halves being 1 unless
+// the schedule halves its backward passes. Compilation is the
 // engine's uncached hot path and the map's hashing dominated its profile;
 // the flat table removes it. Tables recycle through a pool, and entries
 // are epoch-tagged (high half the owning compilation's epoch, low half
 // id+1) so a reused table needs no zeroing — a stale epoch reads as "no
 // producer".
 type producerTab struct {
-	d, maxMicro int
-	epoch       uint32
-	tab         []uint64
+	d, maxMicro, halves int
+	epoch               uint32
+	tab                 []uint64
 }
 
 var producerPool sync.Pool
 
-func getProducerTab(d, maxMicro int) *producerTab {
+func getProducerTab(d, maxMicro, halves int) *producerTab {
 	p, _ := producerPool.Get().(*producerTab)
 	if p == nil {
 		p = &producerTab{}
 	}
-	need := 2 * maxMicro * d * 3
+	need := 2 * maxMicro * d * halves
 	if cap(p.tab) < need {
 		p.tab = make([]uint64, need)
 	}
 	p.tab = p.tab[:need]
-	p.d, p.maxMicro = d, maxMicro
+	p.d, p.maxMicro, p.halves = d, maxMicro, halves
 	p.epoch++
 	if p.epoch == 0 { // wrapped: stale tags could collide, so clear once
 		p.epoch = 1
@@ -121,7 +136,7 @@ func getProducerTab(d, maxMicro int) *producerTab {
 }
 
 func (p *producerTab) idx(k depKey) int {
-	return ((int(k.kind)*p.maxMicro+k.micro)*p.d+k.stage)*3 + int(k.half)
+	return ((int(k.kind)*p.maxMicro+k.micro)*p.d+k.stage)*p.halves + int(k.half)
 }
 
 // get returns the producing node id for k, if any.
@@ -156,21 +171,23 @@ func (s *Schedule) Graph() (*Graph, error) {
 func (g *Graph) Nodes() int { return len(g.shape) }
 func (g *Graph) Edges() int { return len(g.pred) }
 
-// depTokens calls fn with every data token op consumes: forward activations
-// from the previous stage, the loss dependency at the last stage, and
-// boundary gradients from the next stage (matching half under backward
-// halving). These are the execution semantics the map interpreter resolved
+// consumed returns the data token op waits on for each micro-batch it
+// carries, with the micro field left for the caller to fill in: forward
+// activations from the previous stage, the loss dependency at the last stage,
+// and boundary gradients from the next stage (matching half under backward
+// halving). ok is false for an op that consumes nothing (a first-stage
+// forward). These are the execution semantics the map interpreter resolved
 // per replay; the graph resolves them once.
-func (s *Schedule) depTokens(op Op, fn func(depKey)) {
-	for _, m := range op.Micros {
-		switch {
-		case op.Kind == Forward && op.Stage > 0:
-			fn(depKey{Forward, m, op.Stage - 1, 0})
-		case op.Kind == Backward && op.Stage == s.D-1:
-			fn(depKey{Forward, m, op.Stage, 0})
-		case op.Kind == Backward:
-			fn(depKey{Backward, m, op.Stage + 1, op.Half})
-		}
+func (s *Schedule) consumed(op *Op) (k depKey, ok bool) {
+	switch {
+	case op.Kind == Forward && op.Stage > 0:
+		return depKey{kind: Forward, stage: op.Stage - 1}, true
+	case op.Kind == Forward:
+		return depKey{}, false
+	case op.Stage == s.D-1:
+		return depKey{kind: Forward, stage: op.Stage}, true
+	default:
+		return depKey{kind: Backward, stage: op.Stage + 1, half: op.Half}, true
 	}
 }
 
@@ -183,6 +200,9 @@ func (k depKey) String() string {
 }
 
 func compileGraph(s *Schedule) (*Graph, error) {
+	if len(s.Workers) != s.D {
+		return nil, fmt.Errorf("schedule %q (D=%d N=%d): Workers lists %d workers, want D", s.Scheme, s.D, s.N, len(s.Workers))
+	}
 	total := s.OpsTotal()
 	if int64(total) > math.MaxInt32 {
 		return nil, fmt.Errorf("schedule %q (D=%d N=%d): %d ops exceed the graph's int32 node space", s.Scheme, s.D, s.N, total)
@@ -197,10 +217,10 @@ func compileGraph(s *Schedule) (*Graph, error) {
 
 	// The flat tables below need every index range up front. Micro ids are
 	// dense small integers by construction, so the producer table stays tiny
-	// (2·maxMicro·D·3 entries); replicas and maxLen (the widest micro list)
-	// size the shape table. maxEdges bounds the CSR: one program-order edge
-	// per op plus at most one data token per carried micro.
-	maxMicro, maxEdges, maxLen, replicas := 0, 0, 1, 1
+	// (2·maxMicro·D·halves entries); replicas and maxLen (the widest micro
+	// list) size the shape table. maxEdges bounds the CSR: one program-order
+	// edge per op plus at most one data token per carried micro.
+	maxMicro, maxEdges, maxLen, replicas, halves := 0, 0, 1, 1, 1
 	nodes := int32(0)
 	for w, ops := range s.Workers {
 		g.base[w] = nodes
@@ -213,6 +233,7 @@ func compileGraph(s *Schedule) (*Graph, error) {
 			maxEdges += 1 + len(op.Micros)
 			maxLen = max(maxLen, len(op.Micros))
 			replicas = max(replicas, op.Replica+1)
+			halves = max(halves, int(op.Half)+1)
 			for _, m := range op.Micros {
 				if m < 0 {
 					return nil, fmt.Errorf("schedule %q (D=%d N=%d): op %s has negative micro-batch id", s.Scheme, s.D, s.N, *op)
@@ -231,7 +252,7 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	// it is no greater than the current worker's first id. Both tables index
 	// placements as stage·replicas + replica, so scanning lastB in index
 	// order yields the (stage, replica) order of the grad-ready read-out.
-	producer := getProducerTab(s.D, maxMicro)
+	producer := getProducerTab(s.D, maxMicro, halves)
 	defer producerPool.Put(producer)
 	shapeTab := make([]int32, s.D*replicas*2*maxLen*3)
 	lastB := make([]int32, s.D*replicas)
@@ -271,63 +292,79 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	// predStart compacting as we go, verifying every consumed token has a
 	// producer — an unresolvable token is the first class of construction
 	// deadlock, and it is diagnosable exactly here, with the op, worker
-	// and token in hand.
+	// and token in hand. dataEdges states the layout of a node's edges.
 	pred := make([]int32, maxEdges)
-	var compileErr error
 	e := int32(0)
 	for w, ops := range s.Workers {
 		lo, hi := g.base[w], g.base[w+1]
-		for i, op := range ops {
+		for i := range ops {
+			op := &ops[i]
 			id := lo + int32(i)
 			g.predStart[id] = e
 			if i > 0 {
 				pred[e] = id - 1 // program-order edge to the previous op
 				e++
 			}
-			s.depTokens(op, func(k depKey) {
+			k, ok := s.consumed(op)
+			if !ok {
+				continue
+			}
+			for _, m := range op.Micros {
+				k.micro = m
 				p, ok := producer.get(k)
 				if !ok {
-					if compileErr == nil {
-						compileErr = fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
-							s.Scheme, s.D, s.N, op, w, k)
-					}
-					return
+					return nil, fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
+						s.Scheme, s.D, s.N, *op, w, k)
 				}
 				if p < lo || p >= hi { // produced on another worker
 					p = ^p
 				}
 				pred[e] = p
 				e++
-			})
-			if compileErr != nil {
-				return nil, compileErr
 			}
 		}
 	}
 	g.predStart[total] = e
 	g.pred = pred[:e:e]
 
-	if err := g.topoSort(producer); err != nil {
+	if err := g.topoSort(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// topoSort computes g.order with Kahn's algorithm over the predecessor
-// lists. A cycle is the second class of construction deadlock (an op ordered
-// before one of its dependencies on the same worker); the error names the
-// first blocked op in worker order and the dependency token it waits on.
-func (g *Graph) topoSort(producer *producerTab) error {
-	total := g.Nodes()
-	edges := int(g.predStart[total])
-	// One pooled scratch block for the whole sort: indeg | succStart |
-	// succ. The successor CSR is built with the pointer-shift trick —
-	// counts land in succStart[p+1], the fill phase advances succStart[p]
-	// past each edge, leaving succStart[p] == the end of p's range (and
-	// p's start in succStart[p-1]) — so no separate count or fill arrays
-	// exist. Only succStart needs zeroing on reuse: indeg is assigned and
-	// every succ slot is written exactly once by the fill.
-	need := total + (total + 1) + edges
+// A node's state during topoSort: emitted, nobody waiting for it yet (the
+// zero value, so clearing the scratch block resets it), or w+1 > 0 when
+// worker w heads the chain of workers parked on it.
+const (
+	nodeEmitted  int32 = -1
+	nodeNoWaiter int32 = 0
+)
+
+// topoSort computes g.order by running the schedule the way its workers
+// would, without clocks: each worker walks its program until it reaches an op
+// with a predecessor not yet emitted, parks on that predecessor, and is put
+// back on the ready stack when the predecessor is emitted. Program order is
+// the walk itself, so only data edges are ever looked at, each at most once
+// per time its consumer is (re)visited — O(nodes + edges) with no indegree
+// array and no successor lists. Workers parked on one node form a chain
+// through next, headed by the node's state.
+//
+// The replay kernel (run) is a max-plus recurrence over the DAG, so finish
+// times are the same for every valid topological order; nothing may depend
+// on which one this is, and TestGraphOrderIsTopological pins only validity.
+//
+// If the ready stack drains with ops left, every unfinished worker is parked
+// on a data edge whose producer can never run: a cycle, the second class of
+// construction deadlock (an op ordered before one of its dependencies on the
+// same worker, or workers waiting on each other).
+func (g *Graph) topoSort() error {
+	total, d := g.Nodes(), len(g.base)-1
+	// One pooled scratch block: state per node | cursor, next, ready per
+	// worker. Only state needs clearing on reuse — cursor and ready are
+	// assigned below, and next[w] is written each time w parks, before any
+	// read of it.
+	need := total + 3*d
 	sp, _ := topoScratchPool.Get().(*[]int32)
 	if sp == nil {
 		sp = new([]int32)
@@ -337,94 +374,69 @@ func (g *Graph) topoSort(producer *producerTab) error {
 	}
 	defer topoScratchPool.Put(sp)
 	block := (*sp)[:need]
-	clear(block[total : 2*total+1])
-	indeg := block[:total]
-	succStart := block[total : 2*total+1]
-	succ := block[2*total+1:]
-	for id := 0; id < total; id++ {
-		indeg[id] = g.predStart[id+1] - g.predStart[id]
-		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
-			p, _ := g.predAt(e)
-			succStart[p+1]++
-		}
+	state := block[:total]
+	clear(state)
+	cursor := block[total : total+d]             // the node worker w runs next
+	next := block[total+d : total+2*d]           // the worker parked behind w, +1
+	ready := block[total+2*d : total+2*d : need] // stack of runnable workers, cap d
+	for w := d - 1; w >= 0; w-- {
+		cursor[w] = g.base[w]
+		ready = append(ready, int32(w))
 	}
-	for id := 0; id < total; id++ {
-		succStart[id+1] += succStart[id]
-	}
-	for id := 0; id < total; id++ {
-		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
-			p, _ := g.predAt(e)
-			succ[succStart[p]] = int32(id)
-			succStart[p]++
-		}
-	}
-
-	order := make([]int32, 0, total)
-	for id := 0; id < total; id++ {
-		if indeg[id] == 0 {
-			order = append(order, int32(id))
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		id := order[head]
-		lo := int32(0)
-		if id > 0 {
-			lo = succStart[id-1]
-		}
-		for e := lo; e < succStart[id]; e++ {
-			n := succ[e]
-			indeg[n]--
-			if indeg[n] == 0 {
-				order = append(order, n)
+	order := make([]int32, total)
+	emitted := 0
+	for len(ready) > 0 {
+		w := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		id, lo, hi := cursor[w], g.base[w], g.base[w+1]
+	walk:
+		for ; id < hi; id++ {
+			// Not the program-order edge: the previous op was just emitted.
+			for e, to := g.dataEdges(id, lo); e < to; e++ {
+				if p, _ := g.predAt(e); state[p] != nodeEmitted {
+					next[w], state[p] = state[p], w+1
+					break walk
+				}
 			}
+			order[emitted] = id
+			emitted++
+			for waiter := state[id]; waiter != nodeNoWaiter; waiter = next[waiter-1] {
+				ready = append(ready, waiter-1)
+			}
+			state[id] = nodeEmitted
 		}
+		cursor[w] = id
 	}
-	if len(order) < total {
-		return g.deadlockError(indeg, producer)
+	if emitted < total {
+		return g.deadlockError(cursor, state, total-emitted)
 	}
 	g.order = order
 	return nil
 }
 
-// deadlockError diagnoses a dependency cycle: it finds the first worker
-// whose next program-order op is blocked, and names that op, its worker, the
-// unmet dependency token, and the token's (equally stuck) producer.
-func (g *Graph) deadlockError(indeg []int32, producer *producerTab) error {
+// deadlockError diagnoses a dependency cycle from where topoSort stopped: it
+// names the parked op of the first worker, in worker order, that could not
+// finish — its worker, the unmet dependency token, and the token's (equally
+// stuck) producer.
+func (g *Graph) deadlockError(cursor, state []int32, remaining int) error {
 	s := g.s
-	remaining := 0
-	for _, d := range indeg {
-		if d > 0 {
-			remaining++
-		}
-	}
 	for w := 0; w < s.D; w++ {
-		for id := g.base[w]; id < g.base[w+1]; id++ {
-			if indeg[id] == 0 {
+		id := cursor[w]
+		if id == g.base[w+1] {
+			continue
+		}
+		op := &s.Workers[w][id-g.base[w]]
+		unmet, _ := s.consumed(op)
+		first, to := g.dataEdges(id, g.base[w])
+		for e := first; e < to; e++ {
+			p, _ := g.predAt(e)
+			if state[p] == nodeEmitted {
 				continue
 			}
-			// First blocked op of the lowest blocked worker. Its program-
-			// order predecessors all scheduled (it is the first blocked one
-			// only if indeg counts a data dep)... find the unmet data token.
-			op := s.Workers[w][id-g.base[w]]
-			var unmet *depKey
-			s.depTokens(op, func(k depKey) {
-				if unmet != nil {
-					return
-				}
-				if p, ok := producer.get(k); ok && (indeg[p] > 0 || p == id) {
-					kk := k
-					unmet = &kk
-				}
-			})
-			if unmet == nil {
-				// Blocked only through program order: an earlier op on this
-				// worker is part of the cycle; keep scanning that one.
-				continue
-			}
-			p, _ := producer.get(*unmet)
+			unmet.micro = op.Micros[e-first]
 			pw, pop := g.at(p)
 			return fmt.Errorf("schedule %q (D=%d N=%d): deadlock with %d ops unscheduled: op %s on worker %d waits on %s, whose producer %s on worker %d cannot run",
-				s.Scheme, s.D, s.N, remaining, op, w, *unmet, *pop, pw)
+				s.Scheme, s.D, s.N, remaining, *op, w, unmet, *pop, pw)
 		}
 	}
 	return fmt.Errorf("schedule %q (D=%d N=%d): deadlock with %d ops unscheduled", s.Scheme, s.D, s.N, remaining)

@@ -11,8 +11,9 @@ import (
 // FuzzGraphReplayEquivalence hammers the compiled-graph replay against the
 // retained map interpreter (internal/refinterp) over fuzzer-chosen schemes,
 // depths, micro-batch counts and cost models: any (scheme, d, n) both can
-// build must replay to bit-identical timelines, read-outs (makespan,
-// compute-end, grad-ready) and Eq. 1 critical paths under any cost model.
+// build must compile to a valid topological order and replay to bit-identical
+// timelines, read-outs (makespan, compute-end, grad-ready) and Eq. 1 critical
+// paths under any cost model.
 // The committed seed corpus (testdata/fuzz) covers every scheme; CI
 // additionally fuzzes for a bounded time.
 func FuzzGraphReplayEquivalence(f *testing.F) {
@@ -55,6 +56,11 @@ func FuzzGraphReplayEquivalence(f *testing.F) {
 		}
 		if gerr != nil {
 			return // both reject the schedule — equivalent behavior
+		}
+		if g, err := s.Graph(); err != nil {
+			t.Fatalf("%s d=%d n=%d: graph after a successful replay: %v", scheme, d, n, err)
+		} else if err := g.OrderError(); err != nil {
+			t.Fatalf("%s d=%d n=%d: %v", scheme, d, n, err)
 		}
 		if got.Makespan != want.Makespan {
 			t.Fatalf("%s d=%d n=%d cm=%+v: makespan %d != %d", scheme, d, n, cm, got.Makespan, want.Makespan)

@@ -1,6 +1,7 @@
 package schedule_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,6 +241,131 @@ func TestDeadlockNamesCycle(t *testing.T) {
 	for _, want := range []string{"deadlock", "B0@s1/r0", "worker 1", "F(micro 0, stage 1)", "cannot run"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("deadlock error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// handBuilt wraps hand-written op lists, one per worker, in a schedule header:
+// what the generators cannot produce — cycles, and one node feeding two
+// workers — compile and the interpreter must still agree on.
+func handBuilt(scheme string, n int, workers [][]schedule.Op) *schedule.Schedule {
+	return &schedule.Schedule{Scheme: scheme, D: len(workers), N: n, Workers: workers, Synchronous: true}
+}
+
+// sharedProducer has two workers wait on one node at once: worker 2's doubled
+// forward F[0 1]@s1 produces the tokens of both single-micro forwards at
+// stage 2, one on worker 0 and one on worker 1. With cyclic set, worker 0 runs
+// its stage-2 forward before the stage-0 forward the doubled op itself waits
+// on, so the two-deep waiter chain on F[0 1]@s1 is never released.
+func sharedProducer(cyclic bool) *schedule.Schedule {
+	w0 := []schedule.Op{
+		{Kind: schedule.Forward, Stage: 0, Micros: []int{0, 1}},
+		{Kind: schedule.Forward, Stage: 2, Micros: []int{0}},
+	}
+	if cyclic {
+		w0[0], w0[1] = w0[1], w0[0]
+	}
+	return handBuilt("shared-producer", 2, [][]schedule.Op{
+		w0,
+		{{Kind: schedule.Forward, Stage: 2, Micros: []int{1}}},
+		{{Kind: schedule.Forward, Stage: 1, Micros: []int{0, 1}}},
+	})
+}
+
+// TestWaiterChainTwoDeep: both workers parked on one node must be released
+// when it is emitted — the second waiter must not overwrite the first — and
+// the resulting order must be valid and replay like the interpreter.
+func TestWaiterChainTwoDeep(t *testing.T) {
+	s := sharedProducer(false)
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatalf("two workers waiting on one node: %v", err)
+	}
+	if err := g.OrderError(); err != nil {
+		t.Fatal(err)
+	}
+	cm := schedule.CostModel{FUnit: 3, BUnit: 5, P2P: 2}
+	want, err := refinterp.Replay(s, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTimelinesEqual(t, s.Scheme, "p2p", g.Replay(cm), want)
+}
+
+// TestDeadlockDiagnoses covers the cycles beyond TestDeadlockNamesCycle's: each
+// must be reported as a deadlock naming the first blocked op in worker order,
+// its worker, its unmet token and the stuck producer, and must be the same
+// class of failure to the reference interpreter — a deadlock with as many ops
+// unscheduled, that op among the ones the interpreter lists as next.
+func TestDeadlockDiagnoses(t *testing.T) {
+	f := func(stage, micro int) schedule.Op {
+		return schedule.Op{Kind: schedule.Forward, Stage: stage, Micros: []int{micro}}
+	}
+	b := func(stage, micro int) schedule.Op {
+		return schedule.Op{Kind: schedule.Backward, Stage: stage, Micros: []int{micro}}
+	}
+	for _, c := range []struct {
+		name string
+		s    *schedule.Schedule
+		// what the graph's error must say, and the interpreter's next-op entry
+		unscheduled      int
+		blocked, worker  string
+		token, producer  string
+		interpreterEntry string
+	}{
+		{
+			// Worker 0 wants the gradient before sending the activation it is
+			// the gradient of: each worker is parked on the other's token.
+			name: "mutual-wait",
+			s: handBuilt("mutual-wait", 1, [][]schedule.Op{
+				{b(0, 0), f(0, 0)},
+				{f(1, 0), b(1, 0)},
+			}),
+			unscheduled: 4, blocked: "op B0@s0/r0", worker: "on worker 0",
+			token: "waits on B(micro 0, stage 1)", producer: "producer B0@s1/r0 on worker 1 cannot run",
+			interpreterEntry: " w0:B0@s0/r0",
+		},
+		{
+			// Worker 0 (the last stage) gets going, then blocks on a forward
+			// it has ordered two ops further down its own program.
+			name: "waits-on-own-later-op",
+			s: handBuilt("own-later-op", 2, [][]schedule.Op{
+				{f(1, 1), b(1, 0), b(1, 1), f(1, 0)},
+				{f(0, 0), f(0, 1), b(0, 0), b(0, 1)},
+			}),
+			unscheduled: 5, blocked: "op B0@s1/r0", worker: "on worker 0",
+			token: "waits on F(micro 0, stage 1)", producer: "producer F0@s1/r0 on worker 0 cannot run",
+			interpreterEntry: " w0:B0@s1/r0",
+		},
+		{
+			// Workers 0 and 2 wait on each other while worker 1 joins worker 0
+			// behind the same node of worker 2: its waiter chain is two deep
+			// when the sort gives up.
+			name:        "two-deep-chain-in-cycle",
+			s:           sharedProducer(true),
+			unscheduled: 4, blocked: "op F0@s2/r0", worker: "on worker 0",
+			token: "waits on F(micro 0, stage 1)", producer: "producer F[0 1]@s1/r0 on worker 2 cannot run",
+			interpreterEntry: " w0:F0@s2/r0",
+		},
+	} {
+		_, err := c.s.Replay(schedule.UnitEqual)
+		if err == nil {
+			t.Fatalf("%s: want a deadlock error, got none", c.name)
+		}
+		count := fmt.Sprintf("deadlock with %d ops unscheduled", c.unscheduled)
+		for _, want := range []string{count, c.blocked, c.worker, c.token, c.producer} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: deadlock error %q does not mention %q", c.name, err, want)
+			}
+		}
+		_, ierr := refinterp.Replay(c.s, schedule.UnitEqual)
+		if ierr == nil {
+			t.Fatalf("%s: the interpreter replays what compile calls a deadlock", c.name)
+		}
+		for _, want := range []string{count, c.interpreterEntry} {
+			if !strings.Contains(ierr.Error(), want) {
+				t.Errorf("%s: interpreter error %q does not mention %q", c.name, ierr, want)
+			}
 		}
 	}
 }

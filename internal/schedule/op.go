@@ -35,19 +35,21 @@ func (k Kind) String() string {
 	return "B"
 }
 
-// Op is one unit of work on one worker.
+// Op is one unit of work on one worker. Kind, Half and prio share the first
+// word, which keeps an Op at 48 bytes (TestOpSize): a schedule is one array
+// of these, built on every cold plan and retained by every memoized one.
 type Op struct {
-	Kind    Kind
-	Stage   int   // pipeline stage index in [0, D)
-	Replica int   // model replica executing this op
-	Micros  []int // micro-batch ids covered (len 1, or 2 under forward doubling)
+	Kind Kind
 	// Half distinguishes the two half-micro-batch backward passes of the
 	// backward-halving variant: 0 for a full pass, 1 or 2 for halves.
 	Half uint8
-
 	// prio is the idealized unit-cost start slot used to order ops within a
 	// worker during construction. It is not a scheduled time.
-	prio int
+	prio int32
+
+	Stage   int   // pipeline stage index in [0, D)
+	Replica int   // model replica executing this op
+	Micros  []int // micro-batch ids covered (len 1, or 2 under forward doubling)
 }
 
 // Micro returns the first covered micro-batch id.

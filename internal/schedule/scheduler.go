@@ -134,11 +134,8 @@ func newPlacementDAG(g *Graph, costs CostModel, speed []float64) (*placementDAG,
 			p.nodeCost[id] = float64(costs.Cost(op))
 			p.group[id] = int32(op.Replica*base.D + op.Stage)
 			p.groupLoad[p.group[id]] += p.nodeCost[id]
-			e := g.predStart[id]
-			if i > 0 {
-				e++ // the worker's program-order edge: old placement, not data
-			}
-			for ; e < g.predStart[id+1]; e++ {
+			// Not the worker's program-order edge: old placement, not data.
+			for e, to := g.dataEdges(id, g.base[w]); e < to; e++ {
 				pd, _ := g.predAt(e)
 				p.preds[id] = append(p.preds[id], pd)
 				p.succs[pd] = append(p.succs[pd], id)
@@ -289,7 +286,7 @@ func (p *placementDAG) eftSchedule(name string, prio []float64, pinned []int32) 
 		for i, id := range ids {
 			_, src := p.g.at(id)
 			op := *src
-			op.prio = i
+			op.prio = int32(i)
 			out.Workers[w] = append(out.Workers[w], op)
 		}
 	}
@@ -538,7 +535,7 @@ func (lbScheduler) Schedule(g *Graph, costs CostModel, speed []float64) (*Schedu
 		for i, po := range ops {
 			_, src := p.g.at(po.id)
 			op := *src
-			op.prio = i
+			op.prio = int32(i)
 			out.Workers[nw] = append(out.Workers[nw], op)
 		}
 	}

@@ -193,16 +193,15 @@ func (s *Schedule) WeightStashHighWater() []int {
 // sortWorkerOps orders each worker's list by construction priority slot,
 // with opLess' deterministic tiebreak inside a slot (kind, replica, micro,
 // half) and emission order between ops opLess cannot tell apart — the order
-// a stable sort by opLess would produce. Generators call this after emitting
-// ops with prio slots. Most emit in already-sorted order, which the pre-scan
-// detects; the rest are placed by slot: prio is a dense integer (a slot
-// index, so its range is within a small factor of the op count), so a
-// counting pass puts every op at its final position in O(n), and opLess is
-// consulted only inside a slot holding more than one op. Re-ordered lists
-// share one backing array.
+// a stable sort by opLess would produce. The micro-major generators (the
+// 1F1B family, GEMS, forward doubling / backward halving) call this after
+// emitting ops with prio slots; direct-concatenation Chimera enumerates
+// worker-major over the same slotTable and never comes here. Most emit in
+// already-sorted order, which the pre-scan detects; the rest are placed by
+// slot. Re-ordered lists share one backing array.
 func (s *Schedule) sortWorkerOps() {
-	var out []Op    // backing array for every re-ordered list
-	var start []int // slot → next free position, reused across workers
+	var out []Op // backing array for every re-ordered list
+	var slots slotTable
 	for w, ops := range s.Workers {
 		if opsSorted(ops) {
 			continue
@@ -216,7 +215,7 @@ func (s *Schedule) sortWorkerOps() {
 		}
 		dst := out[:len(ops):len(ops)]
 		out = out[len(ops):]
-		start = placeBySlot(dst, ops, start)
+		placeBySlot(dst, ops, &slots)
 		s.Workers[w] = dst
 	}
 }
@@ -231,40 +230,78 @@ func opsSorted(ops []Op) bool {
 }
 
 // placeBySlot writes ops into dst (same length, non-empty) in sortWorkerOps
-// order; start is scratch it may grow and returns for reuse.
-func placeBySlot(dst, ops []Op, start []int) []int {
+// order; slots is scratch, reused across workers.
+func placeBySlot(dst, ops []Op, slots *slotTable) {
 	lo, hi := ops[0].prio, ops[0].prio
 	for i := range ops {
-		if p := ops[i].prio; p < lo {
-			lo = p
-		} else if p > hi {
-			hi = p
-		}
+		lo, hi = min(lo, ops[i].prio), max(hi, ops[i].prio)
 	}
-	span := hi - lo + 2
-	if cap(start) < span {
-		start = make([]int, span)
+	slots.reset(lo, hi)
+	for i := range ops {
+		slots.count(ops[i].prio)
+	}
+	ties := slots.prefix()
+	for i := range ops {
+		dst[slots.take(ops[i].prio)] = ops[i]
+	}
+	if ties {
+		settleTies(dst)
+	}
+}
+
+// slotTable is the counting sort every generator's per-worker order comes
+// from: prio is a dense integer (a slot index, so its range is within a small
+// factor of the op count), so counting ops per slot and prefix-summing puts
+// every op at its final position in O(n) — count each op, prefix, then take
+// an index per op — and opLess is consulted only inside a slot holding more
+// than one op (settleTies). Ops of one slot are handed indices in take order.
+type slotTable struct {
+	lo int32
+	// next[p] is, while counting, the number of ops in slot lo+p−1; after
+	// prefix, the index the next op of slot lo+p goes to.
+	next []int32
+}
+
+// reset empties the table for slots lo..hi, reusing its array when it can.
+func (t *slotTable) reset(lo, hi int32) {
+	span := int(hi) - int(lo) + 2
+	if cap(t.next) < span {
+		t.next = make([]int32, span)
 	} else {
-		start = start[:span]
-		clear(start)
+		t.next = t.next[:span]
+		clear(t.next)
 	}
-	for i := range ops {
-		start[ops[i].prio-lo+1]++
+	t.lo = lo
+}
+
+func (t *slotTable) count(slot int32) { t.next[slot-t.lo+1]++ }
+
+// prefix turns the counts into start indices and reports whether any slot
+// holds more than one op.
+func (t *slotTable) prefix() (ties bool) {
+	sum := int32(0) // in a register: a next[p-1] read back would stall on the store before it
+	for p, n := range t.next {
+		ties = ties || n > 1
+		sum += n
+		t.next[p] = sum
 	}
-	for p := 1; p < span; p++ {
-		start[p] += start[p-1]
-	}
-	for i := range ops {
-		p := ops[i].prio - lo
-		dst[start[p]] = ops[i]
-		start[p]++
-	}
+	return ties
+}
+
+// take returns the index of the next op of slot.
+func (t *slotTable) take(slot int32) int32 {
+	i := t.next[slot-t.lo]
+	t.next[slot-t.lo] = i + 1
+	return i
+}
+
+// settleTies orders the ops sharing a slot by opLess, stably.
+func settleTies(dst []Op) {
 	for i := 1; i < len(dst); i++ {
 		for j := i; j > 0 && dst[j].prio == dst[j-1].prio && opLess(dst[j], dst[j-1]); j-- {
 			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
-	return start
 }
 
 func opLess(a, b Op) bool {

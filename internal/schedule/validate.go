@@ -9,6 +9,19 @@ import "fmt"
 //  3. per-worker order is consistent with data dependencies (replay succeeds),
 //  4. forward precedes backward per (micro-batch, stage) in replay time.
 func (s *Schedule) Validate() error {
+	// Schedule is a public alias, so the header may be hand-built: check the
+	// lengths everything below indexes by before indexing.
+	if len(s.Workers) != s.D {
+		return fmt.Errorf("%s: Workers lists %d workers, want D = %d", s.Scheme, len(s.Workers), s.D)
+	}
+	if len(s.MicroReplica) < s.N {
+		return fmt.Errorf("%s: MicroReplica covers %d micro-batches, want N = %d", s.Scheme, len(s.MicroReplica), s.N)
+	}
+	for r, rm := range s.Replicas {
+		if len(rm.WorkerOf) < s.D {
+			return fmt.Errorf("%s: Replicas[%d].WorkerOf covers %d stages, want D = %d", s.Scheme, r, len(rm.WorkerOf), s.D)
+		}
+	}
 	seen := make(map[depKey]int)
 	for w, ops := range s.Workers {
 		for _, op := range ops {
