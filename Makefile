@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sweep lint bench bench-build bench-serve bench-fleet bench-router fuzz cover clean
+.PHONY: all build test race race-sweep lint bench-build fuzz cover clean
 
 all: build lint test
 
@@ -36,7 +36,9 @@ race-sweep:
 
 # bench-build vets and tests the benchmark module. bench/ is outside the
 # root module (it is compiled against internal APIs through a replace
-# directive), so build/test/lint above never see it.
+# directive), so build/test/lint above never see it. Running the benchmark
+# itself is `bash bench/run.sh` (see bench/README.md and BENCHMARK.json);
+# it is the repository's only one.
 bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
 
@@ -45,41 +47,6 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
-
-# bench writes BENCH_sweep.json (serial vs parallel sweep throughput,
-# speedup, cache hit rate — the CI-archived perf trajectory) and
-# BENCH_fleet.json (its fleet section, standalone).
-bench:
-	$(GO) run ./cmd/chimera-bench -json -out BENCH_sweep.json -fleet-out BENCH_fleet.json
-
-# bench-fleet runs only the multi-job cluster-allocator benchmark:
-# equal-split vs planner-guided weighted fleet throughput on the benchmark
-# mix, the trace replay, and the cross-pool determinism check.
-bench-fleet:
-	$(GO) run ./cmd/chimera-bench -fleet-only -fleet-out BENCH_fleet.json
-
-# bench-serve starts chimera-serve, drives every endpoint with the
-# closed-loop load generator, and writes BENCH_serve.json (cold/warm
-# latency, throughput, cache hit rates, 429 shedding). The load generator
-# gates itself: plan responses byte-identical to in-process Plan, warm p50
-# ≥ 2× faster than cold, clean shedding under overload.
-bench-serve:
-	$(GO) build -o bin/chimera-serve ./cmd/chimera-serve
-	$(GO) build -o bin/chimera-loadgen ./cmd/chimera-loadgen
-	./bin/chimera-serve -addr 127.0.0.1:8642 -max-inflight 4 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
-	./bin/chimera-loadgen -addr http://127.0.0.1:8642 -out BENCH_serve.json
-
-# bench-router runs the self-contained router scaling benchmark: R
-# in-process single-slot replicas behind the consistent-hash router,
-# aggregate closed-loop rps at 1 vs R replicas, plus zipfian-skew tail
-# latency through the router. Gates (-min-router-scaling,
-# -max-zipf-p99-ms) are only meaningful on multi-core machines — replicas
-# sharing one core cannot scale.
-ROUTER_REPLICAS ?= 3
-bench-router:
-	$(GO) run ./cmd/chimera-loadgen -router-bench $(ROUTER_REPLICAS) -seed 1 \
-		-out BENCH_serve_router.json
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on
 # every plain `go test`) for a bounded time per target, mirroring CI.
@@ -95,4 +62,4 @@ cover:
 	$(GO) tool cover -func=coverage.out | tee coverage.txt
 
 clean:
-	rm -rf bin coverage.out coverage.txt
+	rm -rf bin coverage.out coverage.txt .bench_build bench/out

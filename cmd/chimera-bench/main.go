@@ -1,21 +1,16 @@
 // chimera-bench regenerates every table and figure of the paper's
-// evaluation (DESIGN.md §4) and prints them in order. Use -only to select a
-// single experiment by id substring, -train for the real-training demo
-// iteration count.
+// evaluation (DESIGN.md §4) and prints them in order. Use -only to select
+// experiments by id substring (the others are not run), -train for the
+// real-training demo iteration count.
 //
-// With -json it instead runs the concurrent sweep-engine benchmark (serial
-// uncached reference vs the worker-pool engine on a ≥64-configuration
-// tuning grid) and writes the machine-readable result to -out (default
-// BENCH_sweep.json) for CI to archive; a summary goes to stdout. The
-// result embeds a fleet section (the multi-job allocator benchmark), which
-// is additionally written alone to -fleet-out (default BENCH_fleet.json).
-// -fleet-only skips the sweep and runs just the fleet benchmark.
+// Performance is measured elsewhere: bench/ is the repo's one benchmark
+// (`bash bench/run.sh`, declared in BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,107 +20,26 @@ import (
 func main() {
 	only := flag.String("only", "", "run only experiments whose id contains this substring")
 	train := flag.Int("train", 12, "iterations for the real-training equivalence demo")
-	jsonMode := flag.Bool("json", false, "run the sweep-engine benchmark and emit JSON instead of the figures")
-	out := flag.String("out", "BENCH_sweep.json", "output path for -json (\"-\" for stdout)")
-	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "output path for the fleet section (\"-\" for stdout; with -json, \"\" skips writing it)")
-	fleetOnly := flag.Bool("fleet-only", false, "run only the fleet benchmark (skips the sweep) and write -fleet-out")
-	passes := flag.Int("passes", 0, "grid passes for -json (0 = default)")
 	flag.Parse()
 
-	if *jsonMode || *fleetOnly {
-		var err error
-		if *fleetOnly {
-			err = runFleetBench(*fleetOut)
-		} else {
-			err = runSweepBench(*out, *fleetOut, *passes)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chimera-bench:", err)
-			os.Exit(1)
-		}
-		return
+	if err := run(os.Stdout, experiments.All(*train), *only); err != nil {
+		fmt.Fprintf(os.Stderr, "experiment failed: %v\n", err)
+		os.Exit(1)
 	}
+}
 
-	for _, fn := range experiments.All(*train) {
-		rep, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment failed: %v\n", err)
-			os.Exit(1)
-		}
-		if *only != "" && !strings.Contains(rep.ID, *only) {
+// run executes the experiments whose id contains only (all of them when it
+// is empty) in order and prints each report to w.
+func run(w io.Writer, all []experiments.Experiment, only string) error {
+	for _, e := range all {
+		if !strings.Contains(e.ID, only) {
 			continue
 		}
-		rep.Fprint(os.Stdout)
-	}
-}
-
-func runSweepBench(out, fleetOut string, passes int) error {
-	b, err := experiments.BenchmarkSweep(passes)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(out, b); err != nil {
-		return err
-	}
-	if out == "-" {
-		// "-" is the machine-readable contract: the JSON document alone
-		// on stdout (the fleet section is embedded in it), no summaries.
-		return nil
-	}
-	fmt.Printf("sweep benchmark: %d configs × %d passes — serial %.1f configs/s, parallel %.1f configs/s (%.2fx, %d workers, cache hit rate %.0f%%), identical ranking: %v\n",
-		b.Configs, b.Passes, b.Serial.ConfigsPerSec, b.Parallel.ConfigsPerSec,
-		b.Speedup, b.Parallel.Workers, 100*b.Parallel.CacheHitRate, b.IdenticalRanking)
-	if b.Replay != nil {
-		fmt.Printf("replay benchmark: graph pass vs map interpreter, min D=16 speedup %.1fx over %d cases\n",
-			b.Replay.MinSpeedupD16, len(b.Replay.Cases))
-	}
-	if b.Schedulers != nil {
-		fmt.Println(b.Schedulers)
-	}
-	if b.Obs != nil {
-		fmt.Printf("obs benchmark: instrumented sweep %.2fx plain (%d series recorded), identical outcomes: %v\n",
-			b.Obs.Overhead, b.Obs.SeriesRecorded, b.Obs.IdenticalOutcomes)
-	}
-	fmt.Printf("wrote %s\n", out)
-	if b.Fleet != nil && fleetOut != "" {
-		if err := writeJSON(fleetOut, b.Fleet); err != nil {
+		rep, err := e.Run()
+		if err != nil {
 			return err
 		}
-		if fleetOut != "-" {
-			fmt.Println(b.Fleet)
-			fmt.Printf("wrote %s\n", fleetOut)
-		}
+		rep.Fprint(w)
 	}
 	return nil
-}
-
-func runFleetBench(fleetOut string) error {
-	if fleetOut == "" {
-		return fmt.Errorf("-fleet-only needs -fleet-out (\"-\" for stdout)")
-	}
-	b, err := experiments.BenchmarkFleet()
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(fleetOut, b); err != nil {
-		return err
-	}
-	if fleetOut != "-" {
-		fmt.Println(b)
-		fmt.Printf("wrote %s\n", fleetOut)
-	}
-	return nil
-}
-
-func writeJSON(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(raw)
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }

@@ -4,10 +4,12 @@
 // evaluations across every request instead of each process paying
 // cold-cache sweep costs.
 //
-// Endpoints: POST /v1/plan, /v1/fleet/plan, /v1/simulate, /v1/analyze,
-// /v1/render; GET /v1/schedules, /v1/stats, /healthz. Heavy endpoints pass admission
-// control: beyond -max-inflight concurrent requests the server sheds with
-// 429 instead of queueing. SIGINT/SIGTERM drain in-flight work before exit.
+// Endpoints: POST /v1/plan, /v1/plan:batch, /v1/fleet/plan,
+// /v1/fleet/simulate, /v1/simulate, /v1/analyze, /v1/render,
+// /v1/cache/snapshot; GET /v1/schedules, /v1/stats, /healthz, /readyz. The
+// POST endpoints pass admission control: beyond -max-inflight concurrent
+// requests the server sheds with 429 instead of queueing. SIGINT/SIGTERM
+// drain in-flight work before exit (/readyz answers 503 meanwhile).
 //
 // Observability: GET /metrics serves Prometheus text-format counters,
 // gauges and latency histograms for the serving, engine and fleet layers;

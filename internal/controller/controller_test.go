@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -86,16 +87,83 @@ func ingest(t *testing.T, ts *httptest.Server, events string) EventsResponse {
 	return resp
 }
 
+// replayLive is the controller's determinism anchor, shared by every input
+// of TestControllerIngestReplayIdentity: fetch the recorded event log,
+// replay it through SimulateElastic on a serial engine, and require the
+// live processed log to be a byte-identical prefix of the replay's and the
+// live allocation to be byte-identical to the replay's final shares, all
+// compared through the shared serve codec.
+func replayLive(t *testing.T, ts *httptest.Server, sc serve.FleetScenario) (LogResponse, *fleet.ElasticResult) {
+	t.Helper()
+	status, logBody := get(t, ts, "/v1/fleet/events/log")
+	if status != http.StatusOK {
+		t.Fatalf("log: %d %s", status, logBody)
+	}
+	var logResp LogResponse
+	if err := json.Unmarshal(logBody, &logResp); err != nil {
+		t.Fatal(err)
+	}
+	events, err := serve.ResolveFleetEvents(logResp.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	esc, err := sc.ResolveLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	esc.Events = events
+	replay, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	liveLog, err := json.Marshal(logResp.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayLog := serve.NewFleetEventRecords(replay.Log)
+	if len(replayLog) < len(logResp.Log) {
+		t.Fatalf("replay log has %d records, live has %d", len(replayLog), len(logResp.Log))
+	}
+	replayPrefix, err := json.Marshal(replayLog[:len(logResp.Log)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveLog, replayPrefix) {
+		t.Fatalf("live log is not a prefix of the replay log:\nlive:   %s\nreplay: %s", liveLog, replayPrefix)
+	}
+
+	status, allocBody := get(t, ts, "/v1/fleet/allocation")
+	if status != http.StatusOK {
+		t.Fatalf("allocation: %d %s", status, allocBody)
+	}
+	var alloc AllocationResponse
+	if err := json.Unmarshal(allocBody, &alloc); err != nil {
+		t.Fatal(err)
+	}
+	liveShares, err := json.Marshal(alloc.Allocation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayShares, err := json.Marshal(serve.NewFleetFinalShares(replay.Final))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveShares, replayShares) {
+		t.Fatalf("live allocation diverges from replay final:\nlive:   %s\nreplay: %s", liveShares, replayShares)
+	}
+	return logResp, replay
+}
+
 // TestControllerIngestReplayIdentity is the controller's correctness
-// anchor: drive batches through the HTTP ingestion path — including a
-// same-timestamp batch posted in scrambled wire order — then replay the
-// recorded event log through SimulateElastic and require (a) the pinned
-// same-timestamp tie-break (fail < drain < join < arrival) in the processed
-// log, (b) the live log to be a byte-identical prefix of the replay's, and
-// (c) the live allocation to be byte-identical to the replay's final
-// shares, all compared through the shared serve codec.
+// anchor (replayLive), on two inputs. First, hand-written batches through
+// the HTTP ingestion path — including a same-timestamp batch posted in
+// scrambled wire order, which must show the pinned tie-break (fail < drain
+// < join < arrival) in the processed log. Second, a seeded 64-event churn
+// storm over the shipped examples/fleet/controller.json, one ingest call
+// per storm slot, as an operator's driver would feed it.
 func TestControllerIngestReplayIdentity(t *testing.T) {
-	c, ts := newTestController(t, Config{})
+	_, ts := newTestController(t, Config{})
 
 	first := ingest(t, ts, `{"at":0,"job":"bert","work":4000},{"at":0,"job":"gpt","work":3000}`)
 	if first.Accepted != 2 || first.Version != 1 || first.Residents != 2 {
@@ -118,19 +186,10 @@ func TestControllerIngestReplayIdentity(t *testing.T) {
 	}
 	ingest(t, ts, `{"at":120,"kind":"node_join","class":"spot","price":0.5}`)
 
-	status, logBody := get(t, ts, "/v1/fleet/events/log")
-	if status != http.StatusOK {
-		t.Fatalf("log: %d %s", status, logBody)
-	}
-	var logResp LogResponse
-	if err := json.Unmarshal(logBody, &logResp); err != nil {
-		t.Fatal(err)
-	}
+	logResp, replay := replayLive(t, ts, testScenario())
 	if logResp.Version != 3 || len(logResp.Events) != 7 {
 		t.Fatalf("log reports version %d with %d events, want 3 with 7", logResp.Version, len(logResp.Events))
 	}
-
-	// (a) The pinned tie-break at t=50 in the processed records.
 	var at50 []string
 	for _, rec := range logResp.Log {
 		if rec.At == 50 && rec.Kind != string(fleet.EvDeparture) {
@@ -140,59 +199,6 @@ func TestControllerIngestReplayIdentity(t *testing.T) {
 	want50 := []string{"node_fail", "node_drain", "node_join", "arrival"}
 	if fmt.Sprint(at50) != fmt.Sprint(want50) {
 		t.Fatalf("t=50 applied order %v, want %v", at50, want50)
-	}
-
-	// Replay the recorded log through the trace simulator.
-	events, err := serve.ResolveFleetEvents(logResp.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esc, err := testScenario().ResolveLive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	esc.Events = events
-	replay, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// (b) Live log is a byte-identical prefix of the replay log.
-	liveLog, err := json.Marshal(logResp.Log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayLog := serve.NewFleetEventRecords(replay.Log)
-	if len(replayLog) < len(logResp.Log) {
-		t.Fatalf("replay log has %d records, live has %d", len(replayLog), len(logResp.Log))
-	}
-	replayPrefix, err := json.Marshal(replayLog[:len(logResp.Log)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveLog, replayPrefix) {
-		t.Fatalf("live log is not a prefix of the replay log:\nlive:   %s\nreplay: %s", liveLog, replayPrefix)
-	}
-
-	// (c) Live allocation == replay final shares, byte for byte.
-	status, allocBody := get(t, ts, "/v1/fleet/allocation")
-	if status != http.StatusOK {
-		t.Fatalf("allocation: %d %s", status, allocBody)
-	}
-	var alloc AllocationResponse
-	if err := json.Unmarshal(allocBody, &alloc); err != nil {
-		t.Fatal(err)
-	}
-	liveShares, err := json.Marshal(alloc.Allocation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayShares, err := json.Marshal(serve.NewFleetFinalShares(replay.Final))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveShares, replayShares) {
-		t.Fatalf("live allocation diverges from replay final:\nlive:   %s\nreplay: %s", liveShares, replayShares)
 	}
 	if replay.SpotJoins != 1 {
 		t.Fatalf("replay spot joins %d, want 1", replay.SpotJoins)
@@ -212,7 +218,40 @@ func TestControllerIngestReplayIdentity(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%.400s", series, metricsBody)
 		}
 	}
-	_ = c
+
+	// The storm input.
+	f, err := os.Open("../../examples/fleet/controller.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc serve.FleetScenario
+	err = serve.DecodeStrict(f, &sc)
+	f.Close()
+	if err != nil {
+		t.Fatalf("examples/fleet/controller.json: %v", err)
+	}
+	names := make([]string, 0, len(sc.Jobs))
+	for _, j := range sc.Jobs {
+		names = append(names, j.Name)
+	}
+	storm, err := fleet.GenerateStorm(fleet.StormConfig{Seed: 1, Jobs: names, Nodes: sc.Cluster.Nodes, Events: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestController(t, Config{Scenario: sc})
+	for i, batch := range fleet.StormBatches(storm) {
+		body, err := json.Marshal(EventsRequest{Events: serve.NewFleetEventRefs(batch)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, reply := post(t, ts, "/v1/fleet/events", string(body)); status != http.StatusOK {
+			t.Fatalf("storm batch %d (t=%.0f, %d events): %d %s", i, batch[0].At, len(batch), status, reply)
+		}
+	}
+	logResp, _ = replayLive(t, ts, sc)
+	if len(logResp.Events) != len(storm) {
+		t.Fatalf("controller recorded %d events of a %d-event storm", len(logResp.Events), len(storm))
+	}
 }
 
 // TestControllerIngestRejections: malformed bodies are 400, semantically

@@ -314,9 +314,8 @@ func Capacity(n int) Option {
 // ReferenceCore routes every simulator evaluation through the retained
 // map-interpreter replay core (internal/refinterp) instead of the compiled
 // dependency-graph core. This is the seed implementation's evaluation path,
-// kept runnable so benchmarks can measure the optimized core against it
-// (BENCH_sweep.json's uncached_speedup) and tests can assert equivalence.
-// Never use it on a hot path.
+// kept runnable as the oracle: bench/ generates its goldens through it and
+// tests assert the optimized core's equivalence. Never use it on a hot path.
 func ReferenceCore() Option {
 	return func(e *Engine) { e.refCore = true }
 }

@@ -10,6 +10,7 @@ import (
 
 	"chimera/internal/model"
 	"chimera/internal/obs"
+	"chimera/internal/sim"
 )
 
 // TestForEachNestedNoDeadlock: a ForEach body may itself evaluate through
@@ -329,8 +330,8 @@ func TestReferenceCoreIdenticalOutcomes(t *testing.T) {
 
 // BenchmarkMemoKeyAllocs measures a warm Evaluate — canonicalisation, memo
 // lookup and outcome return. The zero-alloc hit path (Memo.Cached plus
-// interned speed-factor decoding) keeps this at 0 allocs/op; BENCH_sweep's
-// allocs section reports the same number.
+// interned speed-factor decoding) keeps this at 0 allocs/op;
+// TestMemoHitAllocFree gates it.
 func BenchmarkMemoKeyAllocs(b *testing.B) {
 	e := New()
 	specs := testGrid(model.BERT48(), 16, 128, []int{4}, []int{2})
@@ -345,6 +346,26 @@ func BenchmarkMemoKeyAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Evaluate(spec)
+	}
+}
+
+// TestMemoHitAllocFree: a warm Evaluate of a cached spec — what a primed
+// daemon does per sweep point — allocates nothing, on a fixed placement and
+// on a list-scheduled one whose key canonicalisation decodes (interned)
+// speed factors.
+func TestMemoHitAllocFree(t *testing.T) {
+	e := New()
+	fixed := testGrid(model.BERT48(), 16, 128, []int{4}, []int{2})[0]
+	hetero := fixed
+	hetero.SpeedFactors = sim.EncodeSpeedFactors([]float64{1, 1, 2, 1})
+	hetero.Sched.Scheduler, hetero.Sched.Speed = "heft", hetero.SpeedFactors
+	for _, spec := range []Spec{fixed, hetero} {
+		if o := e.Evaluate(spec); o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { e.Evaluate(spec) }); allocs != 0 {
+			t.Fatalf("warm Evaluate (scheduler %q) allocates %v times per op, want 0", spec.Sched.Scheduler, allocs)
+		}
 	}
 }
 

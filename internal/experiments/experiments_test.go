@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"chimera/internal/model"
+	"chimera/internal/schedule"
 )
 
 // TestTable2MatchesPaper: measured values track the closed forms exactly
@@ -294,16 +297,66 @@ func TestTrainingEquivalenceTight(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsComplete: every harness runs to completion and
-// produces output (the cmd/chimera-bench path).
-func TestAllExperimentsComplete(t *testing.T) {
-	for i, fn := range All(2) {
-		rep, err := fn()
-		if err != nil {
-			t.Fatalf("experiment %d failed: %v", i, err)
+// TestListSchedulerBeatsFixedUnderStraggler: the property the scheduler zoo
+// exists for. On the ×2-straggler column of the ablation's scheme ×
+// scheduler matrix, run on GPT-2-32 (four-layer stages leave the device
+// memory that weight-stacking re-shapes need; Bert-48's six do not, which
+// is the ablation's own finding), at least one list-scheduled placement
+// strictly beats the best fixed-placement scheme.
+func TestListSchedulerBeatsFixedUnderStraggler(t *testing.T) {
+	m, enc := model.GPT2Small32(), stragglerSpeed(2.0)
+	var bestFixed, bestList float64
+	var fixedCell, listCell string
+	for _, scheme := range stragglerSchemes {
+		for _, sched := range schedule.Schedulers() {
+			out := stragglerCell(m, scheme, sched, enc)
+			if out.Err != nil {
+				t.Fatalf("%s/%s: %v", scheme, sched, out.Err)
+			}
+			res, _ := outcomePoint(out)
+			if res == nil {
+				continue // exceeds device memory even with recomputation
+			}
+			if sched == "fixed" {
+				if res.Throughput > bestFixed {
+					bestFixed, fixedCell = res.Throughput, scheme+"/"+sched
+				}
+			} else if res.Throughput > bestList {
+				bestList, listCell = res.Throughput, scheme+"/"+sched
+			}
 		}
-		if rep.ID == "" || len(rep.Lines) == 0 {
-			t.Fatalf("experiment %d produced empty report", i)
+	}
+	if bestFixed <= 0 {
+		t.Fatal("no fixed placement is feasible")
+	}
+	if !(bestList > bestFixed) {
+		t.Fatalf("no list scheduler beat the best fixed scheme at ×2: fixed %s %.1f vs list %s %.1f seq/s",
+			fixedCell, bestFixed, listCell, bestList)
+	}
+	t.Logf("×2 straggler, GPT-2-32 D=%d: best fixed %s %.1f, best list %s %.1f seq/s (%.2fx)",
+		stragglerD, fixedCell, bestFixed, listCell, bestList, bestList/bestFixed)
+}
+
+// TestAllExperimentsComplete: every harness runs to completion and
+// produces output (the cmd/chimera-bench path), and the index's IDs — what
+// `chimera-bench -only` selects on before running anything — are unique
+// and are the IDs the reports carry.
+func TestAllExperimentsComplete(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, e := range All(2) {
+		if e.ID == "" || seen[e.ID] {
+			t.Fatalf("experiment id %q empty or listed twice", e.ID)
+		}
+		seen[e.ID] = true
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatalf("experiment %s failed: %v", e.ID, err)
+		}
+		if rep.ID != e.ID {
+			t.Fatalf("experiment listed as %q reports as %q", e.ID, rep.ID)
+		}
+		if len(rep.Lines) == 0 {
+			t.Fatalf("experiment %s produced empty report", e.ID)
 		}
 	}
 }

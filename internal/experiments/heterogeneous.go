@@ -21,51 +21,26 @@ import (
 // placement, every list policy's re-shaped placement is evaluated at the
 // same severity. On Bert-48 the re-shapes stack six-layer stage groups'
 // weights and mostly lose to the fixed placement — the memory-bound regime;
-// the schedulers benchmark (GPT-2-32) shows the headroom regime where they
-// win. Both sets of numbers are reported.
+// TestListSchedulerBeatsFixedUnderStraggler runs the same matrix on
+// GPT-2-32, whose four-layer stages leave the headroom where they win.
 func AblationHeterogeneous() (*Report, error) {
 	r := newReport("ablation-heterogeneous", "Straggler severity sweep (Bert-48, D=8, W=4, one slow middle worker)")
-	m, plat := model.BERT48(), pizDaint()
-	const (
-		d = 8
-		n = 16
-		b = 4
-		w = 4
-	)
-	schemes := []string{"chimera", "gpipe", "dapple"}
+	m := model.BERT48()
 	severities := []float64{1.0, 1.1, 1.25, 1.5, 2.0}
-	slow := d / 2
 
 	// base[scheme] is the homogeneous throughput the retained fraction is
 	// measured against.
-	base := make(map[string]float64, len(schemes))
+	base := make(map[string]float64, len(stragglerSchemes))
 	for _, sev := range severities {
-		factors := make([]float64, d)
-		for i := range factors {
-			factors[i] = 1
-		}
-		factors[slow] = sev
-		enc := sim.EncodeSpeedFactors(factors)
-		tp := make(map[string]float64, len(schemes))
+		enc := stragglerSpeed(sev)
+		tp := make(map[string]float64, len(stragglerSchemes))
 		bestReshape, bestReshapeTp := "", 0.0
-		for _, scheme := range schemes {
+		for _, scheme := range stragglerSchemes {
 			for _, sched := range schedule.Schedulers() {
-				key := engine.ScheduleKey{Scheme: scheme, D: d, N: n}
-				if scheme == "chimera" {
-					key = engine.ChimeraKey(d, n, 0, 0)
+				if sched != "fixed" && sev == 1.0 {
+					continue // uniform factors: every policy defers to fixed
 				}
-				if sched != "fixed" {
-					if sev == 1.0 {
-						continue // uniform factors: every policy defers to fixed
-					}
-					key.Scheduler = sched
-					key.Speed = enc
-				}
-				out := eng.Evaluate(engine.Spec{
-					Sched: key, Model: m, MicroBatch: b, W: w,
-					AutoRecompute: true, SpeedFactors: enc,
-					Device: plat.dev, Network: plat.net,
-				})
+				out := stragglerCell(m, scheme, sched, enc)
 				res, _ := outcomePoint(out)
 				if res == nil {
 					if out.Err != nil {
@@ -78,7 +53,7 @@ func AblationHeterogeneous() (*Report, error) {
 						r.Metrics[fmt.Sprintf("%s:%s:%.2f", scheme, sched, sev)] = 0
 						continue
 					}
-					return nil, fmt.Errorf("ablation-heterogeneous: %s D=%d infeasible", scheme, d)
+					return nil, fmt.Errorf("ablation-heterogeneous: %s D=%d infeasible", scheme, stragglerD)
 				}
 				if sched != "fixed" {
 					r.Metrics[fmt.Sprintf("%s:%s:%.2f", scheme, sched, sev)] = res.Throughput
@@ -95,7 +70,7 @@ func AblationHeterogeneous() (*Report, error) {
 			}
 		}
 		line := fmt.Sprintf("straggler ×%.2f:", sev)
-		for _, scheme := range schemes {
+		for _, scheme := range stragglerSchemes {
 			retained := tp[scheme] / base[scheme]
 			line += fmt.Sprintf("  %s %7.1f seq/s (%.0f%%)", scheme, tp[scheme], 100*retained)
 			r.Metrics[fmt.Sprintf("retained:%s:%.2f", scheme, sev)] = retained
@@ -112,4 +87,47 @@ func AblationHeterogeneous() (*Report, error) {
 	r.addf("the ratio row shows how much of Chimera's bubble advantage survives it;")
 	r.addf("scheme:scheduler metrics give the list-policy re-shapes at each severity")
 	return r, nil
+}
+
+// The straggler matrix's fixed configuration: D=8 pipelines of W=4 replicas
+// at micro-batch B=4 over N=16 micro-batches (B̂ = W·B·N = 256) on Piz
+// Daint, one middle worker — where a bidirectional pipeline has the least
+// slack — slowed.
+const (
+	stragglerD = 8
+	stragglerN = 16
+	stragglerB = 4
+	stragglerW = 4
+)
+
+var stragglerSchemes = []string{"chimera", "gpipe", "dapple"}
+
+// stragglerSpeed encodes the per-worker speed factors with the middle
+// worker running sev× slower than its peers.
+func stragglerSpeed(sev float64) string {
+	factors := make([]float64, stragglerD)
+	for i := range factors {
+		factors[i] = 1
+	}
+	factors[stragglerD/2] = sev
+	return sim.EncodeSpeedFactors(factors)
+}
+
+// stragglerCell evaluates one cell of the scheme × scheduler matrix: scheme
+// under sched's placement of model m, simulated with the speed factors enc.
+func stragglerCell(m model.Config, scheme, sched, enc string) engine.Outcome {
+	plat := pizDaint()
+	key := engine.ScheduleKey{Scheme: scheme, D: stragglerD, N: stragglerN}
+	if scheme == "chimera" {
+		key = engine.ChimeraKey(stragglerD, stragglerN, 0, 0)
+	}
+	if sched != "fixed" {
+		key.Scheduler = sched
+		key.Speed = enc
+	}
+	return eng.Evaluate(engine.Spec{
+		Sched: key, Model: m, MicroBatch: stragglerB, W: stragglerW,
+		AutoRecompute: true, SpeedFactors: enc,
+		Device: plat.dev, Network: plat.net,
+	})
 }

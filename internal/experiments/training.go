@@ -74,39 +74,46 @@ func TrainingEquivalence(iters int) (*Report, error) {
 	return r, nil
 }
 
+// Experiment is one entry of the index: the ID its report carries and the
+// harness that produces it, so callers can select by ID before running.
+type Experiment struct {
+	ID  string
+	Run func() (*Report, error)
+}
+
 // All returns every experiment in DESIGN.md's index order. trainingIters
 // bounds the real-training demo length.
-func All(trainingIters int) []func() (*Report, error) {
-	return []func() (*Report, error){
-		func() (*Report, error) { return Table2(4, 4) },
-		func() (*Report, error) { return Table3(16, 16) },
-		Figure1,
-		func() (*Report, error) { return Figure2(4, 4) },
-		Figure6,
-		Figure7,
-		Figure8,
-		Figure9,
-		Figure10,
-		Figure11,
-		Figure12,
-		Figure13,
-		Figure14,
-		Figure15,
-		Figure16,
-		Figure17,
-		Figure18,
-		Figure19,
-		ModelAccuracy,
-		AblationAllreduce,
-		AblationGreedyB,
-		AblationRecompute,
-		AblationInterference,
-		AblationZeRO,
-		AblationCompression,
-		AblationHeterogeneous,
-		FleetAllocation,
-		AblationElastic,
-		func() (*Report, error) { return TrainingEquivalence(trainingIters) },
-		func() (*Report, error) { return ConvergenceComparison(2 * trainingIters) },
+func All(trainingIters int) []Experiment {
+	return []Experiment{
+		{"table-2", func() (*Report, error) { return Table2(4, 4) }},
+		{"table-3", func() (*Report, error) { return Table3(16, 16) }},
+		{"figure-1", Figure1},
+		{"figure-2", func() (*Report, error) { return Figure2(4, 4) }},
+		{"figure-6", Figure6},
+		{"figure-7", Figure7},
+		{"figure-8", Figure8},
+		{"figure-9", Figure9},
+		{"figure-10", Figure10},
+		{"figure-11", Figure11},
+		{"figure-12", Figure12},
+		{"figure-13", Figure13},
+		{"figure-14", Figure14},
+		{"figure-15", Figure15},
+		{"figure-16", Figure16},
+		{"figure-17", Figure17},
+		{"figure-18", Figure18},
+		{"figure-19", Figure19},
+		{"model-accuracy", ModelAccuracy},
+		{"ablation-allreduce", AblationAllreduce},
+		{"ablation-greedy-b", AblationGreedyB},
+		{"ablation-recompute", AblationRecompute},
+		{"ablation-interference", AblationInterference},
+		{"ablation-zero", AblationZeRO},
+		{"ablation-compression", AblationCompression},
+		{"ablation-heterogeneous", AblationHeterogeneous},
+		{"fleet-allocation", FleetAllocation},
+		{"ablation-elastic", AblationElastic},
+		{"training-equivalence", func() (*Report, error) { return TrainingEquivalence(trainingIters) }},
+		{"convergence", func() (*Report, error) { return ConvergenceComparison(2 * trainingIters) }},
 	}
 }

@@ -67,8 +67,8 @@ func TestEqualSplitShares(t *testing.T) {
 }
 
 // TestPlannerGuidedBeatsEqualSplit: on the benchmark mix the greedy
-// allocator must strictly beat the priority-blind baseline — the headline
-// property BENCH_fleet.json gates in CI.
+// allocator must strictly beat the priority-blind baseline — the fleet
+// layer's headline property. The ratio is logged (go test -v), not gated.
 func TestPlannerGuidedBeatsEqualSplit(t *testing.T) {
 	cluster := pizDaintCluster(32, nil)
 	e := engine.New()
@@ -78,6 +78,8 @@ func TestPlannerGuidedBeatsEqualSplit(t *testing.T) {
 		t.Fatalf("planner-guided %.2f did not beat equal-split %.2f",
 			guided.WeightedThroughput, equal.WeightedThroughput)
 	}
+	t.Logf("planner-guided %.1f vs equal-split %.1f weighted seq/s (%.2fx)",
+		guided.WeightedThroughput, equal.WeightedThroughput, guided.WeightedThroughput/equal.WeightedThroughput)
 	if guided.NodesAllocated > cluster.Nodes {
 		t.Fatalf("allocated %d nodes of %d", guided.NodesAllocated, cluster.Nodes)
 	}

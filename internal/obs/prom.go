@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // WritePrometheus renders every registered series in the Prometheus text
@@ -159,159 +157,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return out
-}
-
-// HistogramQuantiles parses Prometheus text-format histogram buckets for
-// one metric family back into per-label-signature quantile estimates — the
-// inverse the load generator uses to fold server-side latency into its
-// report. Series are grouped by their label signature minus the le label;
-// the returned map keys are those signatures (e.g. `{endpoint="plan"}`).
-func HistogramQuantiles(text, family string) map[string]ParsedHistogram {
-	out := make(map[string]ParsedHistogram)
-	prefix := family + "_bucket"
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		rest := line[len(prefix):]
-		if len(rest) == 0 || rest[0] != '{' {
-			continue
-		}
-		close := strings.IndexByte(rest, '}')
-		if close < 0 {
-			continue
-		}
-		labels, valStr := rest[1:close], strings.TrimSpace(rest[close+1:])
-		count, err := strconv.ParseUint(valStr, 10, 64)
-		if err != nil {
-			continue
-		}
-		var le string
-		var kept []string
-		for _, part := range strings.Split(labels, ",") {
-			if v, ok := strings.CutPrefix(part, `le="`); ok {
-				le = strings.TrimSuffix(v, `"`)
-				continue
-			}
-			kept = append(kept, part)
-		}
-		if le == "" {
-			continue
-		}
-		ub := math.Inf(1)
-		if le != "+Inf" {
-			if v, err := strconv.ParseFloat(le, 64); err == nil {
-				ub = v
-			} else {
-				continue
-			}
-		}
-		sig := "{" + strings.Join(kept, ",") + "}"
-		h := out[sig]
-		h.buckets = append(h.buckets, parsedBucket{ub: ub, cum: count})
-		out[sig] = h
-	}
-	for sig, h := range out {
-		sort.Slice(h.buckets, func(i, j int) bool { return h.buckets[i].ub < h.buckets[j].ub })
-		if n := len(h.buckets); n > 0 {
-			h.Count = h.buckets[n-1].cum
-		}
-		out[sig] = h
-	}
-	return out
-}
-
-// MergeHistograms folds several scraped histogram series into one (e.g. an
-// endpoint's cache="hit" and cache="miss" series into the endpoint total).
-// Cumulative counts at each upper bound add across series; a series'
-// cumulative count at a bound it does not list is its count at the largest
-// bound it does list below it (the cumulative step function), so series
-// with different elided-bucket sets merge correctly.
-func MergeHistograms(hs ...ParsedHistogram) ParsedHistogram {
-	var out ParsedHistogram
-	bounds := make(map[float64]struct{})
-	for _, h := range hs {
-		out.Count += h.Count
-		for _, b := range h.buckets {
-			bounds[b.ub] = struct{}{}
-		}
-	}
-	if len(bounds) == 0 {
-		return out
-	}
-	ubs := make([]float64, 0, len(bounds))
-	for ub := range bounds {
-		ubs = append(ubs, ub)
-	}
-	sort.Float64s(ubs)
-	for _, ub := range ubs {
-		var cum uint64
-		for _, h := range hs {
-			cum += h.cumAt(ub)
-		}
-		out.buckets = append(out.buckets, parsedBucket{ub: ub, cum: cum})
-	}
-	return out
-}
-
-// cumAt is the series' cumulative count at an arbitrary bound: the count of
-// the largest listed bucket with ub <= bound.
-func (h ParsedHistogram) cumAt(bound float64) uint64 {
-	var cum uint64
-	for _, b := range h.buckets {
-		if b.ub > bound {
-			break
-		}
-		cum = b.cum
-	}
-	return cum
-}
-
-type parsedBucket struct {
-	ub  float64 // upper bound, seconds
-	cum uint64  // cumulative count
-}
-
-// ParsedHistogram is one scraped histogram series.
-type ParsedHistogram struct {
-	Count   uint64
-	buckets []parsedBucket
-}
-
-// Quantile estimates the q-quantile in seconds from the scraped cumulative
-// buckets (linear interpolation within the target bucket; the last finite
-// bucket's bound for the overflow bucket). Zero when empty.
-func (h ParsedHistogram) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.Count)
-	if target < 1 {
-		target = 1
-	}
-	prevUB, prevCum := 0.0, uint64(0)
-	for _, b := range h.buckets {
-		if float64(b.cum) >= target {
-			if math.IsInf(b.ub, 1) {
-				return prevUB
-			}
-			width := float64(b.cum - prevCum)
-			if width == 0 {
-				return b.ub
-			}
-			frac := (target - float64(prevCum)) / width
-			return prevUB + (b.ub-prevUB)*frac
-		}
-		if !math.IsInf(b.ub, 1) {
-			prevUB = b.ub
-		}
-		prevCum = b.cum
-	}
-	return prevUB
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +9,7 @@ import (
 // TestPrometheusGolden pins the text exposition format byte-for-byte for a
 // small registry with every instrument kind. Determinism (sorted families,
 // sorted label signatures, cumulative buckets) is the contract the CI
-// smoke's `curl /metrics | grep` assertions and the loadgen scraper rely
-// on.
+// smokes' `curl /metrics | grep` assertions rely on.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve_shed_total", "requests shed by admission control").Add(3)
@@ -75,105 +73,4 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	if !strings.Contains(b.String(), want) {
 		t.Fatalf("escaping drifted: %q does not contain %q", b.String(), want)
 	}
-}
-
-// TestHistogramQuantilesRoundTrip: rendering a histogram to Prometheus
-// text and scraping it back must reproduce the quantiles the histogram
-// itself reports.
-func TestHistogramQuantilesRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("serve_request_duration_seconds", "latency",
-		L("endpoint", "plan"), L("cache", "hit"))
-	h2 := r.Histogram("serve_request_duration_seconds", "latency",
-		L("endpoint", "plan"), L("cache", "miss"))
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * 10 * time.Microsecond)
-	}
-	h2.Observe(50 * time.Millisecond)
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	parsed := HistogramQuantiles(b.String(), "serve_request_duration_seconds")
-	hit, ok := parsed[`{cache="hit",endpoint="plan"}`]
-	if !ok {
-		t.Fatalf("hit series not parsed; have %v", keys(parsed))
-	}
-	if hit.Count != 1000 {
-		t.Fatalf("scraped count = %d, want 1000", hit.Count)
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		direct := float64(h.Quantile(q)) / 1e9
-		scraped := hit.Quantile(q)
-		if math.Abs(scraped-direct)/direct > 0.01 {
-			t.Fatalf("q=%.2f: scraped %.6f s vs direct %.6f s", q, scraped, direct)
-		}
-	}
-	miss := parsed[`{cache="miss",endpoint="plan"}`]
-	if miss.Count != 1 {
-		t.Fatalf("miss count = %d, want 1", miss.Count)
-	}
-	if p := miss.Quantile(0.5); p <= 0.045 || p > 0.06 {
-		t.Fatalf("miss p50 = %.4f s, want ~0.05", p)
-	}
-}
-
-// TestParsedHistogramEmpty: scraping text without the family yields nothing
-// and empty quantiles are zero.
-func TestParsedHistogramEmpty(t *testing.T) {
-	if got := HistogramQuantiles("nope 1\n", "serve_request_duration_seconds"); len(got) != 0 {
-		t.Fatalf("parsed %d series from garbage", len(got))
-	}
-	var p ParsedHistogram
-	if p.Quantile(0.5) != 0 {
-		t.Fatal("empty parsed histogram quantile not 0")
-	}
-}
-
-// TestMergeHistograms: merging scraped hit/miss series reproduces the
-// quantiles of a histogram that saw all the samples, even though the two
-// sides elide different empty buckets.
-func TestMergeHistograms(t *testing.T) {
-	r := NewRegistry()
-	hit := r.Histogram("d_seconds", "", L("cache", "hit"))
-	miss := r.Histogram("d_seconds", "", L("cache", "miss"))
-	all := r.Histogram("all_seconds", "")
-	for i := 1; i <= 900; i++ {
-		d := time.Duration(i) * time.Microsecond
-		hit.Observe(d)
-		all.Observe(d)
-	}
-	for i := 1; i <= 100; i++ {
-		d := time.Duration(i) * time.Millisecond
-		miss.Observe(d)
-		all.Observe(d)
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	parsed := HistogramQuantiles(b.String(), "d_seconds")
-	merged := MergeHistograms(parsed[`{cache="hit"}`], parsed[`{cache="miss"}`])
-	if merged.Count != 1000 {
-		t.Fatalf("merged count = %d, want 1000", merged.Count)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		want := float64(all.Quantile(q)) / 1e9
-		got := merged.Quantile(q)
-		if math.Abs(got-want)/want > 0.01 {
-			t.Fatalf("q=%.2f: merged %.6f s vs direct %.6f s", q, got, want)
-		}
-	}
-	if empty := MergeHistograms(); empty.Count != 0 || empty.Quantile(0.5) != 0 {
-		t.Fatal("merging nothing is not empty")
-	}
-}
-
-func keys(m map[string]ParsedHistogram) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

@@ -5,9 +5,8 @@
 //   - the equivalence suite (internal/schedule graph tests) asserts that
 //     graph replay produces bit-identical Timelines and critical paths
 //     across every scheme, cost model and concatenation variant;
-//   - the replay benchmark (experiments.BenchmarkSweep's replay section)
-//     measures the graph pass against this interpreter and gates the ≥2×
-//     win in CI.
+//   - bench/ generates the goldens every benchmark reply is checked
+//     against through this interpreter (engine.ReferenceCore).
 //
 // It re-resolves every dependency token through a map on every replay and
 // round-robin rescans the worker op lists — exactly the behavior the graph

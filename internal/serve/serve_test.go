@@ -62,32 +62,39 @@ const planBody = `{"model":{"preset":"bert48"},"p":16,"mini_batch":128,"max_b":1
 
 // TestPlanMatchesInProcess: the served /v1/plan body must be byte-identical
 // to encoding an in-process PlanOn result through the same codec — the
-// service adds transport, not behavior.
+// service adds transport, not behavior. The rows span the presets' corners:
+// a capped micro-batch, the largest model, and the second platform.
 func TestPlanMatchesInProcess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body := post(t, ts, "/v1/plan", planBody)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
+	for _, body := range []string{
+		planBody,
+		`{"model":{"preset":"gpt2"},"p":64,"mini_batch":512,"platform":{"preset":"pizdaint"}}`,
+		`{"model":{"preset":"bert48-512"},"p":16,"mini_batch":256,"platform":{"preset":"v100"}}`,
+	} {
+		status, served := post(t, ts, "/v1/plan", body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, status, served)
+		}
 
-	var req PlanRequest
-	if err := DecodeStrict(strings.NewReader(planBody), &req); err != nil {
-		t.Fatal(err)
-	}
-	preq, err := req.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := perfmodel.PlanOn(engine.New(engine.Workers(1)), preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(NewPlanResponse(preq.Model.Name, preq.P, preq.MiniBatch, preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want) {
-		t.Fatalf("served plan differs from in-process plan:\nserved: %s\nlocal:  %s", body, want)
+		var req PlanRequest
+		if err := DecodeStrict(strings.NewReader(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		preq, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, err := perfmodel.PlanOn(engine.New(engine.Workers(1)), preq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(NewPlanResponse(preq.Model.Name, preq.P, preq.MiniBatch, preds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, want) {
+			t.Fatalf("%s: served plan differs from in-process plan:\nserved: %s\nlocal:  %s", body, served, want)
+		}
 	}
 }
 
