@@ -53,6 +53,7 @@ lint:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzGraphReplayEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 

@@ -103,6 +103,52 @@ func (k ScheduleKey) residencyEquivalent() ScheduleKey {
 	return k
 }
 
+// replayEquivalent maps a canonical key onto the short key whose replay
+// extends to its own, and the number of units to extend by (0: none is
+// known, replay the key itself). Scope as for residencyEquivalent, on
+// schedule.ChimeraConfig.ReplayEquivalent's terms.
+func (k ScheduleKey) replayEquivalent() (ScheduleKey, int) {
+	if k.Scheme != "chimera" || k.Scheduler != "" {
+		return k, 0
+	}
+	short, units := schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}.ReplayEquivalent()
+	k.N = short.N
+	return k, units
+}
+
+// ReplayEquivalent replays the schedule identified by key under rc and
+// returns the planner's read-outs — makespan, compute-ends, grad-ready times
+// — without necessarily building that schedule. It is the one place that
+// decides short against full: a key with a replay-equivalent is replayed on
+// the short schedule and served from it when (*schedule.Readout).Extend
+// verifies the steady state on that very replay; every other key, and a
+// replay that has not settled, is served by the full schedule's replay.
+// Either way the answer is the full schedule's, bit for bit. uniform says rc
+// prices every worker alike: per-worker speed factors almost never settle
+// within two units, so they skip the attempt. Stats counts the outcomes.
+func (e *Engine) ReplayEquivalent(key ScheduleKey, rc schedule.ReplayConfig, uniform bool) (*schedule.Readout, error) {
+	key = key.canonical()
+	if short, units := key.replayEquivalent(); uniform && units > 0 {
+		g, err := e.Graph(short)
+		if err != nil {
+			return nil, err
+		}
+		r := g.Readout(rc)
+		if r.Extend(units) {
+			e.replays[replayExtended].Add(1)
+			return r, nil
+		}
+		r.Release()
+		e.replays[replayRefused].Add(1)
+	}
+	e.replays[replayFull].Add(1)
+	g, err := e.Graph(key)
+	if err != nil {
+		return nil, err
+	}
+	return g.Readout(rc), nil
+}
+
 // keyOf returns the ScheduleKey describing an already-built schedule; it is
 // the inverse of buildSchedule and guards the cache's canonical-key
 // invariant (see the engine tests).
@@ -224,6 +270,10 @@ type Stats struct {
 	ScheduleEntries, CriticalEntries, OutcomeEntries int
 	// Capacity is the per-table entry bound (0 = unbounded).
 	Capacity int
+	// Replays count ReplayEquivalent's answers: served from the short
+	// schedule's extended replay, or from the full schedule's. Refused counts
+	// the full replays that followed a short one whose check failed.
+	ReplaysExtended, ReplaysFull, ReplaysRefused uint64
 }
 
 // HitRate returns the fraction of all cache lookups that were hits.
@@ -261,11 +311,24 @@ type Engine struct {
 	schedules *Memo[ScheduleKey, schedOutcome]
 	criticals *Memo[ScheduleKey, critOutcome]
 	outcomes  *Memo[Spec, Outcome]
+
+	// replays counts ReplayEquivalent's answers by replayPaths index.
+	replays [len(replayPaths)]atomic.Uint64
 	// obsReg is the registry attached by Observe (nil = uninstrumented);
 	// met holds the handles initObserve resolves from it.
 	obsReg *obs.Registry
 	met    *engMetrics
 }
+
+// replayPaths names how ReplayEquivalent served a replay (the path label of
+// engine_replays_total), indexed by the constants below.
+var replayPaths = [...]string{"extended", "full", "refused"}
+
+const (
+	replayExtended = iota
+	replayFull
+	replayRefused
+)
 
 type schedOutcome struct {
 	s   *schedule.Schedule
@@ -469,11 +532,14 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 		if m != nil {
 			start = time.Now()
 		}
-		s, err := e.Schedule(key)
-		if err != nil {
-			return critOutcome{err: err}
-		}
-		cf, cb, err := schedule.CriticalPath(s)
+		cf, cb, err := schedule.CriticalPathOf(func(rc schedule.ReplayConfig) (int64, error) {
+			r, err := e.ReplayEquivalent(key, rc, true)
+			if err != nil {
+				return 0, err
+			}
+			defer r.Release()
+			return r.Makespan(), nil
+		})
 		if m != nil {
 			m.critical.Since(start)
 		}
@@ -563,6 +629,7 @@ func (e *Engine) Stats() Stats {
 	st.CriticalEntries = e.criticals.Len()
 	st.OutcomeEntries = e.outcomes.Len()
 	st.Capacity = e.capacity
+	st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused = e.replays[replayExtended].Load(), e.replays[replayFull].Load(), e.replays[replayRefused].Load()
 	return st
 }
 
@@ -571,4 +638,7 @@ func (e *Engine) Reset() {
 	e.schedules.Reset()
 	e.criticals.Reset()
 	e.outcomes.Reset()
+	for i := range e.replays {
+		e.replays[i].Store(0)
+	}
 }

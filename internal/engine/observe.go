@@ -40,9 +40,11 @@ type engMetrics struct {
 //	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs
 //	engine_cache_entries{table=...}    gauge func, resident keys
 //	engine_cache_hit_ratio             gauge func
+//	engine_replays_total{path=extended|full|refused}  read-through funcs:
+//	                                   ReplayEquivalent's answers (see Stats)
 //
-// The cache series read the memo tables' existing atomic counters at
-// scrape time (CounterFunc), so cache bookkeeping costs the hot path
+// The cache and replay series read the engine's existing atomic counters at
+// scrape time (CounterFunc), so their bookkeeping costs the hot path
 // nothing beyond what the engine already paid. A nil registry leaves the
 // engine uninstrumented.
 func Observe(reg *obs.Registry) Option {
@@ -98,5 +100,9 @@ func (e *Engine) initObserve() {
 	}
 	reg.GaugeFunc("engine_cache_hit_ratio", "fraction of all memo lookups that hit",
 		func() float64 { return e.Stats().HitRate() })
+	for i, path := range replayPaths {
+		reg.CounterFunc("engine_replays_total", "planner replays by how they were served: short schedule extended, full schedule, full after a refused extension",
+			e.replays[i].Load, obs.L("path", path))
+	}
 	e.met = m
 }

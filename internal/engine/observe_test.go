@@ -35,6 +35,13 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	}
 	e.Evaluate(spec) // hit
 	e.Sweep([]Spec{testSpec(4, 12), testSpec(4, 16)})
+	// Two probes each: (4, 16) rides the short schedule, (4, 8) has none.
+	if _, _, err := e.CriticalPath(ChimeraKey(4, 16, 1, schedule.Direct)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.CriticalPath(ChimeraKey(4, 8, 1, schedule.Direct)); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := reg.Snapshot()
 	if got := snap.Histograms["engine_evaluate_seconds"].Count; got != 3 {
@@ -51,6 +58,11 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	}
 	if got := snap.Counters[`engine_cache_misses_total{table="outcomes"}`]; got != 3 {
 		t.Fatalf("outcome cache misses = %d, want 3", got)
+	}
+	for path, want := range map[string]uint64{"extended": 2, "full": 2, "refused": 0} {
+		if got := snap.Counters[`engine_replays_total{path="`+path+`"}`]; got != want {
+			t.Fatalf("%s replays = %d, want %d", path, got, want)
+		}
 	}
 	var busy uint64
 	for k, v := range snap.Counters {
@@ -71,11 +83,23 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 
 // TestObserveOutputsIdentical: instrumentation must not perturb results —
 // the same sweep on an instrumented and a plain engine returns deeply equal
-// outcomes. This is the unit-level half of the CI byte-identical gate.
+// outcomes, and the same critical paths served the same way. This is the
+// unit-level half of the CI byte-identical gate.
 func TestObserveOutputsIdentical(t *testing.T) {
 	specs := []Spec{testSpec(2, 4), testSpec(4, 8), testSpec(4, 4)}
-	plain := New(Workers(1)).Sweep(specs)
-	instr := New(Workers(1), Observe(obs.NewRegistry())).Sweep(specs)
+	pe, ie := New(Workers(1)), New(Workers(1), Observe(obs.NewRegistry()))
+	plain, instr := pe.Sweep(specs), ie.Sweep(specs)
+	for _, n := range []int{8, 16, 19} {
+		key := ChimeraKey(4, n, 1, schedule.Direct)
+		pcf, pcb, perr := pe.CriticalPath(key)
+		icf, icb, ierr := ie.CriticalPath(key)
+		if perr != nil || ierr != nil || pcf != icf || pcb != icb {
+			t.Fatalf("N=%d: critical path (%d, %d, %v) plain, (%d, %d, %v) instrumented", n, pcf, pcb, perr, icf, icb, ierr)
+		}
+	}
+	if p, i := pe.Stats(), ie.Stats(); p != i || p.ReplaysExtended != 4 || p.ReplaysFull != 2 {
+		t.Fatalf("stats differ or replays were not served 4 extended / 2 full:\nplain %+v\ninstr %+v", p, i)
+	}
 	for i := range specs {
 		if plain[i].Err != nil || instr[i].Err != nil {
 			t.Fatalf("spec %d errored: %v / %v", i, plain[i].Err, instr[i].Err)

@@ -42,13 +42,17 @@ type Prediction struct {
 	Scheduler string
 }
 
-// Predict evaluates Eq. 1 for a Chimera configuration.
+// Predict evaluates Eq. 1 for a Chimera configuration. It accepts, rejects
+// and defaults cfg exactly as sim.Run does.
 func Predict(cfg sim.Config) (*Prediction, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cf, cb, err := schedule.CriticalPath(cfg.Schedule)
 	if err != nil {
 		return nil, err
 	}
-	return PredictWithCritical(cfg, cf, cb)
+	return predictBuilt(cfg, cf, cb)
 }
 
 // PredictWithCritical evaluates Eq. 1 with precomputed critical-path counts
@@ -57,17 +61,47 @@ func Predict(cfg sim.Config) (*Prediction, error) {
 // planner, the experiment grids) obtain them once from the engine's memo
 // instead of re-probing per configuration.
 func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
-	stages, err := cfg.Model.Partition(cfg.Schedule.D)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return predictBuilt(cfg, cf, cb)
+}
+
+// predictBuilt is Eq. 1 over the full replay of cfg.Schedule, validated by
+// the caller.
+func predictBuilt(cfg sim.Config, cf, cb int) (*Prediction, error) {
+	s := cfg.Schedule
+	stages, err := cfg.Model.Partition(s.D)
 	if err != nil {
 		return nil, err
 	}
-	return predict(cfg, stages, cf, cb)
+	return predict(cfg, &replayed{n: s.N, replicas: len(s.Replicas), built: s}, stages, cf, cb)
 }
 
-// predict is Eq. 1 over the caller's stage table: cfg.Model partitioned at
-// cfg.Schedule.D.
-func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, error) {
-	s := cfg.Schedule
+// replayed is what Eq. 1 reads of a schedule: its micro-batch and replica
+// counts, and its read-outs under a cost model — replayed on the built
+// schedule itself, or by key through the engine, which need not build it.
+type replayed struct {
+	n, replicas int
+	built       *schedule.Schedule
+	e           *engine.Engine
+	key         engine.ScheduleKey
+	uniform     bool // no per-worker speed factors: see engine.ReplayEquivalent
+}
+
+// readout calls both replays statically so that rc's closures stay on the
+// caller's stack.
+func (s *replayed) readout(rc schedule.ReplayConfig) (*schedule.Readout, error) {
+	if s.built != nil {
+		return s.built.Readout(rc)
+	}
+	return s.e.ReplayEquivalent(s.key, rc, s.uniform)
+}
+
+// predict is Eq. 1 over the caller's stage table — cfg.Model partitioned at
+// the schedule's depth — and the caller's replay of the schedule; it reads
+// nothing of cfg.Schedule.
+func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Prediction, error) {
 	// Micro-benchmarked Ft per stage (the embedding and head stages are
 	// heavier than the repeated middle stages; at extreme depths — one
 	// layer per stage — the head becomes the pipeline's rate limiter, so a
@@ -92,7 +126,7 @@ func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, err
 		}
 		return cfg.SpeedFactors[w]
 	}
-	roC, err := s.Readout(schedule.ReplayConfig{
+	roC, err := s.readout(schedule.ReplayConfig{
 		OpCost: func(w int, op schedule.Op) int64 {
 			c := ftOf(op.Stage) * float64(len(op.Micros))
 			if op.Kind == schedule.Backward {
@@ -123,7 +157,7 @@ func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, err
 	// local compute (§3.4, Fig. 6). Per-worker speed factors scale the
 	// replay's unit costs so a straggler's gradients complete late.
 	unitCM := schedule.CostModel{FUnit: 1000, BUnit: int64(1000 * btMult)}
-	ro, err := s.Readout(schedule.ReplayConfig{
+	ro, err := s.readout(schedule.ReplayConfig{
 		OpCost: func(w int, op schedule.Op) int64 {
 			return int64(factor(w) * float64(unitCM.Cost(op)))
 		},
@@ -134,9 +168,9 @@ func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, err
 	}
 	defer ro.Release()
 	scale := ft / 1000 // seconds per replay unit
-	r := len(s.Replicas) * cfg.W
+	r := s.replicas * cfg.W
 	var unoverlapped float64
-	for w := 0; w < s.D; w++ {
+	for w := range stages {
 		end := ro.ComputeEnd(w)
 		// Placements arrive ordered by (stage, replica): the float sum below
 		// does not commute, so a fixed order is what makes the prediction a
@@ -162,9 +196,9 @@ func predict(cfg sim.Config, stages []model.Stage, cf, cb int) (*Prediction, err
 	}
 	t := compute + unoverlapped
 	return &Prediction{
-		W: cfg.W, D: s.D, B: cfg.MicroBatch, N: s.N, Recompute: cfg.Recompute,
+		W: cfg.W, D: len(stages), B: cfg.MicroBatch, N: s.n, Recompute: cfg.Recompute,
 		Cf: cf, Cb: cb, IterTime: t,
-		Throughput: float64(cfg.MicroBatch*s.N*cfg.W) / t,
+		Throughput: float64(cfg.MicroBatch*s.n*cfg.W) / t,
 	}, nil
 }
 
@@ -362,10 +396,11 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // profiles (engine.Residency — for the fixed placement a handful of short
 // schedules shared by every N in the sweep): it stops at the first B that
 // fits plainly, remembering on the way the first that fits with
-// recomputation. Only the (D, N = B̂/(W·B)) it settles on is built, compiled
-// and replayed. (model, D) is fixed for the whole candidate, so the stage
-// table is derived once and priced by every fit and by Eq. 1, and the fits
-// share one scratch.
+// recomputation. Only the (D, N = B̂/(W·B)) it settles on is replayed, through
+// engine.ReplayEquivalent — for a homogeneous N ≥ 3D on a schedule of fewer
+// than 3D micro-batches, so the long one is never built. (model, D) is fixed
+// for the whole candidate, so the stage table is derived once and priced by
+// every fit and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.
@@ -424,16 +459,14 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		cfg.MicroBatch, cfg.Recompute = recB, true
 	}
 	key := keyOf(cfg.MicroBatch)
-	sch, err := e.Schedule(key)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Schedule = sch
 	cf, cb, err := e.CriticalPath(key)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := predict(cfg, stages, cf, cb)
+	pred, err := predict(cfg, &replayed{
+		n: key.N, replicas: 2, // F = 1: one down and one up replica
+		e: e, key: key, uniform: schedule.UniformSpeed(factors),
+	}, stages, cf, cb)
 	if err != nil {
 		return nil, err
 	}

@@ -92,6 +92,27 @@ func BenchmarkReplayMakespanD32N128(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayExtendD32N128 is the same makespan by the short route, as
+// the planner takes it: price and replay (32, 64), verify the period, extend
+// by two units.
+func BenchmarkReplayExtendD32N128(b *testing.B) {
+	cfg := ChimeraConfig{D: 32, N: 128}
+	eq, units := cfg.ReplayEquivalent()
+	g, rc := mustGraph(b, eq), UnitPractical.ReplayConfig()
+	full := mustGraph(b, cfg).Readout(rc)
+	want := full.Makespan()
+	full.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := g.Readout(rc)
+		if !r.Extend(units) || r.Makespan() != want {
+			b.Fatalf("extended %d units to makespan %d, want %d", r.units, r.Makespan(), want)
+		}
+		r.Release()
+	}
+}
+
 func BenchmarkValidateD16N64(b *testing.B) {
 	s, err := Chimera(ChimeraConfig{D: 16, N: 64, Concat: Direct})
 	if err != nil {

@@ -61,6 +61,23 @@ func (cfg ChimeraConfig) ResidencyEquivalent() ChimeraConfig {
 	return cfg
 }
 
+// ReplayEquivalent returns the short configuration whose replay extends to
+// cfg's, and by how many basic units (0 and cfg itself when none is known).
+// A direct-concatenation, F = 1 schedule of N ≥ 3D micro-batches is its first
+// two units, ⌊N/D⌋ − 2 repetitions of the steady-state unit, and the trailing
+// partial unit: (*Readout).Extend verifies on the replay of (D, 2D + N mod D)
+// that the steady state has been reached and moves the read-outs on by the
+// units left out. DESIGN.md §3 "Steady-state replay" carries the argument;
+// TestReplayPeriodic and TestChimeraDirectLockstep pin it. Out of scope, as
+// for ResidencyEquivalent: F > 1, forward doubling, backward halving.
+func (cfg ChimeraConfig) ReplayEquivalent() (short ChimeraConfig, units int) {
+	if cfg.F <= 1 && cfg.Concat == Direct && cfg.D >= 2 && cfg.N >= 3*cfg.D {
+		units = cfg.N/cfg.D - 2
+		cfg.N -= units * cfg.D
+	}
+	return cfg, units
+}
+
 // Chimera builds the bidirectional pipeline schedule of §3.1–§3.6.
 func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 	return chimera(cfg, doublingUpPhase)

@@ -25,12 +25,25 @@ func CriticalPath(s *Schedule) (cf, cb int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	probe := func(rc ReplayConfig) int64 {
+	return CriticalPathOf(func(rc ReplayConfig) (int64, error) {
 		r := g.Readout(rc)
 		defer r.Release()
-		return r.Makespan()
+		return r.Makespan(), nil
+	})
+}
+
+// CriticalPathOf is CriticalPath over the caller's replay: makespan(rc) must
+// return the schedule's makespan under rc, however it comes by it (the engine
+// replays a shorter schedule when that is exact).
+func CriticalPathOf(makespan func(ReplayConfig) (int64, error)) (cf, cb int, err error) {
+	m1, err := makespan(cpProbeA)
+	if err != nil {
+		return 0, 0, err
 	}
-	m1, m2 := probe(cpProbeA), probe(cpProbeB)
+	m2, err := makespan(cpProbeB)
+	if err != nil {
+		return 0, 0, err
+	}
 	cf = int(m2 - m1)
 	cb = int((m1 - int64(cf)*100) / 200)
 	return cf, cb, nil

@@ -28,3 +28,10 @@ func (g *Graph) OrderError() error {
 	}
 	return nil
 }
+
+// PeriodicNs and ExhaustiveD hand the periodicity tests' micro-batch counts
+// and depth bound to the external test package, which can import the engine.
+var (
+	PeriodicNs  = periodicNs
+	ExhaustiveD = exhaustiveD
+)

@@ -491,8 +491,12 @@ type Readout struct {
 	edge     []int64     // cross-worker edge cost per shape
 	ready    []GradReady // one per g.grad entry
 	makespan int64
-	start    []int64 // start time per node; filled only for a Timeline
-	tl       Timeline
+	// units > 0 marks a read-out Extend moved on by that many basic units,
+	// shift = units·λ later: end[] still holds the short schedule's times.
+	units int
+	shift int64
+	start []int64 // start time per node; filled only for a Timeline
+	tl    Timeline
 }
 
 // GradReady is the moment one stage replica's weight gradients are fully
@@ -523,7 +527,7 @@ func (g *Graph) Readout(rc ReplayConfig) *Readout {
 	if r == nil {
 		r = &Readout{}
 	}
-	r.g = g
+	r.g, r.units, r.shift = g, 0, 0
 	r.end = grow(r.end, len(g.shape))
 	r.cost, r.edge = grow(r.cost, len(g.shapes)), grow(r.edge, len(g.shapes))
 	for i := range g.shapes {
@@ -552,7 +556,7 @@ func (r *Readout) ComputeEnd(w int) int64 {
 	if lo == hi {
 		return 0
 	}
-	return r.end[hi-1]
+	return r.end[hi-1] + r.shift
 }
 
 // GradReady lists, ordered by (stage, replica), every placement with a
@@ -573,7 +577,52 @@ func (r *Readout) BubbleRatio() float64 {
 	for i := range r.g.shapes {
 		busy += int64(r.g.shapes[i].count) * r.cost[i]
 	}
+	if r.units > 0 {
+		// Each unit left out keeps every worker busy for one period: the
+		// summed cost of 2D consecutive steady-state ops.
+		d := int32(r.g.s.D)
+		var period int64
+		for w := int32(0); w < d; w++ {
+			for _, sh := range r.g.shape[r.g.base[w]+d : r.g.base[w]+3*d] {
+				period += r.cost[sh]
+			}
+		}
+		busy += int64(r.units) * period
+	}
 	return float64(total-busy) / float64(total)
+}
+
+// Extend turns the read-out of a two-unit direct-concatenation Chimera
+// schedule (D, 2D + r), r < D — the short side of
+// ChimeraConfig.ReplayEquivalent — into the read-out of (D, (2+units)·D + r),
+// or reports false and changes nothing. It verifies on the finish array in
+// place that the replay has reached its steady state: program indices
+// D … 3D/2 of every worker finish exactly λ before the indices 2D later, one
+// int64 λ for all D workers. Every unit left out then repeats that period, so
+// makespan, compute-ends and grad-ready times move on by units·λ, bit for bit
+// what the full replay computes. Any other schedule, or a replay that has not
+// settled (per-worker speed factors usually have not), is refused: the caller
+// replays the full schedule instead.
+func (r *Readout) Extend(units int) bool {
+	g := r.g
+	s, d := g.s, int32(g.s.D)
+	if units < 1 || r.units != 0 || s.Scheme != "chimera" || s.F != 1 || s.DoubledForward || s.Scheduler != "" || s.N/s.D != 2 {
+		return false
+	}
+	lambda := r.end[3*d] - r.end[d]
+	for w := int32(0); w < d; w++ {
+		for id := g.base[w] + d; id <= g.base[w]+d+d/2; id++ {
+			if r.end[id+2*d]-r.end[id] != lambda {
+				return false
+			}
+		}
+	}
+	r.units, r.shift = units, int64(units)*lambda
+	r.makespan += r.shift
+	for i := range r.ready {
+		r.ready[i].At += r.shift
+	}
+	return true
 }
 
 // Release hands the Readout back to the pool so the next replay reuses its
@@ -592,6 +641,9 @@ func (r *Readout) Release() {
 // into the worker-major finish array, an op started its cost before it
 // finished, and a worker was busy for the summed cost of its ops.
 func (r *Readout) timeline() *Timeline {
+	if r.units != 0 {
+		panic("schedule: an extended read-out has no per-op timeline")
+	}
 	g, tl := r.g, &r.tl
 	d := g.s.D
 	r.start = grow(r.start, len(g.shape))

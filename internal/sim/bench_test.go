@@ -28,7 +28,7 @@ func BenchmarkPeakMemoryBERTD16(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Model: model.BERT48(), Schedule: s, MicroBatch: 4, W: 2}
-	if err := validate(&cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
 	stages, err := cfg.Model.Partition(16)

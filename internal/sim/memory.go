@@ -181,7 +181,7 @@ func (m *MemoryFit) fits(cfg *Config, stages []model.Stage, res *schedule.Reside
 // Returns the result and whether recomputation was used; OOM in the result
 // indicates even recomputation does not fit.
 func AutoRun(cfg Config) (*Result, bool, error) {
-	if err := validate(&cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
 	plain, _, err := FitsMemory(cfg)

@@ -65,7 +65,7 @@ func TestFitsScratchReuse(t *testing.T) {
 							t.Fatalf("%s: reused scratch (%v, %v), fresh FitsMemory (%v, %v)", name, plain, withRec, wantPlain, wantRec)
 						}
 						var fresh MemoryFit
-						if err := validate(&cfg); err != nil {
+						if err := cfg.Validate(); err != nil {
 							t.Fatal(err)
 						}
 						fresh.price(&cfg, stages, s.Residency())

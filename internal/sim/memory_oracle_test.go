@@ -142,7 +142,7 @@ func assertMemoryMatchesOracle(t *testing.T, name string, scratch *MemoryFit, s 
 	}
 	for _, zero := range []bool{false, true} {
 		cfg := Config{Model: m, Schedule: s, MicroBatch: b, W: w, ZeRO: zero}
-		if err := validate(&cfg); err != nil {
+		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var peaks [2][]int64

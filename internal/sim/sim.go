@@ -196,7 +196,7 @@ const timeQuantum = 1e-9 // replay integer unit: one nanosecond
 
 // Run simulates one training iteration.
 func Run(cfg Config) (*Result, error) {
-	if err := validate(&cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := cfg.Schedule
@@ -243,7 +243,10 @@ func Run(cfg Config) (*Result, error) {
 
 var errNilSchedule = errors.New("sim: nil schedule")
 
-func validate(cfg *Config) error {
+// Validate checks cfg and fills in its defaults (interference, device,
+// network) in place: the one rule for what Run, the memory model and
+// perfmodel.Predict accept.
+func (cfg *Config) Validate() error {
 	if cfg.Schedule == nil {
 		return errNilSchedule
 	}
