@@ -20,19 +20,22 @@ race:
 # the HTTP chassis and the three daemons built on it) and the fleet layer
 # (plan curves shared by a live sim and its forks) twenty times, and the
 # planner core five times, under the race detector; one failing run fails
-# the target. The engine runs at -cpu 1,4: on one P a pool saturates and
-# nested calls run in place, on four helpers steal and nested calls find
-# spare tokens — different code, and the runner's core count should not pick
-# which is swept. The fleet run is -short: its single-threaded oracle suites
-# shrink, the concurrency tests do not. The schedule and perfmodel packages
-# are in because graph compile and replay draw from three process-wide pools
+# the target. The engine runs at -cpu 1,2,4: on one P a pool saturates and
+# nested calls run in place, on two the caller and one helper contend for
+# every index of a call, on four there are spare tokens for nested calls —
+# different code, and the runner's core count should not pick which is
+# swept. The fleet run is -short: its single-threaded oracle suites shrink,
+# the concurrency tests do not. The schedule and perfmodel packages are in
+# because graph compile and replay draw from three process-wide pools
 # (producerPool, topoScratchPool, readoutPool) that concurrent planners
-# share.
+# share. The last line is every package twice, for whatever shares state
+# outside the ones named above.
 race-sweep:
-	$(GO) test -race -count=20 -cpu 1,4 ./internal/engine
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/engine
 	$(GO) test -race -count=20 ./internal/httpd ./internal/serve ./internal/router ./internal/controller
 	$(GO) test -race -count=20 -short ./internal/fleet
 	$(GO) test -race -count=5 ./internal/schedule ./internal/perfmodel
+	$(GO) test -race -count=2 ./...
 
 # bench-build vets and tests the benchmark module. bench/ is outside the
 # root module (it is compiled against internal APIs through a replace

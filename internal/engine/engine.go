@@ -3,7 +3,9 @@
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
 // schedule construction, critical-path probing, and full simulator
-// evaluations — keyed by their value-type descriptions.
+// evaluations — keyed by their value-type descriptions. The pool is a bounded
+// fan-out: the participants of a ForEach call claim its indices off one
+// shared counter (pool.go).
 //
 // Two properties make the fan-out safe and the results reproducible:
 //
@@ -286,7 +288,7 @@ func (s Stats) HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// Engine owns a work-stealing worker pool and the memoization tables. The
+// Engine owns a bounded worker pool and the memoization tables. The
 // zero value is not usable; construct with New or use the process-wide
 // Default engine.
 type Engine struct {
@@ -297,12 +299,6 @@ type Engine struct {
 	// when many goroutines share one engine (the Default engine's normal
 	// situation), not just per call. See pool.go.
 	slots chan int
-	// deques[slot] is the Chase–Lev deque owned by that worker slot.
-	deques []*deque
-	// groups resolves packed task words to their task groups; groupFree is
-	// the free-list of group slots.
-	groups    []atomic.Pointer[taskGroup]
-	groupFree chan uint32
 
 	// refCore routes evaluations through the retained reference replay
 	// interpreter (see ReferenceCore) instead of the compiled graph core.
@@ -411,19 +407,8 @@ func New(opts ...Option) *Engine {
 		e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
 	}
 	e.slots = make(chan int, e.workers)
-	e.deques = make([]*deque, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s
-		// splitmix64 of the slot id seeds each owner's victim rng.
-		z := (uint64(s) + 1) * 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		e.deques[s] = newDeque(z ^ (z >> 31))
-	}
-	e.groups = make([]atomic.Pointer[taskGroup], groupSlots)
-	e.groupFree = make(chan uint32, groupSlots)
-	for gs := uint32(0); gs < groupSlots; gs++ {
-		e.groupFree <- gs
 	}
 	e.initObserve()
 	return e

@@ -21,9 +21,6 @@ type engMetrics struct {
 	// workerBusy[w] accumulates nanoseconds worker slot w spent inside
 	// ForEach bodies — per-worker utilization for the pool.
 	workerBusy []*obs.Counter
-	// workerSteals[w] counts tasks slot w claimed from another slot's
-	// deque — the work-stealing pool's load-balancing activity.
-	workerSteals []*obs.Counter
 }
 
 // Observe attaches a metric registry to the engine. All engine series are
@@ -36,7 +33,6 @@ type engMetrics struct {
 //	                                   on another goroutine's in-flight compute)
 //	engine_sweep_seconds               histogram, whole grid sweeps
 //	engine_worker_busy_nanoseconds_total{worker=N}  counter per pool slot
-//	engine_worker_steals_total{worker=N}  tasks slot N stole from other deques
 //	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs
 //	engine_cache_entries{table=...}    gauge func, resident keys
 //	engine_cache_hit_ratio             gauge func
@@ -66,13 +62,9 @@ func (e *Engine) initObserve() {
 		sweep:    reg.Histogram("engine_sweep_seconds", "whole-sweep latency"),
 	}
 	m.workerBusy = make([]*obs.Counter, e.workers)
-	m.workerSteals = make([]*obs.Counter, e.workers)
 	for w := range m.workerBusy {
-		label := obs.L("worker", strconv.Itoa(w))
 		m.workerBusy[w] = reg.Counter("engine_worker_busy_nanoseconds_total",
-			"nanoseconds each worker slot spent executing pool bodies", label)
-		m.workerSteals[w] = reg.Counter("engine_worker_steals_total",
-			"tasks each worker slot claimed from another slot's deque", label)
+			"nanoseconds each worker slot spent executing pool bodies", obs.L("worker", strconv.Itoa(w)))
 	}
 	tables := []struct {
 		name string

@@ -2,25 +2,29 @@ package engine
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The pool is a work-stealing scheduler. Each of the engine's `workers`
-// slots owns a Chase–Lev deque (deque.go); a ForEach call acquires a slot
-// token, tags its n bodies with a task-group slot, pushes them onto its own
-// deque, lends any idle slots to helper goroutines, and then works — pop
-// from its own deque first, steal from random victims when it drains —
-// until its group's remaining-task count reaches zero.
+// The pool is a counter. A ForEach call takes a slot token and publishes one
+// call record — the body function, its n, and the next unclaimed index. Every
+// participant (the caller, and the helpers it lends idle tokens to) claims an
+// index with next.Add(1)-1 and runs it, until the counter reaches n; the
+// caller then joins its helpers. Nothing is queued, so nothing can be taken
+// from a queue: a participant only ever runs indices of the call it joined.
+// Indices are claimed one at a time, so a grid of irregular bodies balances
+// itself — whoever finishes early claims the next index, and the tail is
+// shared rather than chunked.
 //
-// Tasks are packed words: (groupSlot+1)<<32 | index. The group-slot table
-// resolves a word to its taskGroup (body function + completion counter)
-// only after the task has been claimed from a deque, so a group slot is
-// never recycled while a claimable word still references it.
+// Lending is non-blocking and happens before every claim the caller makes,
+// not only the first: a token another caller returns mid-call is put to work
+// at the caller's next body boundary. One lend never starts more helpers than
+// the call has indices left beyond the caller's own next one.
 //
-// Determinism: a body's identity is its submission index and results are
-// written into per-index slots, so stealing only permutes execution order —
-// Sweep output is bit-identical at any pool size.
+// Determinism: a body's identity is its index and results are written into
+// per-index slots, so who claims what only permutes execution order — Sweep
+// output is bit-identical at any pool size.
 //
 // The Workers(n) bound is engine-wide and token-based: every goroutine
 // executing bodies (ForEach caller or helper) holds one of n slot tokens,
@@ -38,28 +42,22 @@ import (
 // nested call runs its children in place, serially, on that token; it never
 // waits, so nested evaluation cannot deadlock under saturation. Any other
 // caller on a saturated pool blocks until a token returns. A nested call
-// that does find a spare token simply takes it: its children land on that
-// slot's deque and stay stealable.
+// that does find a spare token simply takes it and is a caller like any
+// other: it may be lent helpers, and it joins them before it returns.
 //
 // The stack carries function addresses, not engines: a body of engine A that
 // calls into a saturated engine B is also "inside a body" and runs in place
 // on B, one body over B's bound. No path in this repository nests across
 // engines.
-type taskGroup struct {
-	fn        func(int)
-	remaining atomic.Int64
-	done      chan struct{}
+type call struct {
+	fn      func(int)
+	n       int64
+	next    atomic.Int64   // next unclaimed index; ≥ n once the call is spent
+	helpers sync.WaitGroup // helper goroutines the caller has yet to join
+	// panicked holds the first value a body of this call panicked with, on
+	// whichever participant; the caller re-panics with it after the join.
+	panicked atomic.Pointer[any]
 }
-
-// groupSlots is the size of the in-flight task-group table. Each live
-// ForEach holds one slot for its duration; if (absurdly) more groups than
-// this are in flight at once, the excess calls degrade to an inline serial
-// loop, which is always correct.
-const groupSlots = 256
-
-// helperMaxMisses is how many consecutive empty pop+steal sweeps a lent
-// helper tolerates before returning its slot token to the engine.
-const helperMaxMisses = 16
 
 // ForEach runs fn(i) for every i in [0, n) on the engine's worker pool and
 // returns when all calls have completed. fn must write results into
@@ -67,8 +65,10 @@ const helperMaxMisses = 16
 // deterministic regardless of execution order. fn may call ForEach (or
 // Sweep/Plan helpers that do) on the same engine: the nested call takes a
 // spare worker slot if there is one and otherwise runs in place on the slot
-// its enclosing body occupies. The slot is released even if fn panics on
-// the calling goroutine, so a recovered panic costs the engine nothing.
+// its enclosing body occupies. If fn panics — on the calling goroutine or on
+// a helper's — no further index is claimed, ForEach panics with the first
+// such value once every body already running has returned, and every slot is
+// released on the way, so a recovered panic costs the engine nothing.
 func (e *Engine) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -128,68 +128,74 @@ func insideBody() bool {
 	}
 }
 
-// forEachOn runs the group on the calling goroutine, which holds slot.
+// forEachOn runs the call on the calling goroutine, which holds slot, and on
+// whatever helpers it can lend idle tokens to. One body, or a one-slot pool,
+// has nobody to share with and runs inline.
 func (e *Engine) forEachOn(slot, n int, fn func(int)) {
 	if n == 1 || e.workers == 1 {
-		e.runInline(slot, n, fn)
+		for i := 0; i < n; i++ {
+			e.runTimed(slot, fn, i)
+		}
 		return
 	}
-	var gslot uint32
-	select {
-	case gslot = <-e.groupFree:
-	default:
-		e.runInline(slot, n, fn)
-		return
+	c := &call{fn: fn, n: int64(n)}
+	e.work(slot, c, true)
+	c.helpers.Wait()
+	if p := c.panicked.Load(); p != nil {
+		panic(*p)
 	}
-	g := &taskGroup{fn: fn, done: make(chan struct{})}
-	g.remaining.Store(int64(n))
-	e.groups[gslot].Store(g)
-	d := e.deques[slot]
-	base := (uint64(gslot) + 1) << 32
-	for i := 0; i < n; i++ {
-		d.push(base | uint64(i))
-	}
-	if spare := min(e.workers-1, n-1); spare > 0 {
-		e.spawnHelpers(g, spare)
-	}
+}
+
+// work claims indices of c and runs them on slot until none are left. The
+// caller's loop (lender) offers idle tokens to new helpers before each claim.
+// A body's panic is kept on the call — the first one wins — and spends the
+// call, so every participant stops at its next claim: a helper's goroutine
+// has no recover above it, and the caller must join before it may unwind.
+func (e *Engine) work(slot int, c *call, lender bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.fail(p)
+		}
+	}()
 	for {
-		select {
-		case <-g.done:
-			e.groups[gslot].Store(nil)
-			e.groupFree <- gslot
+		if lender {
+			e.lend(c)
+		}
+		i := c.next.Add(1) - 1
+		if i >= c.n {
 			return
+		}
+		e.runTimed(slot, c.fn, int(i))
+	}
+}
+
+// fail records p as the call's panic unless one is already kept, and spends
+// the call. (Out of work's deferred func so that p escapes only on a panic.)
+func (c *call) fail(p any) {
+	c.panicked.CompareAndSwap(nil, &p)
+	c.next.Store(c.n)
+}
+
+// lend starts one helper per idle slot token, up to the indices of c left
+// unclaimed beyond the one the caller takes next. Acquisition is
+// non-blocking: a saturated engine lends nothing and the caller works alone.
+func (e *Engine) lend(c *call) {
+	for want := c.n - 1 - c.next.Load(); want > 0; want-- {
+		select {
+		case slot := <-e.slots:
+			c.helpers.Add(1)
+			go e.help(slot, c)
 		default:
+			return
 		}
-		v, ok := d.pop()
-		if !ok {
-			v, ok = e.steal(slot)
-		}
-		if ok {
-			e.runTask(slot, v)
-			continue
-		}
-		// Nothing runnable anywhere. Every task of g still pending is
-		// in flight on another worker (g's tasks live only in this deque
-		// until claimed), so block until the group completes.
-		<-g.done
 	}
 }
 
-// runInline executes the group serially on the held slot — the Workers(1)
-// reference path and the group-table-exhaustion fallback.
-func (e *Engine) runInline(slot, n int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		e.runTimed(slot, fn, i)
-	}
-}
-
-// runTask resolves a claimed packed word and executes its body on slot.
-func (e *Engine) runTask(slot int, v uint64) {
-	g := e.groups[uint32(v>>32)-1].Load()
-	e.runTimed(slot, g.fn, int(uint32(v)))
-	if g.remaining.Add(-1) == 0 {
-		close(g.done)
-	}
+// help is a lent worker: it works c on slot and hands the token back.
+func (e *Engine) help(slot int, c *call) {
+	defer c.helpers.Done()
+	defer func() { e.slots <- slot }()
+	e.work(slot, c, false)
 }
 
 // runTimed runs one body on slot, charging its wall time to the slot's busy
@@ -204,75 +210,4 @@ func (e *Engine) runTimed(slot int, fn func(int), i int) {
 	start := time.Now()
 	runBody(fn, i)
 	m.workerBusy[slot].Add(uint64(time.Since(start)))
-}
-
-// spawnHelpers lends up to want idle slot tokens to helper goroutines that
-// steal on behalf of group g. Acquisition is non-blocking: a saturated
-// engine spawns none and the owner simply works alone.
-func (e *Engine) spawnHelpers(g *taskGroup, want int) {
-	for i := 0; i < want; i++ {
-		select {
-		case slot := <-e.slots:
-			go e.helper(slot, g)
-		default:
-			return
-		}
-	}
-}
-
-// helper is a lent worker: it drains its own deque (nested bodies it runs
-// may push children there), steals from victims, and returns its slot when
-// the group that spawned it completes or no work surfaces for a while.
-func (e *Engine) helper(slot int, g *taskGroup) {
-	defer func() { e.slots <- slot }()
-	d := e.deques[slot]
-	misses := 0
-	for {
-		v, ok := d.pop()
-		if !ok {
-			v, ok = e.steal(slot)
-		}
-		if ok {
-			e.runTask(slot, v)
-			misses = 0
-			continue
-		}
-		select {
-		case <-g.done:
-			return
-		default:
-		}
-		misses++
-		if misses >= helperMaxMisses {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// steal sweeps the other workers' deques once, starting at a pseudo-random
-// victim, and returns the first task claimed.
-func (e *Engine) steal(self int) (uint64, bool) {
-	n := len(e.deques)
-	if n < 2 {
-		return 0, false
-	}
-	d := e.deques[self]
-	off := d.nextVictim(n)
-	for i := 0; i < n; i++ {
-		w := off + i
-		if w >= n {
-			w -= n
-		}
-		if w == self {
-			continue
-		}
-		if v, ok := e.deques[w].steal(); ok {
-			if m := e.met; m != nil && self < len(m.workerSteals) {
-				m.workerSteals[self].Add(1)
-			}
-			return v, true
-		}
-	}
-	return 0, false
 }

@@ -17,8 +17,8 @@ import (
 // the engine (the fleet allocator's per-job evaluations call PlanOn, whose
 // grid fans out on the same engine). The old fixed fan-out pool deadlocked
 // here under saturation: the outer bodies held every worker slot and the
-// inner ForEach blocked forever waiting for one. The work-stealing pool
-// detects re-entry and runs nested task sets on the slot it already holds.
+// inner ForEach blocked forever waiting for one. The pool detects re-entry
+// and runs nested task sets on the slot the enclosing body already holds.
 func TestForEachNestedNoDeadlock(t *testing.T) {
 	e := New(Workers(2), NoCache())
 	done := make(chan struct{})
@@ -285,12 +285,13 @@ func outcomeBytes(outs []Outcome) string {
 
 // TestSweepDeterministicAcrossPoolSizes: the same irregular task set must
 // produce byte-identical Sweep results and identical memo hit/miss counters
-// at every pool size — the work-stealing scheduler may reorder execution,
-// never results or cache population. Run under -race in CI, this is the
-// steal path's stress test.
+// at every pool size — who claims which index may reorder execution, never
+// results or cache population. Run under -race in CI, this is the shared
+// counter's stress test.
 func TestSweepDeterministicAcrossPoolSizes(t *testing.T) {
 	// Two models' grids concatenated: per-task cost varies widely (D from
-	// 2 to 16, five schemes), the irregular shape stealing exists for.
+	// 2 to 16, five schemes), the irregular shape claiming one index at a
+	// time exists for.
 	specs := testGrid(model.BERT48(), 16, 128, []int{2, 4, 8}, []int{1, 2, 4, 8})
 	specs = append(specs, testGrid(model.GPT2Small32(), 16, 64, []int{4, 8, 16}, []int{1, 2})...)
 	if len(specs) < 24 {

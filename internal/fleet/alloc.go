@@ -225,11 +225,12 @@ func equalSplit(pool []node, jobs int) [][]node {
 // plan returns the best §3.4 prediction for a full PlanRequest through the
 // plan memo; a zero result (no prediction, no error) means the request
 // admits no feasible configuration. It never waits on another caller's
-// planner run: the work-stealing pool runs other bodies in place while a
-// nested ForEach waits, so a body blocked on a computation suspended beneath
-// it on the same stack would deadlock. Two concurrent first requests for
-// one key may therefore both run the planner — they compute equal results
-// and the memo keeps one.
+// planner run: scan calls plan from goroutines that are not pool bodies (a
+// live sim and its what-if forks apply concurrently), and such a caller can
+// be inside PlanOn waiting for a slot token. Pool bodies parked on its
+// single-flight entry would be holding the very tokens it waits for. Two
+// concurrent first requests for one key may therefore both run the planner
+// — they compute equal results and the memo keeps one.
 func (a *Allocator) plan(req perfmodel.PlanRequest) planResult {
 	if out, ok := a.plans.Cached(req); ok {
 		return out
@@ -526,10 +527,11 @@ func (a *Allocator) greedyGrow(bids []bidder, shares [][]node, rest []node, eval
 // allocator) are published on the spot; the rest are planned as one
 // irregular task set on the engine pool, one plan per body. Every plan
 // nests further ForEach calls (PlanOn fans its (W, D, B) grid out on the
-// same engine), which the work-stealing pool runs in place on the
-// submitting worker's deque. With nothing to plan — every re-plan on a warm
-// allocator — the pool is not entered at all. Which slots get resolved here
-// never changes a value a scan reads, only who plans it.
+// same engine), which take a spare slot token if there is one and otherwise
+// run in place on the one their body already holds. With nothing to plan —
+// every re-plan on a warm allocator — the pool is not entered at all. Which
+// slots get resolved here never changes a value a scan reads, only who plans
+// it.
 func (a *Allocator) resolveAhead(bids []bidder, shares [][]node, rest int) {
 	type coldSlot struct {
 		cv *planCurve

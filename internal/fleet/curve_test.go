@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
@@ -97,9 +98,8 @@ func TestForkSharesCurvesUnderRace(t *testing.T) {
 // TestGreedyGrowSameJobColdCurves: two instances of one job bid on one
 // curve, and a third job asks for the very same plans through a curve of
 // its own, all cold, on a four-worker engine — from two goroutines at once.
-// The pool bodies that resolve the slots must neither wait on each other
-// (a body blocked on a plan suspended beneath it on the same stack never
-// wakes) nor disagree.
+// The pool bodies that resolve the slots must neither wait on each other's
+// plans (TestPlanNeverWaitsForAnotherPlanner) nor disagree.
 func TestGreedyGrowSameJobColdCurves(t *testing.T) {
 	c := pizDaintCluster(24, nil)
 	job := Job{Name: "twin", Model: model.BERT48(), MiniBatch: 64}
@@ -135,6 +135,48 @@ func TestGreedyGrowSameJobColdCurves(t *testing.T) {
 				t.Fatalf("rep %d goroutine %d: shares %v, serial run %v", rep, g, got[g], want)
 			}
 		}
+	}
+}
+
+// TestPlanNeverWaitsForAnotherPlanner: Allocator.plan does not single-flight.
+// A caller that is not a pool body waits for a slot token inside PlanOn; if
+// it waited there as the owner of an in-flight entry, a body that holds the
+// token and asks for the same plan would park on that entry for good. The
+// body below holds a one-slot engine's only token while an outside goroutine
+// starts the same plan first: it must plan for itself and return, and the
+// outsider after it. (The sleep only gives the outsider time to get stuck; a
+// slow machine can only make this test pass.)
+func TestPlanNeverWaitsForAnotherPlanner(t *testing.T) {
+	e := engine.New(engine.Workers(1))
+	a := NewAllocator(e)
+	job := Job{Name: "one", Model: model.BERT48(), MiniBatch: 64}
+	req := newPlanCurve(pizDaintCluster(8, nil), job, 8).request(4)
+	var inside, outside planResult
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var outsider sync.WaitGroup
+		outsider.Add(1)
+		e.ForEach(1, func(int) {
+			go func() {
+				defer outsider.Done()
+				outside = a.plan(req)
+			}()
+			time.Sleep(20 * time.Millisecond)
+			inside = a.plan(req)
+		})
+		outsider.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a pool body waited on a plan whose owner is waiting for the body's token")
+	}
+	if inside.err != nil || inside.pred == nil {
+		t.Fatalf("plan inside the body: %+v", inside)
+	}
+	if !reflect.DeepEqual(inside, outside) {
+		t.Fatalf("the two planners disagree:\n inside %+v\noutside %+v", inside.pred, outside.pred)
 	}
 }
 
