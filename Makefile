@@ -24,8 +24,9 @@ race:
 # nested calls run in place, on two the caller and one helper contend for
 # every index of a call, on four there are spare tokens for nested calls —
 # different code, and the runner's core count should not pick which is
-# swept. The fleet run is -short: its single-threaded oracle suites shrink,
-# the concurrency tests do not. The schedule and perfmodel packages are in
+# swept. The fleet run is -short: its single-threaded oracle suites shrink
+# (the classic-trace differential, TestClassicTraceIsArrivalsOnlyReplay,
+# runs a quarter of its seeds), the concurrency tests do not. The schedule and perfmodel packages are in
 # because graph compile and replay draw from three process-wide pools
 # (producerPool, topoScratchPool, readoutPool) that concurrent planners
 # share. The last line is every package twice, for whatever shares state
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
+	$(GO) test -fuzz=FuzzFleetScenarioResolve -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve/
 
 # cover writes the per-function coverage summary CI archives.
 cover:

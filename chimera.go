@@ -247,15 +247,16 @@ const (
 // PlanFleet allocates cluster nodes across competing jobs and picks each
 // job's (W, D, B) with the §3.4 planner, maximizing Σ priority·throughput.
 // Runs on the shared engine; deterministic at any pool size.
-func PlanFleet(req FleetRequest) (*FleetAllocation, error) { return fleet.AllocateOn(nil, req) }
+func PlanFleet(req FleetRequest) (*FleetAllocation, error) { return PlanFleetOn(nil, req) }
 
 // PlanFleetOn is PlanFleet on a caller-supplied engine.
 func PlanFleetOn(e *Engine, req FleetRequest) (*FleetAllocation, error) {
-	return fleet.AllocateOn(e, req)
+	return fleet.NewAllocator(e).Allocate(req)
 }
 
-// SimulateFleet replays a job arrival/departure trace through the
-// allocator as a deterministic discrete-event simulation.
+// SimulateFleet replays a job arrival/departure trace as a deterministic
+// discrete-event simulation: the elastic simulator fed arrivals only,
+// re-planning in full at every event.
 func SimulateFleet(sc FleetScenario) (*FleetSimResult, error) { return fleet.SimulateOn(nil, sc) }
 
 // SimulateFleetElastic replays an elastic trace — arrivals plus node

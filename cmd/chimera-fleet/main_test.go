@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"chimera/internal/serve"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the chimera-fleet golden files from current output")
@@ -99,6 +102,50 @@ func TestTraceFlagOverridesScenario(t *testing.T) {
 	for _, want := range []string{`"kind": "node_fail"`, `"fails": 1`, `"joins": 1`} {
 		if !bytes.Contains(out.Bytes(), []byte(want)) {
 			t.Fatalf("elastic output missing %q:\n%s", want, out.Bytes())
+		}
+	}
+}
+
+// TestClassicTraceEqualsArrivalEvents: a classic trace is sugar for arrival
+// events under full re-planning. The example scenario replayed with
+// -simulate, and its arrivals fed back as a -trace events file with
+// -replan full, agree on makespan, mean wait and every done_at.
+func TestClassicTraceEqualsArrivalEvents(t *testing.T) {
+	const scenario = "../../examples/fleet/scenario.json"
+	var sc serve.FleetScenario
+	if err := decodeFile(scenario, &sc); err != nil {
+		t.Fatal(err)
+	}
+	arrivals, err := json.Marshal(sc.Trace) // {at, job, work}: an arrival event as it stands
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(t.TempDir(), "arrivals.json")
+	if err := os.WriteFile(trace, arrivals, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var classicOut, elasticOut bytes.Buffer
+	if err := run([]string{"-scenario", scenario, "-simulate", "-json", "-workers", "1"}, &classicOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scenario", scenario, "-trace", trace, "-replan", "full", "-simulate", "-json", "-workers", "1"}, &elasticOut); err != nil {
+		t.Fatal(err)
+	}
+	var classic serve.FleetSimResponse
+	var elastic serve.FleetElasticResponse
+	if err := json.Unmarshal(classicOut.Bytes(), &classic); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(elasticOut.Bytes(), &elastic); err != nil {
+		t.Fatal(err)
+	}
+	if classic.Makespan != elastic.Makespan || classic.MeanWait != elastic.MeanWait || len(classic.Jobs) != len(elastic.Jobs) {
+		t.Fatalf("classic makespan %v wait %v over %d runs, elastic %v / %v over %d",
+			classic.Makespan, classic.MeanWait, len(classic.Jobs), elastic.Makespan, elastic.MeanWait, len(elastic.Jobs))
+	}
+	for i, run := range classic.Jobs {
+		if run.DoneAt != elastic.Jobs[i].DoneAt {
+			t.Fatalf("trace[%d] done at %v as a classic trace, %v as arrival events", i, run.DoneAt, elastic.Jobs[i].DoneAt)
 		}
 	}
 }

@@ -121,13 +121,6 @@ func (a *Allocator) PlanStats() (hits, misses uint64) {
 	return a.curveHits.Load() + memoHits, a.planned.Load()
 }
 
-// AllocateOn solves one fleet-allocation problem on e (nil selects the
-// shared default engine) with a throwaway plan memo; callers that allocate
-// repeatedly should hold a NewAllocator instead.
-func AllocateOn(e *engine.Engine, req Request) (*Allocation, error) {
-	return NewAllocator(e).Allocate(req)
-}
-
 // Allocate solves the request with its policy. The result is deterministic:
 // job order is input order, every selection carries a total tie-break, and
 // nothing depends on the engine's pool size.

@@ -97,7 +97,7 @@ func TestElasticBitDeterministic(t *testing.T) {
 // reference for which nodes the elastic instance starts on).
 func soloPlan(t *testing.T, nodes int, job Job) JobAllocation {
 	t.Helper()
-	al, err := AllocateOn(engine.New(engine.Workers(1)), Request{
+	al, err := NewAllocator(engine.New(engine.Workers(1))).Allocate(Request{
 		Cluster: pizDaintCluster(nodes, nil), Jobs: []Job{job},
 	})
 	if err != nil {

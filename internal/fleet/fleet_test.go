@@ -30,7 +30,7 @@ func benchMix() []Job {
 
 func mustAllocate(t *testing.T, e *engine.Engine, req Request) *Allocation {
 	t.Helper()
-	al, err := AllocateOn(e, req)
+	al, err := NewAllocator(e).Allocate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestValidateRejections(t *testing.T) {
 	for _, tc := range cases {
 		req := Request{Cluster: pizDaintCluster(8, nil), Jobs: []Job{{Name: "a", Model: model.BERT48(), MiniBatch: 64}}}
 		tc.mut(&req)
-		if _, err := AllocateOn(nil, req); err == nil {
+		if _, err := NewAllocator(nil).Allocate(req); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

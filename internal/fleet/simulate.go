@@ -52,13 +52,14 @@ type SimResult struct {
 	Nodes  int
 	// Makespan is the time the last instance departs.
 	Makespan float64
-	// Utilization is plan-driven node-seconds over Nodes·Makespan: the
-	// fraction of the cluster's capacity that chosen plans actually used.
+	// Utilization is plan-driven node-seconds over the pool integrated to
+	// the makespan: the fraction of the cluster's capacity that chosen plans
+	// actually used.
 	Utilization float64
 	// MeanWait averages JobRun.Wait over the trace.
 	MeanWait float64
 	// Events counts arrivals + departures; Reallocations how many times
-	// the allocator re-ran (once per event batch with active jobs).
+	// the allocator re-ran (once per distinct event time with residents).
 	Events        int
 	Reallocations int
 	Jobs          []JobRun
@@ -70,27 +71,32 @@ func SimulateOn(e *engine.Engine, sc Scenario) (*SimResult, error) {
 	return NewAllocator(e).Simulate(sc)
 }
 
-// Simulate replays the trace as a deterministic discrete-event simulation:
-// at every arrival or departure the allocator re-runs over the jobs then
-// resident, and between events each instance progresses at its allocated
-// (straggler-penalized) throughput. Instances whose current allocation is
-// infeasible make no progress and accumulate wait time. Event order is
-// total — time, then departures before arrivals, then trace index — so the
-// same scenario replays bit-identically at any engine pool size.
+// Simulate replays the trace through the elastic stepper: a classic trace
+// is sugar for arrival events on a pool that never churns, re-planned from
+// scratch at every event with no migration penalty — one same-time batch of
+// arrivals per step, departures caught up between. The per-arrival checks
+// and the MaxEvents bound stay here so errors name the trace; a pool with no
+// joins needs no MaxElasticNodes cap, so any cluster a Request admits
+// replays. Aging, one re-plan per departure time, the MaxResident bound and
+// the stall error are ElasticSim's (its errors say events[i] for trace[i]).
 func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
-	req := Request{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy}
-	if err := req.Validate(); err != nil {
+	esc := ElasticScenario{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy, Replan: ReplanFull}
+	if err := esc.validateConfig(); err != nil {
 		return nil, err
 	}
 	if len(sc.Trace) == 0 {
 		return nil, fmt.Errorf("fleet: scenario has an empty trace")
 	}
-	byName := make(map[string]Job, len(sc.Jobs))
-	for _, j := range sc.Jobs {
-		byName[j.Name] = j
+	if len(sc.Trace) > MaxEvents {
+		return nil, fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(sc.Trace), MaxEvents)
 	}
+	known := make(map[string]bool, len(sc.Jobs))
+	for _, j := range sc.Jobs {
+		known[j.Name] = true
+	}
+	sorted := make([]indexedEvent, len(sc.Trace))
 	for i, ev := range sc.Trace {
-		if _, ok := byName[ev.Job]; !ok {
+		if !known[ev.Job] {
 			return nil, fmt.Errorf("fleet: trace[%d] names unknown job %q", i, ev.Job)
 		}
 		if ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0) {
@@ -99,140 +105,38 @@ func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
 		if !(ev.Work > 0) || math.IsInf(ev.Work, 0) {
 			return nil, fmt.Errorf("fleet: trace[%d] work must be positive and finite, got %g", i, ev.Work)
 		}
+		sorted[i] = indexedEvent{ev: Event{At: ev.At, Kind: EvArrival, Job: ev.Job, Work: ev.Work}, idx: i}
 	}
-
-	// Arrivals in (time, trace index) order; the trace index is the total
-	// tie-break and the identity of the instance throughout.
-	order := make([]int, len(sc.Trace))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool { return sc.Trace[order[x]].At < sc.Trace[order[y]].At })
-
-	type instance struct {
-		trace     int
-		job       Job
-		remaining float64
-		rate      float64 // current penalized throughput (seq/s)
-		used      int     // nodes the current plan drives
-		started   bool
-	}
-	res := &SimResult{Policy: req.policy(), Nodes: sc.Cluster.Nodes, Jobs: make([]JobRun, len(sc.Trace))}
-	for i, ev := range sc.Trace {
-		res.Jobs[i] = JobRun{Job: ev.Job, Trace: i, ArriveAt: ev.At, StartAt: -1, DoneAt: -1}
-	}
-
-	var active []*instance // arrival order — the allocator's input order
-	var busyNodeSeconds float64
-	now, next := 0.0, 0
-
-	// reallocate re-runs the policy over the resident instances and
-	// refreshes their rates. Instance names stay unique within a request:
-	// a job arriving twice concurrently gets its trace index appended.
-	reallocate := func() error {
-		if len(active) == 0 {
-			return nil
+	sort.SliceStable(sorted, func(x, y int) bool { return sorted[x].ev.At < sorted[y].ev.At })
+	s := newElasticSim(a, esc)
+	for i, j := 0, 0; i < len(sorted); i = j {
+		at := sorted[i].ev.At
+		for j = i; j < len(sorted) && sorted[j].ev.At == at; j++ {
 		}
-		jobs := make([]Job, len(active))
-		for i, in := range active {
-			j := in.job
-			j.Name = fmt.Sprintf("%s#%d", j.Name, in.trace)
-			jobs[i] = j
+		if err := s.advanceDepartures(at); err != nil {
+			return nil, err
 		}
-		al, err := a.Allocate(Request{Cluster: sc.Cluster, Jobs: jobs, Policy: sc.Policy})
-		if err != nil {
-			return err
-		}
-		for i, in := range active {
-			in.rate = al.Jobs[i].Throughput
-			in.used = al.Jobs[i].NodesUsed
-			if in.rate > 0 && !in.started {
-				in.started = true
-				res.Jobs[in.trace].StartAt = now
-				res.Jobs[in.trace].Wait = now - res.Jobs[in.trace].ArriveAt
-			}
-		}
-		res.Reallocations++
-		return nil
-	}
-
-	for next < len(order) || len(active) > 0 {
-		// Next departure under current rates: earliest finish, tie-break
-		// by trace index (active is arrival-ordered, scan keeps first).
-		depart, departAt := -1, math.Inf(1)
-		for i, in := range active {
-			if in.rate <= 0 {
-				continue
-			}
-			at := now + in.remaining/in.rate
-			if at < departAt {
-				depart, departAt = i, at
-			}
-		}
-		arriveAt := math.Inf(1)
-		if next < len(order) {
-			arriveAt = sc.Trace[order[next]].At
-		}
-		if depart < 0 && next >= len(order) {
-			stuck := make([]string, len(active))
-			for i, in := range active {
-				stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.trace)
-			}
-			return nil, fmt.Errorf("fleet: trace stalls — no arrivals left and no resident instance can run (%v)", stuck)
-		}
-		t := math.Min(departAt, arriveAt)
-		if t < now {
-			t = now // float residue: a co-finisher's remaining may dip below 0
-		}
-		// Advance every running instance to t.
-		dt := t - now
-		if dt > 0 {
-			for _, in := range active {
-				if in.rate > 0 {
-					in.remaining -= dt * in.rate
-					busyNodeSeconds += dt * float64(in.used)
-				}
-			}
-		}
-		now = t
-		changed := false
-		// Departures first: the completing instance (exactly zero by
-		// construction; floor to zero to absorb float residue).
-		if depart >= 0 && departAt <= arriveAt {
-			in := active[depart]
-			in.remaining = 0
-			run := &res.Jobs[in.trace]
-			run.DoneAt = now
-			if d := in.job.Deadline; d > 0 && now-run.ArriveAt > d {
-				run.MissedDeadline = true
-			}
-			active = append(active[:depart], active[depart+1:]...)
-			res.Events++
-			changed = true
-		}
-		// Then every arrival due at t (same-time arrivals batch into one
-		// reallocation, in trace order).
-		for next < len(order) && sc.Trace[order[next]].At <= now {
-			ev := sc.Trace[order[next]]
-			active = append(active, &instance{trace: order[next], job: byName[ev.Job], remaining: ev.Work})
-			next++
-			res.Events++
-			changed = true
-		}
-		if changed {
-			if err := reallocate(); err != nil {
-				return nil, err
-			}
+		if err := s.stepBatch(at, sorted[i:j]); err != nil {
+			return nil, err
 		}
 	}
-	res.Makespan = now
-	if res.Makespan > 0 {
-		res.Utilization = busyNodeSeconds / (float64(sc.Cluster.Nodes) * res.Makespan)
+	if err := s.runToCompletion(); err != nil {
+		return nil, err
 	}
-	var wait float64
-	for i := range res.Jobs {
-		wait += res.Jobs[i].Wait
+	s.finish(len(sorted))
+	er := s.res
+	res := &SimResult{
+		Policy: er.Policy, Nodes: sc.Cluster.Nodes,
+		Makespan: er.Makespan, Utilization: er.Utilization, MeanWait: er.MeanWait,
+		Events: er.Events, Reallocations: er.Reallocations,
+		Jobs: make([]JobRun, len(er.Jobs)),
 	}
-	res.MeanWait = wait / float64(len(res.Jobs))
+	for i, run := range er.Jobs {
+		res.Jobs[i] = JobRun{
+			Job: run.Job, Trace: run.Trace,
+			ArriveAt: run.ArriveAt, StartAt: run.StartAt, DoneAt: run.DoneAt, Wait: run.Wait,
+			MissedDeadline: run.MissedDeadline,
+		}
+	}
 	return res, nil
 }

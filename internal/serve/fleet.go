@@ -89,7 +89,8 @@ type FleetEventRef struct {
 	Price float64 `json:"price,omitempty"`
 }
 
-// MaxFleetEvents bounds an elastic trace (the fleet package enforces the
+// MaxFleetEvents bounds a trace of either form — elastic events or classic
+// arrivals, which replay as arrival events (the fleet package enforces the
 // same bound; re-exported so the wire contract names it).
 const MaxFleetEvents = fleet.MaxEvents
 
@@ -212,12 +213,17 @@ func (r FleetPlanRequest) Resolve() (fleet.Request, error) {
 // Elastic scenarios (events present) must resolve through ResolveElastic,
 // and the elastic-only knobs are rejected here rather than silently
 // ignored — the strict-validation contract of every field in this codec.
+// The trace is bounded like an event list, so an oversized one is a 400
+// before any planning.
 func (s FleetScenario) Resolve() (fleet.Scenario, error) {
 	if s.Elastic() {
 		return fleet.Scenario{}, fmt.Errorf("fleet: scenario carries an elastic event trace; resolve it as elastic")
 	}
 	if s.Replan != "" || s.MigrationPenalty != 0 || s.AgingTau != 0 {
 		return fleet.Scenario{}, fmt.Errorf("fleet: replan, migration_penalty and aging_tau apply only to elastic scenarios (set events)")
+	}
+	if len(s.Trace) > MaxFleetEvents {
+		return fleet.Scenario{}, fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(s.Trace), MaxFleetEvents)
 	}
 	req, err := FleetPlanRequest{Cluster: s.Cluster, Jobs: s.Jobs, Policy: s.Policy}.Resolve()
 	if err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func TestFleetPlanMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	al, err := fleet.AllocateOn(engine.New(engine.Workers(1)), freq)
+	al, err := fleet.NewAllocator(engine.New(engine.Workers(1))).Allocate(freq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestFleetSimulateElasticMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestFleetSimulateClassicTrace: a trace-only scenario replays through the
-// classic simulator and encodes via NewFleetSimResponse.
+// TestFleetSimulateClassicTrace: a trace-only scenario replays and encodes
+// via NewFleetSimResponse.
 func TestFleetSimulateClassicTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, body := post(t, ts, "/v1/fleet/simulate", fleetClassicSimBody)
@@ -318,5 +319,82 @@ func TestFleetHeterogeneousCluster(t *testing.T) {
 	if j.Throughput*j.StragglerFactor != j.Plan.Throughput {
 		t.Fatalf("throughput %.4f × factor %g != plan throughput %.4f",
 			j.Throughput, j.StragglerFactor, j.Plan.Throughput)
+	}
+}
+
+// classicTraceBody is a one-job classic scenario with n arrivals 6 s apart.
+func classicTraceBody(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"cluster":{"nodes":64,"platform":{"preset":"pizdaint"}},` +
+		`"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":64}],"trace":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"at":%d,"job":"a","work":1000}`, 6*i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// TestFleetSimulateClassicTraceBounded: a classic trace is bounded like an
+// event list. 28,000 arrivals fit the body cap and, replayed, would hold an
+// admission slot for seconds; the request is a 400 naming trace and the
+// limit, answered without planning or caching anything.
+func TestFleetSimulateClassicTraceBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheCapacity: 64})
+	status, body := post(t, ts, "/v1/fleet/simulate", classicTraceBody(28000))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("28000 trace arrivals exceed the limit %d", MaxFleetEvents)) {
+		t.Fatalf("28,000-arrival trace: status %d, body %s", status, body)
+	}
+	if _, planned := srv.allocator.PlanStats(); planned != 0 {
+		t.Fatalf("the refused trace ran the planner %d times", planned)
+	}
+	if c := srv.Snapshot().FleetSimCache; c.Entries != 0 || c.Misses != 0 {
+		t.Fatalf("the refused trace touched the cache: %+v", c)
+	}
+
+	// The bound is MaxFleetEvents exactly.
+	for n, ok := range map[int]bool{MaxFleetEvents: true, MaxFleetEvents + 1: false} {
+		var sc FleetScenario
+		if err := DecodeStrict(strings.NewReader(classicTraceBody(n)), &sc); err != nil {
+			t.Fatal(err)
+		}
+		resolved, err := sc.Resolve()
+		if (err == nil) != ok || (ok && len(resolved.Trace) != n) {
+			t.Fatalf("%d arrivals: resolved %d, err %v", n, len(resolved.Trace), err)
+		}
+	}
+}
+
+// TestFleetSimulateClassicAboveElasticNodeCap: the elastic pool cap guards
+// joins; a classic trace has none, so a cluster above fleet.MaxElasticNodes
+// replays over HTTP as it always did (byte-identical to in-process), while
+// the same arrivals sent as events are a 400 naming the cap.
+func TestFleetSimulateClassicAboveElasticNodeCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	classic := strings.Replace(fleetClassicSimBody, `"nodes":8`, fmt.Sprintf(`"nodes":%d`, fleet.MaxElasticNodes+2), 1)
+	status, body := post(t, ts, "/v1/fleet/simulate", classic)
+	if status != http.StatusOK {
+		t.Fatalf("classic trace on %d nodes: status %d: %s", fleet.MaxElasticNodes+2, status, body)
+	}
+	var sc FleetScenario
+	if err := DecodeStrict(strings.NewReader(classic), &sc); err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := sc.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.SimulateOn(engine.New(engine.Workers(1)), resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(NewFleetSimResponse(res)); !bytes.Equal(body, want) || res.Nodes != fleet.MaxElasticNodes+2 {
+		t.Fatalf("served classic replay differs from in-process:\nserved: %s\nlocal:  %s", body, want)
+	}
+	status, body = post(t, ts, "/v1/fleet/simulate", strings.Replace(classic, `"trace"`, `"events"`, 1))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("exceed the limit %d", fleet.MaxElasticNodes)) {
+		t.Fatalf("elastic twin: status %d, body %s", status, body)
 	}
 }
