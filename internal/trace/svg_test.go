@@ -57,6 +57,32 @@ func TestSVGGoldenGPipeD4(t *testing.T) {
 	goldenSVG(t, "gpipe_d4n4_equal.svg", s, schedule.UnitEqual)
 }
 
+// TestSVGGoldenD4N8: the N > D variants and two baselines under the
+// practical model — forward doubling and backward halving (the 1F2B unit
+// shape of §3.5), GEMS and DAPPLE — so a change to how any generator orders
+// a worker's ops shows up as a drifted picture.
+func TestSVGGoldenD4N8(t *testing.T) {
+	for _, tc := range []struct {
+		file  string
+		build func() (*schedule.Schedule, error)
+	}{
+		{"chimera_d4n8_doubling_practical.svg", func() (*schedule.Schedule, error) {
+			return schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 8, Concat: schedule.ForwardDoubling})
+		}},
+		{"chimera_d4n8_halving_practical.svg", func() (*schedule.Schedule, error) {
+			return schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 8, Concat: schedule.BackwardHalving})
+		}},
+		{"gems_d4n8_practical.svg", func() (*schedule.Schedule, error) { return schedule.GEMS(4, 8) }},
+		{"dapple_d4n8_practical.svg", func() (*schedule.Schedule, error) { return schedule.DAPPLE(4, 8) }},
+	} {
+		s, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenSVG(t, tc.file, s, schedule.UnitPractical)
+	}
+}
+
 // TestSVGStructure: structural invariants that hold for any renderer
 // refactor — one background row plus one rect per op, backwards darker,
 // every worker labelled, header carries the makespan.
