@@ -28,20 +28,18 @@ type Analysis struct {
 // Analyze computes the measured analysis of any schedule.
 func Analyze(s *Schedule) (*Analysis, error) {
 	a := &Analysis{Scheme: s.Scheme, D: s.D, N: s.N, Synchronous: s.Synchronous}
-	tlE, err := s.Replay(UnitEqual)
-	if err != nil {
-		return nil, err
+	var ratios [2]float64
+	for i, cm := range []CostModel{UnitEqual, UnitPractical} {
+		r, err := s.Readout(cm.ReplayConfig())
+		if err != nil {
+			return nil, err
+		}
+		ratios[i] = r.BubbleRatio()
+		r.Release()
 	}
-	tlP, err := s.Replay(UnitPractical)
-	if err != nil {
-		return nil, err
-	}
+	// Asynchronous schemes have no flush: steady-state bubbles ≈ 0.
 	if s.Synchronous {
-		a.BubbleRatioEqual = tlE.BubbleRatio()
-		a.BubbleRatioPractical = tlP.BubbleRatio()
-	} else {
-		// Asynchronous schemes have no flush: steady-state bubbles ≈ 0.
-		a.BubbleRatioEqual, a.BubbleRatioPractical = 0, 0
+		a.BubbleRatioEqual, a.BubbleRatioPractical = ratios[0], ratios[1]
 	}
 	a.ActivationsMa = s.ActivationHighWater()
 	a.WeightsMTheta = make([]float64, s.D)

@@ -22,7 +22,6 @@ func GPipe(d, n int) (*Schedule, error) {
 				Op{Kind: Backward, Stage: w, Replica: 0, Micros: microRun(m, 1), prio: int32(n + d + (d - 1 - w) + m)})
 		}
 	}
-	s.sortWorkerOps()
 	return s, nil
 }
 
@@ -79,7 +78,6 @@ func dapple1F1B(name string, d, n int, synchronous bool) (*Schedule, error) {
 			}
 		}
 	}
-	s.sortWorkerOps()
 	return s, nil
 }
 
@@ -106,6 +104,8 @@ func GEMS(d, n int) (*Schedule, error) {
 		s.MicroReplica[m] = rep
 		// Each micro-batch's forward chases the previous micro-batch's
 		// backward through the pipeline; greedy replay produces the overlap.
+		// On every worker a micro-batch's backward slot precedes the next
+		// one's forward slot, so micro-major appending is slot order.
 		base := m * (d + 1)
 		for st := 0; st < d; st++ {
 			w := rm.WorkerOf[st]
@@ -114,7 +114,6 @@ func GEMS(d, n int) (*Schedule, error) {
 				Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: int32(base + 2*d - 1 - st)})
 		}
 	}
-	s.sortWorkerOps()
 	return s, nil
 }
 

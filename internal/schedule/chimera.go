@@ -99,6 +99,9 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 	if d < 2 || d%2 != 0 {
 		return nil, fmt.Errorf("chimera: D must be even and ≥2, got %d", d)
 	}
+	if f < 1 {
+		return nil, fmt.Errorf("chimera: F must be ≥1, got %d", f)
+	}
 	if (d/2)%f != 0 {
 		return nil, fmt.Errorf("chimera: F=%d must divide D/2=%d", f, d/2)
 	}
@@ -124,37 +127,79 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 
 	switch {
 	case n <= d || cfg.Concat == Direct:
-		buildChimeraDirect(s, f)
 	case cfg.Concat == ForwardDoubling || cfg.Concat == BackwardHalving:
 		if n%d != 0 {
 			return nil, fmt.Errorf("chimera: %v needs N a multiple of D, got N=%d D=%d", cfg.Concat, n, d)
 		}
-		// Halving: a forward and two half backwards per micro-batch.
-		// Doubling: a unit's D forwards carry 2D micro-batches (3D ops),
-		// and the odd residual unit is a plain one (2D ops).
-		perWorker := 3 * n
-		if cfg.Concat == ForwardDoubling {
-			units := n / d
-			perWorker = 3*d*(units/2) + 2*d*(units%2)
-		}
-		s.reserveOps(perWorker)
-		buildChimeraDoubling(s, cfg, f, upPhase)
 		s.DoubledForward = true
 		s.HalvedBackward = cfg.Concat == BackwardHalving
-		s.sortWorkerOps()
 	default:
 		return nil, fmt.Errorf("chimera: unknown concat mode %v", cfg.Concat)
 	}
+	buildChimera(s, f, upPhase)
 	return s, nil
 }
 
-// reserveOps gives every worker an empty op list with room for perWorker
-// ops, all carved from one allocation, so emission never regrows a list.
-func (s *Schedule) reserveOps(perWorker int) {
-	backing := make([]Op, s.D*perWorker)
-	for w := range s.Workers {
-		s.Workers[w] = backing[w*perWorker : w*perWorker : (w+1)*perWorker]
+// buildChimera writes every worker's ops once, at their final index in the
+// schedule's single backing array. Every slot is closed-form, so instead of
+// emitting micro-major and sorting, each worker's ops are enumerated twice
+// straight from the formulas — once to count ops per slot, once to place
+// them — and opLess settles the slots that hold more than one op.
+func buildChimera(s *Schedule, f, upPhase int) {
+	d, n := s.D, s.N
+	// Direct: a forward and a backward per micro-batch, a unit every 2D
+	// slots, whose last backward runs D/f − 2 slots into the next unit.
+	perWorker, hi := 2*n, 2*d*((n+d-1)/d)+d
+	if s.DoubledForward {
+		// A 1F2B unit every 3D slots. Halving: a forward and two half
+		// backwards per micro-batch. Doubling: a unit's D forwards carry 2D
+		// micro-batches (3D ops), and the odd residual unit is a plain one
+		// (2D ops).
+		perWorker, hi = 3*n, 3*n+d+upPhase
+		if !s.HalvedBackward {
+			units := n / d
+			perWorker, hi = 3*d*(units/2)+2*d*(units%2), 3*d*((units+1)/2)+d+upPhase
+		}
 	}
+	// stageOn[r·D + w] is the stage of replica r that worker w hosts.
+	stageOn := make([]int32, len(s.Replicas)*d)
+	for r, rm := range s.Replicas {
+		for st, w := range rm.WorkerOf {
+			stageOn[r*d+w] = int32(st)
+		}
+	}
+	backing := make([]Op, d*perWorker)
+	var slots slotTable
+	for w := range s.Workers {
+		dst := backing[perWorker*w : perWorker*(w+1) : perWorker*(w+1)]
+		slots.reset(0, int32(hi))
+		s.workerOps(w, f, upPhase, stageOn, &slots, nil)
+		ties := slots.prefix()
+		s.workerOps(w, f, upPhase, stageOn, &slots, dst)
+		if ties {
+			settleTies(dst)
+		}
+		s.Workers[w] = dst
+	}
+	// Every replica has a stage on every worker, so worker 0 runs every
+	// micro-batch.
+	for _, op := range s.Workers[0] {
+		for _, m := range op.Micros {
+			s.MicroReplica[m] = op.Replica
+		}
+	}
+}
+
+// workerOps runs the enumerator of the schedule's concatenation mode over
+// worker w: with a nil dst it only counts the ops into slots, otherwise it
+// writes each op to the index slots hands out for its slot. Both calls are
+// static, which keeps slots on the caller's stack.
+func (s *Schedule) workerOps(w, f, upPhase int, stageOn []int32, slots *slotTable, dst []Op) {
+	if s.DoubledForward {
+		s.doublingWorkerOps(w, f, upPhase, stageOn, slots, dst)
+		return
+	}
+	s.directWorkerOps(w, f, stageOn, slots, dst)
 }
 
 // pairSlots gives the construction slots of the forward and backward op of
@@ -182,83 +227,11 @@ func pairSlots(d, st, m, unitOffset int) (fSlot, bSlot int32) {
 	return int32(st + 2*m + unitOffset), int32(2*d - 1 - st + 2*m + unitOffset)
 }
 
-// emitPair appends the forward+backward pair of micro-batch mb of replica r,
-// the m-th of its pipeline within the unit at unitOffset, to every worker
-// the replica crosses (micro-major emission: sortWorkerOps orders it later).
-func (s *Schedule) emitPair(r, mb, m, unitOffset int) {
-	d := s.D
-	rm := s.Replicas[r]
-	micros := microRun(mb, 1)
-	for st := 0; st < d; st++ {
-		w := rm.WorkerOf[st]
-		fSlot, bSlot := pairSlots(d, st, m, unitOffset)
-		s.Workers[w] = append(s.Workers[w],
-			Op{Kind: Forward, Stage: st, Replica: r, Micros: micros, prio: fSlot},
-			Op{Kind: Backward, Stage: st, Replica: r, Micros: micros, prio: bSlot})
-	}
-	s.MicroReplica[mb] = r
-}
-
-// emitPlainUnit deals inUnit ≤ D consecutive micro-batches starting at mb to
-// the 2f pipelines — pipeline p = down0, up0, down1, up1, ... gets its
-// ceil-fair share, locally 1F1B ordered — as one basic unit at unitOffset.
-func (s *Schedule) emitPlainUnit(order, counts []int, mb, unitOffset int) {
-	for pi, rep := range order {
-		for m := 0; m < counts[pi]; m++ {
-			s.emitPair(rep, mb, m, unitOffset)
-			mb++
-		}
-	}
-}
-
-// buildChimeraDirect handles N ≤ D and direct concatenation of basic units.
+// directWorkerOps enumerates worker w's ops of a direct-concatenation
+// schedule (N ≤ D included), pipeline by pipeline and unit by unit.
 // Micro-batches are dealt to the 2f pipelines round-robin (down pipelines
 // first), each unit carrying up to D micro-batches and starting 2D slots —
 // its busy slots per worker — after the previous one.
-//
-// This is the one generator the planner calls, so it writes each op once.
-// Every slot is closed-form, so instead of emitting micro-major and sorting
-// a copy, each worker's ops are enumerated twice straight from the formulas
-// — once to count ops per slot, once to place them — and land at their final
-// index in the schedule's single backing array.
-func buildChimeraDirect(s *Schedule, f int) {
-	d, n := s.D, s.N
-	units := (n + d - 1) / d
-	// stageOn[r·D + w] is the stage of replica r that worker w hosts.
-	stageOn := make([]int32, 2*f*d)
-	for r, rm := range s.Replicas {
-		for st, w := range rm.WorkerOf {
-			stageOn[r*d+w] = int32(st)
-		}
-	}
-	backing := make([]Op, 2*n*d) // a forward and a backward per micro-batch per worker
-	var slots slotTable
-	for w := range s.Workers {
-		dst := backing[2*n*w : 2*n*(w+1) : 2*n*(w+1)]
-		// A unit's last backward runs D/f − 2 slots into its successor's span.
-		slots.reset(0, int32(2*d*units+d))
-		s.directWorkerOps(w, f, stageOn, &slots, nil)
-		ties := slots.prefix()
-		s.directWorkerOps(w, f, stageOn, &slots, dst)
-		if ties {
-			settleTies(dst)
-		}
-		s.Workers[w] = dst
-	}
-	for mb0 := 0; mb0 < n; mb0 += d {
-		for pi := 0; pi < 2*f; pi++ {
-			count, first := dealt(min(d, n-mb0), 2*f, pi)
-			for mb := mb0 + first; mb < mb0+first+count; mb++ {
-				s.MicroReplica[mb] = dealReplica(f, pi)
-			}
-		}
-	}
-}
-
-// directWorkerOps enumerates worker w's ops of a direct-concatenation
-// schedule, pipeline by pipeline and unit by unit. With a nil dst it only
-// counts them into slots; otherwise it writes each op to the index slots
-// hands out for its slot.
 func (s *Schedule) directWorkerOps(w, f int, stageOn []int32, slots *slotTable, dst []Op) {
 	d, n := s.D, s.N
 	micros := microTable(n)
@@ -269,21 +242,59 @@ func (s *Schedule) directWorkerOps(w, f int, stageOn []int32, slots *slotTable, 
 			count, first := dealt(min(d, n-mb0), 2*f, pi)
 			for m := 0; m < count; m++ {
 				fSlot, bSlot := pairSlots(d, st, m, 2*mb0) // unit mb0/D starts at slot 2D·(mb0/D)
-				if dst == nil {
-					slots.count(fSlot)
-					slots.count(bSlot)
-					continue
-				}
 				mb := mb0 + first + m
-				carried := micros[mb : mb+1 : mb+1]
-				// dst is still zeroed, so the fields are stored one by one: a
-				// whole-Op assignment is a typed move, which runs a write
-				// barrier over all 48 bytes whenever the collector is marking
-				// (often — a cold plan allocates megabytes); this way only
-				// the Micros pointer goes through it.
-				fo, bo := &dst[slots.take(fSlot)], &dst[slots.take(bSlot)]
-				fo.Kind, fo.prio, fo.Stage, fo.Replica, fo.Micros = Forward, fSlot, st, rep, carried
-				bo.Kind, bo.prio, bo.Stage, bo.Replica, bo.Micros = Backward, bSlot, st, rep, carried
+				one := micros[mb : mb+1 : mb+1]
+				slots.put(dst, Forward, 0, fSlot, st, rep, one)
+				slots.put(dst, Backward, 0, bSlot, st, rep, one)
+			}
+		}
+	}
+}
+
+// doublingWorkerOps enumerates worker w's ops of a forward-doubling or
+// backward-halving schedule (§3.5), pipeline by pipeline and unit by unit.
+// Both share the "1F2B" unit shape, 3D slots per worker: the pipeline dealt
+// position j of a unit (D/2f positions each, dealt like direct
+// concatenation's micro-batches) runs stage st's forward at slot st + 3j and
+// its two backwards at 2D − 1 − st + 3j and one slot later, up pipelines
+// shifted by upPhase. Under halving a position is one micro-batch, its
+// backward run as two half-size passes, so a unit covers D micro-batches;
+// under doubling it is two, carried by one forward and one backward each,
+// so a unit covers 2D, and an odd residual unit of D micro-batches is a
+// plain bidirectional one.
+func (s *Schedule) doublingWorkerOps(w, f, upPhase int, stageOn []int32, slots *slotTable, dst []Op) {
+	d, n := s.D, s.N
+	micros := microTable(n)
+	per := d / (2 * f) // positions per pipeline per unit
+	// width is the micro-batches per position, units the 1F2B units.
+	width, units, half0, half1 := 2, n/(2*d), uint8(0), uint8(0)
+	if s.HalvedBackward {
+		width, units, half0, half1 = 1, n/d, 1, 2
+	}
+	for pi := 0; pi < 2*f; pi++ {
+		rep := dealReplica(f, pi)
+		st := int(stageOn[rep*d+w])
+		phase := 0
+		if rep >= f { // replicas f..2f-1 are the up pipelines
+			phase = upPhase
+		}
+		for u := 0; u < units; u++ {
+			for j := 0; j < per; j++ {
+				at := 3*d*u + phase + 3*j
+				m := width * (d*u + pi*per + j)
+				fw := micros[m : m+width : m+width]
+				slots.put(dst, Forward, 0, int32(at+st), st, rep, fw)
+				slots.put(dst, Backward, half0, int32(at+2*d-1-st), st, rep, fw[:1:1])
+				slots.put(dst, Backward, half1, int32(at+2*d-st), st, rep, fw[width-1:width:width])
+			}
+		}
+		if width == 2 && (n/d)%2 == 1 {
+			for j := 0; j < per; j++ {
+				fSlot, bSlot := pairSlots(d, st, j, 3*d*units)
+				m := 2*d*units + pi*per + j
+				one := micros[m : m+1 : m+1]
+				slots.put(dst, Forward, 0, fSlot, st, rep, one)
+				slots.put(dst, Backward, 0, bSlot, st, rep, one)
 			}
 		}
 	}
@@ -297,15 +308,6 @@ func dealReplica(f, pi int) int {
 	return (pi%2)*f + pi/2
 }
 
-// pipelineDealOrder lists dealReplica over the 2f pipelines.
-func pipelineDealOrder(f int) []int {
-	out := make([]int, 2*f)
-	for pi := range out {
-		out[pi] = dealReplica(f, pi)
-	}
-	return out
-}
-
 // dealt splits n items over k pipelines in nearly equal runs (first ones
 // larger) and returns how many the i-th gets and the index of its first.
 func dealt(n, k, i int) (count, first int) {
@@ -314,93 +316,6 @@ func dealt(n, k, i int) (count, first int) {
 		count++
 	}
 	return count, first
-}
-
-// fairShare lists dealt's counts over all k pipelines.
-func fairShare(n, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i], _ = dealt(n, k, i)
-	}
-	return out
-}
-
-// buildChimeraDoubling constructs the forward-doubling / backward-halving
-// schedules of §3.5. Both share the "1F2B" unit shape (one forward slot, two
-// backward slots per position): under doubling the forward op carries two
-// micro-batches and the unit covers 2D of them; under halving the forward op
-// carries one micro-batch whose backward runs as two half-size passes, so
-// the unit covers D micro-batches.
-func buildChimeraDoubling(s *Schedule, cfg ChimeraConfig, f, upPhase int) {
-	d, n := s.D, s.N
-	halving := cfg.Concat == BackwardHalving
-	mb, offset := 0, 0
-	if halving {
-		for mb < n {
-			emitOneF2BUnit(s, f, mb, offset, upPhase, true)
-			mb += d
-			// Busy slots per worker per unit: D forwards + 2D half-backwards.
-			offset += 3 * d
-		}
-		return
-	}
-	k := n / d
-	for k >= 2 {
-		emitOneF2BUnit(s, f, mb, offset, upPhase, false)
-		mb += 2 * d
-		offset += 3 * d
-		k -= 2
-	}
-	if k == 1 {
-		// Odd residual: one plain bidirectional unit of D micro-batches.
-		s.emitPlainUnit(pipelineDealOrder(f), fairShare(d, 2*f), mb, offset)
-	}
-}
-
-// emitOneF2BUnit emits one 1F2B-shaped unit. Down/up pipelines each carry
-// D/2f forward slots spaced 3f apart (forward + two backward slots per
-// position at the last stage); up pipelines are phase-shifted by upPhase,
-// with residual collisions resolved by replay order.
-func emitOneF2BUnit(s *Schedule, f int, mbBase, offset, upPhase int, halving bool) {
-	d := s.D
-	order := pipelineDealOrder(f)
-	slotsPerPipe := d / (2 * f)
-	local := 0
-	for _, rep := range order {
-		rm := s.Replicas[rep]
-		phase := 0
-		if !rm.Down {
-			phase = upPhase
-		}
-		for j := 0; j < slotsPerPipe; j++ {
-			fSlot := offset + phase + 3*j
-			b0Slot := offset + phase + 3*j + 2*d - 1
-			b1Slot := b0Slot + 1
-			if halving {
-				m := mbBase + local
-				local++
-				s.MicroReplica[m] = rep
-				for st := 0; st < d; st++ {
-					w := rm.WorkerOf[st]
-					s.Workers[w] = append(s.Workers[w],
-						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m, 1), prio: int32(fSlot + st)},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 1, prio: int32(b0Slot - st)},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m, 1), Half: 2, prio: int32(b1Slot - st)})
-				}
-			} else {
-				m0, m1 := mbBase+local, mbBase+local+1
-				local += 2
-				s.MicroReplica[m0], s.MicroReplica[m1] = rep, rep
-				for st := 0; st < d; st++ {
-					w := rm.WorkerOf[st]
-					s.Workers[w] = append(s.Workers[w],
-						Op{Kind: Forward, Stage: st, Replica: rep, Micros: microRun(m0, 2), prio: int32(fSlot + st)},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m0, 1), prio: int32(b0Slot - st)},
-						Op{Kind: Backward, Stage: st, Replica: rep, Micros: microRun(m1, 1), prio: int32(b1Slot - st)})
-				}
-			}
-		}
-	}
 }
 
 // OneF1B builds a single-pipeline 1F1B schedule with flush (used as the

@@ -279,19 +279,26 @@ func TestChimeraOddResidualDoubling(t *testing.T) {
 	}
 }
 
-// TestChimeraRejectsBadConfigs exercises constructor validation.
+// TestChimeraRejectsBadConfigs exercises constructor validation, through the
+// generator and through Build: an error, never a panic.
 func TestChimeraRejectsBadConfigs(t *testing.T) {
 	bad := []ChimeraConfig{
-		{D: 3, N: 3},                          // odd D
-		{D: 0, N: 1},                          // zero D
-		{D: 4, N: 0},                          // zero N
-		{D: 4, N: 4, F: 3},                    // f does not divide D/2
-		{D: 4, N: 6, Concat: ForwardDoubling}, // N not multiple of D
+		{D: 3, N: 3},         // odd D
+		{D: 0, N: 1},         // zero D
+		{D: 4, N: 0},         // zero N
+		{D: 4, N: 4, F: 3},   // f does not divide D/2
+		{D: 8, N: 16, F: -1}, // negative f (−1 and −2 divide D/2)
+		{D: 8, N: 16, F: -2, Concat: ForwardDoubling},
+		{D: 4, N: 6, Concat: ForwardDoubling},        // N not multiple of D
 		{D: 8, N: 12, F: 2, Concat: BackwardHalving}, // N not multiple of D
 	}
 	for _, cfg := range bad {
 		if _, err := Chimera(cfg); err == nil {
 			t.Errorf("config %+v should be rejected", cfg)
+		}
+		spec := Spec{Scheme: "chimera", D: cfg.D, N: cfg.N, F: cfg.F, Concat: cfg.Concat}
+		if _, err := Build(spec); err == nil {
+			t.Errorf("spec %+v should be rejected", spec)
 		}
 	}
 }

@@ -190,71 +190,13 @@ func (s *Schedule) WeightStashHighWater() []int {
 	return out
 }
 
-// sortWorkerOps orders each worker's list by construction priority slot,
-// with opLess' deterministic tiebreak inside a slot (kind, replica, micro,
-// half) and emission order between ops opLess cannot tell apart — the order
-// a stable sort by opLess would produce. The micro-major generators (the
-// 1F1B family, GEMS, forward doubling / backward halving) call this after
-// emitting ops with prio slots; direct-concatenation Chimera enumerates
-// worker-major over the same slotTable and never comes here. Most emit in
-// already-sorted order, which the pre-scan detects; the rest are placed by
-// slot. Re-ordered lists share one backing array.
-func (s *Schedule) sortWorkerOps() {
-	var out []Op // backing array for every re-ordered list
-	var slots slotTable
-	for w, ops := range s.Workers {
-		if opsSorted(ops) {
-			continue
-		}
-		if out == nil {
-			n := 0
-			for _, rest := range s.Workers[w:] {
-				n += len(rest)
-			}
-			out = make([]Op, n)
-		}
-		dst := out[:len(ops):len(ops)]
-		out = out[len(ops):]
-		placeBySlot(dst, ops, &slots)
-		s.Workers[w] = dst
-	}
-}
-
-func opsSorted(ops []Op) bool {
-	for i := 1; i < len(ops); i++ {
-		if opLess(ops[i], ops[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// placeBySlot writes ops into dst (same length, non-empty) in sortWorkerOps
-// order; slots is scratch, reused across workers.
-func placeBySlot(dst, ops []Op, slots *slotTable) {
-	lo, hi := ops[0].prio, ops[0].prio
-	for i := range ops {
-		lo, hi = min(lo, ops[i].prio), max(hi, ops[i].prio)
-	}
-	slots.reset(lo, hi)
-	for i := range ops {
-		slots.count(ops[i].prio)
-	}
-	ties := slots.prefix()
-	for i := range ops {
-		dst[slots.take(ops[i].prio)] = ops[i]
-	}
-	if ties {
-		settleTies(dst)
-	}
-}
-
-// slotTable is the counting sort every generator's per-worker order comes
-// from: prio is a dense integer (a slot index, so its range is within a small
-// factor of the op count), so counting ops per slot and prefix-summing puts
-// every op at its final position in O(n) — count each op, prefix, then take
-// an index per op — and opLess is consulted only inside a slot holding more
-// than one op (settleTies). Ops of one slot are handed indices in take order.
+// slotTable places Chimera's ops (buildChimera) by counting sort: prio is a
+// dense integer (a slot index, so its range is within a small factor of the
+// op count), so counting ops per slot and prefix-summing puts every op at its
+// final position in O(n) — count each op, prefix, then take an index per
+// op — and opLess is consulted only inside a slot holding more than one op
+// (settleTies). Ops of one slot are handed indices in take order. The other
+// generators append in final order and need no table.
 type slotTable struct {
 	lo int32
 	// next[p] is, while counting, the number of ops in slot lo+p−1; after
@@ -293,6 +235,21 @@ func (t *slotTable) take(slot int32) int32 {
 	i := t.next[slot-t.lo]
 	t.next[slot-t.lo] = i + 1
 	return i
+}
+
+// put is one op of a worker's enumeration: with a nil dst it counts the op's
+// slot, otherwise it writes the op at the index its slot hands out. dst is
+// still zeroed, so the fields are stored one by one: a whole-Op assignment
+// is a typed move, which runs a write barrier over all 48 bytes whenever the
+// collector is marking (often — a cold plan allocates megabytes); this way
+// only the Micros pointer goes through it.
+func (t *slotTable) put(dst []Op, kind Kind, half uint8, slot int32, st, rep int, micros []int) {
+	if dst == nil {
+		t.count(slot)
+		return
+	}
+	o := &dst[t.take(slot)]
+	o.Kind, o.Half, o.prio, o.Stage, o.Replica, o.Micros = kind, half, slot, st, rep, micros
 }
 
 // settleTies orders the ops sharing a slot by opLess, stably.
