@@ -3,11 +3,14 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"chimera/internal/engine"
 	"chimera/internal/perfmodel"
+	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
 
@@ -134,20 +137,11 @@ func (a *Allocator) Allocate(req Request) (*Allocation, error) {
 	// memo stays the one retained cache.
 	bids := make([]bidder, len(req.Jobs))
 	for i, j := range req.Jobs {
-		bids[i] = bidder{curve: newPlanCurve(req.Cluster, j, len(pool)), prio: j.priority()}
+		bids[i] = bidder{curve: newPlanCurve(req.Cluster, j), prio: j.priority()}
 	}
-	var shares [][]node
-	switch req.policy() {
-	case EqualSplit:
-		shares = equalSplit(pool, len(req.Jobs))
-	case PlannerGuided:
-		// Grow every job from zero nodes over the pool's whole quanta — the
-		// static entry point of the concave-envelope greedy (see greedyGrow).
-		var err error
-		shares, _, err = a.greedyGrow(bids, make([][]node, len(req.Jobs)), pool[:len(pool)/Quantum*Quantum], nil)
-		if err != nil {
-			return nil, err
-		}
+	shares, err := a.split(req.policy(), bids, pool, nil)
+	if err != nil {
+		return nil, err
 	}
 	out := &Allocation{Policy: req.policy(), Nodes: req.Cluster.Nodes, Jobs: make([]JobAllocation, len(req.Jobs))}
 	for i, j := range req.Jobs {
@@ -195,9 +189,25 @@ func sortedPool(c Cluster) []node {
 	return pool
 }
 
+// split hands the pool's whole quanta to the bidders from empty shares under
+// the policy: equal shares, or the concave-envelope greedy (see greedyGrow).
+// evals, when non-nil, counts job evaluations.
+func (a *Allocator) split(p Policy, bids []bidder, pool []node, evals *int) ([][]node, error) {
+	pool = pool[:len(pool)/Quantum*Quantum]
+	if p == EqualSplit {
+		if evals != nil {
+			*evals += len(bids)
+		}
+		return equalSplit(pool, len(bids)), nil
+	}
+	shares, _, err := a.greedyGrow(bids, make([][]node, len(bids)), pool, evals)
+	return shares, err
+}
+
 // equalSplit hands every job the same number of node quanta (leftover
-// quanta go to the lowest-indexed jobs), carving contiguous runs of the
-// fastest-first pool in job input order.
+// quanta go to the lowest-indexed jobs), copying contiguous runs of the
+// fastest-first pool in job input order: churn mutates a live pool in place,
+// so shares must own their nodes.
 func equalSplit(pool []node, jobs int) [][]node {
 	quanta := len(pool) / Quantum
 	per, extra := quanta/jobs, quanta%jobs
@@ -209,7 +219,7 @@ func equalSplit(pool []node, jobs int) [][]node {
 			q++
 		}
 		n := q * Quantum
-		shares[i] = pool[next : next+n : next+n]
+		shares[i] = slices.Clone(pool[next : next+n])
 		next += n
 	}
 	return shares
@@ -241,72 +251,53 @@ func (a *Allocator) plan(req perfmodel.PlanRequest) planResult {
 	return out
 }
 
-// planCurve is one (cluster, job) pair's plan table over the worker count:
-// slot P/Quantum−1 holds the best §3.4 prediction for the job on P
-// homogeneous workers (or its infeasibility, or the planner's error), nil
-// until someone needs it. A slot is resolved through the plan memo and
-// published with an atomic store, and is immutable afterwards, so any
-// number of scans — a live sim, its what-if forks, two pool bodies bidding
-// for two instances of one job — read and fill one curve without a lock
-// (none could be held across the planner, see plan). Racing resolvers
-// publish equal values. The table covers the job's MaxNodes cap, or the
-// pool for an uncapped job, and is re-published larger when joins outgrow
-// it; a store that loses that race is simply resolved again from the memo.
-//
-// A curve lives as long as its owner — an ElasticSim (one per vocabulary
-// job, shared with its forks) or a single Allocate call — so the plan memo
-// stays the allocator's only retained cache.
+// planCurve is one (cluster, job) pair's plan table over the job's
+// breakpoints — the worker counts the planner's grid admits
+// (perfmodel.Breakpoints), up to the job's cap or MaxNodes: slot i holds the
+// best §3.4 prediction on points[i] homogeneous workers (or its
+// infeasibility, or the planner's error), nil until someone needs it. The
+// value cannot move between breakpoints, so no search reads anything else,
+// and the table, sized from the request, never grows. A slot is resolved
+// through the plan memo, published with an atomic store and immutable
+// afterwards, so a live sim, its what-if forks and concurrent pool bodies
+// read and fill one curve without a lock (none could be held across the
+// planner, see plan); racing resolvers publish equal values. A curve lives
+// as long as its owner — an ElasticSim (one per vocabulary job, shared with
+// its forks) or one Allocate call — so the plan memo stays the allocator's
+// only retained cache.
 type planCurve struct {
 	// req is the job's plan request with P unset, sched the cluster's
-	// list-scheduling policy ("" = none), maxNodes the job's cap (0 = none).
-	req      perfmodel.PlanRequest
-	sched    string
-	maxNodes int
-	slots    atomic.Pointer[[]atomic.Pointer[planResult]]
+	// list-scheduling policy ("" = none). listTop is the largest breakpoint
+	// a list-scheduled bid can land on (0 without a scheduler): it plans one
+	// pipeline over exactly the prefix, so P must divide the layer count.
+	req     perfmodel.PlanRequest
+	sched   string
+	points  []int
+	slots   []atomic.Pointer[planResult]
+	listTop int
 }
 
-// newPlanCurve builds the job's empty curve sized for a pool of nodes.
-func newPlanCurve(c Cluster, j Job, nodes int) *planCurve {
+// newPlanCurve builds the job's empty curve.
+func newPlanCurve(c Cluster, j Job) *planCurve {
+	top := MaxNodes
+	if j.MaxNodes > 0 && j.MaxNodes < top {
+		top = j.MaxNodes
+	}
 	cv := &planCurve{
 		req: perfmodel.PlanRequest{
 			Model: j.Model, MiniBatch: j.MiniBatch, MaxB: j.MaxB,
 			Device: c.Device, Network: c.Network,
 		},
-		sched: c.Scheduler, maxNodes: j.MaxNodes,
+		sched:  c.Scheduler,
+		points: perfmodel.Breakpoints(j.Model.Layers, j.MiniBatch, top),
 	}
-	if j.MaxNodes > 0 && j.MaxNodes < nodes {
-		nodes = j.MaxNodes
+	cv.slots = make([]atomic.Pointer[planResult], len(cv.points))
+	for _, p := range cv.points {
+		if c.Scheduler != "" && j.Model.Layers%p == 0 {
+			cv.listTop = p
+		}
 	}
-	slots := make([]atomic.Pointer[planResult], nodes/Quantum)
-	cv.slots.Store(&slots)
 	return cv
-}
-
-// saturated reports whether n nodes reach the job's cap: beyond it the
-// job's value is flat, so capped jobs saturate instead of absorbing ever
-// more quanta.
-func (cv *planCurve) saturated(n int) bool { return cv.maxNodes > 0 && n >= cv.maxNodes }
-
-// table returns the slot table, grown to hold slot index i.
-func (cv *planCurve) table(i int) []atomic.Pointer[planResult] {
-	for {
-		old := cv.slots.Load()
-		if i < len(*old) {
-			return *old
-		}
-		grown := make([]atomic.Pointer[planResult], max(2*len(*old), i+1))
-		for k := range *old {
-			grown[k].Store((*old)[k].Load())
-		}
-		cv.slots.CompareAndSwap(old, &grown)
-	}
-}
-
-// publish stores slot p's resolution and returns the stored value.
-func (cv *planCurve) publish(p int, out planResult) *planResult {
-	idx := p/Quantum - 1
-	cv.table(idx)[idx].Store(&out)
-	return &out
 }
 
 // request is the job's plan request on p homogeneous workers.
@@ -355,84 +346,82 @@ type jobValue struct {
 type prefixScan struct {
 	best      jobValue
 	maxFactor float64
-	// n counts the nodes walked; an odd n holds a node waiting for its
-	// pair, which may arrive with the next extension.
-	n int
-	// first and mixed track prefix uniformity for the list-scheduled bid;
-	// factors is the walked factor sequence, kept only when the cluster
-	// names a scheduler.
-	first   float64
-	mixed   bool
+	// n counts the nodes walked, next indexes the curve's first breakpoint
+	// above n, and factors keeps the walked factors up to listTop.
+	n, next int
 	factors []float64
-	// hits counts values read from resolved curve slots since the caller
-	// last flushed them into the allocator's bid counter.
-	hits int
+	// hits, when set, counts values read from resolved curve slots; a
+	// search's scans and their forks share one counter and flush it into
+	// the allocator's bid counter once.
+	hits *int
 }
 
 // fork returns a copy of the scan to extend independently: the original
-// keeps standing for the shared base, the copy's walked factors no longer
-// share its backing array, and its hit count starts over.
+// keeps standing for the shared base, and the copy's walked factors no
+// longer share its backing array.
 func (st *prefixScan) fork() prefixScan {
 	c := *st
 	c.factors = c.factors[:len(c.factors):len(c.factors)]
-	c.hits = 0
 	return c
 }
 
-// scan extends st along nodes, evaluating the job's curve at every even
-// prefix length up to its cap. This loop is the only reader of a curve's
-// values.
+// scan extends st along nodes, evaluating the job's curve at every
+// breakpoint it reaches; past the last one the rest is counted, not walked.
 func (a *Allocator) scan(cv *planCurve, st *prefixScan, nodes []node) error {
-	slots := *cv.slots.Load()
-	for i, nd := range nodes {
-		if cv.saturated(st.n) {
-			st.n += len(nodes) - i
+	for st.next < len(cv.points) {
+		p := cv.points[st.next]
+		m := min(p-st.n, len(nodes))
+		for _, nd := range nodes[:m] {
+			st.maxFactor = max(st.maxFactor, nd.Factor)
+			if st.n < cv.listTop {
+				st.factors = append(st.factors, nd.Factor)
+			}
+			st.n++
+		}
+		nodes = nodes[m:]
+		if st.n < p {
 			return nil
 		}
-		if nd.Factor > st.maxFactor {
-			st.maxFactor = nd.Factor
+		if err := a.reach(cv, st, st.maxFactor, st.factors); err != nil {
+			return err
 		}
-		if st.n == 0 {
-			st.first = nd.Factor
-		} else if nd.Factor != st.first {
-			st.mixed = true
+	}
+	st.n += len(nodes)
+	return nil
+}
+
+// reach evaluates the job at its next breakpoint on a prefix of slowest
+// factor maxF and factors (up to listTop); no other code reads a curve.
+func (a *Allocator) reach(cv *planCurve, st *prefixScan, maxF float64, factors []float64) error {
+	i := st.next
+	p := cv.points[i]
+	st.next++
+	r := cv.slots[i].Load()
+	if r == nil {
+		out := a.plan(cv.request(p))
+		r = &out
+		cv.slots[i].Store(r)
+	} else if st.hits != nil {
+		*st.hits++
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if r.pred != nil {
+		if tp := r.pred.Throughput / maxF; st.best.pred == nil || tp > st.best.tp {
+			st.best = jobValue{pred: r.pred, used: p, factor: maxF, tp: tp}
 		}
-		if cv.sched != "" {
-			st.factors = append(st.factors, nd.Factor)
+	}
+	// The list-scheduled bid: only worth planning when the prefix is
+	// genuinely heterogeneous — on uniform factors every policy defers to the
+	// fixed placement and the candidate duplicates the one above.
+	if p <= cv.listTop && cv.req.Model.Layers%p == 0 && !schedule.UniformSpeed(factors[:p]) {
+		hp := a.planList(cv, factors[:p])
+		if hp.err != nil {
+			return hp.err
 		}
-		st.n++
-		if st.n%Quantum != 0 {
-			continue
-		}
-		idx := st.n/Quantum - 1
-		if idx >= len(slots) {
-			slots = cv.table(idx)
-		}
-		r := slots[idx].Load()
-		if r == nil {
-			r = cv.publish(st.n, a.plan(cv.request(st.n)))
-		} else {
-			st.hits++
-		}
-		if r.err != nil {
-			return r.err
-		}
-		if r.pred != nil {
-			if tp := r.pred.Throughput / st.maxFactor; st.best.pred == nil || tp > st.best.tp {
-				st.best = jobValue{pred: r.pred, used: st.n, factor: st.maxFactor, tp: tp}
-			}
-		}
-		// The list-scheduled bid: only worth planning when the prefix is
-		// genuinely heterogeneous — on uniform factors every policy defers
-		// to the fixed placement and the candidate duplicates the one above.
-		if cv.sched != "" && st.mixed {
-			hp := a.planList(cv, st.factors)
-			if hp.err != nil {
-				return hp.err
-			}
-			if hp.pred != nil && (st.best.pred == nil || hp.pred.Throughput > st.best.tp) {
-				st.best = jobValue{pred: hp.pred, used: st.n, factor: 1, tp: hp.pred.Throughput}
-			}
+		if hp.pred != nil && (st.best.pred == nil || hp.pred.Throughput > st.best.tp) {
+			st.best = jobValue{pred: hp.pred, used: p, factor: 1, tp: hp.pred.Throughput}
 		}
 	}
 	return nil
@@ -440,10 +429,77 @@ func (a *Allocator) scan(cv *planCurve, st *prefixScan, nodes []node) error {
 
 // jobValue scans the whole node list and returns its last value.
 func (a *Allocator) jobValue(cv *planCurve, nodes []node) (jobValue, error) {
-	var st prefixScan
+	hits := 0
+	st := prefixScan{hits: &hits}
 	err := a.scan(cv, &st, nodes)
-	a.curveHits.Add(uint64(st.hits))
+	a.curveHits.Add(uint64(hits))
 	return st.best, err
+}
+
+// nodeList is a node list every job of one search may grow into, prepared
+// once so that the slowest node of any window is O(1): on a fastest-first
+// list (every pool and free list) it is the window's last node; otherwise
+// slow holds, level by level, the slowest factor of nodes[i : i+2^j] (a
+// sparse table), and two lookups cover any window.
+type nodeList struct {
+	nodes []node
+	slow  []float64
+}
+
+// prepare points l at nodes, reusing l's table.
+func (l *nodeList) prepare(nodes []node) {
+	n := len(nodes)
+	l.nodes, l.slow = nodes, l.slow[:0]
+	i := 1
+	for i < n && nodes[i-1].Factor <= nodes[i].Factor {
+		i++
+	}
+	if i >= n {
+		return
+	}
+	for _, nd := range nodes {
+		l.slow = append(l.slow, nd.Factor)
+	}
+	for w, lv := 1, 0; 2*w <= n; w, lv = 2*w, lv+n-w+1 {
+		for i := lv; i < lv+n-2*w+1; i++ {
+			l.slow = append(l.slow, max(l.slow[i], l.slow[i+w]))
+		}
+	}
+}
+
+// slowest is the largest factor among nodes[i:j], i < j.
+func (l *nodeList) slowest(i, j int) float64 {
+	if len(l.slow) == 0 {
+		return l.nodes[j-1].Factor
+	}
+	k := bits.Len(uint(j-i)) - 1
+	lv := k*(len(l.nodes)+1) - 1<<k + 1 // where level k starts
+	return max(l.slow[lv+i], l.slow[lv+j-1<<k])
+}
+
+// ahead extends a copy st of a job's scan to each breakpoint that whole
+// quanta of l.nodes[from:] reach, ascending, and offers the quanta count k
+// with the value there. Between breakpoints the value is flat while k grows,
+// so a skipped k has a lower gain per quantum, or an equal net gain and the
+// larger extension: it never wins a search's strict comparison.
+func (a *Allocator) ahead(cv *planCurve, st *prefixScan, l *nodeList, from int, offer func(k int, v jobValue)) error {
+	top := st.n + (len(l.nodes)-from)/Quantum*Quantum
+	for st.next < len(cv.points) && cv.points[st.next] <= top {
+		p := cv.points[st.next]
+		m := p - st.n
+		var factors []float64
+		if p <= cv.listTop {
+			factors = st.factors[:len(st.factors):len(st.factors)]
+			for _, nd := range l.nodes[from : from+m] {
+				factors = append(factors, nd.Factor)
+			}
+		}
+		if err := a.reach(cv, st, max(st.maxFactor, l.slowest(from, from+m)), factors); err != nil {
+			return err
+		}
+		offer((m+Quantum-1)/Quantum, st.best)
+	}
+	return nil
 }
 
 // bidder is one job competing for quanta in greedyGrow: its plan curve and
@@ -458,93 +514,93 @@ type bidder struct {
 // best marginal weighted-throughput gain *per quantum*, starting from the
 // given shares (all-empty for a static allocation; the surviving shares of
 // churn-touched jobs when the elastic simulator re-plans incrementally).
-// Because plan throughput is a step function of the worker count (jumps
-// where a new (W, D, B) becomes feasible), the marginal gain of a single
-// quantum is usually zero just below a step; each round therefore considers
-// every extension size k and ranks them by gain/k — the concave-envelope
-// greedy — granting the winner exactly its k quanta. Ties break totally:
-// higher rate, then lower job index, then smaller extension. When no
-// extension improves any job, the remainder stays free and is returned.
-// evals, when non-nil, counts job evaluations (one per job per round) — the
-// re-plan work measure the elastic benchmark reports.
-//
-// A round is one scan per job, fused with the rate scan: the walk along the
-// job's share continues quantum by quantum into rest and stops at the job's
-// cap — beyond it the value is flat, so a larger k has the same gain at a
-// strictly lower rate and can never win the strict comparison. Rounds and
-// jobs run serially in input order, so the selection and *evals are
-// deterministic; the planning they may need was done up front, in parallel,
-// by resolveAhead.
+// Because plan throughput is a step function of the worker count, the
+// marginal gain of a single quantum is usually zero just below a step; each
+// round therefore considers every extension reaching one of a job's
+// breakpoints, ranks them by gain/k — the concave-envelope greedy — and
+// grants the winner exactly its k quanta. Ties break totally: higher rate,
+// then lower job index, then smaller extension. When no extension improves
+// any job, the remainder stays free and is returned. evals, when non-nil,
+// counts job evaluations (one per job per round) — the re-plan work measure
+// the elastic benchmark reports. A share is scanned once per call and rest
+// prepared once, so a round walks no node list. Rounds and jobs run serially
+// in input order, so the selection and *evals are deterministic; the
+// planning they may need was done up front, in parallel, by resolveAhead.
 func (a *Allocator) greedyGrow(bids []bidder, shares [][]node, rest []node, evals *int) ([][]node, []node, error) {
 	a.resolveAhead(bids, shares, len(rest))
-	for len(rest) >= Quantum {
+	states := make([]prefixScan, len(bids))
+	hits := 0
+	defer func() { a.curveHits.Add(uint64(hits)) }()
+	for i, b := range bids {
+		shares[i] = slices.Clip(shares[i]) // the first grant copies: shares never alias
+		states[i].hits = &hits
+		if err := a.scan(b.curve, &states[i], shares[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	var l nodeList
+	l.prepare(rest)
+	off := 0
+	for len(rest)-off >= Quantum {
 		bestJob, bestK, bestRate := -1, 0, 0.0
-		hits := 0
 		for i, b := range bids {
-			var st prefixScan
-			if err := a.scan(b.curve, &st, shares[i]); err != nil {
+			st := states[i].fork()
+			cur := st.best.tp
+			err := a.ahead(b.curve, &st, &l, off, func(k int, v jobValue) {
+				if gain := b.prio * (v.tp - cur); gain > 0 && gain/float64(k) > bestRate {
+					bestJob, bestK, bestRate = i, k, gain/float64(k)
+				}
+			})
+			if err != nil {
 				return nil, nil, err
 			}
-			cur := st.best.tp
-			for k := 1; k*Quantum <= len(rest) && !b.curve.saturated(st.n); k++ {
-				if err := a.scan(b.curve, &st, rest[(k-1)*Quantum:k*Quantum]); err != nil {
-					return nil, nil, err
-				}
-				gain := b.prio * (st.best.tp - cur)
-				if gain <= 0 {
-					continue
-				}
-				if rate := gain / float64(k); rate > bestRate {
-					bestJob, bestK, bestRate = i, k, rate
-				}
-			}
-			hits += st.hits
 			if evals != nil {
 				*evals++
 			}
 		}
-		a.curveHits.Add(uint64(hits))
 		if bestJob < 0 {
 			break // no extension helps anyone — leave the rest idle
 		}
-		shares[bestJob] = withNodes(shares[bestJob], rest[:bestK*Quantum])
-		rest = rest[bestK*Quantum:]
+		grant := rest[off : off+bestK*Quantum]
+		if err := a.scan(bids[bestJob].curve, &states[bestJob], grant); err != nil {
+			return nil, nil, err
+		}
+		shares[bestJob] = append(shares[bestJob], grant...)
+		off += len(grant)
 	}
-	return shares, rest, nil
+	return shares, rest[off:], nil
 }
 
 // resolveAhead resolves every curve slot greedyGrow's rounds can read and
-// nobody has resolved yet — each job's even prefixes of its share plus the
-// whole remaining pool, up to its cap; later rounds only read within that
-// range. Slots the plan memo already holds (a fresh curve on a warm
-// allocator) are published on the spot; the rest are planned as one
-// irregular task set on the engine pool, one plan per body. Every plan
-// nests further ForEach calls (PlanOn fans its (W, D, B) grid out on the
-// same engine), which take a spare slot token if there is one and otherwise
-// run in place on the one their body already holds. With nothing to plan —
-// every re-plan on a warm allocator — the pool is not entered at all. Which
-// slots get resolved here never changes a value a scan reads, only who plans
-// it.
+// nobody has resolved yet — each job's breakpoints up to its share plus the
+// whole remaining pool; later rounds only read within that range. Slots the
+// plan memo already holds (a fresh curve on a warm allocator) are published
+// on the spot; the rest are planned as one irregular task set on the engine
+// pool, one plan per body. Every plan nests further ForEach calls (PlanOn
+// fans its (W, D, B) grid out on the same engine), which take a spare slot
+// token if there is one and otherwise run in place on the one their body
+// already holds. With nothing to plan — every re-plan on a warm allocator —
+// the pool is not entered at all. Which slots get resolved here never
+// changes a value a scan reads, only who plans it.
 func (a *Allocator) resolveAhead(bids []bidder, shares [][]node, rest int) {
 	type coldSlot struct {
 		cv *planCurve
-		p  int
+		i  int
 	}
 	var cold []coldSlot
 	var queued map[perfmodel.PlanRequest]bool // jobs may share a request
-	for i, b := range bids {
-		top := (len(shares[i]) + rest) / Quantum * Quantum
-		if b.curve.saturated(top) {
-			top = b.curve.maxNodes
-		}
-		slots := *b.curve.slots.Load()
-		for p := Quantum; p <= top; p += Quantum {
-			if idx := p/Quantum - 1; idx < len(slots) && slots[idx].Load() != nil {
+	for bi, b := range bids {
+		cv := b.curve
+		for i, p := range cv.points {
+			if p > len(shares[bi])+rest {
+				break
+			}
+			if cv.slots[i].Load() != nil {
 				continue
 			}
-			req := b.curve.request(p)
+			req := cv.request(p)
 			if out, ok := a.plans.Cached(req); ok {
-				b.curve.publish(p, out)
+				cv.slots[i].Store(&out)
 				continue
 			}
 			if queued[req] {
@@ -554,24 +610,17 @@ func (a *Allocator) resolveAhead(bids []bidder, shares [][]node, rest int) {
 				queued = make(map[perfmodel.PlanRequest]bool)
 			}
 			queued[req] = true
-			cold = append(cold, coldSlot{b.curve, p})
+			cold = append(cold, coldSlot{cv, i})
 		}
 	}
 	if len(cold) == 0 {
 		return
 	}
-	a.eng.ForEach(len(cold), func(i int) {
-		cv, p := cold[i].cv, cold[i].p
-		cv.publish(p, a.plan(cv.request(p)))
+	a.eng.ForEach(len(cold), func(k int) {
+		cv, i := cold[k].cv, cold[k].i
+		out := a.plan(cv.request(cv.points[i]))
+		cv.slots[i].Store(&out)
 	})
-}
-
-// withNodes appends extra nodes to a share without aliasing the pool slice
-// it grew from (shares of different jobs must never share backing arrays).
-func withNodes(share, extra []node) []node {
-	out := make([]node, 0, len(share)+len(extra))
-	out = append(out, share...)
-	return append(out, extra...)
 }
 
 func nodeIDs(nodes []node) []int {

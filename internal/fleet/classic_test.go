@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
@@ -220,33 +222,123 @@ func TestSimulateTraceBounded(t *testing.T) {
 	}
 }
 
-// TestSimulateAboveElasticNodeCap: MaxElasticNodes caps a pool that joins can
-// grow. A classic trace has no joins, so Simulate replays any cluster a
-// Request admits — the elastic twin of the same arrivals is refused — and
-// at the cap itself the two still agree bit for bit.
-func TestSimulateAboveElasticNodeCap(t *testing.T) {
+// TestSimulateAtNodeLimit: MaxNodes is the one node limit, on the classic
+// and the elastic path alike. A classic trace on exactly MaxNodes nodes
+// replays, and so does an elastic trace whose join brings the pool to
+// exactly MaxNodes; one node more is an error naming the limit — in the
+// cluster, in a trace's joins, and in a live batch's join.
+func TestSimulateAtNodeLimit(t *testing.T) {
 	a := NewAllocator(engine.New(engine.Workers(1)))
+	limit := fmt.Sprint(MaxNodes)
 	sc := benchScenario(PlannerGuided)
-	sc.Cluster = pizDaintCluster(MaxElasticNodes, nil)
-	got, err := a.Simulate(sc)
-	er, elasticErr := a.SimulateElastic(asElastic(sc))
-	if err != nil || elasticErr != nil || !reflect.DeepEqual(got, classicShape(MaxElasticNodes, er)) {
-		t.Fatalf("at the cap: Simulate %+v (%v), stepper %+v (%v)", got, err, er, elasticErr)
-	}
-	sc.Cluster = pizDaintCluster(MaxElasticNodes+2, nil)
-	if _, err := a.SimulateElastic(asElastic(sc)); err == nil || !strings.Contains(err.Error(), "nodes after all joins exceed the limit") {
-		t.Fatalf("elastic twin above the cap: %v, want the node-limit error", err)
-	}
+	sc.Cluster = pizDaintCluster(MaxNodes, nil)
 	res, err := a.Simulate(sc)
+	if err != nil || res.Nodes != MaxNodes || len(res.Jobs) != len(sc.Trace) || !(res.Makespan > 0) {
+		t.Fatalf("classic trace at the limit: %v, %+v", err, res)
+	}
+	esc := asElastic(sc)
+	esc.Cluster = pizDaintCluster(MaxNodes-1, nil)
+	esc.Events = append(esc.Events, Event{At: 15, Kind: EvNodeJoin})
+	er, err := a.SimulateElastic(esc)
+	if err != nil || er.FinalNodes != MaxNodes || er.Joins != 1 {
+		t.Fatalf("elastic trace joining up to the limit: %v, %+v", err, er)
+	}
+
+	sc.Cluster = pizDaintCluster(MaxNodes+1, nil)
+	if _, err := a.Simulate(sc); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("classic trace one node over: %v, want the node-limit error", err)
+	}
+	esc.Cluster = pizDaintCluster(MaxNodes, nil)
+	if _, err := a.SimulateElastic(esc); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("elastic trace joining one node over: %v, want the node-limit error", err)
+	}
+	live, err := a.NewElasticSim(ElasticScenario{Cluster: esc.Cluster, Jobs: sc.Jobs})
 	if err != nil {
-		t.Fatalf("classic trace on %d nodes: %v", MaxElasticNodes+2, err)
+		t.Fatal(err)
 	}
-	if res.Nodes != MaxElasticNodes+2 || len(res.Jobs) != len(sc.Trace) || res.Events != 2*len(sc.Trace) || !(res.Makespan > 0) {
-		t.Fatalf("classic trace on %d nodes implausible: %+v", MaxElasticNodes+2, res)
+	if err := live.Ingest([]Event{{At: 1, Kind: EvNodeJoin}}); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("live join one node over: %v, want the node-limit error", err)
 	}
-	for _, run := range res.Jobs {
-		if !(run.DoneAt > run.ArriveAt) {
-			t.Fatalf("run never finished: %+v", run)
+}
+
+// TestSimulateAtNodeLimitScale: a search's cost follows the jobs'
+// breakpoints, not the idle pool. 100 arrivals of the uncapped bench mix
+// replay on MaxNodes nodes as a classic trace, as an elastic one whose joins
+// fill the pool to the limit, and as the same elastic trace on a pool of
+// distinct node speeds whose joins are ever faster, so the shares starved
+// instances price mix speeds out of order. The gate is the count of curve
+// values read, which is deterministic: each case reads under maxReads, where
+// the quantum walk this replaced read one slot per quantum, up to 32,768 per
+// job per greedy round (its classic trace took 163 s). A loose clock bound,
+// asserted only without -race, catches what the count cannot see: re-walking
+// a donor's released nodes for every candidate took 9.7 s on the mixed pool.
+// Times are logged either way (≈ 0.5, 0.3 and 0.7 s on one Xeon core).
+// -short (the race sweep's setting) replays the first 10 arrivals.
+func TestSimulateAtNodeLimitScale(t *testing.T) {
+	const maxReads, maxTime = 50_000_000, 5 * time.Second
+	sc := Scenario{Cluster: pizDaintCluster(MaxNodes, nil), Jobs: benchMix(), Policy: PlannerGuided}
+	arrivals := 100
+	if testing.Short() {
+		arrivals = 10
+	}
+	for i := 0; i < arrivals; i++ {
+		sc.Trace = append(sc.Trace, Arrival{At: float64(10 * i), Job: sc.Jobs[i%len(sc.Jobs)].Name, Work: float64(20000 * (1 + i%5))})
+	}
+	const joins = 25
+	esc := asElastic(sc)
+	esc.Replan = ReplanIncremental
+	esc.Cluster = pizDaintCluster(MaxNodes-joins, nil)
+	mixed := esc
+	factors := make([]float64, MaxNodes-joins)
+	for i := range factors {
+		factors[i] = 1 + float64(i)/MaxNodes
+	}
+	mixed.Cluster = pizDaintCluster(MaxNodes-joins, factors)
+	mixed.Events = slices.Clone(esc.Events)
+	for i := 0; i < joins; i++ {
+		esc.Events = append(esc.Events, Event{At: float64(40*i + 5), Kind: EvNodeJoin})
+		mixed.Events = append(mixed.Events, Event{At: float64(40*i + 5), Kind: EvNodeJoin, Factor: 0.9 - 0.01*float64(i)})
+	}
+	elastic := func(esc ElasticScenario) func(a *Allocator) (int, error) {
+		return func(a *Allocator) (int, error) {
+			res, err := a.SimulateElastic(esc)
+			if err != nil {
+				return 0, err
+			}
+			if res.FinalNodes != MaxNodes {
+				return 0, fmt.Errorf("final pool %d, want %d", res.FinalNodes, MaxNodes)
+			}
+			return len(res.Jobs), nil
+		}
+	}
+	for _, run := range []struct {
+		name string
+		sim  func(a *Allocator) (int, error)
+	}{
+		{"classic", func(a *Allocator) (int, error) {
+			res, err := a.Simulate(sc)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Jobs), nil
+		}},
+		{"elastic", elastic(esc)},
+		{"mixed elastic", elastic(mixed)},
+	} {
+		a := NewAllocator(engine.New(engine.Workers(1)))
+		start := time.Now()
+		n, err := run.sim(a)
+		took := time.Since(start)
+		if err != nil || n != len(sc.Trace) {
+			t.Fatalf("%s: %v (%d runs)", run.name, err, n)
+		}
+		hits, misses := a.PlanStats()
+		t.Logf("%s: %d arrivals on %d nodes in %v, %d curve values read", run.name, n, MaxNodes, took, hits+misses)
+		if hits+misses > maxReads {
+			t.Errorf("%s: read %d curve values, want ≤ %d", run.name, hits+misses, maxReads)
+		}
+		if !raceEnabled && took > maxTime {
+			t.Errorf("%s: %d arrivals on %d nodes took %v, want < %v", run.name, n, MaxNodes, took, maxTime)
 		}
 	}
 }

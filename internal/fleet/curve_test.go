@@ -14,9 +14,8 @@ import (
 // concurrently (the controller ingests hypotheses outside its state lock)
 // and all read and fill the same plan curves. Starting from nearly cold
 // curves on a four-worker engine — so slots are resolved by racing
-// goroutines, inside pool bodies, while the uncapped job's table is being
-// re-published larger as joins grow the pool — every sim must end exactly
-// where its serial twin does. Run under -race this is the memory-model
+// goroutines, inside pool bodies — every sim must end exactly where its
+// serial twin does. Run under -race this is the memory-model
 // check on the curve's atomic publication.
 func TestForkSharesCurvesUnderRace(t *testing.T) {
 	sc := ElasticScenario{Cluster: pizDaintCluster(32, nil), Jobs: smallMix(), MigrationPenalty: 10}
@@ -113,8 +112,8 @@ func TestGreedyGrowSameJobColdCurves(t *testing.T) {
 		return shares
 	}
 	bidders := func() []bidder {
-		twin := newPlanCurve(c, job, 4) // undersized: must grow while being filled
-		return []bidder{{twin, 2}, {twin, 1}, {newPlanCurve(c, capped, 24), 1.5}}
+		twin := newPlanCurve(c, job)
+		return []bidder{{twin, 2}, {twin, 1}, {newPlanCurve(c, capped), 1.5}}
 	}
 	want := grow(NewAllocator(engine.New(engine.Workers(1))), bidders())
 	for rep := 0; rep < 3; rep++ {
@@ -150,7 +149,7 @@ func TestPlanNeverWaitsForAnotherPlanner(t *testing.T) {
 	e := engine.New(engine.Workers(1))
 	a := NewAllocator(e)
 	job := Job{Name: "one", Model: model.BERT48(), MiniBatch: 64}
-	req := newPlanCurve(pizDaintCluster(8, nil), job, 8).request(4)
+	req := newPlanCurve(pizDaintCluster(8, nil), job).request(4)
 	var inside, outside planResult
 	done := make(chan struct{})
 	go func() {
@@ -195,7 +194,7 @@ func TestWarmScanAllocations(t *testing.T) {
 	}
 
 	in := s.active[0]
-	nodes := s.present[:in.curve.maxNodes]
+	nodes := s.present[:in.curve.points[len(in.curve.points)-1]]
 	if _, err := a.jobValue(in.curve, nodes); err != nil { // resolve every slot once
 		t.Fatal(err)
 	}
@@ -227,43 +226,14 @@ func TestWarmScanAllocations(t *testing.T) {
 	}
 }
 
-// TestCurveTableGrows: an uncapped job's table follows the pool as joins
-// grow it, and slots resolved before a growth are still there afterwards.
-func TestCurveTableGrows(t *testing.T) {
-	a := NewAllocator(engine.New(engine.Workers(1)))
-	c := pizDaintCluster(8, nil)
-	cv := newPlanCurve(c, Job{Name: "open", Model: model.BERT48(), MiniBatch: 64}, 4)
-	pool := sortedPool(pizDaintCluster(20, nil))
-	small, err := a.jobValue(cv, pool[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, planned := a.PlanStats()
-	big, err := a.jobValue(cv, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(*cv.slots.Load()) < len(pool)/Quantum {
-		t.Fatalf("table holds %d slots after a %d-node scan", len(*cv.slots.Load()), len(pool))
-	}
-	if _, after := a.PlanStats(); after-planned != uint64(len(pool)/Quantum-2) {
-		t.Fatalf("growing scan planned %d slots, want %d (the first two were resolved)", after-planned, len(pool)/Quantum-2)
-	}
-	again, err := a.jobValue(cv, pool[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, small) || big.tp < small.tp {
-		t.Fatalf("values moved across a table growth: %+v then %+v (20 nodes: %+v)", small, again, big)
-	}
-}
-
 // TestStormEpisodeCounts pins the repository benchmark's seven storm
 // episodes in process, each on a fresh allocator as the benchmark runs
 // them: the re-plan work measure is unchanged by how values are read
 // (727,734 job evaluations over 1,172 batches), the planner runs once per
-// distinct (job, P) an episode touches (461 in all) and is never asked
-// again, and the bid counters still show a search that is almost all reuse.
+// distinct (job, breakpoint) an episode touches (331 in all; the quantum
+// walk also planned the 130 worker counts off the planner's grid) and is
+// never asked again, and the bid counters still show a search that is
+// almost all reuse.
 func TestStormEpisodeCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seven full episodes; single-threaded")
@@ -283,9 +253,10 @@ func TestStormEpisodeCounts(t *testing.T) {
 			t.Fatalf("episode %d: %d plan-memo hits — a resolved slot was looked up again", i, memoHits)
 		}
 	}
-	if batches != 1172 || evals != 727734 || planned != 461 {
-		t.Fatalf("batches %d, job evaluations %d, planner runs %d; want 1172, 727734, 461", batches, evals, planned)
+	if batches != 1172 || evals != 727734 || planned != 331 {
+		t.Fatalf("batches %d, job evaluations %d, planner runs %d; want 1172, 727734, 331", batches, evals, planned)
 	}
+	t.Logf("bid hits %d, planner runs %d", hits, planned)
 	if share := float64(hits) / float64(hits+planned); share < 0.99 {
 		t.Fatalf("bid hit share %.4f, want ≥ 0.99 (%d hits, %d planner runs)", share, hits, planned)
 	}

@@ -19,6 +19,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"chimera/internal/engine"
@@ -80,10 +81,6 @@ const (
 
 // ReplanModes lists the supported re-plan mode names.
 func ReplanModes() []string { return []string{string(ReplanIncremental), string(ReplanFull)} }
-
-// MaxElasticNodes bounds the pool (initial nodes plus joins) so one
-// scenario cannot provoke unbounded planning work.
-const MaxElasticNodes = 512
 
 // MaxEvents bounds an elastic trace for the same reason.
 const MaxEvents = 4096
@@ -203,7 +200,7 @@ func (sc ElasticScenario) Validate() error {
 	}
 	arrivals, joins := 0, 0
 	for i, ev := range sc.Events {
-		if err := validateEvent(byName, i, ev); err != nil {
+		if err := validateEvent(byName, "events", i, ev); err != nil {
 			return err
 		}
 		switch ev.kind() {
@@ -216,8 +213,8 @@ func (sc ElasticScenario) Validate() error {
 	if arrivals == 0 {
 		return fmt.Errorf("fleet: elastic trace has no arrivals")
 	}
-	if total := sc.Cluster.Nodes + joins; total > MaxElasticNodes {
-		return fmt.Errorf("fleet: %d nodes after all joins exceed the limit %d", total, MaxElasticNodes)
+	if total := sc.Cluster.Nodes + joins; total > MaxNodes {
+		return fmt.Errorf("fleet: %d nodes after all joins exceed the limit %d", total, MaxNodes)
 	}
 	return nil
 }
@@ -244,50 +241,51 @@ func (sc ElasticScenario) validateConfig() error {
 }
 
 // validateEvent checks one event's shape against the job vocabulary. Shared
-// by the trace validator and the controller's live ingestion path, so both
-// reject a malformed event with the same message (i names the event in its
-// container: trace index for traces, batch position for live batches).
-func validateEvent[V any](byName map[string]V, i int, ev Event) error {
+// by the trace validators and the controller's live ingestion path, so all
+// reject a malformed event with the same message (where[i] names the event
+// in its container: events or a classic trace by index, a live batch by
+// position).
+func validateEvent[V any](byName map[string]V, where string, i int, ev Event) error {
 	if ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0) {
-		return fmt.Errorf("fleet: events[%d] time must be finite and ≥ 0, got %g", i, ev.At)
+		return fmt.Errorf("fleet: %s[%d] time must be finite and ≥ 0, got %g", where, i, ev.At)
 	}
 	switch ev.kind() {
 	case EvArrival:
 		if _, ok := byName[ev.Job]; !ok {
-			return fmt.Errorf("fleet: events[%d] names unknown job %q", i, ev.Job)
+			return fmt.Errorf("fleet: %s[%d] names unknown job %q", where, i, ev.Job)
 		}
 		if !(ev.Work > 0) || math.IsInf(ev.Work, 0) {
-			return fmt.Errorf("fleet: events[%d] work must be positive and finite, got %g", i, ev.Work)
+			return fmt.Errorf("fleet: %s[%d] work must be positive and finite, got %g", where, i, ev.Work)
 		}
 		if ev.Node != 0 || ev.Factor != 0 || ev.Class != "" || ev.Price != 0 {
-			return fmt.Errorf("fleet: events[%d] (arrival) must not set node, factor, class or price", i)
+			return fmt.Errorf("fleet: %s[%d] (arrival) must not set node, factor, class or price", where, i)
 		}
 	case EvNodeFail, EvNodeDrain:
 		if ev.Node < 0 {
-			return fmt.Errorf("fleet: events[%d] (%s) node must be ≥ 0, got %d", i, ev.kind(), ev.Node)
+			return fmt.Errorf("fleet: %s[%d] (%s) node must be ≥ 0, got %d", where, i, ev.kind(), ev.Node)
 		}
 		if ev.Job != "" || ev.Work != 0 || ev.Factor != 0 || ev.Class != "" || ev.Price != 0 {
-			return fmt.Errorf("fleet: events[%d] (%s) must set only node", i, ev.kind())
+			return fmt.Errorf("fleet: %s[%d] (%s) must set only node", where, i, ev.kind())
 		}
 	case EvNodeJoin:
 		if ev.Factor != 0 && !(ev.Factor >= sim.MinSpeedFactor && ev.Factor <= sim.MaxSpeedFactor) {
-			return fmt.Errorf("fleet: events[%d] (node_join) factor %g out of range [%g, %g]",
-				i, ev.Factor, float64(sim.MinSpeedFactor), float64(sim.MaxSpeedFactor))
+			return fmt.Errorf("fleet: %s[%d] (node_join) factor %g out of range [%g, %g]",
+				where, i, ev.Factor, float64(sim.MinSpeedFactor), float64(sim.MaxSpeedFactor))
 		}
 		switch ev.Class {
 		case "", ClassOnDemand, ClassSpot:
 		default:
-			return fmt.Errorf("fleet: events[%d] (node_join) unknown class %q (have %s, %s)",
-				i, ev.Class, ClassOnDemand, ClassSpot)
+			return fmt.Errorf("fleet: %s[%d] (node_join) unknown class %q (have %s, %s)",
+				where, i, ev.Class, ClassOnDemand, ClassSpot)
 		}
 		if ev.Price < 0 || math.IsNaN(ev.Price) || math.IsInf(ev.Price, 0) {
-			return fmt.Errorf("fleet: events[%d] (node_join) price must be finite and ≥ 0, got %g", i, ev.Price)
+			return fmt.Errorf("fleet: %s[%d] (node_join) price must be finite and ≥ 0, got %g", where, i, ev.Price)
 		}
 		if ev.Job != "" || ev.Work != 0 || ev.Node != 0 {
-			return fmt.Errorf("fleet: events[%d] (node_join) may set only factor, class and price", i)
+			return fmt.Errorf("fleet: %s[%d] (node_join) may set only factor, class and price", where, i)
 		}
 	default:
-		return fmt.Errorf("fleet: events[%d] has unknown kind %q", i, ev.Kind)
+		return fmt.Errorf("fleet: %s[%d] has unknown kind %q", where, i, ev.Kind)
 	}
 	return nil
 }
@@ -465,36 +463,9 @@ func (a *Allocator) SimulateElastic(sc ElasticScenario) (*ElasticResult, error) 
 		return nil, err
 	}
 
-	// Total event order: time, then kind rank, then input index.
-	order := make([]int, len(sc.Events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		ex, ey := sc.Events[order[x]], sc.Events[order[y]]
-		if ex.At != ey.At {
-			return ex.At < ey.At
-		}
-		return kindRank(ex.kind()) < kindRank(ey.kind())
-	})
-	sorted := make([]indexedEvent, len(order))
-	for i, idx := range order {
-		sorted[i] = indexedEvent{ev: sc.Events[idx], idx: idx}
-	}
-
 	s := newElasticSim(a, sc)
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].ev.At == sorted[i].ev.At {
-			j++
-		}
-		if err := s.advanceDepartures(sorted[i].ev.At); err != nil {
-			return nil, err
-		}
-		if err := s.stepBatch(sorted[i].ev.At, sorted[i:j]); err != nil {
-			return nil, err
-		}
-		i = j
+	if err := s.stepAll(inOrder(sc.Events)); err != nil {
+		return nil, err
 	}
 	// The final allocation is the one in effect right after the last trace
 	// event's re-plan.
@@ -504,6 +475,23 @@ func (a *Allocator) SimulateElastic(sc ElasticScenario) (*ElasticResult, error) 
 	}
 	s.finish(len(sc.Events))
 	return s.res, nil
+}
+
+// inOrder tags each event with its position and returns them in the pinned
+// total order: time, then kind rank, then position.
+func inOrder(events []Event) []indexedEvent {
+	out := make([]indexedEvent, len(events))
+	for i, ev := range events {
+		out[i] = indexedEvent{ev: ev, idx: i}
+	}
+	sort.SliceStable(out, func(x, y int) bool {
+		ex, ey := out[x].ev, out[y].ev
+		if ex.At != ey.At {
+			return ex.At < ey.At
+		}
+		return kindRank(ex.kind()) < kindRank(ey.kind())
+	})
+	return out
 }
 
 // insertSorted places n into the fastest-first pool (factor, then price —
@@ -663,23 +651,9 @@ func (s *ElasticSim) bidders(ins []*einstance) []bidder {
 // replanFull re-runs the static policy from scratch over every resident
 // instance — the reference re-planner.
 func (s *ElasticSim) replanFull() error {
-	pool := s.present[:len(s.present)/Quantum*Quantum]
-	var shares [][]node
-	if s.res.Policy == EqualSplit {
-		shares = equalSplit(pool, len(s.active))
-		// equalSplit carves subslices of the pool; shares must own their
-		// nodes, because churn events mutate `present` in place and would
-		// otherwise rewrite every aliased share underneath the instances.
-		for i := range shares {
-			shares[i] = append([]node(nil), shares[i]...)
-		}
-		s.res.JobsEvaluated += len(s.active)
-	} else {
-		var err error
-		shares, _, err = s.a.greedyGrow(s.bidders(s.active), make([][]node, len(s.active)), pool, &s.res.JobsEvaluated)
-		if err != nil {
-			return err
-		}
+	shares, err := s.a.split(s.res.Policy, s.bidders(s.active), s.present, &s.res.JobsEvaluated)
+	if err != nil {
+		return err
 	}
 	for i, in := range s.active {
 		if err := s.a.applyShare(in, shares[i]); err != nil {
@@ -736,47 +710,46 @@ func (s *ElasticSim) replanIncremental() error {
 // remaining runtime at the new rate must exceed the sequences lost to the
 // restart debt (Δtp · remaining/tp_new > penalty · tp_new). With a zero
 // migration penalty this reduces to plain greedy growth. Each instance is
-// one scan along its share and on into the free pool, up to its cap (the
-// flat tail beyond it can only tie, and ties keep the smaller extension).
+// one scan of its share and one breakpoint search into free (see ahead).
 func (s *ElasticSim) extendRunning() error {
 	free := s.freeNodes()
 	if len(free) < Quantum {
 		return nil
 	}
+	var l nodeList
+	l.prepare(free)
 	hits := 0
 	defer func() { s.a.curveHits.Add(uint64(hits)) }()
 	for _, in := range s.active {
 		if in.rate <= 0 || len(free) < Quantum {
 			continue
 		}
-		var st prefixScan
+		st := prefixScan{hits: &hits}
 		if err := s.a.scan(in.curve, &st, in.share); err != nil {
 			return err
 		}
 		s.res.JobsEvaluated++
 		bestK, bestNet := 0, 0.0
-		for k := 1; k*Quantum <= len(free) && !in.curve.saturated(st.n); k++ {
-			if err := s.a.scan(in.curve, &st, free[(k-1)*Quantum:k*Quantum]); err != nil {
-				return err
-			}
-			v := st.best
+		err := s.a.ahead(in.curve, &st, &l, 0, func(k int, v jobValue) {
 			if v.tp <= in.rate {
-				continue
+				return
 			}
 			pen := s.sc.MigrationPenalty * float64(in.plan.D) / 2
-			net := (v.tp-in.rate)*(in.remaining/v.tp) - pen*v.tp
-			if net > bestNet {
+			if net := (v.tp-in.rate)*(in.remaining/v.tp) - pen*v.tp; net > bestNet {
 				bestK, bestNet = k, net
 			}
+		})
+		if err != nil {
+			return err
 		}
-		hits += st.hits
 		if bestK == 0 {
 			continue
 		}
-		if err := s.a.applyShare(in, withNodes(in.share, free[:bestK*Quantum])); err != nil {
+		if err := s.a.applyShare(in, slices.Concat(in.share, free[:bestK*Quantum])); err != nil {
 			return err
 		}
 		free = s.freeNodes()
+		l.prepare(free)
 	}
 	return nil
 }
@@ -790,21 +763,26 @@ func (s *ElasticSim) extendRunning() error {
 // diff, and aging guarantees a starved job's side of the comparison grows
 // without bound — it eventually wins quanta.
 //
-// What no move can have changed is computed once per re-plan: the free
-// pool and every donor's shrink values (its throughput on each even prefix
-// of its share) are kept across starved instances and dropped only when a
-// move is applied. The starved instance's own share + free is scanned once
-// per instance, and each (donor, k) candidate resumes a fork of that state
-// over just the k quanta the donor would release.
+// The free pool and each donor's shrink values, node table and uniform tail
+// are kept until a move is applied. A donor releases the tail of its share,
+// so candidate k puts the starved side on its share and free plus
+// share[n−kQ:], and one ahead search prices it: one table lookup per starved
+// breakpoint it reaches, never a walk of the released nodes. While the
+// released nodes are all of one speed, each search extends the last, and
+// only the k that reach a new starved breakpoint are priced — every
+// candidate still counts in JobsEvaluated.
 func (s *ElasticSim) preemptForStarved() error {
 	var (
 		free []node
-		// shrink[at[i]+m] is resident i's throughput on the first m quanta
-		// of its share; at[i] < 0 until it has been scanned as a donor.
-		shrink []float64
-		at     []int
-		fresh  bool // free, shrink and at reflect the current shares
-		hits   int
+		// shrink[at[i]+j] is resident i's throughput on the first points[j]
+		// nodes of its share, lists[i] its share prepared for ahead and
+		// tail[i] where the share's uniform tail starts; at[i] < 0 until it
+		// has been scanned as a donor.
+		shrink   []float64
+		at, tail []int
+		lists    []nodeList
+		fresh    bool // free, shrink, at, tail and lists reflect the current shares
+		hits     int
 	)
 	defer func() { s.a.curveHits.Add(uint64(hits)) }()
 	for _, in := range s.active {
@@ -812,8 +790,8 @@ func (s *ElasticSim) preemptForStarved() error {
 			continue
 		}
 		if at == nil {
-			at = make([]int, len(s.active))
-			shrink = make([]float64, 0, len(s.present)/Quantum+len(s.active))
+			at, tail, lists = make([]int, len(s.active)), make([]int, len(s.active)), make([]nodeList, len(s.active))
+			shrink = make([]float64, 0, len(s.present)/Quantum)
 		}
 		if !fresh {
 			free, shrink, fresh = s.freeNodes(), shrink[:0], true
@@ -821,14 +799,13 @@ func (s *ElasticSim) preemptForStarved() error {
 				at[i] = -1
 			}
 		}
-		var base prefixScan
+		base := prefixScan{hits: &hits}
 		if err := s.a.scan(in.curve, &base, in.share); err != nil {
 			return err
 		}
 		if err := s.a.scan(in.curve, &base, free); err != nil {
 			return err
 		}
-		hits += base.hits
 		effS := in.effPriority(s.now, s.tau)
 		var donor *einstance
 		bestK, bestNet := 0, 0.0
@@ -836,45 +813,64 @@ func (s *ElasticSim) preemptForStarved() error {
 			if d == in || d.rate <= 0 || len(d.share) < Quantum {
 				continue
 			}
+			n, points := len(d.share), d.curve.points
 			if at[di] < 0 {
 				at[di] = len(shrink)
-				shrink = append(shrink, 0)
-				var st prefixScan
-				for q := Quantum; q <= len(d.share); q += Quantum {
-					if err := s.a.scan(d.curve, &st, d.share[q-Quantum:q]); err != nil {
+				st := prefixScan{hits: &hits}
+				for _, p := range points {
+					if p > n {
+						break
+					}
+					if err := s.a.scan(d.curve, &st, d.share[st.n:p]); err != nil {
 						return err
 					}
 					shrink = append(shrink, st.best.tp)
 				}
-				hits += st.hits
+				lists[di].prepare(d.share)
+				for tail[di] = n - 1; tail[di] > 0 && d.share[tail[di]-1].Factor == d.share[n-1].Factor; tail[di]-- {
+				}
 			}
-			s.res.JobsEvaluated++
+			s.res.JobsEvaluated += 1 + n/Quantum // the donor and each candidate
 			effD := d.effPriority(s.now, s.tau)
-			for k := 1; k*Quantum <= len(d.share); k++ {
-				keep := len(d.share) - k*Quantum
-				cand := base.fork()
-				if err := s.a.scan(in.curve, &cand, d.share[keep:]); err != nil {
+			cand := base.fork()
+			for k := 1; k <= n/Quantum; {
+				keep := n - k*Quantum
+				if keep < tail[di] {
+					cand = base.fork() // the released nodes mix speeds: reprice from the base
+				}
+				if err := s.a.ahead(in.curve, &cand, &lists[di], keep, func(int, jobValue) {}); err != nil {
 					return err
 				}
-				hits += cand.hits
-				s.res.JobsEvaluated++ // the starved side's scan is re-plan work too
-				if cand.best.pred == nil {
-					continue
+				if cand.best.pred != nil {
+					loss := d.rate
+					if j := sort.SearchInts(points, keep+1) - 1; j >= 0 {
+						loss -= shrink[at[di]+j]
+					}
+					// Strictly-greater replacement: candidates are priced in
+					// (donor arrival order, quanta ascending), so equal nets
+					// keep the earliest donor and the smallest eviction.
+					if net := effS*cand.best.tp - effD*loss; net > bestNet {
+						donor, bestK, bestNet = d, k, net
+					}
 				}
-				net := effS*cand.best.tp - effD*(d.rate-shrink[at[di]+keep/Quantum])
-				// Strictly-greater replacement: candidates are scanned in
-				// (donor arrival order, quanta ascending), so equal nets
-				// keep the earliest donor and the smallest eviction.
-				if net > bestNet {
-					donor, bestK, bestNet = d, k, net
+				// The starved side changes next where it reaches a new
+				// breakpoint, or at k+1 if that releases a node outside the
+				// share's uniform tail; in between it ties k at a larger loss.
+				next := math.MaxInt
+				if cand.next < len(in.curve.points) {
+					next = (in.curve.points[cand.next] - base.n + Quantum - 1) / Quantum
 				}
+				if keep-Quantum < tail[di] {
+					next = k + 1
+				}
+				k = next
 			}
 		}
 		if donor == nil {
 			continue
 		}
 		keep := len(donor.share) - bestK*Quantum
-		grown := withNodes(withNodes(in.share, free), donor.share[keep:])
+		grown := slices.Concat(in.share, free, donor.share[keep:])
 		if err := s.a.applyShare(donor, donor.share[:keep:keep]); err != nil {
 			return err
 		}

@@ -10,18 +10,18 @@
 // allocator this package exists for: start from an empty allocation and
 // greedily hand node quanta (2 nodes — the smallest even worker count a
 // bidirectional pipeline needs) to the job with the best marginal
-// predicted-throughput gain per quantum, considering every extension size
-// so the step-shaped throughput curves (feasibility jumps in P) cannot trap
-// the greedy below a step. Every candidate evaluation is a full §3.4 plan,
-// memoized by its PlanRequest through the shared engine's schedule and
-// critical-path caches plus a fleet-level plan memo, so the O(nodes·jobs)
-// greedy loop pays for each distinct (job, P) plan exactly once — and reads
-// it by index afterwards: each job's plans over P sit in a plan curve
-// (planCurve), a table whose slots are resolved through that memo on first
-// use and walked by one resumable prefix scan (Allocator.scan), the only
-// code that reads a curve. The static allocator builds its curves per call;
-// the elastic simulator keeps one per vocabulary job for its lifetime and
-// shares them with its what-if forks.
+// predicted-throughput gain per quantum, considering every extension that
+// reaches a new step of the job's throughput curve, so the step shape
+// (feasibility jumps in P) cannot trap the greedy below a step. Every
+// candidate evaluation is a full §3.4 plan, memoized by its PlanRequest
+// through the shared engine's schedule and critical-path caches plus a
+// fleet-level plan memo. The steps sit at the job's breakpoints, the few
+// worker counts the planner's grid admits (perfmodel.Breakpoints), so each
+// job's plans sit in a plan curve (planCurve) over those points, resolved
+// through the memo on first use, and no search visits another worker count or
+// walks an idle pool. The static allocator builds its curves per call; the
+// elastic simulator keeps one per vocabulary job and shares them with its
+// what-if forks.
 //
 // Heterogeneous clusters: Cluster.SpeedFactors gives each node a
 // compute-time multiplier (1 = nominal, 2 = twice as slow). Nodes are
@@ -68,6 +68,10 @@ func Policies() []string { return []string{string(EqualSplit), string(PlannerGui
 // Quantum is the node-allocation granularity: pipelines need an even worker
 // count (D ≥ 2 and even), so nodes move between jobs two at a time.
 const Quantum = 2
+
+// MaxNodes is the one node limit: a request's cluster, and an elastic
+// scenario's initial nodes plus every join (the serve layer admits the same).
+const MaxNodes = 1 << 16
 
 // MaxJobs bounds a request's job list; it exists for the same reason as the
 // serve layer's size caps — one request must not be able to provoke an
@@ -154,8 +158,8 @@ func (r Request) policy() Policy {
 // surface layers (serve, CLI) call it too so their errors name the field
 // before any planning work starts.
 func (r Request) Validate() error {
-	if r.Cluster.Nodes < Quantum {
-		return fmt.Errorf("fleet: cluster needs at least %d nodes, got %d", Quantum, r.Cluster.Nodes)
+	if r.Cluster.Nodes < Quantum || r.Cluster.Nodes > MaxNodes {
+		return fmt.Errorf("fleet: cluster nodes must be in [%d, %d], got %d", Quantum, MaxNodes, r.Cluster.Nodes)
 	}
 	if n := len(r.Cluster.SpeedFactors); n != 0 && n != r.Cluster.Nodes {
 		return fmt.Errorf("fleet: speed_factors has %d entries, cluster has %d nodes (lengths must match)",

@@ -199,7 +199,7 @@ func lookaheadMemBytes(t *testing.T, cluster Cluster, m model.Config) int64 {
 	for mem := int64(1) << 24; mem <= 1<<34; mem *= 2 {
 		c := cluster
 		c.Device.MemBytes = mem
-		cv := newPlanCurve(c, job, 6)
+		cv := newPlanCurve(c, job)
 		p2, p6 := a.plan(cv.request(2)), a.plan(cv.request(6))
 		if p2.err != nil || p6.err != nil {
 			t.Fatal(p2.err, p6.err)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chimera/internal/engine"
@@ -23,6 +24,11 @@ import (
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
+
+// withNodes appends extra nodes to a share in a fresh array.
+func withNodes(share, extra []node) []node {
+	return slices.Concat(share, extra)
+}
 
 func (a *Allocator) oraclePlanBest(c Cluster, j Job, p int) (*perfmodel.Prediction, error) {
 	out := a.plan(perfmodel.PlanRequest{
@@ -601,8 +607,9 @@ func TestReplanMatchesOracleListScheduled(t *testing.T) {
 // TestSearchMatchesOracleDirect compares the primitives directly on inputs
 // the simulator cannot produce — odd-length shares and free pools (a
 // quantum then straddles share and pool), a cap below the share a job
-// already holds, unsorted node lists — so the scan's pairing and cap rules
-// are pinned independently of the state machine.
+// already holds, unsorted node lists — so the scan's pairing and cap rules,
+// and the breakpoint search's reading of a prepared list, are pinned
+// independently of the state machine.
 func TestSearchMatchesOracleDirect(t *testing.T) {
 	a := NewAllocator(engine.New(engine.Workers(1)))
 	r := rand.New(rand.NewSource(42))
@@ -628,8 +635,8 @@ func TestSearchMatchesOracleDirect(t *testing.T) {
 		oracleShares := make([][]node, len(jobs))
 		next := 0
 		for i, j := range jobs {
-			bids[i] = bidder{curve: newPlanCurve(c, j, 8), prio: j.priority()} // small: the open job's table must grow
-			n := r.Intn(7)                                                     // 0–6 nodes, odd included, above cap4's cap included
+			bids[i] = bidder{curve: newPlanCurve(c, j), prio: j.priority()}
+			n := r.Intn(7) // 0–6 nodes, odd included, above cap4's cap included
 			shares[i] = append([]node(nil), pool[next:next+n]...)
 			oracleShares[i] = append([]node(nil), shares[i]...)
 			next += n
@@ -643,6 +650,36 @@ func TestSearchMatchesOracleDirect(t *testing.T) {
 			var st prefixScan
 			if err := a.scan(bids[i].curve, &st, shares[i]); err != nil {
 				t.Fatal(err)
+			}
+			// The breakpoint search from a random offset into the prepared
+			// rest: at every whole quantum k the oracle's value is the last
+			// one offered at or before k, and the offers ascend.
+			var l nodeList
+			l.prepare(rest)
+			from := r.Intn(len(rest))
+			wantFrom, err := a.oraclePrefixValues(c, j, withNodes(shares[i], rest[from:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ks []int
+			var vs []jobValue
+			ahead := st.fork()
+			if err := a.ahead(bids[i].curve, &ahead, &l, from, func(k int, v jobValue) {
+				ks, vs = append(ks, k), append(vs, v)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			v, next := st.best, 0
+			for k := 1; k*Quantum <= len(rest)-from; k++ {
+				if next < len(ks) && ks[next] == k {
+					v, next = vs[next], next+1
+				}
+				if q := (len(shares[i]) + k*Quantum) / Quantum * Quantum; !reflect.DeepEqual(v, wantFrom[q]) {
+					t.Fatalf("trial %d job %s: search from %d has %+v after %d quanta, oracle %+v", trial, j.Name, from, v, k, wantFrom[q])
+				}
+			}
+			if next != len(ks) {
+				t.Fatalf("trial %d job %s: offers %v out of order", trial, j.Name, ks)
 			}
 			for m, nd := range rest {
 				// Resume a copy over the tail in one call: must land where
@@ -782,5 +819,206 @@ func TestReplanMatchesOracleRandomStates(t *testing.T) {
 	}
 	if moves < 100 {
 		t.Fatalf("random states produced only %d restarts — the preemption path is not being exercised", moves)
+	}
+}
+
+// layerModel is Bert-48's layer shape at another depth.
+func layerModel(layers int) model.Config {
+	m := model.BERT48()
+	m.Name, m.Layers = fmt.Sprintf("bert-%d", layers), layers
+	return m
+}
+
+// sparseMix is a vocabulary whose breakpoints lie far apart: layer counts
+// with few even divisors (12, 30, 48) and mini-batches that are not powers
+// of two (96, 384, and 3, which admits W ∈ {1, 3} only), all uncapped but
+// one.
+func sparseMix() []Job {
+	return []Job{
+		{Name: "l12", Model: layerModel(12), MiniBatch: 96, Priority: 1},
+		{Name: "l30", Model: layerModel(30), MiniBatch: 3, Priority: 2},
+		{Name: "l48", Model: model.BERT48(), MiniBatch: 384, Priority: 1.5},
+		{Name: "l30cap", Model: layerModel(30), MiniBatch: 96, Priority: 1, MaxNodes: 20},
+	}
+}
+
+// TestAllocateMatchesOracleBigPools: the static allocator over uncapped
+// mixes on pools of a thousand nodes and more, homogeneous and mixed-speed,
+// and over sparse breakpoints under the "auto" scheduler on a mixed-speed
+// pool, where list-scheduled bids land on the breakpoints dividing the layer
+// count.
+func TestAllocateMatchesOracleBigPools(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	pools := []int{1024, 2050}
+	if testing.Short() {
+		pools = pools[:1]
+	}
+	check := func(req Request) {
+		t.Helper()
+		got, err := a.Allocate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := a.oracleAllocate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d nodes, scheduler %q: allocation differs from the oracle:\n%s\n%s", req.Cluster.Nodes, req.Cluster.Scheduler, got, want)
+		}
+	}
+	for _, nodes := range pools {
+		for _, jobs := range [][]Job{benchMix(), propMixes()[1], sparseMix()} {
+			for _, factors := range [][]float64{nil, mixedFactors(nodes, int64(nodes))} {
+				check(Request{Cluster: pizDaintCluster(nodes, factors), Jobs: jobs})
+			}
+		}
+	}
+	for _, nodes := range []int{24, 40} {
+		c := pizDaintCluster(nodes, mixedFactors(nodes, int64(nodes+1)))
+		c.Scheduler = "auto"
+		check(Request{Cluster: c, Jobs: sparseMix()[:2]})
+	}
+}
+
+// TestReplanMatchesOracleSparse: storms over the sparse vocabulary on an
+// ample 1,024-node pool (uncapped jobs, so every search reaches far past the
+// jobs' last breakpoints) and on a scarce mixed-speed pool, plus random
+// resident states of it. A donor releases the tail of its share, so on a
+// mixed-speed pool a larger eviction moves the starved side onto other
+// nodes even where neither side crosses a breakpoint — the preemption
+// candidates between breakpoints must still be priced.
+func TestReplanMatchesOracleSparse(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	events := 60
+	if testing.Short() {
+		events = 30
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		ample := ElasticScenario{Cluster: pizDaintCluster(1024, nil), Jobs: sparseMix(), MigrationPenalty: float64(10 * (seed % 2))}
+		checkAgainstOracle(t, a, oracleStorm{
+			name: fmt.Sprintf("sparse-ample/seed%d", seed), sc: ample,
+			batches: stormBatches(t, ample, seed, events, 1e5, 0, 0),
+		})
+		scarce := ElasticScenario{Cluster: pizDaintCluster(40, mixedFactors(40, seed)), Jobs: sparseMix(), MigrationPenalty: 5}
+		checkAgainstOracle(t, a, oracleStorm{
+			name: fmt.Sprintf("sparse-scarce/seed%d", seed), sc: scarce,
+			batches: stormBatches(t, scarce, seed, events, 1e6, 0.8, 2.0),
+		})
+	}
+
+	r := rand.New(rand.NewSource(11))
+	jobs := sparseMix()
+	moves := 0
+	for trial := 0; trial < 600; trial++ {
+		// Mixed speeds, one speed, and runs of a few speeds, so donors' uniform
+		// tails range from one node to the whole share.
+		nodes := 24 + 2*r.Intn(8)
+		var factors []float64
+		switch trial % 3 {
+		case 0:
+			factors = mixedFactors(nodes, int64(trial))
+		case 2:
+			factors = make([]float64, nodes)
+			for i := range factors {
+				factors[i] = []float64{1, 1.5, 2}[i*3/nodes]
+			}
+		}
+		sc := ElasticScenario{
+			Cluster: pizDaintCluster(nodes, factors),
+			Jobs:    jobs, MigrationPenalty: float64(10 * (trial % 2)),
+		}
+		s, err := a.NewElasticSim(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.now = 5000
+		pool := append([]node(nil), s.present...)
+		r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		pool = pool[:len(pool)-r.Intn(3)]
+		for i := 0; i < 3+r.Intn(5); i++ {
+			j := jobs[r.Intn(len(jobs))]
+			in := &einstance{trace: i, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
+			s.runs[i] = &ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}
+			n := Quantum * r.Intn(8)
+			if r.Intn(3) == 0 || n > len(pool) {
+				n = 0
+			}
+			if err := a.applyShare(in, append([]node(nil), pool[:n]...)); err != nil {
+				t.Fatal(err)
+			}
+			pool = pool[len(in.share):]
+			if in.rate <= 0 {
+				in.starvedSince = s.now - DefaultAgingTau*20*r.Float64()
+			}
+			s.active = append(s.active, in)
+		}
+		got, want := s.Fork(), s.Fork()
+		want.replanWith = oracleReplan
+		if err := got.ReplanNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.ReplanNow(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Fatalf("trial %d: re-plan differs from the oracle:\n got %+v\nwant %+v", trial, got.Snapshot(), want.Snapshot())
+		}
+		for i, in := range got.active {
+			if !reflect.DeepEqual(nodeIDs(in.share), nodeIDs(want.active[i].share)) {
+				t.Fatalf("trial %d: instance %d holds nodes %v, oracle %v", trial, i, nodeIDs(in.share), nodeIDs(want.active[i].share))
+			}
+		}
+		moves += got.res.Migrations
+	}
+	if moves < 50 {
+		t.Fatalf("random states produced only %d restarts — the preemption path is not being exercised", moves)
+	}
+}
+
+// TestPreemptPricesBetweenBreakpoints: the candidate between the starved
+// side's breakpoints that wins. The donor drives four nodes of speeds
+// [1, 1, 1.2, 1.2]; the starved 30-layer job has breakpoints 2, 6, 10, …
+// only. Evicting one quantum hands it the two slow nodes, evicting both
+// hands it the two fast ones first: the same breakpoint, P = 2, on faster
+// nodes, so the second candidate is worth more to a long-starved job even
+// though neither side's breakpoints separate the two.
+func TestPreemptPricesBetweenBreakpoints(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	jobs := []Job{
+		{Name: "donor", Model: layerModel(12), MiniBatch: 96},
+		{Name: "starved", Model: layerModel(30), MiniBatch: 3, Priority: 2},
+	}
+	sc := ElasticScenario{Cluster: pizDaintCluster(4, []float64{1, 1, 1.2, 1.2}), Jobs: jobs}
+	s, err := a.NewElasticSim(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.now = 100 * DefaultAgingTau
+	d := &einstance{trace: 0, job: jobs[0], curve: s.curves["donor"], remaining: 1e6, starvedSince: -1}
+	if err := a.applyShare(d, append([]node(nil), s.present...)); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.share) != 4 {
+		t.Fatalf("donor drives %d nodes, want all 4", len(d.share))
+	}
+	st := &einstance{trace: 1, job: jobs[1], curve: s.curves["starved"], remaining: 1e6, starvedSince: 0}
+	s.active = []*einstance{d, st}
+	for i, in := range s.active {
+		s.runs[i] = &ElasticJobRun{Job: in.job.Name, Trace: i, StartAt: -1, DoneAt: -1}
+	}
+	got, want := s.Fork(), s.Fork()
+	want.replanWith = oracleReplan
+	if err := got.ReplanNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.ReplanNow(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		t.Fatalf("re-plan differs from the oracle:\n got %+v\nwant %+v", got.Snapshot(), want.Snapshot())
+	}
+	if ids := nodeIDs(got.active[1].share); !reflect.DeepEqual(ids, []int{0, 1}) {
+		t.Fatalf("starved job holds nodes %v, want the fast pair [0 1]", ids)
 	}
 }

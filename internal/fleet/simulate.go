@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"chimera/internal/engine"
 )
@@ -73,12 +71,10 @@ func SimulateOn(e *engine.Engine, sc Scenario) (*SimResult, error) {
 
 // Simulate replays the trace through the elastic stepper: a classic trace
 // is sugar for arrival events on a pool that never churns, re-planned from
-// scratch at every event with no migration penalty — one same-time batch of
-// arrivals per step, departures caught up between. The per-arrival checks
-// and the MaxEvents bound stay here so errors name the trace; a pool with no
-// joins needs no MaxElasticNodes cap, so any cluster a Request admits
-// replays. Aging, one re-plan per departure time, the MaxResident bound and
-// the stall error are ElasticSim's (its errors say events[i] for trace[i]).
+// scratch at every event with no migration penalty. The per-arrival checks
+// and the MaxEvents bound stay here so errors name the trace; aging, one
+// re-plan per departure time, the MaxResident bound and the stall error are
+// ElasticSim's (its errors say events[i] for trace[i]).
 func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
 	esc := ElasticScenario{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy, Replan: ReplanFull}
 	if err := esc.validateConfig(); err != nil {
@@ -94,37 +90,17 @@ func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
 	for _, j := range sc.Jobs {
 		known[j.Name] = true
 	}
-	sorted := make([]indexedEvent, len(sc.Trace))
-	for i, ev := range sc.Trace {
-		if !known[ev.Job] {
-			return nil, fmt.Errorf("fleet: trace[%d] names unknown job %q", i, ev.Job)
-		}
-		if ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0) {
-			return nil, fmt.Errorf("fleet: trace[%d] arrival time must be finite and ≥ 0, got %g", i, ev.At)
-		}
-		if !(ev.Work > 0) || math.IsInf(ev.Work, 0) {
-			return nil, fmt.Errorf("fleet: trace[%d] work must be positive and finite, got %g", i, ev.Work)
-		}
-		sorted[i] = indexedEvent{ev: Event{At: ev.At, Kind: EvArrival, Job: ev.Job, Work: ev.Work}, idx: i}
-	}
-	sort.SliceStable(sorted, func(x, y int) bool { return sorted[x].ev.At < sorted[y].ev.At })
-	s := newElasticSim(a, esc)
-	for i, j := 0, 0; i < len(sorted); i = j {
-		at := sorted[i].ev.At
-		for j = i; j < len(sorted) && sorted[j].ev.At == at; j++ {
-		}
-		if err := s.advanceDepartures(at); err != nil {
-			return nil, err
-		}
-		if err := s.stepBatch(at, sorted[i:j]); err != nil {
+	esc.Events = make([]Event, len(sc.Trace))
+	for i, arr := range sc.Trace {
+		esc.Events[i] = Event{At: arr.At, Kind: EvArrival, Job: arr.Job, Work: arr.Work}
+		if err := validateEvent(known, "trace", i, esc.Events[i]); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.runToCompletion(); err != nil {
+	er, err := a.SimulateElastic(esc)
+	if err != nil {
 		return nil, err
 	}
-	s.finish(len(sorted))
-	er := s.res
 	res := &SimResult{
 		Policy: er.Policy, Nodes: sc.Cluster.Nodes,
 		Makespan: er.Makespan, Utilization: er.Utilization, MeanWait: er.MeanWait,

@@ -28,7 +28,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // indexedEvent pairs an event with its trace index — the input position in
@@ -86,7 +85,7 @@ func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
 	curves := make(map[string]*planCurve, len(sc.Jobs))
 	for _, j := range sc.Jobs {
 		byName[j.Name] = j
-		curves[j.Name] = newPlanCurve(sc.Cluster, j, sc.Cluster.Nodes)
+		curves[j.Name] = newPlanCurve(sc.Cluster, j)
 	}
 	res := &ElasticResult{
 		Policy:       (Request{Policy: sc.Policy}).policy(),
@@ -280,6 +279,23 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 	return nil
 }
 
+// stepAll applies events already in the total order, one batch per
+// distinct time, each after the departures due before it.
+func (s *ElasticSim) stepAll(sorted []indexedEvent) error {
+	for i, j := 0, 0; i < len(sorted); i = j {
+		at := sorted[i].ev.At
+		for j = i; j < len(sorted) && sorted[j].ev.At == at; j++ {
+		}
+		if err := s.advanceDepartures(at); err != nil {
+			return err
+		}
+		if err := s.stepBatch(at, sorted[i:j]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // advanceDepartures retires every departure strictly before limit, one
 // re-plan per departure time. A departure at exactly limit is left for the
 // batch step there, which processes it in the same re-plan as the batch —
@@ -325,16 +341,22 @@ func (s *ElasticSim) finish(totalEvents int) {
 		s.res.Utilization = s.busySeconds / s.poolAtMakespan
 	}
 	s.res.Cost = s.costAtMakespan
-	var wait float64
-	for i := 0; i < totalEvents; i++ {
+	s.res.Jobs, s.res.MeanWait = s.arrivalRuns(totalEvents)
+}
+
+// arrivalRuns lists the runs of the arrivals among the first n trace
+// indices, in trace order, and their mean wait.
+func (s *ElasticSim) arrivalRuns(n int) (runs []ElasticJobRun, meanWait float64) {
+	for i := 0; i < n; i++ {
 		if run, ok := s.runs[i]; ok {
-			s.res.Jobs = append(s.res.Jobs, *run)
-			wait += run.Wait
+			runs = append(runs, *run)
+			meanWait += run.Wait
 		}
 	}
-	if len(s.res.Jobs) > 0 {
-		s.res.MeanWait = wait / float64(len(s.res.Jobs))
+	if len(runs) > 0 {
+		meanWait /= float64(len(runs))
 	}
+	return runs, meanWait
 }
 
 // ApplyError marks an Ingest failure from the apply phase: validation
@@ -375,7 +397,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	}
 	churn := false
 	for i, ev := range batch {
-		if err := validateEvent(s.byName, i, ev); err != nil {
+		if err := validateEvent(s.byName, "events", i, ev); err != nil {
 			return err
 		}
 		churn = churn || ev.kind() != EvArrival
@@ -383,17 +405,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 			return fmt.Errorf("fleet: ingest: events[%d] at t=%g is not after the last ingested batch (t=%g)", i, ev.At, s.lastBatch)
 		}
 	}
-	ord := make([]int, len(batch))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(x, y int) bool {
-		ex, ey := batch[ord[x]], batch[ord[y]]
-		if ex.At != ey.At {
-			return ex.At < ey.At
-		}
-		return kindRank(ex.kind()) < kindRank(ey.kind())
-	})
+	sorted := inOrder(batch)
 	// Pre-walk churn against the evolving node set so a bad batch is
 	// rejected before any state mutates (arrival residency depends on
 	// departures and cannot be pre-checked; it errors at apply time). A
@@ -403,16 +415,16 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 		for _, n := range s.present {
 			ids[n.ID] = true
 		}
-		for _, k := range ord {
-			switch ev := batch[k]; ev.kind() {
+		for _, ie := range sorted {
+			switch ev, k := ie.ev, ie.idx; ev.kind() {
 			case EvNodeFail, EvNodeDrain:
 				if ev.Node >= len(ids) || !ids[ev.Node] {
 					return fmt.Errorf("fleet: ingest: events[%d] %s targets absent node %d", k, ev.kind(), ev.Node)
 				}
 				ids[ev.Node] = false
 			case EvNodeJoin:
-				if len(ids)+1 > MaxElasticNodes {
-					return fmt.Errorf("fleet: ingest: events[%d] join would exceed the node limit %d", k, MaxElasticNodes)
+				if len(ids)+1 > MaxNodes {
+					return fmt.Errorf("fleet: ingest: events[%d] join would exceed the node limit %d", k, MaxNodes)
 				}
 				ids = append(ids, true)
 			}
@@ -420,25 +432,12 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	}
 	// Commit: trace indices continue the raw log, in applied order, so the
 	// recorded log replays with identical indices.
-	sorted := make([]indexedEvent, len(ord))
-	for i, k := range ord {
-		sorted[i] = indexedEvent{ev: batch[k], idx: len(s.events) + i}
+	for i := range sorted {
+		s.events = append(s.events, sorted[i].ev)
+		sorted[i].idx = len(s.events) - 1
 	}
-	for _, ie := range sorted {
-		s.events = append(s.events, ie.ev)
-	}
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].ev.At == sorted[i].ev.At {
-			j++
-		}
-		if err := s.advanceDepartures(sorted[i].ev.At); err != nil {
-			return &ApplyError{Err: err}
-		}
-		if err := s.stepBatch(sorted[i].ev.At, sorted[i:j]); err != nil {
-			return &ApplyError{Err: err}
-		}
-		i = j
+	if err := s.stepAll(sorted); err != nil {
+		return &ApplyError{Err: err}
 	}
 	s.lastBatch = sorted[len(sorted)-1].ev.At
 	return nil
@@ -481,17 +480,7 @@ func (s *ElasticSim) Snapshot() ElasticResult {
 		out.Utilization = s.busySeconds / s.poolAtMakespan
 	}
 	out.Cost = s.Cost()
-	out.Jobs = nil
-	var wait float64
-	for i := 0; i < len(s.events); i++ {
-		if run, ok := s.runs[i]; ok {
-			out.Jobs = append(out.Jobs, *run)
-			wait += run.Wait
-		}
-	}
-	if len(out.Jobs) > 0 {
-		out.MeanWait = wait / float64(len(out.Jobs))
-	}
+	out.Jobs, out.MeanWait = s.arrivalRuns(len(s.events))
 	out.Final = finalShares(s.active)
 	return out
 }

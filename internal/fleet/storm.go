@@ -55,6 +55,10 @@ type StormConfig struct {
 	MinNodes int
 }
 
+// stormMaxNodes is the node id past which a storm draws no joins: it shapes
+// the generated traces and is not a validation limit (that is MaxNodes).
+const stormMaxNodes = 512
+
 // stormNode is the generator's shadow of one present node.
 type stormNode struct {
 	id   int
@@ -181,7 +185,7 @@ func GenerateStorm(cfg StormConfig) ([]Event, error) {
 			out = append(out, Event{At: t, Kind: EvNodeDrain, Node: present[v].id})
 			present = append(present[:v], present[v+1:]...)
 		case EvNodeJoin:
-			if nextID >= MaxElasticNodes {
+			if nextID >= stormMaxNodes {
 				continue
 			}
 			spot := r.Float64() < spotFrac

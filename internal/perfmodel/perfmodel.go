@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"chimera/internal/engine"
@@ -286,7 +287,7 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 	norm := make([]PlanRequest, len(reqs))
 	copy(norm, reqs)
 	reqs = norm
-	var grid []candidate
+	var cands []candidate
 	for ri := range reqs {
 		req := &reqs[ri]
 		if req.MaxB == 0 {
@@ -303,27 +304,21 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 			continue
 		}
 		factorsOf[ri] = factors
-		for d := 2; d <= req.P; d += 2 {
-			if req.P%d != 0 || req.Model.Layers%d != 0 {
-				continue
-			}
-			if req.MiniBatch%(req.P/d) != 0 {
-				continue
-			}
-			if len(factors) != 0 && d != len(factors) {
-				// The factors name the workers of one pipeline; only depths that
-				// match describe the cluster being planned for.
-				continue
+		grid(req.Model.Layers, req.MiniBatch, req.P, func(p, d int) {
+			// The factors name the workers of one pipeline; only depths that
+			// match describe the cluster being planned for.
+			if p != req.P || (len(factors) != 0 && d != len(factors)) {
+				return
 			}
 			for _, sched := range scheds {
-				grid = append(grid, candidate{ri, d, sched})
+				cands = append(cands, candidate{ri, d, sched})
 			}
-		}
+		})
 	}
-	preds := make([]*Prediction, len(grid))
-	errs := make([]error, len(grid))
-	e.ForEach(len(grid), func(i int) {
-		c := grid[i]
+	preds := make([]*Prediction, len(cands))
+	errs := make([]error, len(cands))
+	e.ForEach(len(cands), func(i int) {
+		c := cands[i]
 		req := reqs[c.req]
 		preds[i], errs[i] = one(e, req, req.P/c.d, c.d, c.sched, factorsOf[c.req])
 	})
@@ -331,7 +326,7 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 		if errs[i] != nil || p == nil {
 			continue
 		}
-		outPreds[grid[i].req] = append(outPreds[grid[i].req], p)
+		outPreds[cands[i].req] = append(outPreds[cands[i].req], p)
 	}
 	for ri := range reqs {
 		if outErrs[ri] != nil {
@@ -358,6 +353,33 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 		})
 	}
 	return outPreds, outErrs
+}
+
+// grid visits the planner's (P, D) grid up to maxP workers, D ascending:
+// W = P/D pipelines of depth D, with D even and dividing the layer count and
+// W dividing the mini-batch B̂.
+func grid(layers, miniBatch, maxP int, visit func(p, d int)) {
+	for d := 2; d <= min(layers, maxP); d += 2 {
+		if layers%d != 0 {
+			continue
+		}
+		for w := 1; w <= miniBatch && w*d <= maxP; w++ {
+			if miniBatch%w == 0 {
+				visit(w*d, d)
+			}
+		}
+	}
+}
+
+// Breakpoints lists, ascending, the worker counts P ≤ maxP at which the
+// planner's grid holds a candidate. Plan answers every other P with
+// ErrInfeasible before building anything, so a job's best throughput can
+// only change at these points.
+func Breakpoints(layers, miniBatch, maxP int) []int {
+	var ps []int
+	grid(layers, miniBatch, maxP, func(p, _ int) { ps = append(ps, p) })
+	slices.Sort(ps)
+	return slices.Compact(ps)
 }
 
 // plannerSchedulers expands a PlanRequest's scheduler selector into the

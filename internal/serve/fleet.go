@@ -133,8 +133,8 @@ func resolveFleetPolicy(p string) (fleet.Policy, error) {
 // Resolve validates the request into a fleet.Request.
 func (r FleetPlanRequest) Resolve() (fleet.Request, error) {
 	var out fleet.Request
-	if r.Cluster.Nodes < 2 || r.Cluster.Nodes > MaxWorkers {
-		return out, fmt.Errorf("fleet: cluster nodes must be in [2, %d], got %d", MaxWorkers, r.Cluster.Nodes)
+	if r.Cluster.Nodes < 2 || r.Cluster.Nodes > fleet.MaxNodes {
+		return out, fmt.Errorf("fleet: cluster nodes must be in [2, %d], got %d", fleet.MaxNodes, r.Cluster.Nodes)
 	}
 	dev, net, err := r.Cluster.Platform.Resolve()
 	if err != nil {
@@ -175,8 +175,8 @@ func (r FleetPlanRequest) Resolve() (fleet.Request, error) {
 		if j.MaxB < 0 || j.MaxB > MaxMiniBatch {
 			return out, fmt.Errorf("fleet: job %q max_b must be in [0, %d], got %d", j.Name, MaxMiniBatch, j.MaxB)
 		}
-		if j.MaxNodes < 0 || j.MaxNodes > MaxWorkers {
-			return out, fmt.Errorf("fleet: job %q max_nodes must be in [0, %d], got %d", j.Name, MaxWorkers, j.MaxNodes)
+		if j.MaxNodes < 0 || j.MaxNodes > fleet.MaxNodes {
+			return out, fmt.Errorf("fleet: job %q max_nodes must be in [0, %d], got %d", j.Name, fleet.MaxNodes, j.MaxNodes)
 		}
 		if j.Priority < 0 || math.IsNaN(j.Priority) || math.IsInf(j.Priority, 0) {
 			return out, fmt.Errorf("fleet: job %q priority must be finite and ≥ 0, got %g", j.Name, j.Priority)

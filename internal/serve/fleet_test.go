@@ -367,34 +367,54 @@ func TestFleetSimulateClassicTraceBounded(t *testing.T) {
 	}
 }
 
-// TestFleetSimulateClassicAboveElasticNodeCap: the elastic pool cap guards
-// joins; a classic trace has none, so a cluster above fleet.MaxElasticNodes
-// replays over HTTP as it always did (byte-identical to in-process), while
-// the same arrivals sent as events are a 400 naming the cap.
-func TestFleetSimulateClassicAboveElasticNodeCap(t *testing.T) {
+// TestFleetSimulateAtNodeLimit: a cluster of fleet.MaxNodes nodes replays
+// over HTTP, as a classic trace and as the same arrivals sent as events,
+// byte-identical to the in-process replay; one node more is a 400 naming the
+// limit on both paths.
+func TestFleetSimulateAtNodeLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	classic := strings.Replace(fleetClassicSimBody, `"nodes":8`, fmt.Sprintf(`"nodes":%d`, fleet.MaxElasticNodes+2), 1)
-	status, body := post(t, ts, "/v1/fleet/simulate", classic)
-	if status != http.StatusOK {
-		t.Fatalf("classic trace on %d nodes: status %d: %s", fleet.MaxElasticNodes+2, status, body)
+	withNodes := func(body string, n int) string {
+		return strings.Replace(body, `"nodes":8`, fmt.Sprintf(`"nodes":%d`, n), 1)
 	}
-	var sc FleetScenario
-	if err := DecodeStrict(strings.NewReader(classic), &sc); err != nil {
-		t.Fatal(err)
-	}
-	resolved, err := sc.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fleet.SimulateOn(engine.New(engine.Workers(1)), resolved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := json.Marshal(NewFleetSimResponse(res)); !bytes.Equal(body, want) || res.Nodes != fleet.MaxElasticNodes+2 {
-		t.Fatalf("served classic replay differs from in-process:\nserved: %s\nlocal:  %s", body, want)
-	}
-	status, body = post(t, ts, "/v1/fleet/simulate", strings.Replace(classic, `"trace"`, `"events"`, 1))
-	if status != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("exceed the limit %d", fleet.MaxElasticNodes)) {
-		t.Fatalf("elastic twin: status %d, body %s", status, body)
+	asEvents := func(body string) string { return strings.Replace(body, `"trace"`, `"events"`, 1) }
+	for _, body := range []string{fleetClassicSimBody, asEvents(fleetClassicSimBody)} {
+		at := withNodes(body, fleet.MaxNodes)
+		status, served := post(t, ts, "/v1/fleet/simulate", at)
+		if status != http.StatusOK {
+			t.Fatalf("%d nodes: status %d: %s", fleet.MaxNodes, status, served)
+		}
+		var sc FleetScenario
+		if err := DecodeStrict(strings.NewReader(at), &sc); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		if sc.Elastic() {
+			esc, err := sc.ResolveElastic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ = json.Marshal(NewFleetElasticResponse(res))
+		} else {
+			classic, err := sc.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fleet.SimulateOn(engine.New(engine.Workers(1)), classic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ = json.Marshal(NewFleetSimResponse(res))
+		}
+		if !bytes.Equal(served, want) {
+			t.Fatalf("served replay differs from in-process:\nserved: %s\nlocal:  %s", served, want)
+		}
+		status, served = post(t, ts, "/v1/fleet/simulate", withNodes(body, fleet.MaxNodes+1))
+		if status != http.StatusBadRequest || !strings.Contains(string(served), fmt.Sprintf("[2, %d]", fleet.MaxNodes)) {
+			t.Fatalf("%d nodes: status %d, body %s", fleet.MaxNodes+1, status, served)
+		}
 	}
 }
