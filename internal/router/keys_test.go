@@ -2,30 +2,35 @@ package router
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"chimera/internal/serve"
 )
 
-// TestRoutingKeyAgreesWithServeCache is the property that makes hash routing
-// worth doing: two bodies get the same routing key iff they hit the same
-// serve cache entry. Each endpoint's corpus — optional fields spelled and
-// omitted, classic and elastic scenarios, requests that resolve but have no
-// answer, malformed and unresolvable bodies — is posted in order to one
-// fresh server; a body whose routing key was already seen must be a cache
-// hit returning the first reply's bytes, a new key must be a miss, and a
-// body the router can only hash raw must never reach the cache at all.
-func TestRoutingKeyAgreesWithServeCache(t *testing.T) {
+// keyCorpus is one cached endpoint's request bodies and the /v1/stats table
+// that counts its cache.
+type keyCorpus struct {
+	path   string
+	table  func(serve.StatsResponse) serve.CacheTableJSON
+	bodies []string
+}
+
+// keyCorpora spells each cached endpoint's requests every way that matters:
+// optional fields spelled and omitted, classic and elastic scenarios,
+// requests that resolve but have no answer, malformed and unresolvable
+// bodies.
+func keyCorpora() []keyCorpus {
 	const cluster = `"cluster":{"nodes":8,"platform":{"preset":"pizdaint"}}`
 	const jobs = `"jobs":[{"name":"big","model":{"preset":"bert48"},"mini_batch":256,"priority":4,"max_nodes":4},{"name":"small","model":{"preset":"bert48"},"mini_batch":32}]`
-	corpora := []struct {
-		path   string
-		table  func(serve.StatsResponse) serve.CacheTableJSON
-		bodies []string
-	}{
+	return []keyCorpus{
 		{"/v1/plan", func(s serve.StatsResponse) serve.CacheTableJSON { return s.PlanCache }, []string{
 			`{"model":{"preset":"bert48"},"p":16,"mini_batch":128,"max_b":16,"platform":{"preset":"pizdaint"}}`,
 			// Same request: key order, whitespace, the default scheduler spelled.
@@ -75,7 +80,16 @@ func TestRoutingKeyAgreesWithServeCache(t *testing.T) {
 			`[]`,
 		}},
 	}
-	for _, corpus := range corpora {
+}
+
+// TestRoutingKeyAgreesWithServeCache is the property that makes hash routing
+// worth doing: two bodies get the same routing key iff they hit the same
+// serve cache entry. Each endpoint's corpus (keyCorpora) is posted in order
+// to one fresh server; a body whose routing key was already seen must be a
+// cache hit returning the first reply's bytes, a new key must be a miss, and
+// a body the router can only hash raw must never reach the cache at all.
+func TestRoutingKeyAgreesWithServeCache(t *testing.T) {
+	for _, corpus := range keyCorpora() {
 		srv := serve.New(serve.Config{})
 		ts := httptest.NewServer(srv.Handler())
 		first := map[string][]byte{} // routing key → the reply that created the entry
@@ -114,5 +128,40 @@ func TestRoutingKeyAgreesWithServeCache(t *testing.T) {
 			t.Errorf("%s: corpus has %d distinct keys over %d cacheable bodies and %d raw — it should exercise shared keys, distinct keys and raw fallbacks",
 				corpus.path, len(first), len(corpus.bodies)-raws, raws)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/canonical_keys.golden from current output")
+
+// TestCanonicalKeyGolden pins serve.CanonicalKey's bytes (as sha256 digests)
+// for every cacheable body of keyCorpora. The agreement test above only
+// checks that keys agree with each other; a change that re-spells every key
+// at once — say, JSON tags on a resolved input type — keeps that agreement
+// but re-keys the router's ring and orphans every snapshot entry, so it must
+// fail here. Regenerate with -update only for an intended re-keying.
+func TestCanonicalKeyGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, corpus := range keyCorpora() {
+		for i, body := range corpus.bodies {
+			if key, ok := serve.CanonicalKey(corpus.path, []byte(body)); ok {
+				fmt.Fprintf(&out, "%s %d %x\n", corpus.path, i, sha256.Sum256([]byte(key)))
+			}
+		}
+	}
+	path := filepath.Join("testdata", "canonical_keys.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/router -run Golden -update` once): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("canonical keys drifted from %s.\nIf the re-keying is intentional, regenerate with -update.\ngot:\n%s", path, out.Bytes())
 	}
 }
