@@ -247,24 +247,24 @@ const (
 // PlanFleet allocates cluster nodes across competing jobs and picks each
 // job's (W, D, B) with the §3.4 planner, maximizing Σ priority·throughput.
 // Runs on the shared engine; deterministic at any pool size.
-func PlanFleet(req FleetRequest) (*FleetAllocation, error) { return PlanFleetOn(nil, req) }
-
-// PlanFleetOn is PlanFleet on a caller-supplied engine.
-func PlanFleetOn(e *Engine, req FleetRequest) (*FleetAllocation, error) {
-	return fleet.NewAllocator(e).Allocate(req)
+// For another engine, use NewFleetAllocator(e).Allocate.
+func PlanFleet(req FleetRequest) (*FleetAllocation, error) {
+	return fleet.NewAllocator(nil).Allocate(req)
 }
 
 // SimulateFleet replays a job arrival/departure trace as a deterministic
 // discrete-event simulation: the elastic simulator fed arrivals only,
 // re-planning in full at every event.
-func SimulateFleet(sc FleetScenario) (*FleetSimResult, error) { return fleet.SimulateOn(nil, sc) }
+func SimulateFleet(sc FleetScenario) (*FleetSimResult, error) {
+	return fleet.NewAllocator(nil).Simulate(sc)
+}
 
 // SimulateFleetElastic replays an elastic trace — arrivals plus node
 // failures, drains, and joins — re-planning incrementally on every event
 // with migration-cost-aware preemption and deadline-aware priority aging.
 // Bit-deterministic at any engine pool size.
 func SimulateFleetElastic(sc FleetElasticScenario) (*FleetElasticResult, error) {
-	return fleet.SimulateElasticOn(nil, sc)
+	return fleet.NewAllocator(nil).SimulateElastic(sc)
 }
 
 // NewFleetAllocator builds an allocator that reuses one plan memo across

@@ -21,9 +21,9 @@
 // the scenario's re-plan mode and migration penalty.
 //
 // With -json it emits the same wire shapes chimera-serve's /v1/fleet/plan
-// and /v1/fleet/simulate serve (one serialization path, internal/serve's
-// codecs), so a served fleet plan or simulation is byte-identical to this
-// tool's output for the same scenario.
+// and /v1/fleet/simulate serve (the fleet results encode themselves), so a
+// served fleet plan or simulation is byte-identical to this tool's output
+// for the same scenario.
 //
 // -controller switches from batch replay to the live fleet control plane:
 // the scenario (which must carry no trace or events — the controller
@@ -139,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *jsonOut {
-		return emit(stdout, serve.NewFleetPlanResponse(al))
+		return emit(stdout, al)
 	}
 	fmt.Fprint(stdout, al)
 	return nil
@@ -178,7 +178,7 @@ func simulateClassic(alloc *fleet.Allocator, sc serve.FleetScenario, jsonOut boo
 		return err
 	}
 	if jsonOut {
-		return emit(stdout, serve.NewFleetSimResponse(res))
+		return emit(stdout, res)
 	}
 	fmt.Fprintf(stdout, "replayed %d arrivals on %d nodes under %s: makespan %.1fs, utilization %.0f%%, mean wait %.1fs (%d events, %d reallocations)\n",
 		len(res.Jobs), res.Nodes, res.Policy, res.Makespan, 100*res.Utilization, res.MeanWait, res.Events, res.Reallocations)
@@ -203,7 +203,7 @@ func simulateElastic(alloc *fleet.Allocator, sc serve.FleetScenario, jsonOut boo
 		return err
 	}
 	if jsonOut {
-		return emit(stdout, serve.NewFleetElasticResponse(res))
+		return emit(stdout, res)
 	}
 	fmt.Fprintf(stdout, "replayed %d events (%d fails, %d drains, %d joins) on %d→%d nodes under %s/%s:\n",
 		res.Events, res.Fails, res.Drains, res.Joins, res.InitialNodes, res.FinalNodes, res.Policy, res.Replan)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"chimera/internal/fleet"
 	"chimera/internal/serve"
 )
 
@@ -131,8 +132,8 @@ func TestClassicTraceEqualsArrivalEvents(t *testing.T) {
 	if err := run([]string{"-scenario", scenario, "-trace", trace, "-replan", "full", "-simulate", "-json", "-workers", "1"}, &elasticOut); err != nil {
 		t.Fatal(err)
 	}
-	var classic serve.FleetSimResponse
-	var elastic serve.FleetElasticResponse
+	var classic fleet.SimResult
+	var elastic fleet.ElasticResult
 	if err := json.Unmarshal(classicOut.Bytes(), &classic); err != nil {
 		t.Fatal(err)
 	}

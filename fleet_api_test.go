@@ -24,7 +24,7 @@ func TestFleetFacade(t *testing.T) {
 	if guided.Policy != chimera.FleetPlannerGuided {
 		t.Fatalf("default policy = %q", guided.Policy)
 	}
-	equal, err := chimera.PlanFleetOn(chimera.NewEngine(1), chimera.FleetRequest{
+	equal, err := chimera.NewFleetAllocator(chimera.NewEngine(1)).Allocate(chimera.FleetRequest{
 		Cluster: cluster, Jobs: jobs, Policy: chimera.FleetEqualSplit,
 	})
 	if err != nil {

@@ -13,8 +13,9 @@
 // replaying it through fleet.SimulateElasticOn reproduces the controller's
 // event records and current allocation bit for bit (the live log is a
 // byte-identical prefix of the replay's; the replay goes on to retire the
-// still-resident instances). All wire encoding goes through the serve
-// package's fleet codec constructors, so the bytes are directly comparable.
+// still-resident instances). Replies carry the fleet results themselves
+// (fleet.FinalShare, fleet.EventRecord), which encode exactly as they do in
+// a replay's result, so the bytes are directly comparable.
 //
 // A failed apply (resident cap mid-batch, planner failure) leaves the sim
 // inconsistent with its recorded log; the controller then poisons itself —
@@ -163,10 +164,10 @@ type EventsResponse struct {
 	Now      float64 `json:"now"`
 	// ReplanMillis is the wall time the batch took to apply — validation,
 	// every re-plan it triggered, and the log append.
-	ReplanMillis float64                     `json:"replan_ms"`
-	Nodes        int                         `json:"nodes"`
-	Residents    int                         `json:"residents"`
-	Allocation   []serve.FleetFinalShareJSON `json:"allocation"`
+	ReplanMillis float64            `json:"replan_ms"`
+	Nodes        int                `json:"nodes"`
+	Residents    int                `json:"residents"`
+	Allocation   []fleet.FinalShare `json:"allocation"`
 }
 
 func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -214,7 +215,7 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Accepted: len(events), Version: c.version, Now: c.sim.Now(),
 		ReplanMillis: float64(elapsed) / float64(time.Millisecond),
 		Nodes:        c.sim.NodeCount(), Residents: c.sim.Residents(),
-		Allocation: serve.NewFleetFinalShares(c.sim.Shares()),
+		Allocation: c.sim.Shares(),
 	}
 	update := AllocationResponse{
 		Version: resp.Version, Now: resp.Now, Events: c.sim.EventCount(),
@@ -240,12 +241,12 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 // AllocationResponse is GET /v1/fleet/allocation (and each SSE update's
 // data payload): the allocation currently in effect.
 type AllocationResponse struct {
-	Version    uint64                      `json:"version"`
-	Now        float64                     `json:"now"`
-	Events     int                         `json:"events"`
-	Nodes      int                         `json:"nodes"`
-	Residents  int                         `json:"residents"`
-	Allocation []serve.FleetFinalShareJSON `json:"allocation"`
+	Version    uint64             `json:"version"`
+	Now        float64            `json:"now"`
+	Events     int                `json:"events"`
+	Nodes      int                `json:"nodes"`
+	Residents  int                `json:"residents"`
+	Allocation []fleet.FinalShare `json:"allocation"`
 }
 
 func (c *Controller) handleAllocation(w http.ResponseWriter, r *http.Request) {
@@ -265,7 +266,7 @@ func (c *Controller) allocationLocked() AllocationResponse {
 	return AllocationResponse{
 		Version: c.version, Now: c.sim.Now(), Events: c.sim.EventCount(),
 		Nodes: c.sim.NodeCount(), Residents: c.sim.Residents(),
-		Allocation: serve.NewFleetFinalShares(c.sim.Shares()),
+		Allocation: c.sim.Shares(),
 	}
 }
 
@@ -273,9 +274,9 @@ func (c *Controller) allocationLocked() AllocationResponse {
 // trace that replays this controller bit for bit) plus the processed-event
 // records the simulation logged while applying them.
 type LogResponse struct {
-	Version uint64                       `json:"version"`
-	Events  []serve.FleetEventRef        `json:"events"`
-	Log     []serve.FleetEventRecordJSON `json:"log"`
+	Version uint64                `json:"version"`
+	Events  []serve.FleetEventRef `json:"events"`
+	Log     []fleet.EventRecord   `json:"log"`
 }
 
 func (c *Controller) handleLog(w http.ResponseWriter, r *http.Request) {
@@ -285,13 +286,15 @@ func (c *Controller) handleLog(w http.ResponseWriter, r *http.Request) {
 		c.unavailable(w)
 		return
 	}
-	snap := c.sim.Snapshot()
 	resp := LogResponse{
 		Version: c.version,
 		Events:  serve.NewFleetEventRefs(c.sim.Events()),
-		Log:     serve.NewFleetEventRecords(snap.Log),
+		Log:     c.sim.Snapshot().Log,
 	}
 	c.mu.Unlock()
+	if resp.Log == nil {
+		resp.Log = []fleet.EventRecord{} // "log":[] before the first batch, like "events"
+	}
 	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -314,12 +317,12 @@ type WhatIfDeadline struct {
 // WhatIfResponse reports the forked simulation after the hypothesis:
 // BaseVersion is the live version the fork branched from.
 type WhatIfResponse struct {
-	BaseVersion uint64                      `json:"base_version"`
-	Now         float64                     `json:"now"`
-	Nodes       int                         `json:"nodes"`
-	Residents   int                         `json:"residents"`
-	Cost        float64                     `json:"cost,omitempty"`
-	Allocation  []serve.FleetFinalShareJSON `json:"allocation"`
+	BaseVersion uint64             `json:"base_version"`
+	Now         float64            `json:"now"`
+	Nodes       int                `json:"nodes"`
+	Residents   int                `json:"residents"`
+	Cost        float64            `json:"cost,omitempty"`
+	Allocation  []fleet.FinalShare `json:"allocation"`
 }
 
 // handleWhatIf forks the live simulation and applies the hypothesis to the
@@ -381,7 +384,7 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		BaseVersion: baseVersion, Now: fork.Now(),
 		Nodes: fork.NodeCount(), Residents: fork.Residents(),
 		Cost:       fork.Cost(),
-		Allocation: serve.NewFleetFinalShares(fork.Shares()),
+		Allocation: fork.Shares(),
 	})
 }
 

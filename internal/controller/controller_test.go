@@ -92,7 +92,7 @@ func ingest(t *testing.T, ts *httptest.Server, events string) EventsResponse {
 // replay it through SimulateElastic on a serial engine, and require the
 // live processed log to be a byte-identical prefix of the replay's and the
 // live allocation to be byte-identical to the replay's final shares, all
-// compared through the shared serve codec.
+// compared as the encoded fleet result types.
 func replayLive(t *testing.T, ts *httptest.Server, sc serve.FleetScenario) (LogResponse, *fleet.ElasticResult) {
 	t.Helper()
 	status, logBody := get(t, ts, "/v1/fleet/events/log")
@@ -121,11 +121,10 @@ func replayLive(t *testing.T, ts *httptest.Server, sc serve.FleetScenario) (LogR
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayLog := serve.NewFleetEventRecords(replay.Log)
-	if len(replayLog) < len(logResp.Log) {
-		t.Fatalf("replay log has %d records, live has %d", len(replayLog), len(logResp.Log))
+	if len(replay.Log) < len(logResp.Log) {
+		t.Fatalf("replay log has %d records, live has %d", len(replay.Log), len(logResp.Log))
 	}
-	replayPrefix, err := json.Marshal(replayLog[:len(logResp.Log)])
+	replayPrefix, err := json.Marshal(replay.Log[:len(logResp.Log)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func replayLive(t *testing.T, ts *httptest.Server, sc serve.FleetScenario) (LogR
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayShares, err := json.Marshal(serve.NewFleetFinalShares(replay.Final))
+	replayShares, err := json.Marshal(replay.Final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +189,9 @@ func TestControllerIngestReplayIdentity(t *testing.T) {
 	if logResp.Version != 3 || len(logResp.Events) != 7 {
 		t.Fatalf("log reports version %d with %d events, want 3 with 7", logResp.Version, len(logResp.Events))
 	}
-	var at50 []string
+	var at50 []fleet.EventKind
 	for _, rec := range logResp.Log {
-		if rec.At == 50 && rec.Kind != string(fleet.EvDeparture) {
+		if rec.At == 50 && rec.Kind != fleet.EvDeparture {
 			at50 = append(at50, rec.Kind)
 		}
 	}

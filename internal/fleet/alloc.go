@@ -15,12 +15,10 @@ import (
 )
 
 // node is one cluster node with its straggler factor and, for elastic
-// joins, its procurement class and price rate (initial cluster nodes are
-// on-demand and free).
+// joins, its price rate (initial cluster nodes are free).
 type node struct {
 	ID     int
 	Factor float64
-	Class  string
 	Price  float64
 }
 
@@ -28,44 +26,45 @@ type node struct {
 // it.
 type JobAllocation struct {
 	// Job is the job's name; Priority its effective objective weight.
-	Job      string
-	Priority float64
+	Job      string  `json:"job"`
+	Priority float64 `json:"priority"`
 	// Nodes is how many nodes the policy assigned; NodeIDs lists them
 	// (ordered fastest first). NodesUsed = W·D of the chosen plan — a job
 	// may idle assigned nodes its best plan cannot use.
-	Nodes     int
-	NodesUsed int
-	NodeIDs   []int
+	Nodes     int   `json:"nodes"`
+	NodesUsed int   `json:"nodes_used"`
+	NodeIDs   []int `json:"node_ids"`
 	// StragglerFactor is the speed factor of the slowest node the plan
 	// uses (1 on a homogeneous cluster): synchronous training runs at that
 	// node's pace, so Throughput = Plan.Throughput / StragglerFactor.
 	// List-scheduled plans (Scheduler != "") fold the per-node factors into
 	// the prediction itself and report StragglerFactor 1, keeping the
 	// Throughput = Plan.Throughput / StragglerFactor identity.
-	StragglerFactor float64
+	StragglerFactor float64 `json:"straggler_factor"`
 	// Scheduler is the placement policy behind the chosen plan: "" for the
 	// scheme's fixed placement, otherwise a schedule.Schedulers() name.
-	Scheduler string
+	Scheduler string `json:"scheduler,omitempty"`
 	// Plan is the §3.4 selection for NodesUsed workers; nil when the
 	// job's share admits no feasible configuration (Throughput 0).
-	Plan       *perfmodel.Prediction
-	Throughput float64
+	Plan       *perfmodel.Prediction `json:"plan,omitempty"`
+	Throughput float64               `json:"throughput"`
 	// Weighted is Priority · Throughput, the job's term in the objective.
-	Weighted float64
+	Weighted float64 `json:"weighted_throughput"`
 }
 
 // Allocation is the result of one fleet-allocation problem: per-job shares
-// in job input order plus the fleet-wide objective value.
+// in job input order plus the fleet-wide objective value. It is the
+// /v1/fleet/plan reply and chimera-fleet -json's plan output as it stands.
 type Allocation struct {
-	Policy Policy
+	Policy Policy `json:"policy"`
 	// Nodes echoes the cluster size; NodesAllocated counts nodes assigned
 	// to jobs; NodesUsed counts nodes actually driven by chosen plans.
-	Nodes          int
-	NodesAllocated int
-	NodesUsed      int
+	Nodes          int `json:"nodes"`
+	NodesAllocated int `json:"nodes_allocated"`
+	NodesUsed      int `json:"nodes_used"`
 	// WeightedThroughput is Σ priority·throughput over the jobs.
-	WeightedThroughput float64
-	Jobs               []JobAllocation
+	WeightedThroughput float64         `json:"weighted_throughput"`
+	Jobs               []JobAllocation `json:"jobs"`
 }
 
 // Allocator runs fleet allocations on one engine, memoizing every (job, P)

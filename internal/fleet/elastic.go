@@ -293,34 +293,34 @@ func validateEvent[V any](byName map[string]V, where string, i int, ev Event) er
 // EventRecord is one processed event in the result's log — the observable
 // record of the simulator's total event order.
 type EventRecord struct {
-	At   float64
-	Kind EventKind
+	At   float64   `json:"at"`
+	Kind EventKind `json:"kind"`
 	// Job and Trace identify the instance (arrivals and departures);
 	// Trace is the event's input index for churn events.
-	Job   string
-	Trace int
+	Job   string `json:"job,omitempty"`
+	Trace int    `json:"trace"`
 	// Node is the churned node id (-1 for job events).
-	Node int
+	Node int `json:"node"`
 }
 
 // ElasticJobRun reports one arrival's fate, including churn damage.
 type ElasticJobRun struct {
-	Job   string
-	Trace int
+	Job   string `json:"job"`
+	Trace int    `json:"trace"`
 	// ArriveAt, StartAt and DoneAt are absolute times; Wait is
 	// StartAt − ArriveAt. StartAt/DoneAt are -1 until they happen.
-	ArriveAt float64
-	StartAt  float64
-	DoneAt   float64
-	Wait     float64
+	ArriveAt float64 `json:"arrive_at"`
+	StartAt  float64 `json:"start_at"`
+	DoneAt   float64 `json:"done_at"`
+	Wait     float64 `json:"wait"`
 	// MissedDeadline is set when the job declares a deadline and
 	// DoneAt − ArriveAt exceeds it.
-	MissedDeadline bool
+	MissedDeadline bool `json:"missed_deadline"`
 	// Restarts counts the instance's plan changes while running (forced by
 	// churn or chosen by the migration rule); PenaltySeconds is the restart
 	// debt it paid for them.
-	Restarts       int
-	PenaltySeconds float64
+	Restarts       int     `json:"restarts"`
+	PenaltySeconds float64 `json:"penalty_seconds"`
 }
 
 // FinalShare is one resident instance's slice of the final allocation —
@@ -329,55 +329,60 @@ type ElasticJobRun struct {
 // nodes identity is irrelevant, and the benchmark's incremental-vs-full
 // equality gate compares exactly this.
 type FinalShare struct {
-	Job        string
-	Trace      int
-	Nodes      int
-	W, D, B    int
-	Throughput float64
-	Weighted   float64
+	Job        string  `json:"job"`
+	Trace      int     `json:"trace"`
+	Nodes      int     `json:"nodes"`
+	W          int     `json:"w"`
+	D          int     `json:"d"`
+	B          int     `json:"b"`
+	Throughput float64 `json:"throughput"`
+	Weighted   float64 `json:"weighted"`
 }
 
-// ElasticResult is the outcome of replaying one elastic trace.
+// ElasticResult is the outcome of replaying one elastic trace: the elastic
+// /v1/fleet/simulate reply and chimera-fleet -json's output as it stands.
 type ElasticResult struct {
-	Policy Policy
-	Replan ReplanMode
+	Policy Policy     `json:"policy"`
+	Replan ReplanMode `json:"replan"`
 	// InitialNodes and FinalNodes bracket the pool size across churn.
-	InitialNodes int
-	FinalNodes   int
+	InitialNodes int `json:"initial_nodes"`
+	FinalNodes   int `json:"final_nodes"`
 	// Makespan is the time the last instance departs; Utilization is
 	// productive node-seconds over the integral of pool size over time
 	// (restart debt counts as idle — churn damage shows up here).
-	Makespan    float64
-	Utilization float64
-	MeanWait    float64
+	Makespan    float64 `json:"makespan"`
+	Utilization float64 `json:"utilization"`
+	MeanWait    float64 `json:"mean_wait"`
 	// Events counts processed events including departures; Reallocations
 	// how many re-plans ran; JobsEvaluated the total job evaluations the
 	// re-plans performed (the work measure incremental mode minimizes).
-	Events        int
-	Reallocations int
-	JobsEvaluated int
-	// Churn counters. SpotJoins counts the joins that carried the spot
-	// class (SpotJoins ≤ Joins).
-	Fails     int
-	Drains    int
-	Joins     int
-	SpotJoins int `json:",omitempty"`
-	// Cost is the integral of Σ price over the present pool up to the
-	// makespan (like Utilization's denominator, snapshotted at the last
-	// departure so trailing churn cannot inflate the bill). Zero unless the
-	// trace joins priced nodes — initial cluster capacity is free.
-	Cost float64 `json:",omitempty"`
+	Events        int `json:"events"`
+	Reallocations int `json:"reallocations"`
+	JobsEvaluated int `json:"jobs_evaluated"`
+	// Churn counters.
+	Fails  int `json:"fails"`
+	Drains int `json:"drains"`
+	Joins  int `json:"joins"`
 	// Migrations counts instance restarts (forced and voluntary);
 	// PenaltySeconds the total restart debt charged.
-	Migrations     int
-	PenaltySeconds float64
+	Migrations     int     `json:"migrations"`
+	PenaltySeconds float64 `json:"penalty_seconds"`
+	// SpotJoins counts the joins that carried the spot class
+	// (SpotJoins ≤ Joins). Cost is the integral of Σ price over the present
+	// pool up to the makespan (like Utilization's denominator, snapshotted
+	// at the last departure so trailing churn cannot inflate the bill). Cost
+	// is zero unless the trace joins priced nodes — initial cluster capacity
+	// is free. Both are omitted when zero, so price-free scenarios keep their
+	// pre-pricing encoding.
+	SpotJoins int     `json:"spot_joins,omitempty"`
+	Cost      float64 `json:"cost,omitempty"`
 	// Log records every processed event in execution order — the pinned
 	// total tie-break order (departures, fails, drains, joins, arrivals).
-	Log []EventRecord
+	Log []EventRecord `json:"log"`
 	// Jobs reports every arrival in trace order; Final the allocation in
 	// effect right after the last trace event.
-	Jobs  []ElasticJobRun
-	Final []FinalShare
+	Jobs  []ElasticJobRun `json:"jobs"`
+	Final []FinalShare    `json:"final"`
 }
 
 // SimulateElasticOn replays an elastic scenario on e (nil selects the

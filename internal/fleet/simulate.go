@@ -30,37 +30,38 @@ type Scenario struct {
 // JobRun reports one trace arrival's fate.
 type JobRun struct {
 	// Job is the arrival's job name; Trace its index in the input trace.
-	Job   string
-	Trace int
+	Job   string `json:"job"`
+	Trace int    `json:"trace"`
 	// ArriveAt, StartAt and DoneAt are absolute times; Wait is
 	// StartAt − ArriveAt, the time the instance sat without an allocation
 	// that could run it.
-	ArriveAt float64
-	StartAt  float64
-	DoneAt   float64
-	Wait     float64
+	ArriveAt float64 `json:"arrive_at"`
+	StartAt  float64 `json:"start_at"`
+	DoneAt   float64 `json:"done_at"`
+	Wait     float64 `json:"wait"`
 	// MissedDeadline is set when the job declares a deadline and
 	// DoneAt − ArriveAt exceeds it.
-	MissedDeadline bool
+	MissedDeadline bool `json:"missed_deadline"`
 }
 
-// SimResult is the outcome of replaying one trace.
+// SimResult is the outcome of replaying one trace: the classic
+// /v1/fleet/simulate reply and chimera-fleet -json's output as it stands.
 type SimResult struct {
-	Policy Policy
-	Nodes  int
+	Policy Policy `json:"policy"`
+	Nodes  int    `json:"nodes"`
 	// Makespan is the time the last instance departs.
-	Makespan float64
+	Makespan float64 `json:"makespan"`
 	// Utilization is plan-driven node-seconds over the pool integrated to
 	// the makespan: the fraction of the cluster's capacity that chosen plans
 	// actually used.
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// MeanWait averages JobRun.Wait over the trace.
-	MeanWait float64
+	MeanWait float64 `json:"mean_wait"`
 	// Events counts arrivals + departures; Reallocations how many times
 	// the allocator re-ran (once per distinct event time with residents).
-	Events        int
-	Reallocations int
-	Jobs          []JobRun
+	Events        int      `json:"events"`
+	Reallocations int      `json:"reallocations"`
+	Jobs          []JobRun `json:"jobs"`
 }
 
 // SimulateOn replays a scenario on e (nil selects the shared default

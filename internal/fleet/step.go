@@ -258,16 +258,12 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 			if f == 0 {
 				f = 1
 			}
-			class := ev.Class
-			if class == "" {
-				class = ClassOnDemand
-			}
-			joined := node{ID: s.nextID, Factor: f, Class: class, Price: ev.Price}
+			joined := node{ID: s.nextID, Factor: f, Price: ev.Price}
 			s.nextID++
 			s.present = insertSorted(s.present, joined)
 			s.presentPrice += ev.Price
 			s.res.Joins++
-			if class == ClassSpot {
+			if ev.Class == ClassSpot {
 				s.res.SpotJoins++
 			}
 			s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvNodeJoin, Trace: ie.idx, Node: joined.ID})

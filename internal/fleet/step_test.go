@@ -265,13 +265,11 @@ func TestElasticSimSpotCost(t *testing.T) {
 	// sorts ahead of the on-demand join in the pool order.
 	spotPos, odPos := -1, -1
 	for i, n := range live.present {
-		switch n.Class {
-		case ClassSpot:
+		switch n.Price {
+		case 0.25:
 			spotPos = i
-		case ClassOnDemand:
-			if n.Price > 0 {
-				odPos = i
-			}
+		case 1.0:
+			odPos = i
 		}
 	}
 	if spotPos < 0 || odPos < 0 || spotPos > odPos {

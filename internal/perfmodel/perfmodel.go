@@ -30,17 +30,24 @@ import (
 	"chimera/internal/sim"
 )
 
-// Prediction is the model's estimate for one configuration.
+// Prediction is the model's estimate for one configuration. Its json tags
+// are its wire shape: /v1/plan rows and fleet plans encode it directly.
 type Prediction struct {
-	W, D, B    int
-	N          int
-	Recompute  bool
-	Cf, Cb     int
-	IterTime   float64
-	Throughput float64
+	W         int     `json:"w"`
+	D         int     `json:"d"`
+	B         int     `json:"b"`
+	N         int     `json:"n"`
+	Recompute bool    `json:"recompute"`
+	Cf        int     `json:"cf"`
+	Cb        int     `json:"cb"`
+	IterTime  float64 `json:"iter_time"`
+	// Throughput is sequences per second (the ranking key).
+	Throughput float64 `json:"throughput"`
 	// Scheduler is the placement policy behind the prediction: "" for the
 	// scheme's fixed placement, otherwise a schedule.Schedulers() name.
-	Scheduler string
+	// Omitted when empty, so fixed-placement rows keep their pre-policy
+	// encoding.
+	Scheduler string `json:"scheduler,omitempty"`
 }
 
 // Predict evaluates Eq. 1 for a Chimera configuration. It accepts, rejects

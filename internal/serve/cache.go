@@ -102,11 +102,7 @@ var fleetPlanEndpoint = endpoint[string]{
 			return "", nil, err
 		}
 		return jsonKey(freq, func(s *Server) (any, error) {
-			al, err := s.allocator.Allocate(freq)
-			if err != nil {
-				return nil, err
-			}
-			return NewFleetPlanResponse(al), nil
+			return s.allocator.Allocate(freq)
 		})
 	},
 }
@@ -114,8 +110,8 @@ var fleetPlanEndpoint = endpoint[string]{
 // fleetSimEndpoint replays a fleet scenario — classic (trace) or elastic
 // (events with node churn) — keyed by the canonical JSON of the resolved
 // scenario; the two marshal to distinct shapes, so keys cannot collide
-// across modes. Both reply shapes encode through the same constructors
-// chimera-fleet -json uses, so a served simulation is byte-identical to the
+// across modes. Both replies are the fleet results as they stand, as in
+// chimera-fleet -json, so a served simulation is byte-identical to the
 // in-process encoding.
 var fleetSimEndpoint = endpoint[string]{
 	endpointInfo: endpointInfo{
@@ -134,11 +130,7 @@ var fleetSimEndpoint = endpoint[string]{
 				return "", nil, err
 			}
 			return jsonKey(esc, func(s *Server) (any, error) {
-				res, err := s.allocator.SimulateElastic(esc)
-				if err != nil {
-					return nil, err
-				}
-				return NewFleetElasticResponse(res), nil
+				return s.allocator.SimulateElastic(esc)
 			})
 		}
 		csc, err := sc.Resolve()
@@ -149,11 +141,7 @@ var fleetSimEndpoint = endpoint[string]{
 			return "", nil, errEmptyFleetTrace
 		}
 		return jsonKey(csc, func(s *Server) (any, error) {
-			res, err := s.allocator.Simulate(csc)
-			if err != nil {
-				return nil, err
-			}
-			return NewFleetSimResponse(res), nil
+			return s.allocator.Simulate(csc)
 		})
 	},
 }

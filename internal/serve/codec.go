@@ -6,11 +6,15 @@
 //
 // This file is the single serialization path for the service and the CLIs'
 // -json modes: request types resolve named presets (models, platforms,
-// schemes) into the internal value types with strict validation, and
-// response types give the internal results stable wire shapes. Encoding is
-// canonical (encoding/json, no indentation), so two encodes of equal values
-// are byte-identical — the property the load generator's equivalence gate
-// relies on.
+// schemes) into the internal value types with strict validation. Results
+// carry their own json tags — a planner prediction, a fleet allocation or
+// simulation encodes as it stands — so one result has one wire shape and no
+// copy here. The resolved inputs (perfmodel.PlanRequest, the fleet request
+// and scenario types) stay untagged on purpose: their Go-field-name JSON is
+// the response-cache key, the router's shard key and the snapshot key.
+// Encoding is canonical (encoding/json, no indentation), so two encodes of
+// equal values are byte-identical — the property the benchmark's
+// equivalence gate relies on.
 package serve
 
 import (
@@ -543,44 +547,19 @@ func (r RenderRequest) CostModel() (schedule.CostModel, error) {
 	}
 }
 
-// PredictionJSON is one planner prediction on the wire.
-type PredictionJSON struct {
-	W         int     `json:"w"`
-	D         int     `json:"d"`
-	B         int     `json:"b"`
-	N         int     `json:"n"`
-	Recompute bool    `json:"recompute"`
-	Cf        int     `json:"cf"`
-	Cb        int     `json:"cb"`
-	IterTime  float64 `json:"iter_time"`
-	// Throughput is sequences per second (the ranking key).
-	Throughput float64 `json:"throughput"`
-	// Scheduler is the placement policy behind the row; omitted for the
-	// fixed placement, keeping pre-policy responses byte-identical.
-	Scheduler string `json:"scheduler,omitempty"`
-}
-
 // PlanResponse is the /v1/plan reply: predictions ranked best-first.
 type PlanResponse struct {
-	Model       string           `json:"model"`
-	P           int              `json:"p"`
-	MiniBatch   int              `json:"mini_batch"`
-	Predictions []PredictionJSON `json:"predictions"`
+	Model       string                  `json:"model"`
+	P           int                     `json:"p"`
+	MiniBatch   int                     `json:"mini_batch"`
+	Predictions []*perfmodel.Prediction `json:"predictions"`
 }
 
-// NewPlanResponse encodes a ranked prediction list. The same function backs
+// NewPlanResponse wraps a ranked prediction list. The same function backs
 // the service and chimera-plan -json, so both emit identical bytes for
 // identical plans.
 func NewPlanResponse(model string, p, miniBatch int, preds []*perfmodel.Prediction) PlanResponse {
-	out := PlanResponse{Model: model, P: p, MiniBatch: miniBatch, Predictions: make([]PredictionJSON, len(preds))}
-	for i, pr := range preds {
-		out.Predictions[i] = PredictionJSON{
-			W: pr.W, D: pr.D, B: pr.B, N: pr.N, Recompute: pr.Recompute,
-			Cf: pr.Cf, Cb: pr.Cb, IterTime: pr.IterTime, Throughput: pr.Throughput,
-			Scheduler: pr.Scheduler,
-		}
-	}
-	return out
+	return PlanResponse{Model: model, P: p, MiniBatch: miniBatch, Predictions: preds}
 }
 
 // SimulateResponse is the /v1/simulate reply (and chimera-sim -json output).

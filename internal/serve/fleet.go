@@ -1,11 +1,14 @@
 package serve
 
-// Fleet-planning wire types: the /v1/fleet/plan request/response codec and
-// the scenario format cmd/chimera-fleet reads. Like the rest of this
-// package there is exactly one serialization path — the CLI's -json mode
-// and the HTTP endpoint encode through the same New*Response constructors,
-// so a served fleet plan is byte-identical to encoding the in-process
-// chimera.PlanFleet result.
+// Fleet wire types: the /v1/fleet/plan and /v1/fleet/simulate request
+// codecs and the scenario format cmd/chimera-fleet reads. Requests resolve
+// into untagged fleet values (fleet.Request, Scenario, ElasticScenario)
+// whose Go-field-name JSON is the response-cache, routing and snapshot key,
+// so those types must not grow tags. Replies are the fleet results
+// themselves — fleet.Allocation, SimResult and ElasticResult carry their
+// own json tags — so the CLI's -json mode, the HTTP endpoints and the
+// controller encode one value one way, and a served fleet plan is
+// byte-identical to encoding the in-process chimera.PlanFleet result.
 
 import (
 	"fmt"
@@ -344,220 +347,6 @@ func NewFleetEventRefs(events []fleet.Event) []FleetEventRef {
 	return refs
 }
 
-// FleetJobAllocationJSON is one job's share on the wire.
-type FleetJobAllocationJSON struct {
-	Job      string  `json:"job"`
-	Priority float64 `json:"priority"`
-	// Nodes is the assigned node count; NodesUsed = W·D of the chosen
-	// plan; NodeIDs the assigned nodes, fastest first.
-	Nodes     int   `json:"nodes"`
-	NodesUsed int   `json:"nodes_used"`
-	NodeIDs   []int `json:"node_ids"`
-	// StragglerFactor is the slowest used node's speed factor; the plan's
-	// homogeneous throughput is divided by it (1 for list-scheduled plans,
-	// whose predictions already pay the stragglers positionally).
-	StragglerFactor float64 `json:"straggler_factor"`
-	// Scheduler is the placement policy behind the chosen plan (absent for
-	// the scheme's fixed placement).
-	Scheduler string `json:"scheduler,omitempty"`
-	// Plan is the §3.4 selection (absent when the share is infeasible).
-	Plan               *PredictionJSON `json:"plan,omitempty"`
-	Throughput         float64         `json:"throughput"`
-	WeightedThroughput float64         `json:"weighted_throughput"`
-}
-
-// FleetPlanResponse is the /v1/fleet/plan reply (and chimera-fleet -json
-// output): per-job shares in input order plus the fleet objective.
-type FleetPlanResponse struct {
-	Policy             string                   `json:"policy"`
-	Nodes              int                      `json:"nodes"`
-	NodesAllocated     int                      `json:"nodes_allocated"`
-	NodesUsed          int                      `json:"nodes_used"`
-	WeightedThroughput float64                  `json:"weighted_throughput"`
-	Jobs               []FleetJobAllocationJSON `json:"jobs"`
-}
-
-// NewFleetPlanResponse encodes an allocation. The same function backs the
-// service and chimera-fleet -json, so both emit identical bytes.
-func NewFleetPlanResponse(a *fleet.Allocation) FleetPlanResponse {
-	out := FleetPlanResponse{
-		Policy: string(a.Policy), Nodes: a.Nodes,
-		NodesAllocated: a.NodesAllocated, NodesUsed: a.NodesUsed,
-		WeightedThroughput: a.WeightedThroughput,
-		Jobs:               make([]FleetJobAllocationJSON, len(a.Jobs)),
-	}
-	for i, j := range a.Jobs {
-		ja := FleetJobAllocationJSON{
-			Job: j.Job, Priority: j.Priority,
-			Nodes: j.Nodes, NodesUsed: j.NodesUsed, NodeIDs: j.NodeIDs,
-			StragglerFactor:    j.StragglerFactor,
-			Scheduler:          j.Scheduler,
-			Throughput:         j.Throughput,
-			WeightedThroughput: j.Weighted,
-		}
-		if j.Plan != nil {
-			ja.Plan = &PredictionJSON{
-				W: j.Plan.W, D: j.Plan.D, B: j.Plan.B, N: j.Plan.N, Recompute: j.Plan.Recompute,
-				Cf: j.Plan.Cf, Cb: j.Plan.Cb, IterTime: j.Plan.IterTime, Throughput: j.Plan.Throughput,
-				Scheduler: j.Plan.Scheduler,
-			}
-		}
-		out.Jobs[i] = ja
-	}
-	return out
-}
-
-// FleetJobRunJSON is one trace arrival's fate on the wire.
-type FleetJobRunJSON struct {
-	Job            string  `json:"job"`
-	Trace          int     `json:"trace"`
-	ArriveAt       float64 `json:"arrive_at"`
-	StartAt        float64 `json:"start_at"`
-	DoneAt         float64 `json:"done_at"`
-	Wait           float64 `json:"wait"`
-	MissedDeadline bool    `json:"missed_deadline"`
-}
-
-// FleetSimResponse is chimera-fleet -json's simulation output.
-type FleetSimResponse struct {
-	Policy        string            `json:"policy"`
-	Nodes         int               `json:"nodes"`
-	Makespan      float64           `json:"makespan"`
-	Utilization   float64           `json:"utilization"`
-	MeanWait      float64           `json:"mean_wait"`
-	Events        int               `json:"events"`
-	Reallocations int               `json:"reallocations"`
-	Jobs          []FleetJobRunJSON `json:"jobs"`
-}
-
-// NewFleetSimResponse encodes a fleet simulation result.
-func NewFleetSimResponse(r *fleet.SimResult) FleetSimResponse {
-	out := FleetSimResponse{
-		Policy: string(r.Policy), Nodes: r.Nodes,
-		Makespan: r.Makespan, Utilization: r.Utilization, MeanWait: r.MeanWait,
-		Events: r.Events, Reallocations: r.Reallocations,
-		Jobs: make([]FleetJobRunJSON, len(r.Jobs)),
-	}
-	for i, j := range r.Jobs {
-		out.Jobs[i] = FleetJobRunJSON{
-			Job: j.Job, Trace: j.Trace, ArriveAt: j.ArriveAt, StartAt: j.StartAt,
-			DoneAt: j.DoneAt, Wait: j.Wait, MissedDeadline: j.MissedDeadline,
-		}
-	}
-	return out
-}
-
-// FleetEventRecordJSON is one processed event of an elastic replay.
-type FleetEventRecordJSON struct {
-	At   float64 `json:"at"`
-	Kind string  `json:"kind"`
-	Job  string  `json:"job,omitempty"`
-	// Trace is the arrival's (or churn event's) input index; Node the
-	// churned node id (-1 for job events).
-	Trace int `json:"trace"`
-	Node  int `json:"node"`
-}
-
-// FleetElasticJobRunJSON is one arrival's fate under churn.
-type FleetElasticJobRunJSON struct {
-	Job            string  `json:"job"`
-	Trace          int     `json:"trace"`
-	ArriveAt       float64 `json:"arrive_at"`
-	StartAt        float64 `json:"start_at"`
-	DoneAt         float64 `json:"done_at"`
-	Wait           float64 `json:"wait"`
-	MissedDeadline bool    `json:"missed_deadline"`
-	Restarts       int     `json:"restarts"`
-	PenaltySeconds float64 `json:"penalty_seconds"`
-}
-
-// FleetFinalShareJSON is one resident instance's slice of the final
-// allocation (node counts and plan, deliberately not node ids).
-type FleetFinalShareJSON struct {
-	Job        string  `json:"job"`
-	Trace      int     `json:"trace"`
-	Nodes      int     `json:"nodes"`
-	W          int     `json:"w"`
-	D          int     `json:"d"`
-	B          int     `json:"b"`
-	Throughput float64 `json:"throughput"`
-	Weighted   float64 `json:"weighted"`
-}
-
-// FleetElasticResponse is the /v1/fleet/simulate reply for elastic
-// scenarios (and chimera-fleet -json's elastic output).
-type FleetElasticResponse struct {
-	Policy         string  `json:"policy"`
-	Replan         string  `json:"replan"`
-	InitialNodes   int     `json:"initial_nodes"`
-	FinalNodes     int     `json:"final_nodes"`
-	Makespan       float64 `json:"makespan"`
-	Utilization    float64 `json:"utilization"`
-	MeanWait       float64 `json:"mean_wait"`
-	Events         int     `json:"events"`
-	Reallocations  int     `json:"reallocations"`
-	JobsEvaluated  int     `json:"jobs_evaluated"`
-	Fails          int     `json:"fails"`
-	Drains         int     `json:"drains"`
-	Joins          int     `json:"joins"`
-	Migrations     int     `json:"migrations"`
-	PenaltySeconds float64 `json:"penalty_seconds"`
-	// SpotJoins counts joins of spot-class nodes; Cost is the integrated
-	// pool price (Σ price·dt up to the makespan). Omitted when zero so
-	// price-free scenarios keep their legacy encoding.
-	SpotJoins int                      `json:"spot_joins,omitempty"`
-	Cost      float64                  `json:"cost,omitempty"`
-	Log       []FleetEventRecordJSON   `json:"log"`
-	Jobs      []FleetElasticJobRunJSON `json:"jobs"`
-	Final     []FleetFinalShareJSON    `json:"final"`
-}
-
-// NewFleetElasticResponse encodes an elastic replay. The same function
-// backs the service and chimera-fleet -json, so both emit identical bytes.
-func NewFleetElasticResponse(r *fleet.ElasticResult) FleetElasticResponse {
-	out := FleetElasticResponse{
-		Policy: string(r.Policy), Replan: string(r.Replan),
-		InitialNodes: r.InitialNodes, FinalNodes: r.FinalNodes,
-		Makespan: r.Makespan, Utilization: r.Utilization, MeanWait: r.MeanWait,
-		Events: r.Events, Reallocations: r.Reallocations, JobsEvaluated: r.JobsEvaluated,
-		Fails: r.Fails, Drains: r.Drains, Joins: r.Joins,
-		Migrations: r.Migrations, PenaltySeconds: r.PenaltySeconds,
-		SpotJoins: r.SpotJoins, Cost: r.Cost,
-		Log:   NewFleetEventRecords(r.Log),
-		Jobs:  make([]FleetElasticJobRunJSON, len(r.Jobs)),
-		Final: NewFleetFinalShares(r.Final),
-	}
-	for i, run := range r.Jobs {
-		out.Jobs[i] = FleetElasticJobRunJSON{
-			Job: run.Job, Trace: run.Trace, ArriveAt: run.ArriveAt, StartAt: run.StartAt,
-			DoneAt: run.DoneAt, Wait: run.Wait, MissedDeadline: run.MissedDeadline,
-			Restarts: run.Restarts, PenaltySeconds: run.PenaltySeconds,
-		}
-	}
-	return out
-}
-
-// NewFleetEventRecords encodes an elastic replay's processed-event log.
-// Shared by NewFleetElasticResponse and the fleet controller, so a live
-// controller's log bytes are directly comparable with a trace replay's.
-func NewFleetEventRecords(log []fleet.EventRecord) []FleetEventRecordJSON {
-	out := make([]FleetEventRecordJSON, len(log))
-	for i, rec := range log {
-		out[i] = FleetEventRecordJSON{At: rec.At, Kind: string(rec.Kind), Job: rec.Job, Trace: rec.Trace, Node: rec.Node}
-	}
-	return out
-}
-
-// NewFleetFinalShares encodes an allocation's resident shares. Shared by
-// NewFleetElasticResponse and the fleet controller, so a live controller's
-// current allocation bytes are directly comparable with a replay's final.
-func NewFleetFinalShares(shares []fleet.FinalShare) []FleetFinalShareJSON {
-	out := make([]FleetFinalShareJSON, len(shares))
-	for i, fs := range shares {
-		out[i] = FleetFinalShareJSON{
-			Job: fs.Job, Trace: fs.Trace, Nodes: fs.Nodes,
-			W: fs.W, D: fs.D, B: fs.B, Throughput: fs.Throughput, Weighted: fs.Weighted,
-		}
-	}
-	return out
-}
+// NewFleetFinalShares returns shares as they stand: a fleet.FinalShare
+// carries its own wire shape. It is kept for callers outside this module.
+func NewFleetFinalShares(shares []fleet.FinalShare) []fleet.FinalShare { return shares }

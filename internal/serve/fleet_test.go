@@ -49,7 +49,7 @@ func TestFleetPlanMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(NewFleetPlanResponse(al))
+	want, err := json.Marshal(al)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFleetPlanPolicyHonored(t *testing.T) {
 	if !bytes.Equal(def, guided) {
 		t.Fatal("default policy is not planner-guided")
 	}
-	var g, e FleetPlanResponse
+	var g, e fleet.Allocation
 	if err := json.Unmarshal(guided, &g); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFleetSimulateElasticMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(NewFleetElasticResponse(res))
+	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFleetSimulateElasticMatchesInProcess(t *testing.T) {
 		t.Fatalf("served elastic simulation differs from in-process replay:\nserved: %s\nlocal:  %s", body, want)
 	}
 	// Spot-check the served content: one fail, one join, both jobs done.
-	var resp FleetElasticResponse
+	var resp fleet.ElasticResult
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +189,14 @@ func TestFleetSimulateElasticMatchesInProcess(t *testing.T) {
 }
 
 // TestFleetSimulateClassicTrace: a trace-only scenario replays and encodes
-// via NewFleetSimResponse.
+// as a fleet.SimResult.
 func TestFleetSimulateClassicTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, body := post(t, ts, "/v1/fleet/simulate", fleetClassicSimBody)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp FleetSimResponse
+	var resp fleet.SimResult
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestFleetHeterogeneousCluster(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
 	}
-	var resp FleetPlanResponse
+	var resp fleet.Allocation
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFleetSimulateAtNodeLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ = json.Marshal(NewFleetElasticResponse(res))
+			want, _ = json.Marshal(res)
 		} else {
 			classic, err := sc.Resolve()
 			if err != nil {
@@ -407,7 +407,7 @@ func TestFleetSimulateAtNodeLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ = json.Marshal(NewFleetSimResponse(res))
+			want, _ = json.Marshal(res)
 		}
 		if !bytes.Equal(served, want) {
 			t.Fatalf("served replay differs from in-process:\nserved: %s\nlocal:  %s", served, want)
