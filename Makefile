@@ -58,9 +58,11 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzGraphReplayEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(GO) test -fuzz=FuzzResidencyClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzFleetScenarioResolve -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzPlanBreakpoints -fuzztime=$(FUZZTIME) -run '^$$' ./internal/perfmodel/
 
 # cover writes the per-function coverage summary CI archives.
 cover:

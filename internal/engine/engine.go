@@ -2,10 +2,10 @@
 // planner (§3.4 configuration selection) and the experiment sweeps (§4.2):
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
-// schedule construction, critical-path probing, and full simulator
-// evaluations — keyed by their value-type descriptions. The pool is a bounded
-// fan-out: the participants of a ForEach call claim its indices off one
-// shared counter (pool.go).
+// schedule construction, critical-path probing, full simulator evaluations
+// and closed-form residency profiles — keyed by their value-type
+// descriptions. The pool is a bounded fan-out: the participants of a
+// ForEach call claim its indices off one shared counter (pool.go).
 //
 // Two properties make the fan-out safe and the results reproducible:
 //
@@ -30,8 +30,9 @@ import (
 )
 
 // ScheduleKey identifies a schedule construction: the memoization key for
-// generated schedules and their derived analyses (critical paths). The zero
-// F and Concat values mean "scheme defaults" (F=1, direct concatenation).
+// generated schedules and their derived analyses (critical paths, residency
+// profiles). The zero F and Concat values mean "scheme defaults" (F=1,
+// direct concatenation).
 type ScheduleKey struct {
 	// Scheme is the generator name: "chimera", "gpipe", "dapple", "gems",
 	// "pipedream", "pipedream-2bw", "1f1b".
@@ -65,7 +66,8 @@ func ChimeraKey(d, n, f int, concat schedule.ConcatMode) ScheduleKey {
 // cache entry: chimera's F=0 means F=1, and any concatenation mode with
 // N ≤ D builds the direct schedule (the generator's `n <= d || Direct`
 // branch); non-chimera schemes ignore F and Concat entirely. Every memo
-// boundary (Schedule, CriticalPath, Evaluate) canonicalizes first.
+// boundary (Schedule, CriticalPath, Evaluate, Residency) canonicalizes
+// first.
 func (k ScheduleKey) canonical() ScheduleKey {
 	// The placement-policy axis: "fixed" is the identity policy, and every
 	// list policy defers to the fixed placement when its speed factors carry
@@ -93,21 +95,24 @@ func (k ScheduleKey) canonical() ScheduleKey {
 	return k
 }
 
-// residencyEquivalent maps a canonical key onto the cheapest key whose
-// schedule has the same residency profile: a fixed-placement Chimera key
-// shortens as schedule.ChimeraConfig.ResidencyEquivalent says; every other
-// key — a list scheduler re-places ops, so the generator's periodicity is
-// gone; baselines never had it — maps to itself.
-func (k ScheduleKey) residencyEquivalent() ScheduleKey {
-	if k.Scheme == "chimera" && k.Scheduler == "" {
-		k.N = schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}.ResidencyEquivalent().N
+// closedFormKey maps a canonical key onto its entry in the residency table:
+// a fixed-placement, direct, F = 1 Chimera key, whose profile
+// schedule.ChimeraConfig.Residency computes without building a schedule and
+// which is the same at every N ≥ D, so N is clamped to D. ok is false for
+// every other key — a list scheduler re-places ops against speed factors,
+// F > 1 and doubling or halving at N > D have no closed form, baselines
+// never had one — and those build their own schedule and walk it.
+func (k ScheduleKey) closedFormKey() (ScheduleKey, bool) {
+	if k.Scheme != "chimera" || k.Scheduler != "" || k.F > 1 || k.Concat != schedule.Direct {
+		return k, false
 	}
-	return k
+	k.N = min(k.N, k.D)
+	return k, true
 }
 
 // replayEquivalent maps a canonical key onto the short key whose replay
 // extends to its own, and the number of units to extend by (0: none is
-// known, replay the key itself). Scope as for residencyEquivalent, on
+// known, replay the key itself): a fixed-placement Chimera key, on
 // schedule.ChimeraConfig.ReplayEquivalent's terms.
 func (k ScheduleKey) replayEquivalent() (ScheduleKey, int) {
 	if k.Scheme != "chimera" || k.Scheduler != "" {
@@ -304,9 +309,10 @@ type Engine struct {
 	// interpreter (see ReferenceCore) instead of the compiled graph core.
 	refCore bool
 
-	schedules *Memo[ScheduleKey, schedOutcome]
-	criticals *Memo[ScheduleKey, critOutcome]
-	outcomes  *Memo[Spec, Outcome]
+	schedules   *Memo[ScheduleKey, schedOutcome]
+	criticals   *Memo[ScheduleKey, critOutcome]
+	outcomes    *Memo[Spec, Outcome]
+	residencies *Memo[ScheduleKey, resOutcome]
 
 	// replays counts ReplayEquivalent's answers by replayPaths index.
 	replays [len(replayPaths)]atomic.Uint64
@@ -336,6 +342,11 @@ type critOutcome struct {
 	err    error
 }
 
+type resOutcome struct {
+	r   *schedule.Residency
+	err error
+}
+
 // Option configures New.
 type Option func(*Engine)
 
@@ -353,7 +364,7 @@ func Workers(n int) Option {
 // scratch. Used for the serial reference path in benchmarks and tests.
 func NoCache() Option {
 	return func(e *Engine) {
-		e.schedules, e.criticals, e.outcomes = nil, nil, nil
+		e.schedules, e.criticals, e.outcomes, e.residencies = nil, nil, nil, nil
 	}
 }
 
@@ -393,10 +404,11 @@ func ForDaemon(own *Engine, reg *obs.Registry, workers, capacity int) *Engine {
 // New builds an engine with a GOMAXPROCS-sized pool and empty caches.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		workers:   runtime.GOMAXPROCS(0),
-		schedules: NewMemo[ScheduleKey, schedOutcome](),
-		criticals: NewMemo[ScheduleKey, critOutcome](),
-		outcomes:  NewMemo[Spec, Outcome](),
+		workers:     runtime.GOMAXPROCS(0),
+		schedules:   NewMemo[ScheduleKey, schedOutcome](),
+		criticals:   NewMemo[ScheduleKey, critOutcome](),
+		outcomes:    NewMemo[Spec, Outcome](),
+		residencies: NewMemo[ScheduleKey, resOutcome](),
 	}
 	for _, o := range opts {
 		o(e)
@@ -405,6 +417,7 @@ func New(opts ...Option) *Engine {
 		e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
 		e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 		e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
+		e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
 	}
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
@@ -490,14 +503,25 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 }
 
 // Residency returns the activation-residency profile of the schedule
-// identified by key — what sim.FitsResidency prices — without necessarily
-// building that schedule: the profile rides the memoized schedule of the
-// key's residency-equivalent (for a long fixed-placement Chimera schedule, a
-// much shorter one), which computes it once and caches it as it does its
-// graph. A memory-fit search over many N therefore shares a few small
-// schedule-memo entries instead of building every schedule it asks about.
+// identified by key — what sim.FitsResidency prices. A fixed-placement,
+// direct, F = 1 Chimera key builds nothing: its profile is closed-form
+// (schedule.ChimeraConfig.Residency) and memoized in the residency table
+// under closedFormKey, one entry per min(N, D). Every other key's profile
+// is walked once on its own memoized schedule, which caches it as it does
+// its graph.
 func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
-	s, err := e.Schedule(key.canonical().residencyEquivalent())
+	key = key.canonical()
+	if ck, ok := key.closedFormKey(); ok {
+		if out, ok := e.residencies.Cached(ck); ok {
+			return out.r, out.err
+		}
+		out := e.residencies.Do(ck, func() resOutcome {
+			r, err := schedule.ChimeraConfig{D: ck.D, N: ck.N, F: ck.F}.Residency()
+			return resOutcome{r, err}
+		})
+		return out.r, out.err
+	}
+	s, err := e.Schedule(key)
 	if err != nil {
 		return nil, err
 	}
@@ -623,6 +647,7 @@ func (e *Engine) Reset() {
 	e.schedules.Reset()
 	e.criticals.Reset()
 	e.outcomes.Reset()
+	e.residencies.Reset()
 	for i := range e.replays {
 		e.replays[i].Store(0)
 	}

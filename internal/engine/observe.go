@@ -33,9 +33,11 @@ type engMetrics struct {
 //	                                   on another goroutine's in-flight compute)
 //	engine_sweep_seconds               histogram, whole grid sweeps
 //	engine_worker_busy_nanoseconds_total{worker=N}  counter per pool slot
-//	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs
+//	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs,
+//	                                   table=schedules|criticals|outcomes|residencies
 //	engine_cache_entries{table=...}    gauge func, resident keys
-//	engine_cache_hit_ratio             gauge func
+//	engine_cache_hit_ratio             gauge func, Stats.HitRate (the
+//	                                   first three tables)
 //	engine_replays_total{path=extended|full|refused}  read-through funcs:
 //	                                   ReplayEquivalent's answers (see Stats)
 //
@@ -77,6 +79,7 @@ func (e *Engine) initObserve() {
 		{"schedules", e.schedules},
 		{"criticals", e.criticals},
 		{"outcomes", e.outcomes},
+		{"residencies", e.residencies},
 	}
 	for _, t := range tables {
 		memo := t.memo

@@ -7,13 +7,13 @@ import (
 	"chimera/internal/schedule"
 )
 
-// TestResidencyRidesShortScheduleMemo: a sweep of fixed-placement Chimera
-// keys over many N is served by the few short residency-equivalent
-// schedules, through the schedule memo — every profile equal to the one the
-// full schedule computes for itself.
-func TestResidencyRidesShortScheduleMemo(t *testing.T) {
+// TestResidencyBuildsNoSchedule: a sweep of fixed-placement Chimera keys
+// over many N builds no schedule at all — every profile is closed-form,
+// memoized once per min(N, D) in the residency table, equal to the one the
+// full schedule walks for itself, and recalled without allocating.
+func TestResidencyBuildsNoSchedule(t *testing.T) {
 	e := New(Workers(1))
-	for _, n := range []int{16, 24, 32, 64, 128, 256, 512} {
+	for _, n := range []int{2, 5, 8, 16, 24, 67, 512} {
 		key := ChimeraKey(8, n, 0, schedule.Direct)
 		got, err := e.Residency(key)
 		if err != nil {
@@ -27,23 +27,33 @@ func TestResidencyRidesShortScheduleMemo(t *testing.T) {
 			t.Fatalf("N=%d: engine profile differs from the full schedule's", n)
 		}
 	}
-	st := e.Stats()
-	if st.ScheduleEntries != 1 || st.ScheduleMisses != 1 {
-		t.Fatalf("seven N sharing residue 0 built %d schedules (%d entries), want one", st.ScheduleMisses, st.ScheduleEntries)
+	if st := e.Stats(); st.ScheduleMisses != 0 || st.ScheduleEntries != 0 {
+		t.Fatalf("residency lookups built %d schedules (%d entries), want none", st.ScheduleMisses, st.ScheduleEntries)
 	}
-	s, err := e.Schedule(ChimeraKey(8, 8, 0, schedule.Direct))
-	if err != nil {
-		t.Fatal(err)
+	if hits, misses := e.residencies.Stats(); e.residencies.Len() != 3 || misses != 3 || hits != 4 {
+		t.Fatalf("residency table: %d entries, %d misses, %d hits; want one entry and miss per min(N, D) ∈ {2, 5, 8}, four hits", e.residencies.Len(), misses, hits)
 	}
-	if st := e.Stats(); st.ScheduleMisses != 1 || s.N != 8 {
-		t.Fatalf("the shared entry should be the (8, 8) schedule itself; misses %d, N %d", st.ScheduleMisses, s.N)
+	key := ChimeraKey(8, 256, 0, schedule.Direct)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Residency(key); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm residency lookup allocates %.1f times, want 0", allocs)
+	}
+	if _, err := e.Residency(ChimeraKey(5, 64, 0, schedule.Direct)); err == nil {
+		t.Fatal("an odd depth must report Chimera's error")
+	}
+	e.Reset()
+	if e.residencies.Len() != 0 {
+		t.Fatal("Reset left residency entries behind")
 	}
 }
 
-// TestResidencyKeyScope is the negative half of the periodicity invariant:
-// keys outside its scope are never shortened — a list scheduler re-places
-// ops against speed factors, so nothing says a shorter schedule places them
-// alike (and here it does not).
+// TestResidencyKeyScope is the negative half of the closed form: keys
+// outside its scope never reach the residency table and are never
+// shortened — a list scheduler re-places ops against speed factors, so
+// nothing says a shorter schedule places them alike (and here it does not).
 func TestResidencyKeyScope(t *testing.T) {
 	het := ScheduleKey{Scheme: "chimera", D: 8, N: 64, F: 1, Scheduler: "heft", Speed: "1,1,1,1,2,1,1,1"}
 	for _, k := range []ScheduleKey{
@@ -51,16 +61,23 @@ func TestResidencyKeyScope(t *testing.T) {
 		{Scheme: "chimera", D: 8, N: 64, F: 2},
 		{Scheme: "chimera", D: 8, N: 64, F: 1, Concat: schedule.ForwardDoubling},
 		{Scheme: "chimera", D: 8, N: 64, F: 1, Concat: schedule.BackwardHalving},
-		{Scheme: "chimera", D: 8, N: 15, F: 1},
 		{Scheme: "gpipe", D: 8, N: 64},
 		{Scheme: "pipedream", D: 8, N: 64},
 	} {
-		if got := k.canonical().residencyEquivalent(); got != k.canonical() {
-			t.Errorf("%+v shortened to %+v", k, got)
+		if got, ok := k.canonical().closedFormKey(); ok || got != k.canonical() {
+			t.Errorf("%+v mapped to closed-form key %+v", k, got)
 		}
 	}
-	if got := ChimeraKey(8, 67, 0, schedule.Direct).residencyEquivalent(); got.N != 11 {
-		t.Errorf("fixed chimera (8, 67) maps to N=%d, want 11", got.N)
+	uniform := ScheduleKey{Scheme: "chimera", D: 8, N: 3, Scheduler: "heft", Speed: "1,1,1,1,1,1,1,1"} // fixed placement
+	for k, n := range map[ScheduleKey]int{
+		ChimeraKey(8, 67, 0, schedule.Direct):         8,
+		ChimeraKey(8, 15, 0, schedule.Direct):         8,
+		ChimeraKey(8, 5, 0, schedule.ForwardDoubling): 5, // N ≤ D builds direct
+		uniform: 3,
+	} {
+		if got, ok := k.canonical().closedFormKey(); !ok || got.N != n || got.Concat != schedule.Direct {
+			t.Errorf("%+v: closed-form key %+v (ok %v), want direct N=%d", k, got, ok, n)
+		}
 	}
 
 	e := New(Workers(1))
@@ -72,7 +89,7 @@ func TestResidencyKeyScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != s.Residency() || e.Stats().ScheduleMisses != 1 {
+	if got != s.Residency() || e.Stats().ScheduleMisses != 1 || e.residencies.Len() != 0 {
 		t.Fatal("a list-scheduled key's profile must come from its own schedule")
 	}
 	short := het

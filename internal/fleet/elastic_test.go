@@ -7,6 +7,7 @@ import (
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/perfmodel"
 )
 
 // elasticScenario is the shared churn scenario: the benchmark mix arriving,
@@ -26,6 +27,41 @@ func elasticScenario(replan ReplanMode, penalty float64) ElasticScenario {
 			{At: 120, Kind: EvNodeJoin},
 			{At: 150, Kind: EvNodeJoin},
 		},
+	}
+}
+
+// TestSameAllocationComparesEveryField: a running instance whose re-plan
+// keeps its nodes but changes any one of W, D and B, keeps its plan but
+// swaps, adds or drops a node, or gains or loses a plan is restarted; only
+// the identical plan on the identical nodes is not.
+func TestSameAllocationComparesEveryField(t *testing.T) {
+	plan := perfmodel.Prediction{W: 2, D: 4, B: 8, N: 4}
+	in := &einstance{share: []node{{ID: 3}, {ID: 5}, {ID: 6}, {ID: 9}, {ID: 10}, {ID: 11}, {ID: 12}, {ID: 14}}, plan: &plan}
+	ids := []int{3, 5, 6, 9, 10, 11, 12, 14}
+	same := plan
+	if !sameAllocation(ids, &same, in) {
+		t.Fatal("the identical plan on the identical nodes counts as a change")
+	}
+	for name, mutate := range map[string]func(p *perfmodel.Prediction, ids []int) []int{
+		"W":             func(p *perfmodel.Prediction, ids []int) []int { p.W = 4; return ids },
+		"D":             func(p *perfmodel.Prediction, ids []int) []int { p.D = 2; return ids },
+		"B":             func(p *perfmodel.Prediction, ids []int) []int { p.B = 16; return ids },
+		"one node ID":   func(p *perfmodel.Prediction, ids []int) []int { ids[5] = 7; return ids },
+		"last node ID":  func(p *perfmodel.Prediction, ids []int) []int { ids[7] = 15; return ids },
+		"one more node": func(p *perfmodel.Prediction, ids []int) []int { return append(ids, 15) },
+		"one node less": func(p *perfmodel.Prediction, ids []int) []int { return ids[:7] },
+	} {
+		old := plan
+		oldIDs := mutate(&old, append([]int(nil), ids...))
+		if sameAllocation(oldIDs, &old, in) {
+			t.Errorf("%s changed, but the re-plan counts as the same allocation", name)
+		}
+	}
+	if sameAllocation(ids, nil, in) {
+		t.Error("gaining a plan counts as the same allocation")
+	}
+	if sameAllocation(ids, &same, &einstance{share: in.share}) {
+		t.Error("losing the plan counts as the same allocation")
 	}
 }
 

@@ -42,9 +42,10 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 	}
 }
 
-// BenchmarkPlanCold resets the engine before every plan: residency
-// profiles, the chosen schedules, their graphs, critical paths and the
-// prediction replays are all paid for, as on a one-shot chimera-plan.
+// BenchmarkPlanCold resets the engine before every plan: the closed-form
+// residency profiles of the memory fit, the schedules the chosen candidates
+// replay (and no other), their graphs, critical paths and the prediction
+// replays are all paid for, as on a one-shot chimera-plan.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
 // BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and the

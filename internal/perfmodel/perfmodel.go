@@ -422,8 +422,8 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // schedule that policy produces for the request's speed factors.
 //
 // The search is one pass over B, largest first, and asks only residency
-// profiles (engine.Residency — for the fixed placement a handful of short
-// schedules shared by every N in the sweep): it stops at the first B that
+// profiles (engine.Residency — for the fixed placement closed-form, so the
+// search builds no schedule): it stops at the first B that
 // fits plainly, remembering on the way the first that fits with
 // recomputation. Only the (D, N = B̂/(W·B)) it settles on is replayed, through
 // engine.ReplayEquivalent — for a homogeneous N ≥ 3D on a schedule of fewer

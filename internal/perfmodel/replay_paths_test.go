@@ -47,6 +47,24 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 	}
 }
 
+// TestColdPlanBuildsOnlyReplayedSchedules: the memory fit of a cold plan
+// builds no schedule — every profile it asks for is closed-form — so the
+// only schedules built are the ones replayed, one per critical-path probe.
+func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
+	e := engine.New(engine.Workers(1))
+	for i, req := range benchRequests() {
+		e.Reset()
+		preds, err := PlanOn(e, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.ScheduleMisses != st.CriticalMisses || st.CriticalMisses < uint64(len(preds)) {
+			t.Fatalf("request %d: %d candidates built %d schedules for %d critical-path probes, want one each", i, len(preds), st.ScheduleMisses, st.CriticalMisses)
+		}
+	}
+}
+
 // TestPlanSpeedFactorsTakeFullReplay: per-worker speed factors keep Eq. 1's
 // two replays on the full schedule (they would be tried and refused); the
 // critical-path probes are homogeneous whatever the request and still ride

@@ -45,20 +45,70 @@ type ChimeraConfig struct {
 	Concat ConcatMode
 }
 
-// ResidencyEquivalent returns the shortest configuration known to have the
-// same residency profile as cfg (cfg itself when none is known). A direct-
-// concatenation, F = 1 schedule repeats with a period of one basic unit —
-// D micro-batches, 2D slots — and a unit's ops span fewer than 4D slots, so
-// it only ever overlaps its immediate neighbours: every live-count vector a
-// worker reaches at N ≥ 2D it already reaches at N′ = D + (N mod D), one
-// full unit followed by the same partial one. TestResidencyPeriodic pins
-// this for every even D ≤ 128 up to N = 1024. F > 1, forward doubling and
-// backward halving are out of scope and map to themselves.
-func (cfg ChimeraConfig) ResidencyEquivalent() ChimeraConfig {
-	if cfg.F <= 1 && cfg.Concat == Direct && cfg.D >= 2 && cfg.N >= 2*cfg.D {
-		cfg.N = cfg.D + cfg.N%cfg.D
+// check rejects a configuration Chimera cannot build and returns its
+// pipelines per direction (F = 0 means 1).
+func (cfg ChimeraConfig) check() (int, error) {
+	d, n, f := cfg.D, cfg.N, cfg.F
+	if f == 0 {
+		f = 1
 	}
-	return cfg
+	if d < 2 || d%2 != 0 {
+		return 0, fmt.Errorf("chimera: D must be even and ≥2, got %d", d)
+	}
+	if f < 1 {
+		return 0, fmt.Errorf("chimera: F must be ≥1, got %d", f)
+	}
+	if (d/2)%f != 0 {
+		return 0, fmt.Errorf("chimera: F=%d must divide D/2=%d", f, d/2)
+	}
+	if n < 1 {
+		return 0, fmt.Errorf("chimera: N must be ≥1, got %d", n)
+	}
+	switch {
+	case n <= d || cfg.Concat == Direct:
+	case cfg.Concat == ForwardDoubling || cfg.Concat == BackwardHalving:
+		if n%d != 0 {
+			return 0, fmt.Errorf("chimera: %v needs N a multiple of D, got N=%d D=%d", cfg.Concat, n, d)
+		}
+	default:
+		return 0, fmt.Errorf("chimera: unknown concat mode %v", cfg.Concat)
+	}
+	return f, nil
+}
+
+// Residency returns the residency profile of the schedule Chimera builds
+// for cfg without building it, or nil when no closed form is known (F > 1,
+// forward doubling or backward halving at N > D): build the schedule and
+// walk it. Invalid configurations return Chimera's error.
+//
+// Worker w hosts down stage w and up stage D−1−w, and its one Pareto row,
+// in half-micro-batch units with n = min(N, D), is
+// [2·min(⌈n/2⌉, D−w), 2·min(⌊n/2⌋, w+1)]. DESIGN.md §3 item 4 derives it:
+// a placement's backwards trail its forwards by a fixed lag, so its count
+// is the forwards of the last lag slots, and the first unit reaches both
+// maxima at once. For N ≥ D a worker's peak is D/2 + min(D/2, w+1, D−w)
+// micro-batches, Table 2's range of (D/2 + 1)·Ma to D·Ma.
+// TestResidencyClosedForm and FuzzResidencyClosedForm hold it to the walk.
+func (cfg ChimeraConfig) Residency() (*Residency, error) {
+	f, err := cfg.check()
+	if err != nil {
+		return nil, err
+	}
+	d, n := cfg.D, min(cfg.N, cfg.D)
+	if f > 1 || (cfg.N > d && cfg.Concat != Direct) {
+		return nil, nil
+	}
+	r := &Residency{Scheme: "chimera", Synchronous: true, Replicas: 2, Workers: make([]WorkerResidency, d)}
+	hosted := make([]StagePlacement, 2*d)
+	counts := make([]int32, 2*d)
+	peaks := make([][]int32, d)
+	for w := range r.Workers {
+		hosted[2*w], hosted[2*w+1] = StagePlacement{Replica: 0, Stage: w}, StagePlacement{Replica: 1, Stage: d - 1 - w}
+		counts[2*w], counts[2*w+1] = int32(2*min((n+1)/2, d-w)), int32(2*min(n/2, w+1))
+		peaks[w] = counts[2*w : 2*w+2 : 2*w+2]
+		r.Workers[w] = WorkerResidency{Hosted: hosted[2*w : 2*w+2 : 2*w+2], Peaks: peaks[w : w+1 : w+1]}
+	}
+	return r, nil
 }
 
 // ReplayEquivalent returns the short configuration whose replay extends to
@@ -69,7 +119,7 @@ func (cfg ChimeraConfig) ResidencyEquivalent() ChimeraConfig {
 // that the steady state has been reached and moves the read-outs on by the
 // units left out. DESIGN.md §3 "Steady-state replay" carries the argument;
 // TestReplayPeriodic and TestChimeraDirectLockstep pin it. Out of scope, as
-// for ResidencyEquivalent: F > 1, forward doubling, backward halving.
+// for Residency's closed form: F > 1, forward doubling, backward halving.
 func (cfg ChimeraConfig) ReplayEquivalent() (short ChimeraConfig, units int) {
 	if cfg.F <= 1 && cfg.Concat == Direct && cfg.D >= 2 && cfg.N >= 3*cfg.D {
 		units = cfg.N/cfg.D - 2
@@ -92,22 +142,11 @@ const doublingUpPhase = 0
 // chimera is Chimera with the 1F2B units' up-pipeline phase as an argument,
 // so the test that justifies the constant can build the alternatives.
 func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
-	d, n, f := cfg.D, cfg.N, cfg.F
-	if f == 0 {
-		f = 1
+	f, err := cfg.check()
+	if err != nil {
+		return nil, err
 	}
-	if d < 2 || d%2 != 0 {
-		return nil, fmt.Errorf("chimera: D must be even and ≥2, got %d", d)
-	}
-	if f < 1 {
-		return nil, fmt.Errorf("chimera: F must be ≥1, got %d", f)
-	}
-	if (d/2)%f != 0 {
-		return nil, fmt.Errorf("chimera: F=%d must divide D/2=%d", f, d/2)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("chimera: N must be ≥1, got %d", n)
-	}
+	d, n := cfg.D, cfg.N
 	s := &Schedule{
 		Scheme:       "chimera",
 		D:            d,
@@ -125,16 +164,9 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 		s.Replicas = append(s.Replicas, upMap(d, f, i))
 	}
 
-	switch {
-	case n <= d || cfg.Concat == Direct:
-	case cfg.Concat == ForwardDoubling || cfg.Concat == BackwardHalving:
-		if n%d != 0 {
-			return nil, fmt.Errorf("chimera: %v needs N a multiple of D, got N=%d D=%d", cfg.Concat, n, d)
-		}
+	if n > d && cfg.Concat != Direct {
 		s.DoubledForward = true
 		s.HalvedBackward = cfg.Concat == BackwardHalving
-	default:
-		return nil, fmt.Errorf("chimera: unknown concat mode %v", cfg.Concat)
 	}
 	buildChimera(s, f, upPhase)
 	return s, nil

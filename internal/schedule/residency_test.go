@@ -147,12 +147,13 @@ func TestResidencyMatchesOpWalk(t *testing.T) {
 	}
 }
 
-// periodicNs lists the micro-batch counts TestResidencyPeriodic checks at
-// depth d: every N up to 6D+3 for the small depths, and for all depths every
-// N ≤ 1024 the planner's power-of-two B sweep reaches from a 2^a or 3·2^a
-// per-pipeline mini-batch, plus — for the residues at and next to the unit
-// boundaries — the two shortest N that share the residue, and for the two
-// odd-sized trailing units the longest.
+// periodicNs lists the long micro-batch counts the closed-form residency
+// and steady-state replay suites check at depth d: every N up to 6D+3 for
+// the small depths, and for all depths every N ≤ 1024 the planner's
+// power-of-two B sweep reaches from a 2^a or 3·2^a per-pipeline mini-batch,
+// plus — for the residues at and next to the unit boundaries — the two
+// shortest N that share the residue, and for the two odd-sized trailing
+// units the longest.
 func periodicNs(d int) []int {
 	seen := map[int]bool{}
 	add := func(n int) {
@@ -184,76 +185,109 @@ func periodicNs(d int) []int {
 	return out
 }
 
-// TestResidencyPeriodic is equivalence test (a): the profile of a fixed-
-// placement, direct, F = 1 Chimera schedule equals that of its
-// ResidencyEquivalent — the invariant the engine's profile memo and the
-// planner's one-pass B search rest on.
-func TestResidencyPeriodic(t *testing.T) {
-	maxD := 128
-	if testing.Short() {
-		maxD = 32
-	}
+// TestResidencyClosedForm is equivalence test (a): the closed-form profile
+// of a fixed-placement, direct, F = 1 Chimera configuration is the walk of
+// the schedule Chimera builds for it, struct for struct — for every even
+// D ≤ 128 (32 under -short or -race), every N ≤ 2D + 1 and every long N of
+// periodicNs — and at N ≥ D each worker's peak is Table 2's
+// D/2 + min(D/2, w+1, D−w) micro-batches. The engine's residency table and
+// the planner's one-pass B search rest on it. Invalid configurations return
+// Chimera's own error, and out-of-scope ones (F > 1, doubling or halving at
+// N > D) no profile.
+func TestResidencyClosedForm(t *testing.T) {
 	checked := 0
-	for d := 2; d <= maxD; d += 2 {
-		// One short schedule per residue serves every N that shares it.
-		short := map[int]*Residency{}
+	for d := 2; d <= exhaustiveD(128, 32); d += 2 {
+		var ns []int
+		for n := 1; n <= 2*d+1; n++ {
+			ns = append(ns, n)
+		}
 		for _, n := range periodicNs(d) {
-			cfg := ChimeraConfig{D: d, N: n}
-			eq := cfg.ResidencyEquivalent()
-			if eq.N >= n || eq.N < d || eq.N%d != n%d || eq.D != d {
-				t.Fatalf("D=%d N=%d: equivalent %+v is not a shorter schedule of the same residue", d, n, eq)
+			if n > 2*d+1 {
+				ns = append(ns, n)
 			}
-			want, ok := short[eq.N]
-			if !ok {
-				s, err := Chimera(eq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = s.Residency()
-				short[eq.N] = want
+		}
+		for _, n := range ns {
+			cfg := ChimeraConfig{D: d, N: n}
+			got, err := cfg.Residency()
+			if err != nil || got == nil {
+				t.Fatalf("D=%d N=%d: no closed form (%v)", d, n, err)
 			}
 			s, err := Chimera(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := s.Residency(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("D=%d: residency at N=%d differs from N′=%d", d, n, eq.N)
+			if want := s.Residency(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("D=%d N=%d: closed form %+v, walk %+v", d, n, got, want)
+			}
+			if n >= d {
+				for w := range got.Workers {
+					if peak, want := got.Workers[w].PeakUnits(), int64(d+2*min(d/2, w+1, d-w)); peak != want {
+						t.Fatalf("D=%d N=%d worker %d: peak %d half-micro-batches, Table 2 says %d", d, n, w, peak, want)
+					}
+				}
 			}
 			checked++
 		}
 	}
-	t.Logf("%d (D, N) pairs equal their residency-equivalent", checked)
+	t.Logf("%d (D, N) pairs: closed form equals the walk", checked)
+
+	for _, cfg := range []ChimeraConfig{
+		{D: 8, N: 8, Concat: ForwardDoubling}, {D: 8, N: 5, Concat: BackwardHalving}, // N ≤ D builds direct
+		{D: 8, N: 64, F: 1}, {D: 8, N: 3, F: 0},
+	} {
+		got, err := cfg.Residency()
+		s, serr := Chimera(cfg)
+		if err != nil || serr != nil || got == nil || !reflect.DeepEqual(got, s.Residency()) {
+			t.Fatalf("%+v: closed form (%v) does not equal the walk (%v)", cfg, err, serr)
+		}
+	}
+	for _, cfg := range []ChimeraConfig{
+		{D: 8, N: 64, F: 2}, {D: 8, N: 4, F: 4},
+		{D: 8, N: 64, Concat: ForwardDoubling}, {D: 8, N: 64, Concat: BackwardHalving},
+	} {
+		if got, err := cfg.Residency(); got != nil || err != nil {
+			t.Errorf("%+v: out of scope, got (%v, %v), want no profile and no error", cfg, got != nil, err)
+		}
+	}
+	for _, cfg := range []ChimeraConfig{
+		{D: 0, N: 4}, {D: 5, N: 64}, {D: -2, N: 3}, {D: 8, N: 0}, {D: 8, N: -3},
+		{D: 8, N: 4, F: -1}, {D: 8, N: 4, F: 3},
+		{D: 8, N: 12, Concat: ForwardDoubling}, {D: 8, N: 20, Concat: BackwardHalving},
+		{D: 8, N: 16, Concat: ConcatMode(7)},
+	} {
+		_, serr := Chimera(cfg)
+		got, err := cfg.Residency()
+		if serr == nil || err == nil || got != nil || err.Error() != serr.Error() {
+			t.Errorf("%+v: closed form says (%v, %v), Chimera %v", cfg, got != nil, err, serr)
+		}
+	}
 }
 
-// TestResidencyEquivalentScope: everything outside the proven scope maps to
-// itself, and the scope is not vacuous — dropping a unit too many, or
-// shortening an F = 2 schedule the same way, does change the profile.
-func TestResidencyEquivalentScope(t *testing.T) {
-	for _, cfg := range []ChimeraConfig{
-		{D: 8, N: 8}, {D: 8, N: 15}, // N < 2D: nothing shorter is known
-		{D: 8, N: 64, F: 2},
-		{D: 8, N: 64, Concat: ForwardDoubling},
-		{D: 8, N: 64, Concat: BackwardHalving},
-	} {
-		if eq := cfg.ResidencyEquivalent(); eq != cfg {
-			t.Errorf("%+v shortened to %+v", cfg, eq)
+// FuzzResidencyClosedForm: over fuzzer-chosen even D ≤ 256, N ≤ 4096 and
+// concatenation mode, the closed form is the walk whenever it answers, it
+// answers for every direct configuration, and it fails exactly when — and
+// as — Chimera does. The committed corpus (testdata/fuzz) replays on every
+// go test.
+func FuzzResidencyClosedForm(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint8(0))
+	f.Add(uint8(3), uint16(7), uint8(1))
+	f.Add(uint8(7), uint16(67), uint8(0))
+	f.Add(uint8(15), uint16(95), uint8(2))
+	f.Fuzz(func(t *testing.T, d8 uint8, n16 uint16, mode uint8) {
+		cfg := ChimeraConfig{D: 2 + 2*int(d8%128), N: 1 + int(n16%4096), Concat: ConcatMode(mode % 3)}
+		got, err := cfg.Residency()
+		s, serr := Chimera(cfg)
+		if (err == nil) != (serr == nil) || (err != nil && err.Error() != serr.Error()) {
+			t.Fatalf("%+v: closed form error %v, Chimera %v", cfg, err, serr)
 		}
-	}
-	if eq := (ChimeraConfig{D: 8, N: 67}).ResidencyEquivalent(); eq.N != 11 {
-		t.Errorf("D=8 N=67: got N′=%d, want 11", eq.N)
-	}
-	differs := func(a, b ChimeraConfig) bool {
-		sa, err := Chimera(a)
-		if err != nil {
-			t.Fatal(err)
+		switch {
+		case err != nil:
+		case got == nil:
+			if cfg.N <= cfg.D || cfg.Concat == Direct {
+				t.Fatalf("%+v: direct configuration has no closed form", cfg)
+			}
+		case !reflect.DeepEqual(got, s.Residency()):
+			t.Fatalf("%+v: closed form %+v, walk %+v", cfg, got, s.Residency())
 		}
-		sb, err := Chimera(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return !reflect.DeepEqual(sa.Residency(), sb.Residency())
-	}
-	if !differs(ChimeraConfig{D: 8, N: 19}, ChimeraConfig{D: 8, N: 3}) {
-		t.Error("dropping every full unit should change the profile")
-	}
+	})
 }
