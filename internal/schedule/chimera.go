@@ -88,7 +88,8 @@ func (cfg ChimeraConfig) check() (int, error) {
 // is the forwards of the last lag slots, and the first unit reaches both
 // maxima at once. For N ≥ D a worker's peak is D/2 + min(D/2, w+1, D−w)
 // micro-batches, Table 2's range of (D/2 + 1)·Ma to D·Ma.
-// TestResidencyClosedForm and FuzzResidencyClosedForm hold it to the walk.
+// TestResidencyPeriodic, TestResidencyEquivalentScope and
+// FuzzResidencyClosedForm hold it to the walk.
 func (cfg ChimeraConfig) Residency() (*Residency, error) {
 	f, err := cfg.check()
 	if err != nil {

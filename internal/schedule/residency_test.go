@@ -185,16 +185,14 @@ func periodicNs(d int) []int {
 	return out
 }
 
-// TestResidencyClosedForm is equivalence test (a): the closed-form profile
-// of a fixed-placement, direct, F = 1 Chimera configuration is the walk of
-// the schedule Chimera builds for it, struct for struct — for every even
+// TestResidencyPeriodic is equivalence test (a): the closed-form profile of
+// a fixed-placement, direct, F = 1 Chimera configuration is the walk of the
+// schedule Chimera builds for it, struct for struct — for every even
 // D ≤ 128 (32 under -short or -race), every N ≤ 2D + 1 and every long N of
 // periodicNs — and at N ≥ D each worker's peak is Table 2's
 // D/2 + min(D/2, w+1, D−w) micro-batches. The engine's residency table and
-// the planner's one-pass B search rest on it. Invalid configurations return
-// Chimera's own error, and out-of-scope ones (F > 1, doubling or halving at
-// N > D) no profile.
-func TestResidencyClosedForm(t *testing.T) {
+// the planner's one-pass B search rest on it.
+func TestResidencyPeriodic(t *testing.T) {
 	checked := 0
 	for d := 2; d <= exhaustiveD(128, 32); d += 2 {
 		var ns []int
@@ -230,7 +228,15 @@ func TestResidencyClosedForm(t *testing.T) {
 		}
 	}
 	t.Logf("%d (D, N) pairs: closed form equals the walk", checked)
+}
 
+// TestResidencyEquivalentScope: the closed form answers, equal to the walk,
+// for the configurations Chimera builds direct (doubling or halving at
+// N ≤ D, F = 1 or 0); answers nothing, and no error, outside its scope
+// (F > 1, doubling or halving at N > D); and for invalid configurations
+// returns Chimera's own error. The scope is not vacuous: dropping every full
+// unit changes the profile.
+func TestResidencyEquivalentScope(t *testing.T) {
 	for _, cfg := range []ChimeraConfig{
 		{D: 8, N: 8, Concat: ForwardDoubling}, {D: 8, N: 5, Concat: BackwardHalving}, // N ≤ D builds direct
 		{D: 8, N: 64, F: 1}, {D: 8, N: 3, F: 0},
@@ -260,6 +266,17 @@ func TestResidencyClosedForm(t *testing.T) {
 		if serr == nil || err == nil || got != nil || err.Error() != serr.Error() {
 			t.Errorf("%+v: closed form says (%v, %v), Chimera %v", cfg, got != nil, err, serr)
 		}
+	}
+	long, err := ChimeraConfig{D: 8, N: 19}.Residency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := ChimeraConfig{D: 8, N: 3}.Residency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(long, short) {
+		t.Error("dropping every full unit should change the profile")
 	}
 }
 
