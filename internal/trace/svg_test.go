@@ -11,7 +11,7 @@ import (
 	"chimera/internal/schedule"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the SVG golden files from current output")
+var updateGolden = flag.Bool("update", false, "rewrite the SVG and Chrome-trace golden files from current output")
 
 // goldenSVG compares one rendered schedule against its committed golden
 // file; -update regenerates the files after an intentional renderer change.
