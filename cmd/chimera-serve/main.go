@@ -16,7 +16,7 @@
 // GET /debug/requests dumps the flight recorder's last -flight-recorder
 // request spans with per-phase timings; -pprof mounts /debug/pprof/.
 // Every response carries an X-Request-Id header (honored if the client
-// sent one), and -log-format selects the per-request access-log encoding
+// sent one of 1–128 bytes of [A-Za-z0-9._:-]), and -log-format selects the per-request access-log encoding
 // on stderr ("json", "text", or "none").
 //
 // Example:

@@ -1,7 +1,7 @@
 // Package comm provides an in-process message-passing substrate modelled on
 // MPI. A World of P ranks communicates through Go channels; each rank obtains
-// a Communicator handle that supports blocking point-to-point transfers,
-// nonblocking transfers with explicit completion (Wait), and barriers.
+// a Communicator handle that supports blocking point-to-point transfers and
+// barriers.
 //
 // The package stands in for GLOO/MPI in the original Chimera implementation:
 // pipeline stages exchange activations and boundary gradients over Send/Recv,
@@ -109,55 +109,6 @@ func (c *Communicator) Recv(src, tag int) []float32 {
 		k := matchKey{source: msg.Source, tag: msg.Tag}
 		c.pending[k] = append(c.pending[k], msg)
 	}
-}
-
-// Request represents an outstanding nonblocking operation.
-type Request struct {
-	done         <-chan []float32
-	deferredRecv func() []float32
-	data         []float32
-	rcvd         bool
-}
-
-// Wait blocks until the operation completes and returns the received payload
-// (nil for sends).
-func (r *Request) Wait() []float32 {
-	if r.rcvd {
-		return r.data
-	}
-	switch {
-	case r.done != nil:
-		r.data = <-r.done
-	case r.deferredRecv != nil:
-		r.data = r.deferredRecv()
-	}
-	r.rcvd = true
-	return r.data
-}
-
-// ISend starts a nonblocking send. Because mailboxes are buffered and
-// payloads copied, the send completes immediately; the returned request
-// exists for API symmetry with MPI.
-func (c *Communicator) ISend(dst, tag int, data []float32) *Request {
-	c.Send(dst, tag, data)
-	return &Request{}
-}
-
-// IRecv posts a nonblocking receive. The returned Request's Wait yields the
-// payload. The receive is serviced by a helper goroutine draining through the
-// same matching logic, so IRecv must not be interleaved with blocking Recv
-// calls for the same (source, tag).
-func (c *Communicator) IRecv(src, tag int) *Request {
-	ch := make(chan []float32, 1)
-	key := matchKey{source: src, tag: tag}
-	if q := c.pending[key]; len(q) > 0 {
-		msg := q[0]
-		c.pending[key] = q[1:]
-		ch <- msg.Data
-		return &Request{done: ch}
-	}
-	// Fall back to a blocking receive at Wait time: record intent only.
-	return &Request{deferredRecv: func() []float32 { return c.Recv(src, tag) }}
 }
 
 // Barrier blocks until all ranks in the world have entered it.

@@ -56,12 +56,6 @@ func Dequantize8(q Quantized8, dst []float32) []float32 {
 	return dst
 }
 
-// MaxQuantError returns the worst-case roundtrip error of Quantize8 for v.
-func MaxQuantError(v []float32) float32 {
-	q := Quantize8(v)
-	return q.Scale / 2
-}
-
 // Sparse is a top-k sparsification of a float vector.
 type Sparse struct {
 	Len     int

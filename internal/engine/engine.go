@@ -360,14 +360,6 @@ func Workers(n int) Option {
 	}
 }
 
-// NoCache disables all memoization: every evaluation recomputes from
-// scratch. Used for the serial reference path in benchmarks and tests.
-func NoCache() Option {
-	return func(e *Engine) {
-		e.schedules, e.criticals, e.outcomes, e.residencies = nil, nil, nil, nil
-	}
-}
-
 // Capacity bounds each memoization table to n entries with LRU eviction.
 // The default (0) keeps the unbounded retention that batch sweeps rely on
 // for bit-identical repeat walks; a long-running daemon (chimera-serve)
@@ -413,7 +405,7 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.capacity > 0 && e.schedules != nil {
+	if e.capacity > 0 {
 		e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
 		e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 		e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
@@ -503,7 +495,7 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 }
 
 // Residency returns the activation-residency profile of the schedule
-// identified by key — what sim.FitsResidency prices. A fixed-placement,
+// identified by key — what (*sim.MemoryFit).Fits prices. A fixed-placement,
 // direct, F = 1 Chimera key builds nothing: its profile is closed-form
 // (schedule.ChimeraConfig.Residency) and memoized in the residency table
 // under closedFormKey, one entry per min(N, D). Every other key's profile

@@ -68,7 +68,7 @@ func requireEqualOutcomes(t *testing.T, want, got []Outcome) {
 }
 
 // TestSweepMatchesSerial: the worker-pool engine must return bit-identical
-// results to the serial uncached reference across grid shapes.
+// results to the serial reference across grid shapes.
 func TestSweepMatchesSerial(t *testing.T) {
 	grids := [][]Spec{
 		testGrid(model.BERT48(), 16, 128, []int{2, 4, 8}, []int{1, 2, 4, 8}),
@@ -79,7 +79,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 		if len(specs) < 8 {
 			t.Fatalf("grid %d too small (%d specs) to be a meaningful check", gi, len(specs))
 		}
-		serial := New(Workers(1), NoCache()).Sweep(specs)
+		serial := New(Workers(1)).Sweep(specs)
 		parallel := New(Workers(8)).Sweep(specs)
 		requireEqualOutcomes(t, serial, parallel)
 	}
@@ -116,7 +116,7 @@ func TestSweepRepeatIdentical(t *testing.T) {
 func TestConcurrentSweepCallers(t *testing.T) {
 	e := New(Workers(4))
 	specs := testGrid(model.BERT48(), 16, 128, []int{2, 4, 8}, []int{1, 2, 4, 8})
-	want := New(Workers(1), NoCache()).Sweep(specs)
+	want := New(Workers(1)).Sweep(specs)
 	var wg sync.WaitGroup
 	const callers = 8
 	got := make([][]Outcome, callers)
@@ -179,20 +179,6 @@ func TestMemoSingleflight(t *testing.T) {
 	m.Reset()
 	if h, mi := m.Stats(); h != 0 || mi != 0 || m.Len() != 0 {
 		t.Fatal("reset did not clear the memo")
-	}
-}
-
-// TestNilMemoComputes: a nil memo (NoCache engines) always computes.
-func TestNilMemoComputes(t *testing.T) {
-	var m *Memo[int, int]
-	calls := 0
-	for i := 0; i < 3; i++ {
-		if v := m.Do(1, func() int { calls++; return calls }); v != i+1 {
-			t.Fatalf("call %d returned %d", i, v)
-		}
-	}
-	if h, mi := m.Stats(); h != 0 || mi != 0 {
-		t.Fatal("nil memo should report zero stats")
 	}
 }
 

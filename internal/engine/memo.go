@@ -19,8 +19,6 @@ import (
 // Eviction drops an entry from the table only: goroutines already holding
 // the entry still complete (or reuse) its single computation and share its
 // value; the next request for the evicted key simply recomputes.
-//
-// A nil *Memo is valid and disables caching (every Do call computes).
 type Memo[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int // 0 = unbounded
@@ -104,9 +102,6 @@ func (m *Memo[K, V]) insert(e *memoEntry[K, V]) {
 // table, a caller that was waiting on it retries through a fresh entry, and
 // the next Do for the key runs fn again.
 func (m *Memo[K, V]) Do(key K, fn func() V) V {
-	if m == nil {
-		return fn()
-	}
 	for {
 		m.mu.Lock()
 		e, ok := m.entries[key]
@@ -158,9 +153,6 @@ func (m *Memo[K, V]) drop(e *memoEntry[K, V]) {
 // still in flight reports !ok — the caller falls back to Do and waits there
 // (counted as a hit by Do, preserving the stats semantics).
 func (m *Memo[K, V]) Cached(key K) (v V, ok bool) {
-	if m == nil {
-		return v, false
-	}
 	m.mu.Lock()
 	e, found := m.entries[key]
 	if found && e.done.Load() {
@@ -177,27 +169,13 @@ func (m *Memo[K, V]) Cached(key K) (v V, ok bool) {
 // that found an existing entry (it may still have waited for the in-flight
 // computation); a "miss" is a call that created the entry.
 func (m *Memo[K, V]) Stats() (hits, misses uint64) {
-	if m == nil {
-		return 0, 0
-	}
 	return m.hits.Load(), m.misses.Load()
 }
 
 // Evictions returns how many entries the LRU bound has dropped (always zero
 // for an unbounded table).
 func (m *Memo[K, V]) Evictions() uint64 {
-	if m == nil {
-		return 0
-	}
 	return m.evictions.Load()
-}
-
-// Capacity returns the configured entry bound (0 = unbounded).
-func (m *Memo[K, V]) Capacity() int {
-	if m == nil {
-		return 0
-	}
-	return m.capacity
 }
 
 // Range calls fn for every completed entry, least-recently used first —
@@ -208,9 +186,6 @@ func (m *Memo[K, V]) Capacity() int {
 // returning false stops the iteration. This is the export half of the serve
 // tier's cache snapshot.
 func (m *Memo[K, V]) Range(fn func(key K, value V) bool) {
-	if m == nil {
-		return
-	}
 	type kv struct {
 		k K
 		v V
@@ -247,9 +222,6 @@ func (m *Memo[K, V]) Range(fn func(key K, value V) bool) {
 // recency preserved. Put returns true for an insert even if a later insert
 // evicts it.
 func (m *Memo[K, V]) Put(key K, value V) bool {
-	if m == nil {
-		return false
-	}
 	e := &memoEntry[K, V]{key: key, v: value}
 	e.once.Do(func() {}) // burn the once so a later Do never recomputes
 	e.done.Store(true)
@@ -264,9 +236,6 @@ func (m *Memo[K, V]) Put(key K, value V) bool {
 
 // Len returns the number of distinct keys computed or in flight.
 func (m *Memo[K, V]) Len() int {
-	if m == nil {
-		return 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
@@ -274,9 +243,6 @@ func (m *Memo[K, V]) Len() int {
 
 // Reset drops all entries and zeroes the statistics.
 func (m *Memo[K, V]) Reset() {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.entries = make(map[K]*memoEntry[K, V])
 	m.lru.prev, m.lru.next = &m.lru, &m.lru

@@ -53,9 +53,6 @@ func TestMemoCapUnboundedByDefault(t *testing.T) {
 		if ev := m.Evictions(); ev != 0 {
 			t.Fatalf("unbounded table evicted %d entries", ev)
 		}
-		if c := m.Capacity(); c != 0 {
-			t.Fatalf("Capacity = %d, want 0", c)
-		}
 	}
 }
 
@@ -279,7 +276,7 @@ func TestEngineCapacityOption(t *testing.T) {
 	if len(specs) < 16 {
 		t.Fatalf("grid too small: %d", len(specs))
 	}
-	want := New(Workers(1), NoCache()).Sweep(specs)
+	want := New(Workers(1)).Sweep(specs)
 	got := bounded.Sweep(specs)
 	requireEqualOutcomes(t, want, got)
 

@@ -150,19 +150,3 @@ func TestObserveNilRegistry(t *testing.T) {
 		t.Fatal(out.Err)
 	}
 }
-
-// TestObserveNoCache: an instrumented cacheless engine still works (the
-// CounterFuncs read nil memos as zero).
-func TestObserveNoCache(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(NoCache(), Observe(reg))
-	e.Evaluate(testSpec(2, 4))
-	e.Evaluate(testSpec(2, 4))
-	snap := reg.Snapshot()
-	if got := snap.Histograms["engine_evaluate_seconds"].Count; got != 2 {
-		t.Fatalf("cacheless evaluate count = %d, want 2 (every call computes)", got)
-	}
-	if got := snap.Counters[`engine_cache_hits_total{table="outcomes"}`]; got != 0 {
-		t.Fatalf("nil memo reported %d hits", got)
-	}
-}

@@ -20,7 +20,7 @@ import (
 // inner ForEach blocked forever waiting for one. The pool detects re-entry
 // and runs nested task sets on the slot the enclosing body already holds.
 func TestForEachNestedNoDeadlock(t *testing.T) {
-	e := New(Workers(2), NoCache())
+	e := New(Workers(2))
 	done := make(chan struct{})
 	var total atomic.Int64
 	go func() {
@@ -322,8 +322,8 @@ func TestSweepDeterministicAcrossPoolSizes(t *testing.T) {
 // cores compute the same function.
 func TestReferenceCoreIdenticalOutcomes(t *testing.T) {
 	specs := testGrid(model.BERT48(), 16, 128, []int{2, 4, 8}, []int{1, 2, 4, 8})
-	opt := New(NoCache()).Sweep(specs)
-	ref := New(NoCache(), ReferenceCore()).Sweep(specs)
+	opt := New(Workers(1)).Sweep(specs)
+	ref := New(Workers(1), ReferenceCore()).Sweep(specs)
 	if got, want := outcomeBytes(ref), outcomeBytes(opt); got != want {
 		t.Fatal("reference-core outcomes diverged from optimized core")
 	}

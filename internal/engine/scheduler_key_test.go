@@ -56,7 +56,7 @@ func TestSchedulerKeyCanonical(t *testing.T) {
 }
 
 // TestListScheduledEvaluationDeterministic: a list-scheduled spec must
-// evaluate bit-identically on a serial uncached engine and a wide pool —
+// evaluate bit-identically on a serial engine and a wide pool —
 // the engine-level replay-determinism guarantee of the conformance suite.
 func TestListScheduledEvaluationDeterministic(t *testing.T) {
 	var specs []Spec
@@ -74,7 +74,7 @@ func TestListScheduledEvaluationDeterministic(t *testing.T) {
 			})
 		}
 	}
-	serial := New(Workers(1), NoCache()).Sweep(specs)
+	serial := New(Workers(1)).Sweep(specs)
 	parallel := New(Workers(8)).Sweep(specs)
 	for i := range specs {
 		if serial[i].Err != nil || parallel[i].Err != nil {

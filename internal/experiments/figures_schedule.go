@@ -22,11 +22,12 @@ func Figure2(d, n int) (*Report, error) {
 			return nil, err
 		}
 		r.Lines = append(r.Lines, strings.Split(strings.TrimRight(art, "\n"), "\n")...)
-		tl, err := s.Replay(schedule.UnitPractical)
+		ro, err := s.Readout(schedule.UnitPractical.ReplayConfig())
 		if err != nil {
 			return nil, err
 		}
-		r.Metrics["makespan:"+name] = float64(tl.Makespan)
+		r.Metrics["makespan:"+name] = float64(ro.Makespan())
+		ro.Release()
 	}
 	return r, nil
 }
@@ -77,11 +78,12 @@ func Figure7() (*Report, error) {
 		}
 		r.addf("--- %v ---", mode)
 		r.Lines = append(r.Lines, strings.Split(strings.TrimRight(art, "\n"), "\n")...)
-		tl, err := s.Replay(schedule.UnitPractical)
+		ro, err := s.Readout(schedule.UnitPractical.ReplayConfig())
 		if err != nil {
 			return nil, err
 		}
-		r.Metrics["makespan:"+mode.String()] = float64(tl.Makespan)
+		r.Metrics["makespan:"+mode.String()] = float64(ro.Makespan())
+		ro.Release()
 	}
 	// Under recomputation (backward = 3× forward) doubling wins — Fig. 18's
 	// regime.
@@ -91,12 +93,13 @@ func Figure7() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tl, err := s.Replay(recomp)
+		ro, err := s.Readout(recomp.ReplayConfig())
 		if err != nil {
 			return nil, err
 		}
-		r.addf("with recomputation (B=3F): %-18v makespan=%d", mode, tl.Makespan)
-		r.Metrics["recompute-makespan:"+mode.String()] = float64(tl.Makespan)
+		r.addf("with recomputation (B=3F): %-18v makespan=%d", mode, ro.Makespan())
+		r.Metrics["recompute-makespan:"+mode.String()] = float64(ro.Makespan())
+		ro.Release()
 	}
 	return r, nil
 }

@@ -54,15 +54,17 @@ func Table3(d, n int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tl, err := s.Replay(schedule.UnitEqual)
+		ro, err := s.Readout(schedule.UnitEqual.ReplayConfig())
 		if err != nil {
 			return nil, err
 		}
+		bubble := ro.BubbleRatio()
+		ro.Release()
 		lo, hi := schedule.MinMax(s.ActivationHighWater())
 		r.addf("%-4d | %-8d | %6.3f vs %6.3f       | %-14g | paper [%g,%g], measured [%g,%g]",
-			f, len(s.Replicas), want.BubbleRatio, tl.BubbleRatio(), want.WeightsMTheta,
+			f, len(s.Replicas), want.BubbleRatio, bubble, want.WeightsMTheta,
 			want.ActLo, want.ActHi, lo, hi)
-		r.Metrics["bubble:f="+strconv.Itoa(f)] = tl.BubbleRatio()
+		r.Metrics["bubble:f="+strconv.Itoa(f)] = bubble
 	}
 	return r, nil
 }

@@ -161,12 +161,3 @@ func (s Stage) FwdFLOPs(b int) int64 {
 	}
 	return fl
 }
-
-// BwdFLOPs returns the backward FLOPs (2× forward; 3× with recomputation).
-func (s Stage) BwdFLOPs(b int, recompute bool) int64 {
-	f := s.FwdFLOPs(b)
-	if recompute {
-		return 3 * f
-	}
-	return 2 * f
-}

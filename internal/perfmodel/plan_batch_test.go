@@ -26,7 +26,7 @@ func TestPlanBatchOnMatchesSequential(t *testing.T) {
 		t.Fatalf("batch returned %d/%d results for %d requests", len(preds), len(errs), len(reqs))
 	}
 	for i, req := range reqs {
-		want, wantErr := PlanOn(engine.New(engine.Workers(1), engine.NoCache()), req)
+		want, wantErr := PlanOn(engine.New(engine.Workers(1)), req)
 		if (wantErr == nil) != (errs[i] == nil) {
 			t.Fatalf("request %d: batch err %v, sequential err %v", i, errs[i], wantErr)
 		}

@@ -22,11 +22,11 @@ func planRequests() []PlanRequest {
 }
 
 // TestPlanOnParallelMatchesSerial: the engine-parallel planner must produce
-// the exact ranking and predictions of the serial uncached reference across
+// the exact ranking and predictions of a serial reference on a fresh engine across
 // request shapes.
 func TestPlanOnParallelMatchesSerial(t *testing.T) {
 	for _, req := range planRequests() {
-		serial, err := PlanOn(engine.New(engine.Workers(1), engine.NoCache()), req)
+		serial, err := PlanOn(engine.New(engine.Workers(1)), req)
 		if err != nil {
 			t.Fatalf("%s P=%d: %v", req.Model.Name, req.P, err)
 		}
@@ -57,7 +57,7 @@ func TestPlanConcurrentCallers(t *testing.T) {
 	want := make([][]*Prediction, len(reqs))
 	for i, req := range reqs {
 		var err error
-		want[i], err = PlanOn(engine.New(engine.Workers(1), engine.NoCache()), req)
+		want[i], err = PlanOn(engine.New(engine.Workers(1)), req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package refinterp retains the original map-based greedy replay
-// interpreter — the pre-Graph implementation of schedule.ReplayWith — as an
-// executable reference for the compiled dependency-graph IR:
+// interpreter — the implementation of schedule replay before the compiled
+// Graph and its Readout — as an executable reference for that IR:
 //
 //   - the equivalence suite (internal/schedule graph tests) asserts that
 //     graph replay produces bit-identical Timelines and critical paths
@@ -34,7 +34,7 @@ type doneInfo struct {
 	worker int
 }
 
-// opCost mirrors Schedule.opCost for the uniform cost models, honouring the
+// opCost mirrors CostModel.Cost for the uniform cost models, honouring the
 // forward-doubling and backward-halving variants.
 func opCost(o schedule.Op, cm schedule.CostModel) int64 {
 	if o.Kind == schedule.Forward {
@@ -48,7 +48,7 @@ func opCost(o schedule.Op, cm schedule.CostModel) int64 {
 }
 
 // Replay is ReplayWith under a uniform cost model (the reference twin of
-// Schedule.Replay).
+// Schedule.Readout under CostModel.ReplayConfig, then Readout.Timeline).
 func Replay(s *schedule.Schedule, cm schedule.CostModel) (*schedule.Timeline, error) {
 	return ReplayWith(s, schedule.ReplayConfig{
 		OpCost:   func(_ int, op schedule.Op) int64 { return opCost(op, cm) },

@@ -37,11 +37,7 @@ func TestGPipeDappleBubbleFormula(t *testing.T) {
 				s := mustScheme(t, name, d, n)
 				want := float64(d-1) / float64(n+d-1)
 				for _, cm := range []CostModel{UnitEqual, UnitPractical} {
-					tl, err := s.Replay(cm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := tl.BubbleRatio(); !approxEq(got, want, 1e-9) {
+					if got := mustReadout(t, s, cm).BubbleRatio(); !approxEq(got, want, 1e-9) {
 						t.Errorf("%s D=%d N=%d cm=%+v: bubble %v want %v", name, d, n, cm, got, want)
 					}
 				}
@@ -56,21 +52,19 @@ func TestChimeraHalvesBubblesVsDAPPLE(t *testing.T) {
 	for _, d := range []int{4, 8, 16, 32} {
 		ch := mustChimera(t, ChimeraConfig{D: d, N: d})
 		da := mustScheme(t, "dapple", d, d)
-		tlC, _ := ch.Replay(UnitEqual)
-		tlD, _ := da.Replay(UnitEqual)
+		tlC := mustReadout(t, ch, UnitEqual).Timeline()
+		tlD := mustReadout(t, da, UnitEqual).Timeline()
 		// Per-worker idle: Chimera D−2, DAPPLE 2(D−1).
-		for w, idle := range tlC.WorkerBubbles() {
-			if idle != int64(d-2) {
+		for w, busy := range tlC.BusyTime {
+			if idle := tlC.Makespan - busy; idle != int64(d-2) {
 				t.Errorf("chimera D=%d worker %d: idle %d want %d", d, w, idle, d-2)
 			}
 		}
-		for w, idle := range tlD.WorkerBubbles() {
-			if idle != int64(2*(d-1)) {
+		for w, busy := range tlD.BusyTime {
+			if idle := tlD.Makespan - busy; idle != int64(2*(d-1)) {
 				t.Errorf("dapple D=%d worker %d: idle %d want %d", d, w, idle, 2*(d-1))
 			}
 		}
-		_ = tlC
-		_ = tlD
 	}
 }
 
@@ -120,12 +114,8 @@ func TestGEMSProperties(t *testing.T) {
 		if len(s.Replicas) != 2 {
 			t.Errorf("gems D=%d: %d replicas want 2", d, len(s.Replicas))
 		}
-		tl, err := s.Replay(UnitPractical)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := float64(d-1) / (float64(d) + 0.5)
-		if got := tl.BubbleRatio(); !approxEq(got, want, 0.06) {
+		if got := mustReadout(t, s, UnitPractical).BubbleRatio(); !approxEq(got, want, 0.06) {
 			t.Errorf("gems D=%d: bubble %v want ≈%v", d, got, want)
 		}
 	}
@@ -217,18 +207,17 @@ func TestByNameUnknown(t *testing.T) {
 func TestOneF1BEqualsDAPPLEShape(t *testing.T) {
 	a := mustScheme(t, "1f1b", 4, 8)
 	b := mustScheme(t, "dapple", 4, 8)
-	tlA, _ := a.Replay(UnitPractical)
-	tlB, _ := b.Replay(UnitPractical)
-	if tlA.Makespan != tlB.Makespan {
-		t.Fatalf("1f1b span %d != dapple span %d", tlA.Makespan, tlB.Makespan)
+	spanA, spanB := mustReadout(t, a, UnitPractical).Makespan(), mustReadout(t, b, UnitPractical).Makespan()
+	if spanA != spanB {
+		t.Fatalf("1f1b span %d != dapple span %d", spanA, spanB)
 	}
 }
 
 // TestReplayDeterministic: replay is a pure function of the schedule.
 func TestReplayDeterministic(t *testing.T) {
 	s := mustChimera(t, ChimeraConfig{D: 8, N: 16, Concat: Direct})
-	t1, _ := s.Replay(UnitPractical)
-	t2, _ := s.Replay(UnitPractical)
+	t1 := mustReadout(t, s, UnitPractical).Timeline()
+	t2 := mustReadout(t, s, UnitPractical).Timeline()
 	if t1.Makespan != t2.Makespan {
 		t.Fatal("replay nondeterministic")
 	}
@@ -245,9 +234,9 @@ func TestReplayDeterministic(t *testing.T) {
 // critical path of any cross-worker pipeline.
 func TestP2PLatencyExtendsMakespan(t *testing.T) {
 	s := mustChimera(t, ChimeraConfig{D: 4, N: 4})
-	t0, _ := s.Replay(CostModel{FUnit: 10, BUnit: 20})
-	t1, _ := s.Replay(CostModel{FUnit: 10, BUnit: 20, P2P: 3})
-	if t1.Makespan <= t0.Makespan {
-		t.Fatalf("p2p latency ignored: %d vs %d", t1.Makespan, t0.Makespan)
+	t0 := mustReadout(t, s, CostModel{FUnit: 10, BUnit: 20}).Makespan()
+	t1 := mustReadout(t, s, CostModel{FUnit: 10, BUnit: 20, P2P: 3}).Makespan()
+	if t1 <= t0 {
+		t.Fatalf("p2p latency ignored: %d vs %d", t1, t0)
 	}
 }

@@ -58,9 +58,11 @@ func BenchmarkReplayD32N128(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Replay(UnitPractical); err != nil {
+		r, err := s.Readout(UnitPractical.ReplayConfig())
+		if err != nil {
 			b.Fatal(err)
 		}
+		r.Timeline()
 	}
 }
 

@@ -20,6 +20,16 @@ func mustChimera(t *testing.T, cfg ChimeraConfig) *Schedule {
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mustReadout replays s under cm, failing the test on a deadlock.
+func mustReadout(t *testing.T, s *Schedule, cm CostModel) *Readout {
+	t.Helper()
+	r, err := s.Readout(cm.ReplayConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestChimeraBaseMatchesPaperFormulas pins the base N=D schedule to the
 // paper's Table 2 row: bubble ratios in both cost models, the activation
 // memory interval [(D/2+1)Ma, D·Ma], and 2Mθ weights.
@@ -91,11 +101,7 @@ func TestChimeraFConflictFree(t *testing.T) {
 				t.Errorf("D=%d f=%d: %d conflicts", d, f, c)
 			}
 			want := Table3(d, d, f)
-			tl, err := s.Replay(UnitEqual)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := tl.BubbleRatio(); !approxEq(got, want.BubbleRatio, 1e-9) {
+			if got := mustReadout(t, s, UnitEqual).BubbleRatio(); !approxEq(got, want.BubbleRatio, 1e-9) {
 				t.Errorf("D=%d f=%d: bubble %v want %v", d, f, got, want.BubbleRatio)
 			}
 			lo, hi := MinMax(s.ActivationHighWater())
@@ -117,13 +123,9 @@ func TestChimeraDirectConcat(t *testing.T) {
 		for _, k := range []int{2, 3, 4, 8} {
 			n := k * d
 			s := mustChimera(t, ChimeraConfig{D: d, N: n, Concat: Direct})
-			tl, err := s.Replay(UnitEqual)
-			if err != nil {
-				t.Fatal(err)
-			}
 			df, nf := float64(d), float64(n)
 			want := (df - 2) / (2*nf + df - 2)
-			if got := tl.BubbleRatio(); !approxEq(got, want, 1e-9) {
+			if got := mustReadout(t, s, UnitEqual).BubbleRatio(); !approxEq(got, want, 1e-9) {
 				t.Errorf("D=%d N=%d: bubble %v want %v", d, n, got, want)
 			}
 			if c, _ := s.ConflictCount(); c != 0 {
@@ -143,11 +145,9 @@ func TestChimeraDirectConcat(t *testing.T) {
 // intermediate bubbles (bubble ratio above the equal-cost D−2 level).
 func TestChimeraDirectPracticalHasIntermediateBubbles(t *testing.T) {
 	s := mustChimera(t, ChimeraConfig{D: 8, N: 32, Concat: Direct})
-	tlE, _ := s.Replay(UnitEqual)
-	tlP, _ := s.Replay(UnitPractical)
-	if tlP.BubbleRatio() <= tlE.BubbleRatio() {
-		t.Errorf("expected more bubbles under 2x backward: eq=%v practical=%v",
-			tlE.BubbleRatio(), tlP.BubbleRatio())
+	eq, practical := mustReadout(t, s, UnitEqual).BubbleRatio(), mustReadout(t, s, UnitPractical).BubbleRatio()
+	if practical <= eq {
+		t.Errorf("expected more bubbles under 2x backward: eq=%v practical=%v", eq, practical)
 	}
 }
 
@@ -160,17 +160,9 @@ func TestForwardDoublingBeatsDirectUnderRecompute(t *testing.T) {
 	for _, c := range []struct{ d, n int }{{4, 8}, {8, 16}, {8, 32}, {16, 32}} {
 		dir := mustChimera(t, ChimeraConfig{D: c.d, N: c.n, Concat: Direct})
 		dbl := mustChimera(t, ChimeraConfig{D: c.d, N: c.n, Concat: ForwardDoubling})
-		tDir, err := dir.Replay(recompute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tDbl, err := dbl.Replay(recompute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tDbl.Makespan >= tDir.Makespan {
-			t.Errorf("D=%d N=%d: doubling %d !< direct %d under recompute",
-				c.d, c.n, tDbl.Makespan, tDir.Makespan)
+		tDir, tDbl := mustReadout(t, dir, recompute).Makespan(), mustReadout(t, dbl, recompute).Makespan()
+		if tDbl >= tDir {
+			t.Errorf("D=%d N=%d: doubling %d !< direct %d under recompute", c.d, c.n, tDbl, tDir)
 		}
 	}
 }
@@ -182,10 +174,9 @@ func TestDirectBeatsHalvingWithoutRecompute(t *testing.T) {
 	for _, c := range []struct{ d, n int }{{4, 8}, {8, 16}, {8, 32}} {
 		dir := mustChimera(t, ChimeraConfig{D: c.d, N: c.n, Concat: Direct})
 		hlv := mustChimera(t, ChimeraConfig{D: c.d, N: c.n, Concat: BackwardHalving})
-		tDir, _ := dir.Replay(UnitPractical)
-		tHlv, _ := hlv.Replay(UnitPractical)
-		if tDir.Makespan > tHlv.Makespan {
-			t.Errorf("D=%d N=%d: direct %d worse than halving %d", c.d, c.n, tDir.Makespan, tHlv.Makespan)
+		tDir, tHlv := mustReadout(t, dir, UnitPractical).Makespan(), mustReadout(t, hlv, UnitPractical).Makespan()
+		if tDir > tHlv {
+			t.Errorf("D=%d N=%d: direct %d worse than halving %d", c.d, c.n, tDir, tHlv)
 		}
 	}
 }
@@ -219,11 +210,7 @@ func TestDoublingPhaseChoice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tl, err := s.Replay(UnitPractical)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tl.Makespan
+		return mustReadout(t, s, UnitPractical).Makespan()
 	}
 	for _, c := range []struct{ d, n int }{{4, 8}, {8, 16}, {16, 32}} {
 		best := span(c.d, c.n, doublingUpPhase)

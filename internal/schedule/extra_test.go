@@ -84,18 +84,14 @@ func TestHalvingValidatesHalfTokens(t *testing.T) {
 	}
 }
 
-// TestOpsTotalAndReplicasPerWorker covers the schedule accessors.
-func TestOpsTotalAndReplicasPerWorker(t *testing.T) {
+// TestOpsTotal covers the op-count accessor.
+func TestOpsTotal(t *testing.T) {
 	s := mustChimera(t, ChimeraConfig{D: 4, N: 4})
 	if s.OpsTotal() != 4*4*2 {
 		t.Fatalf("ops total %d", s.OpsTotal())
 	}
-	if s.ReplicasPerWorker() != 2 {
-		t.Fatalf("replicas per worker %d", s.ReplicasPerWorker())
-	}
-	empty := &Schedule{D: 1}
-	if empty.ReplicasPerWorker() != 1 {
-		t.Fatal("empty schedule default replicas")
+	if empty := (&Schedule{D: 1, Workers: make([][]Op, 1)}); empty.OpsTotal() != 0 {
+		t.Fatalf("empty schedule ops total %d", empty.OpsTotal())
 	}
 }
 

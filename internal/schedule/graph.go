@@ -443,7 +443,7 @@ func (g *Graph) deadlockError(cursor, state []int32, remaining int) error {
 }
 
 // topoScratchPool recycles topoSort's scratch block across compilations
-// (the uncached sweep compiles a fresh graph per evaluation).
+// (a cold sweep compiles a fresh graph per schedule).
 var topoScratchPool sync.Pool
 
 // run is the replay kernel, the one loop every replay entry point reaches:
@@ -475,9 +475,9 @@ func (g *Graph) run(end, cost, edge []int64) {
 // per-worker compute-end and per-placement gradient-ready times — taken
 // straight from the kernel's finish-time array, with no per-op timeline in
 // between. It doubles as the recyclable scratch of a replay (finish array,
-// priced shape vectors, and the Timeline view ReplayWith presents), drawn
-// from one process-wide pool — the uncached sweep compiles a fresh graph per
-// evaluation, so per-graph pools would never warm up — and sized to the
+// priced shape vectors, and the per-op Timeline it hands out), drawn
+// from one process-wide pool — a cold sweep compiles a fresh graph per
+// schedule, so per-graph pools would never warm up — and sized to the
 // largest graph seen. Release returns it; nothing read from a Readout, nor
 // the Timeline presented from it, may be used afterwards.
 //
@@ -637,10 +637,14 @@ func (r *Readout) Release() {
 	readoutPool.Put(r)
 }
 
-// timeline presents the replay as a per-op Timeline: End rows are views
-// into the worker-major finish array, an op started its cost before it
-// finished, and a worker was busy for the summed cost of its ops.
-func (r *Readout) timeline() *Timeline {
+// Timeline presents the replay as a per-op Timeline, for callers that need
+// every op's Start/End: End rows are views into the worker-major finish
+// array, an op started its cost before it finished, and a worker was busy
+// for the summed cost of its ops. The returned arrays are the read-out's own:
+// Timeline.Release hands them back together with the read-out, and neither
+// may be read afterwards. An Extended read-out holds the short schedule's
+// finish times only, so Timeline panics on it.
+func (r *Readout) Timeline() *Timeline {
 	if r.units != 0 {
 		panic("schedule: an extended read-out has no per-op timeline")
 	}
@@ -662,15 +666,6 @@ func (r *Readout) timeline() *Timeline {
 	return tl
 }
 
-// ReplayWith evaluates the graph under rc and presents the per-op timeline
-// (see Readout for the replay itself; callers that need no Start/End rows
-// should take the Readout instead). The timeline's arrays are the pooled
-// Readout's: Timeline.Release hands them back.
-func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline {
-	return g.Readout(rc).timeline()
-}
-
-// Replay is ReplayWith under a uniform cost model.
-func (g *Graph) Replay(cm CostModel) *Timeline {
-	return g.ReplayWith(cm.ReplayConfig())
-}
+// ReplayWith is g.Readout(rc).Timeline(). It is kept only because the
+// benchmark's plan and probe passes call it; library code takes the Readout.
+func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline { return g.Readout(rc).Timeline() }

@@ -56,7 +56,7 @@ func FuzzGraphReplayEquivalence(f *testing.F) {
 		}
 		id := fmt.Sprintf("%s d=%d n=%d f=%d concat=%v", scheme, d, n, fp, schedule.ConcatMode(cc))
 		cm := schedule.CostModel{FUnit: fu, BUnit: bu, P2P: p2p}
-		got, gerr := s.Replay(cm)
+		got, gerr := replay(s, cm.ReplayConfig())
 		want, werr := refinterp.Replay(s, cm)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s: graph err %v, interpreter err %v", id, gerr, werr)

@@ -78,6 +78,16 @@ func idleWorker(s *schedule.Schedule) int {
 	return -1
 }
 
+// replay is the graph's per-op timeline of s under rc: its Readout, then
+// the Timeline the read-out hands out.
+func replay(s *schedule.Schedule, rc schedule.ReplayConfig) (*schedule.Timeline, error) {
+	r, err := s.Readout(rc)
+	if err != nil {
+		return nil, err
+	}
+	return r.Timeline(), nil
+}
+
 // assertTimelinesEqual requires bit-identical Start/End/BusyTime/Makespan.
 func assertTimelinesEqual(t *testing.T, name, model string, got, want *schedule.Timeline) {
 	t.Helper()
@@ -124,11 +134,11 @@ var heteroReplayConfig = schedule.ReplayConfig{
 // TestGraphReplayEquivalence: the compiled-graph topological pass must
 // produce bit-identical timelines to the retained map interpreter across
 // every scheme × cost model × variant, including a heterogeneous
-// (worker-dependent) cost assignment through the ReplayWith seam.
+// (worker-dependent) cost assignment through the ReplayConfig seam.
 func TestGraphReplayEquivalence(t *testing.T) {
 	for _, c := range equivSchedules(t) {
 		for _, m := range equivCostModels {
-			got, err := c.s.Replay(m.cm)
+			got, err := replay(c.s, m.cm.ReplayConfig())
 			if err != nil {
 				t.Fatalf("%s/%s: graph replay: %v", c.name, m.name, err)
 			}
@@ -138,7 +148,7 @@ func TestGraphReplayEquivalence(t *testing.T) {
 			}
 			assertTimelinesEqual(t, c.name, m.name, got, want)
 		}
-		got, err := c.s.ReplayWith(heteroReplayConfig)
+		got, err := replay(c.s, heteroReplayConfig)
 		if err != nil {
 			t.Fatalf("%s/hetero: graph replay: %v", c.name, err)
 		}
@@ -212,7 +222,7 @@ func TestDeadlockNamesMissingProducer(t *testing.T) {
 		// B at the last stage needs F(micro 0, stage 1), which is missing.
 		{{Kind: schedule.Backward, Stage: 1, Micros: []int{0}}},
 	})
-	_, err := s.Replay(schedule.UnitEqual)
+	_, err := s.Readout(schedule.UnitEqual.ReplayConfig())
 	if err == nil {
 		t.Fatal("want deadlock error, got none")
 	}
@@ -234,7 +244,7 @@ func TestDeadlockNamesCycle(t *testing.T) {
 			{Kind: schedule.Forward, Stage: 1, Micros: []int{0}},
 		},
 	})
-	_, err := s.Replay(schedule.UnitEqual)
+	_, err := s.Readout(schedule.UnitEqual.ReplayConfig())
 	if err == nil {
 		t.Fatal("want deadlock error, got none")
 	}
@@ -289,7 +299,7 @@ func TestWaiterChainTwoDeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTimelinesEqual(t, s.Scheme, "p2p", g.Replay(cm), want)
+	assertTimelinesEqual(t, s.Scheme, "p2p", g.Readout(cm.ReplayConfig()).Timeline(), want)
 }
 
 // TestDeadlockDiagnoses covers the cycles beyond TestDeadlockNamesCycle's: each
@@ -348,7 +358,7 @@ func TestDeadlockDiagnoses(t *testing.T) {
 			interpreterEntry: " w0:F0@s2/r0",
 		},
 	} {
-		_, err := c.s.Replay(schedule.UnitEqual)
+		_, err := c.s.Readout(schedule.UnitEqual.ReplayConfig())
 		if err == nil {
 			t.Fatalf("%s: want a deadlock error, got none", c.name)
 		}

@@ -8,8 +8,8 @@
 // under data dependencies yields start/finish times for any cost model. This
 // mirrors how a real pipeline executes: each worker simply runs its local
 // program and blocks on receives. The dependency structure is compiled once
-// per schedule into a Graph IR (graph.go); Replay/ReplayWith (timeline.go)
-// are a single topological pass over it.
+// per schedule into a Graph IR (graph.go); a Readout is a single topological
+// pass over it, and hands out the per-op Timeline on request.
 package schedule
 
 import (
@@ -119,15 +119,6 @@ type Schedule struct {
 	// same immutability contract (see residency.go).
 	residencyOnce sync.Once
 	residency     *Residency
-}
-
-// ReplicasPerWorker returns how many model replicas have a stage on each
-// worker (uniform for all schemes here: one per pipeline crossing it).
-func (s *Schedule) ReplicasPerWorker() int {
-	if len(s.Replicas) == 0 {
-		return 1
-	}
-	return len(s.Replicas)
 }
 
 // StagesOn returns the (replica, stage) pairs hosted by worker w.

@@ -116,7 +116,7 @@ func TestIdleWorkerReadout(t *testing.T) {
 			t.Fatalf("%s: the straggler kept ops; the case no longer covers an idle worker", policy)
 		}
 		rc := schedule.CostModel{FUnit: 173, BUnit: 391, P2P: 29}.ReplayConfig()
-		tl, err := s.ReplayWith(rc)
+		tl, err := replay(s, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := s.Replay(schedule.UnitPractical)
+	tl, err := replay(s, schedule.UnitPractical.ReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	var none *schedule.Timeline
 	none.Release()
 	// Two live replays must not share backing after the double release.
-	a, _ := s.Replay(schedule.UnitPractical)
-	b, _ := s.Replay(schedule.UnitEqual)
+	a, _ := replay(s, schedule.UnitPractical.ReplayConfig())
+	b, _ := replay(s, schedule.UnitEqual.ReplayConfig())
 	if a.Makespan != want || !reflect.DeepEqual(a.End, ref.End) {
 		t.Fatalf("a double release let two replays share one backing: makespan %d, want %d", a.Makespan, want)
 	}

@@ -14,7 +14,7 @@ func warmReplayCase(tb testing.TB) (*Graph, ReplayConfig) {
 		tb.Fatal(err)
 	}
 	rc := UnitPractical.ReplayConfig()
-	g.ReplayWith(rc).Release() // warm the replay pool
+	g.Readout(rc).Timeline().Release() // warm the replay pool
 	return g, rc
 }
 
@@ -26,7 +26,7 @@ func BenchmarkReplayAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ReplayWith(rc).Release()
+		g.Readout(rc).Timeline().Release()
 	}
 }
 
@@ -35,7 +35,7 @@ func BenchmarkReplayAllocs(b *testing.B) {
 // count is logged, not asserted.
 func TestReplayAllocFree(t *testing.T) {
 	g, rc := warmReplayCase(t)
-	allocs := testing.AllocsPerRun(100, func() { g.ReplayWith(rc).Release() })
+	allocs := testing.AllocsPerRun(100, func() { g.Readout(rc).Timeline().Release() })
 	if raceEnabled {
 		t.Logf("warm replay: %v allocs/op under -race (not gated)", allocs)
 	} else if allocs != 0 {
@@ -64,7 +64,7 @@ func TestExtendedReadoutReuse(t *testing.T) {
 			t.Fatalf("a replay on pooled scratch reads makespan %d compute-end %d (units %d, shift %d), want %d %d",
 				r.Makespan(), r.ComputeEnd(0), r.units, r.shift, makespan, end0)
 		}
-		r.timeline() // would panic on scratch still marked extended
+		r.Timeline() // would panic on scratch still marked extended
 		r.Release()
 	}
 	allocs := testing.AllocsPerRun(100, func() {

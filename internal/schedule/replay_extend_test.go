@@ -177,12 +177,23 @@ func TestReplayEquivalentScope(t *testing.T) {
 	if r.Extend(0) || !r.Extend(2) || r.Extend(2) {
 		t.Error("Extend must refuse zero units, accept once, and refuse a second extension")
 	}
+	r.Release()
+}
+
+// TestExtendedReadoutTimelinePanics: an extended read-out holds the short
+// schedule's finish times, so it has no per-op timeline to hand out, and
+// asking for one panics rather than presenting the short schedule's ops.
+func TestExtendedReadoutTimelinePanics(t *testing.T) {
+	r := mustGraph(t, ChimeraConfig{D: 8, N: 16}).Readout(UnitPractical.ReplayConfig())
+	if !r.Extend(2) {
+		t.Fatal("the short replay's period check refused")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("an extended read-out was presented as a timeline")
 		}
 	}()
-	r.timeline()
+	r.Timeline()
 }
 
 // TestExtendChecksWholeWindow tampers with a settled replay's finish array:

@@ -511,7 +511,7 @@ func (lbScheduler) Schedule(g *Graph, costs CostModel, speed []float64) (*Schedu
 	// positive cost), so merging groups in start order is deadlock-free for
 	// any scheme — unlike construction slots, which tie across workers in
 	// the 1F1B family.
-	tl := g.Replay(costs)
+	tl := g.Readout(costs.ReplayConfig()).Timeline()
 	type placedOp struct {
 		start int64
 		id    int32

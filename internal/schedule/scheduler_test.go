@@ -135,7 +135,8 @@ func TestSchedulerConformance(t *testing.T) {
 						t.Fatalf("policy %q is nondeterministic", polName)
 					}
 					// Replay determinism over the compiled graph.
-					t1, t2 := g.Replay(UnitPractical), g.Replay(UnitPractical)
+					rc := UnitPractical.ReplayConfig()
+					t1, t2 := g.Readout(rc).Timeline(), g.Readout(rc).Timeline()
 					if !reflect.DeepEqual(t1, t2) {
 						t.Fatalf("replay nondeterministic for policy %q", polName)
 					}

@@ -87,7 +87,7 @@ type ReplayConfig struct {
 	EdgeCost func(op Op) int64
 }
 
-// ReplayConfig lifts a uniform cost model into the ReplayWith seam.
+// ReplayConfig lifts a uniform cost model into the Readout seam.
 func (cm CostModel) ReplayConfig() ReplayConfig {
 	return ReplayConfig{
 		OpCost:   func(_ int, op Op) int64 { return cm.Cost(op) },
@@ -95,39 +95,20 @@ func (cm CostModel) ReplayConfig() ReplayConfig {
 	}
 }
 
-// Replay computes start/end times for every op under a uniform cost model.
-// See ReplayWith for the execution semantics.
-func (s *Schedule) Replay(cm CostModel) (*Timeline, error) {
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	return g.Replay(cm), nil
-}
-
-// ReplayWith computes start/end times for every op: each worker executes its
-// op list strictly in order; an op starts when the worker is free and all
-// its data dependencies (forward from previous stage, backward from next
-// stage, loss dependency at the last stage) have completed, plus edge cost
-// for cross-worker edges. Returns an error if the schedule deadlocks
-// (circular wait or unresolvable dependency), which indicates a construction
-// bug; the error names the blocked op, its worker and the unmet token.
+// Readout replays the schedule under rc: each worker executes its op list
+// strictly in order; an op starts when the worker is free and all its data
+// dependencies (forward from previous stage, backward from next stage, loss
+// dependency at the last stage) have completed, plus edge cost for
+// cross-worker edges. Makespan and bubble ratio are read straight off the
+// result; Readout.Timeline hands out every op's start and end. Returns an
+// error if the schedule deadlocks (circular wait or unresolvable
+// dependency), which indicates a construction bug; the error names the
+// blocked op, its worker and the unmet token.
 //
 // The dependency structure is a pure function of the schedule, so it is
 // compiled once into a Graph (see graph.go) and every replay is a flat
 // topological pass over it. internal/refinterp retains the original
 // map-based interpreter as the equivalence reference.
-func (s *Schedule) ReplayWith(rc ReplayConfig) (*Timeline, error) {
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	return g.ReplayWith(rc), nil
-}
-
-// Readout replays the schedule under rc and returns the planner-facing
-// read-outs without materializing a timeline (see Graph.Readout). Errors are
-// ReplayWith's.
 func (s *Schedule) Readout(rc ReplayConfig) (*Readout, error) {
 	g, err := s.Graph()
 	if err != nil {
@@ -149,15 +130,6 @@ func (tl *Timeline) BubbleRatio() float64 {
 		busy += b
 	}
 	return float64(total-busy) / float64(total)
-}
-
-// WorkerBubbles returns per-worker idle time within the makespan.
-func (tl *Timeline) WorkerBubbles() []int64 {
-	out := make([]int64, len(tl.BusyTime))
-	for w, b := range tl.BusyTime {
-		out[w] = tl.Makespan - b
-	}
-	return out
 }
 
 // ActivationHighWater returns, per worker, the peak number of in-flight

@@ -72,10 +72,12 @@ func (s *Schedule) Validate() error {
 // still busy — zero for a conflict-free merge (the paper's guarantee for
 // bidirectional pipelines with even D).
 func (s *Schedule) ConflictCount() (int, error) {
-	tl, err := s.Replay(UnitEqual)
+	r, err := s.Readout(UnitEqual.ReplayConfig())
 	if err != nil {
 		return 0, err
 	}
+	tl := r.Timeline()
+	defer tl.Release()
 	conflicts := 0
 	for w, ops := range s.Workers {
 		for i, op := range ops {

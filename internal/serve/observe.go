@@ -122,15 +122,31 @@ func (s *Server) initObserve(cfg Config) {
 	s.obs = o
 }
 
-// nextRequestID mints a new request ID unless the client supplied one.
+// nextRequestID mints a new request ID unless the client supplied a valid
+// one.
 func (o *serveObs) nextRequestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
+	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
 		return id
 	}
 	return o.idPrefix + "-" + strconv.FormatUint(o.idSeq.Add(1), 10)
+}
+
+// validRequestID reports whether a client's ID may be honored: 1–128 bytes
+// of [A-Za-z0-9._:-]. The text access log writes the ID unquoted, so a space
+// or newline in it could forge the fields that follow.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 128 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // statusWriter captures the response status for metrics and logging.

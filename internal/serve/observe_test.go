@@ -78,6 +78,35 @@ func TestRequestIDHeader(t *testing.T) {
 	if got := resp.Header.Get("X-Request-Id"); got != "client-chosen-42" {
 		t.Fatalf("client ID not honored: got %q", got)
 	}
+
+	// Only 1–128 bytes of [A-Za-z0-9._:-] are honored: a spaced ID would
+	// forge fields in the text access log, and an over-long one is not
+	// truncated into something the client never sent.
+	for id, honored := range map[string]bool{
+		"op-17":                     true,
+		"node.3:run_7":              true,
+		strings.Repeat("a", 128):    true,
+		"x GET /v1/plan status=200": false,
+		"tab\there":                 false,
+		"quote\"d":                  false,
+		strings.Repeat("a", 129):    false,
+		"caf\u00e9":                 false,
+	} {
+		req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get("X-Request-Id")
+		if honored && got != id {
+			t.Errorf("valid client ID %q not echoed: got %q", id, got)
+		}
+		if !honored && (got == id || got == "" || !validRequestID(got)) {
+			t.Errorf("client ID %q: echoed %q, want a freshly minted ID", id, got)
+		}
+	}
 }
 
 // TestDebugRequests: the flight recorder retains recent spans with phases

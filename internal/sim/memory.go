@@ -119,21 +119,14 @@ func activationPeak(cfg *Config, act []int64, wr *schedule.WorkerResidency, reco
 
 // FitsMemory reports whether the configuration fits device memory without
 // recomputation, and whether it fits with recomputation — the decision the
-// paper's figures annotate with R and OOM.
+// paper's figures annotate with R and OOM. It partitions the model and
+// prices on fresh scratch; a caller asking about one (model, D) many times
+// holds both and calls (*MemoryFit).Fits.
 func FitsMemory(cfg Config) (plain, withRecompute bool, err error) {
 	if cfg.Schedule == nil {
 		return false, false, errNilSchedule
 	}
-	return FitsResidency(cfg, cfg.Schedule.Residency())
-}
-
-// FitsResidency is FitsMemory answered from a residency profile alone:
-// cfg.Schedule is not consulted, so a caller holding the profile of an
-// equivalent (shorter) schedule never builds the schedule it is asking
-// about. It partitions the model and prices on fresh scratch; a caller
-// asking about one (model, D) many times holds both and calls
-// (*MemoryFit).Fits.
-func FitsResidency(cfg Config, res *schedule.Residency) (plain, withRecompute bool, err error) {
+	res := cfg.Schedule.Residency()
 	if err := validateFor(&cfg, len(res.Workers)); err != nil {
 		return false, false, err
 	}
@@ -145,11 +138,14 @@ func FitsResidency(cfg Config, res *schedule.Residency) (plain, withRecompute bo
 	return plain, withRecompute, nil
 }
 
-// Fits is FitsResidency over the caller's stage table — cfg.Model
-// partitioned at the profile's depth, which the planner's micro-batch search
-// (through engine.Residency) derives once per candidate rather than once per
-// B tried — reusing m's storage. Nothing but the storage outlives the call:
-// cfg is validated and the scratch cleared every time.
+// Fits is FitsMemory answered from a residency profile and the caller's
+// stage table — cfg.Model partitioned at the profile's depth, which the
+// planner's micro-batch search (through engine.Residency) derives once per
+// candidate rather than once per B tried — reusing m's storage. cfg.Schedule
+// is not consulted, so a caller holding the profile of an equivalent
+// (shorter) schedule never builds the schedule it is asking about. Nothing
+// but the storage outlives the call: cfg is validated and the scratch
+// cleared every time.
 func (m *MemoryFit) Fits(cfg Config, stages []model.Stage, res *schedule.Residency) (plain, withRecompute bool, err error) {
 	if err := validateFor(&cfg, len(res.Workers)); err != nil {
 		return false, false, err

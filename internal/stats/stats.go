@@ -1,47 +1,8 @@
-// Package stats provides the small numeric and formatting helpers shared
-// by the experiment harnesses.
+// Package stats provides the small formatting helpers shared by the
+// experiment harnesses.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
-// Mean returns the arithmetic mean of v (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// StdDev returns the sample standard deviation of v.
-func StdDev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)-1))
-}
-
-// MinMax returns the extrema of v.
-func MinMax(v []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return lo, hi
-}
+import "fmt"
 
 // Speedup formats a ratio like the paper ("1.38x").
 func Speedup(fast, slow float64) string {

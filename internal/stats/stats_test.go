@@ -1,51 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestMeanAndStdDev(t *testing.T) {
-	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(v); m != 5 {
-		t.Fatalf("mean %v", m)
-	}
-	if s := StdDev(v); math.Abs(s-2.138) > 1e-3 {
-		t.Fatalf("stddev %v", s)
-	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs must be safe")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("minmax (%v, %v)", lo, hi)
-	}
-}
-
-func TestMeanBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			// Keep the summation far from float64 overflow.
-			xs[i] = math.Mod(x, 1e12)
-		}
-		lo, hi := MinMax(xs)
-		m := Mean(xs)
-		return m >= lo-1e-9 && m <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestSpeedupAndGiB(t *testing.T) {
 	if s := Speedup(2, 3); s != "1.50x" {

@@ -121,16 +121,6 @@ func AddInto(dst, src *Tensor) {
 	}
 }
 
-// Mul computes dst = a ⊙ b elementwise.
-func Mul(dst, a, b *Tensor) *Tensor {
-	checkSameLen(a, b)
-	checkSameLen(dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return dst
-}
-
 // Scale computes dst = a * s.
 func Scale(dst, a *Tensor, s float32) *Tensor {
 	checkSameLen(dst, a)
@@ -237,18 +227,6 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Transpose2D returns a new tensor bᵀ for a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out
-}
-
 // --- nonlinearities and reductions ---
 
 // SoftmaxRows applies a numerically stable softmax to each row of x (R×C),
@@ -328,15 +306,6 @@ func RowMeanVar(x *Tensor) (mean, variance []float32) {
 		variance[i] = float32(vs / float64(c))
 	}
 	return mean, variance
-}
-
-// Sum returns the float64 sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
 }
 
 // MaxAbsDiff returns max |a-b| over all elements.

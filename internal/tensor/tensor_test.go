@@ -15,6 +15,19 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// transpose returns aᵀ for a 2-D tensor: the reference the transposed
+// matmul kernels are checked against.
+func transpose(a *Tensor) *Tensor {
+	m, n := a.Shape[0], a.Shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.Data[j*m+i] = a.Data[i*n+j]
+		}
+	}
+	return out
+}
+
 func TestNewShapeAndLen(t *testing.T) {
 	x := New(3, 4, 5)
 	if x.Len() != 60 || x.Rank() != 3 || x.Dim(1) != 4 {
@@ -90,7 +103,7 @@ func TestMatMulTransBEquivalence(t *testing.T) {
 	got := New(5, 6)
 	MatMulTransB(got, a, b)
 	want := New(5, 6)
-	MatMul(want, a, Transpose2D(b))
+	MatMul(want, a, transpose(b))
 	if d := MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("transB mismatch %v", d)
 	}
@@ -103,7 +116,7 @@ func TestMatMulTransAEquivalence(t *testing.T) {
 	got := New(4, 5)
 	MatMulTransA(got, a, b)
 	want := New(4, 5)
-	MatMul(want, Transpose2D(a), b)
+	MatMul(want, transpose(a), b)
 	if d := MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("transA mismatch %v", d)
 	}
@@ -129,7 +142,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randTensor(rng, 1+rng.Intn(6), 1+rng.Intn(6))
-		return MaxAbsDiff(Transpose2D(Transpose2D(a)), a) == 0
+		return MaxAbsDiff(transpose(transpose(a)), a) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -205,10 +218,6 @@ func TestElementwiseOps(t *testing.T) {
 	if dst.Data[2] != 9 {
 		t.Fatalf("add: %v", dst.Data)
 	}
-	Mul(dst, a, b)
-	if dst.Data[1] != 10 {
-		t.Fatalf("mul: %v", dst.Data)
-	}
 	Scale(dst, a, 2)
 	if dst.Data[0] != 2 {
 		t.Fatalf("scale: %v", dst.Data)
@@ -236,13 +245,19 @@ func TestAddBiasRows(t *testing.T) {
 }
 
 func TestSumAndFill(t *testing.T) {
+	sum := func(x *Tensor) (s float64) {
+		for _, v := range x.Data {
+			s += float64(v)
+		}
+		return s
+	}
 	x := New(10)
 	x.Fill(1.5)
-	if math.Abs(x.Sum()-15) > 1e-6 {
-		t.Fatalf("sum %v", x.Sum())
+	if math.Abs(sum(x)-15) > 1e-6 {
+		t.Fatalf("sum %v", sum(x))
 	}
 	x.Zero()
-	if x.Sum() != 0 {
+	if sum(x) != 0 {
 		t.Fatal("zero failed")
 	}
 }

@@ -22,10 +22,12 @@ var svgPalette = []struct{ fwd, bwd string }{
 // worker, one rect per op, colored by replica and pass direction, labelled
 // with the micro-batch id. Suitable for embedding in documentation.
 func SVG(s *schedule.Schedule, cm schedule.CostModel) (string, error) {
-	tl, err := s.Replay(cm)
+	r, err := s.Readout(cm.ReplayConfig())
 	if err != nil {
 		return "", err
 	}
+	tl := r.Timeline()
+	defer tl.Release()
 	const (
 		rowH    = 28
 		unitW   = 18

@@ -107,11 +107,12 @@ func TestSVGStructure(t *testing.T) {
 			t.Fatalf("missing worker label P%d", w)
 		}
 	}
-	tl, err := s.Replay(schedule.UnitPractical)
+	ro, err := s.Readout(schedule.UnitPractical.ReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, fmt.Sprintf("makespan %d", tl.Makespan)) {
+	defer ro.Release()
+	if !strings.Contains(out, fmt.Sprintf("makespan %d", ro.Makespan())) {
 		t.Fatal("header does not state the makespan")
 	}
 	// Backward ops use the darker palette entry of replica 0 (down).

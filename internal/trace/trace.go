@@ -18,10 +18,12 @@ import (
 // Up-pipeline (reverse-direction) replicas render with a '˄' marker row in
 // the legend instead of colors.
 func ASCII(s *schedule.Schedule, cm schedule.CostModel) (string, error) {
-	tl, err := s.Replay(cm)
+	r, err := s.Readout(cm.ReplayConfig())
 	if err != nil {
 		return "", err
 	}
+	tl := r.Timeline()
+	defer tl.Release()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s D=%d N=%d f=%d (1 col = %d time unit, F=digit, B='-digit', up-pipeline ops in [])\n",
 		s.Scheme, s.D, s.N, s.F, 1)
@@ -74,10 +76,12 @@ type chromeEvent struct {
 // ChromeTrace renders the replayed schedule as Chrome-trace JSON; each
 // worker is a thread, each op a complete event.
 func ChromeTrace(s *schedule.Schedule, cm schedule.CostModel) ([]byte, error) {
-	tl, err := s.Replay(cm)
+	r, err := s.Readout(cm.ReplayConfig())
 	if err != nil {
 		return nil, err
 	}
+	tl := r.Timeline()
+	defer tl.Release()
 	var events []chromeEvent
 	for w := 0; w < s.D; w++ {
 		for i, op := range s.Workers[w] {
