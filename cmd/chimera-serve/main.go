@@ -16,8 +16,8 @@
 // GET /debug/requests dumps the flight recorder's last -flight-recorder
 // request spans with per-phase timings; -pprof mounts /debug/pprof/.
 // Every response carries an X-Request-Id header (honored if the client
-// sent one of 1–128 bytes of [A-Za-z0-9._:-]), and -log-format selects the per-request access-log encoding
-// on stderr ("json", "text", or "none").
+// sent one of 1–128 bytes of [A-Za-z0-9._:-]), and -log-format selects the
+// per-request access-log encoding on stderr ("json", "text", or "none").
 //
 // Example:
 //
