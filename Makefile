@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sweep lint bench-build fuzz cover clean
+.PHONY: all build test race race-sweep lint bench-build bench-smoke fuzz cover clean
 
 all: build lint test
 
@@ -45,6 +45,13 @@ race-sweep:
 # it is the repository's only one.
 bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# bench-smoke runs every in-module benchmark of the planner core once.
+# `go test` only compiles benchmarks; one iteration each runs the checks
+# they carry (an extended makespan equals the full one, a kernel benchmark
+# times the row width it names). It measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine
 
 lint:
 	$(GO) vet ./...

@@ -20,14 +20,18 @@ func (g *Graph) OrderError() error {
 			return fmt.Errorf("node %d appears at %d and again at %d", id, at[id]-1, i)
 		}
 		at[id] = i + 1
-		for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
-			if p, _ := g.predAt(e); at[p] == 0 {
+		for _, p := range g.row(id) {
+			if p, _ = unpack(p); p != int32(g.Nodes()) && at[p] == 0 {
 				return fmt.Errorf("node %d at position %d precedes its predecessor %d", id, i, p)
 			}
 		}
 	}
 	return nil
 }
+
+// Arity is the width of the graph's predecessor rows, for the external test
+// package's hand-built schedules.
+func (g *Graph) Arity() int { return int(g.arity) }
 
 // PeriodicNs and ExhaustiveD hand the periodicity tests' micro-batch counts
 // and depth bound to the external test package, which can import the engine.

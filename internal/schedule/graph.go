@@ -3,15 +3,17 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Graph is a schedule compiled to a dependency-graph IR. Nodes are the
 // schedule's ops laid out worker-major (node id = base[w] + i for op i of
-// worker w); edges are every resolved data dependency plus each worker's
-// program order, stored as flat int-indexed CSR arrays with cross-worker
-// edges flagged (they pay ReplayConfig.EdgeCost).
+// worker w); edges are each worker's program order plus every distinct
+// producer a node's tokens resolve to, stored as a fixed-stride table of
+// predecessor rows with cross-worker edges flagged (they pay
+// ReplayConfig.EdgeCost).
 //
 // Compilation resolves, exactly once, the two things about a schedule that
 // no cost model changes: the dependency tokens, and the op shapes. A shape
@@ -36,13 +38,21 @@ type Graph struct {
 	// shape[id] indexes shapes: the pricing class of node id.
 	shape  []uint16
 	shapes []opShape
-	// CSR predecessor lists: node id's predecessors are
-	// pred[predStart[id]:predStart[id+1]]. An edge whose producer runs on
-	// a different worker than the consumer (it pays ReplayConfig.EdgeCost)
-	// is stored bitwise-complemented (^p < 0), packing the cross flag into
-	// the id's sign instead of a parallel []bool.
-	predStart []int32
-	pred      []int32
+	// Predecessor rows of arity slots each: node id's row is
+	// pred[id·arity:(id+1)·arity]. Slot 0 is its program-order predecessor,
+	// the previous op of its worker; the other slots are its distinct data
+	// producers, in the order of the first micro-batch each one feeds. A
+	// producer on a different worker than the consumer (it pays
+	// ReplayConfig.EdgeCost) is stored bitwise-complemented (^p < 0),
+	// packing the cross flag into the id's sign instead of a parallel
+	// []bool. Unused slots — slot 0 of a worker's first op, data slots past
+	// the last producer — hold the sentinel Nodes(), a node past the last
+	// whose finish time every replay keeps at 0. arity is 1 + the most
+	// distinct producers of any op, and at least 2: 2 for every generator
+	// schedule (a doubled forward's two tokens come from one node), wider
+	// only for hand-built ones.
+	arity int32
+	pred  []int32
 	// order is a topological order of the node ids: a permutation in which
 	// every predecessor comes before its consumer (existence is proven at
 	// compile time; a cycle is the compile-time deadlock error). Which valid
@@ -70,26 +80,31 @@ type gradNode struct {
 	node int32
 }
 
-// predAt unpacks edge e: the producing node id and whether the edge
-// crosses workers.
-func (g *Graph) predAt(e int32) (int32, bool) {
-	p := g.pred[e]
+// unpack splits a predecessor slot into the producing node id and whether
+// the edge crosses workers.
+func unpack(p int32) (int32, bool) {
 	if p < 0 {
 		return ^p, true
 	}
 	return p, false
 }
 
-// dataEdges returns the range of node id's data edges in pred, given the
-// first node of its worker: every node but a worker's first leads with its
-// program-order edge, then carries one data edge per consumed token, in
-// Micros order.
-func (g *Graph) dataEdges(id, workerFirst int32) (from, to int32) {
-	from = g.predStart[id]
-	if id > workerFirst {
-		from++
+// row returns node id's predecessor slots.
+func (g *Graph) row(id int32) []int32 {
+	i, a := int(id)*int(g.arity), int(g.arity)
+	return g.pred[i : i+a : i+a]
+}
+
+// dataEdges returns node id's data producers, packed as in pred: its row
+// past the program-order slot, up to the first sentinel.
+func (g *Graph) dataEdges(id int32) []int32 {
+	row := g.row(id)[1:]
+	for i, p := range row {
+		if p == int32(g.Nodes()) {
+			return row[:i]
+		}
 	}
-	return from, g.predStart[id+1]
+	return row
 }
 
 // at returns the worker and op of node id, read through the source
@@ -148,6 +163,16 @@ func (p *producerTab) get(k depKey) (int32, bool) {
 	return int32(uint32(v)) - 1, true
 }
 
+// slot returns k's producer as a predecessor slot of a consumer on the
+// worker whose nodes are [lo, hi): complemented if it runs on another worker.
+func (p *producerTab) slot(k depKey, lo, hi int32) (int32, bool) {
+	id, ok := p.get(k)
+	if id < lo || id >= hi {
+		id = ^id
+	}
+	return id, ok
+}
+
 // putFirst records id as k's producer unless one is already recorded
 // (first producer wins on duplicate tokens; Validate rejects such
 // schedules separately).
@@ -166,10 +191,20 @@ func (s *Schedule) Graph() (*Graph, error) {
 	return s.compiled, s.compileErr
 }
 
-// Nodes returns the op count; Edges the dependency-edge count (data edges
-// plus worker program-order edges).
+// Nodes returns the op count. Edges returns the dependency-edge count: one
+// program-order edge per op but a worker's first, plus one per distinct
+// producer of each op's tokens — not one per consumed token: a doubled
+// forward waits on its one producer once.
 func (g *Graph) Nodes() int { return len(g.shape) }
-func (g *Graph) Edges() int { return len(g.pred) }
+func (g *Graph) Edges() int {
+	edges := 0
+	for _, p := range g.pred {
+		if p != int32(g.Nodes()) {
+			edges++
+		}
+	}
+	return edges
+}
 
 // consumed returns the data token op waits on for each micro-batch it
 // carries, with the micro field left for the caller to fill in: forward
@@ -211,16 +246,14 @@ func compileGraph(s *Schedule) (*Graph, error) {
 		s:         s,
 		base:      make([]int32, s.D+1),
 		shape:     make([]uint16, total),
-		predStart: make([]int32, total+1),
 		gradStart: make([]int32, s.D+1),
 	}
 
 	// The flat tables below need every index range up front. Micro ids are
 	// dense small integers by construction, so the producer table stays tiny
 	// (2·maxMicro·D·halves entries); replicas and maxLen (the widest micro
-	// list) size the shape table. maxEdges bounds the CSR: one program-order
-	// edge per op plus at most one data token per carried micro.
-	maxMicro, maxEdges, maxLen, replicas, halves := 0, 0, 1, 1, 1
+	// list) size the shape table.
+	maxMicro, maxLen, replicas, halves := 0, 1, 1, 1
 	nodes := int32(0)
 	for w, ops := range s.Workers {
 		g.base[w] = nodes
@@ -230,7 +263,6 @@ func compileGraph(s *Schedule) (*Graph, error) {
 			if op.Kind > Backward || op.Stage < 0 || op.Stage >= s.D || op.Replica < 0 || op.Half > 2 || len(op.Micros) == 0 {
 				return nil, fmt.Errorf("schedule %q (D=%d N=%d): op %s on worker %d is malformed (kind, stage, replica, half or micro list out of range)", s.Scheme, s.D, s.N, *op, w)
 			}
-			maxEdges += 1 + len(op.Micros)
 			maxLen = max(maxLen, len(op.Micros))
 			replicas = max(replicas, op.Replica+1)
 			halves = max(halves, int(op.Half)+1)
@@ -287,50 +319,117 @@ func compileGraph(s *Schedule) (*Graph, error) {
 		return nil, fmt.Errorf("schedule %q (D=%d N=%d): %d op shapes exceed the graph's uint16 shape space", s.Scheme, s.D, s.N, len(g.shapes))
 	}
 
-	// Build the predecessor CSR in a single pass: edges are emitted
-	// directly into an upper-bound-sized array (trimmed afterwards) with
-	// predStart compacting as we go, verifying every consumed token has a
-	// producer — an unresolvable token is the first class of construction
-	// deadlock, and it is diagnosable exactly here, with the op, worker
-	// and token in hand. dataEdges states the layout of a node's edges.
-	pred := make([]int32, maxEdges)
-	e := int32(0)
-	for w, ops := range s.Workers {
-		lo, hi := g.base[w], g.base[w+1]
-		for i := range ops {
-			op := &ops[i]
-			id := lo + int32(i)
-			g.predStart[id] = e
-			if i > 0 {
-				pred[e] = id - 1 // program-order edge to the previous op
-				e++
-			}
-			k, ok := s.consumed(op)
-			if !ok {
-				continue
-			}
-			for _, m := range op.Micros {
-				k.micro = m
-				p, ok := producer.get(k)
-				if !ok {
-					return nil, fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
-						s.Scheme, s.D, s.N, *op, w, k)
-				}
-				if p < lo || p >= hi { // produced on another worker
-					p = ^p
-				}
-				pred[e] = p
-				e++
-			}
-		}
+	// Every generator schedule has rows of two slots, and writePairs is the
+	// only pass over its tokens. A hand-built op with two distinct producers
+	// stops it, and writeRows writes the table at the width it needs.
+	wide, err := g.writePairs(producer)
+	if err == nil && wide {
+		err = g.writeRows(producer, maxLen)
 	}
-	g.predStart[total] = e
-	g.pred = pred[:e:e]
+	if err != nil {
+		return nil, err
+	}
 
 	if err := g.topoSort(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// writePairs writes the predecessor table as rows of two slots in a single
+// pass — program order, then the op's one producer or the sentinel — each
+// slot once, verifying every consumed token has a producer: an unresolvable
+// token is the first class of construction deadlock, and it is diagnosable
+// exactly here, with the op, worker and token in hand. At the first op with
+// two distinct producers it reports wide and leaves the table unfinished.
+//
+// It is kept apart from writeRows's general loop on purpose: with that
+// loop's bookkeeping in it — never run for a generator schedule — this pass
+// measured about a third slower, and it is a quarter of a cold compile.
+func (g *Graph) writePairs(producer *producerTab) (wide bool, err error) {
+	s, sentinel := g.s, int32(g.Nodes())
+	pred := make([]int32, 2*int(sentinel))
+	g.arity, g.pred = 2, pred
+	for w, ops := range s.Workers {
+		lo, hi := g.base[w], g.base[w+1]
+		for i := range ops {
+			op := &ops[i]
+			id := lo + int32(i)
+			row := pred[2*int(id) : 2*int(id)+2 : 2*int(id)+2]
+			row[0], row[1] = id-1, sentinel
+			if i == 0 {
+				row[0] = sentinel
+			}
+			k, ok := s.consumed(op)
+			if !ok {
+				continue
+			}
+			for j, m := range op.Micros {
+				k.micro = m
+				p, ok := producer.slot(k, lo, hi)
+				if !ok {
+					return false, g.noProducer(w, op, k)
+				}
+				if j > 0 && p != row[1] {
+					return true, nil
+				}
+				row[1] = p
+			}
+		}
+	}
+	return false, nil
+}
+
+// writeRows is writePairs for a schedule with an op of several distinct
+// producers: it writes rows of 1 + maxLen slots, enough for any op, then
+// narrows them in place to the widest row. Only hand-built schedules reach
+// it.
+func (g *Graph) writeRows(producer *producerTab, maxLen int) error {
+	s, sentinel, a := g.s, int32(g.Nodes()), 1+maxLen
+	pred := make([]int32, int(sentinel)*a)
+	arity := 2
+	for w, ops := range s.Workers {
+		lo, hi := g.base[w], g.base[w+1]
+		for i := range ops {
+			op := &ops[i]
+			id := lo + int32(i)
+			row, n := pred[int(id)*a:int(id)*a+a], 1
+			row[0] = id - 1
+			if i == 0 {
+				row[0] = sentinel
+			}
+			if k, ok := s.consumed(op); ok {
+				for _, m := range op.Micros {
+					k.micro = m
+					p, ok := producer.slot(k, lo, hi)
+					if !ok {
+						return g.noProducer(w, op, k)
+					}
+					if !slices.Contains(row[1:n], p) {
+						row[n] = p
+						n++
+					}
+				}
+			}
+			arity = max(arity, n)
+			for ; n < a; n++ {
+				row[n] = sentinel
+			}
+		}
+	}
+	for id := range int(sentinel) {
+		copy(pred[id*arity:], pred[id*a:id*a+arity])
+	}
+	g.arity, g.pred = int32(arity), pred[:int(sentinel)*arity]
+	return nil
+}
+
+// noProducer is the deadlock of op on worker w waiting on a token k that no
+// op produces.
+func (g *Graph) noProducer(w int, op *Op, k depKey) error {
+	s := g.s
+	return fmt.Errorf("schedule %q (D=%d N=%d): deadlock: op %s on worker %d waits on %s, which no op produces",
+		s.Scheme, s.D, s.N, *op, w, k)
 }
 
 // A node's state during topoSort: emitted, nobody waiting for it yet (the
@@ -360,11 +459,12 @@ const (
 // same worker, or workers waiting on each other).
 func (g *Graph) topoSort() error {
 	total, d := g.Nodes(), len(g.base)-1
-	// One pooled scratch block: state per node | cursor, next, ready per
-	// worker. Only state needs clearing on reuse — cursor and ready are
-	// assigned below, and next[w] is written each time w parks, before any
-	// read of it.
-	need := total + 3*d
+	// One pooled scratch block: state per node and the sentinel | cursor,
+	// next, ready per worker. Only state needs resetting on reuse — cursor
+	// and ready are assigned below, and next[w] is written each time w
+	// parks, before any read of it. The sentinel reads as emitted, so a
+	// row's unused slots never park a worker.
+	need := total + 1 + 3*d
 	sp, _ := topoScratchPool.Get().(*[]int32)
 	if sp == nil {
 		sp = new([]int32)
@@ -374,26 +474,30 @@ func (g *Graph) topoSort() error {
 	}
 	defer topoScratchPool.Put(sp)
 	block := (*sp)[:need]
-	state := block[:total]
+	state := block[:total+1]
 	clear(state)
-	cursor := block[total : total+d]             // the node worker w runs next
-	next := block[total+d : total+2*d]           // the worker parked behind w, +1
-	ready := block[total+2*d : total+2*d : need] // stack of runnable workers, cap d
+	state[total] = nodeEmitted
+	block = block[total+1:]
+	cursor := block[:d]             // the node worker w runs next
+	next := block[d : 2*d]          // the worker parked behind w, +1
+	ready := block[2*d : 2*d : 3*d] // stack of runnable workers, cap d
 	for w := d - 1; w >= 0; w-- {
 		cursor[w] = g.base[w]
 		ready = append(ready, int32(w))
 	}
 	order := make([]int32, total)
 	emitted := 0
+	pred, a := g.pred, int(g.arity)
 	for len(ready) > 0 {
 		w := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
-		id, lo, hi := cursor[w], g.base[w], g.base[w+1]
+		id, hi := cursor[w], g.base[w+1]
+		at := int(id) * a // where id's row starts in pred
 	walk:
-		for ; id < hi; id++ {
-			// Not the program-order edge: the previous op was just emitted.
-			for e, to := g.dataEdges(id, lo); e < to; e++ {
-				if p, _ := g.predAt(e); state[p] != nodeEmitted {
+		for ; id < hi; id, at = id+1, at+a {
+			// Not the program-order slot: the previous op was just emitted.
+			for _, p := range pred[at+1 : at+a] {
+				if p, _ = unpack(p); state[p] != nodeEmitted {
 					next[w], state[p] = state[p], w+1
 					break walk
 				}
@@ -417,7 +521,8 @@ func (g *Graph) topoSort() error {
 // deadlockError diagnoses a dependency cycle from where topoSort stopped: it
 // names the parked op of the first worker, in worker order, that could not
 // finish — its worker, the unmet dependency token, and the token's (equally
-// stuck) producer.
+// stuck) producer. A row holds producers, not tokens, so the token is the
+// first of the op's micro-batches that the producer carries.
 func (g *Graph) deadlockError(cursor, state []int32, remaining int) error {
 	s := g.s
 	for w := 0; w < s.D; w++ {
@@ -427,14 +532,17 @@ func (g *Graph) deadlockError(cursor, state []int32, remaining int) error {
 		}
 		op := &s.Workers[w][id-g.base[w]]
 		unmet, _ := s.consumed(op)
-		first, to := g.dataEdges(id, g.base[w])
-		for e := first; e < to; e++ {
-			p, _ := g.predAt(e)
-			if state[p] == nodeEmitted {
+		for _, p := range g.dataEdges(id) {
+			if p, _ = unpack(p); state[p] == nodeEmitted {
 				continue
 			}
-			unmet.micro = op.Micros[e-first]
 			pw, pop := g.at(p)
+			for _, m := range op.Micros {
+				if slices.Contains(pop.Micros, m) {
+					unmet.micro = m
+					break
+				}
+			}
 			return fmt.Errorf("schedule %q (D=%d N=%d): deadlock with %d ops unscheduled: op %s on worker %d waits on %s, whose producer %s on worker %d cannot run",
 				s.Scheme, s.D, s.N, remaining, *op, w, unmet, *pop, pw)
 		}
@@ -449,22 +557,36 @@ var topoScratchPool sync.Pool
 // run is the replay kernel, the one loop every replay entry point reaches:
 // an op finishes at the latest of its predecessors' finish times (cross-worker
 // edges add the consumer's edge cost) plus its own cost. cost and edge are
-// indexed by shape; end by node id. The recurrence is exactly the map
-// interpreter's greedy semantics — each worker executes its list in order,
-// blocking on receives — so finish times are bit-identical to it.
+// indexed by shape; end by node id, with one more entry for the sentinel,
+// which must hold 0. The recurrence is exactly the map interpreter's greedy
+// semantics — each worker executes its list in order, blocking on receives —
+// so finish times are bit-identical to it.
+//
+// Rows of two slots, every generator schedule's, take an unrolled body with
+// no inner loop: slot 0 is program order and never crosses workers, so only
+// slot 1 is unpacked. Wider rows take the plain loop.
 func (g *Graph) run(end, cost, edge []int64) {
+	if g.arity == 2 {
+		for _, id := range g.order {
+			sh, row := g.shape[id], g.pred[2*int(id):2*int(id)+2:2*int(id)+2]
+			start := end[row[0]]
+			if p := row[1]; p < 0 {
+				start = max(start, end[^p]+edge[sh])
+			} else {
+				start = max(start, end[p])
+			}
+			end[id] = start + cost[sh]
+		}
+		return
+	}
 	for _, id := range g.order {
 		sh := g.shape[id]
 		var start int64
-		for _, p := range g.pred[g.predStart[id]:g.predStart[id+1]] {
-			var t int64
+		for _, p := range g.row(id) {
 			if p < 0 {
-				t = end[^p] + edge[sh]
+				start = max(start, end[^p]+edge[sh])
 			} else {
-				t = end[p]
-			}
-			if t > start {
-				start = t
+				start = max(start, end[p])
 			}
 		}
 		end[id] = start + cost[sh]
@@ -486,7 +608,7 @@ func (g *Graph) run(end, cost, edge []int64) {
 // non-negative, which every cost model here guarantees.
 type Readout struct {
 	g        *Graph
-	end      []int64     // finish time per node
+	end      []int64     // finish time per node, then the sentinel's 0
 	cost     []int64     // op cost per shape
 	edge     []int64     // cross-worker edge cost per shape
 	ready    []GradReady // one per g.grad entry
@@ -528,7 +650,8 @@ func (g *Graph) Readout(rc ReplayConfig) *Readout {
 		r = &Readout{}
 	}
 	r.g, r.units, r.shift = g, 0, 0
-	r.end = grow(r.end, len(g.shape))
+	r.end = grow(r.end, len(g.shape)+1)
+	r.end[len(g.shape)] = 0 // the sentinel's finish time
 	r.cost, r.edge = grow(r.cost, len(g.shapes)), grow(r.edge, len(g.shapes))
 	for i := range g.shapes {
 		sh := &g.shapes[i]

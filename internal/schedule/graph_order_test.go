@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,76 @@ func TestGraphOrderIsTopological(t *testing.T) {
 	}
 }
 
+// TestGeneratorsCompileToStrideTwo: every generator schedule — each scheme,
+// each concatenation mode, F ∈ {1, 2}, the scheme's own placement and each
+// list policy on a worker twice as slow as the rest — compiles to rows of two
+// slots, the replay kernel's unrolled path. A generator change that gave an
+// op two distinct producers would fall onto the plain loop, and fails here.
+func TestGeneratorsCompileToStrideTwo(t *testing.T) {
+	compiled := 0
+	for _, scheme := range append(Schemes(), "1f1b") {
+		for _, concat := range []ConcatMode{Direct, ForwardDoubling, BackwardHalving} {
+			for _, f := range []int{1, 2} {
+				if scheme != "chimera" && (concat != Direct || f != 1) {
+					continue
+				}
+				for _, d := range []int{4, 8} {
+					for _, n := range []int{d / 2, d, 2 * d, 3 * d} {
+						for _, policy := range []string{"", "heft", "cpop", "lb"} {
+							spec := Spec{Scheme: scheme, Scheduler: policy, D: d, N: n, F: f, Concat: concat,
+								SpeedFactors: speedProfiles(d)["straggler"]}
+							s, err := Build(spec)
+							if err != nil {
+								t.Fatalf("%+v: %v", spec, err)
+							}
+							g, err := s.Graph()
+							if err != nil {
+								t.Fatalf("%+v: %v", spec, err)
+							}
+							if g.arity != 2 {
+								t.Fatalf("%+v: compiled to rows of %d slots, want 2", spec, g.arity)
+							}
+							compiled++
+						}
+					}
+				}
+			}
+		}
+	}
+	// The six other schemes once and chimera's six (concat, F) pairs, at
+	// eight sizes under four policies.
+	if want := 12 * 8 * 4; compiled != want {
+		t.Fatalf("checked %d schedules, want %d", compiled, want)
+	}
+}
+
+// TestPaddedRowsReplayLikePairs holds the kernel's plain loop to its
+// two-slot body on every schedule of the ordering matrix: the same graph with
+// a sentinel slot appended to each row replays to the same finish times. A
+// hand-built schedule with rows of three slots can leave an edge of the loop
+// unbound; these schedules bind every kind of edge somewhere.
+func TestPaddedRowsReplayLikePairs(t *testing.T) {
+	rc := CostModel{FUnit: 173, BUnit: 391, P2P: 29}.ReplayConfig()
+	for name, s := range orderingMatrix(t) {
+		g, err := s.Graph()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		padded, n := *g, g.Nodes()
+		padded.arity, padded.pred = 3, make([]int32, 3*n)
+		for id := range n {
+			copy(padded.pred[3*id:], g.row(int32(id)))
+			padded.pred[3*id+2] = int32(n)
+		}
+		want, got := g.Readout(rc), padded.Readout(rc)
+		if !slices.Equal(got.end[:n], want.end[:n]) {
+			t.Fatalf("%s: rows of three slots replay to other finish times than rows of two", name)
+		}
+		want.Release()
+		got.Release()
+	}
+}
+
 // TestDeadlockOnOwnToken: the token grammar cannot make an op consume what it
 // produces itself (a token and its consumer differ in stage or kind), so the
 // self-edge is wired into a compiled graph by hand. The sort must park the
@@ -42,11 +113,13 @@ func TestDeadlockOnOwnToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 1 is B0@s0: a program-order edge, then its data edge to B0@s1.
-	if p, cross := g.predAt(g.predStart[1] + 1); p != 3 || !cross {
-		t.Fatalf("B0@s0's data edge is (%d, cross=%v), want node 3 across workers", p, cross)
+	// Node 1 is B0@s0: its row is the program-order edge to node 0, then its
+	// data edge to B0@s1.
+	row := g.row(1)
+	if p, cross := unpack(row[1]); row[0] != 0 || p != 3 || !cross {
+		t.Fatalf("B0@s0's row is %v, want node 0, then node 3 across workers", row)
 	}
-	g.pred[g.predStart[1]+1] = 1
+	row[1] = 1
 	err = g.topoSort()
 	if err == nil {
 		t.Fatal("want a deadlock error for a self-edge, got none")

@@ -180,7 +180,8 @@ func TestGraphCriticalPathEquivalence(t *testing.T) {
 }
 
 // TestGraphSizes sanity-checks the IR: one node per op; edges = program-order
-// chains (ops − workers with ops) + one data edge per consumed token.
+// chains (ops − workers with ops) + one data edge per distinct producer of an
+// op's tokens (here every op carries one micro-batch, so one per token).
 func TestGraphSizes(t *testing.T) {
 	s, err := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 4})
 	if err != nil {
@@ -302,18 +303,84 @@ func TestWaiterChainTwoDeep(t *testing.T) {
 	assertTimelinesEqual(t, s.Scheme, "p2p", g.Readout(cm.ReplayConfig()).Timeline(), want)
 }
 
+// fwd and bwd are hand-built ops of replica 0.
+func fwd(stage int, micros ...int) schedule.Op {
+	return schedule.Op{Kind: schedule.Forward, Stage: stage, Micros: micros}
+}
+
+func bwd(stage int, micros ...int) schedule.Op {
+	return schedule.Op{Kind: schedule.Backward, Stage: stage, Micros: micros}
+}
+
+// wideProducers is a schedule with an op no generator makes: worker 0's
+// F[0 1]@s1 takes its two micro-batches from two nodes, F0@s0 on worker 1 and
+// F1@s0 on worker 2, so it has two data producers and the graph rows of three
+// slots. With cyclic set, worker 2 runs its backward before that forward, and
+// the second producer can never run.
+func wideProducers(cyclic bool) *schedule.Schedule {
+	w2 := []schedule.Op{fwd(0, 1), bwd(0, 1)}
+	if cyclic {
+		w2[0], w2[1] = w2[1], w2[0]
+	}
+	return handBuilt("wide-producers", 2, [][]schedule.Op{
+		{fwd(1, 0, 1), bwd(1, 0, 1)},
+		{fwd(0, 0), fwd(2, 0, 1), bwd(2, 0, 1), bwd(0, 0)},
+		w2,
+	})
+}
+
+// TestWideRowsMatchInterpreter: a schedule whose rows need a third slot
+// compiles to them — the kernel's plain loop, not the two-slot body — with a
+// valid order, and replays bit-identically to the interpreter: timeline,
+// read-outs and critical path, under every cost model of the grid.
+func TestWideRowsMatchInterpreter(t *testing.T) {
+	s := wideProducers(false)
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Arity() != 3 {
+		t.Fatalf("compiled to rows of %d slots, want 3", g.Arity())
+	}
+	// 8 ops on 3 workers → 5 program-order edges. Data edges: 2 for the
+	// forward of two producers, 1 for each of the other five ops that
+	// consume — three of them doubled, one producer for two tokens → 7.
+	if want := 5 + 7; g.Edges() != want {
+		t.Fatalf("graph has %d edges, want %d", g.Edges(), want)
+	}
+	if err := g.OrderError(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range equivCostModels {
+		want, err := refinterp.Replay(s, m.cm)
+		if err != nil {
+			t.Fatalf("%s: interpreter replay: %v", m.name, err)
+		}
+		got := g.Readout(m.cm.ReplayConfig()).Timeline()
+		assertTimelinesEqual(t, s.Scheme, m.name, got, want)
+		got.Release()
+		checkReadout(t, s.Scheme+"/"+m.name, s, m.cm.ReplayConfig())
+	}
+	checkReadout(t, s.Scheme+"/hetero", s, heteroReplayConfig)
+	gotF, gotB, err := schedule.CriticalPath(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantF, wantB, err := refinterp.CriticalPath(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotF != wantF || gotB != wantB {
+		t.Fatalf("graph (Cf, Cb) = (%d, %d), interpreter (%d, %d)", gotF, gotB, wantF, wantB)
+	}
+}
+
 // TestDeadlockDiagnoses covers the cycles beyond TestDeadlockNamesCycle's: each
 // must be reported as a deadlock naming the first blocked op in worker order,
 // its worker, its unmet token and the stuck producer, and must be the same
 // class of failure to the reference interpreter — a deadlock with as many ops
 // unscheduled, that op among the ones the interpreter lists as next.
 func TestDeadlockDiagnoses(t *testing.T) {
-	f := func(stage, micro int) schedule.Op {
-		return schedule.Op{Kind: schedule.Forward, Stage: stage, Micros: []int{micro}}
-	}
-	b := func(stage, micro int) schedule.Op {
-		return schedule.Op{Kind: schedule.Backward, Stage: stage, Micros: []int{micro}}
-	}
 	for _, c := range []struct {
 		name string
 		s    *schedule.Schedule
@@ -328,8 +395,8 @@ func TestDeadlockDiagnoses(t *testing.T) {
 			// the gradient of: each worker is parked on the other's token.
 			name: "mutual-wait",
 			s: handBuilt("mutual-wait", 1, [][]schedule.Op{
-				{b(0, 0), f(0, 0)},
-				{f(1, 0), b(1, 0)},
+				{bwd(0, 0), fwd(0, 0)},
+				{fwd(1, 0), bwd(1, 0)},
 			}),
 			unscheduled: 4, blocked: "op B0@s0/r0", worker: "on worker 0",
 			token: "waits on B(micro 0, stage 1)", producer: "producer B0@s1/r0 on worker 1 cannot run",
@@ -340,8 +407,8 @@ func TestDeadlockDiagnoses(t *testing.T) {
 			// it has ordered two ops further down its own program.
 			name: "waits-on-own-later-op",
 			s: handBuilt("own-later-op", 2, [][]schedule.Op{
-				{f(1, 1), b(1, 0), b(1, 1), f(1, 0)},
-				{f(0, 0), f(0, 1), b(0, 0), b(0, 1)},
+				{fwd(1, 1), bwd(1, 0), bwd(1, 1), fwd(1, 0)},
+				{fwd(0, 0), fwd(0, 1), bwd(0, 0), bwd(0, 1)},
 			}),
 			unscheduled: 5, blocked: "op B0@s1/r0", worker: "on worker 0",
 			token: "waits on F(micro 0, stage 1)", producer: "producer F0@s1/r0 on worker 0 cannot run",
@@ -356,6 +423,28 @@ func TestDeadlockDiagnoses(t *testing.T) {
 			unscheduled: 4, blocked: "op F0@s2/r0", worker: "on worker 0",
 			token: "waits on F(micro 0, stage 1)", producer: "producer F[0 1]@s1/r0 on worker 2 cannot run",
 			interpreterEntry: " w0:F0@s2/r0",
+		},
+		{
+			// A row holds producers, not tokens: the unmet one is the
+			// second producer's, and so is the token named.
+			name:        "second-of-two-producers",
+			s:           wideProducers(true),
+			unscheduled: 7, blocked: "op F[0 1]@s1/r0", worker: "on worker 0",
+			token: "waits on F(micro 1, stage 0)", producer: "producer F1@s0/r0 on worker 2 cannot run",
+			interpreterEntry: " w0:F[0 1]@s1/r0",
+		},
+		{
+			// The first producer carries two of the three micro-batches, so
+			// the second producer's slot is not the second micro-batch's.
+			name: "second-producer-past-a-doubled-one",
+			s: handBuilt("doubled-then-single", 3, [][]schedule.Op{
+				{fwd(1, 0, 1, 2)},
+				{fwd(0, 0, 1)},
+				{fwd(2, 2), fwd(0, 2)},
+			}),
+			unscheduled: 3, blocked: "op F[0 1 2]@s1/r0", worker: "on worker 0",
+			token: "waits on F(micro 2, stage 0)", producer: "producer F2@s0/r0 on worker 2 cannot run",
+			interpreterEntry: " w0:F[0 1 2]@s1/r0",
 		},
 	} {
 		_, err := c.s.Readout(schedule.UnitEqual.ReplayConfig())

@@ -228,22 +228,29 @@ func TestExtendChecksWholeWindow(t *testing.T) {
 }
 
 // sameNode reports whether node a of ga and node b of gb agree in shape and
-// in every predecessor (same order, same worker, same cross flag), each
-// predecessor's program index shifted by as much as the node's own.
+// in every predecessor slot (same order, same worker, same cross flag, unused
+// in both or in neither), each predecessor's program index shifted by as
+// much as the node's own.
 func sameNode(ga *Graph, a int32, gb *Graph, b int32) bool {
 	sa, sb := ga.shapes[ga.shape[a]], gb.shapes[gb.shape[b]]
 	if sa.worker != sb.worker || sa.op.Kind != sb.op.Kind || sa.op.Stage != sb.op.Stage ||
 		sa.op.Replica != sb.op.Replica || len(sa.op.Micros) != len(sb.op.Micros) || sa.op.Half != sb.op.Half {
 		return false
 	}
-	ea, eb := ga.predStart[a], gb.predStart[b]
-	if ga.predStart[a+1]-ea != gb.predStart[b+1]-eb {
+	ra, rb := ga.row(a), gb.row(b)
+	if len(ra) != len(rb) {
 		return false
 	}
 	shift := (b - gb.base[sb.worker]) - (a - ga.base[sa.worker])
-	for ; ea < ga.predStart[a+1]; ea, eb = ea+1, eb+1 {
-		pa, ca := ga.predAt(ea)
-		pb, cb := gb.predAt(eb)
+	for k := range ra {
+		pa, ca := unpack(ra[k])
+		pb, cb := unpack(rb[k])
+		if unusedA, unusedB := pa == int32(ga.Nodes()), pb == int32(gb.Nodes()); unusedA || unusedB {
+			if unusedA != unusedB {
+				return false
+			}
+			continue
+		}
 		wa, _ := ga.at(pa)
 		wb, _ := gb.at(pb)
 		if wa != wb || ca != cb || (pb-gb.base[wb])-(pa-ga.base[wa]) != shift {
@@ -253,9 +260,9 @@ func sameNode(ga *Graph, a int32, gb *Graph, b int32) bool {
 	return true
 }
 
-// TestChimeraDirectLockstep pins, on the compiled CSR, the structure the
-// steady-state replay rests on (DESIGN.md §3), for every even D ≤ 64, 3–7
-// units and partial last units:
+// TestChimeraDirectLockstep pins, on the compiled predecessor rows, the
+// structure the steady-state replay rests on (DESIGN.md §3), for every even
+// D ≤ 64, 3–7 units and partial last units:
 //
 //	S1  every edge joins ops at most one program index apart — the producer
 //	    sits at index i−1 or i of its worker, never later — so the i-th ops
@@ -279,8 +286,10 @@ func TestChimeraDirectLockstep(t *testing.T) {
 					lo, hi := g.base[w], g.base[w+1]
 					for id := lo; id < hi; id++ {
 						i := id - lo
-						for e := g.predStart[id]; e < g.predStart[id+1]; e++ {
-							p, _ := g.predAt(e)
+						for _, p := range g.row(id) {
+							if p, _ = unpack(p); p == int32(g.Nodes()) {
+								continue
+							}
 							pw, _ := g.at(p)
 							if j := p - g.base[pw]; j != i && j != i-1 {
 								t.Fatalf("D=%d N=%d worker %d: op %d waits on op %d of worker %d", d, n, w, i, j, pw)

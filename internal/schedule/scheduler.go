@@ -135,8 +135,8 @@ func newPlacementDAG(g *Graph, costs CostModel, speed []float64) (*placementDAG,
 			p.group[id] = int32(op.Replica*base.D + op.Stage)
 			p.groupLoad[p.group[id]] += p.nodeCost[id]
 			// Not the worker's program-order edge: old placement, not data.
-			for e, to := g.dataEdges(id, g.base[w]); e < to; e++ {
-				pd, _ := g.predAt(e)
+			for _, pd := range g.dataEdges(id) {
+				pd, _ = unpack(pd)
 				p.preds[id] = append(p.preds[id], pd)
 				p.succs[pd] = append(p.succs[pd], id)
 			}
