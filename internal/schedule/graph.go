@@ -116,8 +116,10 @@ func (g *Graph) at(id int32) (int, *Op) {
 
 // producerTab maps dependency tokens to producing node ids through a flat
 // index instead of a hash map: token (kind, micro, stage, half) lives at
-// ((kind·maxMicro + micro)·D + stage)·halves + half, halves being 1 unless
-// the schedule halves its backward passes. Compilation is the
+// ((kind·D + stage)·halves + half)·maxMicro + micro, halves being 1 unless
+// the schedule halves its backward passes. An op's tokens differ only in
+// micro, so they are idx(its token for micro 0) + m: compile computes that
+// base once per op, not per token. Compilation is the
 // engine's uncached hot path and the map's hashing dominated its profile;
 // the flat table removes it. Tables recycle through a pool, and entries
 // are epoch-tagged (high half the owning compilation's epoch, low half
@@ -151,33 +153,26 @@ func getProducerTab(d, maxMicro, halves int) *producerTab {
 }
 
 func (p *producerTab) idx(k depKey) int {
-	return ((int(k.kind)*p.maxMicro+k.micro)*p.d+k.stage)*p.halves + int(k.half)
+	return ((int(k.kind)*p.d+k.stage)*p.halves+int(k.half))*p.maxMicro + k.micro
 }
 
-// get returns the producing node id for k, if any.
-func (p *producerTab) get(k depKey) (int32, bool) {
-	v := p.tab[p.idx(k)]
-	if uint32(v>>32) != p.epoch {
-		return -1, false
-	}
-	return int32(uint32(v)) - 1, true
-}
-
-// slot returns k's producer as a predecessor slot of a consumer on the
-// worker whose nodes are [lo, hi): complemented if it runs on another worker.
-func (p *producerTab) slot(k depKey, lo, hi int32) (int32, bool) {
-	id, ok := p.get(k)
+// slot returns the producer of the token at index i as a predecessor slot of
+// a consumer on the worker whose nodes are [lo, hi): complemented if it runs
+// on another worker. ok is false if the token has no producer.
+func (p *producerTab) slot(i int, lo, hi int32) (id int32, ok bool) {
+	v := p.tab[i]
+	id, ok = int32(uint32(v))-1, uint32(v>>32) == p.epoch
 	if id < lo || id >= hi {
 		id = ^id
 	}
 	return id, ok
 }
 
-// putFirst records id as k's producer unless one is already recorded
-// (first producer wins on duplicate tokens; Validate rejects such
-// schedules separately).
-func (p *producerTab) putFirst(k depKey, id int32) {
-	if i := p.idx(k); uint32(p.tab[i]>>32) != p.epoch {
+// putFirst records id as the producer of the token at index i unless one is
+// already recorded (first producer wins on duplicate tokens; Validate
+// rejects such schedules separately).
+func (p *producerTab) putFirst(i int, id int32) {
+	if uint32(p.tab[i]>>32) != p.epoch {
 		p.tab[i] = uint64(p.epoch)<<32 | uint64(uint32(id+1))
 	}
 }
@@ -293,8 +288,9 @@ func compileGraph(s *Schedule) (*Graph, error) {
 		for i := range ops {
 			op := &ops[i]
 			id := firstNode + int32(i)
+			at := producer.idx(depKey{op.Kind, 0, op.Stage, op.Half})
 			for _, m := range op.Micros {
-				producer.putFirst(depKey{op.Kind, m, op.Stage, op.Half}, id)
+				producer.putFirst(at+m, id)
 			}
 			pl := op.Stage*replicas + op.Replica
 			slot := &shapeTab[((pl*2+int(op.Kind))*maxLen+len(op.Micros)-1)*3+int(op.Half)]
@@ -319,108 +315,70 @@ func compileGraph(s *Schedule) (*Graph, error) {
 		return nil, fmt.Errorf("schedule %q (D=%d N=%d): %d op shapes exceed the graph's uint16 shape space", s.Scheme, s.D, s.N, len(g.shapes))
 	}
 
-	// Every generator schedule has rows of two slots, and writePairs is the
-	// only pass over its tokens. A hand-built op with two distinct producers
-	// stops it, and writeRows writes the table at the width it needs.
-	wide, err := g.writePairs(producer)
-	if err == nil && wide {
-		err = g.writeRows(producer, maxLen)
-	}
-	if err != nil {
+	if err := g.writeRows(producer, 2); err != nil {
 		return nil, err
 	}
-
 	if err := g.topoSort(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// writePairs writes the predecessor table as rows of two slots in a single
-// pass — program order, then the op's one producer or the sentinel — each
-// slot once, verifying every consumed token has a producer: an unresolvable
+// writeRows writes the predecessor table in one pass over the tokens —
+// each row is program order, then the op's distinct producers, then the
+// sentinel — verifying every consumed token has a producer: an unresolvable
 // token is the first class of construction deadlock, and it is diagnosable
-// exactly here, with the op, worker and token in hand. At the first op with
-// two distinct producers it reports wide and leaves the table unfinished.
+// exactly here, with the op, worker and token in hand.
 //
-// It is kept apart from writeRows's general loop on purpose: with that
-// loop's bookkeeping in it — never run for a generator schedule — this pass
-// measured about a third slower, and it is a quarter of a cold compile.
-func (g *Graph) writePairs(producer *producerTab) (wide bool, err error) {
+// Rows are a slots wide; compile asks for two, every generator schedule's
+// width. An op with more distinct producers than fit — only hand-built
+// schedules have one — starts the pass over one slot wider, so the table
+// ends exactly as wide as its widest row.
+func (g *Graph) writeRows(producer *producerTab, a int) error {
 	s, sentinel := g.s, int32(g.Nodes())
-	pred := make([]int32, 2*int(sentinel))
-	g.arity, g.pred = 2, pred
+	pred := make([]int32, a*int(sentinel))
+	off := 0 // where the next row starts in pred
 	for w, ops := range s.Workers {
 		lo, hi := g.base[w], g.base[w+1]
 		for i := range ops {
 			op := &ops[i]
 			id := lo + int32(i)
-			row := pred[2*int(id) : 2*int(id)+2 : 2*int(id)+2]
+			row := pred[off : off+a]
+			off += a
 			row[0], row[1] = id-1, sentinel
 			if i == 0 {
 				row[0] = sentinel
+			}
+			for x := 2; x < a; x++ {
+				row[x] = sentinel
 			}
 			k, ok := s.consumed(op)
 			if !ok {
 				continue
 			}
+			at := producer.idx(k)
 			for j, m := range op.Micros {
-				k.micro = m
-				p, ok := producer.slot(k, lo, hi)
+				p, ok := producer.slot(at+m, lo, hi)
 				if !ok {
-					return false, g.noProducer(w, op, k)
-				}
-				if j > 0 && p != row[1] {
-					return true, nil
-				}
-				row[1] = p
-			}
-		}
-	}
-	return false, nil
-}
-
-// writeRows is writePairs for a schedule with an op of several distinct
-// producers: it writes rows of 1 + maxLen slots, enough for any op, then
-// narrows them in place to the widest row. Only hand-built schedules reach
-// it.
-func (g *Graph) writeRows(producer *producerTab, maxLen int) error {
-	s, sentinel, a := g.s, int32(g.Nodes()), 1+maxLen
-	pred := make([]int32, int(sentinel)*a)
-	arity := 2
-	for w, ops := range s.Workers {
-		lo, hi := g.base[w], g.base[w+1]
-		for i := range ops {
-			op := &ops[i]
-			id := lo + int32(i)
-			row, n := pred[int(id)*a:int(id)*a+a], 1
-			row[0] = id - 1
-			if i == 0 {
-				row[0] = sentinel
-			}
-			if k, ok := s.consumed(op); ok {
-				for _, m := range op.Micros {
 					k.micro = m
-					p, ok := producer.slot(k, lo, hi)
-					if !ok {
-						return g.noProducer(w, op, k)
-					}
-					if !slices.Contains(row[1:n], p) {
-						row[n] = p
-						n++
+					return g.noProducer(w, op, k)
+				}
+				if j == 0 {
+					row[1] = p
+					continue
+				}
+				// A later token: its producer's slot, or the first free one.
+				x := 1
+				for row[x] != p && row[x] != sentinel {
+					if x++; x == a {
+						return g.writeRows(producer, a+1)
 					}
 				}
-			}
-			arity = max(arity, n)
-			for ; n < a; n++ {
-				row[n] = sentinel
+				row[x] = p
 			}
 		}
 	}
-	for id := range int(sentinel) {
-		copy(pred[id*arity:], pred[id*a:id*a+arity])
-	}
-	g.arity, g.pred = int32(arity), pred[:int(sentinel)*arity]
+	g.arity, g.pred = int32(a), pred
 	return nil
 }
 

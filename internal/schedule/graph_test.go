@@ -234,6 +234,25 @@ func TestDeadlockNamesMissingProducer(t *testing.T) {
 	}
 }
 
+// TestDeadlockNamesMissingMicro: when only a later micro-batch of a
+// multi-micro op has no producer, the error names that micro-batch's token.
+func TestDeadlockNamesMissingMicro(t *testing.T) {
+	s := brokenSchedule([][]schedule.Op{
+		{fwd(0, 0), fwd(0, 1)},
+		// F[0 1 2] at stage 1 needs F(micro 2, stage 0), which is missing.
+		{fwd(1, 0, 1, 2)},
+	})
+	_, err := s.Readout(schedule.UnitEqual.ReplayConfig())
+	if err == nil {
+		t.Fatal("want deadlock error, got none")
+	}
+	for _, want := range []string{"F[0 1 2]@s1/r0", "worker 1", "waits on F(micro 2, stage 0), which no op produces"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("deadlock error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // TestDeadlockNamesCycle: an op ordered before its producer on the same
 // worker must be reported with the blocked op, worker, token and producer.
 func TestDeadlockNamesCycle(t *testing.T) {
