@@ -216,39 +216,33 @@ func brokenSchedule(workers [][]schedule.Op) *schedule.Schedule {
 }
 
 // TestDeadlockNamesMissingProducer: a dependency on a token no op produces
-// must be reported with the blocked op, its worker, and the token.
+// must be reported with the blocked op, its worker, and the token — when
+// only a later micro-batch of a multi-micro op is missing, that
+// micro-batch's token.
 func TestDeadlockNamesMissingProducer(t *testing.T) {
-	s := brokenSchedule([][]schedule.Op{
-		{{Kind: schedule.Forward, Stage: 0, Micros: []int{0}}},
-		// B at the last stage needs F(micro 0, stage 1), which is missing.
-		{{Kind: schedule.Backward, Stage: 1, Micros: []int{0}}},
-	})
-	_, err := s.Readout(schedule.UnitEqual.ReplayConfig())
-	if err == nil {
-		t.Fatal("want deadlock error, got none")
-	}
-	for _, want := range []string{"deadlock", "B0@s1/r0", "worker 1", "F(micro 0, stage 1)", "no op produces"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("deadlock error %q does not mention %q", err, want)
+	for _, c := range []struct {
+		workers [][]schedule.Op
+		want    []string
+	}{
+		{
+			// B at the last stage needs F(micro 0, stage 1), which is missing.
+			workers: [][]schedule.Op{{fwd(0, 0)}, {bwd(1, 0)}},
+			want:    []string{"deadlock", "B0@s1/r0", "worker 1", "F(micro 0, stage 1)", "no op produces"},
+		},
+		{
+			// F[0 1 2] at stage 1 needs F(micro 2, stage 0), which is missing.
+			workers: [][]schedule.Op{{fwd(0, 0), fwd(0, 1)}, {fwd(1, 0, 1, 2)}},
+			want:    []string{"F[0 1 2]@s1/r0", "worker 1", "waits on F(micro 2, stage 0), which no op produces"},
+		},
+	} {
+		_, err := brokenSchedule(c.workers).Readout(schedule.UnitEqual.ReplayConfig())
+		if err == nil {
+			t.Fatal("want deadlock error, got none")
 		}
-	}
-}
-
-// TestDeadlockNamesMissingMicro: when only a later micro-batch of a
-// multi-micro op has no producer, the error names that micro-batch's token.
-func TestDeadlockNamesMissingMicro(t *testing.T) {
-	s := brokenSchedule([][]schedule.Op{
-		{fwd(0, 0), fwd(0, 1)},
-		// F[0 1 2] at stage 1 needs F(micro 2, stage 0), which is missing.
-		{fwd(1, 0, 1, 2)},
-	})
-	_, err := s.Readout(schedule.UnitEqual.ReplayConfig())
-	if err == nil {
-		t.Fatal("want deadlock error, got none")
-	}
-	for _, want := range []string{"F[0 1 2]@s1/r0", "worker 1", "waits on F(micro 2, stage 0), which no op produces"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("deadlock error %q does not mention %q", err, want)
+		for _, want := range c.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("deadlock error %q does not mention %q", err, want)
+			}
 		}
 	}
 }
