@@ -189,7 +189,9 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 	if batch.Sequences() != need {
 		return 0, fmt.Errorf("pipeline: batch has %d sequences, need B·N·W = %d", batch.Sequences(), need)
 	}
-	lossCh := make(chan float64, t.w*t.d)
+	// Per-rank loss slots summed in rank order: a sum in completion order
+	// would make the loss's last bits depend on goroutine scheduling.
+	losses := make([]float64, t.w*t.d)
 	errCh := make(chan error, t.w*t.d)
 	var wg sync.WaitGroup
 	for copyIdx := 0; copyIdx < t.w; copyIdx++ {
@@ -202,20 +204,18 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 						errCh <- fmt.Errorf("worker (%d,%d): %v", copyIdx, w, r)
 					}
 				}()
-				loss := t.runWorker(copyIdx, w, batch)
-				lossCh <- loss
+				losses[copyIdx*t.d+w] = t.runWorker(copyIdx, w, batch)
 			}(copyIdx, w)
 		}
 	}
 	wg.Wait()
-	close(lossCh)
 	close(errCh)
 	if err := <-errCh; err != nil {
 		return 0, err
 	}
 	t.iter++
 	var total float64
-	for l := range lossCh {
+	for _, l := range losses {
 		total += l
 	}
 	return total / float64(s.N*t.w), nil

@@ -25,6 +25,40 @@ func mustTrainer(t *testing.T, sched *schedule.Schedule, w, b int, eager bool) *
 	return tr
 }
 
+// pinTrainer builds the trainer a pin case runs and returns its iteration
+// and a reader of every holder's weights, stage-major and holder-minor.
+func pinTrainer(cfg Config) (func(*data.Batch) (float64, error), func() [][]float32, error) {
+	if !cfg.Schedule.Synchronous {
+		tr, err := NewAsyncTrainer(AsyncConfig{Schedule: cfg.Schedule, W: cfg.W, Spec: cfg.Spec,
+			MicroBatch: cfg.MicroBatch, NewOptimizer: cfg.NewOptimizer})
+		if err != nil {
+			return nil, nil, err
+		}
+		return tr.TrainIteration, func() [][]float32 {
+			var out [][]float32
+			for st := 0; st < tr.d; st++ {
+				for c := 0; c < cfg.W; c++ {
+					out = append(out, tr.stages[c*tr.d+st].WeightVector())
+				}
+			}
+			return out
+		}, nil
+	}
+	tr, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr.TrainIteration, func() [][]float32 {
+		var out [][]float32
+		for st := 0; st < tr.d; st++ {
+			for h := 0; h < tr.HolderCount(st); h++ {
+				out = append(out, tr.StageWeights(st, h))
+			}
+		}
+		return out
+	}, nil
+}
+
 func maxDiff(a, b []float32) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
