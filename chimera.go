@@ -12,8 +12,9 @@
 //     on calibrated Piz-Daint-like or V100-cluster-like platforms;
 //   - the planner — the §3.4 performance model that picks (W, D, B);
 //   - the training runtime — goroutine workers executing a schedule for
-//     real on a pure-Go transformer, gradient-equivalent to sequential
-//     mini-batch SGD.
+//     real on a pure-Go transformer: gradient-equivalent to sequential
+//     mini-batch SGD on a synchronous schedule, PipeDream's weight
+//     stashing on the pipedream schedule (one NewTrainer for both).
 //
 // See examples/quickstart for a guided tour and DESIGN.md for the
 // system inventory.
@@ -288,7 +289,10 @@ type (
 	Optimizer = optim.Optimizer
 )
 
-// NewTrainer builds the distributed training runtime for a schedule.
+// NewTrainer builds the distributed training runtime for a schedule. The
+// schedule picks the update rule: a synchronous schedule steps once per
+// iteration on synchronized gradients; PipeDream steps after every
+// micro-batch's backward on its stashed weight version.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) { return pipeline.New(cfg) }
 
 // NewReference builds the sequential baseline with identical weights.
@@ -327,17 +331,9 @@ var (
 	UnitPractical = schedule.UnitPractical
 )
 
-// Asynchronous training (PipeDream weight stashing) and lossy gradient
-// synchronization — the extensions discussed in §2 and the conclusion.
-type (
-	// AsyncTrainer executes PipeDream-style asynchronous training with
-	// weight stashing (stale weights; not equivalent to mini-batch SGD).
-	AsyncTrainer = pipeline.AsyncTrainer
-	// AsyncConfig configures NewAsyncTrainer.
-	AsyncConfig = pipeline.AsyncConfig
-	// CompressionKind selects the lossy gradient codec for TrainerConfig.
-	CompressionKind = pipeline.CompressionKind
-)
+// CompressionKind selects the lossy gradient codec for TrainerConfig (the
+// paper's conclusion names quantization and sparsification as next steps).
+type CompressionKind = pipeline.CompressionKind
 
 // Gradient compression codecs for TrainerConfig.Compression.
 const (
@@ -345,8 +341,3 @@ const (
 	CompressInt8 = pipeline.CompressInt8
 	CompressTopK = pipeline.CompressTopK
 )
-
-// NewAsyncTrainer builds the weight-stashing PipeDream runtime.
-func NewAsyncTrainer(cfg AsyncConfig) (*AsyncTrainer, error) {
-	return pipeline.NewAsyncTrainer(cfg)
-}

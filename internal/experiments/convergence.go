@@ -34,7 +34,7 @@ func ConvergenceComparison(iters int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	async, err := pipeline.NewAsyncTrainer(pipeline.AsyncConfig{
+	async, err := pipeline.New(pipeline.Config{
 		Schedule: pdSched, W: 1, Spec: spec, MicroBatch: b, NewOptimizer: lr,
 	})
 	if err != nil {

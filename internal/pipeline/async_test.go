@@ -9,13 +9,15 @@ import (
 	"chimera/internal/schedule"
 )
 
-func asyncTrainer(t *testing.T, d, n, w, b int) *AsyncTrainer {
+// asyncTrainer builds a Trainer on the PipeDream schedule, which runs
+// under the asynchronous weight-stashing rule.
+func asyncTrainer(t *testing.T, d, n, w, b int) *Trainer {
 	t.Helper()
 	s, err := schedule.PipeDream(d, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewAsyncTrainer(AsyncConfig{
+	tr, err := New(Config{
 		Schedule: s, W: w, Spec: tinySpec, MicroBatch: b,
 		NewOptimizer: func() optim.Optimizer { return &optim.SGD{LR: 0.05} },
 	})
@@ -34,7 +36,7 @@ func TestAsyncStashDepthMatchesTable2(t *testing.T) {
 	if _, err := tr.TrainIteration(batch); err != nil {
 		t.Fatal(err)
 	}
-	for w, depth := range tr.MaxStashDepth() {
+	for w, depth := range tr.maxStash {
 		want := d - w
 		if want > n {
 			want = n
@@ -88,7 +90,7 @@ func TestAsyncDivergesFromSequentialSGD(t *testing.T) {
 	}
 	var worst float64
 	for st := 0; st < d; st++ {
-		a, r := tr.StageWeights(st), ref.StageWeights(st)
+		a, r := tr.StageWeights(st, 0), ref.StageWeights(st)
 		for i := range a {
 			if diff := math.Abs(float64(a[i]) - float64(r[i])); diff > worst {
 				worst = diff
@@ -108,25 +110,10 @@ func TestAsyncWithDataParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Copies must stay weight-consistent (they sync every micro-batch).
-	a, b2 := tr.stages[0].WeightVector(), tr.stages[2].WeightVector()
+	a, b2 := tr.StageWeights(0, 0), tr.StageWeights(0, 1)
 	for i := range a {
 		if a[i] != b2[i] {
 			t.Fatal("data-parallel copies diverged under per-micro allreduce")
 		}
-	}
-}
-
-// TestAsyncRejections covers constructor validation.
-func TestAsyncRejections(t *testing.T) {
-	sync, _ := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 4})
-	if _, err := NewAsyncTrainer(AsyncConfig{Schedule: sync, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
-		t.Error("synchronous schedule must be rejected")
-	}
-	if _, err := NewAsyncTrainer(AsyncConfig{Schedule: nil, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
-		t.Error("nil schedule must be rejected")
-	}
-	pd, _ := schedule.PipeDream(4, 4)
-	if _, err := NewAsyncTrainer(AsyncConfig{Schedule: pd, W: 0, Spec: tinySpec, MicroBatch: 1}); err == nil {
-		t.Error("W=0 must be rejected")
 	}
 }

@@ -8,13 +8,19 @@
 // This is the executable form of the paper's synchronization argument: for
 // every synchronous schedule (Chimera, GPipe, DAPPLE, GEMS) the resulting
 // gradients equal those of sequential mini-batch SGD on the same data — a
-// property the tests check numerically. Forward-doubling and
-// backward-halving variants are simulator-only (they need joint/split
-// activation caches) and are rejected here.
+// property the tests check numerically. The PipeDream schedule runs on the
+// same data plane under PipeDream's asynchronous rule (weight stashing and
+// a step after every backward), the negative control: its result is not
+// mini-batch SGD. The schedule's Synchronous flag picks the rule.
+// Forward-doubling and backward-halving variants and PipeDream-2BW are
+// simulator-only and are rejected here.
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"chimera/internal/collective"
@@ -45,6 +51,8 @@ func (m ModelSpec) Validate(d int) error {
 
 // Config configures a Trainer.
 type Config struct {
+	// Schedule is a synchronous schedule or PipeDream's; PipeDream
+	// rejects EagerSync, ZeROShard, Compression and Recompute.
 	Schedule *schedule.Schedule
 	// W is the number of data-parallel pipeline copies; total workers are
 	// W·D.
@@ -97,6 +105,9 @@ type Trainer struct {
 	opts     map[int]map[int]optim.Optimizer         // rank -> replica -> optimizer
 	place    map[int]map[int]schedule.StagePlacement // rank -> replica -> placement
 	iter     int
+	// maxStash is the deepest weight-version stash each rank held under
+	// PipeDream: Table 2's min(N, D−p) versions on worker p.
+	maxStash []int
 }
 
 // New builds a Trainer: W·D workers, stage modules with replica-consistent
@@ -110,7 +121,12 @@ func New(cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("pipeline: %s forward-doubling/backward-halving schedules are simulator-only", s.Scheme)
 	}
 	if !s.Synchronous {
-		return nil, fmt.Errorf("pipeline: asynchronous schemes (%s) need weight stashing; use the simulator", s.Scheme)
+		if s.Scheme != "pipedream" {
+			return nil, fmt.Errorf("pipeline: asynchronous scheme %s is simulator-only; the runtime implements PipeDream's weight stashing", s.Scheme)
+		}
+		if cfg.EagerSync || cfg.ZeROShard || cfg.Compression != CompressNone || cfg.Recompute {
+			return nil, fmt.Errorf("pipeline: eager sync, ZeRO sharding, compression and recomputation are synchronous-only, not for %s", s.Scheme)
+		}
 	}
 	if cfg.W < 1 {
 		return nil, fmt.Errorf("pipeline: W must be ≥1")
@@ -129,10 +145,11 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	t := &Trainer{
 		cfg: cfg, d: s.D, w: cfg.W,
-		p2p:    comm.NewWorld(cfg.W * s.D),
-		stages: make(map[int]map[int]*nn.Stage),
-		opts:   make(map[int]map[int]optim.Optimizer),
-		place:  make(map[int]map[int]schedule.StagePlacement),
+		p2p:      comm.NewWorld(cfg.W * s.D),
+		stages:   make(map[int]map[int]*nn.Stage),
+		opts:     make(map[int]map[int]optim.Optimizer),
+		place:    make(map[int]map[int]schedule.StagePlacement),
+		maxStash: make([]int, cfg.W*s.D),
 	}
 	for st := 0; st < s.D; st++ {
 		t.arWorlds = append(t.arWorlds, comm.NewWorld(cfg.W*s.D))
@@ -142,7 +159,8 @@ func New(cfg Config) (*Trainer, error) {
 				ranks = append(ranks, copyIdx*s.D+rm.WorkerOf[st])
 			}
 		}
-		t.groups = append(t.groups, collective.NewGroup(sortedUnique(ranks)...))
+		slices.Sort(ranks)
+		t.groups = append(t.groups, collective.NewGroup(slices.Compact(ranks)...))
 	}
 	for copyIdx := 0; copyIdx < cfg.W; copyIdx++ {
 		for w := 0; w < s.D; w++ {
@@ -181,8 +199,8 @@ func buildStage(spec ModelSpec, d, stageIdx int) *nn.Stage {
 	return nn.NewStage(stageIdx, layers...)
 }
 
-// TrainIteration runs one synchronous training iteration over batch, which
-// must contain exactly MicroBatch·N·W sequences. Returns the mean loss.
+// TrainIteration runs one training iteration over batch, which must contain
+// exactly MicroBatch·N·W sequences. Returns the mean loss.
 func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 	s := t.cfg.Schedule
 	need := t.cfg.MicroBatch * s.N * t.w
@@ -231,7 +249,18 @@ func (t *Trainer) tag(kind schedule.Kind, micro, stage int) int {
 	return ((t.iter%2)*(1<<20) + (micro*(t.d+1)+stage)<<1) | k
 }
 
-// runWorker executes one worker's op program for the iteration.
+// pendingAR is an eager allreduce in flight for one replica's gradients.
+type pendingAR struct {
+	handle *collective.Handle
+	rep    int
+	vec    []float32
+}
+
+// runWorker executes one worker's op program for the iteration. The data
+// plane is the same for every schedule; the update rule is the schedule's.
+// A synchronous schedule accumulates gradients over the iteration and
+// synchronizes and steps at its end. PipeDream steps after every backward,
+// on the weight version the micro-batch's forward saw.
 func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 	s := t.cfg.Schedule
 	rank := copyIdx*t.d + w
@@ -244,7 +273,13 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 	}
 	dlogits := make(map[int]*tensor.Tensor)
 	var lossSum float64
-	gradScale := float32(1) / float32(s.N*t.w)
+	// A synchronous step averages over the mini-batch at the loss; PipeDream
+	// steps on each micro-batch's own gradient.
+	gradScale := float32(1)
+	if s.Synchronous {
+		gradScale /= float32(s.N * t.w)
+	}
+	stash := make(map[int][]float32) // PipeDream: micro-batch -> weight version
 
 	// Track outstanding backward tokens per replica for eager sync.
 	remainingB := make(map[int]int)
@@ -252,11 +287,6 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 		if op.Kind == schedule.Backward {
 			remainingB[op.Replica] += len(op.Micros)
 		}
-	}
-	type pendingAR struct {
-		handle *collective.Handle
-		rep    int
-		vec    []float32
 	}
 	var pending []pendingAR
 
@@ -268,6 +298,10 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 		globalM := copyIdx*s.N + m
 		switch op.Kind {
 		case schedule.Forward:
+			if !s.Synchronous {
+				stash[m] = stage.WeightVector()
+				t.maxStash[rank] = max(t.maxStash[rank], len(stash))
+			}
 			var x *tensor.Tensor
 			if op.Stage == 0 {
 				mb := batch.MicroBatch(globalM*b, (globalM+1)*b)
@@ -297,10 +331,27 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 				payload := c.Recv(next, t.tag(schedule.Backward, m, op.Stage))
 				dy = tensor.FromSlice(payload, rows, t.cfg.Spec.Dim)
 			}
-			dx := stage.Backward(m, dy)
+			var dx *tensor.Tensor
+			if s.Synchronous {
+				dx = stage.Backward(m, dy)
+			} else {
+				dx = stashedBackward(stage, stash, m, dy)
+			}
 			if op.Stage > 0 {
 				prev := copyIdx*t.d + rm.WorkerOf[op.Stage-1]
 				c.Send(prev, t.tag(schedule.Backward, m, op.Stage-1), dx.Data)
+			}
+			if !s.Synchronous {
+				// PipeDream steps after every backward, on the gradient
+				// averaged across the W pipeline copies.
+				vec := stage.GradVector()
+				collective.AllReduce(t.arWorlds[op.Stage].Rank(rank), t.groups[op.Stage], 0, vec, collective.Ring)
+				for i := range vec {
+					vec[i] /= float32(t.w)
+				}
+				stage.SetGradVector(vec)
+				t.opts[rank][rep].Step(stage.Params())
+				continue
 			}
 			remainingB[rep] -= len(op.Micros)
 			if t.cfg.EagerSync && remainingB[rep] == 0 {
@@ -311,8 +362,30 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 			}
 		}
 	}
+	if s.Synchronous {
+		t.syncAndStep(rank, pending)
+	}
+	c.Barrier()
+	return lossSum
+}
 
-	// Gradient synchronization (§3.2/§3.3): sum across all stage holders.
+// stashedBackward runs micro-batch m's backward on fresh gradients and on
+// the weight version stashed at its forward, then restores the current
+// weights: PipeDream's version consistency (Narayanan et al. 2019).
+func stashedBackward(stage *nn.Stage, stash map[int][]float32, m int, dy *tensor.Tensor) *tensor.Tensor {
+	current := stage.WeightVector()
+	stage.SetWeightVector(stash[m])
+	delete(stash, m)
+	stage.ZeroGrads()
+	dx := stage.Backward(m, dy)
+	stage.SetWeightVector(current)
+	return dx
+}
+
+// syncAndStep ends a synchronous iteration on one rank: it sums every
+// hosted replica's gradients across the stage's holders (§3.2/§3.3) and
+// takes the optimizer steps.
+func (t *Trainer) syncAndStep(rank int, pending []pendingAR) {
 	if t.cfg.EagerSync {
 		for _, p := range pending {
 			p.handle.Wait()
@@ -346,8 +419,6 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 			t.opts[rank][rep].Step(stage.Params())
 		}
 	}
-	c.Barrier()
-	return lossSum
 }
 
 // StageGrads returns the (synchronized) gradient vector of one stage from
@@ -377,34 +448,8 @@ func (t *Trainer) StageWeights(stage, holderIdx int) []float32 {
 // HolderCount returns the number of workers holding a replica of stage.
 func (t *Trainer) HolderCount(stage int) int { return t.groups[stage].Size() }
 
-func sortedUnique(in []int) []int {
-	seen := make(map[int]bool, len(in))
-	var out []int
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // replicasByStage orders a worker's replica ids by the stage each one hosts
 // here, ascending — the deadlock-free global collective order.
 func replicasByStage(m map[int]schedule.StagePlacement) []int {
-	var out []int
-	for r := range m {
-		out = append(out, r)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && m[out[j]].Stage < m[out[j-1]].Stage; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return slices.SortedFunc(maps.Keys(m), func(a, b int) int { return cmp.Compare(m[a].Stage, m[b].Stage) })
 }

@@ -28,22 +28,6 @@ func mustTrainer(t *testing.T, sched *schedule.Schedule, w, b int, eager bool) *
 // pinTrainer builds the trainer a pin case runs and returns its iteration
 // and a reader of every holder's weights, stage-major and holder-minor.
 func pinTrainer(cfg Config) (func(*data.Batch) (float64, error), func() [][]float32, error) {
-	if !cfg.Schedule.Synchronous {
-		tr, err := NewAsyncTrainer(AsyncConfig{Schedule: cfg.Schedule, W: cfg.W, Spec: cfg.Spec,
-			MicroBatch: cfg.MicroBatch, NewOptimizer: cfg.NewOptimizer})
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr.TrainIteration, func() [][]float32 {
-			var out [][]float32
-			for st := 0; st < tr.d; st++ {
-				for c := 0; c < cfg.W; c++ {
-					out = append(out, tr.stages[c*tr.d+st].WeightVector())
-				}
-			}
-			return out
-		}, nil
-	}
 	tr, err := New(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -259,9 +243,24 @@ func TestTrainerRejections(t *testing.T) {
 	if _, err := New(Config{Schedule: dbl, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
 		t.Error("doubling schedules must be rejected by the runtime")
 	}
-	async, _ := schedule.ByName("pipedream", 4, 4)
-	if _, err := New(Config{Schedule: async, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
-		t.Error("asynchronous schedules must be rejected by the runtime")
+	twoBW, _ := schedule.ByName("pipedream-2bw", 4, 4)
+	if _, err := New(Config{Schedule: twoBW, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
+		t.Error("pipedream-2bw must be rejected: the runtime implements PipeDream's rule only")
+	}
+	pd, _ := schedule.PipeDream(4, 4)
+	for name, cfg := range map[string]Config{
+		"eager sync":    {EagerSync: true},
+		"ZeRO sharding": {ZeROShard: true},
+		"compression":   {Compression: CompressInt8},
+		"recompute":     {Recompute: true},
+	} {
+		cfg.Schedule, cfg.W, cfg.Spec, cfg.MicroBatch = pd, 1, tinySpec, 1
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s is synchronous-only and must be rejected on pipedream", name)
+		}
+	}
+	if _, err := New(Config{Schedule: pd, W: 0, Spec: tinySpec, MicroBatch: 1}); err == nil {
+		t.Error("W=0 must be rejected")
 	}
 	if _, err := New(Config{Schedule: nil, W: 1, Spec: tinySpec, MicroBatch: 1}); err == nil {
 		t.Error("nil schedule must be rejected")
