@@ -46,13 +46,8 @@ func main() {
 	n := *bhat / (*w * *b)
 	factors, err := sim.DecodeSpeedFactors(*speed)
 	check(err)
-	mode := schedule.Direct
-	switch *concat {
-	case "doubling":
-		mode = schedule.ForwardDoubling
-	case "halving":
-		mode = schedule.BackwardHalving
-	}
+	mode, err := serve.ResolveConcat(*concat)
+	check(err)
 	s, err := schedule.Build(schedule.Spec{
 		Scheme: *scheme, Scheduler: *scheduler, D: *d, N: n, F: *f,
 		Concat: mode, SpeedFactors: factors,

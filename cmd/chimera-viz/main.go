@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"chimera/internal/schedule"
+	"chimera/internal/serve"
 	"chimera/internal/trace"
 )
 
@@ -28,16 +29,10 @@ func main() {
 	svg := flag.String("svg", "", "write an SVG Gantt chart to this file instead")
 	flag.Parse()
 
+	mode, err := serve.ResolveConcat(*concat)
+	check(err)
 	var s *schedule.Schedule
-	var err error
 	if *scheme == "chimera" {
-		mode := schedule.Direct
-		switch *concat {
-		case "doubling":
-			mode = schedule.ForwardDoubling
-		case "halving":
-			mode = schedule.BackwardHalving
-		}
 		s, err = schedule.Chimera(schedule.ChimeraConfig{D: *d, N: *n, F: *f, Concat: mode})
 	} else {
 		s, err = schedule.ByName(*scheme, *d, *n)

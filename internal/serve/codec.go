@@ -250,6 +250,16 @@ var concatModes = map[string]schedule.ConcatMode{
 // ConcatModes lists the accepted concat mode names.
 func ConcatModes() []string { return []string{"direct", "doubling", "halving"} }
 
+// ResolveConcat returns the N > D method for a concat mode name ("" is
+// direct).
+func ResolveConcat(name string) (schedule.ConcatMode, error) {
+	mode, ok := concatModes[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown concat %q (have %s)", name, strings.Join(ConcatModes(), ", "))
+	}
+	return mode, nil
+}
+
 // Schemes lists every scheme name the service accepts: the Table 2 set
 // plus the 1f1b alias (schedule.ByName's full vocabulary).
 func Schemes() []string { return append(schedule.Schemes(), "1f1b") }
@@ -291,10 +301,9 @@ func (r ScheduleRef) Key() (engine.ScheduleKey, error) {
 		return zero, fmt.Errorf("schedule: d=%d n=%d exceeds the limits (d ≤ %d, n ≤ %d, d·n ≤ %d)",
 			r.D, r.N, MaxStages, MaxMicroBatches, MaxScheduleOps)
 	}
-	mode, ok := concatModes[r.Concat]
-	if !ok {
-		return zero, fmt.Errorf("schedule: unknown concat %q (have %s)",
-			r.Concat, strings.Join(ConcatModes(), ", "))
+	mode, err := ResolveConcat(r.Concat)
+	if err != nil {
+		return zero, fmt.Errorf("schedule: %w", err)
 	}
 	if r.Scheme != "chimera" && (r.F != 0 || r.Concat != "") {
 		return zero, fmt.Errorf("schedule: f and concat apply to chimera only, not %q", r.Scheme)
