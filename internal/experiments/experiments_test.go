@@ -383,3 +383,15 @@ func TestConvergenceComparison(t *testing.T) {
 		t.Errorf("pipedream failed to make progress: %v", r.Metrics["pipedream-final"])
 	}
 }
+
+func TestSpeedupAndGiB(t *testing.T) {
+	if s := speedup(2, 3); s != "1.50x" {
+		t.Fatalf("speedup %q", s)
+	}
+	if s := speedup(0, 3); s != "n/a" {
+		t.Fatalf("speedup %q", s)
+	}
+	if g := gib(1 << 30); g != "1.00 GiB" {
+		t.Fatalf("gib %q", g)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"chimera/internal/model"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
-	"chimera/internal/stats"
 )
 
 // fig9Config is one panel of Figure 9.
@@ -62,7 +61,7 @@ func Figure9() (*Report, error) {
 				oom = "  OOM"
 			}
 			r.addf("  %-14s min=%-10s max=%-10s (peak on worker %d)%s",
-				name, stats.GiB(lo), stats.GiB(hi), peakWorker, oom)
+				name, gib(lo), gib(hi), peakWorker, oom)
 			r.Metrics[c.m.Name+":"+name+":max"] = float64(hi)
 			r.Metrics[c.m.Name+":"+name+":min"] = float64(lo)
 		}

@@ -7,7 +7,6 @@ import (
 	"chimera/internal/model"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
-	"chimera/internal/stats"
 )
 
 // schemeList is Table 2 order with chimera last (the paper's bar order).
@@ -61,7 +60,7 @@ func Figure1() (*Report, error) {
 				peak = mm
 			}
 		}
-		r.addf("%-14s %s  peak-mem=%s", scheme, fmtPoint(best), stats.GiB(peak))
+		r.addf("%-14s %s  peak-mem=%s", scheme, fmtPoint(best), gib(peak))
 		r.Metrics["throughput:"+scheme] = best.res.Throughput
 		r.Metrics["bubble:"+scheme] = best.res.BubbleRatio
 	}
@@ -71,7 +70,7 @@ func Figure1() (*Report, error) {
 				continue
 			}
 			r.addf("chimera speedup over %-14s: %s (paper: pipedream 2.01x, 2bw 1.16x, gpipe 1.42x, gems 2.34x, dapple 1.38x)",
-				scheme, stats.Speedup(results[scheme].res.Throughput, chimera.res.Throughput))
+				scheme, speedup(results[scheme].res.Throughput, chimera.res.Throughput))
 			r.Metrics["speedup:"+scheme] = chimera.res.Throughput / results[scheme].res.Throughput
 		}
 	}
@@ -141,7 +140,7 @@ func weakScaling(r *Report, m model.Config, plat platform, nodes []int, bhatAt f
 		}
 		if chim != nil && bestBase != nil {
 			r.addf("  chimera vs best baseline (%s): %s", bestBaseName,
-				stats.Speedup(bestBase.res.Throughput, chim.res.Throughput))
+				speedup(bestBase.res.Throughput, chim.res.Throughput))
 		}
 	}
 }

@@ -195,6 +195,17 @@ func fmtPoint(sr *sweepResult) string {
 		sr.w, sr.d, sr.b, recompStr(sr.recompute), sr.res.Throughput, sr.res.BubbleRatio)
 }
 
+// speedup formats a ratio like the paper ("1.38x").
+func speedup(fast, slow float64) string {
+	if fast <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2fx", slow/fast)
+}
+
+// gib formats bytes as GiB with two decimals.
+func gib(b int64) string { return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30)) }
+
 // powersOfTwo returns {1, 2, 4, ..., max}.
 func powersOfTwo(max int) []int {
 	var out []int

@@ -435,21 +435,13 @@ func (in *einstance) effPriority(now, tau float64) float64 {
 // sameAllocation reports whether a re-plan left an instance's execution
 // unchanged: same plan shape and same nodes means no restart.
 func sameAllocation(oldIDs []int, oldPlan *perfmodel.Prediction, in *einstance) bool {
-	if len(oldIDs) != len(in.share) {
+	if !slices.EqualFunc(oldIDs, in.share, func(id int, n node) bool { return id == n.ID }) {
 		return false
 	}
-	for i, id := range oldIDs {
-		if in.share[i].ID != id {
-			return false
-		}
+	if oldPlan == nil || in.plan == nil {
+		return oldPlan == in.plan
 	}
-	if (oldPlan == nil) != (in.plan == nil) {
-		return false
-	}
-	if oldPlan != nil && (oldPlan.W != in.plan.W || oldPlan.D != in.plan.D || oldPlan.B != in.plan.B) {
-		return false
-	}
-	return true
+	return oldPlan.W == in.plan.W && oldPlan.D == in.plan.D && oldPlan.B == in.plan.B
 }
 
 // SimulateElastic replays the event trace as a deterministic discrete-event
@@ -478,7 +470,8 @@ func (a *Allocator) SimulateElastic(sc ElasticScenario) (*ElasticResult, error) 
 	if err := s.runToCompletion(); err != nil {
 		return nil, err
 	}
-	s.finish(len(sc.Events))
+	s.seal(s.res, len(sc.Events))
+	s.res.Cost = s.costAtMakespan
 	return s.res, nil
 }
 

@@ -27,7 +27,9 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // indexedEvent pairs an event with its trace index — the input position in
@@ -189,12 +191,8 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 		if d := in.job.Deadline; d > 0 && s.now-run.ArriveAt > d {
 			run.MissedDeadline = true
 		}
-		for i, cur := range s.active {
-			if cur == in {
-				s.active = append(s.active[:i], s.active[i+1:]...)
-				break
-			}
-		}
+		i := slices.Index(s.active, in)
+		s.active = append(s.active[:i], s.active[i+1:]...)
 		s.res.Events++
 		s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvDeparture, Job: in.job.Name, Trace: in.trace, Node: -1})
 		s.makespan, s.poolAtMakespan, s.costAtMakespan = s.now, s.poolSeconds, s.costSeconds
@@ -218,27 +216,19 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 			})
 			s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvArrival, Job: ev.Job, Trace: ie.idx, Node: -1})
 		case EvNodeFail, EvNodeDrain:
-			pos := -1
-			for i, n := range s.present {
-				if n.ID == ev.Node {
-					pos = i
-					break
-				}
-			}
+			isTarget := func(n node) bool { return n.ID == ev.Node }
+			pos := slices.IndexFunc(s.present, isTarget)
 			if pos < 0 {
 				return fmt.Errorf("fleet: events[%d] %s targets absent node %d", ie.idx, ev.kind(), ev.Node)
 			}
 			s.presentPrice -= s.present[pos].Price
 			s.present = append(s.present[:pos], s.present[pos+1:]...)
 			for _, in := range s.active {
-				for i, n := range in.share {
-					if n.ID == ev.Node {
-						in.share = append(in.share[:i:i], in.share[i+1:]...)
-						in.needy = true
-						if ev.kind() == EvNodeFail {
-							in.failed = true
-						}
-						break
+				if i := slices.IndexFunc(in.share, isTarget); i >= 0 {
+					in.share = append(in.share[:i:i], in.share[i+1:]...)
+					in.needy = true
+					if ev.kind() == EvNodeFail {
+						in.failed = true
 					}
 				}
 				// A pipeline needs an even node count: a stranded odd
@@ -312,47 +302,40 @@ func (s *ElasticSim) advanceDepartures(limit float64) error {
 // runToCompletion retires the remaining residents after the last trace
 // event; a resident set that can no longer make progress is the stall error.
 func (s *ElasticSim) runToCompletion() error {
-	for len(s.active) > 0 {
-		departAt := s.earliestDeparture()
-		if math.IsInf(departAt, 1) {
-			stuck := make([]string, len(s.active))
-			for i, in := range s.active {
-				stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.trace)
-			}
-			return fmt.Errorf("fleet: elastic trace stalls — no events left and no resident instance can run (%v)", stuck)
-		}
-		if err := s.stepBatch(departAt, nil); err != nil {
-			return err
-		}
+	if err := s.advanceDepartures(math.Inf(1)); err != nil {
+		return err
 	}
-	return nil
+	if len(s.active) == 0 {
+		return nil
+	}
+	stuck := make([]string, len(s.active))
+	for i, in := range s.active {
+		stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.trace)
+	}
+	return fmt.Errorf("fleet: elastic trace stalls — no events left and no resident instance can run (%v)", stuck)
 }
 
-// finish seals the result: makespan-anchored utilization and cost, plus the
-// per-arrival runs in trace order (totalEvents bounds the trace indices).
-func (s *ElasticSim) finish(totalEvents int) {
-	s.res.Makespan = s.makespan
-	s.res.FinalNodes = len(s.present)
+// seal fills r's makespan-anchored pool figures (makespan, final pool,
+// utilization) and the runs of the arrivals among the first n trace
+// indices, in trace order, with their mean wait. Cost is the caller's: a
+// completed trace anchors it at the makespan, a snapshot at the current
+// time.
+func (s *ElasticSim) seal(r *ElasticResult, n int) {
+	r.Makespan = s.makespan
+	r.FinalNodes = len(s.present)
 	if s.poolAtMakespan > 0 {
-		s.res.Utilization = s.busySeconds / s.poolAtMakespan
+		r.Utilization = s.busySeconds / s.poolAtMakespan
 	}
-	s.res.Cost = s.costAtMakespan
-	s.res.Jobs, s.res.MeanWait = s.arrivalRuns(totalEvents)
-}
-
-// arrivalRuns lists the runs of the arrivals among the first n trace
-// indices, in trace order, and their mean wait.
-func (s *ElasticSim) arrivalRuns(n int) (runs []ElasticJobRun, meanWait float64) {
+	r.Jobs, r.MeanWait = nil, 0
 	for i := 0; i < n; i++ {
 		if run, ok := s.runs[i]; ok {
-			runs = append(runs, *run)
-			meanWait += run.Wait
+			r.Jobs = append(r.Jobs, *run)
+			r.MeanWait += run.Wait
 		}
 	}
-	if len(runs) > 0 {
-		meanWait /= float64(len(runs))
+	if len(r.Jobs) > 0 {
+		r.MeanWait /= float64(len(r.Jobs))
 	}
-	return runs, meanWait
 }
 
 // ApplyError marks an Ingest failure from the apply phase: validation
@@ -470,13 +453,8 @@ func (s *ElasticSim) Cost() float64 { return s.costSeconds }
 func (s *ElasticSim) Snapshot() ElasticResult {
 	out := *s.res
 	out.Log = append([]EventRecord(nil), s.res.Log...)
-	out.Makespan = s.makespan
-	out.FinalNodes = len(s.present)
-	if s.poolAtMakespan > 0 {
-		out.Utilization = s.busySeconds / s.poolAtMakespan
-	}
+	s.seal(&out, len(s.events))
 	out.Cost = s.Cost()
-	out.Jobs, out.MeanWait = s.arrivalRuns(len(s.events))
 	out.Final = finalShares(s.active)
 	return out
 }
@@ -489,10 +467,7 @@ func (s *ElasticSim) Snapshot() ElasticResult {
 // to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
-	c.byName = make(map[string]Job, len(s.byName))
-	for k, v := range s.byName {
-		c.byName[k] = v
-	}
+	c.byName = maps.Clone(s.byName)
 	c.sc.Jobs = append([]Job(nil), s.sc.Jobs...)
 	res := *s.res
 	res.Log = append([]EventRecord(nil), s.res.Log...)
