@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sweep lint bench-build bench-smoke fuzz cover clean
+.PHONY: all build test race race-sweep lint bench-build bench-smoke cli-smoke fuzz cover clean
 
 all: build lint test
 
@@ -52,6 +52,18 @@ bench-build:
 # times the row width it names). It measures nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine
+
+# cli-smoke runs the three CLIs no test drives: a verified chimera-train
+# run, a PipeDream run, and chimera-sim and chimera-viz refusing an unknown
+# -concat name. The binaries are built first so a compile error cannot pass
+# for a refusal.
+cli-smoke:
+	$(GO) build -o bin/ ./cmd/chimera-train ./cmd/chimera-sim ./cmd/chimera-viz
+	bin/chimera-train -iters 3
+	bin/chimera-train -scheme pipedream -iters 2 -verify=false
+	@for cli in chimera-sim chimera-viz; do \
+		if bin/$$cli -concat bogus; then echo "$$cli accepted -concat bogus"; exit 1; fi; \
+	done
 
 lint:
 	$(GO) vet ./...
