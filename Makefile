@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGraphReplayEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzResidencyClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(GO) test -fuzz=FuzzCriticalClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 	$(GO) test -fuzz=FuzzFleetScenarioResolve -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve/

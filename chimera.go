@@ -129,7 +129,7 @@ func PlanParallel(e *Engine, req PlanRequest) ([]*Prediction, error) {
 func Predict(cfg SimConfig) (*Prediction, error) { return perfmodel.Predict(cfg) }
 
 // Concurrent sweep engine (see internal/engine): a GOMAXPROCS worker pool
-// with memoized schedule construction, critical-path probes, and simulator
+// with memoized schedule construction, critical-path counts, and simulator
 // evaluations. Sweeps return outcomes in input order — identical to the
 // serial path — regardless of pool size.
 type (

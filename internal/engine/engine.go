@@ -2,7 +2,7 @@
 // planner (§3.4 configuration selection) and the experiment sweeps (§4.2):
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
-// schedule construction, critical-path probing, full simulator evaluations
+// schedule construction, critical-path counts, full simulator evaluations
 // and closed-form residency profiles — keyed by their value-type
 // descriptions. The pool is a bounded fan-out: the participants of a
 // ForEach call claim its indices off one shared counter (pool.go).
@@ -101,7 +101,8 @@ func (k ScheduleKey) canonical() ScheduleKey {
 // which is the same at every N ≥ D, so N is clamped to D. ok is false for
 // every other key — a list scheduler re-places ops against speed factors,
 // F > 1 and doubling or halving at N > D have no closed form, baselines
-// never had one — and those build their own schedule and walk it.
+// never had one — and those build their own schedule and walk it. ok is
+// also CriticalPath's test for its closed form, which keeps the full N.
 func (k ScheduleKey) closedFormKey() (ScheduleKey, bool) {
 	if k.Scheme != "chimera" || k.Scheduler != "" || k.F > 1 || k.Concat != schedule.Direct {
 		return k, false
@@ -520,8 +521,11 @@ func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
 	return s.Residency(), nil
 }
 
-// CriticalPath returns the memoized (Cf, Cb) critical-path counts for the
-// schedule identified by key (§3.4's Eq. 1 inputs).
+// CriticalPath returns the (Cf, Cb) critical-path counts for the schedule
+// identified by key (§3.4's Eq. 1 inputs), memoized under the full key. A
+// key in closedFormKey's scope builds, compiles and replays nothing:
+// schedule.ChimeraConfig.CriticalPath computes its counts. Every other key
+// runs schedule.CriticalPath's two probes on its own memoized schedule.
 func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 	key = key.canonical()
 	if out, ok := e.criticals.Cached(key); ok {
@@ -533,18 +537,18 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 		if m != nil {
 			start = time.Now()
 		}
-		cf, cb, err := schedule.CriticalPathOf(func(rc schedule.ReplayConfig) (int64, error) {
-			r, err := e.ReplayEquivalent(key, rc, true)
-			if err != nil {
-				return 0, err
-			}
-			defer r.Release()
-			return r.Makespan(), nil
-		})
+		var out critOutcome
+		if _, ok := key.closedFormKey(); ok {
+			out.cf, out.cb, _, out.err = schedule.ChimeraConfig{D: key.D, N: key.N, F: key.F}.CriticalPath()
+		} else if s, err := e.Schedule(key); err != nil {
+			out.err = err
+		} else {
+			out.cf, out.cb, out.err = schedule.CriticalPath(s)
+		}
 		if m != nil {
 			m.critical.Since(start)
 		}
-		return critOutcome{cf, cb, err}
+		return out
 	})
 	return out.cf, out.cb, out.err
 }

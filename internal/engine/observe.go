@@ -14,7 +14,7 @@ import (
 type engMetrics struct {
 	evaluate *obs.Histogram // full simulator evaluations (memo misses)
 	schedule *obs.Histogram // schedule constructions (memo misses)
-	critical *obs.Histogram // critical-path probes (memo misses)
+	critical *obs.Histogram // critical paths (memo misses)
 	wait     *obs.Histogram // memo hits incl. single-flight waits
 	sweep    *obs.Histogram // whole Sweep calls
 
@@ -28,7 +28,8 @@ type engMetrics struct {
 //
 //	engine_evaluate_seconds            histogram, uncached simulator runs
 //	engine_schedule_build_seconds      histogram, uncached schedule builds
-//	engine_critical_path_seconds       histogram, uncached critical-path probes
+//	engine_critical_path_seconds       histogram, uncached critical paths
+//	                                   (closed form or two probes)
 //	engine_memo_wait_seconds           histogram, memo hits (incl. waiting
 //	                                   on another goroutine's in-flight compute)
 //	engine_sweep_seconds               histogram, whole grid sweeps
@@ -59,7 +60,7 @@ func (e *Engine) initObserve() {
 	m := &engMetrics{
 		evaluate: reg.Histogram("engine_evaluate_seconds", "uncached simulator evaluation latency"),
 		schedule: reg.Histogram("engine_schedule_build_seconds", "uncached schedule construction latency"),
-		critical: reg.Histogram("engine_critical_path_seconds", "uncached critical-path probe latency"),
+		critical: reg.Histogram("engine_critical_path_seconds", "uncached critical-path latency"),
 		wait:     reg.Histogram("engine_memo_wait_seconds", "memo hit latency including single-flight waits"),
 		sweep:    reg.Histogram("engine_sweep_seconds", "whole-sweep latency"),
 	}

@@ -425,9 +425,11 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // profiles (engine.Residency — for the fixed placement closed-form, so the
 // search builds no schedule): it stops at the first B that
 // fits plainly, remembering on the way the first that fits with
-// recomputation. Only the (D, N = B̂/(W·B)) it settles on is replayed, through
-// engine.ReplayEquivalent — for a homogeneous N ≥ 3D on a schedule of fewer
-// than 3D micro-batches, so the long one is never built. (model, D) is fixed
+// recomputation. Its (Cf, Cb) are closed-form for the fixed placement
+// (engine.CriticalPath), and only Eq. 1's two replays of the (D, N = B̂/(W·B))
+// it settles on build and replay a schedule, through engine.ReplayEquivalent
+// — for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
+// one is never built. (model, D) is fixed
 // for the whole candidate, so the stage table is derived once and priced by
 // every fit and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {

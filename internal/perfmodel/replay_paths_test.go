@@ -18,9 +18,9 @@ func goldenFirst() PlanRequest {
 }
 
 // TestPlanNeverBuildsLongSchedule: a cold homogeneous plan whose candidates
-// all have N ≥ 3D is served by extended replays alone — four per candidate:
-// two critical-path probes and Eq. 1's two replays — and leaves no
-// fixed-placement Chimera schedule of three or more units in the engine's
+// all have N ≥ 3D is served by extended replays alone — two per candidate,
+// Eq. 1's; the critical path is closed-form and replays nothing — and leaves
+// no fixed-placement Chimera schedule of three or more units in the engine's
 // memo; Prediction.N keeps the full N.
 func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 	e := engine.New(engine.Workers(1))
@@ -29,7 +29,7 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if want := uint64(4 * len(preds)); st.ReplaysExtended != want || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
+	if want := uint64(2 * len(preds)); st.ReplaysExtended != want || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
 		t.Fatalf("%d candidates: extended/full/refused = %d/%d/%d, want %d/0/0", len(preds), st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused, want)
 	}
 	for _, p := range preds {
@@ -49,7 +49,8 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 
 // TestColdPlanBuildsOnlyReplayedSchedules: the memory fit of a cold plan
 // builds no schedule — every profile it asks for is closed-form — so the
-// only schedules built are the ones replayed, one per critical-path probe.
+// only schedules built are the ones Eq. 1 replays, one per candidate, whose
+// critical path is closed-form too.
 func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
 	e := engine.New(engine.Workers(1))
 	for i, req := range benchRequests() {
@@ -67,8 +68,8 @@ func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
 
 // TestPlanSpeedFactorsTakeFullReplay: per-worker speed factors keep Eq. 1's
 // two replays on the full schedule (they would be tried and refused); the
-// critical-path probes are homogeneous whatever the request and still ride
-// the short one.
+// fixed placement's critical path is closed-form whatever the request, so
+// nothing rides the short schedule.
 func TestPlanSpeedFactorsTakeFullReplay(t *testing.T) {
 	req := goldenFirst()
 	req.SpeedFactors = sim.EncodeSpeedFactors([]float64{1, 1, 1.5, 1})
@@ -80,8 +81,8 @@ func TestPlanSpeedFactorsTakeFullReplay(t *testing.T) {
 	if len(preds) != 1 || preds[0].D != 4 || preds[0].N < 12 {
 		t.Fatalf("test premise: one D=4 candidate with N ≥ 3D, got %+v", preds)
 	}
-	if st := e.Stats(); st.ReplaysFull != 2 || st.ReplaysExtended != 2 || st.ReplaysRefused != 0 {
-		t.Fatalf("extended/full/refused = %d/%d/%d, want 2/2/0", st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused)
+	if st := e.Stats(); st.ReplaysFull != 2 || st.ReplaysExtended != 0 || st.ReplaysRefused != 0 {
+		t.Fatalf("extended/full/refused = %d/%d/%d, want 0/2/0", st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused)
 	}
 }
 

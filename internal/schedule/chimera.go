@@ -112,6 +112,39 @@ func (cfg ChimeraConfig) Residency() (*Residency, error) {
 	return r, nil
 }
 
+// CriticalPath returns the (Cf, Cb) that CriticalPath probes on the schedule
+// Chimera builds for cfg, without building it; ok is false when no closed
+// form is known (the scope is Residency's). Invalid configurations return
+// Chimera's error.
+//
+// With k = ⌊(N−1)/D⌋ units before the last, j = N − kD ∈ [1, D]
+// micro-batches in the last and h = ⌈j/2⌉ of them on its down pipeline, one
+// unit (k = 0) has Cf = D and Cb = D − 2 + 2h (Fig. 6: D = N = 6 gives
+// (6, 10)), and k ≥ 1 further units add 2k forwards and 2k(D − 1)
+// backwards, less one forward if j ≤ D − 2. At k ≥ 1 and j = D − 3 or D − 2
+// two paths are equally long under the first probe, and the second reports
+// the one with two more forwards and one backward fewer. The form is
+// tabulated from the probe, not derived: TestCriticalPathClosedForm and
+// FuzzCriticalClosedForm hold it there.
+func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
+	f, err := cfg.check()
+	if err != nil || f > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) {
+		return 0, 0, false, err
+	}
+	d := cfg.D
+	k := (cfg.N - 1) / d
+	j := cfg.N - k*d
+	cf, cb = d+2*k, d-2+2*((j+1)/2)+2*k*(d-1)
+	switch {
+	case k == 0 || j >= d-1:
+	case j >= d-3:
+		cf, cb = cf+1, cb-1
+	default:
+		cf--
+	}
+	return cf, cb, true, nil
+}
+
 // ReplayEquivalent returns the short configuration whose replay extends to
 // cfg's, and by how many basic units (0 and cfg itself when none is known).
 // A direct-concatenation, F = 1 schedule of N ≥ 3D micro-batches is its first

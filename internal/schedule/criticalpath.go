@@ -17,9 +17,11 @@ var (
 //
 // These are the Cf and Cb of the paper's Eq. 1 (§3.4). The counts depend
 // only on the schedule's dependency structure, so they are memoized per
-// ScheduleKey by internal/engine. Both probes are kernel passes over the
-// schedule's compiled Graph — the graph is built once and shared — read out
-// as makespans only.
+// ScheduleKey by internal/engine, which answers fixed-placement, direct,
+// F = 1 Chimera keys from ChimeraConfig.CriticalPath's closed form and
+// probes every other key here; the probe is also that closed form's
+// oracle. Both probes are kernel passes over the schedule's compiled Graph
+// — the graph is built once and shared — read out as makespans only.
 func CriticalPath(s *Schedule) (cf, cb int, err error) {
 	g, err := s.Graph()
 	if err != nil {
@@ -33,8 +35,9 @@ func CriticalPath(s *Schedule) (cf, cb int, err error) {
 }
 
 // CriticalPathOf is CriticalPath over the caller's replay: makespan(rc) must
-// return the schedule's makespan under rc, however it comes by it (the engine
-// replays a shorter schedule when that is exact).
+// return the schedule's makespan under rc, however it comes by it (the
+// closed form's gate reads extended read-outs of a shorter schedule at
+// N ≥ 3D, where that is exact).
 func CriticalPathOf(makespan func(ReplayConfig) (int64, error)) (cf, cb int, err error) {
 	m1, err := makespan(cpProbeA)
 	if err != nil {

@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"chimera/internal/engine"
+	"chimera/internal/refinterp"
 	"chimera/internal/schedule"
 )
 
 // TestEngineCriticalPathMatchesFullSchedule: for every even D ≤ 64 and every
-// N of the periodicity list, the (Cf, Cb) the engine memoizes — probed on the
-// short schedule wherever ReplayEquivalent names one — are the full
-// schedule's own.
+// N of the periodicity list, the (Cf, Cb) the engine memoizes — closed-form,
+// so the engine neither builds nor replays — are the full schedule's own.
 func TestEngineCriticalPathMatchesFullSchedule(t *testing.T) {
 	e := engine.New(engine.Workers(1))
 	for d := 2; d <= schedule.ExhaustiveD(64, 16); d += 2 {
@@ -32,7 +32,36 @@ func TestEngineCriticalPathMatchesFullSchedule(t *testing.T) {
 			}
 		}
 	}
-	if st := e.Stats(); st.ReplaysRefused != 0 || st.ReplaysExtended == 0 {
-		t.Fatalf("homogeneous probes must extend and never be refused: %+v", st)
+}
+
+// TestCriticalPathClosedFormMatchesInterpreter: at every even D ≤ 8, every
+// N ≤ 2D + 1 and every N of the periodicity list, the closed form is the
+// reference interpreter's probe of the full schedule — an oracle that shares
+// neither the compiled graph nor the steady-state replay with the closed
+// form's own gate.
+func TestCriticalPathClosedFormMatchesInterpreter(t *testing.T) {
+	for d := 2; d <= 8; d += 2 {
+		ns := schedule.PeriodicNs(d)
+		for n := 1; n < 2*d; n++ {
+			ns = append(ns, n)
+		}
+		for _, n := range ns {
+			cfg := schedule.ChimeraConfig{D: d, N: n}
+			cf, cb, ok, err := cfg.CriticalPath()
+			if err != nil || !ok {
+				t.Fatalf("D=%d N=%d: no closed form (%v)", d, n, err)
+			}
+			s, err := schedule.Chimera(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wcf, wcb, err := refinterp.CriticalPath(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cf != wcf || cb != wcb {
+				t.Fatalf("D=%d N=%d: closed form (%d, %d), interpreter (%d, %d)", d, n, cf, cb, wcf, wcb)
+			}
+		}
 	}
 }

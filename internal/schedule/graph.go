@@ -283,6 +283,10 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	defer producerPool.Put(producer)
 	shapeTab := make([]int32, s.D*replicas*2*maxLen*3)
 	lastB := make([]int32, s.D*replicas)
+	// A generator places each (stage, replica) on one worker, so these bound
+	// both tables; a hand-built schedule that exceeds them still appends.
+	g.shapes = make([]opShape, 0, s.D*replicas*2*maxLen*halves)
+	g.grad = make([]gradNode, 0, s.D*replicas)
 	for w, ops := range s.Workers {
 		firstNode, firstShape := g.base[w], int32(len(g.shapes))
 		for i := range ops {
