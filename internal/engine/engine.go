@@ -2,9 +2,9 @@
 // planner (§3.4 configuration selection) and the experiment sweeps (§4.2):
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
-// schedule construction, critical-path counts, full simulator evaluations
-// and closed-form residency profiles — keyed by their value-type
-// descriptions. The pool is a bounded fan-out: the participants of a
+// schedule construction, critical-path counts, full simulator evaluations,
+// closed-form residency profiles and unit-cost free regions — keyed by their
+// value-type descriptions. The pool is a bounded fan-out: the participants of a
 // ForEach call claim its indices off one shared counter (pool.go).
 //
 // Two properties make the fan-out safe and the results reproducible:
@@ -314,6 +314,7 @@ type Engine struct {
 	criticals   *Memo[ScheduleKey, critOutcome]
 	outcomes    *Memo[Spec, Outcome]
 	residencies *Memo[ScheduleKey, resOutcome]
+	freeRegions *Memo[freeKey, freeOutcome]
 
 	// replays counts ReplayEquivalent's answers by replayPaths index.
 	replays [len(replayPaths)]atomic.Uint64
@@ -345,6 +346,18 @@ type critOutcome struct {
 
 type resOutcome struct {
 	r   *schedule.Residency
+	err error
+}
+
+// freeKey is a free-region table's memo key: the canonical schedule key and
+// the uniform cost model its replay is priced with.
+type freeKey struct {
+	ScheduleKey
+	cm schedule.CostModel
+}
+
+type freeOutcome struct {
+	f   *schedule.FreeRegions
 	err error
 }
 
@@ -402,6 +415,7 @@ func New(opts ...Option) *Engine {
 		criticals:   NewMemo[ScheduleKey, critOutcome](),
 		outcomes:    NewMemo[Spec, Outcome](),
 		residencies: NewMemo[ScheduleKey, resOutcome](),
+		freeRegions: NewMemo[freeKey, freeOutcome](),
 	}
 	for _, o := range opts {
 		o(e)
@@ -411,6 +425,7 @@ func New(opts ...Option) *Engine {
 		e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 		e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
 		e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
+		e.freeRegions = NewMemoCap[freeKey, freeOutcome](e.capacity)
 	}
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
@@ -553,6 +568,28 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 	return out.cf, out.cb, out.err
 }
 
+// FreeRegions returns the free regions (schedule.FreeRegions) of the
+// schedule identified by key replayed under the uniform cost model cm,
+// memoized under the full canonical key and cm. Eq. 1 prices its
+// unoverlapped allreduce on a fixed unit-cost replay that no request input
+// changes, so one table serves every request that plans the key. A miss
+// replays through ReplayEquivalent, short or full as it decides.
+func (e *Engine) FreeRegions(key ScheduleKey, cm schedule.CostModel) (*schedule.FreeRegions, error) {
+	k := freeKey{key.canonical(), cm}
+	if out, ok := e.freeRegions.Cached(k); ok {
+		return out.f, out.err
+	}
+	out := e.freeRegions.Do(k, func() freeOutcome {
+		r, err := e.ReplayEquivalent(k.ScheduleKey, cm.ReplayConfig(), true)
+		if err != nil {
+			return freeOutcome{err: err}
+		}
+		defer r.Release()
+		return freeOutcome{f: r.FreeRegions()}
+	})
+	return out.f, out.err
+}
+
 // Evaluate runs (or recalls) one simulator evaluation. With observability
 // attached, a memo miss records its compute time in engine_evaluate_seconds
 // and a hit records the time spent recalling (including any wait on another
@@ -644,6 +681,7 @@ func (e *Engine) Reset() {
 	e.criticals.Reset()
 	e.outcomes.Reset()
 	e.residencies.Reset()
+	e.freeRegions.Reset()
 	for i := range e.replays {
 		e.replays[i].Store(0)
 	}

@@ -35,7 +35,8 @@ type engMetrics struct {
 //	engine_sweep_seconds               histogram, whole grid sweeps
 //	engine_worker_busy_nanoseconds_total{worker=N}  counter per pool slot
 //	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs,
-//	                                   table=schedules|criticals|outcomes|residencies
+//	                                   table=schedules|criticals|outcomes|
+//	                                   residencies|freeregions
 //	engine_cache_entries{table=...}    gauge func, resident keys
 //	engine_cache_hit_ratio             gauge func, Stats.HitRate (the
 //	                                   first three tables)
@@ -81,6 +82,7 @@ func (e *Engine) initObserve() {
 		{"criticals", e.criticals},
 		{"outcomes", e.outcomes},
 		{"residencies", e.residencies},
+		{"freeregions", e.freeRegions},
 	}
 	for _, t := range tables {
 		memo := t.memo

@@ -35,7 +35,8 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	}
 	e.Evaluate(spec) // hit
 	e.Sweep([]Spec{testSpec(4, 12), testSpec(4, 16)})
-	// No probes: both are closed-form, so the replay counters stay at zero.
+	// No probes: both are closed-form, so the one replay counted below is
+	// the free-region table's miss.
 	if _, _, err := e.CriticalPath(ChimeraKey(4, 16, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +46,13 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	// (4, 4) and (4, 16) share the closed-form entry min(N, D) = 4.
 	for _, n := range []int{4, 16, 2} {
 		if _, err := e.Residency(ChimeraKey(4, n, 1, schedule.Direct)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One free-region table, replayed once and then recalled.
+	unit := schedule.CostModel{FUnit: 1000, BUnit: 2000}
+	for range 2 {
+		if _, err := e.FreeRegions(ChimeraKey(4, 8, 1, schedule.Direct), unit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +73,7 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	if got := snap.Counters[`engine_cache_misses_total{table="outcomes"}`]; got != 3 {
 		t.Fatalf("outcome cache misses = %d, want 3", got)
 	}
-	for path, want := range map[string]uint64{"extended": 0, "full": 0, "refused": 0} {
+	for path, want := range map[string]uint64{"extended": 0, "full": 1, "refused": 0} {
 		if got := snap.Counters[`engine_replays_total{path="`+path+`"}`]; got != want {
 			t.Fatalf("%s replays = %d, want %d", path, got, want)
 		}
@@ -86,24 +94,34 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 		`engine_cache_hits_total{table="residencies"}`:      1,
 		`engine_cache_misses_total{table="residencies"}`:    2,
 		`engine_cache_evictions_total{table="residencies"}`: 0,
+		`engine_cache_hits_total{table="freeregions"}`:      1,
+		`engine_cache_misses_total{table="freeregions"}`:    1,
+		`engine_cache_evictions_total{table="freeregions"}`: 0,
 	} {
 		if got, ok := snap.Counters[series]; !ok || got != want {
 			t.Fatalf("%s = %d (registered %v), want %d", series, got, ok, want)
 		}
 	}
-	if got := snap.Gauges[`engine_cache_entries{table="residencies"}`]; got != 2 {
-		t.Fatalf("residency entries gauge = %g, want 2", got)
+	for table, want := range map[string]float64{"residencies": 2, "freeregions": 1} {
+		if got, ok := snap.Gauges[`engine_cache_entries{table="`+table+`"}`]; !ok || got != want {
+			t.Fatalf("%s entries gauge = %g (registered %v), want %g", table, got, ok, want)
+		}
 	}
-	// A bounded table evicts like the other three.
+	// Bounded tables evict like the other three.
 	breg := obs.NewRegistry()
 	bounded := New(Workers(1), Capacity(1), Observe(breg))
 	for _, n := range []int{2, 4} {
 		if _, err := bounded.Residency(ChimeraKey(4, n, 1, schedule.Direct)); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := bounded.FreeRegions(ChimeraKey(4, n, 1, schedule.Direct), unit); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := breg.Snapshot().Counters[`engine_cache_evictions_total{table="residencies"}`]; got != 1 {
-		t.Fatalf("Capacity(1) residency evictions = %d, want 1", got)
+	for _, table := range []string{"residencies", "freeregions"} {
+		if got := breg.Snapshot().Counters[`engine_cache_evictions_total{table="`+table+`"}`]; got != 1 {
+			t.Fatalf("Capacity(1) %s evictions = %d, want 1", table, got)
+		}
 	}
 	if r := snap.Gauges["engine_cache_hit_ratio"]; r <= 0 || r >= 1 {
 		t.Fatalf("hit ratio = %g, want in (0, 1)", r)

@@ -48,8 +48,9 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 // replays are all paid for, as on a one-shot chimera-plan.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
-// BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and the
-// prediction replays are what is left.
+// BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and one
+// prediction replay per candidate (Eq. 1's compute term; its free regions
+// are memoized) are what is left.
 func BenchmarkPlanWarm(b *testing.B) {
 	e := engine.New(engine.Workers(1))
 	for _, req := range benchRequests() {
@@ -61,7 +62,7 @@ func BenchmarkPlanWarm(b *testing.B) {
 }
 
 // BenchmarkPredictWithCritical is one Eq. 1 evaluation on a compiled
-// schedule: two priced replays and the grad-ready read-out, nothing cached
+// schedule: two priced replays and the free-region read-out, nothing cached
 // between calls. The hetero cases add per-worker speed factors, which
 // multiply the number of distinct op shapes by D.
 func BenchmarkPredictWithCritical(b *testing.B) {

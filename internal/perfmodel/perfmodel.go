@@ -12,9 +12,9 @@
 // uses the model only to choose (W, D) — the paper's reduced tuning space.
 //
 // Plan fans the (W, D) candidates out over the shared internal/engine
-// worker pool and reuses its memoized schedules and critical paths; the
-// ranking is deterministic and identical whether the engine runs on one
-// worker or many.
+// worker pool and reuses its memoized schedules, critical paths and free
+// regions; the ranking is deterministic and identical whether the engine
+// runs on one worker or many.
 package perfmodel
 
 import (
@@ -106,6 +106,32 @@ func (s *replayed) readout(rc schedule.ReplayConfig) (*schedule.Readout, error) 
 	return s.e.ReplayEquivalent(s.key, rc, s.uniform)
 }
 
+// freeRegions is the schedule's replay under cm with worker w's op costs
+// scaled by factors[w] (none: 1), read as free regions. With every factor 1
+// that replay depends on the schedule and cm alone, so an engine-backed
+// schedule recalls it from the engine's memo; a built schedule, and any
+// other factors, replay afresh.
+func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (*schedule.FreeRegions, error) {
+	if s.built == nil && !slices.ContainsFunc(factors, func(f float64) bool { return f != 1 }) {
+		return s.e.FreeRegions(s.key, cm)
+	}
+	ro, err := s.readout(schedule.ReplayConfig{
+		OpCost: func(w int, op schedule.Op) int64 {
+			f := 1.0
+			if len(factors) != 0 {
+				f = factors[w]
+			}
+			return int64(f * float64(cm.Cost(op)))
+		},
+		EdgeCost: func(schedule.Op) int64 { return cm.P2P },
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer ro.Release()
+	return ro.FreeRegions(), nil
+}
+
 // predict is Eq. 1 over the caller's stage table — cfg.Model partitioned at
 // the schedule's depth — and the caller's replay of the schedule; it reads
 // nothing of cfg.Schedule.
@@ -162,31 +188,24 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 
 	// Unoverlapped gradient synchronization: per worker, allreduce costs
 	// exceeding the free region between gradient completion and the end of
-	// local compute (§3.4, Fig. 6). Per-worker speed factors scale the
-	// replay's unit costs so a straggler's gradients complete late.
-	unitCM := schedule.CostModel{FUnit: 1000, BUnit: int64(1000 * btMult)}
-	ro, err := s.readout(schedule.ReplayConfig{
-		OpCost: func(w int, op schedule.Op) int64 {
-			return int64(factor(w) * float64(unitCM.Cost(op)))
-		},
-		EdgeCost: func(schedule.Op) int64 { return unitCM.P2P },
-	})
+	// local compute (§3.4, Fig. 6), measured on a unit-cost replay. Per-worker
+	// speed factors scale its unit costs so a straggler's gradients complete
+	// late.
+	free, err := s.freeRegions(schedule.CostModel{FUnit: 1000, BUnit: int64(1000 * btMult)}, cfg.SpeedFactors)
 	if err != nil {
 		return nil, err
 	}
-	defer ro.Release()
 	scale := ft / 1000 // seconds per replay unit
 	r := s.replicas * cfg.W
 	var unoverlapped float64
 	for w := range stages {
-		end := ro.ComputeEnd(w)
 		// Placements arrive ordered by (stage, replica): the float sum below
 		// does not commute, so a fixed order is what makes the prediction a
 		// function of its inputs.
 		var u float64
-		for _, gr := range ro.GradReady(w) {
-			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[gr.Stage].Params()*4)
-			slack := float64(end-gr.At) * scale
+		for _, fr := range free.Worker(w) {
+			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[fr.Stage].Params()*4)
+			slack := float64(fr.Slack) * scale
 			// Mirror the eager-sync-opt semantics: a stage with a
 			// meaningful free region launches eagerly and only its spill
 			// remains; middle stages pay the full cost after compute.
@@ -426,10 +445,12 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // search builds no schedule): it stops at the first B that
 // fits plainly, remembering on the way the first that fits with
 // recomputation. Its (Cf, Cb) are closed-form for the fixed placement
-// (engine.CriticalPath), and only Eq. 1's two replays of the (D, N = B̂/(W·B))
-// it settles on build and replay a schedule, through engine.ReplayEquivalent
-// — for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
-// one is never built. (model, D) is fixed
+// (engine.CriticalPath), and only Eq. 1's replays of the (D, N = B̂/(W·B)) it
+// settles on build and replay a schedule, through engine.ReplayEquivalent —
+// for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
+// one is never built. Without speed factors the unit-cost replay behind the
+// free regions is the engine's memo (engine.FreeRegions), so a warm candidate
+// replays once: the compute term. (model, D) is fixed
 // for the whole candidate, so the stage table is derived once and priced by
 // every fit and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {

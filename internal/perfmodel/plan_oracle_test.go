@@ -8,6 +8,7 @@ import (
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/obs"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
@@ -166,6 +167,42 @@ func TestPlanMatchesTwoPassSearch(t *testing.T) {
 		t.Fatalf("request set lost its coverage: %d infeasible, %d recompute rows", infeasible, recompute)
 	}
 	t.Logf("%d feasible plans (%d recompute rows) and %d infeasible equal the two-pass reference", feasible, recompute, infeasible)
+}
+
+// TestWarmPlanMatchesCold: the engine's free-region table is the first
+// planner memo that answers across requests — its unit-cost replay depends
+// on no request input — so every request planned on one shared engine,
+// first in order and then in reverse, must equal its plan on a fresh
+// engine, errors included.
+func TestWarmPlanMatchesCold(t *testing.T) {
+	reqs := oracleRequests()
+	if testing.Short() {
+		reqs = reqs[len(reqs)-30:]
+	}
+	cold := make([][]*Prediction, len(reqs))
+	coldErrs := make([]error, len(reqs))
+	for i, req := range reqs {
+		cold[i], coldErrs[i] = PlanOn(engine.New(engine.Workers(1)), req)
+	}
+	reg := obs.NewRegistry()
+	shared := engine.New(engine.Workers(1), engine.Observe(reg))
+	for _, reverse := range []bool{false, true} {
+		for j := range reqs {
+			i := j
+			if reverse {
+				i = len(reqs) - 1 - j
+			}
+			got, err := PlanOn(shared, reqs[i])
+			if !reflect.DeepEqual(got, cold[i]) || !reflect.DeepEqual(err, coldErrs[i]) {
+				t.Fatalf("request %d (reverse %v) on the shared engine:\n got %+v (%v)\nwant %+v (%v)", i, reverse, dump(got), err, dump(cold[i]), coldErrs[i])
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters[`engine_cache_hits_total{table="freeregions"}`], snap.Counters[`engine_cache_misses_total{table="freeregions"}`]
+	if misses == 0 || hits < misses {
+		t.Fatalf("free-region table: %d hits, %d misses; the reverse pass alone should hit every miss", hits, misses)
+	}
 }
 
 // TestPlanOneUnresolvableProfiles: planOne derives its stage table once per

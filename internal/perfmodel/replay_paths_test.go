@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"reflect"
 	"testing"
 
 	"chimera/internal/engine"
@@ -21,7 +22,8 @@ func goldenFirst() PlanRequest {
 // all have N ≥ 3D is served by extended replays alone — two per candidate,
 // Eq. 1's; the critical path is closed-form and replays nothing — and leaves
 // no fixed-placement Chimera schedule of three or more units in the engine's
-// memo; Prediction.N keeps the full N.
+// memo; Prediction.N keeps the full N. Planning it again on the same engine
+// replays once per candidate: the unit-cost free regions are memoized.
 func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 	e := engine.New(engine.Workers(1))
 	preds, err := PlanOn(e, goldenFirst())
@@ -31,6 +33,14 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 	st := e.Stats()
 	if want := uint64(2 * len(preds)); st.ReplaysExtended != want || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
 		t.Fatalf("%d candidates: extended/full/refused = %d/%d/%d, want %d/0/0", len(preds), st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused, want)
+	}
+	again, err := PlanOn(e, goldenFirst())
+	if err != nil || !reflect.DeepEqual(again, preds) {
+		t.Fatalf("a warm plan differs from the cold one (%v)", err)
+	}
+	warm := e.Stats()
+	if want := st.ReplaysExtended + uint64(len(preds)); warm.ReplaysExtended != want || warm.ReplaysFull != 0 || warm.ReplaysRefused != 0 {
+		t.Fatalf("warm plan of %d candidates: extended/full/refused = %d/%d/%d, want %d/0/0", len(preds), warm.ReplaysExtended, warm.ReplaysFull, warm.ReplaysRefused, want)
 	}
 	for _, p := range preds {
 		if p.N < 3*p.D || p.N*p.B*p.W != 512 {

@@ -651,6 +651,45 @@ func (r *Readout) GradReady(w int) []GradReady {
 	return r.ready[r.g.gradStart[w]:r.g.gradStart[w+1]]
 }
 
+// FreeRegions is what Eq. 1's unoverlapped term reads of a replay: each
+// stage replica's free region (§3.2 eager sync, Fig. 6), the time between
+// its gradients being ready and its worker's compute ending. Worker w's
+// regions are regions[start[w]:start[w+1]], ordered by (stage, replica) as
+// GradReady is. The table owns its arrays and outlives the Readout it was
+// read from, so a caller may keep it; it is read-only once built.
+type FreeRegions struct {
+	start   []int32
+	regions []FreeRegion
+}
+
+// FreeRegion is one placement's free region: Slack is ComputeEnd(w) −
+// GradReady.At on the worker that hosts it.
+type FreeRegion struct {
+	Stage int32
+	Slack int64
+}
+
+// FreeRegions reads the replay's free regions into a table of their own. An
+// extended read-out shifts compute-ends and grad-ready times by the same
+// amount, so its slack is exact.
+func (r *Readout) FreeRegions() *FreeRegions {
+	g := r.g
+	f := &FreeRegions{start: slices.Clone(g.gradStart), regions: make([]FreeRegion, len(r.ready))}
+	for w := 0; w < g.s.D; w++ {
+		end := r.ComputeEnd(w)
+		for i := g.gradStart[w]; i < g.gradStart[w+1]; i++ {
+			f.regions[i] = FreeRegion{int32(r.ready[i].Stage), end - r.ready[i].At}
+		}
+	}
+	return f
+}
+
+// Worker lists worker w's free regions in (stage, replica) order: none for
+// an idle worker. The slice is the table's own.
+func (f *FreeRegions) Worker(w int) []FreeRegion {
+	return f.regions[f.start[w]:f.start[w+1]]
+}
+
 // BubbleRatio is Timeline.BubbleRatio without the timeline: a worker's busy
 // time is the summed cost of its ops, count·cost per shape.
 func (r *Readout) BubbleRatio() float64 {
