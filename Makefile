@@ -27,10 +27,10 @@ race:
 # swept. The fleet run is -short: its single-threaded oracle suites shrink
 # (the classic-trace differential, TestClassicTraceIsArrivalsOnlyReplay,
 # runs a quarter of its seeds), the concurrency tests do not. The schedule and perfmodel packages are in
-# because graph compile and replay draw from three process-wide pools
-# (producerPool, topoScratchPool, readoutPool) that concurrent planners
-# share. The last line is every package twice, for whatever shares state
-# outside the ones named above.
+# because graph compile and replay draw from two process-wide pools
+# (topoScratchPool, readoutPool) that concurrent planners share. The last
+# line is every package twice, for whatever shares state outside the ones
+# named above.
 race-sweep:
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/engine
 	$(GO) test -race -count=20 ./internal/httpd ./internal/serve ./internal/router ./internal/controller
@@ -72,18 +72,40 @@ lint:
 	fi
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on
-# every plain `go test`) for a bounded time per target, mirroring CI.
+# every plain `go test`) for a bounded time per target; CI runs it with the
+# default budget.
 FUZZTIME ?= 10s
 fuzz:
+# Graph replay vs the reference interpreter.
 	$(GO) test -fuzz=FuzzGraphReplayEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Steady-state replay extension vs full replay: may refuse, must never
+# differ (random (D, N), per-shape costs, zero costs, per-worker factors).
 	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Closed-form residency vs op walk (random even D ≤ 256, N ≤ 4096, concat
+# mode): equal whenever it answers, and fails exactly as Chimera.
 	$(GO) test -fuzz=FuzzResidencyClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Closed-form (Cf, Cb) vs the two-probe CriticalPath (random even D ≤ 256,
+# N ≤ 4096, F, concat mode): equal whenever it answers, and fails exactly
+# as Chimera.
 	$(GO) test -fuzz=FuzzCriticalClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Slot-formula graph vs compiled schedule (random even D ≤ 256, N ≤ 8D):
+# ChimeraConfig.Graph equals compileGraph(Chimera(cfg)) field for field.
 	$(GO) test -fuzz=FuzzChimeraGraph -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Memoized free regions vs full read-out (random even D ≤ 64, N ≤ 8D,
+# F ∈ {1, 2}, concat mode, backward cost): the engine's table equals the
+# full schedule's read-out, whether the short or the full replay served
+# it, and fails exactly as Chimera.
 	$(GO) test -fuzz=FuzzFreeRegions -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine/
+# Speed-factor codec round-trip.
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
+# Profile memory model vs the op-walk oracle.
 	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
+# Fleet scenario resolvers (example scenarios as seeds): never panic; an
+# accepted classic trace stays within the event bound and resolves the same
+# cluster and jobs as its elastic twin.
 	$(GO) test -fuzz=FuzzFleetScenarioResolve -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve/
+# Planner breakpoints vs PlanOn: the fleet searches visit only the listed
+# P values; off the list, PlanOn must answer ErrInfeasible.
 	$(GO) test -fuzz=FuzzPlanBreakpoints -fuzztime=$(FUZZTIME) -run '^$$' ./internal/perfmodel/
 
 # cover writes the per-function coverage summary CI archives.

@@ -116,12 +116,13 @@ type (
 )
 
 // Plan ranks feasible (W, D, B) Chimera configurations by Eq. 1. The
-// candidates are evaluated concurrently on the shared engine.
-func Plan(req PlanRequest) ([]*Prediction, error) { return perfmodel.Plan(req) }
-
-// PlanParallel is Plan on a caller-supplied engine: pool size and caches
-// under the caller's control (e.g. NewEngine(1) for a serial reference).
-func PlanParallel(e *Engine, req PlanRequest) ([]*Prediction, error) {
+// candidates are evaluated concurrently on e, whose pool size and caches the
+// caller controls (e.g. NewEngine(1) for a serial reference); a nil engine
+// selects the shared default.
+func Plan(e *Engine, req PlanRequest) ([]*Prediction, error) {
+	if e == nil {
+		e = engine.Default()
+	}
 	return perfmodel.PlanOn(e, req)
 }
 

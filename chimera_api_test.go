@@ -81,7 +81,7 @@ func TestFacadeSimulateAndPlan(t *testing.T) {
 		t.Fatal("auto-run should have resolved memory via recompute")
 	}
 	_ = recompute
-	preds, err := chimera.Plan(chimera.PlanRequest{
+	preds, err := chimera.Plan(nil, chimera.PlanRequest{
 		Model: chimera.BERT48(), P: 32, MiniBatch: 512,
 		Device: chimera.PizDaintNode(), Network: chimera.AriesNetwork(),
 	})

@@ -51,23 +51,23 @@ func TestFacadeSweep(t *testing.T) {
 	}
 }
 
-// TestFacadePlanParallel: PlanParallel on a private engine matches Plan on
-// the shared default.
-func TestFacadePlanParallel(t *testing.T) {
+// TestFacadePlanPrivateMatchesShared: Plan on a private engine matches Plan
+// on the shared default (a nil engine).
+func TestFacadePlanPrivateMatchesShared(t *testing.T) {
 	req := chimera.PlanRequest{
 		Model: chimera.BERT48(), P: 16, MiniBatch: 128,
 		Device: chimera.PizDaintNode(), Network: chimera.AriesNetwork(), MaxB: 16,
 	}
-	def, err := chimera.Plan(req)
+	def, err := chimera.Plan(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := chimera.PlanParallel(chimera.NewEngine(2), req)
+	private, err := chimera.Plan(chimera.NewEngine(2), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(def, private) {
-		t.Fatal("PlanParallel diverged from Plan")
+		t.Fatal("Plan on a private engine diverged from the shared engine")
 	}
 }
 

@@ -19,7 +19,7 @@ func main() {
 		Device: chimera.PizDaintNode(), Network: chimera.AriesNetwork(),
 		MaxB: 64,
 	}
-	preds, err := chimera.Plan(req)
+	preds, err := chimera.Plan(nil, req)
 	if err != nil {
 		log.Fatal(err)
 	}

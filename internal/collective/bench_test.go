@@ -7,7 +7,7 @@ import (
 	"chimera/internal/comm"
 )
 
-func benchAllReduce(b *testing.B, size, n int, alg Algorithm) {
+func benchAllReduce(b *testing.B, size, n int) {
 	b.Helper()
 	ranks := make([]int, size)
 	for i := range ranks {
@@ -27,15 +27,11 @@ func benchAllReduce(b *testing.B, size, n int, alg Algorithm) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				AllReduce(w.Rank(r), g, 0, bufs[r], alg)
+				AllReduce(w.Rank(r), g, 0, bufs[r])
 			}(r)
 		}
 		wg.Wait()
 	}
 }
 
-func BenchmarkAllReduceRing8x64k(b *testing.B)         { benchAllReduce(b, 8, 1<<16, Ring) }
-func BenchmarkAllReduceRabenseifner8x64k(b *testing.B) { benchAllReduce(b, 8, 1<<16, Rabenseifner) }
-func BenchmarkAllReduceRecDoubling8x64k(b *testing.B) {
-	benchAllReduce(b, 8, 1<<16, RecursiveDoubling)
-}
+func BenchmarkAllReduceRing8x64k(b *testing.B) { benchAllReduce(b, 8, 1<<16) }

@@ -1,9 +1,11 @@
 // Package collective implements collective communication operations over the
 // in-process communicator of package comm. It provides the gradient
-// synchronization primitives Chimera relies on: allreduce across stage
-// replicas (ring, recursive doubling, and Rabenseifner's reduce-scatter +
-// allgather algorithm) and asynchronous (nonblocking) allreduce handles used
-// for the eager synchronization scheme of §3.2 of the paper.
+// synchronization primitives Chimera relies on: a ring allreduce across
+// stage replicas, asynchronous (nonblocking) allreduce handles used for the
+// eager synchronization scheme of §3.2 of the paper, and a ring allgather.
+// The cost model prices allreduce as Rabenseifner's algorithm (package sim);
+// the runtime only needs a correct sum, which the ring delivers at any group
+// size.
 //
 // Collectives operate on a Group: an ordered subset of world ranks. All
 // members must call the collective with their own communicator; the group
@@ -45,90 +47,22 @@ func (g Group) Index(rank int) int {
 // tag space layout: collectives use tags well above pipeline traffic.
 const (
 	tagRing   = 1 << 24
-	tagRD     = 1 << 25
-	tagRab    = 1 << 26
-	tagBcast  = 1 << 27
 	tagGather = 1 << 28
 )
 
-// Algorithm selects the allreduce implementation.
-type Algorithm int
-
-const (
-	// Rabenseifner is reduce-scatter (recursive halving) followed by
-	// allgather (recursive doubling). Bandwidth-optimal for large messages;
-	// the algorithm the paper's cost model assumes.
-	Rabenseifner Algorithm = iota
-	// Ring is the classic 2(r-1)-step ring allreduce.
-	Ring
-	// RecursiveDoubling exchanges full vectors in log2(r) rounds.
-	// Latency-optimal for small messages.
-	RecursiveDoubling
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case Rabenseifner:
-		return "rabenseifner"
-	case Ring:
-		return "ring"
-	case RecursiveDoubling:
-		return "recursive-doubling"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// AllReduce sums data elementwise across all group members, in place.
-// opTag distinguishes concurrent allreduces on the same group (e.g. one per
+// AllReduce sums data elementwise across all group members, in place, with
+// the ring algorithm: reduce-scatter then allgather, 2(r-1) steps. opTag
+// distinguishes concurrent allreduces on the same group (e.g. one per
 // pipeline stage); all members must pass the same opTag.
-func AllReduce(c *comm.Communicator, g Group, opTag int, data []float32, alg Algorithm) {
-	if g.Size() == 1 {
+func AllReduce(c *comm.Communicator, g Group, opTag int, data []float32) {
+	r := g.Size()
+	if r == 1 {
 		return
 	}
 	me := g.Index(c.Rank())
 	if me < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group %v", c.Rank(), g.Ranks))
 	}
-	switch alg {
-	case Ring:
-		ringAllReduce(c, g, me, opTag, data)
-	case RecursiveDoubling:
-		recursiveDoublingAllReduce(c, g, me, opTag, data)
-	case Rabenseifner:
-		rabenseifnerAllReduce(c, g, me, opTag, data)
-	default:
-		panic("collective: unknown algorithm")
-	}
-}
-
-// Handle is an outstanding nonblocking allreduce started with IAllReduce.
-type Handle struct {
-	done chan struct{}
-}
-
-// Wait blocks until the allreduce has completed. After Wait returns, the
-// buffer passed to IAllReduce holds the reduced result.
-func (h *Handle) Wait() { <-h.done }
-
-// IAllReduce starts an allreduce on a dedicated progression goroutine,
-// emulating a nonblocking collective (cf. Hoefler et al., the mechanism
-// behind the eager gradient synchronization of §3.2). The caller must not
-// touch data until Wait returns. Each member must use a private communicator
-// clone obtained from the same world (the pipeline executor allocates
-// per-purpose communicators so progression does not race worker traffic).
-func IAllReduce(c *comm.Communicator, g Group, opTag int, data []float32, alg Algorithm) *Handle {
-	h := &Handle{done: make(chan struct{})}
-	go func() {
-		AllReduce(c, g, opTag, data, alg)
-		close(h.done)
-	}()
-	return h
-}
-
-// ringAllReduce: reduce-scatter then allgather around a ring; 2(r-1) steps.
-func ringAllReduce(c *comm.Communicator, g Group, me, opTag int, data []float32) {
-	r := g.Size()
 	chunks := splitChunks(len(data), r)
 	next := g.Ranks[(me+1)%r]
 	prev := g.Ranks[(me-1+r)%r]
@@ -155,106 +89,28 @@ func ringAllReduce(c *comm.Communicator, g Group, me, opTag int, data []float32)
 	}
 }
 
-// recursiveDoublingAllReduce requires the group size to be a power of two for
-// the fast path; other sizes fall back to ring.
-func recursiveDoublingAllReduce(c *comm.Communicator, g Group, me, opTag int, data []float32) {
-	r := g.Size()
-	if r&(r-1) != 0 {
-		ringAllReduce(c, g, me, opTag, data)
-		return
-	}
-	for dist := 1; dist < r; dist <<= 1 {
-		peer := me ^ dist
-		c.Send(g.Ranks[peer], tagRD+opTag*64+dist, data)
-		in := c.Recv(g.Ranks[peer], tagRD+opTag*64+dist)
-		addInto(data, in)
-	}
+// Handle is an outstanding nonblocking allreduce started with IAllReduce.
+type Handle struct {
+	done chan struct{}
 }
 
-// rabenseifnerAllReduce implements reduce-scatter via recursive halving and
-// allgather via recursive doubling. Power-of-two group sizes take the fast
-// path; others fall back to ring (sufficient here: stage replica counts in
-// the experiments are powers of two, as on Piz Daint).
-func rabenseifnerAllReduce(c *comm.Communicator, g Group, me, opTag int, data []float32) {
-	r := g.Size()
-	if r&(r-1) != 0 || len(data) < r {
-		ringAllReduce(c, g, me, opTag, data)
-		return
-	}
-	// Work over chunk indices: splitChunks yields r contiguous chunks whose
-	// counts halve exactly because r is a power of two; element offsets may
-	// be uneven, which is fine since we always slice via chunk boundaries.
-	chunks := splitChunks(len(data), r)
-	offset := func(ci int) int {
-		if ci == r {
-			return len(data)
-		}
-		return chunks[ci].lo
-	}
-	// Recursive halving reduce-scatter over chunk-index region [clo, chi).
-	clo, chi := 0, r
-	step := 0
-	for dist := r / 2; dist >= 1; dist /= 2 {
-		peer := me ^ dist
-		mid := (clo + chi) / 2
-		var sLo, sHi, kLo, kHi int
-		if me&dist == 0 {
-			sLo, sHi, kLo, kHi = mid, chi, clo, mid // keep lower half
-		} else {
-			sLo, sHi, kLo, kHi = clo, mid, mid, chi // keep upper half
-		}
-		c.Send(g.Ranks[peer], tagRab+opTag*64+step, data[offset(sLo):offset(sHi)])
-		in := c.Recv(g.Ranks[peer], tagRab+opTag*64+step)
-		addInto(data[offset(kLo):offset(kHi)], in)
-		clo, chi = kLo, kHi
-		step++
-	}
-	// Recursive doubling allgather, retracing the halving in reverse: the
-	// peer at distance dist owns the sibling chunk-region of equal count.
-	for dist := 1; dist < r; dist <<= 1 {
-		peer := me ^ dist
-		count := chi - clo
-		var pLo, pHi int
-		if me&dist == 0 {
-			pLo, pHi = chi, chi+count
-		} else {
-			pLo, pHi = clo-count, clo
-		}
-		c.Send(g.Ranks[peer], tagRab+opTag*64+32+step, data[offset(clo):offset(chi)])
-		in := c.Recv(g.Ranks[peer], tagRab+opTag*64+32+step)
-		copy(data[offset(pLo):offset(pHi)], in)
-		if pLo < clo {
-			clo = pLo
-		}
-		if pHi > chi {
-			chi = pHi
-		}
-		step++
-	}
-}
+// Wait blocks until the allreduce has completed. After Wait returns, the
+// buffer passed to IAllReduce holds the reduced result.
+func (h *Handle) Wait() { <-h.done }
 
-// Broadcast sends root's data to all group members, overwriting data on
-// non-roots. Implemented as a binomial tree.
-func Broadcast(c *comm.Communicator, g Group, opTag int, data []float32, rootIdx int) {
-	r := g.Size()
-	if r == 1 {
-		return
-	}
-	me := g.Index(c.Rank())
-	// Rotate so root is virtual rank 0, then run the standard top-down
-	// binomial tree: at round mask, ranks below mask forward to rank+mask.
-	vrank := (me - rootIdx + r) % r
-	for mask := 1; mask < r; mask <<= 1 {
-		if vrank < mask {
-			peer := vrank + mask
-			if peer < r {
-				c.Send(g.Ranks[(peer+rootIdx)%r], tagBcast+opTag*64+mask, data)
-			}
-		} else if vrank < 2*mask {
-			in := c.Recv(g.Ranks[(vrank-mask+rootIdx)%r], tagBcast+opTag*64+mask)
-			copy(data, in)
-		}
-	}
+// IAllReduce starts an allreduce on a dedicated progression goroutine,
+// emulating a nonblocking collective (cf. Hoefler et al., the mechanism
+// behind the eager gradient synchronization of §3.2). The caller must not
+// touch data until Wait returns. Each member must use a private communicator
+// clone obtained from the same world (the pipeline executor allocates
+// per-purpose communicators so progression does not race worker traffic).
+func IAllReduce(c *comm.Communicator, g Group, opTag int, data []float32) *Handle {
+	h := &Handle{done: make(chan struct{})}
+	go func() {
+		AllReduce(c, g, opTag, data)
+		close(h.done)
+	}()
+	return h
 }
 
 // AllGather concatenates each member's equally sized contribution into out

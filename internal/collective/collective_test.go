@@ -29,7 +29,7 @@ func runGroup(t *testing.T, size int, fn func(c *comm.Communicator, g Group)) {
 	wg.Wait()
 }
 
-func checkAllReduce(t *testing.T, size, n int, alg Algorithm) {
+func checkAllReduce(t *testing.T, size, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(size*1000 + n)))
 	inputs := make([][]float32, size)
@@ -45,25 +45,23 @@ func checkAllReduce(t *testing.T, size, n int, alg Algorithm) {
 	runGroup(t, size, func(c *comm.Communicator, g Group) {
 		buf := make([]float32, n)
 		copy(buf, inputs[c.Rank()])
-		AllReduce(c, g, 3, buf, alg)
+		AllReduce(c, g, 3, buf)
 		results[c.Rank()] = buf
 	})
 	for r := 0; r < size; r++ {
 		for i := 0; i < n; i++ {
 			if results[r][i] != want[i] {
-				t.Fatalf("alg=%v size=%d n=%d rank=%d idx=%d: got %v want %v",
-					alg, size, n, r, i, results[r][i], want[i])
+				t.Fatalf("size=%d n=%d rank=%d idx=%d: got %v want %v",
+					size, n, r, i, results[r][i], want[i])
 			}
 		}
 	}
 }
 
 func TestAllReduceAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{Ring, RecursiveDoubling, Rabenseifner} {
-		for _, size := range []int{1, 2, 3, 4, 5, 8} {
-			for _, n := range []int{1, 7, 16, 333} {
-				checkAllReduce(t, size, n, alg)
-			}
+	for _, size := range []int{1, 2, 3, 4, 5, 8} {
+		for _, n := range []int{1, 7, 16, 333} {
+			checkAllReduce(t, size, n)
 		}
 	}
 }
@@ -74,7 +72,6 @@ func TestAllReducePropertySumPreserved(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		size := 2 + rng.Intn(7)
 		n := 1 + rng.Intn(100)
-		alg := Algorithm(rng.Intn(3))
 		inputs := make([][]float32, size)
 		want := make([]float32, n)
 		for r := range inputs {
@@ -87,7 +84,7 @@ func TestAllReducePropertySumPreserved(t *testing.T) {
 		results := make([][]float32, size)
 		runGroup(t, size, func(c *comm.Communicator, g Group) {
 			buf := append([]float32(nil), inputs[c.Rank()]...)
-			AllReduce(c, g, 0, buf, alg)
+			AllReduce(c, g, 0, buf)
 			results[c.Rank()] = buf
 		})
 		for r := 0; r < size; r++ {
@@ -115,7 +112,7 @@ func TestAllReduceSubgroup(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			buf := []float32{float32(r), float32(r * 10)}
-			AllReduce(w.Rank(r), g, 0, buf, Ring)
+			AllReduce(w.Rank(r), g, 0, buf)
 			results[r] = buf
 		}(r)
 	}
@@ -144,8 +141,8 @@ func TestConcurrentAllReducesDistinctTags(t *testing.T) {
 			c := w.Rank(r)
 			a := []float32{1}
 			b := []float32{10}
-			AllReduce(c, g, 1, a, Ring)
-			AllReduce(c, g, 2, b, Ring)
+			AllReduce(c, g, 1, a)
+			AllReduce(c, g, 2, b)
 			resA[r], resB[r] = a, b
 		}(r)
 	}
@@ -163,7 +160,7 @@ func TestConcurrentAllReducesDistinctTags(t *testing.T) {
 func TestIAllReduceOverlap(t *testing.T) {
 	runGroup(t, 4, func(c *comm.Communicator, g Group) {
 		buf := []float32{1, 2, 3, 4}
-		h := IAllReduce(c, g, 5, buf, Rabenseifner)
+		h := IAllReduce(c, g, 5, buf)
 		h.Wait()
 		for i, v := range buf {
 			if v != float32(4*(i+1)) {
@@ -171,31 +168,6 @@ func TestIAllReduceOverlap(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, size := range []int{2, 3, 4, 7, 8} {
-		for root := 0; root < size; root++ {
-			results := make([][]float32, size)
-			runGroup(t, size, func(c *comm.Communicator, g Group) {
-				buf := make([]float32, 5)
-				if g.Index(c.Rank()) == root {
-					for i := range buf {
-						buf[i] = float32(100 + i)
-					}
-				}
-				Broadcast(c, g, root, buf, root)
-				results[c.Rank()] = buf
-			})
-			for r := 0; r < size; r++ {
-				for i := 0; i < 5; i++ {
-					if results[r][i] != float32(100+i) {
-						t.Fatalf("size=%d root=%d rank=%d: got %v", size, root, r, results[r])
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestAllGather(t *testing.T) {
@@ -225,18 +197,6 @@ func TestGroupIndex(t *testing.T) {
 	}
 	if g.Index(2) != 1 || g.Index(9) != 2 || g.Index(5) != -1 {
 		t.Fatalf("index lookup broken: %d %d %d", g.Index(2), g.Index(9), g.Index(5))
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if Rabenseifner.String() != "rabenseifner" || Ring.String() != "ring" {
-		t.Fatal("algorithm names changed")
-	}
-	if RecursiveDoubling.String() != "recursive-doubling" {
-		t.Fatal("algorithm names changed")
-	}
-	if Algorithm(99).String() == "" {
-		t.Fatal("unknown algorithm must still render")
 	}
 }
 

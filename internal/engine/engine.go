@@ -413,24 +413,15 @@ func ForDaemon(own *Engine, reg *obs.Registry, workers, capacity int) *Engine {
 
 // New builds an engine with a GOMAXPROCS-sized pool and empty caches.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		workers:     runtime.GOMAXPROCS(0),
-		schedules:   NewMemo[ScheduleKey, schedOutcome](),
-		criticals:   NewMemo[ScheduleKey, critOutcome](),
-		outcomes:    NewMemo[Spec, Outcome](),
-		residencies: NewMemo[ScheduleKey, resOutcome](),
-		freeRegions: NewMemo[freeKey, freeOutcome](),
-	}
+	e := &Engine{workers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(e)
 	}
-	if e.capacity > 0 {
-		e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
-		e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
-		e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
-		e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
-		e.freeRegions = NewMemoCap[freeKey, freeOutcome](e.capacity)
-	}
+	e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
+	e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
+	e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
+	e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
+	e.freeRegions = NewMemoCap[freeKey, freeOutcome](e.capacity)
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s

@@ -263,17 +263,12 @@ type PlanRequest struct {
 // errors.Is to distinguish "this P cannot host the job" from a real error.
 var ErrInfeasible = errors.New("no feasible configuration")
 
-// Plan enumerates feasible (W, D, B) Chimera configurations for the request
-// and returns them ranked by predicted throughput (best first). For each
-// (W, D) it greedily selects the maximum power-of-two micro-batch size that
-// fits device memory (with recomputation as fallback), the paper's §3.4
-// strategy. Candidates are evaluated concurrently on the shared engine.
-func Plan(req PlanRequest) ([]*Prediction, error) {
-	return PlanOn(engine.Default(), req)
-}
-
-// PlanOn is Plan running on a caller-supplied engine (pool size and caches
-// under the caller's control). The returned ranking is deterministic:
+// PlanOn enumerates feasible (W, D, B) Chimera configurations for the
+// request and returns them ranked by predicted throughput (best first). For
+// each (W, D) it greedily selects the maximum power-of-two micro-batch size
+// that fits device memory (with recomputation as fallback), the paper's §3.4
+// strategy. Candidates are evaluated concurrently on e, whose pool size and
+// caches the caller controls. The returned ranking is deterministic:
 // throughput descending, with ties broken by smaller D then larger B.
 func PlanOn(e *engine.Engine, req PlanRequest) ([]*Prediction, error) {
 	preds, errs := PlanBatchOn(e, []PlanRequest{req})

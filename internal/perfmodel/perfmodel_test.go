@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"testing"
 
+	"chimera/internal/engine"
 	"chimera/internal/model"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
@@ -93,7 +94,7 @@ func TestPredictThroughputPositive(t *testing.T) {
 // Bert-48: the planner must return several feasible configurations ranked
 // by predicted throughput, and the winner must use the greedy max-B.
 func TestPlanRanksConfigurations(t *testing.T) {
-	preds, err := Plan(PlanRequest{
+	preds, err := PlanOn(engine.Default(), PlanRequest{
 		Model: model.BERT48(), P: 32, MiniBatch: 512,
 		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(), MaxB: 32,
 	})
@@ -126,7 +127,7 @@ func TestPlanRanksConfigurations(t *testing.T) {
 
 // TestPlanRejectsImpossible covers the error path.
 func TestPlanRejectsImpossible(t *testing.T) {
-	_, err := Plan(PlanRequest{Model: model.BERT48(), P: 7, MiniBatch: 512})
+	_, err := PlanOn(engine.Default(), PlanRequest{Model: model.BERT48(), P: 7, MiniBatch: 512})
 	if err == nil {
 		t.Fatal("P=7 with 48 layers should have no even-D factorization")
 	}
@@ -135,7 +136,7 @@ func TestPlanRejectsImpossible(t *testing.T) {
 // TestGreedyMaxBFits: the planner's chosen B must fit memory by
 // construction; pushing one power of two higher must not fit (or not divide).
 func TestGreedyMaxBFits(t *testing.T) {
-	preds, err := Plan(PlanRequest{
+	preds, err := PlanOn(engine.Default(), PlanRequest{
 		Model: model.BERT48(), P: 32, MiniBatch: 512,
 		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(), MaxB: 64,
 	})
@@ -194,7 +195,7 @@ func TestCriticalPathBaselines(t *testing.T) {
 // falls back to the largest B that fits with recomputation.
 func TestPlanRecomputeFallback(t *testing.T) {
 	// GPT-2 on few workers: nothing fits without recompute at D=8.
-	preds, err := Plan(PlanRequest{
+	preds, err := PlanOn(engine.Default(), PlanRequest{
 		Model: model.GPT2(), P: 16, MiniBatch: 64,
 		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(), MaxB: 4,
 	})

@@ -87,12 +87,12 @@ func TestPlanConcurrentCallers(t *testing.T) {
 // comparator is total on (Throughput, D, B).
 func TestPlanDeterministicRanking(t *testing.T) {
 	req := planRequests()[0]
-	first, err := Plan(req)
+	first, err := PlanOn(engine.Default(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Plan(req)
+		again, err := PlanOn(engine.Default(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"chimera/internal/engine"
 	"chimera/internal/model"
 	"chimera/internal/sim"
 )
@@ -25,7 +26,7 @@ func hetPlanRequest(scheduler string, factors []float64) PlanRequest {
 // groups, capping the reshaping gain).
 func TestPlanSchedulerAxis(t *testing.T) {
 	factors := []float64{1, 1, 1, 1, 2, 1, 1, 1}
-	preds, err := Plan(hetPlanRequest("auto", factors))
+	preds, err := PlanOn(engine.Default(), hetPlanRequest("auto", factors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestPlanSchedulerAxis(t *testing.T) {
 // TestPlanSchedulerUniformCollapses: with homogeneous factors the policy
 // axis collapses to the fixed placement, bit-identical to a pre-policy plan.
 func TestPlanSchedulerUniformCollapses(t *testing.T) {
-	base, err := Plan(PlanRequest{
+	base, err := PlanOn(engine.Default(), PlanRequest{
 		Model: model.GPT2Small32(), P: 32, MiniBatch: 512,
 		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(), MaxB: 8,
 	})
@@ -63,7 +64,7 @@ func TestPlanSchedulerUniformCollapses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sel := range []string{"fixed", "heft", "auto"} {
-		got, err := Plan(hetPlanRequest(sel, nil))
+		got, err := PlanOn(engine.Default(), hetPlanRequest(sel, nil))
 		if err != nil {
 			t.Fatalf("%s: %v", sel, err)
 		}
@@ -75,7 +76,7 @@ func TestPlanSchedulerUniformCollapses(t *testing.T) {
 
 // TestPlanSchedulerUnknownRejected covers the validation path.
 func TestPlanSchedulerUnknownRejected(t *testing.T) {
-	if _, err := Plan(hetPlanRequest("peft", []float64{1, 2})); err == nil {
+	if _, err := PlanOn(engine.Default(), hetPlanRequest("peft", []float64{1, 2})); err == nil {
 		t.Fatal("unknown scheduler name must be rejected")
 	}
 }

@@ -345,7 +345,7 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 				// PipeDream steps after every backward, on the gradient
 				// averaged across the W pipeline copies.
 				vec := stage.GradVector()
-				collective.AllReduce(t.arWorlds[op.Stage].Rank(rank), t.groups[op.Stage], 0, vec, collective.Ring)
+				collective.AllReduce(t.arWorlds[op.Stage].Rank(rank), t.groups[op.Stage], 0, vec)
 				for i := range vec {
 					vec[i] /= float32(t.w)
 				}
@@ -357,7 +357,7 @@ func (t *Trainer) runWorker(copyIdx, w int, batch *data.Batch) float64 {
 			if t.cfg.EagerSync && remainingB[rep] == 0 {
 				pl := t.place[rank][rep]
 				vec := stage.GradVector()
-				h := collective.IAllReduce(t.arWorlds[pl.Stage].Rank(rank), t.groups[pl.Stage], 0, vec, collective.Ring)
+				h := collective.IAllReduce(t.arWorlds[pl.Stage].Rank(rank), t.groups[pl.Stage], 0, vec)
 				pending = append(pending, pendingAR{handle: h, rep: rep, vec: vec})
 			}
 		}
@@ -404,7 +404,7 @@ func (t *Trainer) syncAndStep(rank int, pending []pendingAR) {
 				continue
 			}
 			vec := stage.GradVector()
-			collective.AllReduce(t.arWorlds[pl.Stage].Rank(rank), t.groups[pl.Stage], 0, vec, collective.Ring)
+			collective.AllReduce(t.arWorlds[pl.Stage].Rank(rank), t.groups[pl.Stage], 0, vec)
 			stage.SetGradVector(vec)
 		}
 	}

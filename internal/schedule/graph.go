@@ -130,37 +130,15 @@ func (g *Graph) at(id int32) (int, *Op) {
 // ((kind·D + stage)·halves + half)·maxMicro + micro, halves being 1 unless
 // the schedule halves its backward passes. An op's tokens differ only in
 // micro, so they are idx(its token for micro 0) + m: compile computes that
-// base once per op, not per token. Compilation is the
-// engine's uncached hot path and the map's hashing dominated its profile;
-// the flat table removes it. Tables recycle through a pool, and entries
-// are epoch-tagged (high half the owning compilation's epoch, low half
-// id+1) so a reused table needs no zeroing — a stale epoch reads as "no
-// producer".
+// base once per op, not per token. Entries hold id+1, so a zeroed table
+// records no producer.
 type producerTab struct {
 	d, maxMicro, halves int
-	epoch               uint32
-	tab                 []uint64
+	tab                 []int32
 }
 
-var producerPool sync.Pool
-
-func getProducerTab(d, maxMicro, halves int) *producerTab {
-	p, _ := producerPool.Get().(*producerTab)
-	if p == nil {
-		p = &producerTab{}
-	}
-	need := 2 * maxMicro * d * halves
-	if cap(p.tab) < need {
-		p.tab = make([]uint64, need)
-	}
-	p.tab = p.tab[:need]
-	p.d, p.maxMicro, p.halves = d, maxMicro, halves
-	p.epoch++
-	if p.epoch == 0 { // wrapped: stale tags could collide, so clear once
-		p.epoch = 1
-		clear(p.tab)
-	}
-	return p
+func newProducerTab(d, maxMicro, halves int) *producerTab {
+	return &producerTab{d, maxMicro, halves, make([]int32, 2*maxMicro*d*halves)}
 }
 
 func (p *producerTab) idx(k depKey) int {
@@ -171,20 +149,19 @@ func (p *producerTab) idx(k depKey) int {
 // a consumer on the worker whose nodes are [lo, hi): complemented if it runs
 // on another worker. ok is false if the token has no producer.
 func (p *producerTab) slot(i int, lo, hi int32) (id int32, ok bool) {
-	v := p.tab[i]
-	id, ok = int32(uint32(v))-1, uint32(v>>32) == p.epoch
+	id = p.tab[i] - 1
 	if id < lo || id >= hi {
 		id = ^id
 	}
-	return id, ok
+	return id, p.tab[i] != 0
 }
 
 // putFirst records id as the producer of the token at index i unless one is
 // already recorded (first producer wins on duplicate tokens; Validate
 // rejects such schedules separately).
 func (p *producerTab) putFirst(i int, id int32) {
-	if uint32(p.tab[i]>>32) != p.epoch {
-		p.tab[i] = uint64(p.epoch)<<32 | uint64(uint32(id+1))
+	if p.tab[i] == 0 {
+		p.tab[i] = id + 1
 	}
 }
 
@@ -295,8 +272,7 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	// it is no greater than the current worker's first id. Both tables index
 	// placements as stage·replicas + replica, so scanning lastB in index
 	// order yields the (stage, replica) order of the grad-ready read-out.
-	producer := getProducerTab(s.D, maxMicro, halves)
-	defer producerPool.Put(producer)
+	producer := newProducerTab(s.D, maxMicro, halves)
 	shapeTab := make([]int32, s.D*replicas*2*maxLen*3)
 	lastB := make([]int32, s.D*replicas)
 	// A generator places each (stage, replica) on one worker, so these bound

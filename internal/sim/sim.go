@@ -79,8 +79,9 @@ type Config struct {
 	// reference interpreter (internal/refinterp) instead of the compiled
 	// dependency-graph core. Timelines are bit-identical either way (the
 	// equivalence suite proves it); the reference is far slower and exists
-	// so benchmarks can measure the optimized core against the seed
-	// implementation. Never set it on a hot path.
+	// as the golden oracle: bench/ generates its goldens through it and the
+	// equivalence tests check the graph core against it. Never set it on a
+	// hot path.
 	ReferenceReplay bool
 
 	Device  Device
@@ -116,8 +117,8 @@ func (c *Config) replay(s *schedule.Schedule, rc schedule.ReplayConfig) (readout
 }
 
 // refReadout reads the same facts off a reference-interpreter timeline. The
-// reference path compiles no graph (it is the seed implementation benchmarks
-// measure against), so gradient-ready times come from a walk of the op
+// reference path compiles no graph (it is the oracle the graph core is
+// checked against), so gradient-ready times come from a walk of the op
 // lists instead of the graph's compile-time index.
 type refReadout struct {
 	s  *schedule.Schedule
@@ -289,92 +290,13 @@ func validateFor(cfg *Config, d int) error {
 func toQ(sec float64) int64 { return int64(math.Round(sec / timeQuantum)) }
 
 // replayConfig prices the schedule's ops and cross-worker edges in replay
-// units. Graph replay calls the hooks once per op shape, so they compute
-// directly; the reference interpreter calls them once per op, so its copy is
-// memoized.
+// units. Both cores take the same pure per-shape hooks: graph replay calls
+// them once per op shape, the reference interpreter once per op.
 func (c *Config) replayConfig(stages []model.Stage) schedule.ReplayConfig {
-	rc := schedule.ReplayConfig{
+	return schedule.ReplayConfig{
 		OpCost:   func(w int, op schedule.Op) int64 { return toQ(opSeconds(c, stages, w, op)) },
 		EdgeCost: func(op schedule.Op) int64 { return toQ(edgeSeconds(c, op)) },
 	}
-	if c.ReferenceReplay {
-		coster := newOpCoster(rc, c.Schedule, len(c.SpeedFactors) != 0)
-		return schedule.ReplayConfig{OpCost: coster.opCost, EdgeCost: coster.edgeCost}
-	}
-	return rc
-}
-
-// opCoster memoizes a ReplayConfig per shape for the reference interpreter.
-// An op's cost depends only on (worker when heterogeneous, stage, kind,
-// micro count, half) — a few hundred shapes — while the interpreter queries
-// it once per op (thousands), each recomputing FLOPs, efficiency curves and
-// a rounding. The table caches the exact value, so replays are bit-identical
-// with and without it. Entries are stored +1 so the zero value means "not
-// yet computed"; shapes beyond the sized table (a doubled-N replay with
-// wider ops) fall through to the direct path.
-type opCoster struct {
-	rc     schedule.ReplayConfig
-	d      int
-	perW   bool
-	maxLen int
-	cost   []int64
-	edge   []int64
-}
-
-func newOpCoster(rc schedule.ReplayConfig, s *schedule.Schedule, perW bool) *opCoster {
-	maxLen := 1
-	for _, ops := range s.Workers {
-		for i := range ops {
-			if n := len(ops[i].Micros); n > maxLen {
-				maxLen = n
-			}
-		}
-	}
-	c := &opCoster{rc: rc, d: s.D, perW: perW, maxLen: maxLen}
-	wc := 1
-	if perW {
-		wc = s.D
-	}
-	block := make([]int64, (wc*s.D*2+1)*maxLen*3)
-	c.cost = block[:wc*s.D*2*maxLen*3]
-	c.edge = block[len(c.cost):]
-	return c
-}
-
-func (c *opCoster) opCost(w int, op schedule.Op) int64 {
-	li := len(op.Micros) - 1
-	if li >= c.maxLen {
-		return c.rc.OpCost(w, op)
-	}
-	wi := 0
-	if c.perW {
-		wi = w
-	}
-	k := 0
-	if op.Kind != schedule.Forward {
-		k = 1
-	}
-	i := ((wi*c.d+op.Stage)*2+k)*c.maxLen*3 + li*3 + int(op.Half)
-	if v := c.cost[i]; v != 0 {
-		return v - 1
-	}
-	v := c.rc.OpCost(w, op)
-	c.cost[i] = v + 1
-	return v
-}
-
-func (c *opCoster) edgeCost(op schedule.Op) int64 {
-	li := len(op.Micros) - 1
-	if li >= c.maxLen {
-		return c.rc.EdgeCost(op)
-	}
-	i := li*3 + int(op.Half)
-	if v := c.edge[i]; v != 0 {
-		return v - 1
-	}
-	v := c.rc.EdgeCost(op)
-	c.edge[i] = v + 1
-	return v
 }
 
 // opSeconds is the compute time of one schedule op on worker w: FLOPs over

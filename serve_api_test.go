@@ -46,7 +46,7 @@ func TestFacadeServer(t *testing.T) {
 		t.Fatalf("plan status %d: %s", post.StatusCode, served)
 	}
 
-	preds, err := chimera.Plan(chimera.PlanRequest{
+	preds, err := chimera.Plan(nil, chimera.PlanRequest{
 		Model: chimera.BERT48(), P: 16, MiniBatch: 128, MaxB: 16,
 		Device: chimera.PizDaintNode(), Network: chimera.AriesNetwork(),
 	})
