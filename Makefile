@@ -89,13 +89,13 @@ fuzz:
 # as Chimera.
 	$(GO) test -fuzz=FuzzCriticalClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 # Slot-formula graph vs compiled schedule (random even D ≤ 256, N ≤ 8D):
-# ChimeraConfig.Graph equals compileGraph(Chimera(cfg)) field for field.
+# ChimeraConfig.Graph equals compileGraph(Chimera(cfg)) field for field but
+# for its order, which is valid and replays bit-identically.
 	$(GO) test -fuzz=FuzzChimeraGraph -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
-# Memoized free regions vs full read-out (random even D ≤ 64, N ≤ 8D,
-# F ∈ {1, 2}, concat mode, backward cost): the engine's table equals the
-# full schedule's read-out, whether the short or the full replay served
-# it, and fails exactly as Chimera.
-	$(GO) test -fuzz=FuzzFreeRegions -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine/
+# Closed-form free regions vs the replay read-out (random even D ≤ 256,
+# N ≤ 8D, F, concat mode, backward cost): equal whenever it answers, no
+# table out of scope, and fails exactly as Chimera.
+	$(GO) test -fuzz=FuzzFreeRegionsClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 # Speed-factor codec round-trip.
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 # Profile memory model vs the op-walk oracle.

@@ -314,7 +314,6 @@ type Engine struct {
 	criticals   *Memo[ScheduleKey, critOutcome]
 	outcomes    *Memo[Spec, Outcome]
 	residencies *Memo[ScheduleKey, resOutcome]
-	freeRegions *Memo[freeKey, freeOutcome]
 
 	// replays counts ReplayEquivalent's answers by replayPaths index.
 	replays [len(replayPaths)]atomic.Uint64
@@ -350,18 +349,6 @@ type critOutcome struct {
 
 type resOutcome struct {
 	r   *schedule.Residency
-	err error
-}
-
-// freeKey is a free-region table's memo key: the canonical schedule key and
-// the uniform cost model its replay is priced with.
-type freeKey struct {
-	ScheduleKey
-	cm schedule.CostModel
-}
-
-type freeOutcome struct {
-	f   *schedule.FreeRegions
 	err error
 }
 
@@ -421,7 +408,6 @@ func New(opts ...Option) *Engine {
 	e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 	e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
 	e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
-	e.freeRegions = NewMemoCap[freeKey, freeOutcome](e.capacity)
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s
@@ -582,25 +568,24 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 }
 
 // FreeRegions returns the free regions (schedule.FreeRegions) of the
-// schedule identified by key replayed under the uniform cost model cm,
-// memoized under the full canonical key and cm. Eq. 1 prices its
-// unoverlapped allreduce on a fixed unit-cost replay that no request input
-// changes, so one table serves every request that plans the key. A miss
-// replays through ReplayEquivalent, short or full as it decides.
-func (e *Engine) FreeRegions(key ScheduleKey, cm schedule.CostModel) (*schedule.FreeRegions, error) {
-	k := freeKey{key.canonical(), cm}
-	if out, ok := e.freeRegions.Cached(k); ok {
-		return out.f, out.err
-	}
-	out := e.freeRegions.Do(k, func() freeOutcome {
-		r, err := e.ReplayEquivalent(k.ScheduleKey, cm.ReplayConfig(), true)
-		if err != nil {
-			return freeOutcome{err: err}
+// schedule identified by key replayed under the uniform cost model cm. A key
+// in closedFormKey's scope builds and replays nothing for a cost model
+// schedule.ChimeraConfig.FreeRegions covers, Eq. 1's unit costs among them:
+// the table is closed-form and allocation-free. Every other key or cost
+// model replays through ReplayEquivalent, short or full as it decides.
+func (e *Engine) FreeRegions(key ScheduleKey, cm schedule.CostModel) (schedule.FreeRegions, error) {
+	key = key.canonical()
+	if _, ok := key.closedFormKey(); ok {
+		if f, ok, err := (schedule.ChimeraConfig{D: key.D, N: key.N, F: key.F}).FreeRegions(cm); ok || err != nil {
+			return f, err
 		}
-		defer r.Release()
-		return freeOutcome{f: r.FreeRegions()}
-	})
-	return out.f, out.err
+	}
+	r, err := e.ReplayEquivalent(key, cm.ReplayConfig(), true)
+	if err != nil {
+		return schedule.FreeRegions{}, err
+	}
+	defer r.Release()
+	return r.FreeRegions(), nil
 }
 
 // Evaluate runs (or recalls) one simulator evaluation. With observability
@@ -694,7 +679,6 @@ func (e *Engine) Reset() {
 	e.criticals.Reset()
 	e.outcomes.Reset()
 	e.residencies.Reset()
-	e.freeRegions.Reset()
 	for i := range e.replays {
 		e.replays[i].Store(0)
 	}

@@ -1,107 +1,105 @@
 package engine
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"chimera/internal/schedule"
 )
 
 // sameFreeRegions fails unless got is the free-region table of full's own
-// replay under cm: equal to what (*Readout).FreeRegions reads off that
-// replay, and to ComputeEnd − GradReady.At for every placement.
-func sameFreeRegions(t *testing.T, key ScheduleKey, full *schedule.Schedule, cm schedule.CostModel, got *schedule.FreeRegions) {
+// replay under cm: worker for worker what (*Readout).FreeRegions reads off
+// that replay, and ComputeEnd − GradReady.At for every placement.
+func sameFreeRegions(t *testing.T, key ScheduleKey, full *schedule.Schedule, cm schedule.CostModel, got schedule.FreeRegions) {
 	t.Helper()
 	r, err := full.Readout(cm.ReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	if want := r.FreeRegions(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%+v %+v: free regions differ from the full read-out's", key, cm)
-	}
+	want := r.FreeRegions()
 	for w := 0; w < full.D; w++ {
-		end, ready, regions := r.ComputeEnd(w), r.GradReady(w), got.Worker(w)
+		end, ready, regions := r.ComputeEnd(w), r.GradReady(w), got.AppendWorker(nil, w)
 		if len(regions) != len(ready) {
 			t.Fatalf("%+v worker %d: %d free regions, %d grad-ready placements", key, w, len(regions), len(ready))
 		}
 		for i, gr := range ready {
 			if want := (schedule.FreeRegion{Stage: int32(gr.Stage), Slack: end - gr.At}); regions[i] != want {
-				t.Fatalf("%+v worker %d: free region %+v, full read-out %+v", key, w, regions[i], want)
+				t.Fatalf("%+v %+v worker %d: free region %+v, full read-out %+v", key, cm, w, regions[i], want)
 			}
+		}
+		if table := want.AppendWorker(nil, w); !slices.Equal(regions, table) {
+			t.Fatalf("%+v worker %d: free regions %+v, the read-out's table %+v", key, w, regions, table)
 		}
 	}
 }
 
-// TestFreeRegionsMatchFullReadout: the memoized free regions of every direct
-// Chimera key with even D ≤ 32 and N ≤ 4D + 1, under both of Eq. 1's unit
-// cost models, equal the full schedule's read-out, whether the short
-// schedule's extended replay or the full one served them. A warm lookup
-// allocates nothing, Reset clears the table, Capacity bounds it, and an odd
-// depth fails as Chimera does.
+// TestFreeRegionsMatchFullReadout: the engine's free regions equal the full
+// schedule's read-out on both of its routes. A direct Chimera key under
+// either of Eq. 1's unit cost models is closed-form: it replays nothing and
+// allocates nothing. F = 2, doubling and halving past one unit, a list
+// scheduler's re-placement, and a cost model the closed form does not cover
+// (equal passes, p2p latency) replay. An odd depth fails as Chimera does.
+// The closed form's own sweep over every (D, N) is schedule's
+// TestChimeraClosedForms.
 func TestFreeRegionsMatchFullReadout(t *testing.T) {
-	maxD := 32
-	if testing.Short() {
-		maxD = 16
-	}
-	var extended, full uint64
-	for d := 2; d <= maxD; d += 2 {
-		e := New(Workers(1))
-		for n := 1; n <= 4*d+1; n++ {
-			key := ChimeraKey(d, n, 0, schedule.Direct)
-			s, err := buildSchedule(key.canonical())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bUnit := range []int64{2000, 3000} {
-				cm := schedule.CostModel{FUnit: 1000, BUnit: bUnit}
-				got, err := e.FreeRegions(key, cm)
-				if err != nil {
-					t.Fatalf("%+v: %v", key, err)
-				}
-				sameFreeRegions(t, key, s, cm, got)
-				if again, err := e.FreeRegions(key, cm); err != nil || again != got {
-					t.Fatalf("%+v: a second lookup did not recall the table (%v)", key, err)
-				}
-			}
-		}
-		st := e.Stats()
-		extended, full = extended+st.ReplaysExtended, full+st.ReplaysFull
-		if hits, misses := e.freeRegions.Stats(); misses != uint64(2*(4*d+1)) || hits != misses {
-			t.Fatalf("D=%d: %d misses and %d hits, want one miss and one hit per (N, BUnit)", d, misses, hits)
-		}
-	}
-	if extended == 0 || full == 0 {
-		t.Fatalf("extended/full replays = %d/%d: the sweep must cover both paths", extended, full)
-	}
-
+	unit := []schedule.CostModel{{FUnit: 1000, BUnit: 2000}, {FUnit: 1000, BUnit: 3000}}
 	e := New(Workers(1))
-	key, cm := ChimeraKey(8, 67, 0, schedule.Direct), schedule.CostModel{FUnit: 1000, BUnit: 2000}
-	if _, err := e.FreeRegions(key, cm); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.FreeRegions(key, cm); err != nil {
+	for _, n := range []int{1, 2, 5, 8, 9, 15, 23, 67} {
+		key := ChimeraKey(8, n, 0, schedule.Direct)
+		s, err := buildSchedule(key.canonical())
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, cm := range unit {
+			got, err := e.FreeRegions(key, cm)
+			if err != nil {
+				t.Fatalf("%+v: %v", key, err)
+			}
+			sameFreeRegions(t, key, s, cm, got)
+		}
+	}
+	if st := e.Stats(); st.ReplaysExtended+st.ReplaysFull+st.ReplaysRefused != 0 || st.ScheduleMisses != 0 {
+		t.Fatalf("closed-form free regions replayed (%+v)", st)
+	}
+	key, cm := ChimeraKey(8, 67, 0, schedule.Direct), unit[0]
+	var buf [2]schedule.FreeRegion
+	if allocs := testing.AllocsPerRun(100, func() {
+		f, err := e.FreeRegions(key, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range 8 {
+			f.AppendWorker(buf[:0], w)
 		}
 	}); allocs != 0 {
-		t.Fatalf("a warm free-region lookup allocates %.1f times, want 0", allocs)
-	}
-	if e.Reset(); e.freeRegions.Len() != 0 {
-		t.Fatal("Reset left free-region entries behind")
-	}
-	if hits, misses := e.freeRegions.Stats(); hits+misses != 0 {
-		t.Fatal("Reset left free-region counts behind")
+		t.Fatalf("a closed-form free-region read allocates %.1f times, want 0", allocs)
 	}
 
-	bounded := New(Workers(1), Capacity(2))
-	for _, n := range []int{8, 16, 67} {
-		if _, err := bounded.FreeRegions(ChimeraKey(8, n, 0, schedule.Direct), cm); err != nil {
+	for _, c := range []struct {
+		key ScheduleKey
+		cm  schedule.CostModel
+	}{
+		{ChimeraKey(8, 16, 2, schedule.Direct), cm},
+		{ChimeraKey(8, 24, 1, schedule.ForwardDoubling), cm},
+		{ChimeraKey(8, 24, 1, schedule.BackwardHalving), unit[1]},
+		{ScheduleKey{Scheme: "chimera", D: 8, N: 16, F: 1, Scheduler: "heft", Speed: "1,1,1,1,2,1,1,1"}, cm},
+		{key, schedule.UnitEqual},
+		{ChimeraKey(8, 12, 0, schedule.Direct), schedule.CostModel{FUnit: 1000, BUnit: 2000, P2P: 70}},
+	} {
+		s, err := buildSchedule(c.key.canonical())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if bounded.freeRegions.Len() != 2 || bounded.freeRegions.Evictions() != 1 {
-		t.Fatalf("Capacity(2): %d entries, %d evictions; want 2 and 1", bounded.freeRegions.Len(), bounded.freeRegions.Evictions())
+		before := e.Stats()
+		got, err := e.FreeRegions(c.key, c.cm)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.key, err)
+		}
+		sameFreeRegions(t, c.key, s, c.cm, got)
+		if st := e.Stats(); st.ReplaysExtended+st.ReplaysFull == before.ReplaysExtended+before.ReplaysFull {
+			t.Fatalf("%+v %+v: out of the closed form's scope, yet nothing replayed", c.key, c.cm)
+		}
 	}
 
 	odd := ChimeraKey(5, 8, 0, schedule.Direct)
@@ -113,8 +111,9 @@ func TestFreeRegionsMatchFullReadout(t *testing.T) {
 
 // FuzzFreeRegions: for any even D ≤ 64, N ≤ 8D, F ∈ {1, 2}, concatenation
 // mode and either of Eq. 1's backward costs, the engine's free regions equal
-// the full schedule's read-out — whichever replay served them — and a key
-// Chimera rejects fails with Chimera's error.
+// the full schedule's read-out — closed-form or replayed — and a key Chimera
+// rejects fails with Chimera's error. schedule's FuzzFreeRegionsClosedForm
+// explores the closed form itself.
 func FuzzFreeRegions(f *testing.F) {
 	f.Add(uint8(3), uint16(67), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(7), uint16(40), uint8(1), uint8(1), uint8(1))

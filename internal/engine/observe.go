@@ -38,7 +38,7 @@ type engMetrics struct {
 //	engine_worker_busy_nanoseconds_total{worker=N}  counter per pool slot
 //	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs,
 //	                                   table=schedules|criticals|outcomes|
-//	                                   residencies|freeregions
+//	                                   residencies
 //	engine_cache_entries{table=...}    gauge func, resident keys
 //	engine_cache_hit_ratio             gauge func, Stats.HitRate (the
 //	                                   first three tables)
@@ -84,7 +84,6 @@ func (e *Engine) initObserve() {
 		{"criticals", e.criticals},
 		{"outcomes", e.outcomes},
 		{"residencies", e.residencies},
-		{"freeregions", e.freeRegions},
 	}
 	for _, t := range tables {
 		memo := t.memo

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"chimera/internal/model"
@@ -36,7 +37,7 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	e.Evaluate(spec) // hit
 	e.Sweep([]Spec{testSpec(4, 12), testSpec(4, 16)})
 	// No probes: both are closed-form, so the one replay counted below is
-	// the free-region table's miss.
+	// the ReplayEquivalent call further down.
 	if _, _, err := e.CriticalPath(ChimeraKey(4, 16, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +50,12 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One free-region table, replayed once and then recalled.
-	unit := schedule.CostModel{FUnit: 1000, BUnit: 2000}
-	for range 2 {
-		if _, err := e.FreeRegions(ChimeraKey(4, 8, 1, schedule.Direct), unit); err != nil {
-			t.Fatal(err)
-		}
+	// One replay of a schedule too short to extend.
+	r, err := e.ReplayEquivalent(ChimeraKey(4, 8, 1, schedule.Direct), schedule.UnitPractical.ReplayConfig(), true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	r.Release()
 
 	snap := reg.Snapshot()
 	if got := snap.Histograms["engine_evaluate_seconds"].Count; got != 3 {
@@ -94,34 +94,30 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 		`engine_cache_hits_total{table="residencies"}`:      1,
 		`engine_cache_misses_total{table="residencies"}`:    2,
 		`engine_cache_evictions_total{table="residencies"}`: 0,
-		`engine_cache_hits_total{table="freeregions"}`:      1,
-		`engine_cache_misses_total{table="freeregions"}`:    1,
-		`engine_cache_evictions_total{table="freeregions"}`: 0,
 	} {
 		if got, ok := snap.Counters[series]; !ok || got != want {
 			t.Fatalf("%s = %d (registered %v), want %d", series, got, ok, want)
 		}
 	}
-	for table, want := range map[string]float64{"residencies": 2, "freeregions": 1} {
-		if got, ok := snap.Gauges[`engine_cache_entries{table="`+table+`"}`]; !ok || got != want {
-			t.Fatalf("%s entries gauge = %g (registered %v), want %g", table, got, ok, want)
+	if got, ok := snap.Gauges[`engine_cache_entries{table="residencies"}`]; !ok || got != 2 {
+		t.Fatalf("residencies entries gauge = %g (registered %v), want 2", got, ok)
+	}
+	// The free regions are closed-form or replayed, never a table.
+	for series := range snap.Counters {
+		if strings.Contains(series, `table="freeregions"`) {
+			t.Fatalf("%s is still published", series)
 		}
 	}
-	// Bounded tables evict like the other three.
+	// A bounded table evicts like the other three.
 	breg := obs.NewRegistry()
 	bounded := New(Workers(1), Capacity(1), Observe(breg))
 	for _, n := range []int{2, 4} {
 		if _, err := bounded.Residency(ChimeraKey(4, n, 1, schedule.Direct)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bounded.FreeRegions(ChimeraKey(4, n, 1, schedule.Direct), unit); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for _, table := range []string{"residencies", "freeregions"} {
-		if got := breg.Snapshot().Counters[`engine_cache_evictions_total{table="`+table+`"}`]; got != 1 {
-			t.Fatalf("Capacity(1) %s evictions = %d, want 1", table, got)
-		}
+	if got := breg.Snapshot().Counters[`engine_cache_evictions_total{table="residencies"}`]; got != 1 {
+		t.Fatalf("Capacity(1) residencies evictions = %d, want 1", got)
 	}
 	if r := snap.Gauges["engine_cache_hit_ratio"]; r <= 0 || r >= 1 {
 		t.Fatalf("hit ratio = %g, want in (0, 1)", r)

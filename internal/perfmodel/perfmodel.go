@@ -109,9 +109,9 @@ func (s *replayed) readout(rc schedule.ReplayConfig) (*schedule.Readout, error) 
 // freeRegions is the schedule's replay under cm with worker w's op costs
 // scaled by factors[w] (none: 1), read as free regions. With every factor 1
 // that replay depends on the schedule and cm alone, so an engine-backed
-// schedule recalls it from the engine's memo; a built schedule, and any
-// other factors, replay afresh.
-func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (*schedule.FreeRegions, error) {
+// schedule asks the engine, which answers direct Chimera in closed form; a
+// built schedule, and any other factors, replay afresh.
+func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (schedule.FreeRegions, error) {
 	if s.built == nil && !slices.ContainsFunc(factors, func(f float64) bool { return f != 1 }) {
 		return s.e.FreeRegions(s.key, cm)
 	}
@@ -126,7 +126,7 @@ func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (*sched
 		EdgeCost: func(schedule.Op) int64 { return cm.P2P },
 	})
 	if err != nil {
-		return nil, err
+		return schedule.FreeRegions{}, err
 	}
 	defer ro.Release()
 	return ro.FreeRegions(), nil
@@ -188,9 +188,9 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 
 	// Unoverlapped gradient synchronization: per worker, allreduce costs
 	// exceeding the free region between gradient completion and the end of
-	// local compute (§3.4, Fig. 6), measured on a unit-cost replay. Per-worker
-	// speed factors scale its unit costs so a straggler's gradients complete
-	// late.
+	// local compute (§3.4, Fig. 6), read off a unit-cost replay or its
+	// closed form. Per-worker speed factors scale its unit costs so a
+	// straggler's gradients complete late.
 	free, err := s.freeRegions(schedule.CostModel{FUnit: 1000, BUnit: int64(1000 * btMult)}, cfg.SpeedFactors)
 	if err != nil {
 		return nil, err
@@ -198,12 +198,13 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	scale := ft / 1000 // seconds per replay unit
 	r := s.replicas * cfg.W
 	var unoverlapped float64
+	var regions [2]schedule.FreeRegion // a Chimera worker's two placements
 	for w := range stages {
 		// Placements arrive ordered by (stage, replica): the float sum below
 		// does not commute, so a fixed order is what makes the prediction a
 		// function of its inputs.
 		var u float64
-		for _, fr := range free.Worker(w) {
+		for _, fr := range free.AppendWorker(regions[:0], w) {
 			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[fr.Stage].Params()*4)
 			slack := float64(fr.Slack) * scale
 			// Mirror the eager-sync-opt semantics: a stage with a
@@ -443,9 +444,9 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // (engine.CriticalPath), and only Eq. 1's replays of the (D, N = B̂/(W·B)) it
 // settles on build and replay a schedule, through engine.ReplayEquivalent —
 // for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
-// one is never built. Without speed factors the unit-cost replay behind the
-// free regions is the engine's memo (engine.FreeRegions), so a warm candidate
-// replays once: the compute term. (model, D) is fixed
+// one is never built. Without speed factors the free regions are closed-form
+// too (engine.FreeRegions), so every candidate replays once, cold or warm:
+// the compute term. (model, D) is fixed
 // for the whole candidate, so the stage table is derived once and priced by
 // every fit and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {

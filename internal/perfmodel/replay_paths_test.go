@@ -19,11 +19,12 @@ func goldenFirst() PlanRequest {
 }
 
 // TestPlanNeverBuildsLongSchedule: a cold homogeneous plan whose candidates
-// all have N ≥ 3D is served by extended replays alone — two per candidate,
-// Eq. 1's; the critical path is closed-form and replays nothing — and leaves
-// no fixed-placement Chimera schedule of three or more units in the engine's
-// memo; Prediction.N keeps the full N. Planning it again on the same engine
-// replays once per candidate: the unit-cost free regions are memoized. Both
+// all have N ≥ 3D is served by extended replays alone — one per candidate,
+// Eq. 1's compute term; the critical path and the free regions are
+// closed-form and replay nothing — and leaves no fixed-placement Chimera
+// schedule of three or more units in the engine's memo; Prediction.N keeps
+// the full N. Planning it again on the same engine replays exactly once more
+// per candidate. Both
 // plans build no op list at all: the short schedules' graphs are written
 // from the slot formulas. Only asking the engine for each long schedule
 // builds one, one op list per candidate.
@@ -35,7 +36,7 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if want := uint64(2 * len(preds)); st.ReplaysExtended != want || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
+	if want := uint64(len(preds)); st.ReplaysExtended != want || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
 		t.Fatalf("%d candidates: extended/full/refused = %d/%d/%d, want %d/0/0", len(preds), st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused, want)
 	}
 	again, err := PlanOn(e, goldenFirst())

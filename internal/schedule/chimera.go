@@ -91,8 +91,8 @@ func (cfg ChimeraConfig) check() (int, error) {
 // is the forwards of the last lag slots, and the first unit reaches both
 // maxima at once. For N ≥ D a worker's peak is D/2 + min(D/2, w+1, D−w)
 // micro-batches, Table 2's range of (D/2 + 1)·Ma to D·Ma.
-// TestResidencyPeriodic, TestResidencyEquivalentScope and
-// FuzzResidencyClosedForm hold it to the walk.
+// The oracle sweep (TestChimeraClosedForms), TestResidencyEquivalentScope
+// and FuzzResidencyClosedForm hold it to the walk.
 func (cfg ChimeraConfig) Residency() (*Residency, error) {
 	f, err := cfg.check()
 	if err != nil {
@@ -127,8 +127,8 @@ func (cfg ChimeraConfig) Residency() (*Residency, error) {
 // backwards, less one forward if j ≤ D − 2. At k ≥ 1 and j = D − 3 or D − 2
 // two paths are equally long under the first probe, and the second reports
 // the one with two more forwards and one backward fewer. The form is
-// tabulated from the probe, not derived: TestCriticalPathClosedForm and
-// FuzzCriticalClosedForm hold it there.
+// tabulated from the probe, not derived: the oracle sweep
+// (TestChimeraClosedForms) and FuzzCriticalClosedForm hold it there.
 func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 	f, err := cfg.check()
 	if err != nil || f > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) {
@@ -146,6 +146,72 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 		cf--
 	}
 	return cf, cb, true, nil
+}
+
+// FreeRegions returns the free regions that the replay of Chimera's schedule
+// for cfg under cm reads ((*Readout).FreeRegions), without building or
+// replaying that schedule; ok is false when no closed form is known: outside
+// Residency's scope, or for a cost model with p2p latency or a backward
+// cheaper than two forwards (P2P ≠ 0, BUnit < 2·FUnit). Eq. 1's unit costs
+// (BUnit = 2 or 3 FUnit, no p2p) are inside. Invalid configurations return
+// Chimera's error. The table holds a few numbers and computes each worker's
+// regions on demand (AppendWorker), so it allocates nothing.
+//
+// With F and B the forward and backward costs, k = ⌊(N−1)/D⌋ units before
+// the last and j = N − kD ∈ [1, D] micro-batches in the last, h = ⌈j/2⌉ of
+// them on the down pipeline and u = ⌊j/2⌋ on the up one, worker w's last
+// down backward sits at slot 2D−1−w + 2(h−1) of the last unit and its last
+// up backward at D+w + 2(u−1), x = 2w−D+1−2(h−u) slots later. The
+// placement whose pipeline finishes first on w waits |x| backwards: down
+// stage w if x > 0, up stage D−1−w otherwise, and the other has no slack.
+// The waiting placement adds (c−1)(B−F) when its stage is at least
+// D/2 − 1 + c, c being its pipeline's micro-batches in the last unit, and at
+// k ≥ 1 and j = D−1 worker D−1's adds F. At k ≥ 1 and j = 1 the last unit
+// is one down micro-batch: the up stage on w waits F + (2D−1−2w)·B, worker
+// 0's (D/2−1)(B−F) more, and at D = 2 one more F. N = 1 has no up pipeline,
+// and its one placement per worker no slack. So N and N + D have one table
+// for N ≥ D (TestFreeRegionsPeriodic pins that on the replay). The form is
+// tabulated from the replay, as CriticalPath's is: the oracle sweep
+// (TestChimeraClosedForms) and FuzzFreeRegionsClosedForm hold it there.
+func (cfg ChimeraConfig) FreeRegions(cm CostModel) (f FreeRegions, ok bool, err error) {
+	pipes, err := cfg.check()
+	if err != nil || pipes > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) || cm.P2P != 0 || cm.FUnit < 0 || cm.BUnit < 2*cm.FUnit {
+		return FreeRegions{}, false, err
+	}
+	d, k := cfg.D, (cfg.N-1)/cfg.D
+	j := cfg.N - k*d
+	c := chimeraFree{d: d, b: cm.BUnit, downFrom: d}
+	switch h, u, spill := (j+1)/2, j/2, cm.BUnit-cm.FUnit; {
+	case k == 0 && j == 1:
+		c.single = true
+	case j == 1:
+		c.gap, c.upBase, c.upFar = 2*d-1, cm.FUnit, int64(d/2-1)*spill
+		if d == 2 {
+			c.upBase += cm.FUnit
+		}
+	default:
+		// At j = D−1, h = D/2 puts downFrom at D−1: worker D−1's extra F
+		// rides its far term.
+		c.gap = d - 1 + 2*(h-u)
+		c.upTo, c.upFar = d/2-u, int64(u-1)*spill
+		c.downFrom, c.downFar = d/2-1+h, int64(h-1)*spill
+		if k > 0 && j == d-1 {
+			c.downFar += cm.FUnit
+		}
+	}
+	return FreeRegions{form: c}, true, nil
+}
+
+// chimeraFree is ChimeraConfig.FreeRegions' form with its per-table terms
+// worked out, so that a worker's regions cost a few integer operations. On
+// worker w the down placement waits x = 2w − gap backwards if x > 0, the up
+// placement upBase − x·b otherwise; an up placement on a worker ≤ upTo adds
+// upFar and a down placement on a worker ≥ downFrom adds downFar. single
+// marks N = 1.
+type chimeraFree struct {
+	d, gap, upTo, downFrom    int
+	single                    bool
+	b, upBase, upFar, downFar int64
 }
 
 // ReplayEquivalent returns the short configuration whose replay extends to

@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // probeCritical is CriticalPath on the schedule Chimera builds for cfg. Where
 // cfg has a replay equivalent it probes the short schedule's extended
@@ -12,61 +8,8 @@ import (
 // both probes): full schedules of N ≥ 3D take seconds at D = 128. The
 // equivalent shares cfg's D, F and concatenation mode, so it fails exactly
 // when and as Chimera(cfg) does.
-func probeCritical(tb testing.TB, cfg ChimeraConfig) (cf, cb int, err error) {
-	tb.Helper()
-	eq, units := cfg.ReplayEquivalent()
-	s, err := Chimera(eq)
-	if err != nil {
-		return 0, 0, err
-	}
-	g, err := s.Graph()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return CriticalPathOf(func(rc ReplayConfig) (int64, error) {
-		r := g.Readout(rc)
-		defer r.Release()
-		if units > 0 && !r.Extend(units) {
-			return 0, fmt.Errorf("D=%d N=%d: the short replay's period check refused", cfg.D, cfg.N)
-		}
-		return r.Makespan(), nil
-	})
-}
-
-// TestCriticalPathClosedForm: the closed-form (Cf, Cb) of a fixed-placement,
-// direct, F = 1 Chimera configuration is the two-probe CriticalPath of the
-// schedule Chimera builds for it — for every even D ≤ 128 (16 under -short or
-// -race), every N ≤ 2D + 1 and every long N of periodicNs. The engine's
-// critical-path table serves these keys from it without building anything.
-func TestCriticalPathClosedForm(t *testing.T) {
-	checked := 0
-	for d := 2; d <= exhaustiveD(128, 16); d += 2 {
-		var ns []int
-		for n := 1; n <= 2*d+1; n++ {
-			ns = append(ns, n)
-		}
-		for _, n := range periodicNs(d) {
-			if n > 2*d+1 {
-				ns = append(ns, n)
-			}
-		}
-		for _, n := range ns {
-			cfg := ChimeraConfig{D: d, N: n}
-			cf, cb, ok, err := cfg.CriticalPath()
-			if err != nil || !ok {
-				t.Fatalf("D=%d N=%d: no closed form (%v)", d, n, err)
-			}
-			wcf, wcb, err := probeCritical(t, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := [2]int{cf, cb}, [2]int{wcf, wcb}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("D=%d N=%d: closed form (Cf, Cb) = %v, probe %v", d, n, got, want)
-			}
-			checked++
-		}
-	}
-	t.Logf("%d (D, N) pairs: closed form equals the probe", checked)
+func probeCritical(cfg ChimeraConfig) (cf, cb int, err error) {
+	return (&sweepPoint{cfg: cfg, short: map[int]*Graph{}}).critical()
 }
 
 // TestCriticalPathClosedFormScope: the closed form answers, equal to the
@@ -80,7 +23,7 @@ func TestCriticalPathClosedFormScope(t *testing.T) {
 		{D: 8, N: 64, F: 1}, {D: 8, N: 3, F: 0},
 	} {
 		cf, cb, ok, err := cfg.CriticalPath()
-		wcf, wcb, perr := probeCritical(t, cfg)
+		wcf, wcb, perr := probeCritical(cfg)
 		if err != nil || perr != nil || !ok || cf != wcf || cb != wcb {
 			t.Fatalf("%+v: closed form (%d, %d, %v, %v), probe (%d, %d, %v)", cfg, cf, cb, ok, err, wcf, wcb, perr)
 		}
@@ -129,7 +72,7 @@ func FuzzCriticalClosedForm(f *testing.F) {
 			}
 			return
 		}
-		wcf, wcb, perr := probeCritical(t, cfg)
+		wcf, wcb, perr := probeCritical(cfg)
 		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
 			t.Fatalf("%+v: closed form error %v, Chimera %v", cfg, err, perr)
 		}

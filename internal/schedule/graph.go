@@ -65,9 +65,10 @@ type Graph struct {
 	arity int32
 	pred  []int32
 	// order is a topological order of the node ids: a permutation in which
-	// every predecessor comes before its consumer (existence is proven at
-	// compile time; a cycle is the compile-time deadlock error). Which valid
-	// order it is, nothing may depend on — see topoSort.
+	// every predecessor comes before its consumer. Compile sorts for it
+	// (topoSort; a cycle is the compile-time deadlock error); the slot walk
+	// of ChimeraConfig.Graph writes one by construction (slot order, or
+	// appendTile's tiling). Which valid order it is, nothing may depend on.
 	order []int32
 	// grad[gradStart[w]:gradStart[w+1]] lists the (replica, stage)
 	// placements with a backward op on worker w, ordered by (stage,
@@ -645,13 +646,16 @@ func (r *Readout) GradReady(w int) []GradReady {
 
 // FreeRegions is what Eq. 1's unoverlapped term reads of a replay: each
 // stage replica's free region (§3.2 eager sync, Fig. 6), the time between
-// its gradients being ready and its worker's compute ending. Worker w's
-// regions are regions[start[w]:start[w+1]], ordered by (stage, replica) as
-// GradReady is. The table owns its arrays and outlives the Readout it was
-// read from, so a caller may keep it; it is read-only once built.
+// its gradients being ready and its worker's compute ending. A replay's
+// table lists worker w's regions as regions[start[w]:start[w+1]], ordered by
+// (stage, replica) as GradReady is; a closed form
+// (ChimeraConfig.FreeRegions) holds no table and computes them on demand.
+// Either owns what it reads and outlives the Readout it came from, so a
+// caller may keep it; it is read-only once built.
 type FreeRegions struct {
 	start   []int32
 	regions []FreeRegion
+	form    chimeraFree // the closed form's parameters; d = 0 for a table
 }
 
 // FreeRegion is one placement's free region: Slack is ComputeEnd(w) −
@@ -664,9 +668,9 @@ type FreeRegion struct {
 // FreeRegions reads the replay's free regions into a table of their own. An
 // extended read-out shifts compute-ends and grad-ready times by the same
 // amount, so its slack is exact.
-func (r *Readout) FreeRegions() *FreeRegions {
+func (r *Readout) FreeRegions() FreeRegions {
 	g := r.g
-	f := &FreeRegions{start: slices.Clone(g.gradStart), regions: make([]FreeRegion, len(r.ready))}
+	f := FreeRegions{start: slices.Clone(g.gradStart), regions: make([]FreeRegion, len(r.ready))}
 	for w := 0; w < g.workers(); w++ {
 		end := r.ComputeEnd(w)
 		for i := g.gradStart[w]; i < g.gradStart[w+1]; i++ {
@@ -676,10 +680,36 @@ func (r *Readout) FreeRegions() *FreeRegions {
 	return f
 }
 
-// Worker lists worker w's free regions in (stage, replica) order: none for
-// an idle worker. The slice is the table's own.
-func (f *FreeRegions) Worker(w int) []FreeRegion {
-	return f.regions[f.start[w]:f.start[w+1]]
+// AppendWorker appends worker w's free regions, in (stage, replica) order,
+// to dst and returns the extended slice: nothing for an idle worker. A
+// closed form writes them into dst, so a caller that passes stack storage
+// reads them without allocating. The closed form is evaluated here, not in
+// a method of its own, to keep a worker's read to one call: on worker w,
+// down stage w and up stage D−1−w, the down placement first for w < D/2.
+func (f *FreeRegions) AppendWorker(dst []FreeRegion, w int) []FreeRegion {
+	c := &f.form
+	if c.d == 0 {
+		return append(dst, f.regions[f.start[w]:f.start[w+1]]...)
+	}
+	down, up := FreeRegion{Stage: int32(w)}, FreeRegion{Stage: int32(c.d - 1 - w)}
+	if c.single {
+		return append(dst, down)
+	}
+	if x := 2*w - c.gap; x > 0 {
+		down.Slack = int64(x) * c.b
+		if w >= c.downFrom {
+			down.Slack += c.downFar
+		}
+	} else {
+		up.Slack = c.upBase - int64(x)*c.b
+		if w <= c.upTo {
+			up.Slack += c.upFar
+		}
+	}
+	if 2*w >= c.d {
+		down, up = up, down
+	}
+	return append(dst, down, up)
 }
 
 // BubbleRatio is Timeline.BubbleRatio without the timeline: a worker's busy

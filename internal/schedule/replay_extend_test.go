@@ -92,7 +92,8 @@ func sameReadout(tb testing.TB, name string, got, want *Readout) {
 	}
 }
 
-// TestReplayPeriodic is the replay sibling of TestResidencyPeriodic: for
+// TestReplayPeriodic is the replay sibling of the closed-form residency
+// sweep (TestChimeraClosedForms/TestResidencyPeriodic): for
 // every even D ≤ 128 and every N ≥ 3D of periodicNs, under every cost shape
 // the planner replays, the short schedule's read-out passes Extend's check
 // and, extended, equals the full schedule's on every read-out. A refusal is

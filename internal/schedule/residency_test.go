@@ -185,51 +185,6 @@ func periodicNs(d int) []int {
 	return out
 }
 
-// TestResidencyPeriodic is equivalence test (a): the closed-form profile of
-// a fixed-placement, direct, F = 1 Chimera configuration is the walk of the
-// schedule Chimera builds for it, struct for struct — for every even
-// D ≤ 128 (32 under -short or -race), every N ≤ 2D + 1 and every long N of
-// periodicNs — and at N ≥ D each worker's peak is Table 2's
-// D/2 + min(D/2, w+1, D−w) micro-batches. The engine's residency table and
-// the planner's one-pass B search rest on it.
-func TestResidencyPeriodic(t *testing.T) {
-	checked := 0
-	for d := 2; d <= exhaustiveD(128, 32); d += 2 {
-		var ns []int
-		for n := 1; n <= 2*d+1; n++ {
-			ns = append(ns, n)
-		}
-		for _, n := range periodicNs(d) {
-			if n > 2*d+1 {
-				ns = append(ns, n)
-			}
-		}
-		for _, n := range ns {
-			cfg := ChimeraConfig{D: d, N: n}
-			got, err := cfg.Residency()
-			if err != nil || got == nil {
-				t.Fatalf("D=%d N=%d: no closed form (%v)", d, n, err)
-			}
-			s, err := Chimera(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := s.Residency(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("D=%d N=%d: closed form %+v, walk %+v", d, n, got, want)
-			}
-			if n >= d {
-				for w := range got.Workers {
-					if peak, want := got.Workers[w].PeakUnits(), int64(d+2*min(d/2, w+1, d-w)); peak != want {
-						t.Fatalf("D=%d N=%d worker %d: peak %d half-micro-batches, Table 2 says %d", d, n, w, peak, want)
-					}
-				}
-			}
-			checked++
-		}
-	}
-	t.Logf("%d (D, N) pairs: closed form equals the walk", checked)
-}
-
 // TestResidencyEquivalentScope: the closed form answers, equal to the walk,
 // for the configurations Chimera builds direct (doubling or halving at
 // N ≤ D, F = 1 or 0); answers nothing, and no error, outside its scope

@@ -550,8 +550,11 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestWarmCacheServesFasterAndCountsHits: repeating one plan request hits
-// the engine's caches (visible in /v1/stats) — the amortization the daemon
+// TestWarmCacheServesFasterAndCountsHits: the response cache absorbs
+// repeats of one plan request, and a different request that plans the same
+// per-pipeline problems — twice the workers and twice the mini-batch, so
+// every depth the first one planned has the same micro-batch count — hits
+// the engine's caches (visible in /v1/stats): the amortization the daemon
 // exists for.
 func TestWarmCacheServesFasterAndCountsHits(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheCapacity: 512})
@@ -561,18 +564,23 @@ func TestWarmCacheServesFasterAndCountsHits(t *testing.T) {
 		}
 	}
 	st := srv.Snapshot()
-	if st.Engine.CacheHitRate <= 0 {
-		t.Fatalf("no cache hits after repeated identical plans: %+v", st.Engine)
-	}
-	if st.Engine.CacheCapacity != 512 {
-		t.Fatalf("cache_capacity = %d, want 512", st.Engine.CacheCapacity)
-	}
 	if st.Requests.Plan != 3 {
 		t.Fatalf("plan counter = %d, want 3", st.Requests.Plan)
 	}
 	// The response cache absorbs the repeats: one miss, two hits.
 	if st.PlanCache.Misses != 1 || st.PlanCache.Hits != 2 {
 		t.Fatalf("plan_cache = %+v, want 1 miss / 2 hits", st.PlanCache)
+	}
+	scaled := strings.Replace(strings.Replace(planBody, `"p":16`, `"p":32`, 1), `"mini_batch":128`, `"mini_batch":256`, 1)
+	if status, body := post(t, ts, "/v1/plan", scaled); status != http.StatusOK {
+		t.Fatalf("scaled request: %d %s", status, body)
+	}
+	st = srv.Snapshot()
+	if st.Engine.CacheHitRate <= 0 {
+		t.Fatalf("no cache hits after a plan of the same per-pipeline problems: %+v", st.Engine)
+	}
+	if st.Engine.CacheCapacity != 512 {
+		t.Fatalf("cache_capacity = %d, want 512", st.Engine.CacheCapacity)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestFacadeReplayMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{
-		`engine_replays_total{path="extended"} 6`, // three candidates × two Eq. 1 replays; the critical paths are closed-form
+		`engine_replays_total{path="extended"} 3`, // three candidates × one Eq. 1 replay; the critical paths and free regions are closed-form
 		`engine_replays_total{path="full"} 0`,
 		`engine_replays_total{path="refused"} 0`,
 	} {
