@@ -39,7 +39,8 @@ func sameFreeRegions(t *testing.T, key ScheduleKey, full *schedule.Schedule, cm 
 // either of Eq. 1's unit cost models is closed-form: it replays nothing and
 // allocates nothing. F = 2, doubling and halving past one unit, a list
 // scheduler's re-placement, and a cost model the closed form does not cover
-// (equal passes, p2p latency) replay. An odd depth fails as Chimera does.
+// (equal passes, a backward of four forwards, a free forward, p2p latency)
+// replay. An odd depth fails as Chimera does.
 // The closed form's own sweep over every (D, N) is schedule's
 // TestChimeraClosedForms.
 func TestFreeRegionsMatchFullReadout(t *testing.T) {
@@ -85,6 +86,8 @@ func TestFreeRegionsMatchFullReadout(t *testing.T) {
 		{ChimeraKey(8, 24, 1, schedule.BackwardHalving), unit[1]},
 		{ScheduleKey{Scheme: "chimera", D: 8, N: 16, F: 1, Scheduler: "heft", Speed: "1,1,1,1,2,1,1,1"}, cm},
 		{key, schedule.UnitEqual},
+		{key, schedule.CostModel{FUnit: 1000, BUnit: 4000}},
+		{ChimeraKey(8, 9, 0, schedule.Direct), schedule.CostModel{BUnit: 2000}},
 		{ChimeraKey(8, 12, 0, schedule.Direct), schedule.CostModel{FUnit: 1000, BUnit: 2000, P2P: 70}},
 	} {
 		s, err := buildSchedule(c.key.canonical())

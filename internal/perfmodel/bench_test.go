@@ -47,15 +47,15 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 // replay (and no other, each written from the slot formulas with no op
 // list and no sort), critical paths and the one prediction replay per
 // candidate are all paid for, as on a one-shot chimera-plan; the free
-// regions are closed-form. 561 allocs and 0.66 MB per op (three plans),
-// ≈ 1.4–1.7 ms on a busy 2-core Xeon host at -cpu 1; a second, free-region
-// replay and a sorted walk cost 616 allocs, 0.64 MB and ≈ 1.8–2.2 ms there.
+// regions are closed-form. 561 allocs and 0.62 MB per op (three plans),
+// ≈ 1.15–1.4 ms on a busy 2-core Xeon host at -cpu 1; a second, free-region
+// replay and a sorted walk cost 616 allocs, 0.64 MB and ≈ 1.55–1.6 ms there.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
 // BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and one
 // prediction replay per candidate (Eq. 1's compute term; its free regions
-// are closed-form) are what is left: 110 allocs, 27 KB and ≈ 0.4–0.5 ms per
-// op (three plans, 2-core Xeon host, -cpu 1).
+// are closed-form) are what is left: 110 allocs, 27 KB and ≈ 0.34–0.40 ms
+// per op (three plans, busy 2-core Xeon host, -cpu 1), as with the memo.
 func BenchmarkPlanWarm(b *testing.B) {
 	e := engine.New(engine.Workers(1))
 	for _, req := range benchRequests() {

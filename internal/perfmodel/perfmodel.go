@@ -446,7 +446,9 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
 // one is never built. Without speed factors the free regions are closed-form
 // too (engine.FreeRegions), so every candidate replays once, cold or warm:
-// the compute term. (model, D) is fixed
+// the compute term. BenchmarkPlanCold and BenchmarkPlanWarm give the cost of
+// three plans: 561 allocs and ≈ 1.2–1.4 ms cold, 110 allocs and ≈ 0.35–0.4
+// ms warm (busy 2-core Xeon host, -cpu 1). (model, D) is fixed
 // for the whole candidate, so the stage table is derived once and priced by
 // every fit and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {

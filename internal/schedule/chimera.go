@@ -151,11 +151,12 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 // FreeRegions returns the free regions that the replay of Chimera's schedule
 // for cfg under cm reads ((*Readout).FreeRegions), without building or
 // replaying that schedule; ok is false when no closed form is known: outside
-// Residency's scope, or for a cost model with p2p latency or a backward
-// cheaper than two forwards (P2P ≠ 0, BUnit < 2·FUnit). Eq. 1's unit costs
-// (BUnit = 2 or 3 FUnit, no p2p) are inside. Invalid configurations return
-// Chimera's error. The table holds a few numbers and computes each worker's
-// regions on demand (AppendWorker), so it allocates nothing.
+// Residency's scope, or for any cost model but Eq. 1's unit costs — a
+// backward of two or three forwards and no p2p latency (FUnit > 0,
+// BUnit = 2·FUnit or 3·FUnit, P2P = 0), the only ratios the form is
+// checked at. Invalid configurations return Chimera's error. The table
+// holds a few numbers and computes each worker's regions on demand
+// (AppendWorker), so it allocates nothing.
 //
 // With F and B the forward and backward costs, k = ⌊(N−1)/D⌋ units before
 // the last and j = N − kD ∈ [1, D] micro-batches in the last, h = ⌈j/2⌉ of
@@ -175,7 +176,7 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 // (TestChimeraClosedForms) and FuzzFreeRegionsClosedForm hold it there.
 func (cfg ChimeraConfig) FreeRegions(cm CostModel) (f FreeRegions, ok bool, err error) {
 	pipes, err := cfg.check()
-	if err != nil || pipes > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) || cm.P2P != 0 || cm.FUnit < 0 || cm.BUnit < 2*cm.FUnit {
+	if err != nil || pipes > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) || cm.P2P != 0 || cm.FUnit <= 0 || (cm.BUnit != 2*cm.FUnit && cm.BUnit != 3*cm.FUnit) {
 		return FreeRegions{}, false, err
 	}
 	d, k := cfg.D, (cfg.N-1)/cfg.D

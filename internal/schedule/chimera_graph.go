@@ -26,14 +26,10 @@ import (
 // either: a node's producer sits one slot before it on a neighboring worker
 // (or its own) and its program-order predecessor at an earlier slot on its
 // own, so any order that puts slot t − 1 of workers w − 1, w and w + 1
-// before slot t of worker w is valid. Slot order itself is one, and the walk
-// writes it as it goes up to D = 16; past that it walks all D workers' rows
-// at once and replays 5–12 % slower than a compiled graph (D = 32, 64), so
-// the walk writes a skewed tiling instead (see appendTile), which keeps a
-// replay to orderTile workers at a time. The
-// oracle sweep (TestChimeraClosedForms) and FuzzChimeraGraph hold the graph
-// to compileGraph(Chimera(cfg)): DeepEqual but for the order, which is a
-// valid one, and bit-identical replays.
+// before slot t of worker w is valid. Slot order itself is one, and the
+// walk writes it as it goes. The oracle sweep (TestChimeraClosedForms) and
+// FuzzChimeraGraph hold the graph to compileGraph(Chimera(cfg)): DeepEqual
+// but for the order, which is a valid one, and bit-identical replays.
 //
 // The graph's Source builds the schedule on first use, with its Graph()
 // pre-set to this graph.
@@ -78,23 +74,16 @@ func (cfg ChimeraConfig) Graph() (*Graph, error) {
 	// Per worker: the next node id; the node at the previous and at the
 	// current slot (the sentinel if none); the shape of each op class, +1
 	// (0: not seen yet); the shapes named so far; the last backward node of
-	// each pipeline. Then, for a tiled order, the nodes of the last
-	// d + orderTile slots walked, a row of d per slot, for appendTile.
-	tiled, rows := d > tileAbove, d+orderTile
-	if !tiled {
-		rows = 0
-	}
-	scratch := make([]int32, 10*d+rows*d)
+	// each pipeline.
+	scratch := make([]int32, 10*d)
 	next, prev, cur := scratch[:d:d], scratch[d:2*d:2*d], scratch[2*d:3*d:3*d]
 	shapeOf, named, lastB := scratch[3*d:7*d:7*d], scratch[7*d:8*d:8*d], scratch[8*d:10*d:10*d]
-	ring := scratch[10*d:]
 	copy(next, g.base)
 	micros := microTable(n)
 	units := (n + d - 1) / d
 	last := n - (units-1)*d // micro-batches in the last unit
 	period := 2 * d
-	slots, tile := period*units+d, 0
-	for t, tu, tr := 0, 0, 0; t < slots; t++ {
+	for t, tu, tr := 0, 0, 0; t < period*units+d; t++ {
 		for w := range d {
 			cur[w] = sentinel
 			// Slot t holds, on worker w, a down forward or an up backward
@@ -154,9 +143,7 @@ func (cfg ChimeraConfig) Graph() (*Graph, error) {
 			}
 			id := next[w]
 			next[w], cur[w] = id+1, id
-			if !tiled {
-				g.order = append(g.order, id)
-			}
+			g.order = append(g.order, id)
 			row := g.pred[2*id : 2*id+2 : 2*id+2]
 			row[0], row[1] = id-1, p
 			if id == g.base[w] {
@@ -174,19 +161,10 @@ func (cfg ChimeraConfig) Graph() (*Graph, error) {
 				lastB[2*w+rep] = id
 			}
 		}
-		if tiled {
-			copy(ring[t%rows*d:], cur)
-			for ; (tile+1)*orderTile <= t+1; tile++ {
-				g.order = appendTile(g.order, ring, d, tile, t, sentinel)
-			}
-		}
 		prev, cur = cur, prev
 		if tr++; tr == period {
 			tr, tu = 0, tu+1
 		}
-	}
-	for ; tiled && tile*orderTile < slots+d-1; tile++ {
-		g.order = appendTile(g.order, ring, d, tile, slots-1, sentinel)
 	}
 
 	// A shape holds every forward or every backward of its pipeline on its
@@ -214,44 +192,6 @@ func (cfg ChimeraConfig) Graph() (*Graph, error) {
 		g.gradStart[w+1] = int32(len(g.grad))
 	}
 	return g, nil
-}
-
-// orderTile is the width of appendTile's tiles: at D = 32 and 64 a slot-walk
-// graph replays as fast in this tiling as in topoSort's order for any width
-// from 2 to 8 (8 is slightly ahead at D = 64), and 5–12 % slower in plain
-// slot order. Up to tileAbove workers plain slot order replays as fast
-// (paired ratios 0.99–1.00 at D = 4, 8, 16), and the walk writes it for
-// free, where the tiling costs it a pass as long as a replay.
-const (
-	orderTile = 8
-	tileAbove = 16
-)
-
-// appendTile appends to order tile k of the slot walk's skewed tiling: the
-// nodes (w, t) with k·orderTile ≤ w + t < (k+1)·orderTile, slot by slot and,
-// within a slot, in worker order. Every producer of (w, t) — (w − 1, t − 1),
-// (w + 1, t − 1) and (w, t′) for t′ < t — has a smaller or equal w + t and a
-// smaller t, so it lies in an earlier tile or earlier in this one: tiles in
-// order form a topological order. A tile spans orderTile workers per slot
-// and each worker for orderTile slots, so a replay walks a few rows at a
-// time. ring holds the node of every worker at each of the last
-// len(ring)/d slots walked (slot t in row t mod rows, the sentinel for an
-// idle worker); no slot after last is read.
-func appendTile(order, ring []int32, d, k, last int, sentinel int32) []int32 {
-	rows := len(ring) / d
-	lo, hi := k*orderTile, (k+1)*orderTile
-	t := max(0, lo-d+1)
-	for r := t % rows; t < hi && t <= last; t++ {
-		for _, id := range ring[r*d+max(0, lo-t) : r*d+min(d, hi-t)] {
-			if id != sentinel {
-				order = append(order, id)
-			}
-		}
-		if r++; r == rows {
-			r = 0
-		}
-	}
-	return order
 }
 
 // lazySchedule is the source of a graph written from the slot formulas: a

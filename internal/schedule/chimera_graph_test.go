@@ -200,8 +200,8 @@ func FuzzChimeraGraph(f *testing.F) {
 // short N a planner replays (2D + D/2), in ns/node: the slot walk, and
 // building the schedule and compiling it. On a busy 2-core Xeon host at
 // -cpu 1 the walk, which writes its order instead of sorting, takes
-// ≈ 27–29 ns/node at D = 32 and ≈ 43–45 at D = 8 (≈ 32–44 and ≈ 44–49
-// when it ran topoSort), build and compile ≈ 70–100; 10 allocs against 20.
+// ≈ 28–30 ns/node at D = 32 and ≈ 25–36 at D = 8 (≈ 40–42 and ≈ 35–43
+// when it ran topoSort), build and compile ≈ 77–97; 10 allocs against 20.
 func BenchmarkChimeraGraph(b *testing.B) {
 	for _, d := range []int{8, 32} {
 		cfg := ChimeraConfig{D: d, N: 2*d + d/2}

@@ -312,19 +312,37 @@ func TestFreeRegionsPeriodic(t *testing.T) {
 }
 
 // FuzzFreeRegionsClosedForm: over fuzzer-chosen even D ≤ 256, N ≤ 8D, F,
-// concatenation mode and either of Eq. 1's backward costs, the closed-form
-// free regions are the planner's replay's whenever they answer (the short
-// schedule's, extended, for N ≥ 3D; TestReplayPeriodic holds that to the
-// full one); they answer for every direct F = 1 configuration, answer no
-// table outside that scope, and fail exactly when — and as — Chimera does.
-// The committed corpus (testdata/fuzz) replays on every go test.
+// concatenation mode and unit cost model — a forward of 1 to 127 or 1000, a
+// backward of two or three forwards — the closed-form free regions are the
+// planner's replay's whenever they answer (the short schedule's, extended,
+// for N ≥ 3D; TestReplayPeriodic holds that to the full one); they answer
+// for every direct F = 1 configuration, answer no table outside that scope
+// or for any other cost model (p2p latency, a free forward, any other
+// backward), and fail exactly when — and as — Chimera does. The committed
+// corpus (testdata/fuzz) replays on every go test.
 func FuzzFreeRegionsClosedForm(f *testing.F) {
 	f.Add(uint8(3), uint16(67), uint8(1), uint8(0), uint8(0))
 	f.Add(uint8(7), uint16(40), uint8(2), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, d8 uint8, n16 uint16, f8 uint8, mode uint8, b8 uint8) {
 		d := 2 + 2*int(d8%128)
 		cfg := ChimeraConfig{D: d, N: 1 + int(n16)%(8*d), F: int(f8 % 5), Concat: ConcatMode(mode % 3)}
-		cm := planCosts[b8%2]
+		fu := int64(b8 >> 1)
+		if fu == 0 {
+			fu = 1000
+		}
+		cm := CostModel{FUnit: fu, BUnit: fu * (2 + int64(b8%2))}
+		for _, out := range []CostModel{
+			{FUnit: fu, BUnit: cm.BUnit, P2P: 1},
+			{FUnit: fu, BUnit: fu},
+			{FUnit: fu, BUnit: 4 * fu},
+			{FUnit: 2 * fu, BUnit: 4*fu + 1},
+			{BUnit: cm.BUnit},
+			{},
+		} {
+			if _, ok, _ := cfg.FreeRegions(out); ok {
+				t.Fatalf("%+v: a closed form under %+v", cfg, out)
+			}
+		}
 		got, ok, err := cfg.FreeRegions(cm)
 		_, serr := Chimera(cfg)
 		if (err == nil) != (serr == nil) || (err != nil && err.Error() != serr.Error()) {

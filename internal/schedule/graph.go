@@ -67,8 +67,8 @@ type Graph struct {
 	// order is a topological order of the node ids: a permutation in which
 	// every predecessor comes before its consumer. Compile sorts for it
 	// (topoSort; a cycle is the compile-time deadlock error); the slot walk
-	// of ChimeraConfig.Graph writes one by construction (slot order, or
-	// appendTile's tiling). Which valid order it is, nothing may depend on.
+	// of ChimeraConfig.Graph writes one by construction, in slot order.
+	// Which valid order it is, nothing may depend on.
 	order []int32
 	// grad[gradStart[w]:gradStart[w+1]] lists the (replica, stage)
 	// placements with a backward op on worker w, ordered by (stage,
