@@ -28,14 +28,16 @@ race:
 # (the classic-trace differential, TestClassicTraceIsArrivalsOnlyReplay,
 # runs a quarter of its seeds), the concurrency tests do not. The schedule and perfmodel packages are in
 # because graph compile and replay draw from two process-wide pools
-# (topoScratchPool, readoutPool) that concurrent planners share. The last
-# line is every package twice, for whatever shares state outside the ones
-# named above.
+# (topoScratchPool, readoutPool) that concurrent planners share; they run
+# -shuffle=on, so that a sequential test which depends on another test's
+# side effects fails now that their sweeps run in parallel. The last line is
+# every package twice, for whatever shares state outside the ones named
+# above.
 race-sweep:
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/engine
 	$(GO) test -race -count=20 ./internal/httpd ./internal/serve ./internal/router ./internal/controller
 	$(GO) test -race -count=20 -short ./internal/fleet
-	$(GO) test -race -count=5 ./internal/schedule ./internal/perfmodel
+	$(GO) test -race -count=5 -shuffle=on ./internal/schedule ./internal/perfmodel
 	$(GO) test -race -count=2 ./...
 
 # bench-build vets and tests the benchmark module. bench/ is outside the

@@ -68,7 +68,7 @@ func main() {
 	check(err)
 
 	if *jsonOut {
-		raw, err := json.MarshalIndent(serve.NewSimulateResponse(res, usedRecompute), "", "  ")
+		raw, err := json.MarshalIndent(serve.SimulateResponse{Result: res, Recompute: usedRecompute}, "", "  ")
 		check(err)
 		fmt.Println(string(raw))
 		if res.OOM {

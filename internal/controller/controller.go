@@ -53,7 +53,8 @@ type Config struct {
 	// whatif); excess requests are shed with 429. 0 selects 4×GOMAXPROCS.
 	MaxInflight int
 	// Engine, when non-nil, supplies a caller-owned engine and overrides
-	// Workers/CacheCapacity.
+	// Workers/CacheCapacity; the allocator's plan memo takes the engine's
+	// bound.
 	Engine *engine.Engine
 	// Registry, when non-nil, receives the controller_* series; the
 	// controller otherwise creates its own. GET /metrics serves it.
@@ -101,7 +102,7 @@ func New(cfg Config) (*Controller, error) {
 		reg = obs.NewRegistry()
 	}
 	eng := engine.ForDaemon(cfg.Engine, reg, cfg.Workers, cfg.CacheCapacity)
-	alloc := fleet.NewAllocatorCap(eng, cfg.CacheCapacity)
+	alloc := fleet.NewAllocator(eng)
 	alloc.Observe(reg)
 	sim, err := alloc.NewElasticSim(esc)
 	if err != nil {

@@ -2,9 +2,9 @@
 // planner (§3.4 configuration selection) and the experiment sweeps (§4.2):
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
-// schedule construction, critical-path counts, full simulator evaluations,
-// closed-form residency profiles and unit-cost free regions — keyed by their
-// value-type descriptions. The pool is a bounded fan-out: the participants of a
+// schedule construction, critical-path counts, full simulator evaluations
+// and closed-form residency profiles — keyed by their value-type
+// descriptions. The pool is a bounded fan-out: the participants of a
 // ForEach call claim its indices off one shared counter (pool.go).
 //
 // Two properties make the fan-out safe and the results reproducible:
@@ -95,33 +95,13 @@ func (k ScheduleKey) canonical() ScheduleKey {
 	return k
 }
 
-// closedFormKey maps a canonical key onto its entry in the residency table:
-// a fixed-placement, direct, F = 1 Chimera key, whose profile
-// schedule.ChimeraConfig.Residency computes without building a schedule and
-// which is the same at every N ≥ D, so N is clamped to D. ok is false for
-// every other key — a list scheduler re-places ops against speed factors,
-// F > 1 and doubling or halving at N > D have no closed form, baselines
-// never had one — and those build their own schedule and walk it. ok is
-// also CriticalPath's test for its closed form, which keeps the full N.
-func (k ScheduleKey) closedFormKey() (ScheduleKey, bool) {
-	if k.Scheme != "chimera" || k.Scheduler != "" || k.F > 1 || k.Concat != schedule.Direct {
-		return k, false
-	}
-	k.N = min(k.N, k.D)
-	return k, true
-}
-
-// replayEquivalent maps a canonical key onto the short key whose replay
-// extends to its own, and the number of units to extend by (0: none is
-// known, replay the key itself): a fixed-placement Chimera key, on
-// schedule.ChimeraConfig.ReplayEquivalent's terms.
-func (k ScheduleKey) replayEquivalent() (ScheduleKey, int) {
-	if k.Scheme != "chimera" || k.Scheduler != "" {
-		return k, 0
-	}
-	short, units := schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}.ReplayEquivalent()
-	k.N = short.N
-	return k, units
+// chimera returns the configuration of a fixed-placement Chimera key (ok
+// false for a list scheduler's re-placement or a baseline scheme). Its
+// closed forms — schedule.ChimeraConfig's Graph, Residency, CriticalPath and
+// ReplayEquivalent — decide their own scope: the engine asks them first and
+// builds and walks the schedule only when they have no answer.
+func (k ScheduleKey) chimera() (cfg schedule.ChimeraConfig, ok bool) {
+	return schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}, k.Scheme == "chimera" && k.Scheduler == ""
 }
 
 // ReplayEquivalent replays the schedule identified by key under rc and
@@ -136,8 +116,11 @@ func (k ScheduleKey) replayEquivalent() (ScheduleKey, int) {
 // within two units, so they skip the attempt. Stats counts the outcomes.
 func (e *Engine) ReplayEquivalent(key ScheduleKey, rc schedule.ReplayConfig, uniform bool) (*schedule.Readout, error) {
 	key = key.canonical()
-	if short, units := key.replayEquivalent(); uniform && units > 0 {
-		g, err := e.Graph(short)
+	cfg, fixed := key.chimera()
+	if short, units := cfg.ReplayEquivalent(); fixed && uniform && units > 0 {
+		sk := key
+		sk.N = short.N
+		g, err := e.Graph(sk)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +296,7 @@ type Engine struct {
 	schedules   *Memo[ScheduleKey, schedOutcome]
 	criticals   *Memo[ScheduleKey, critOutcome]
 	outcomes    *Memo[Spec, Outcome]
-	residencies *Memo[ScheduleKey, resOutcome]
+	residencies *Memo[ScheduleKey, *schedule.Residency]
 
 	// replays counts ReplayEquivalent's answers by replayPaths index.
 	replays [len(replayPaths)]atomic.Uint64
@@ -333,9 +316,9 @@ const (
 	replayRefused
 )
 
-// schedOutcome is a schedule memo entry: a key in closedFormKey's scope
-// holds its graph g, whose Source builds the schedule on first use; every
-// other key holds its schedule s.
+// schedOutcome is a schedule memo entry: a key whose graph
+// schedule.ChimeraConfig.Graph writes holds that graph g, whose Source
+// builds the schedule on first use; every other key holds its schedule s.
 type schedOutcome struct {
 	s   *schedule.Schedule
 	g   *schedule.Graph
@@ -345,11 +328,6 @@ type schedOutcome struct {
 type critOutcome struct {
 	cf, cb int
 	err    error
-}
-
-type resOutcome struct {
-	r   *schedule.Residency
-	err error
 }
 
 // Option configures New.
@@ -407,7 +385,7 @@ func New(opts ...Option) *Engine {
 	e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
 	e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 	e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
-	e.residencies = NewMemoCap[ScheduleKey, resOutcome](e.capacity)
+	e.residencies = NewMemoCap[ScheduleKey, *schedule.Residency](e.capacity)
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s
@@ -438,10 +416,10 @@ func Default() *Engine {
 func (e *Engine) WorkerCount() int { return e.workers }
 
 // Schedule returns the memoized schedule for key, constructing it on first
-// use. The returned schedule is shared: callers must not mutate it. A key in
-// closedFormKey's scope memoizes its graph, not its schedule (Graph); its
-// schedule is built on the first call here, with Graph() returning that same
-// graph.
+// use. The returned schedule is shared: callers must not mutate it. A key
+// with a closed-form graph memoizes that graph, not its schedule (Graph);
+// its schedule is built on the first call here, with Graph() returning that
+// same graph.
 func (e *Engine) Schedule(key ScheduleKey) (*schedule.Schedule, error) {
 	out := e.schedule(key)
 	if out.g != nil {
@@ -451,8 +429,8 @@ func (e *Engine) Schedule(key ScheduleKey) (*schedule.Schedule, error) {
 }
 
 // schedule is the schedule memo's entry for key, constructed on first use:
-// the graph schedule.ChimeraConfig.Graph writes from the slot formulas for a
-// key in closedFormKey's scope, the built schedule for every other key.
+// the graph schedule.ChimeraConfig.Graph writes from the slot formulas where
+// it has one, the built schedule for every other key.
 func (e *Engine) schedule(key ScheduleKey) schedOutcome {
 	key = key.canonical()
 	if out, ok := e.schedules.Cached(key); ok {
@@ -465,9 +443,10 @@ func (e *Engine) schedule(key ScheduleKey) schedOutcome {
 			start = time.Now()
 		}
 		var out schedOutcome
-		if _, ok := key.closedFormKey(); ok {
-			out.g, out.err = schedule.ChimeraConfig{D: key.D, N: key.N, F: key.F}.Graph()
-		} else {
+		if cfg, ok := key.chimera(); ok {
+			out.g, out.err = cfg.Graph()
+		}
+		if out.g == nil && out.err == nil {
 			out.s, out.err = buildSchedule(key)
 		}
 		if m != nil {
@@ -498,7 +477,7 @@ func buildSchedule(key ScheduleKey) (*schedule.Schedule, error) {
 }
 
 // Graph returns the compiled dependency-graph IR for the schedule
-// identified by key, one per key: a key in closedFormKey's scope memoizes
+// identified by key, one per key: a key with a closed-form graph memoizes
 // the graph itself, which builds no op list; every other key's graph rides
 // its memoized schedule, which compiles itself once and caches the result.
 func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
@@ -510,23 +489,23 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 }
 
 // Residency returns the activation-residency profile of the schedule
-// identified by key — what (*sim.MemoryFit).Fits prices. A fixed-placement,
-// direct, F = 1 Chimera key builds nothing: its profile is closed-form
-// (schedule.ChimeraConfig.Residency) and memoized in the residency table
-// under closedFormKey, one entry per min(N, D). Every other key's profile
-// is walked once on its own memoized schedule, which caches it as it does
-// its graph.
+// identified by key — what (*sim.MemoryFit).Fits prices. A key whose
+// profile schedule.ChimeraConfig.Residency gives builds nothing: the
+// residency table memoizes that profile, which is the same at every N ≥ D,
+// under the key at min(N, D), and holds nothing else. Every other key's
+// profile, and a key Chimera rejects, goes to its own memoized schedule,
+// which walks the profile once and caches it as it does its graph.
 func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
 	key = key.canonical()
-	if ck, ok := key.closedFormKey(); ok {
-		if out, ok := e.residencies.Cached(ck); ok {
-			return out.r, out.err
+	if cfg, ok := key.chimera(); ok {
+		rk := key
+		rk.N = min(key.N, key.D)
+		if r, ok := e.residencies.Cached(rk); ok {
+			return r, nil
 		}
-		out := e.residencies.Do(ck, func() resOutcome {
-			r, err := schedule.ChimeraConfig{D: ck.D, N: ck.N, F: ck.F}.Residency()
-			return resOutcome{r, err}
-		})
-		return out.r, out.err
+		if r, _ := cfg.Residency(); r != nil {
+			return e.residencies.Do(rk, func() *schedule.Residency { return r }), nil
+		}
 	}
 	s, err := e.Schedule(key)
 	if err != nil {
@@ -537,9 +516,9 @@ func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
 
 // CriticalPath returns the (Cf, Cb) critical-path counts for the schedule
 // identified by key (§3.4's Eq. 1 inputs), memoized under the full key. A
-// key in closedFormKey's scope builds, compiles and replays nothing:
-// schedule.ChimeraConfig.CriticalPath computes its counts. Every other key
-// runs schedule.CriticalPath's two probes on its own memoized schedule.
+// key whose counts schedule.ChimeraConfig.CriticalPath gives builds,
+// compiles and replays nothing. Every other key runs schedule.CriticalPath's
+// two probes on its own memoized schedule.
 func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 	key = key.canonical()
 	if out, ok := e.criticals.Cached(key); ok {
@@ -552,12 +531,15 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 			start = time.Now()
 		}
 		var out critOutcome
-		if _, ok := key.closedFormKey(); ok {
-			out.cf, out.cb, _, out.err = schedule.ChimeraConfig{D: key.D, N: key.N, F: key.F}.CriticalPath()
-		} else if s, err := e.Schedule(key); err != nil {
-			out.err = err
-		} else {
-			out.cf, out.cb, out.err = schedule.CriticalPath(s)
+		closed := false
+		if cfg, ok := key.chimera(); ok {
+			out.cf, out.cb, closed, out.err = cfg.CriticalPath()
+		}
+		if !closed && out.err == nil {
+			var s *schedule.Schedule
+			if s, out.err = e.Schedule(key); out.err == nil {
+				out.cf, out.cb, out.err = schedule.CriticalPath(s)
+			}
 		}
 		if m != nil {
 			m.critical.Since(start)
@@ -565,27 +547,6 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 		return out
 	})
 	return out.cf, out.cb, out.err
-}
-
-// FreeRegions returns the free regions (schedule.FreeRegions) of the
-// schedule identified by key replayed under the uniform cost model cm. A key
-// in closedFormKey's scope builds and replays nothing for a cost model
-// schedule.ChimeraConfig.FreeRegions covers, Eq. 1's unit costs among them:
-// the table is closed-form and allocation-free. Every other key or cost
-// model replays through ReplayEquivalent, short or full as it decides.
-func (e *Engine) FreeRegions(key ScheduleKey, cm schedule.CostModel) (schedule.FreeRegions, error) {
-	key = key.canonical()
-	if _, ok := key.closedFormKey(); ok {
-		if f, ok, err := (schedule.ChimeraConfig{D: key.D, N: key.N, F: key.F}).FreeRegions(cm); ok || err != nil {
-			return f, err
-		}
-	}
-	r, err := e.ReplayEquivalent(key, cm.ReplayConfig(), true)
-	if err != nil {
-		return schedule.FreeRegions{}, err
-	}
-	defer r.Release()
-	return r.FreeRegions(), nil
 }
 
 // Evaluate runs (or recalls) one simulator evaluation. With observability

@@ -20,8 +20,8 @@ func sameSchedule(a, b *schedule.Schedule) bool {
 	return true
 }
 
-// TestOneGraphPerKey: a key in closedFormKey's scope memoizes the graph the
-// slot formulas write. ReplayEquivalent replays it and builds no op list;
+// TestOneGraphPerKey: a fixed-placement, direct, F = 1 Chimera key memoizes
+// the graph the slot formulas write. ReplayEquivalent replays it and builds no op list;
 // Engine.Schedule builds the op list on first use, equal to Chimera's, and
 // that schedule's Graph() is the graph ReplayEquivalent replayed — one
 // graph per key, one memo entry.

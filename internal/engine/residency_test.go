@@ -50,12 +50,16 @@ func TestResidencyBuildsNoSchedule(t *testing.T) {
 	}
 }
 
-// TestResidencyKeyScope is the negative half of the closed form: keys
-// outside its scope never reach the residency table and are never
-// shortened — a list scheduler re-places ops against speed factors, so
-// nothing says a shorter schedule places them alike (and here it does not).
+// TestResidencyKeyScope is the negative half of the closed form: a key
+// outside its scope adds no residency-table entry and gets the profile its
+// own schedule walks — F = 2, doubling and halving past N = D and the
+// baselines have no closed form, and a list scheduler re-places ops against
+// speed factors, so nothing says a shorter schedule places them alike (and
+// here it does not). A key in scope, a list policy on a uniform cluster
+// among them, builds nothing and shares the entry at min(N, D).
 func TestResidencyKeyScope(t *testing.T) {
 	het := ScheduleKey{Scheme: "chimera", D: 8, N: 64, F: 1, Scheduler: "heft", Speed: "1,1,1,1,2,1,1,1"}
+	e := New(Workers(1))
 	for _, k := range []ScheduleKey{
 		het,
 		{Scheme: "chimera", D: 8, N: 64, F: 2},
@@ -64,33 +68,17 @@ func TestResidencyKeyScope(t *testing.T) {
 		{Scheme: "gpipe", D: 8, N: 64},
 		{Scheme: "pipedream", D: 8, N: 64},
 	} {
-		if got, ok := k.canonical().closedFormKey(); ok || got != k.canonical() {
-			t.Errorf("%+v mapped to closed-form key %+v", k, got)
+		got, err := e.Residency(k)
+		if err != nil {
+			t.Fatalf("%+v: %v", k, err)
 		}
-	}
-	uniform := ScheduleKey{Scheme: "chimera", D: 8, N: 3, Scheduler: "heft", Speed: "1,1,1,1,1,1,1,1"} // fixed placement
-	for k, n := range map[ScheduleKey]int{
-		ChimeraKey(8, 67, 0, schedule.Direct):         8,
-		ChimeraKey(8, 15, 0, schedule.Direct):         8,
-		ChimeraKey(8, 5, 0, schedule.ForwardDoubling): 5, // N ≤ D builds direct
-		uniform: 3,
-	} {
-		if got, ok := k.canonical().closedFormKey(); !ok || got.N != n || got.Concat != schedule.Direct {
-			t.Errorf("%+v: closed-form key %+v (ok %v), want direct N=%d", k, got, ok, n)
+		s, err := e.Schedule(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	e := New(Workers(1))
-	got, err := e.Residency(het)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := e.Schedule(het)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s.Residency() || e.Stats().ScheduleMisses != 1 || e.residencies.Len() != 0 {
-		t.Fatal("a list-scheduled key's profile must come from its own schedule")
+		if got != s.Residency() || e.residencies.Len() != 0 {
+			t.Fatalf("%+v: the profile must come from the key's own schedule, with no residency entry (%d entries)", k, e.residencies.Len())
+		}
 	}
 	short := het
 	short.N = 8
@@ -98,7 +86,38 @@ func TestResidencyKeyScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := e.Residency(het)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if reflect.DeepEqual(ss.Residency().Workers, got.Workers) {
 		t.Fatal("heft placed N=8 and N=64 alike; pick a case that shows why the key is not shortened")
+	}
+	// A key Chimera rejects leaves no entry either: a valid key that shares
+	// its min(N, D) is not answered with the other's error.
+	if _, err := e.Residency(ChimeraKey(4, 6, 1, schedule.ForwardDoubling)); err == nil {
+		t.Fatal("doubling at N = 6, D = 4 must report Chimera's error")
+	}
+	if _, err := e.Residency(ChimeraKey(4, 8, 1, schedule.ForwardDoubling)); err != nil || e.residencies.Len() != 0 {
+		t.Fatalf("doubling at N = 8, D = 4: %v, %d residency entries", err, e.residencies.Len())
+	}
+
+	e.Reset()
+	uniform := ScheduleKey{Scheme: "chimera", D: 8, N: 3, Scheduler: "heft", Speed: "1,1,1,1,1,1,1,1"} // fixed placement
+	for k, n := range map[ScheduleKey]int{
+		ChimeraKey(8, 67, 0, schedule.Direct):         8,
+		ChimeraKey(8, 15, 0, schedule.Direct):         8,
+		ChimeraKey(8, 5, 0, schedule.ForwardDoubling): 5, // N ≤ D builds direct
+		uniform: 3,
+	} {
+		if _, err := e.Residency(k); err != nil {
+			t.Fatalf("%+v: %v", k, err)
+		}
+		if _, ok := e.residencies.Cached(ChimeraKey(8, n, 1, schedule.Direct)); !ok {
+			t.Errorf("%+v: no residency entry at direct N=%d", k, n)
+		}
+	}
+	if st := e.Stats(); st.ScheduleMisses != 0 || e.residencies.Len() != 3 {
+		t.Fatalf("in-scope keys built %d schedules and left %d residency entries, want none and 3", st.ScheduleMisses, e.residencies.Len())
 	}
 }

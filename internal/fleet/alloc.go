@@ -96,22 +96,16 @@ type planResult struct {
 }
 
 // NewAllocator builds an allocator on e (nil selects the shared default
-// engine) with an unbounded plan memo — the right retention for batch
-// callers whose request population is bounded by their job mixes.
+// engine) whose plan memo has e's entry bound (engine.Capacity) under LRU
+// eviction: unbounded on an unbounded engine — the right retention for
+// batch callers whose request population is bounded by their job mixes —
+// and bounded on a daemon's engine, so an endless stream of distinct fleet
+// requests cannot grow memory without limit.
 func NewAllocator(e *engine.Engine) *Allocator {
-	return NewAllocatorCap(e, 0)
-}
-
-// NewAllocatorCap is NewAllocator with the plan memo bounded to capacity
-// entries under LRU eviction (capacity <= 0 = unbounded) — the policy a
-// long-running daemon needs so an endless stream of distinct fleet
-// requests cannot grow memory without limit (chimera-serve passes its
-// CacheCapacity).
-func NewAllocatorCap(e *engine.Engine, capacity int) *Allocator {
 	if e == nil {
 		e = engine.Default()
 	}
-	return &Allocator{eng: e, plans: engine.NewMemoCap[perfmodel.PlanRequest, planResult](capacity)}
+	return &Allocator{eng: e, plans: engine.NewMemoCap[perfmodel.PlanRequest, planResult](e.Stats().Capacity)}
 }
 
 // PlanStats reports the allocator's bid counters — how much of the greedy

@@ -244,17 +244,17 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// TestAllocatorCapBoundsPlanMemo: a capacity-bounded allocator (the
-// daemon's configuration) evicts plan entries instead of growing without
-// limit, and still allocates identically to the unbounded one.
+// TestAllocatorCapBoundsPlanMemo: an allocator on a capacity-bounded engine
+// (the daemon's configuration) bounds its plan memo alike, evicting plan
+// entries instead of growing without limit, and still allocates identically
+// to one on an unbounded engine.
 func TestAllocatorCapBoundsPlanMemo(t *testing.T) {
-	e := engine.New(engine.Workers(1))
 	req := Request{Cluster: pizDaintCluster(24, nil), Jobs: benchMix()}
-	unbounded, err := NewAllocator(e).Allocate(req)
+	unbounded, err := NewAllocator(engine.New(engine.Workers(1))).Allocate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped := NewAllocatorCap(e, 2)
+	capped := NewAllocator(engine.New(engine.Workers(1), engine.Capacity(2)))
 	got, err := capped.Allocate(req)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@
 // uses the model only to choose (W, D) — the paper's reduced tuning space.
 //
 // Plan fans the (W, D) candidates out over the shared internal/engine
-// worker pool and reuses its memoized schedules, critical paths and free
-// regions; the ranking is deterministic and identical whether the engine
+// worker pool and reuses its memoized schedules, critical paths and
+// residency profiles; the free regions are closed-form for a homogeneous
+// candidate. The ranking is deterministic and identical whether the engine
 // runs on one worker or many.
 package perfmodel
 
@@ -108,12 +109,16 @@ func (s *replayed) readout(rc schedule.ReplayConfig) (*schedule.Readout, error) 
 
 // freeRegions is the schedule's replay under cm with worker w's op costs
 // scaled by factors[w] (none: 1), read as free regions. With every factor 1
-// that replay depends on the schedule and cm alone, so an engine-backed
-// schedule asks the engine, which answers direct Chimera in closed form; a
-// built schedule, and any other factors, replay afresh.
+// an engine-backed key is the fixed placement (the planner's keys are
+// Chimera's, and a list policy defers to it on a homogeneous cluster), so
+// schedule.ChimeraConfig.FreeRegions answers in closed form where it has
+// one; a built schedule, any other factors and any other key replay.
 func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (schedule.FreeRegions, error) {
 	if s.built == nil && !slices.ContainsFunc(factors, func(f float64) bool { return f != 1 }) {
-		return s.e.FreeRegions(s.key, cm)
+		cfg := schedule.ChimeraConfig{D: s.key.D, N: s.key.N, F: s.key.F, Concat: s.key.Concat}
+		if f, ok, err := cfg.FreeRegions(cm); ok || err != nil {
+			return f, err
+		}
 	}
 	ro, err := s.readout(schedule.ReplayConfig{
 		OpCost: func(w int, op schedule.Op) int64 {
@@ -445,12 +450,13 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // settles on build and replay a schedule, through engine.ReplayEquivalent —
 // for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
 // one is never built. Without speed factors the free regions are closed-form
-// too (engine.FreeRegions), so every candidate replays once, cold or warm:
-// the compute term. BenchmarkPlanCold and BenchmarkPlanWarm give the cost of
-// three plans: 561 allocs and ≈ 1.2–1.4 ms cold, 110 allocs and ≈ 0.35–0.4
-// ms warm (busy 2-core Xeon host, -cpu 1). (model, D) is fixed
-// for the whole candidate, so the stage table is derived once and priced by
-// every fit and by Eq. 1, and the fits share one scratch.
+// too (schedule.ChimeraConfig.FreeRegions), so every candidate replays
+// once, cold or warm: the compute term. BenchmarkPlanCold and
+// BenchmarkPlanWarm give the cost of three plans: 561 allocs and ≈ 1.2–1.4
+// ms cold, 110 allocs and ≈ 0.35–0.4 ms warm (busy 2-core Xeon host,
+// -cpu 1). (model, D) is fixed for the whole candidate, so the stage table
+// is derived once and priced by every fit and by Eq. 1, and the fits share
+// one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.

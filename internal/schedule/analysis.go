@@ -8,21 +8,22 @@ import "fmt"
 // stage activations), weight memory in multiples of Mθ (one stage's
 // weights).
 type Analysis struct {
-	Scheme string
-	D, N   int
+	Scheme string `json:"scheme"`
+	D      int    `json:"d"`
+	N      int    `json:"n"`
 
 	// BubbleRatioEqual is the bubble ratio with forward == backward cost.
-	BubbleRatioEqual float64
+	BubbleRatioEqual float64 `json:"bubble_ratio_equal"`
 	// BubbleRatioPractical uses backward = 2× forward (paper's Fig. 2 note).
-	BubbleRatioPractical float64
+	BubbleRatioPractical float64 `json:"bubble_ratio_practical"`
 
 	// ActivationsMa[w] is worker w's peak activation residency (Ma units).
-	ActivationsMa []float64
+	ActivationsMa []float64 `json:"activations_ma"`
 	// WeightsMTheta[w] is worker w's weight memory (Mθ units), including
 	// stashed versions for asynchronous schemes.
-	WeightsMTheta []float64
+	WeightsMTheta []float64 `json:"weights_mtheta"`
 
-	Synchronous bool
+	Synchronous bool `json:"synchronous"`
 }
 
 // Analyze computes the measured analysis of any schedule.

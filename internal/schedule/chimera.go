@@ -79,10 +79,19 @@ func (cfg ChimeraConfig) check() (int, error) {
 	return f, nil
 }
 
+// closedForm reports whether cfg is in the closed forms' scope: one pipeline
+// per direction (F ≤ 1) and direct concatenation past N = D, whose every op
+// §3.1's slot formulas fix. Residency, CriticalPath, FreeRegions, Graph and
+// ReplayEquivalent answer for these configurations and for no other: F > 1,
+// forward doubling and backward halving build the schedule and walk it.
+func (cfg ChimeraConfig) closedForm() bool {
+	return cfg.F <= 1 && (cfg.N <= cfg.D || cfg.Concat == Direct)
+}
+
 // Residency returns the residency profile of the schedule Chimera builds
-// for cfg without building it, or nil when no closed form is known (F > 1,
-// forward doubling or backward halving at N > D): build the schedule and
-// walk it. Invalid configurations return Chimera's error.
+// for cfg without building it, or nil outside the closed forms' scope
+// (closedForm): build the schedule and walk it. Invalid configurations
+// return Chimera's error.
 //
 // Worker w hosts down stage w and up stage D−1−w, and its one Pareto row,
 // in half-micro-batch units with n = min(N, D), is
@@ -94,14 +103,10 @@ func (cfg ChimeraConfig) check() (int, error) {
 // The oracle sweep (TestChimeraClosedForms), TestResidencyEquivalentScope
 // and FuzzResidencyClosedForm hold it to the walk.
 func (cfg ChimeraConfig) Residency() (*Residency, error) {
-	f, err := cfg.check()
-	if err != nil {
+	if _, err := cfg.check(); err != nil || !cfg.closedForm() {
 		return nil, err
 	}
 	d, n := cfg.D, min(cfg.N, cfg.D)
-	if f > 1 || (cfg.N > d && cfg.Concat != Direct) {
-		return nil, nil
-	}
 	r := &Residency{Scheme: "chimera", Synchronous: true, Replicas: 2, Workers: make([]WorkerResidency, d)}
 	hosted := make([]StagePlacement, 2*d)
 	counts := make([]int32, 2*d)
@@ -116,9 +121,9 @@ func (cfg ChimeraConfig) Residency() (*Residency, error) {
 }
 
 // CriticalPath returns the (Cf, Cb) that CriticalPath probes on the schedule
-// Chimera builds for cfg, without building it; ok is false when no closed
-// form is known (the scope is Residency's). Invalid configurations return
-// Chimera's error.
+// Chimera builds for cfg, without building it; ok is false outside the
+// closed forms' scope (closedForm). Invalid configurations return Chimera's
+// error.
 //
 // With k = ⌊(N−1)/D⌋ units before the last, j = N − kD ∈ [1, D]
 // micro-batches in the last and h = ⌈j/2⌉ of them on its down pipeline, one
@@ -130,8 +135,7 @@ func (cfg ChimeraConfig) Residency() (*Residency, error) {
 // tabulated from the probe, not derived: the oracle sweep
 // (TestChimeraClosedForms) and FuzzCriticalClosedForm hold it there.
 func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
-	f, err := cfg.check()
-	if err != nil || f > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) {
+	if _, err := cfg.check(); err != nil || !cfg.closedForm() {
 		return 0, 0, false, err
 	}
 	d := cfg.D
@@ -150,8 +154,8 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 
 // FreeRegions returns the free regions that the replay of Chimera's schedule
 // for cfg under cm reads ((*Readout).FreeRegions), without building or
-// replaying that schedule; ok is false when no closed form is known: outside
-// Residency's scope, or for any cost model but Eq. 1's unit costs — a
+// replaying that schedule; ok is false outside the closed forms' scope
+// (closedForm), or for any cost model but Eq. 1's unit costs — a
 // backward of two or three forwards and no p2p latency (FUnit > 0,
 // BUnit = 2·FUnit or 3·FUnit, P2P = 0), the only ratios the form is
 // checked at. Invalid configurations return Chimera's error. The table
@@ -175,8 +179,7 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 // tabulated from the replay, as CriticalPath's is: the oracle sweep
 // (TestChimeraClosedForms) and FuzzFreeRegionsClosedForm hold it there.
 func (cfg ChimeraConfig) FreeRegions(cm CostModel) (f FreeRegions, ok bool, err error) {
-	pipes, err := cfg.check()
-	if err != nil || pipes > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) || cm.P2P != 0 || cm.FUnit <= 0 || (cm.BUnit != 2*cm.FUnit && cm.BUnit != 3*cm.FUnit) {
+	if _, err := cfg.check(); err != nil || !cfg.closedForm() || cm.P2P != 0 || cm.FUnit <= 0 || (cm.BUnit != 2*cm.FUnit && cm.BUnit != 3*cm.FUnit) {
 		return FreeRegions{}, false, err
 	}
 	d, k := cfg.D, (cfg.N-1)/cfg.D
@@ -222,10 +225,10 @@ type chimeraFree struct {
 // partial unit: (*Readout).Extend verifies on the replay of (D, 2D + N mod D)
 // that the steady state has been reached and moves the read-outs on by the
 // units left out. DESIGN.md §3 "Steady-state replay" carries the argument;
-// TestReplayPeriodic and TestChimeraDirectLockstep pin it. Out of scope, as
-// for Residency's closed form: F > 1, forward doubling, backward halving.
+// TestReplayPeriodic and TestChimeraDirectLockstep pin it. Only a
+// configuration in the closed forms' scope (closedForm) has one.
 func (cfg ChimeraConfig) ReplayEquivalent() (short ChimeraConfig, units int) {
-	if cfg.F <= 1 && cfg.Concat == Direct && cfg.D >= 2 && cfg.N >= 3*cfg.D {
+	if cfg.closedForm() && cfg.D >= 2 && cfg.N >= 3*cfg.D {
 		units = cfg.N/cfg.D - 2
 		cfg.N -= units * cfg.D
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Graph returns the compiled graph of the schedule Chimera builds for cfg
-// without building that schedule, or nil when cfg is outside Residency's
-// scope (F > 1, forward doubling or backward halving at N > D): build the
-// schedule and compile it. Invalid configurations return Chimera's error.
+// without building that schedule, or nil outside the closed forms' scope
+// (closedForm): build the schedule and compile it. Invalid configurations
+// return Chimera's error.
 //
 // §3.1's slot formulas fix every op (pairSlots). Worker w hosts stage w of
 // the down pipeline and stage D−1−w of the up one; in the unit that starts
@@ -34,8 +34,7 @@ import (
 // The graph's Source builds the schedule on first use, with its Graph()
 // pre-set to this graph.
 func (cfg ChimeraConfig) Graph() (*Graph, error) {
-	f, err := cfg.check()
-	if err != nil || f > 1 || (cfg.N > cfg.D && cfg.Concat != Direct) {
+	if _, err := cfg.check(); err != nil || !cfg.closedForm() {
 		return nil, err
 	}
 	d, n := cfg.D, cfg.N

@@ -3,7 +3,10 @@ package schedule
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,11 +95,45 @@ func (p *sweepPoint) critical() (cf, cb int, err error) {
 // closedForm is one closed form the oracle sweep holds to the mechanism it
 // replaces, on its own grid of (D, N), and reports as a subtest of its own.
 type closedForm struct {
-	name    string
-	on      func(d, n int) bool
-	check   func(p *sweepPoint) error
-	checked int
-	errs    []error
+	name  string
+	on    func(d, n int) bool
+	check func(p *sweepPoint) error
+}
+
+// depthSweep is what the oracle sweep found at one depth, per form: the
+// points checked and the first five errors.
+type depthSweep struct {
+	checked []int
+	errs    [][]error
+}
+
+// sweepDepth checks every form at each (d, N) of its grid, sharing one
+// short-graph map across the depth's points.
+func sweepDepth(d int, forms []*closedForm) depthSweep {
+	out := depthSweep{checked: make([]int, len(forms)), errs: make([][]error, len(forms))}
+	short := map[int]*Graph{}
+	ns := []int{}
+	for n := 1; n <= 4*d+1; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range periodicNs(d) {
+		if n > 4*d+1 {
+			ns = append(ns, n)
+		}
+	}
+	for _, n := range ns {
+		p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}, short: short}
+		for i, f := range forms {
+			if !f.on(d, n) {
+				continue
+			}
+			out.checked[i]++
+			if err := f.check(p); err != nil && len(out.errs[i]) < 5 {
+				out.errs[i] = append(out.errs[i], fmt.Errorf("D=%d N=%d: %w", d, n, err))
+			}
+		}
+	}
+	return out
 }
 
 // upTo reports whether n is at most max or one of the long N periodicNs
@@ -113,8 +150,11 @@ func graphSample(d, n int) bool {
 // TestChimeraClosedForms holds every closed form of a fixed-placement,
 // direct, F = 1 Chimera configuration to the general mechanism in one pass:
 // each (D, N) of the union of their grids is built, compiled and replayed
-// once, and every form whose grid holds it is checked against that. Each
-// form reports as a subtest under the name of the test it replaces:
+// once, and every form whose grid holds it is checked against that. The
+// depths are shared out over GOMAXPROCS goroutines, deepest first, each
+// depth on one of them; the results merge in D order, so every form reports
+// the first five errors a sequential sweep would. Each form reports as a
+// subtest under the name of the test it replaces:
 //
 //   - TestResidencyPeriodic: ChimeraConfig.Residency is the walk of the
 //     schedule, struct for struct, and at N ≥ D each worker's peak is
@@ -153,36 +193,34 @@ func TestChimeraClosedForms(t *testing.T) {
 			return checkFreeForm(p, freeOn(p.cfg.D, p.cfg.N))
 		}},
 	}
-	for d := 2; d <= 128; d += 2 {
-		short := map[int]*Graph{}
-		ns := []int{}
-		for n := 1; n <= 4*d+1; n++ {
-			ns = append(ns, n)
-		}
-		for _, n := range periodicNs(d) {
-			if n > 4*d+1 {
-				ns = append(ns, n)
-			}
-		}
-		for _, n := range ns {
-			p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}, short: short}
-			for _, f := range forms {
-				if !f.on(d, n) {
-					continue
+	depths := make([]depthSweep, 64) // D = 2, 4, …, 128
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := len(depths) - int(claimed.Add(1))
+				if i < 0 {
+					return
 				}
-				f.checked++
-				if err := f.check(p); err != nil && len(f.errs) < 5 {
-					f.errs = append(f.errs, fmt.Errorf("D=%d N=%d: %w", d, n, err))
-				}
+				depths[i] = sweepDepth(2+2*i, forms)
 			}
-		}
+		}()
 	}
-	for _, f := range forms {
+	wg.Wait()
+	for i, f := range forms {
 		t.Run(f.name, func(t *testing.T) {
-			for _, err := range f.errs {
+			checked, errs := 0, []error{}
+			for _, ds := range depths {
+				checked += ds.checked[i]
+				errs = append(errs, ds.errs[i]...)
+			}
+			for _, err := range errs[:min(len(errs), 5)] {
 				t.Error(err)
 			}
-			t.Logf("%d (D, N) pairs checked", f.checked)
+			t.Logf("%d (D, N) pairs checked", checked)
 		})
 	}
 }
@@ -280,12 +318,36 @@ func sameFreeRegions(d int, got FreeRegions, r *Readout) error {
 	return nil
 }
 
+// TestFreeRegionsClosedFormAllocFree: the planner reads a closed-form
+// free-region table once per candidate, so the read — the table and every
+// worker's regions through AppendWorker — allocates nothing, under either of
+// Eq. 1's cost models, for N below, at and past D.
+func TestFreeRegionsClosedFormAllocFree(t *testing.T) {
+	var buf [2]FreeRegion
+	for _, cfg := range []ChimeraConfig{{D: 8, N: 1}, {D: 8, N: 5}, {D: 8, N: 8}, {D: 8, N: 67}} {
+		for _, cm := range planCosts {
+			if allocs := testing.AllocsPerRun(100, func() {
+				f, ok, err := cfg.FreeRegions(cm)
+				if err != nil || !ok {
+					t.Fatalf("%+v %+v: no closed-form free regions (%v)", cfg, cm, err)
+				}
+				for w := range cfg.D {
+					f.AppendWorker(buf[:0], w)
+				}
+			}); allocs != 0 {
+				t.Fatalf("%+v %+v: a closed-form free-region read allocates %.1f times, want 0", cfg, cm, allocs)
+			}
+		}
+	}
+}
+
 // TestFreeRegionsPeriodic pins what makes the free regions closed-form in
 // (D, N mod D, N ≥ D): from one full unit on, adding a unit changes no
 // placement's free region. The replays of N and N + D agree, table for
 // table, for every even D ≤ 64 (16 under -short or -race), every N from D to
 // 3D and both of Eq. 1's cost models.
 func TestFreeRegionsPeriodic(t *testing.T) {
+	t.Parallel()
 	checked := 0
 	for d := 2; d <= exhaustiveD(64, 16); d += 2 {
 		for _, cm := range planCosts {

@@ -177,6 +177,7 @@ func unitEmissionDoubling(t *testing.T, cfg ChimeraConfig, upPhase int) *Schedul
 // modes and up-pipeline phases 0–4, Workers and MicroReplica equal the
 // unit-by-unit emission's, unexported slots included.
 func TestChimeraDoublingMatchesUnitEmission(t *testing.T) {
+	t.Parallel()
 	checked := 0
 	for d := 2; d <= exhaustiveD(32, 8); d += 2 {
 		for _, f := range []int{1, 2, 4, 8} {
@@ -216,6 +217,7 @@ func TestChimeraDoublingMatchesUnitEmission(t *testing.T) {
 // plus the longest schedule the planner reaches — Workers and MicroReplica
 // equal the unit-by-unit emission's, unexported slots included.
 func TestChimeraDirectMatchesUnitEmission(t *testing.T) {
+	t.Parallel()
 	check := func(d, n, f int) {
 		t.Helper()
 		got, err := Chimera(ChimeraConfig{D: d, N: n, F: f})

@@ -100,6 +100,7 @@ func sameReadout(tb testing.TB, name string, got, want *Readout) {
 // a failure here: these are the homogeneous cases the planner relies on, and
 // a check that always fell back would hide a regression.
 func TestReplayPeriodic(t *testing.T) {
+	t.Parallel()
 	checked := 0
 	for d := 2; d <= exhaustiveD(128, 32); d += 2 {
 		shapes := extendShapes(d)
@@ -276,6 +277,7 @@ func sameNode(ga *Graph, a int32, gb *Graph, b int32) bool {
 // schedule's last ops, shifted by the units left out — grad-ready nodes
 // included.
 func TestChimeraDirectLockstep(t *testing.T) {
+	t.Parallel()
 	for d := 2; d <= exhaustiveD(64, 16); d += 2 {
 		for _, r := range []int{0, 1, d / 2, d - 1} {
 			short := mustGraph(t, ChimeraConfig{D: d, N: 2*d + r})

@@ -7,9 +7,9 @@
 // This file is the single serialization path for the service and the CLIs'
 // -json modes: request types resolve named presets (models, platforms,
 // schemes) into the internal value types with strict validation. Results
-// carry their own json tags — a planner prediction, a fleet allocation or
-// simulation encodes as it stands — so one result has one wire shape and no
-// copy here. The resolved inputs (perfmodel.PlanRequest, the fleet request
+// carry their own json tags — a planner prediction, a simulator result, a
+// schedule analysis, a fleet allocation or simulation encodes as it stands —
+// so one result has one wire shape and no copy here. The resolved inputs (perfmodel.PlanRequest, the fleet request
 // and scenario types) stay untagged on purpose: their Go-field-name JSON is
 // the response-cache key, the router's shard key and the snapshot key.
 // Encoding is canonical (encoding/json, no indentation), so two encodes of
@@ -571,51 +571,12 @@ func NewPlanResponse(model string, p, miniBatch int, preds []*perfmodel.Predicti
 	return PlanResponse{Model: model, P: p, MiniBatch: miniBatch, Predictions: preds}
 }
 
-// SimulateResponse is the /v1/simulate reply (and chimera-sim -json output).
+// SimulateResponse is the /v1/simulate reply (and chimera-sim -json output):
+// the simulator's result, which encodes itself, and whether the run used
+// activation recomputation (meaningful under auto_recompute).
 type SimulateResponse struct {
-	IterTime    float64 `json:"iter_time"`
-	Throughput  float64 `json:"throughput"`
-	BubbleRatio float64 `json:"bubble_ratio"`
-	ComputeSpan float64 `json:"compute_span"`
-	SyncTime    float64 `json:"sync_time"`
-	PeakMem     []int64 `json:"peak_mem_bytes"`
-	OOM         bool    `json:"oom"`
-	MiniBatch   int     `json:"mini_batch"`
-	// Recompute reports whether the run used activation recomputation
-	// (meaningful under auto_recompute).
+	*sim.Result
 	Recompute bool `json:"recompute"`
-}
-
-// NewSimulateResponse encodes one simulator result.
-func NewSimulateResponse(res *sim.Result, recompute bool) SimulateResponse {
-	return SimulateResponse{
-		IterTime: res.IterTime, Throughput: res.Throughput,
-		BubbleRatio: res.BubbleRatio, ComputeSpan: res.ComputeSpan,
-		SyncTime: res.SyncTime, PeakMem: res.PeakMemBytes,
-		OOM: res.OOM, MiniBatch: res.MiniBatch, Recompute: recompute,
-	}
-}
-
-// AnalyzeResponse is the /v1/analyze reply, in the paper's Table 2 units.
-type AnalyzeResponse struct {
-	Scheme               string    `json:"scheme"`
-	D                    int       `json:"d"`
-	N                    int       `json:"n"`
-	BubbleRatioEqual     float64   `json:"bubble_ratio_equal"`
-	BubbleRatioPractical float64   `json:"bubble_ratio_practical"`
-	ActivationsMa        []float64 `json:"activations_ma"`
-	WeightsMTheta        []float64 `json:"weights_mtheta"`
-	Synchronous          bool      `json:"synchronous"`
-}
-
-// NewAnalyzeResponse encodes a schedule analysis.
-func NewAnalyzeResponse(a *schedule.Analysis) AnalyzeResponse {
-	return AnalyzeResponse{
-		Scheme: a.Scheme, D: a.D, N: a.N,
-		BubbleRatioEqual: a.BubbleRatioEqual, BubbleRatioPractical: a.BubbleRatioPractical,
-		ActivationsMa: a.ActivationsMa, WeightsMTheta: a.WeightsMTheta,
-		Synchronous: a.Synchronous,
-	}
 }
 
 // RenderResponse is the /v1/render reply.

@@ -58,6 +58,35 @@ func TestFleetPlanMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestOwnedEngineBoundsAllocator: a caller-owned engine overrides
+// CacheCapacity for the fleet allocator's plan memo as for its own tables.
+// With CacheCapacity 0, an owned engine of capacity 2 gives an allocator
+// whose memo evicts, so allocating one request again replans; an owned
+// unbounded engine's allocator recalls every plan.
+func TestOwnedEngineBoundsAllocator(t *testing.T) {
+	var req FleetPlanRequest
+	if err := DecodeStrict(strings.NewReader(fleetBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	freq, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{2, 0} {
+		srv := New(Config{Engine: engine.New(engine.Workers(1), engine.Capacity(capacity))})
+		var misses [2]uint64
+		for i := range misses {
+			if _, err := srv.allocator.Allocate(freq); err != nil {
+				t.Fatal(err)
+			}
+			_, misses[i] = srv.allocator.PlanStats()
+		}
+		if replanned := misses[1] > misses[0]; replanned != (capacity > 0) {
+			t.Errorf("engine capacity %d: planner runs %d then %d; want a replan exactly when the engine is bounded", capacity, misses[0], misses[1])
+		}
+	}
+}
+
 // TestFleetPlanCached: repeating one fleet request is absorbed by the
 // response cache (single miss) and replays identical bytes.
 func TestFleetPlanCached(t *testing.T) {

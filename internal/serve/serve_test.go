@@ -119,7 +119,7 @@ func TestSimulateMatchesEngine(t *testing.T) {
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	want, err := json.Marshal(NewSimulateResponse(out.Result, out.Recompute))
+	want, err := json.Marshal(SimulateResponse{out.Result, out.Recompute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAnalyzeAndRender(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("analyze status %d: %s", status, body)
 	}
-	var a AnalyzeResponse
+	var a schedule.Analysis
 	if err := json.Unmarshal(body, &a); err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,10 @@ type Config struct {
 	// — clients trigger snapshots but never choose filesystem locations.
 	SnapshotPath string
 	// Engine, when non-nil, supplies a caller-owned engine and overrides
-	// Workers/CacheCapacity (used by tests and embedders that want to
-	// share the process-wide Default engine). A caller-owned engine keeps
+	// Workers/CacheCapacity for the engine and the fleet allocator's plan
+	// memo, which takes the engine's bound; the response caches keep
+	// CacheCapacity (used by tests and embedders that want to share the
+	// process-wide Default engine). A caller-owned engine keeps
 	// whatever instrumentation it was built with; only server-constructed
 	// engines register their engine_ series on the server's registry.
 	Engine *engine.Engine
@@ -118,7 +120,7 @@ func New(cfg Config) *Server {
 		Daemon:       httpd.NewDaemon(mux, httpd.Lifecycle{DrainDelay: cfg.DrainDelay, ShutdownTimeout: cfg.DrainTimeout}),
 		eng:          eng,
 		snapshotPath: cfg.SnapshotPath,
-		allocator:    fleet.NewAllocatorCap(eng, cfg.CacheCapacity),
+		allocator:    fleet.NewAllocator(eng),
 		started:      time.Now(),
 	}
 	s.admission = httpd.NewAdmission(cfg.MaxInflight, "server at capacity, retry later",
@@ -308,7 +310,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.StartPhase("encode")
-	s.writeJSON(w, http.StatusOK, NewSimulateResponse(out.Result, out.Recompute))
+	s.writeJSON(w, http.StatusOK, SimulateResponse{out.Result, out.Recompute})
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -338,7 +340,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.StartPhase("encode")
-	s.writeJSON(w, http.StatusOK, NewAnalyzeResponse(a))
+	s.writeJSON(w, http.StatusOK, a)
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {

@@ -175,22 +175,22 @@ func (c *Config) speedFactor(w int) float64 {
 // Result summarizes one simulated training iteration.
 type Result struct {
 	// IterTime is the wall-clock seconds of one training iteration.
-	IterTime float64
+	IterTime float64 `json:"iter_time"`
 	// Throughput is sequences per second: B·N·W / IterTime.
-	Throughput float64
+	Throughput float64 `json:"throughput"`
 	// BubbleRatio is idle worker time over total worker time (compute part).
-	BubbleRatio float64
+	BubbleRatio float64 `json:"bubble_ratio"`
 	// ComputeSpan is the makespan of the compute+p2p part.
-	ComputeSpan float64
+	ComputeSpan float64 `json:"compute_span"`
 	// SyncTime is the additional (unoverlapped) gradient sync time on the
 	// slowest worker.
-	SyncTime float64
+	SyncTime float64 `json:"sync_time"`
 	// PeakMemBytes is per-worker peak memory.
-	PeakMemBytes []int64
+	PeakMemBytes []int64 `json:"peak_mem_bytes"`
 	// OOM reports whether any worker exceeds device memory.
-	OOM bool
+	OOM bool `json:"oom"`
 	// MiniBatch is B·N·W, the effective mini-batch size B̂.
-	MiniBatch int
+	MiniBatch int `json:"mini_batch"`
 }
 
 const timeQuantum = 1e-9 // replay integer unit: one nanosecond
