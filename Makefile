@@ -55,17 +55,21 @@ bench-build:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine
 
-# cli-smoke runs the three CLIs no test drives: a verified chimera-train
-# run, a PipeDream run, and chimera-sim and chimera-viz refusing an unknown
-# -concat name. The binaries are built first so a compile error cannot pass
-# for a refusal.
+# cli-smoke runs the four CLIs no test drives: a verified chimera-train
+# run, a PipeDream run, chimera-sim and chimera-viz refusing an unknown
+# -concat name, and chimera-plan planning as a table and as -json and
+# refusing an odd-length -speed list (the /v1/plan codec's rule). The
+# binaries are built first so a compile error cannot pass for a refusal.
 cli-smoke:
-	$(GO) build -o bin/ ./cmd/chimera-train ./cmd/chimera-sim ./cmd/chimera-viz
+	$(GO) build -o bin/ ./cmd/chimera-train ./cmd/chimera-sim ./cmd/chimera-viz ./cmd/chimera-plan
 	bin/chimera-train -iters 3
 	bin/chimera-train -scheme pipedream -iters 2 -verify=false
 	@for cli in chimera-sim chimera-viz; do \
 		if bin/$$cli -concat bogus; then echo "$$cli accepted -concat bogus"; exit 1; fi; \
 	done
+	bin/chimera-plan -model bert48 -p 16 -bhat 128
+	bin/chimera-plan -model bert48 -p 16 -bhat 128 -json
+	@if bin/chimera-plan -speed 1,2,1; then echo "chimera-plan accepted -speed 1,2,1"; exit 1; fi
 
 lint:
 	$(GO) vet ./...

@@ -35,28 +35,21 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the /v1/plan wire format instead of the table")
 	flag.Parse()
 
-	m, err := serve.ResolveModel(*modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chimera-plan:", err)
-		os.Exit(1)
-	}
-	dev, net, err := serve.ResolvePlatform(*platform)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chimera-plan:", err)
-		os.Exit(1)
-	}
-	// Round-trip the factor list through decode so a malformed -speed fails
-	// here with a clear error, not inside every plan candidate.
+	// The flags resolve through the /v1/plan codec, so the CLI refuses
+	// exactly what the service refuses, with the same message.
 	factors, err := sim.DecodeSpeedFactors(*speed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chimera-plan:", err)
 		os.Exit(1)
 	}
-	req := perfmodel.PlanRequest{
-		Model: m, P: *p, MiniBatch: *bhat, MaxB: *maxB,
-		SpeedFactors: sim.EncodeSpeedFactors(factors),
-		Scheduler:    *scheduler,
-		Device:       dev, Network: net,
+	req, err := serve.PlanRequest{
+		Model: serve.ModelRef{Preset: *modelName}, P: *p, MiniBatch: *bhat, MaxB: *maxB,
+		SpeedFactors: factors, Scheduler: *scheduler,
+		Platform: serve.PlatformRef{Preset: *platform},
+	}.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chimera-plan:", err)
+		os.Exit(1)
 	}
 	eng := engine.Default()
 	if *workers > 0 {
@@ -68,7 +61,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *jsonOut {
-		raw, err := json.MarshalIndent(serve.NewPlanResponse(m.Name, *p, *bhat, preds), "", "  ")
+		raw, err := json.MarshalIndent(serve.NewPlanResponse(req.Model.Name, req.P, req.MiniBatch, preds), "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chimera-plan:", err)
 			os.Exit(1)
@@ -76,7 +69,7 @@ func main() {
 		fmt.Println(string(raw))
 		return
 	}
-	fmt.Printf("%s on %d workers, B̂=%d — Chimera configurations ranked by Eq. 1:\n", m.Name, *p, *bhat)
+	fmt.Printf("%s on %d workers, B̂=%d — Chimera configurations ranked by Eq. 1:\n", req.Model.Name, req.P, req.MiniBatch)
 	fmt.Printf("%-4s %-4s %-4s %-4s %-10s %-9s %-12s %-12s %s\n", "W", "D", "B", "N", "recompute", "placement", "iter (s)", "seq/s", "critical path")
 	for i, pr := range preds {
 		marker := " "

@@ -456,24 +456,18 @@ func (e *Engine) schedule(key ScheduleKey) schedOutcome {
 	})
 }
 
+// buildSchedule constructs the schedule key names through schedule.Build,
+// the one constructor of every scheme and placement policy.
 func buildSchedule(key ScheduleKey) (*schedule.Schedule, error) {
-	if key.Scheduler != "" {
-		factors, err := decodeSpeed(key.Speed)
-		if err != nil {
-			return nil, err
-		}
-		return schedule.Build(schedule.Spec{
-			Scheme: key.Scheme, Scheduler: key.Scheduler,
-			D: key.D, N: key.N, F: key.F, Concat: key.Concat,
-			SpeedFactors: factors,
-		})
+	factors, err := decodeSpeed(key.Speed)
+	if err != nil {
+		return nil, err
 	}
-	if key.Scheme == "chimera" {
-		return schedule.Chimera(schedule.ChimeraConfig{
-			D: key.D, N: key.N, F: key.F, Concat: key.Concat,
-		})
-	}
-	return schedule.ByName(key.Scheme, key.D, key.N)
+	return schedule.Build(schedule.Spec{
+		Scheme: key.Scheme, Scheduler: key.Scheduler,
+		D: key.D, N: key.N, F: key.F, Concat: key.Concat,
+		SpeedFactors: factors,
+	})
 }
 
 // Graph returns the compiled dependency-graph IR for the schedule

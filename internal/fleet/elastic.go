@@ -51,20 +51,7 @@ const (
 // kindRank is the total order of same-timestamp events: departures free
 // nodes first, failures and drains shrink the pool before joins grow it,
 // and arrivals plan last against the settled pool.
-func kindRank(k EventKind) int {
-	switch k {
-	case EvDeparture:
-		return 0
-	case EvNodeFail:
-		return 1
-	case EvNodeDrain:
-		return 2
-	case EvNodeJoin:
-		return 3
-	default: // EvArrival and ""
-		return 4
-	}
-}
+var kindRank = map[EventKind]int{EvDeparture: 0, EvNodeFail: 1, EvNodeDrain: 2, EvNodeJoin: 3, EvArrival: 4}
 
 // ReplanMode selects how the elastic simulator re-plans on each event.
 type ReplanMode string
@@ -268,9 +255,10 @@ func validateEvent[V any](byName map[string]V, where string, i int, ev Event) er
 			return fmt.Errorf("fleet: %s[%d] (%s) must set only node", where, i, ev.kind())
 		}
 	case EvNodeJoin:
-		if ev.Factor != 0 && !(ev.Factor >= sim.MinSpeedFactor && ev.Factor <= sim.MaxSpeedFactor) {
-			return fmt.Errorf("fleet: %s[%d] (node_join) factor %g out of range [%g, %g]",
-				where, i, ev.Factor, float64(sim.MinSpeedFactor), float64(sim.MaxSpeedFactor))
+		if ev.Factor != 0 {
+			if err := sim.CheckSpeedFactors("factor", ev.Factor); err != nil {
+				return fmt.Errorf("fleet: %s[%d] (node_join) %w", where, i, err)
+			}
 		}
 		switch ev.Class {
 		case "", ClassOnDemand, ClassSpot:
@@ -487,7 +475,7 @@ func inOrder(events []Event) []indexedEvent {
 		if ex.At != ey.At {
 			return ex.At < ey.At
 		}
-		return kindRank(ex.kind()) < kindRank(ey.kind())
+		return kindRank[ex.kind()] < kindRank[ey.kind()]
 	})
 	return out
 }

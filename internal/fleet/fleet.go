@@ -46,7 +46,7 @@ import (
 	"math"
 
 	"chimera/internal/model"
-	"chimera/internal/schedule"
+	"chimera/internal/perfmodel"
 	"chimera/internal/sim"
 )
 
@@ -70,7 +70,7 @@ func Policies() []string { return []string{string(EqualSplit), string(PlannerGui
 const Quantum = 2
 
 // MaxNodes is the one node limit: a request's cluster, and an elastic
-// scenario's initial nodes plus every join (the serve layer admits the same).
+// scenario's initial nodes plus every join.
 const MaxNodes = 1 << 16
 
 // MaxJobs bounds a request's job list; it exists for the same reason as the
@@ -165,16 +165,11 @@ func (r Request) Validate() error {
 		return fmt.Errorf("fleet: speed_factors has %d entries, cluster has %d nodes (lengths must match)",
 			n, r.Cluster.Nodes)
 	}
-	for i, f := range r.Cluster.SpeedFactors {
-		if !(f >= sim.MinSpeedFactor && f <= sim.MaxSpeedFactor) {
-			return fmt.Errorf("fleet: speed_factors[%d] = %g out of range [%g, %g]",
-				i, f, float64(sim.MinSpeedFactor), float64(sim.MaxSpeedFactor))
-		}
+	if err := sim.CheckSpeedFactors("speed_factors", r.Cluster.SpeedFactors...); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
-	if s := r.Cluster.Scheduler; s != "" && s != "fixed" && s != "auto" {
-		if _, err := schedule.SchedulerByName(s); err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
+	if err := perfmodel.ValidateScheduler(r.Cluster.Scheduler); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if len(r.Jobs) == 0 {
 		return fmt.Errorf("fleet: request has no jobs")

@@ -70,33 +70,52 @@ func SimulateOn(e *engine.Engine, sc Scenario) (*SimResult, error) {
 	return NewAllocator(e).Simulate(sc)
 }
 
-// Simulate replays the trace through the elastic stepper: a classic trace
-// is sugar for arrival events on a pool that never churns, re-planned from
-// scratch at every event with no migration penalty. The per-arrival checks
-// and the MaxEvents bound stay here so errors name the trace; aging, one
-// re-plan per departure time, the MaxResident bound and the stall error are
-// ElasticSim's (its errors say events[i] for trace[i]).
-func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
-	esc := ElasticScenario{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy, Replan: ReplanFull}
-	if err := esc.validateConfig(); err != nil {
-		return nil, err
+// event is the arrival as the elastic stepper replays it.
+func (arr Arrival) event() Event {
+	return Event{At: arr.At, Kind: EvArrival, Job: arr.Job, Work: arr.Work}
+}
+
+// Validate checks the scenario before any planning: the request part as
+// Request.Validate does, then the trace — non-empty, at most MaxEvents
+// arrivals, each naming a known job with a finite time ≥ 0 and positive
+// finite work. Simulate calls it; surface layers (serve, CLI) call it too,
+// so a malformed arrival is refused up front, named trace[i].
+func (sc Scenario) Validate() error {
+	if err := (Request{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy}).Validate(); err != nil {
+		return err
 	}
 	if len(sc.Trace) == 0 {
-		return nil, fmt.Errorf("fleet: scenario has an empty trace")
+		return fmt.Errorf("fleet: scenario has an empty trace")
 	}
 	if len(sc.Trace) > MaxEvents {
-		return nil, fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(sc.Trace), MaxEvents)
+		return fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(sc.Trace), MaxEvents)
 	}
 	known := make(map[string]bool, len(sc.Jobs))
 	for _, j := range sc.Jobs {
 		known[j.Name] = true
 	}
-	esc.Events = make([]Event, len(sc.Trace))
 	for i, arr := range sc.Trace {
-		esc.Events[i] = Event{At: arr.At, Kind: EvArrival, Job: arr.Job, Work: arr.Work}
-		if err := validateEvent(known, "trace", i, esc.Events[i]); err != nil {
-			return nil, err
+		if err := validateEvent(known, "trace", i, arr.event()); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// Simulate replays the trace through the elastic stepper: a classic trace
+// is sugar for arrival events on a pool that never churns, re-planned from
+// scratch at every event with no migration penalty. Validate's checks name
+// the trace; aging, one re-plan per departure time, the MaxResident bound
+// and the stall error are ElasticSim's (its errors say events[i] for
+// trace[i]).
+func (a *Allocator) Simulate(sc Scenario) (*SimResult, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	esc := ElasticScenario{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: sc.Policy, Replan: ReplanFull,
+		Events: make([]Event, len(sc.Trace))}
+	for i, arr := range sc.Trace {
+		esc.Events[i] = arr.event()
 	}
 	er, err := a.SimulateElastic(esc)
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
@@ -409,16 +410,28 @@ func Breakpoints(layers, miniBatch, maxP int) []int {
 	return slices.Compact(ps)
 }
 
+// ValidateScheduler checks a planner placement selector (PlanRequest's and
+// a fleet cluster's Scheduler): "" or "fixed", a schedule.Schedulers() name,
+// or "auto". It is the selector's one check; the planner, the fleet
+// allocator and the wire codec all call it.
+func ValidateScheduler(name string) error {
+	if name == "" || name == "auto" {
+		return nil
+	}
+	if _, err := schedule.SchedulerByName(name); err != nil {
+		return fmt.Errorf("unknown scheduler %q (have %s, auto)", name, strings.Join(schedule.Schedulers(), ", "))
+	}
+	return nil
+}
+
 // plannerSchedulers expands a PlanRequest's scheduler selector into the
 // placement policies to sweep ("" denotes the fixed placement). With no
 // heterogeneity signal in the factors, every list policy defers to the fixed
 // placement, so the sweep collapses to fixed alone — planning the aliases
 // would only duplicate ranking rows.
 func plannerSchedulers(name string, factors []float64) ([]string, error) {
-	if name != "" && name != "fixed" && name != "auto" {
-		if _, err := schedule.SchedulerByName(name); err != nil {
-			return nil, err
-		}
+	if err := ValidateScheduler(name); err != nil {
+		return nil, err
 	}
 	if name == "" || name == "fixed" || schedule.UniformSpeed(factors) {
 		return []string{""}, nil

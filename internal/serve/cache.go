@@ -133,12 +133,12 @@ var fleetSimEndpoint = endpoint[string]{
 				return s.allocator.SimulateElastic(esc)
 			})
 		}
+		if len(sc.Trace) == 0 {
+			return "", nil, errEmptyFleetTrace
+		}
 		csc, err := sc.Resolve()
 		if err != nil {
 			return "", nil, err
-		}
-		if len(csc.Trace) == 0 {
-			return "", nil, errEmptyFleetTrace
 		}
 		return jsonKey(csc, func(s *Server) (any, error) {
 			return s.allocator.Simulate(csc)

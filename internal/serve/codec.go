@@ -6,7 +6,12 @@
 //
 // This file is the single serialization path for the service and the CLIs'
 // -json modes: request types resolve named presets (models, platforms,
-// schemes) into the internal value types with strict validation. Results
+// schemes) into the internal value types, decoded strictly. The codec maps
+// names, presets and size caps and spells out defaults for the cache key;
+// each remaining rule is checked once, by the package that owns the value —
+// sim the speed-factor range, perfmodel the placement selector, fleet its
+// requests and scenarios — and every resolver runs that check, so a
+// malformed request is a 400 before any planning. Results
 // carry their own json tags — a planner prediction, a simulator result, a
 // schedule analysis, a fleet allocation or simulation encodes as it stands —
 // so one result has one wire shape and no copy here. The resolved inputs (perfmodel.PlanRequest, the fleet request
@@ -64,32 +69,6 @@ const (
 	// vocab, seq_len).
 	MaxModelDim = 1 << 20
 )
-
-// Speed-factor bounds: a factor is a per-worker compute-time multiplier
-// (1 = nominal, 2 = twice as slow). The bounds are the simulator's own —
-// beyond them its integer time quantization overflows — re-exported so the
-// wire contract names them.
-const (
-	MinSpeedFactor = sim.MinSpeedFactor
-	MaxSpeedFactor = sim.MaxSpeedFactor
-)
-
-// validateSpeedFactors checks the shared per-worker speed-factor rules:
-// every factor in [MinSpeedFactor, MaxSpeedFactor], and (when wantLen > 0)
-// the list length equal to the pipeline depth D.
-func validateSpeedFactors(ctx string, factors []float64, wantLen int) error {
-	if wantLen > 0 && len(factors) != wantLen {
-		return fmt.Errorf("%s: speed_factors has %d entries, schedule has d=%d workers (lengths must match)",
-			ctx, len(factors), wantLen)
-	}
-	for w, f := range factors {
-		if !(f >= MinSpeedFactor && f <= MaxSpeedFactor) {
-			return fmt.Errorf("%s: speed_factors[%d] = %g out of range [%g, %g]",
-				ctx, w, f, float64(MinSpeedFactor), float64(MaxSpeedFactor))
-		}
-	}
-	return nil
-}
 
 var modelPresets = map[string]func() model.Config{
 	"bert48":     model.BERT48,
@@ -384,17 +363,14 @@ func (r PlanRequest) Resolve() (perfmodel.PlanRequest, error) {
 		if r.P%d != 0 {
 			return out, fmt.Errorf("plan: speed_factors length %d must divide p=%d", d, r.P)
 		}
-		if err := validateSpeedFactors("plan", r.SpeedFactors, 0); err != nil {
-			return out, err
+		if err := sim.CheckSpeedFactors("speed_factors", r.SpeedFactors...); err != nil {
+			return out, fmt.Errorf("plan: %w", err)
 		}
+	}
+	if err := perfmodel.ValidateScheduler(r.Scheduler); err != nil {
+		return out, fmt.Errorf("plan: %w", err)
 	}
 	sched := r.Scheduler
-	if sched != "" && sched != "fixed" && sched != "auto" {
-		if _, err := schedule.SchedulerByName(sched); err != nil {
-			return out, fmt.Errorf("plan: unknown scheduler %q (have %s, auto)",
-				sched, strings.Join(Schedulers(), ", "))
-		}
-	}
 	if sched == "fixed" {
 		// Normalized so scheduler omitted and scheduler="fixed" share one
 		// plan-cache entry.
@@ -482,10 +458,12 @@ func (r SimulateRequest) Spec() (engine.Spec, error) {
 	if r.CompressionFactor < 0 || r.CompressionFactor > 1 {
 		return out, fmt.Errorf("simulate: compression_factor must be in [0, 1], got %g", r.CompressionFactor)
 	}
-	if len(r.SpeedFactors) != 0 {
-		if err := validateSpeedFactors("simulate", r.SpeedFactors, r.Schedule.D); err != nil {
-			return out, err
-		}
+	if len(r.SpeedFactors) != 0 && len(r.SpeedFactors) != r.Schedule.D {
+		return out, fmt.Errorf("simulate: speed_factors has %d entries, schedule has d=%d workers (lengths must match)",
+			len(r.SpeedFactors), r.Schedule.D)
+	}
+	if err := sim.CheckSpeedFactors("speed_factors", r.SpeedFactors...); err != nil {
+		return out, fmt.Errorf("simulate: %w", err)
 	}
 	if key.Scheduler != "" {
 		// The placement policy consumes the same per-worker factors the

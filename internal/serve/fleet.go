@@ -1,8 +1,13 @@
 package serve
 
 // Fleet wire types: the /v1/fleet/plan and /v1/fleet/simulate request
-// codecs and the scenario format cmd/chimera-fleet reads. Requests resolve
-// into untagged fleet values (fleet.Request, Scenario, ElasticScenario)
+// codecs and the scenario format cmd/chimera-fleet reads. The codec maps
+// names, presets and size caps and spells out defaults; the fleet package
+// validates what it owns (node range, factors, scheduler, jobs, policy,
+// replan knobs, traces) through Request.Validate, Scenario.Validate and
+// ElasticScenario.Validate, which every resolver calls, so a malformed
+// request is a 400 before any planning. Requests resolve into untagged
+// fleet values (fleet.Request, Scenario, ElasticScenario)
 // whose Go-field-name JSON is the response-cache, routing and snapshot key,
 // so those types must not grow tags. Replies are the fleet results
 // themselves — fleet.Allocation, SimResult and ElasticResult carry their
@@ -12,16 +17,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"chimera/internal/fleet"
-	"chimera/internal/schedule"
 )
-
-// MaxFleetJobs bounds a fleet request's job list (the fleet package
-// enforces the same bound; re-exported so the wire contract names it).
-const MaxFleetJobs = fleet.MaxJobs
 
 // FleetClusterRef describes the shared node pool on the wire.
 type FleetClusterRef struct {
@@ -93,8 +91,8 @@ type FleetEventRef struct {
 }
 
 // MaxFleetEvents bounds a trace of either form — elastic events or classic
-// arrivals, which replay as arrival events (the fleet package enforces the
-// same bound; re-exported so the wire contract names it).
+// arrivals, which replay as arrival events (the fleet package's bound,
+// re-exported so the wire contract names it).
 const MaxFleetEvents = fleet.MaxEvents
 
 // FleetScenario is the chimera-fleet scenario file format and the
@@ -121,71 +119,26 @@ type FleetScenario struct {
 // Elastic reports whether the scenario asks for the elastic simulator.
 func (s FleetScenario) Elastic() bool { return len(s.Events) > 0 }
 
-// resolveFleetPolicy maps the wire policy name onto the fleet package's.
-func resolveFleetPolicy(p string) (fleet.Policy, error) {
-	switch p {
-	case "":
-		return fleet.PlannerGuided, nil
-	case string(fleet.PlannerGuided), string(fleet.EqualSplit):
-		return fleet.Policy(p), nil
-	default:
-		return "", fmt.Errorf("fleet: unknown policy %q (have %s)", p, strings.Join(fleet.Policies(), ", "))
-	}
-}
-
-// Resolve validates the request into a fleet.Request.
+// Resolve maps the request onto a fleet.Request and validates it.
 func (r FleetPlanRequest) Resolve() (fleet.Request, error) {
-	var out fleet.Request
-	if r.Cluster.Nodes < 2 || r.Cluster.Nodes > fleet.MaxNodes {
-		return out, fmt.Errorf("fleet: cluster nodes must be in [2, %d], got %d", fleet.MaxNodes, r.Cluster.Nodes)
-	}
 	dev, net, err := r.Cluster.Platform.Resolve()
 	if err != nil {
-		return out, err
-	}
-	if n := len(r.Cluster.SpeedFactors); n != 0 {
-		if n != r.Cluster.Nodes {
-			return out, fmt.Errorf("fleet: speed_factors has %d entries, cluster has %d nodes (lengths must match)",
-				n, r.Cluster.Nodes)
-		}
-		if err := validateSpeedFactors("fleet", r.Cluster.SpeedFactors, 0); err != nil {
-			return out, err
-		}
-	}
-	if s := r.Cluster.Scheduler; s != "" && s != "fixed" && s != "auto" {
-		if _, err := schedule.SchedulerByName(s); err != nil {
-			return out, fmt.Errorf("fleet: %w", err)
-		}
-	}
-	if len(r.Jobs) == 0 {
-		return out, fmt.Errorf("fleet: jobs list is empty")
-	}
-	if len(r.Jobs) > MaxFleetJobs {
-		return out, fmt.Errorf("fleet: %d jobs exceed the limit %d", len(r.Jobs), MaxFleetJobs)
+		return fleet.Request{}, err
 	}
 	jobs := make([]fleet.Job, len(r.Jobs))
 	for i, j := range r.Jobs {
-		if j.Name == "" {
-			return out, fmt.Errorf("fleet: jobs[%d] has no name", i)
-		}
 		m, err := j.Model.Resolve()
 		if err != nil {
-			return out, fmt.Errorf("fleet: job %q: %w", j.Name, err)
+			return fleet.Request{}, fmt.Errorf("fleet: job %q: %w", j.Name, err)
 		}
-		if j.MiniBatch < 1 || j.MiniBatch > MaxMiniBatch {
-			return out, fmt.Errorf("fleet: job %q mini_batch must be in [1, %d], got %d", j.Name, MaxMiniBatch, j.MiniBatch)
-		}
-		if j.MaxB < 0 || j.MaxB > MaxMiniBatch {
-			return out, fmt.Errorf("fleet: job %q max_b must be in [0, %d], got %d", j.Name, MaxMiniBatch, j.MaxB)
-		}
-		if j.MaxNodes < 0 || j.MaxNodes > fleet.MaxNodes {
-			return out, fmt.Errorf("fleet: job %q max_nodes must be in [0, %d], got %d", j.Name, fleet.MaxNodes, j.MaxNodes)
-		}
-		if j.Priority < 0 || math.IsNaN(j.Priority) || math.IsInf(j.Priority, 0) {
-			return out, fmt.Errorf("fleet: job %q priority must be finite and ≥ 0, got %g", j.Name, j.Priority)
-		}
-		if j.Deadline < 0 || math.IsNaN(j.Deadline) || math.IsInf(j.Deadline, 0) {
-			return out, fmt.Errorf("fleet: job %q deadline must be finite and ≥ 0, got %g", j.Name, j.Deadline)
+		// The size caps; the lower bounds are Validate's.
+		for _, c := range []struct {
+			field  string
+			v, max int
+		}{{"mini_batch", j.MiniBatch, MaxMiniBatch}, {"max_b", j.MaxB, MaxMiniBatch}, {"max_nodes", j.MaxNodes, fleet.MaxNodes}} {
+			if c.v > c.max {
+				return fleet.Request{}, fmt.Errorf("fleet: job %q %s = %d exceeds the limit %d", j.Name, c.field, c.v, c.max)
+			}
 		}
 		jobs[i] = fleet.Job{
 			Name: j.Name, Model: m, MiniBatch: j.MiniBatch,
@@ -193,40 +146,37 @@ func (r FleetPlanRequest) Resolve() (fleet.Request, error) {
 			MaxNodes: j.MaxNodes,
 		}
 	}
-	policy, err := resolveFleetPolicy(r.Policy)
-	if err != nil {
-		return out, err
+	policy := fleet.Policy(r.Policy)
+	if policy == "" {
+		// Spelled out so policy omitted and policy="planner-guided" share
+		// one cache entry.
+		policy = fleet.PlannerGuided
 	}
-	out = fleet.Request{
+	out := fleet.Request{
 		Cluster: fleet.Cluster{
 			Nodes: r.Cluster.Nodes, SpeedFactors: r.Cluster.SpeedFactors,
 			Device: dev, Network: net, Scheduler: r.Cluster.Scheduler,
 		},
 		Jobs: jobs, Policy: policy,
 	}
-	// The fleet package re-checks its own invariants; running them here
-	// keeps every rejection a 400 with the field named.
 	if err := out.Validate(); err != nil {
 		return fleet.Request{}, err
 	}
 	return out, nil
 }
 
-// Resolve validates the scenario into a fleet.Scenario (classic trace).
-// Elastic scenarios (events present) must resolve through ResolveElastic,
-// and the elastic-only knobs are rejected here rather than silently
-// ignored — the strict-validation contract of every field in this codec.
-// The trace is bounded like an event list, so an oversized one is a 400
-// before any planning.
+// Resolve maps the scenario onto a fleet.Scenario (classic trace) and
+// validates it with fleet.Scenario.Validate, so a malformed or oversized
+// trace is a 400 before any planning. Elastic scenarios (events present)
+// must resolve through ResolveElastic, and the elastic-only knobs are
+// rejected here rather than silently ignored — the strict-validation
+// contract of every field in this codec.
 func (s FleetScenario) Resolve() (fleet.Scenario, error) {
 	if s.Elastic() {
 		return fleet.Scenario{}, fmt.Errorf("fleet: scenario carries an elastic event trace; resolve it as elastic")
 	}
 	if s.Replan != "" || s.MigrationPenalty != 0 || s.AgingTau != 0 {
 		return fleet.Scenario{}, fmt.Errorf("fleet: replan, migration_penalty and aging_tau apply only to elastic scenarios (set events)")
-	}
-	if len(s.Trace) > MaxFleetEvents {
-		return fleet.Scenario{}, fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(s.Trace), MaxFleetEvents)
 	}
 	req, err := FleetPlanRequest{Cluster: s.Cluster, Jobs: s.Jobs, Policy: s.Policy}.Resolve()
 	if err != nil {
@@ -236,22 +186,25 @@ func (s FleetScenario) Resolve() (fleet.Scenario, error) {
 	for i, ev := range s.Trace {
 		trace[i] = fleet.Arrival{At: ev.At, Job: ev.Job, Work: ev.Work}
 	}
-	return fleet.Scenario{Cluster: req.Cluster, Jobs: req.Jobs, Policy: req.Policy, Trace: trace}, nil
-}
-
-// resolveReplan maps the wire re-plan mode onto the fleet package's.
-func resolveReplan(r string) (fleet.ReplanMode, error) {
-	switch r {
-	case "":
-		return fleet.ReplanIncremental, nil
-	case string(fleet.ReplanIncremental), string(fleet.ReplanFull):
-		return fleet.ReplanMode(r), nil
-	default:
-		return "", fmt.Errorf("fleet: unknown replan mode %q (have %s)", r, strings.Join(fleet.ReplanModes(), ", "))
+	out := fleet.Scenario{Cluster: req.Cluster, Jobs: req.Jobs, Policy: req.Policy, Trace: trace}
+	if err := out.Validate(); err != nil {
+		return fleet.Scenario{}, err
 	}
+	return out, nil
 }
 
-// ResolveElastic validates the scenario into a fleet.ElasticScenario.
+// resolveReplan spells out the default re-plan mode, so replan omitted and
+// replan="incremental" share one cache entry; the fleet package validates
+// the name.
+func resolveReplan(r string) fleet.ReplanMode {
+	if r == "" {
+		return fleet.ReplanIncremental
+	}
+	return fleet.ReplanMode(r)
+}
+
+// ResolveElastic maps the scenario onto a fleet.ElasticScenario and
+// validates it with fleet.ElasticScenario.Validate.
 func (s FleetScenario) ResolveElastic() (fleet.ElasticScenario, error) {
 	if len(s.Trace) > 0 && len(s.Events) > 0 {
 		return fleet.ElasticScenario{}, fmt.Errorf("fleet: scenario sets both trace and events (use one)")
@@ -259,14 +212,7 @@ func (s FleetScenario) ResolveElastic() (fleet.ElasticScenario, error) {
 	if len(s.Events) == 0 {
 		return fleet.ElasticScenario{}, fmt.Errorf("fleet: elastic scenario has no events")
 	}
-	if len(s.Events) > MaxFleetEvents {
-		return fleet.ElasticScenario{}, fmt.Errorf("fleet: %d events exceed the limit %d", len(s.Events), MaxFleetEvents)
-	}
 	req, err := FleetPlanRequest{Cluster: s.Cluster, Jobs: s.Jobs, Policy: s.Policy}.Resolve()
-	if err != nil {
-		return fleet.ElasticScenario{}, err
-	}
-	replan, err := resolveReplan(s.Replan)
 	if err != nil {
 		return fleet.ElasticScenario{}, err
 	}
@@ -276,21 +222,21 @@ func (s FleetScenario) ResolveElastic() (fleet.ElasticScenario, error) {
 	}
 	out := fleet.ElasticScenario{
 		Cluster: req.Cluster, Jobs: req.Jobs, Policy: req.Policy,
-		Events: events, Replan: replan,
+		Events: events, Replan: resolveReplan(s.Replan),
 		MigrationPenalty: s.MigrationPenalty, AgingTau: s.AgingTau,
 	}
-	// The fleet package re-checks its own invariants; running them here
-	// keeps every rejection a 400 with the field named.
 	if err := out.Validate(); err != nil {
 		return fleet.ElasticScenario{}, err
 	}
 	return out, nil
 }
 
-// ResolveLive validates the scenario as a live fleet-controller
+// ResolveLive maps the scenario onto a live fleet-controller
 // configuration: cluster, jobs, policy and the re-plan knobs, with no
 // pre-recorded trace — the controller's events arrive later, batch by
-// batch, over POST /v1/fleet/events.
+// batch, over POST /v1/fleet/events. The request part is validated here;
+// fleet.Allocator.NewElasticSim validates the re-plan knobs when the
+// controller builds its simulation.
 func (s FleetScenario) ResolveLive() (fleet.ElasticScenario, error) {
 	if len(s.Trace) > 0 || len(s.Events) > 0 {
 		return fleet.ElasticScenario{}, fmt.Errorf("fleet: a live controller scenario must not carry a trace (%d) or events (%d) — the controller ingests events over HTTP", len(s.Trace), len(s.Events))
@@ -299,13 +245,9 @@ func (s FleetScenario) ResolveLive() (fleet.ElasticScenario, error) {
 	if err != nil {
 		return fleet.ElasticScenario{}, err
 	}
-	replan, err := resolveReplan(s.Replan)
-	if err != nil {
-		return fleet.ElasticScenario{}, err
-	}
 	return fleet.ElasticScenario{
 		Cluster: req.Cluster, Jobs: req.Jobs, Policy: req.Policy,
-		Replan:           replan,
+		Replan:           resolveReplan(s.Replan),
 		MigrationPenalty: s.MigrationPenalty, AgingTau: s.AgingTau,
 	}, nil
 }

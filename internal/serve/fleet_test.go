@@ -162,6 +162,10 @@ func TestFleetPlanRejections(t *testing.T) {
 		{"bad-minibatch", `{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"}},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":0}]}`},
 		{"negative-priority", `{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"}},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32,"priority":-1}]}`},
 		{"factor-length", `{"cluster":{"nodes":16,"speed_factors":[1,2],"platform":{"preset":"pizdaint"}},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}]}`},
+		{"factor-range", `{"cluster":{"nodes":2,"speed_factors":[1,1e9],"platform":{"preset":"pizdaint"}},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}]}`},
+		{"unknown-scheduler", `{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"},"scheduler":"peft"},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}]}`},
+		{"too-many-jobs", fleetJobsBody(fleet.MaxJobs + 1)},
+		{"negative-deadline", `{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"}},"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32,"deadline":-1}]}`},
 	}
 	for _, tc := range cases {
 		status, body := post(t, ts, "/v1/fleet/plan", tc.body)
@@ -177,6 +181,20 @@ func TestFleetPlanRejections(t *testing.T) {
 	if got := srv.Snapshot().ClientErrors; got != uint64(len(cases)) {
 		t.Fatalf("client_errors = %d, want %d", got, len(cases))
 	}
+}
+
+// fleetJobsBody is a fleet plan request with n distinct jobs.
+func fleetJobsBody(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"}},"jobs":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"j%d","model":{"preset":"bert48"},"mini_batch":32}`, i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
 }
 
 // TestFleetSimulateElasticMatchesInProcess: the served /v1/fleet/simulate
@@ -253,9 +271,11 @@ func TestFleetSimulateCached(t *testing.T) {
 }
 
 // TestFleetSimulateRejections: malformed simulation requests are 400s with
-// the offence named.
+// the offence named, refused before any planning and without touching the
+// response cache — a malformed classic-trace arrival as much as its elastic
+// twin.
 func TestFleetSimulateRejections(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{CacheCapacity: 64})
 	cases := []struct {
 		name, body, want string
 	}{
@@ -282,6 +302,15 @@ func TestFleetSimulateRejections(t *testing.T) {
 		{"trailing", `{"cluster":{"nodes":8,"platform":{"preset":"pizdaint"}},` +
 			`"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}],` +
 			`"events":[{"at":0,"job":"a","work":10}]} garbage`, "trailing"},
+		{"trace-unknown-job", `{"cluster":{"nodes":8,"platform":{"preset":"pizdaint"}},` +
+			`"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}],` +
+			`"trace":[{"at":0,"job":"b","work":10}]}`, "trace[0] names unknown job"},
+		{"trace-negative-at", `{"cluster":{"nodes":8,"platform":{"preset":"pizdaint"}},` +
+			`"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}],` +
+			`"trace":[{"at":-1,"job":"a","work":10}]}`, "trace[0] time"},
+		{"trace-zero-work", `{"cluster":{"nodes":8,"platform":{"preset":"pizdaint"}},` +
+			`"jobs":[{"name":"a","model":{"preset":"bert48"},"mini_batch":32}],` +
+			`"trace":[{"at":0,"job":"a","work":0}]}`, "trace[0] work"},
 	}
 	for _, tc := range cases {
 		status, body := post(t, ts, "/v1/fleet/simulate", tc.body)
@@ -292,6 +321,12 @@ func TestFleetSimulateRejections(t *testing.T) {
 		if !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.want)
 		}
+	}
+	if _, planned := srv.allocator.PlanStats(); planned != 0 {
+		t.Errorf("the refused requests ran the planner %d times", planned)
+	}
+	if c := srv.Snapshot().FleetSimCache; c.Entries != 0 || c.Misses != 0 {
+		t.Errorf("the refused requests touched the cache: %+v", c)
 	}
 }
 

@@ -271,11 +271,8 @@ func validateFor(cfg *Config, d int) error {
 			return fmt.Errorf("sim: %d speed factors for D=%d workers (lengths must match)",
 				len(cfg.SpeedFactors), d)
 		}
-		for w, f := range cfg.SpeedFactors {
-			if !validSpeedFactor(f) {
-				return fmt.Errorf("sim: speed factor for worker %d must be positive, finite and within [%g, %g], got %g",
-					w, float64(MinSpeedFactor), float64(MaxSpeedFactor), f)
-			}
+		if err := CheckSpeedFactors("speed_factors", cfg.SpeedFactors...); err != nil {
+			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	if cfg.Device.PeakFLOPS == 0 {

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Speed-factor bounds, shared by every entry point (Config validation, the
-// string codec, and the serve layer): beyond them the factor would drive
+// Speed-factor bounds, shared by every entry point through
+// CheckSpeedFactors and the string codec: beyond them the factor would drive
 // the simulator's int64 time quantization (toQ) into overflow and wrap
 // into garbage timings instead of failing loudly.
 const (
@@ -19,6 +19,25 @@ const (
 // quantization-safe bounds (NaN fails every comparison).
 func validSpeedFactor(f float64) bool {
 	return f >= MinSpeedFactor && f <= MaxSpeedFactor
+}
+
+// CheckSpeedFactors is the one speed-factor range check: the simulator's
+// Config, the planner's wire codec, a fleet cluster and a fleet node_join
+// event all run it, so they reject a factor with the same words. The error
+// names the first offender as field[i], or as field alone when it is the
+// only factor.
+func CheckSpeedFactors(field string, factors ...float64) error {
+	for i, f := range factors {
+		if validSpeedFactor(f) {
+			continue
+		}
+		if len(factors) > 1 {
+			field = fmt.Sprintf("%s[%d]", field, i)
+		}
+		return fmt.Errorf("%s = %g out of range: a speed factor must be positive, finite and within [%g, %g]",
+			field, f, float64(MinSpeedFactor), float64(MaxSpeedFactor))
+	}
+	return nil
 }
 
 // EncodeSpeedFactors canonically encodes per-worker speed factors as a
