@@ -102,6 +102,10 @@ fuzz:
 # N ≤ 8D, F, concat mode, backward cost): equal whenever it answers, no
 # table out of scope, and fails exactly as Chimera.
 	$(GO) test -fuzz=FuzzFreeRegionsClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+# Closed-form compute makespan vs the replay (random even D ≤ 256, N ≤ 8D, F,
+# concat mode, four costs in and out of its cone): equal whenever it answers,
+# nothing out of scope or out of the cone, and fails exactly as Chimera.
+	$(GO) test -fuzz=FuzzComputeMakespanClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
 # Speed-factor codec round-trip.
 	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
 # Profile memory model vs the op-walk oracle.

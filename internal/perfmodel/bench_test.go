@@ -43,19 +43,19 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 }
 
 // BenchmarkPlanCold resets the engine before every plan: the closed-form
-// residency profiles of the memory fit, the graphs the chosen candidates
-// replay (and no other, each written from the slot formulas with no op
-// list and no sort), critical paths and the one prediction replay per
-// candidate are all paid for, as on a one-shot chimera-plan; the free
-// regions are closed-form. 561 allocs and 0.62 MB per op (three plans),
-// ≈ 1.15–1.4 ms on a busy 2-core Xeon host at -cpu 1; a second, free-region
-// replay and a sorted walk cost 616 allocs, 0.64 MB and ≈ 1.55–1.6 ms there.
+// residency profiles of the memory fit and critical paths are all paid
+// for, as on a one-shot chimera-plan; Eq. 1's compute term and free regions
+// are closed-form, so no graph is written and nothing replays. 426 allocs
+// and 0.15 MB per op (three plans), ≈ 0.21–0.24 ms on a busy 2-core Xeon
+// host at -cpu 1; writing and replaying one slot-walk graph per candidate
+// for the compute term cost 561 allocs, 0.62 MB and ≈ 1.2–1.3 ms there.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
-// BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and one
-// prediction replay per candidate (Eq. 1's compute term; its free regions
-// are closed-form) are what is left: 110 allocs, 27 KB and ≈ 0.34–0.40 ms
-// per op (three plans, busy 2-core Xeon host, -cpu 1), as with the memo.
+// BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and
+// the closed forms of Eq. 1's compute term and free regions are what is
+// left: 110 allocs, 27 KB and ≈ 0.13–0.16 ms per op (three plans, busy
+// 2-core Xeon host, -cpu 1), where one compute replay per candidate cost
+// ≈ 0.39 ms.
 func BenchmarkPlanWarm(b *testing.B) {
 	e := engine.New(engine.Workers(1))
 	for _, req := range benchRequests() {

@@ -11,10 +11,11 @@
 // greedily picks the maximum micro-batch size B that fits device memory and
 // uses the model only to choose (W, D) — the paper's reduced tuning space.
 //
-// Plan fans the (W, D) candidates out over the shared internal/engine
-// worker pool and reuses its memoized schedules, critical paths and
-// residency profiles; the free regions are closed-form for a homogeneous
-// candidate. The ranking is deterministic and identical whether the engine
+// PlanBatchOn fans the (W, D) candidates out over the shared
+// internal/engine worker pool and reuses its memoized critical paths and
+// residency profiles; for a homogeneous candidate Eq. 1's compute term and
+// free regions are closed-form too, so a plan builds and replays no
+// schedule. The ranking is deterministic and identical whether the engine
 // runs on one worker or many.
 package perfmodel
 
@@ -138,6 +139,40 @@ func (s *replayed) freeRegions(cm schedule.CostModel, factors []float64) (schedu
 	return ro.FreeRegions(), nil
 }
 
+// oneMicro is the micro-batch list of a probe op: computeMakespan prices a
+// direct schedule's ops, which carry one micro-batch each.
+var oneMicro = []int{0}
+
+// computeMakespan is the replay of the schedule's d stages under opCost with
+// no p2p latency, read as its makespan: Eq. 1's compute term. With every
+// factor 1 an engine-backed key is the fixed placement (as for
+// freeRegions), and with equalBody — stages 0 … d−2 of equal FLOPs — opCost
+// prices its ops by kind and by body or head stage alone, so
+// schedule.ChimeraConfig.ComputeMakespan answers in closed form where it
+// has one, from the four costs opCost itself gives a body and a head op; a
+// built schedule, any other factors, any other key and costs outside the
+// form's cone replay.
+func (s *replayed) computeMakespan(opCost func(int, schedule.Op) int64, d int, equalBody bool, factors []float64) (int64, error) {
+	if s.built == nil && equalBody && !slices.ContainsFunc(factors, func(f float64) bool { return f != 1 }) {
+		cfg := schedule.ChimeraConfig{D: s.key.D, N: s.key.N, F: s.key.F, Concat: s.key.Concat}
+		c := schedule.ComputeCosts{
+			F:     opCost(0, schedule.Op{Kind: schedule.Forward, Stage: 0, Micros: oneMicro}),
+			B:     opCost(0, schedule.Op{Kind: schedule.Backward, Stage: 0, Micros: oneMicro}),
+			HeadF: opCost(0, schedule.Op{Kind: schedule.Forward, Stage: d - 1, Micros: oneMicro}),
+			HeadB: opCost(0, schedule.Op{Kind: schedule.Backward, Stage: d - 1, Micros: oneMicro}),
+		}
+		if m, ok, err := cfg.ComputeMakespan(c); ok || err != nil {
+			return m, err
+		}
+	}
+	ro, err := s.readout(schedule.ReplayConfig{OpCost: opCost, EdgeCost: func(schedule.Op) int64 { return 0 }})
+	if err != nil {
+		return 0, err
+	}
+	defer ro.Release()
+	return ro.Makespan(), nil
+}
+
 // predict is Eq. 1 over the caller's stage table — cfg.Model partitioned at
 // the schedule's depth — and the caller's replay of the schedule; it reads
 // nothing of cfg.Schedule.
@@ -146,9 +181,11 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	// heavier than the repeated middle stages; at extreme depths — one
 	// layer per stage — the head becomes the pipeline's rate limiter, so a
 	// single average Ft misrepresents the critical path). The compute term
-	// (Ft·Cf + Bt·Cb) is evaluated exactly by walking the dependency
-	// structure with the per-stage costs and no communication; the p2p term
-	// keeps Eq. 1's (Cf+Cb)·Comm_p2p form.
+	// (Ft·Cf + Bt·Cb) is the makespan of the schedule under the per-stage
+	// costs and no communication: for a homogeneous Chimera candidate a
+	// closed form, the largest of a few path families' costs, otherwise a
+	// replay of the dependency structure. The p2p term keeps Eq. 1's
+	// (Cf+Cb)·Comm_p2p form.
 	b := float64(cfg.MicroBatch)
 	rate := cfg.Device.PeakFLOPS * cfg.Device.Efficiency(b)
 	btMult := 2.0
@@ -166,31 +203,30 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 		}
 		return cfg.SpeedFactors[w]
 	}
-	roC, err := s.readout(schedule.ReplayConfig{
-		OpCost: func(w int, op schedule.Op) int64 {
-			c := ftOf(op.Stage) * float64(len(op.Micros))
-			if op.Kind == schedule.Backward {
-				c = btMult * ftOf(op.Stage) * float64(len(op.Micros))
-				if op.Half != 0 {
-					c /= 2
-				}
+	var meanFLOPs float64
+	equalBody, body := true, stages[0].FwdFLOPs(1) // stages 0 … D−2 carry equal FLOPs
+	for i, st := range stages {
+		fl := st.FwdFLOPs(1)
+		meanFLOPs += float64(fl)
+		equalBody = equalBody && (i == len(stages)-1 || fl == body)
+	}
+	meanFLOPs /= float64(len(stages))
+	makespan, err := s.computeMakespan(func(w int, op schedule.Op) int64 {
+		c := ftOf(op.Stage) * float64(len(op.Micros))
+		if op.Kind == schedule.Backward {
+			c = btMult * ftOf(op.Stage) * float64(len(op.Micros))
+			if op.Half != 0 {
+				c /= 2
 			}
-			return int64(factor(w) * c / quantum)
-		},
-		EdgeCost: func(schedule.Op) int64 { return 0 },
-	})
+		}
+		return int64(factor(w) * c / quantum)
+	}, len(stages), equalBody, cfg.SpeedFactors)
 	if err != nil {
 		return nil, err
 	}
-	var meanFLOPs float64
-	for _, st := range stages {
-		meanFLOPs += float64(st.FwdFLOPs(1))
-	}
-	meanFLOPs /= float64(len(stages))
 	ft := meanFLOPs * b / rate
 	p2p := cfg.Network.P2PCost(cfg.Model.BoundaryBytes(cfg.MicroBatch))
-	compute := float64(roC.Makespan())*quantum + p2p*float64(cf+cb)
-	roC.Release()
+	compute := float64(makespan)*quantum + p2p*float64(cf+cb)
 
 	// Unoverlapped gradient synchronization: per worker, allreduce costs
 	// exceeding the free region between gradient completion and the end of
@@ -203,6 +239,17 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	}
 	scale := ft / 1000 // seconds per replay unit
 	r := s.replicas * cfg.W
+	// A stage's allreduce prices its parameters alone, and Partition gives
+	// every stage the same layers: the embedding stage 0, the middle stages
+	// and the head stage D−1 take three costs, each computed once.
+	d := len(stages)
+	allreduce := func(stage int) float64 {
+		return cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[stage].Params()*4)
+	}
+	costs := [3]float64{allreduce(0), 0, allreduce(d - 1)}
+	if d > 2 {
+		costs[1] = allreduce(1)
+	}
 	var unoverlapped float64
 	var regions [2]schedule.FreeRegion // a Chimera worker's two placements
 	for w := range stages {
@@ -211,7 +258,11 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 		// function of its inputs.
 		var u float64
 		for _, fr := range free.AppendWorker(regions[:0], w) {
-			cost := cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[fr.Stage].Params()*4)
+			class := min(int(fr.Stage), 1)
+			if int(fr.Stage) == d-1 {
+				class = 2
+			}
+			cost := costs[class]
 			slack := float64(fr.Slack) * scale
 			// Mirror the eager-sync-opt semantics: a stage with a
 			// meaningful free region launches eagerly and only its spill
@@ -456,20 +507,21 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 //
 // The search is one pass over B, largest first, and asks only residency
 // profiles (engine.Residency — for the fixed placement closed-form, so the
-// search builds no schedule): it stops at the first B that
-// fits plainly, remembering on the way the first that fits with
-// recomputation. Its (Cf, Cb) are closed-form for the fixed placement
-// (engine.CriticalPath), and only Eq. 1's replays of the (D, N = B̂/(W·B)) it
-// settles on build and replay a schedule, through engine.ReplayEquivalent —
-// for a homogeneous N ≥ 3D one of fewer than 3D micro-batches, so the long
-// one is never built. Without speed factors the free regions are closed-form
-// too (schedule.ChimeraConfig.FreeRegions), so every candidate replays
-// once, cold or warm: the compute term. BenchmarkPlanCold and
-// BenchmarkPlanWarm give the cost of three plans: 561 allocs and ≈ 1.2–1.4
-// ms cold, 110 allocs and ≈ 0.35–0.4 ms warm (busy 2-core Xeon host,
-// -cpu 1). (model, D) is fixed for the whole candidate, so the stage table
-// is derived once and priced by every fit and by Eq. 1, and the fits share
-// one scratch.
+// search builds no schedule): it stops at the first B that fits plainly,
+// remembering on the way the first that fits with recomputation. For the
+// (D, N = B̂/(W·B)) it settles on, the fixed placement's (Cf, Cb) are
+// closed-form (engine.CriticalPath), and without speed factors so are
+// Eq. 1's compute term (schedule.ChimeraConfig.ComputeMakespan) and free
+// regions (schedule.ChimeraConfig.FreeRegions): a homogeneous candidate,
+// cold or warm, builds no schedule, writes no graph and replays nothing.
+// Speed factors replay both terms through engine.ReplayEquivalent — for a
+// uniform N ≥ 3D one of fewer than 3D micro-batches, so the long schedule
+// is never built.
+// BenchmarkPlanCold and BenchmarkPlanWarm give the cost of three plans:
+// 426 allocs and ≈ 0.21–0.24 ms cold, 110 allocs and ≈ 0.13–0.16 ms warm
+// (busy 2-core Xeon host, -cpu 1). (model, D) is fixed for the whole
+// candidate, so the stage table is derived once and priced by every fit
+// and by Eq. 1, and the fits share one scratch.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.

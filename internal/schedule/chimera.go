@@ -206,6 +206,95 @@ func (cfg ChimeraConfig) FreeRegions(cm CostModel) (f FreeRegions, ok bool, err 
 	return FreeRegions{form: c}, true, nil
 }
 
+// ComputeCosts are the four op costs of a homogeneous Chimera replay with
+// no p2p latency, Eq. 1's compute term: a forward and a backward pass on
+// the body stages 0 … D−2, which carry equal FLOPs, and on the head stage
+// D−1.
+type ComputeCosts struct {
+	F, B, HeadF, HeadB int64
+}
+
+// inCone reports whether c lies in the cone the compute form is proved on:
+// 0 ≤ F ≤ HeadF, B ≥ 2F and HeadB ≥ 2·HeadF. Eq. 1's costs are in it: the
+// head stage adds FLOPs to a body stage's, and a backward truncates two or
+// three times its forward's float cost, which is at least twice the
+// truncated forward.
+func (c ComputeCosts) inCone() bool {
+	return 0 <= c.F && c.F <= c.HeadF && 2*c.F <= c.B && 2*c.HeadF <= c.HeadB
+}
+
+// computePath is one path family of the compute form: how many body
+// forwards and backwards and head passes of each kind the path runs.
+type computePath struct{ f, b, h int64 }
+
+func (p computePath) cost(c ComputeCosts) int64 {
+	return p.f*c.F + p.b*c.B + p.h*(c.HeadF+c.HeadB)
+}
+
+// ComputeMakespan returns the makespan of the replay of Chimera's schedule
+// for cfg under c — every body op costing c.F or c.B, every head op c.HeadF
+// or c.HeadB, no p2p latency — without building or replaying that schedule;
+// ok is false outside the closed forms' scope (closedForm), or for costs
+// outside the cone inCone states. Invalid configurations return Chimera's
+// error. It allocates nothing.
+//
+// With four costs and no edge cost the replay is a longest path: the largest
+// over the schedule's paths of (count vector) · c. With k = ⌊(N−1)/D⌋ units
+// before the last, j = N − kD ∈ [1, D] micro-batches in the last and
+// h = ⌈j/2⌉ of them on its down pipeline, three paths cover the cone:
+//
+//   - through the backwards: D − 2 + k body forwards (D − 1 at k = 0, one
+//     more at k ≥ 1 and j ≥ D − 1), D − 1 + k(2D − 3) + 2(h − 1) body
+//     backwards and k + 1 head passes of each kind;
+//   - through the head: the same body forwards but for the one more, which
+//     it takes at j = D only, (k + 1)(D − 1) body backwards and kD/2 + h
+//     head passes of each kind;
+//   - at k ≥ 1, j = D − 1 and D ≥ 4 only: the head path with one more body
+//     forward, two more body backwards and one head pass of each kind fewer.
+//
+// The families are tabulated from a traced replay. The oracle sweep
+// (TestChimeraClosedForms) proves them on the whole cone at every point of
+// its grid: the replay is convex and positively homogeneous in c, so equality
+// at every extreme ray of each family's region and at one interior point of
+// it is equality on the region (DESIGN.md §3 item 4).
+// TestComputeMakespanPeriodic and FuzzComputeMakespanClosedForm hold it to
+// the replay past the sweep.
+func (cfg ChimeraConfig) ComputeMakespan(c ComputeCosts) (makespan int64, ok bool, err error) {
+	if _, err := cfg.check(); err != nil || !cfg.closedForm() || !c.inCone() {
+		return 0, false, err
+	}
+	paths, n := cfg.computePaths()
+	for _, p := range paths[:n] {
+		makespan = max(makespan, p.cost(c))
+	}
+	return makespan, true, nil
+}
+
+// computePaths returns ComputeMakespan's path families for cfg, a
+// configuration in the closed forms' scope: the first n of the array.
+func (cfg ChimeraConfig) computePaths() (paths [3]computePath, n int) {
+	d, k := int64(cfg.D), int64((cfg.N-1)/cfg.D)
+	j := int64(cfg.N) - k*d
+	h := (j + 1) / 2
+	f := d - 2 + k
+	if k == 0 {
+		f++
+	}
+	through := computePath{f: f, b: d - 1 + k*(2*d-3) + 2*(h-1), h: k + 1}
+	head := computePath{f: f, b: (k + 1) * (d - 1), h: k*d/2 + h}
+	if k > 0 && j >= d-1 {
+		through.f++
+	}
+	if k > 0 && j == d {
+		head.f++
+	}
+	paths[0], paths[1], n = through, head, 2
+	if k > 0 && j == d-1 && d >= 4 {
+		paths[2], n = computePath{f: head.f + 1, b: head.b + 2, h: head.h - 1}, 3
+	}
+	return paths, n
+}
+
 // chimeraFree is ChimeraConfig.FreeRegions' form with its per-table terms
 // worked out, so that a worker's regions cost a few integer operations. On
 // worker w the down placement waits x = 2w − gap backwards if x > 0, the up

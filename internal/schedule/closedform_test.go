@@ -174,8 +174,12 @@ func graphSample(d, n int) bool {
 //     planner's replay at every point of the critical-path grid and at every
 //     even D ≤ 32 (16 under -short or -race) and N ≤ 4D + 1, where from
 //     N = 3D on it is also what the full replay reads.
+//   - ComputeMakespan: ChimeraConfig.ComputeMakespan is the makespan of the
+//     full replay and of the planner's on the whole cone it answers on,
+//     proved by checkComputeForm's rays and interior points; every even
+//     D ≤ 64 (32 under -short or -race) and N ≤ 4D + 1.
 func TestChimeraClosedForms(t *testing.T) {
-	resD, critD, graphD, freeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(64, 16), exhaustiveD(32, 16)
+	resD, critD, graphD, freeD, computeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(64, 16), exhaustiveD(32, 16), exhaustiveD(64, 32)
 	critOn := func(d, n int) bool { return d <= critD && upTo(d, n, 2*d+1) }
 	graphOn := func(d, n int) bool { return (d <= graphD && upTo(d, n, 3*d+1)) || graphSample(d, n) }
 	freeOn := func(d, n int) bool { return d <= freeD && n <= 4*d+1 }
@@ -192,6 +196,7 @@ func TestChimeraClosedForms(t *testing.T) {
 		{name: "TestFreeRegionsClosedForm", on: func(d, n int) bool { return freeOn(d, n) || critOn(d, n) }, check: func(p *sweepPoint) error {
 			return checkFreeForm(p, freeOn(p.cfg.D, p.cfg.N))
 		}},
+		{name: "ComputeMakespan", on: func(d, n int) bool { return d <= computeD && n <= 4*d+1 }, check: checkComputeForm},
 	}
 	depths := make([]depthSweep, 64) // D = 2, 4, …, 128
 	var claimed atomic.Int64

@@ -48,38 +48,53 @@ func TestFacadeMetrics(t *testing.T) {
 
 // TestFacadeReplayMetrics: after one plan whose ranking holds a candidate
 // with N ≥ 3D (the first request of bench/golden/plan.json), /metrics shows
-// the engine serving replays from the short schedule.
+// that a homogeneous plan replays nothing — its critical paths, compute
+// terms and free regions are closed-form — and after the same request on a
+// cluster uniformly 1.5× slower, that the engine serves that plan's two
+// Eq. 1 replays from the short schedule.
 func TestFacadeReplayMetrics(t *testing.T) {
 	srv := chimera.NewServer(chimera.ServeConfig{CacheCapacity: 64, Registry: chimera.NewMetricsRegistry()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body := `{"model":{"name":"bench-l24-h1280-s512","layers":24,"hidden":1280,"heads":20,"vocab":50257,"seq_len":512},"p":8,"mini_batch":512,"platform":{"preset":"pizdaint"}}`
-	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan status %d", resp.StatusCode)
-	}
-	metrics, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(metrics.Body)
-	metrics.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		`engine_replays_total{path="extended"} 3`, // three candidates × one Eq. 1 replay; the critical paths and free regions are closed-form
-		`engine_replays_total{path="full"} 0`,
-		`engine_replays_total{path="refused"} 0`,
+	const model = `"model":{"name":"bench-l24-h1280-s512","layers":24,"hidden":1280,"heads":20,"vocab":50257,"seq_len":512},"p":8,"mini_batch":512,"platform":{"preset":"pizdaint"}`
+	for _, step := range []struct {
+		body   string
+		series []string
+	}{
+		{`{` + model + `}`, []string{
+			`engine_replays_total{path="extended"} 0`,
+			`engine_replays_total{path="full"} 0`,
+			`engine_replays_total{path="refused"} 0`,
+		}},
+		{`{` + model + `,"speed_factors":[1.5,1.5,1.5,1.5]}`, []string{
+			`engine_replays_total{path="extended"} 2`, // one D = 4 candidate × Eq. 1's two replays
+			`engine_replays_total{path="full"} 0`,
+			`engine_replays_total{path="refused"} 0`,
+		}},
 	} {
-		if !strings.Contains(string(text), series+"\n") {
-			t.Errorf("/metrics missing %q", series)
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(step.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan status %d", resp.StatusCode)
+		}
+		metrics, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(metrics.Body)
+		metrics.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, series := range step.series {
+			if !strings.Contains(string(text), series+"\n") {
+				t.Errorf("after %s: /metrics missing %q", step.body, series)
+			}
 		}
 	}
 }
