@@ -50,8 +50,8 @@ bench-build:
 
 # bench-smoke runs every in-module benchmark of the planner core once.
 # `go test` only compiles benchmarks; one iteration each runs the checks
-# they carry (an extended makespan equals the full one, a kernel benchmark
-# times the row width it names). It measures nothing.
+# they carry (a kernel benchmark times the row width it names). It measures
+# nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine
 
@@ -79,44 +79,47 @@ lint:
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on
 # every plain `go test`) for a bounded time per target; CI runs it with the
-# default budget.
+# default budget. Each target goes through fuzz-one.
 FUZZTIME ?= 10s
+
+# fuzz-one fuzzes target $(2) of package $(1). A -fuzz pattern that matches
+# no fuzz test exits 0 having fuzzed nothing, so the pattern is anchored and
+# `go test -list` must find the target first: a deleted or renamed target
+# fails the run instead of silently dropping out of it.
+define fuzz-one
+	@$(GO) test -list '^$(2)$$' $(1) | grep -qx '$(2)' || { echo "fuzz: no fuzz test $(2) in $(1)"; exit 1; }
+	$(GO) test -fuzz='^$(2)$$' -fuzztime=$(FUZZTIME) -run '^$$' $(1)
+endef
+
 fuzz:
 # Graph replay vs the reference interpreter.
-	$(GO) test -fuzz=FuzzGraphReplayEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
-# Steady-state replay extension vs full replay: may refuse, must never
-# differ (random (D, N), per-shape costs, zero costs, per-worker factors).
-	$(GO) test -fuzz=FuzzReplayExtend -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(call fuzz-one,./internal/schedule/,FuzzGraphReplayEquivalence)
 # Closed-form residency vs op walk (random even D ≤ 256, N ≤ 4096, concat
 # mode): equal whenever it answers, and fails exactly as Chimera.
-	$(GO) test -fuzz=FuzzResidencyClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(call fuzz-one,./internal/schedule/,FuzzResidencyClosedForm)
 # Closed-form (Cf, Cb) vs the two-probe CriticalPath (random even D ≤ 256,
 # N ≤ 4096, F, concat mode): equal whenever it answers, and fails exactly
 # as Chimera.
-	$(GO) test -fuzz=FuzzCriticalClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
-# Slot-formula graph vs compiled schedule (random even D ≤ 256, N ≤ 8D):
-# ChimeraConfig.Graph equals compileGraph(Chimera(cfg)) field for field but
-# for its order, which is valid and replays bit-identically.
-	$(GO) test -fuzz=FuzzChimeraGraph -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(call fuzz-one,./internal/schedule/,FuzzCriticalClosedForm)
 # Closed-form free regions vs the replay read-out (random even D ≤ 256,
 # N ≤ 8D, F, concat mode, backward cost): equal whenever it answers, no
 # table out of scope, and fails exactly as Chimera.
-	$(GO) test -fuzz=FuzzFreeRegionsClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(call fuzz-one,./internal/schedule/,FuzzFreeRegionsClosedForm)
 # Closed-form compute makespan vs the replay (random even D ≤ 256, N ≤ 8D, F,
 # concat mode, four costs in and out of its cone): equal whenever it answers,
 # nothing out of scope or out of the cone, and fails exactly as Chimera.
-	$(GO) test -fuzz=FuzzComputeMakespanClosedForm -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schedule/
+	$(call fuzz-one,./internal/schedule/,FuzzComputeMakespanClosedForm)
 # Speed-factor codec round-trip.
-	$(GO) test -fuzz=FuzzDecodeSpeedFactors -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
+	$(call fuzz-one,./internal/sim/,FuzzDecodeSpeedFactors)
 # Profile memory model vs the op-walk oracle.
-	$(GO) test -fuzz=FuzzPeakMemoryEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sim/
+	$(call fuzz-one,./internal/sim/,FuzzPeakMemoryEquivalence)
 # Fleet scenario resolvers (example scenarios as seeds): never panic; an
 # accepted classic trace stays within the event bound and resolves the same
 # cluster and jobs as its elastic twin.
-	$(GO) test -fuzz=FuzzFleetScenarioResolve -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve/
+	$(call fuzz-one,./internal/serve/,FuzzFleetScenarioResolve)
 # Planner breakpoints vs PlanOn: the fleet searches visit only the listed
 # P values; off the list, PlanOn must answer ErrInfeasible.
-	$(GO) test -fuzz=FuzzPlanBreakpoints -fuzztime=$(FUZZTIME) -run '^$$' ./internal/perfmodel/
+	$(call fuzz-one,./internal/perfmodel/,FuzzPlanBreakpoints)
 
 # cover writes the per-function coverage summary CI archives.
 cover:

@@ -20,7 +20,6 @@ package engine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chimera/internal/model"
@@ -97,47 +96,11 @@ func (k ScheduleKey) canonical() ScheduleKey {
 
 // chimera returns the configuration of a fixed-placement Chimera key (ok
 // false for a list scheduler's re-placement or a baseline scheme). Its
-// closed forms — schedule.ChimeraConfig's Graph, Residency, CriticalPath and
-// ReplayEquivalent — decide their own scope: the engine asks them first and
-// builds and walks the schedule only when they have no answer.
+// closed forms — schedule.ChimeraConfig's Residency and CriticalPath —
+// decide their own scope: the engine asks them first and builds and walks
+// the schedule only when they have no answer.
 func (k ScheduleKey) chimera() (cfg schedule.ChimeraConfig, ok bool) {
 	return schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}, k.Scheme == "chimera" && k.Scheduler == ""
-}
-
-// ReplayEquivalent replays the schedule identified by key under rc and
-// returns the planner's read-outs — makespan, compute-ends, grad-ready times
-// — without necessarily building that schedule. It is the one place that
-// decides short against full: a key with a replay-equivalent is replayed on
-// the short schedule and served from it when (*schedule.Readout).Extend
-// verifies the steady state on that very replay; every other key, and a
-// replay that has not settled, is served by the full schedule's replay.
-// Either way the answer is the full schedule's, bit for bit. uniform says rc
-// prices every worker alike: per-worker speed factors almost never settle
-// within two units, so they skip the attempt. Stats counts the outcomes.
-func (e *Engine) ReplayEquivalent(key ScheduleKey, rc schedule.ReplayConfig, uniform bool) (*schedule.Readout, error) {
-	key = key.canonical()
-	cfg, fixed := key.chimera()
-	if short, units := cfg.ReplayEquivalent(); fixed && uniform && units > 0 {
-		sk := key
-		sk.N = short.N
-		g, err := e.Graph(sk)
-		if err != nil {
-			return nil, err
-		}
-		r := g.Readout(rc)
-		if r.Extend(units) {
-			e.replays[replayExtended].Add(1)
-			return r, nil
-		}
-		r.Release()
-		e.replays[replayRefused].Add(1)
-	}
-	e.replays[replayFull].Add(1)
-	g, err := e.Graph(key)
-	if err != nil {
-		return nil, err
-	}
-	return g.Readout(rc), nil
 }
 
 // keyOf returns the ScheduleKey describing an already-built schedule; it is
@@ -261,10 +224,6 @@ type Stats struct {
 	ScheduleEntries, CriticalEntries, OutcomeEntries int
 	// Capacity is the per-table entry bound (0 = unbounded).
 	Capacity int
-	// Replays count ReplayEquivalent's answers: served from the short
-	// schedule's extended replay, or from the full schedule's. Refused counts
-	// the full replays that followed a short one whose check failed.
-	ReplaysExtended, ReplaysFull, ReplaysRefused uint64
 }
 
 // HitRate returns the fraction of all cache lookups that were hits.
@@ -298,30 +257,15 @@ type Engine struct {
 	outcomes    *Memo[Spec, Outcome]
 	residencies *Memo[ScheduleKey, *schedule.Residency]
 
-	// replays counts ReplayEquivalent's answers by replayPaths index.
-	replays [len(replayPaths)]atomic.Uint64
 	// obsReg is the registry attached by Observe (nil = uninstrumented);
 	// met holds the handles initObserve resolves from it.
 	obsReg *obs.Registry
 	met    *engMetrics
 }
 
-// replayPaths names how ReplayEquivalent served a replay (the path label of
-// engine_replays_total), indexed by the constants below.
-var replayPaths = [...]string{"extended", "full", "refused"}
-
-const (
-	replayExtended = iota
-	replayFull
-	replayRefused
-)
-
-// schedOutcome is a schedule memo entry: a key whose graph
-// schedule.ChimeraConfig.Graph writes holds that graph g, whose Source
-// builds the schedule on first use; every other key holds its schedule s.
+// schedOutcome is a schedule memo entry: the built schedule or its error.
 type schedOutcome struct {
 	s   *schedule.Schedule
-	g   *schedule.Graph
 	err error
 }
 
@@ -416,44 +360,25 @@ func Default() *Engine {
 func (e *Engine) WorkerCount() int { return e.workers }
 
 // Schedule returns the memoized schedule for key, constructing it on first
-// use. The returned schedule is shared: callers must not mutate it. A key
-// with a closed-form graph memoizes that graph, not its schedule (Graph);
-// its schedule is built on the first call here, with Graph() returning that
-// same graph.
+// use. The returned schedule is shared: callers must not mutate it.
 func (e *Engine) Schedule(key ScheduleKey) (*schedule.Schedule, error) {
-	out := e.schedule(key)
-	if out.g != nil {
-		return out.g.Source(), nil
-	}
-	return out.s, out.err
-}
-
-// schedule is the schedule memo's entry for key, constructed on first use:
-// the graph schedule.ChimeraConfig.Graph writes from the slot formulas where
-// it has one, the built schedule for every other key.
-func (e *Engine) schedule(key ScheduleKey) schedOutcome {
 	key = key.canonical()
 	if out, ok := e.schedules.Cached(key); ok {
-		return out
+		return out.s, out.err
 	}
 	m := e.met
-	return e.schedules.Do(key, func() schedOutcome {
+	out := e.schedules.Do(key, func() schedOutcome {
 		var start time.Time
 		if m != nil {
 			start = time.Now()
 		}
-		var out schedOutcome
-		if cfg, ok := key.chimera(); ok {
-			out.g, out.err = cfg.Graph()
-		}
-		if out.g == nil && out.err == nil {
-			out.s, out.err = buildSchedule(key)
-		}
+		s, err := buildSchedule(key)
 		if m != nil {
 			m.schedule.Since(start)
 		}
-		return out
+		return schedOutcome{s, err}
 	})
+	return out.s, out.err
 }
 
 // buildSchedule constructs the schedule key names through schedule.Build,
@@ -471,15 +396,14 @@ func buildSchedule(key ScheduleKey) (*schedule.Schedule, error) {
 }
 
 // Graph returns the compiled dependency-graph IR for the schedule
-// identified by key, one per key: a key with a closed-form graph memoizes
-// the graph itself, which builds no op list; every other key's graph rides
-// its memoized schedule, which compiles itself once and caches the result.
+// identified by key, one per key: it rides the memoized schedule, which
+// compiles itself once and caches the result.
 func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
-	out := e.schedule(key)
-	if out.g != nil || out.err != nil {
-		return out.g, out.err
+	s, err := e.Schedule(key)
+	if err != nil {
+		return nil, err
 	}
-	return out.s.Graph()
+	return s.Graph()
 }
 
 // Residency returns the activation-residency profile of the schedule
@@ -624,7 +548,6 @@ func (e *Engine) Stats() Stats {
 	st.CriticalEntries = e.criticals.Len()
 	st.OutcomeEntries = e.outcomes.Len()
 	st.Capacity = e.capacity
-	st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused = e.replays[replayExtended].Load(), e.replays[replayFull].Load(), e.replays[replayRefused].Load()
 	return st
 }
 
@@ -634,7 +557,4 @@ func (e *Engine) Reset() {
 	e.criticals.Reset()
 	e.outcomes.Reset()
 	e.residencies.Reset()
-	for i := range e.replays {
-		e.replays[i].Store(0)
-	}
 }

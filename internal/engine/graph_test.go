@@ -20,60 +20,86 @@ func sameSchedule(a, b *schedule.Schedule) bool {
 	return true
 }
 
-// TestOneGraphPerKey: a fixed-placement, direct, F = 1 Chimera key memoizes
-// the graph the slot formulas write. ReplayEquivalent replays it and builds no op list;
-// Engine.Schedule builds the op list on first use, equal to Chimera's, and
-// that schedule's Graph() is the graph ReplayEquivalent replayed — one
-// graph per key, one memo entry.
+// sameAsBuilt fails unless r reads exactly what the schedule buildSchedule
+// builds for key replays to.
+func sameAsBuilt(t *testing.T, key ScheduleKey, rc schedule.ReplayConfig, r *schedule.Readout) {
+	t.Helper()
+	built, err := buildSchedule(key.canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := built.Readout(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Release()
+	if r.Makespan() != want.Makespan() || r.BubbleRatio() != want.BubbleRatio() {
+		t.Fatalf("%+v: makespan %d bubble %v, built schedule's replay %d %v", key, r.Makespan(), r.BubbleRatio(), want.Makespan(), want.BubbleRatio())
+	}
+	for w := 0; w < key.D; w++ {
+		if r.ComputeEnd(w) != want.ComputeEnd(w) {
+			t.Fatalf("%+v worker %d: compute-end %d, built schedule's replay %d", key, w, r.ComputeEnd(w), want.ComputeEnd(w))
+		}
+		got, built := r.GradReady(w), want.GradReady(w)
+		if len(got) != len(built) {
+			t.Fatalf("%+v worker %d: %d grad-ready entries, built schedule's replay %d", key, w, len(got), len(built))
+		}
+		for i := range built {
+			if got[i] != built[i] {
+				t.Fatalf("%+v worker %d: grad-ready %+v, built schedule's replay %+v", key, w, got[i], built[i])
+			}
+		}
+	}
+}
+
+// TestOneGraphPerKey: a key's graph is the compiled graph of its memoized
+// schedule — one graph per key, one memo entry. Graph builds the schedule
+// once, Schedule then returns that schedule, whose Graph() is the graph
+// Graph returned; the schedule is the one buildSchedule builds and the graph
+// replays to its read-outs.
 func TestOneGraphPerKey(t *testing.T) {
 	rc := schedule.CostModel{FUnit: 1000, BUnit: 2000, P2P: 10}.ReplayConfig()
 	for _, key := range []ScheduleKey{
 		ChimeraKey(8, 19, 0, schedule.Direct),
 		ChimeraKey(2, 1, 1, schedule.Direct),
 		ChimeraKey(6, 6, 0, schedule.ForwardDoubling),
+		{Scheme: "chimera", D: 8, N: 16, F: 2},
+		{Scheme: "gpipe", D: 4, N: 8},
 	} {
 		e := New(Workers(1))
-		before := schedule.ChimeraBuilds()
-		r, err := e.ReplayEquivalent(key, rc, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := schedule.ChimeraBuilds() - before; n != 0 {
-			t.Fatalf("%+v: the replay built %d op lists, want none", key, n)
-		}
-		sameAsFull(t, key, rc, r)
-		r.Release()
 		g, err := e.Graph(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before = schedule.ChimeraBuilds()
+		r := g.Readout(rc)
+		sameAsBuilt(t, key, rc, r)
+		r.Release()
 		s, err := e.Schedule(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, _ := e.Schedule(key); again != s || schedule.ChimeraBuilds()-before != 1 {
-			t.Fatalf("%+v: two Schedule calls built %d op lists (same: %v), want one", key, schedule.ChimeraBuilds()-before, again == s)
+		if again, _ := e.Schedule(key); again != s {
+			t.Fatalf("%+v: two Schedule calls returned two schedules", key)
 		}
 		if sg, err := s.Graph(); sg != g || err != nil {
-			t.Fatalf("%+v: the schedule's graph is not the one ReplayEquivalent replayed (%v)", key, err)
+			t.Fatalf("%+v: the schedule's graph is not the one Graph returned (%v)", key, err)
 		}
 		want, err := buildSchedule(key.canonical())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSchedule(s, want) {
-			t.Fatalf("%+v: the schedule behind the graph differs from Chimera's", key)
+			t.Fatalf("%+v: the memoized schedule differs from the one buildSchedule builds", key)
 		}
-		if st := e.Stats(); st.ScheduleMisses != 1 || st.ScheduleEntries != 1 {
-			t.Fatalf("%+v: %d schedule misses, %d entries, want one of each", key, st.ScheduleMisses, st.ScheduleEntries)
+		if st := e.Stats(); st.ScheduleMisses != 1 || st.ScheduleHits != 2 || st.ScheduleEntries != 1 {
+			t.Fatalf("%+v: %d schedule misses, %d hits, %d entries, want 1, 2, 1", key, st.ScheduleMisses, st.ScheduleHits, st.ScheduleEntries)
 		}
 	}
 }
 
 // TestOneGraphPerKeyConcurrent: concurrent first calls of Graph, Schedule
 // and a Timeline on one key agree on one graph and one schedule; run under
-// -race, the lazy op list is built without a data race.
+// -race, the schedule is built and compiled once without a data race.
 func TestOneGraphPerKeyConcurrent(t *testing.T) {
 	e := New(Workers(4))
 	key := ChimeraKey(8, 20, 0, schedule.Direct)

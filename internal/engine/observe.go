@@ -28,8 +28,6 @@ type engMetrics struct {
 //
 //	engine_evaluate_seconds            histogram, uncached simulator runs
 //	engine_schedule_build_seconds      histogram, uncached schedule builds
-//	                                   (for direct Chimera, the graph
-//	                                   written from the slot formulas)
 //	engine_critical_path_seconds       histogram, uncached critical paths
 //	                                   (closed form or two probes)
 //	engine_memo_wait_seconds           histogram, memo hits (incl. waiting
@@ -42,10 +40,8 @@ type engMetrics struct {
 //	engine_cache_entries{table=...}    gauge func, resident keys
 //	engine_cache_hit_ratio             gauge func, Stats.HitRate (the
 //	                                   first three tables)
-//	engine_replays_total{path=extended|full|refused}  read-through funcs:
-//	                                   ReplayEquivalent's answers (see Stats)
 //
-// The cache and replay series read the engine's existing atomic counters at
+// The cache series read the engine's existing atomic counters at
 // scrape time (CounterFunc), so their bookkeeping costs the hot path
 // nothing beyond what the engine already paid. A nil registry leaves the
 // engine uninstrumented.
@@ -99,9 +95,5 @@ func (e *Engine) initObserve() {
 	}
 	reg.GaugeFunc("engine_cache_hit_ratio", "fraction of all memo lookups that hit",
 		func() float64 { return e.Stats().HitRate() })
-	for i, path := range replayPaths {
-		reg.CounterFunc("engine_replays_total", "planner replays by how they were served: short schedule extended, full schedule, full after a refused extension",
-			e.replays[i].Load, obs.L("path", path))
-	}
 	e.met = m
 }

@@ -36,8 +36,7 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	}
 	e.Evaluate(spec) // hit
 	e.Sweep([]Spec{testSpec(4, 12), testSpec(4, 16)})
-	// No probes: both are closed-form, so the one replay counted below is
-	// the ReplayEquivalent call further down.
+	// No probes: both are closed-form, so they build no schedule.
 	if _, _, err := e.CriticalPath(ChimeraKey(4, 16, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +49,10 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One replay of a schedule too short to extend.
-	r, err := e.ReplayEquivalent(ChimeraKey(4, 8, 1, schedule.Direct), schedule.UnitPractical.ReplayConfig(), true)
-	if err != nil {
+	// The graph of a schedule the evaluation above built: a schedule hit.
+	if _, err := e.Graph(ChimeraKey(4, 8, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
 	}
-	r.Release()
 
 	snap := reg.Snapshot()
 	if got := snap.Histograms["engine_evaluate_seconds"].Count; got != 3 {
@@ -73,10 +70,11 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	if got := snap.Counters[`engine_cache_misses_total{table="outcomes"}`]; got != 3 {
 		t.Fatalf("outcome cache misses = %d, want 3", got)
 	}
-	for path, want := range map[string]uint64{"extended": 0, "full": 1, "refused": 0} {
-		if got := snap.Counters[`engine_replays_total{path="`+path+`"}`]; got != want {
-			t.Fatalf("%s replays = %d, want %d", path, got, want)
-		}
+	if got := snap.Counters[`engine_cache_hits_total{table="schedules"}`]; got != 1 {
+		t.Fatalf("schedule cache hits = %d, want 1 (the Graph call)", got)
+	}
+	if got := snap.Counters[`engine_cache_misses_total{table="schedules"}`]; got != 3 {
+		t.Fatalf("schedule cache misses = %d, want 3 (one per evaluated schedule)", got)
 	}
 	var busy uint64
 	for k, v := range snap.Counters {
@@ -102,9 +100,10 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	if got, ok := snap.Gauges[`engine_cache_entries{table="residencies"}`]; !ok || got != 2 {
 		t.Fatalf("residencies entries gauge = %g (registered %v), want 2", got, ok)
 	}
-	// The free regions are closed-form or replayed, never a table.
+	// The free regions are closed-form or replayed, never a table, and
+	// every replay is the full schedule's: no replay-path series.
 	for series := range snap.Counters {
-		if strings.Contains(series, `table="freeregions"`) {
+		if strings.Contains(series, `table="freeregions"`) || strings.HasPrefix(series, "engine_replays_total") {
 			t.Fatalf("%s is still published", series)
 		}
 	}
@@ -127,7 +126,7 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 // TestObserveOutputsIdentical: instrumentation must not perturb results —
 // the same sweep on an instrumented and a plain engine returns deeply equal
 // outcomes, and the same critical paths served the same way (closed-form,
-// so neither engine replays). This is the unit-level half of the CI
+// so neither engine builds a schedule beyond the sweep's). This is the unit-level half of the CI
 // byte-identical gate.
 func TestObserveOutputsIdentical(t *testing.T) {
 	specs := []Spec{testSpec(2, 4), testSpec(4, 8), testSpec(4, 4)}
@@ -141,8 +140,8 @@ func TestObserveOutputsIdentical(t *testing.T) {
 			t.Fatalf("N=%d: critical path (%d, %d, %v) plain, (%d, %d, %v) instrumented", n, pcf, pcb, perr, icf, icb, ierr)
 		}
 	}
-	if p, i := pe.Stats(), ie.Stats(); p != i || p.ReplaysExtended != 0 || p.ReplaysFull != 0 {
-		t.Fatalf("stats differ or closed-form critical paths replayed:\nplain %+v\ninstr %+v", p, i)
+	if p, i := pe.Stats(), ie.Stats(); p != i || p.ScheduleMisses != uint64(len(specs)) {
+		t.Fatalf("stats differ or closed-form critical paths built schedules:\nplain %+v\ninstr %+v", p, i)
 	}
 	for i := range specs {
 		if plain[i].Err != nil || instr[i].Err != nil {

@@ -47,8 +47,8 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 // for, as on a one-shot chimera-plan; Eq. 1's compute term and free regions
 // are closed-form, so no graph is written and nothing replays. 426 allocs
 // and 0.15 MB per op (three plans), ≈ 0.21–0.24 ms on a busy 2-core Xeon
-// host at -cpu 1; writing and replaying one slot-walk graph per candidate
-// for the compute term cost 561 allocs, 0.62 MB and ≈ 1.2–1.3 ms there.
+// host at -cpu 1; writing and replaying one graph per candidate for the
+// compute term cost 561 allocs, 0.62 MB and ≈ 1.2–1.3 ms there.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
 // BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and

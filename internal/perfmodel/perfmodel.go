@@ -91,13 +91,13 @@ func predictBuilt(cfg sim.Config, cf, cb int) (*Prediction, error) {
 
 // replayed is what Eq. 1 reads of a schedule: its micro-batch and replica
 // counts, and its read-outs under a cost model — replayed on the built
-// schedule itself, or by key through the engine, which need not build it.
+// schedule itself, or on the engine's graph for its key, which the engine
+// builds only when a term has no closed form.
 type replayed struct {
 	n, replicas int
 	built       *schedule.Schedule
 	e           *engine.Engine
 	key         engine.ScheduleKey
-	uniform     bool // no per-worker speed factors: see engine.ReplayEquivalent
 }
 
 // readout calls both replays statically so that rc's closures stay on the
@@ -106,7 +106,11 @@ func (s *replayed) readout(rc schedule.ReplayConfig) (*schedule.Readout, error) 
 	if s.built != nil {
 		return s.built.Readout(rc)
 	}
-	return s.e.ReplayEquivalent(s.key, rc, s.uniform)
+	g, err := s.e.Graph(s.key)
+	if err != nil {
+		return nil, err
+	}
+	return g.Readout(rc), nil
 }
 
 // freeRegions is the schedule's replay under cm with worker w's op costs
@@ -514,9 +518,9 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // Eq. 1's compute term (schedule.ChimeraConfig.ComputeMakespan) and free
 // regions (schedule.ChimeraConfig.FreeRegions): a homogeneous candidate,
 // cold or warm, builds no schedule, writes no graph and replays nothing.
-// Speed factors replay both terms through engine.ReplayEquivalent — for a
-// uniform N ≥ 3D one of fewer than 3D micro-batches, so the long schedule
-// is never built.
+// Speed factors replay both terms on the candidate's one memoized graph
+// (engine.Graph): the first replay builds and compiles the schedule, the
+// second reuses it.
 // BenchmarkPlanCold and BenchmarkPlanWarm give the cost of three plans:
 // 426 allocs and ≈ 0.21–0.24 ms cold, 110 allocs and ≈ 0.13–0.16 ms warm
 // (busy 2-core Xeon host, -cpu 1). (model, D) is fixed for the whole
@@ -586,7 +590,7 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 	}
 	pred, err := predict(cfg, &replayed{
 		n: key.N, replicas: 2, // F = 1: one down and one up replica
-		e: e, key: key, uniform: schedule.UniformSpeed(factors),
+		e: e, key: key,
 	}, stages, cf, cb)
 	if err != nil {
 		return nil, err

@@ -18,32 +18,26 @@ func goldenFirst() PlanRequest {
 	}
 }
 
-// TestPlanNeverBuildsLongSchedule: a cold homogeneous plan whose candidates
-// all have N ≥ 3D replays nothing and leaves no schedule in the engine's
-// memo — the critical path, the compute term and the free regions are all
-// closed-form — and Prediction.N keeps the full N. Planning it again on the
-// same engine replays nothing either. Both plans build no op list. Only
-// asking the engine for each long schedule builds one, one op list per
-// candidate.
+// TestPlanNeverBuildsLongSchedule: a homogeneous plan whose candidates all
+// have N ≥ 3D never touches the engine's schedule memo, cold or warm — the
+// critical path, the compute term and the free regions are all closed-form
+// — and Prediction.N keeps the full N. Only asking the engine for each long
+// schedule builds one, one miss per candidate.
 func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 	e := engine.New(engine.Workers(1))
-	builds := schedule.ChimeraBuilds()
 	preds, err := PlanOn(e, goldenFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.ReplaysExtended != 0 || st.ReplaysFull != 0 || st.ReplaysRefused != 0 || st.ScheduleMisses != 0 {
-		t.Fatalf("cold plan of %d candidates: extended/full/refused = %d/%d/%d and %d schedule misses, want none", len(preds), st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused, st.ScheduleMisses)
+	if st := e.Stats(); st.ScheduleMisses != 0 || st.ScheduleHits != 0 {
+		t.Fatalf("cold plan of %d candidates: %d schedule misses and %d hits, want none", len(preds), st.ScheduleMisses, st.ScheduleHits)
 	}
 	again, err := PlanOn(e, goldenFirst())
 	if err != nil || !reflect.DeepEqual(again, preds) {
 		t.Fatalf("a warm plan differs from the cold one (%v)", err)
 	}
-	if st := e.Stats(); st.ReplaysExtended != 0 || st.ReplaysFull != 0 || st.ReplaysRefused != 0 || st.ScheduleMisses != 0 {
-		t.Fatalf("warm plan of %d candidates: extended/full/refused = %d/%d/%d and %d schedule misses, want none", len(preds), st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused, st.ScheduleMisses)
-	}
-	if n := schedule.ChimeraBuilds() - builds; n != 0 {
-		t.Fatalf("a cold and a warm plan built %d op lists, want none", n)
+	if st := e.Stats(); st.ScheduleMisses != 0 || st.ScheduleHits != 0 {
+		t.Fatalf("warm plan of %d candidates: %d schedule misses and %d hits, want none", len(preds), st.ScheduleMisses, st.ScheduleHits)
 	}
 	for _, p := range preds {
 		if p.N < 3*p.D || p.N*p.B*p.W != 512 {
@@ -58,45 +52,38 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 			t.Fatalf("the (D=%d, N=%d) schedule was built by the plan", p.D, p.N)
 		}
 	}
-	if n := schedule.ChimeraBuilds() - builds; n != uint64(len(preds)) {
-		t.Fatalf("asking for %d long schedules built %d op lists, want one each", len(preds), n)
-	}
 }
 
 // TestColdPlanBuildsOnlyReplayedSchedules: a homogeneous plan, cold and
-// then warm, builds, compiles and replays no schedule — every profile the
-// memory fit asks for, every critical path and both of Eq. 1's replayed
-// terms are closed-form — so it leaves no schedule memo entry and builds no
-// op list, while still probing one critical path per candidate.
+// then warm, never touches the schedule memo — every profile the memory fit
+// asks for, every critical path and both of Eq. 1's replayed terms are
+// closed-form — while still probing one critical path per candidate.
 func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
 	e := engine.New(engine.Workers(1))
 	for i, req := range benchRequests() {
 		e.Reset()
-		builds := schedule.ChimeraBuilds()
 		for _, temp := range []string{"cold", "warm"} {
 			preds, err := PlanOn(e, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := e.Stats()
-			if st.ScheduleMisses != 0 || st.ReplaysExtended != 0 || st.ReplaysFull != 0 || st.ReplaysRefused != 0 {
-				t.Fatalf("request %d, %s: %d candidates left %d schedule misses and extended/full/refused replays %d/%d/%d, want none", i, temp, len(preds), st.ScheduleMisses, st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused)
+			if st.ScheduleMisses != 0 || st.ScheduleHits != 0 {
+				t.Fatalf("request %d, %s: %d candidates left %d schedule misses and %d hits, want none", i, temp, len(preds), st.ScheduleMisses, st.ScheduleHits)
 			}
 			if st.CriticalMisses < uint64(len(preds)) {
 				t.Fatalf("request %d, %s: %d candidates probed %d critical paths, want one each", i, temp, len(preds), st.CriticalMisses)
 			}
 		}
-		if n := schedule.ChimeraBuilds() - builds; n != 0 {
-			t.Fatalf("request %d: a cold and a warm plan built %d op lists, want none", i, n)
-		}
 	}
 }
 
-// TestPlanSpeedFactorsTakeFullReplay: per-worker speed factors keep Eq. 1's
-// two replays on the full schedule (they would be tried and refused); the
-// fixed placement's critical path is closed-form whatever the request, so
-// nothing rides the short schedule.
-func TestPlanSpeedFactorsTakeFullReplay(t *testing.T) {
+// TestPlanSpeedFactorsReplayOneGraph: per-worker speed factors replay both
+// of Eq. 1's replayed terms, the free regions and the compute term, on the
+// candidate's one memoized graph: one schedule miss and one hit per
+// candidate. The fixed placement's critical path is closed-form whatever
+// the request, so it adds none.
+func TestPlanSpeedFactorsReplayOneGraph(t *testing.T) {
 	req := goldenFirst()
 	req.SpeedFactors = sim.EncodeSpeedFactors([]float64{1, 1, 1.5, 1})
 	e := engine.New(engine.Workers(1))
@@ -107,8 +94,8 @@ func TestPlanSpeedFactorsTakeFullReplay(t *testing.T) {
 	if len(preds) != 1 || preds[0].D != 4 || preds[0].N < 12 {
 		t.Fatalf("test premise: one D=4 candidate with N ≥ 3D, got %+v", preds)
 	}
-	if st := e.Stats(); st.ReplaysFull != 2 || st.ReplaysExtended != 0 || st.ReplaysRefused != 0 {
-		t.Fatalf("extended/full/refused = %d/%d/%d, want 0/2/0", st.ReplaysExtended, st.ReplaysFull, st.ReplaysRefused)
+	if st := e.Stats(); st.ScheduleMisses != 1 || st.ScheduleHits != 1 || st.ScheduleEntries != 1 {
+		t.Fatalf("%d schedule misses, %d hits, %d entries, want one of each", st.ScheduleMisses, st.ScheduleHits, st.ScheduleEntries)
 	}
 }
 

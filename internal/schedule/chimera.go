@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // ConcatMode selects how Chimera scales past N = D micro-batches (§3.5).
 type ConcatMode int
@@ -81,8 +78,8 @@ func (cfg ChimeraConfig) check() (int, error) {
 
 // closedForm reports whether cfg is in the closed forms' scope: one pipeline
 // per direction (F ≤ 1) and direct concatenation past N = D, whose every op
-// §3.1's slot formulas fix. Residency, CriticalPath, FreeRegions, Graph and
-// ReplayEquivalent answer for these configurations and for no other: F > 1,
+// §3.1's slot formulas fix. Residency, CriticalPath, FreeRegions and
+// ComputeMakespan answer for these configurations and for no other: F > 1,
 // forward doubling and backward halving build the schedule and walk it.
 func (cfg ChimeraConfig) closedForm() bool {
 	return cfg.F <= 1 && (cfg.N <= cfg.D || cfg.Concat == Direct)
@@ -307,23 +304,6 @@ type chimeraFree struct {
 	b, upBase, upFar, downFar int64
 }
 
-// ReplayEquivalent returns the short configuration whose replay extends to
-// cfg's, and by how many basic units (0 and cfg itself when none is known).
-// A direct-concatenation, F = 1 schedule of N ≥ 3D micro-batches is its first
-// two units, ⌊N/D⌋ − 2 repetitions of the steady-state unit, and the trailing
-// partial unit: (*Readout).Extend verifies on the replay of (D, 2D + N mod D)
-// that the steady state has been reached and moves the read-outs on by the
-// units left out. DESIGN.md §3 "Steady-state replay" carries the argument;
-// TestReplayPeriodic and TestChimeraDirectLockstep pin it. Only a
-// configuration in the closed forms' scope (closedForm) has one.
-func (cfg ChimeraConfig) ReplayEquivalent() (short ChimeraConfig, units int) {
-	if cfg.closedForm() && cfg.D >= 2 && cfg.N >= 3*cfg.D {
-		units = cfg.N/cfg.D - 2
-		cfg.N -= units * cfg.D
-	}
-	return cfg, units
-}
-
 // Chimera builds the bidirectional pipeline schedule of §3.1–§3.6.
 func Chimera(cfg ChimeraConfig) (*Schedule, error) {
 	return chimera(cfg, doublingUpPhase)
@@ -342,22 +322,6 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newChimera(cfg, f, upPhase), nil
-}
-
-// chimeraBuilds counts newChimera's calls: ChimeraBuilds.
-var chimeraBuilds atomic.Uint64
-
-// ChimeraBuilds reports how many schedules Chimera has built in this
-// process, counting those a graph written from the slot formulas built on
-// first use (Graph.Source). The planner's tests hold a cold homogeneous
-// plan to none.
-func ChimeraBuilds() uint64 { return chimeraBuilds.Load() }
-
-// newChimera builds the schedule of a configuration that check accepted
-// with f pipelines per direction.
-func newChimera(cfg ChimeraConfig, f, upPhase int) *Schedule {
-	chimeraBuilds.Add(1)
 	d, n := cfg.D, cfg.N
 	s := &Schedule{
 		Scheme:       "chimera",
@@ -381,7 +345,7 @@ func newChimera(cfg ChimeraConfig, f, upPhase int) *Schedule {
 		s.HalvedBackward = cfg.Concat == BackwardHalving
 	}
 	buildChimera(s, f, upPhase)
-	return s
+	return s, nil
 }
 
 // buildChimera writes every worker's ops once, at their final index in the

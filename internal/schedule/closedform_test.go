@@ -15,13 +15,12 @@ import (
 var planCosts = []CostModel{{FUnit: 1000, BUnit: 2000}, {FUnit: 1000, BUnit: 3000}}
 
 // sweepPoint is one (D, N) of the oracle sweep and what the forms checked at
-// it share: the schedule Chimera builds, its compiled graph and the replay
-// equivalent's graph, each built on first use and at most once.
+// it share: the schedule Chimera builds and its compiled graph, each built on
+// first use and at most once.
 type sweepPoint struct {
-	cfg   ChimeraConfig
-	s     *Schedule
-	g     *Graph
-	short map[int]*Graph // the depth's short graphs, one per equivalent N
+	cfg ChimeraConfig
+	s   *Schedule
+	g   *Graph
 }
 
 // schedule is Chimera(cfg).
@@ -50,46 +49,22 @@ func (p *sweepPoint) graph() (*Graph, error) {
 	return p.g, nil
 }
 
-// replay is the planner's read-out of cfg under rc: the short schedule's,
-// extended, where cfg has a replay equivalent, else the full schedule's.
+// replay is the full schedule's read-out of cfg under rc.
 func (p *sweepPoint) replay(rc ReplayConfig) (*Readout, error) {
-	eq, units := p.cfg.ReplayEquivalent()
-	if units == 0 {
-		g, err := p.graph()
-		if err != nil {
-			return nil, err
-		}
-		return g.Readout(rc), nil
+	g, err := p.graph()
+	if err != nil {
+		return nil, err
 	}
-	g := p.short[eq.N]
-	if g == nil {
-		s, err := Chimera(eq)
-		if err != nil {
-			return nil, err
-		}
-		if g, err = s.Graph(); err != nil {
-			return nil, err
-		}
-		p.short[eq.N] = g
-	}
-	r := g.Readout(rc)
-	if !r.Extend(units) {
-		r.Release()
-		return nil, fmt.Errorf("the short replay's period check refused")
-	}
-	return r, nil
+	return g.Readout(rc), nil
 }
 
-// critical is CriticalPath probed on the point's planner replay.
+// critical is CriticalPath probed on the point's schedule.
 func (p *sweepPoint) critical() (cf, cb int, err error) {
-	return CriticalPathOf(func(rc ReplayConfig) (int64, error) {
-		r, err := p.replay(rc)
-		if err != nil {
-			return 0, err
-		}
-		defer r.Release()
-		return r.Makespan(), nil
-	})
+	s, err := p.schedule()
+	if err != nil {
+		return 0, 0, err
+	}
+	return CriticalPath(s)
 }
 
 // closedForm is one closed form the oracle sweep holds to the mechanism it
@@ -107,11 +82,9 @@ type depthSweep struct {
 	errs    [][]error
 }
 
-// sweepDepth checks every form at each (d, N) of its grid, sharing one
-// short-graph map across the depth's points.
+// sweepDepth checks every form at each (d, N) of its grid.
 func sweepDepth(d int, forms []*closedForm) depthSweep {
 	out := depthSweep{checked: make([]int, len(forms)), errs: make([][]error, len(forms))}
-	short := map[int]*Graph{}
 	ns := []int{}
 	for n := 1; n <= 4*d+1; n++ {
 		ns = append(ns, n)
@@ -122,7 +95,7 @@ func sweepDepth(d int, forms []*closedForm) depthSweep {
 		}
 	}
 	for _, n := range ns {
-		p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}, short: short}
+		p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}}
 		for i, f := range forms {
 			if !f.on(d, n) {
 				continue
@@ -140,13 +113,6 @@ func sweepDepth(d int, forms []*closedForm) depthSweep {
 // lists for depth d.
 func upTo(d, n, max int) bool { return n <= max || slices.Contains(periodicNs(d), n) }
 
-// graphSample is the (D, N) sample past D = 64 at which the slot-formula
-// graph is also checked.
-func graphSample(d, n int) bool {
-	return slices.Contains([]int{66, 96, 126, 128}, d) &&
-		slices.Contains([]int{1, 2, d - 1, d, d + 1, 2*d + 1, 3*d + d/2, 4*d - 1}, n)
-}
-
 // TestChimeraClosedForms holds every closed form of a fixed-placement,
 // direct, F = 1 Chimera configuration to the general mechanism in one pass:
 // each (D, N) of the union of their grids is built, compiled and replayed
@@ -162,40 +128,24 @@ func graphSample(d, n int) bool {
 //     (32 under -short or -race), every N ≤ 2D + 1 and every long N of
 //     periodicNs.
 //   - TestCriticalPathClosedForm: ChimeraConfig.CriticalPath is the
-//     two-probe CriticalPath of the planner's replay (the short schedule's,
-//     extended, for N ≥ 3D); every even D ≤ 128 (16 under -short or -race)
-//     and the same N.
-//   - TestChimeraGraphMatchesCompile: ChimeraConfig.Graph is the compiled
-//     graph as sameSlotGraph checks it; every even D ≤ 64 (16 under -short
-//     or -race), every N ≤ 3D + 1 and every N of periodicNs, and sampled
-//     N at D ∈ {66, 96, 126, 128}.
+//     two-probe CriticalPath of the replay; every even D ≤ 128 (16 under
+//     -short or -race) and the same N.
 //   - TestFreeRegionsClosedForm: ChimeraConfig.FreeRegions under either of
 //     Eq. 1's cost models is what (*Readout).FreeRegions reads off the
-//     planner's replay at every point of the critical-path grid and at every
-//     even D ≤ 32 (16 under -short or -race) and N ≤ 4D + 1, where from
-//     N = 3D on it is also what the full replay reads.
+//     replay at every point of the critical-path grid and at every even
+//     D ≤ 32 (16 under -short or -race) and N ≤ 4D + 1.
 //   - ComputeMakespan: ChimeraConfig.ComputeMakespan is the makespan of the
-//     full replay and of the planner's on the whole cone it answers on,
-//     proved by checkComputeForm's rays and interior points; every even
-//     D ≤ 64 (32 under -short or -race) and N ≤ 4D + 1.
+//     replay on the whole cone it answers on, proved by checkComputeForm's
+//     rays and interior points; every even D ≤ 64 (32 under -short or
+//     -race) and N ≤ 4D + 1.
 func TestChimeraClosedForms(t *testing.T) {
-	resD, critD, graphD, freeD, computeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(64, 16), exhaustiveD(32, 16), exhaustiveD(64, 32)
+	resD, critD, freeD, computeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(32, 16), exhaustiveD(64, 32)
 	critOn := func(d, n int) bool { return d <= critD && upTo(d, n, 2*d+1) }
-	graphOn := func(d, n int) bool { return (d <= graphD && upTo(d, n, 3*d+1)) || graphSample(d, n) }
 	freeOn := func(d, n int) bool { return d <= freeD && n <= 4*d+1 }
 	forms := []*closedForm{
 		{name: "TestResidencyPeriodic", on: func(d, n int) bool { return d <= resD && upTo(d, n, 2*d+1) }, check: checkResidencyForm},
 		{name: "TestCriticalPathClosedForm", on: critOn, check: checkCriticalForm},
-		{name: "TestChimeraGraphMatchesCompile", on: graphOn, check: func(p *sweepPoint) error {
-			g, err := p.graph()
-			if err != nil {
-				return err
-			}
-			return sameSlotGraph(p.cfg, g)
-		}},
-		{name: "TestFreeRegionsClosedForm", on: func(d, n int) bool { return freeOn(d, n) || critOn(d, n) }, check: func(p *sweepPoint) error {
-			return checkFreeForm(p, freeOn(p.cfg.D, p.cfg.N))
-		}},
+		{name: "TestFreeRegionsClosedForm", on: func(d, n int) bool { return freeOn(d, n) || critOn(d, n) }, check: checkFreeForm},
 		{name: "ComputeMakespan", on: func(d, n int) bool { return d <= computeD && n <= 4*d+1 }, check: checkComputeForm},
 	}
 	depths := make([]depthSweep, 64) // D = 2, 4, …, 128
@@ -270,9 +220,8 @@ func checkCriticalForm(p *sweepPoint) error {
 }
 
 // checkFreeForm: under each of Eq. 1's cost models the closed-form free
-// regions are the planner's replay's — the extended short one for N ≥ 3D —
-// and, with full, the full schedule's replay's too.
-func checkFreeForm(p *sweepPoint, full bool) error {
+// regions are the replay's.
+func checkFreeForm(p *sweepPoint) error {
 	for _, cm := range planCosts {
 		got, ok, err := p.cfg.FreeRegions(cm)
 		if err != nil || !ok {
@@ -285,19 +234,7 @@ func checkFreeForm(p *sweepPoint, full bool) error {
 		err = sameFreeRegions(p.cfg.D, got, r)
 		r.Release()
 		if err != nil {
-			return fmt.Errorf("%+v, planner's replay: %w", cm, err)
-		}
-		if _, units := p.cfg.ReplayEquivalent(); full && units > 0 {
-			g, err := p.graph()
-			if err != nil {
-				return err
-			}
-			r := g.Readout(cm.ReplayConfig())
-			err = sameFreeRegions(p.cfg.D, got, r)
-			r.Release()
-			if err != nil {
-				return fmt.Errorf("%+v, full replay: %w", cm, err)
-			}
+			return fmt.Errorf("%+v: %w", cm, err)
 		}
 	}
 	return nil
@@ -358,11 +295,7 @@ func TestFreeRegionsPeriodic(t *testing.T) {
 		for _, cm := range planCosts {
 			tables := map[int]FreeRegions{}
 			for n := d; n <= 4*d; n++ {
-				g, err := ChimeraConfig{D: d, N: n}.Graph()
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := g.Readout(cm.ReplayConfig())
+				r := mustGraph(t, ChimeraConfig{D: d, N: n}).Readout(cm.ReplayConfig())
 				tables[n] = r.FreeRegions()
 				r.Release()
 				if n-d < d {
@@ -381,8 +314,7 @@ func TestFreeRegionsPeriodic(t *testing.T) {
 // FuzzFreeRegionsClosedForm: over fuzzer-chosen even D ≤ 256, N ≤ 8D, F,
 // concatenation mode and unit cost model — a forward of 1 to 127 or 1000, a
 // backward of two or three forwards — the closed-form free regions are the
-// planner's replay's whenever they answer (the short schedule's, extended,
-// for N ≥ 3D; TestReplayPeriodic holds that to the full one); they answer
+// replay's whenever they answer; they answer
 // for every direct F = 1 configuration, answer no table outside that scope
 // or for any other cost model (p2p latency, a free forward, any other
 // backward), and fail exactly when — and as — Chimera does. The committed
@@ -424,7 +356,7 @@ func FuzzFreeRegionsClosedForm(f *testing.F) {
 		case ok != inScope:
 			t.Fatalf("%+v: closed form answers %v, want %v", cfg, ok, inScope)
 		case ok:
-			p := &sweepPoint{cfg: cfg, short: map[int]*Graph{}}
+			p := &sweepPoint{cfg: cfg}
 			r, err := p.replay(cm.ReplayConfig())
 			if err != nil {
 				t.Fatalf("%+v: %v", cfg, err)

@@ -114,34 +114,20 @@ func computeReplayConfig(d int, c costVec) ReplayConfig {
 }
 
 // sameComputeMakespan reports how ComputeMakespan at c differs from the
-// replay's makespan — the full schedule's and the planner's (the short
-// schedule's, extended, for N ≥ 3D), or nil.
+// replay's makespan, or nil.
 func sameComputeMakespan(p *sweepPoint, c costVec) error {
 	got, ok, err := p.cfg.ComputeMakespan(c.costs())
 	if err != nil || !ok {
 		return fmt.Errorf("%v: no closed-form compute makespan (%v)", c, err)
 	}
-	g, err := p.graph()
+	r, err := p.replay(computeReplayConfig(p.cfg.D, c))
 	if err != nil {
 		return err
 	}
-	rc := computeReplayConfig(p.cfg.D, c)
-	r := g.Readout(rc)
-	full := r.Makespan()
+	want := r.Makespan()
 	r.Release()
-	if got != full {
-		return fmt.Errorf("%v: closed-form compute makespan %d, full replay %d", c, got, full)
-	}
-	if _, units := p.cfg.ReplayEquivalent(); units > 0 {
-		r, err := p.replay(rc)
-		if err != nil {
-			return fmt.Errorf("%v: %w", c, err)
-		}
-		planner := r.Makespan()
-		r.Release()
-		if got != planner {
-			return fmt.Errorf("%v: closed-form compute makespan %d, planner's replay %d", c, got, planner)
-		}
+	if got != want {
+		return fmt.Errorf("%v: closed-form compute makespan %d, replay %d", c, got, want)
 	}
 	return nil
 }
@@ -183,14 +169,13 @@ func checkComputeForm(p *sweepPoint) error {
 // TestComputeMakespanPeriodic: past the oracle sweep's N ≤ 4D + 1, each
 // family grows by a fixed vector per unit. For every even D ≤ 32 (16 under
 // -short or -race) and N from 3D to 8D, the closed-form compute makespan is
-// the full replay's and the extended short replay's at the cone's four rays.
+// the replay's at the cone's four rays.
 func TestComputeMakespanPeriodic(t *testing.T) {
 	t.Parallel()
 	checked := 0
 	for d := 2; d <= exhaustiveD(32, 16); d += 2 {
-		short := map[int]*Graph{}
 		for n := 3 * d; n <= 8*d; n++ {
-			p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}, short: short}
+			p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}}
 			for _, r := range coneRays {
 				if err := sameComputeMakespan(p, r); err != nil {
 					t.Fatalf("D=%d N=%d: ray %v", d, n, err)
@@ -212,11 +197,7 @@ func TestComputeMakespanConeBound(t *testing.T) {
 	for _, v := range computeVecs(cfg) {
 		form = max(form, v.dot(c))
 	}
-	g, err := cfg.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := g.Readout(computeReplayConfig(cfg.D, c))
+	r := mustGraph(t, cfg).Readout(computeReplayConfig(cfg.D, c))
 	defer r.Release()
 	if r.Makespan() <= form {
 		t.Fatalf("%v: the replay's makespan %d does not exceed the families' %d: the cone could reach below B = 2F", c, r.Makespan(), form)
@@ -244,8 +225,7 @@ func TestComputeMakespanClosedFormAllocFree(t *testing.T) {
 
 // FuzzComputeMakespanClosedForm: over fuzzer-chosen even D ≤ 256, N ≤ 8D, F,
 // concatenation mode and four costs, the closed-form compute makespan is the
-// planner's replay's whenever it answers (the short schedule's, extended,
-// for N ≥ 3D); it answers for every direct F = 1 configuration and cost in
+// replay's whenever it answers; it answers for every direct F = 1 configuration and cost in
 // the cone, answers nothing outside that scope or for a cost outside the
 // cone, and fails exactly when — and as — Chimera does. The costs are a
 // body forward, a head forward of at least it, and each backward twice its
@@ -285,7 +265,7 @@ func FuzzComputeMakespanClosedForm(f *testing.F) {
 		case ok != want:
 			t.Fatalf("%+v %+v: closed form answers %v, want %v", cfg, c, ok, want)
 		case ok:
-			p := &sweepPoint{cfg: cfg, short: map[int]*Graph{}}
+			p := &sweepPoint{cfg: cfg}
 			v := costVec{c.F, c.B, c.HeadF, c.HeadB}
 			r, err := p.replay(computeReplayConfig(d, v))
 			if err != nil {

@@ -2,14 +2,10 @@ package schedule
 
 import "testing"
 
-// probeCritical is CriticalPath on the schedule Chimera builds for cfg. Where
-// cfg has a replay equivalent it probes the short schedule's extended
-// read-outs instead (TestReplayPeriodic holds them to the full replay under
-// both probes): full schedules of N ≥ 3D take seconds at D = 128. The
-// equivalent shares cfg's D, F and concatenation mode, so it fails exactly
-// when and as Chimera(cfg) does.
+// probeCritical is CriticalPath on the schedule Chimera builds for cfg; it
+// fails exactly when and as Chimera(cfg) does.
 func probeCritical(cfg ChimeraConfig) (cf, cb int, err error) {
-	return (&sweepPoint{cfg: cfg, short: map[int]*Graph{}}).critical()
+	return (&sweepPoint{cfg: cfg}).critical()
 }
 
 // TestCriticalPathClosedFormScope: the closed form answers, equal to the

@@ -36,9 +36,8 @@ func TestEngineCriticalPathMatchesFullSchedule(t *testing.T) {
 
 // TestCriticalPathClosedFormMatchesInterpreter: at every even D ≤ 8, every
 // N ≤ 2D + 1 and every N of the periodicity list, the closed form is the
-// reference interpreter's probe of the full schedule — an oracle that shares
-// neither the compiled graph nor the steady-state replay with the closed
-// form's own gate.
+// reference interpreter's probe of the full schedule — an oracle that does
+// not share the compiled graph with the closed form's own gate.
 func TestCriticalPathClosedFormMatchesInterpreter(t *testing.T) {
 	for d := 2; d <= 8; d += 2 {
 		ns := schedule.PeriodicNs(d)

@@ -28,21 +28,11 @@ import (
 // many costs.
 //
 // The graph reads ops through the schedule it was compiled from and keeps no
-// copy of them; replay reads only the graph. A graph ChimeraConfig.Graph
-// writes from the slot formulas has no schedule until Source builds it. A
-// Graph's fields never change once it is returned, and it is safe for
-// concurrent replays.
+// copy of them; replay reads only the graph. A Graph's fields never change
+// once it is returned, and it is safe for concurrent replays.
 type Graph struct {
-	// s is the schedule the graph was compiled from; lazy instead holds the
-	// configuration of a graph written from the slot formulas, and builds
-	// its schedule on first use.
-	s    *Schedule
-	lazy *lazySchedule
-	// n is the schedule's micro-batch count, and direct marks a
-	// fixed-placement, direct-concatenation Chimera schedule with F = 1:
-	// what Extend checks, read here so that it needs no schedule.
-	n      int
-	direct bool
+	// s is the schedule the graph was compiled from.
+	s *Schedule
 	// base[w] is the node id of worker w's first op; base[D] is the node
 	// count.
 	base []int32
@@ -66,9 +56,8 @@ type Graph struct {
 	pred  []int32
 	// order is a topological order of the node ids: a permutation in which
 	// every predecessor comes before its consumer. Compile sorts for it
-	// (topoSort; a cycle is the compile-time deadlock error); the slot walk
-	// of ChimeraConfig.Graph writes one by construction, in slot order.
-	// Which valid order it is, nothing may depend on.
+	// (topoSort; a cycle is the compile-time deadlock error). Which valid
+	// order it is, nothing may depend on.
 	order []int32
 	// grad[gradStart[w]:gradStart[w+1]] lists the (replica, stage)
 	// placements with a backward op on worker w, ordered by (stage,
@@ -231,8 +220,6 @@ func compileGraph(s *Schedule) (*Graph, error) {
 	}
 	g := &Graph{
 		s:         s,
-		n:         s.N,
-		direct:    s.Scheme == "chimera" && s.F == 1 && !s.DoubledForward && s.Scheduler == "",
 		base:      make([]int32, s.D+1),
 		shape:     make([]uint16, total),
 		gradStart: make([]int32, s.D+1),
@@ -568,12 +555,8 @@ type Readout struct {
 	edge     []int64     // cross-worker edge cost per shape
 	ready    []GradReady // one per g.grad entry
 	makespan int64
-	// units > 0 marks a read-out Extend moved on by that many basic units,
-	// shift = units·λ later: end[] still holds the short schedule's times.
-	units int
-	shift int64
-	start []int64 // start time per node; filled only for a Timeline
-	tl    Timeline
+	start    []int64 // start time per node; filled only for a Timeline
+	tl       Timeline
 }
 
 // GradReady is the moment one stage replica's weight gradients are fully
@@ -604,7 +587,7 @@ func (g *Graph) Readout(rc ReplayConfig) *Readout {
 	if r == nil {
 		r = &Readout{}
 	}
-	r.g, r.units, r.shift = g, 0, 0
+	r.g = g
 	r.end = grow(r.end, len(g.shape)+1)
 	r.end[len(g.shape)] = 0 // the sentinel's finish time
 	r.cost, r.edge = grow(r.cost, len(g.shapes)), grow(r.edge, len(g.shapes))
@@ -634,7 +617,7 @@ func (r *Readout) ComputeEnd(w int) int64 {
 	if lo == hi {
 		return 0
 	}
-	return r.end[hi-1] + r.shift
+	return r.end[hi-1]
 }
 
 // GradReady lists, ordered by (stage, replica), every placement with a
@@ -665,9 +648,7 @@ type FreeRegion struct {
 	Slack int64
 }
 
-// FreeRegions reads the replay's free regions into a table of their own. An
-// extended read-out shifts compute-ends and grad-ready times by the same
-// amount, so its slack is exact.
+// FreeRegions reads the replay's free regions into a table of their own.
 func (r *Readout) FreeRegions() FreeRegions {
 	g := r.g
 	f := FreeRegions{start: slices.Clone(g.gradStart), regions: make([]FreeRegion, len(r.ready))}
@@ -723,52 +704,7 @@ func (r *Readout) BubbleRatio() float64 {
 	for i := range r.g.shapes {
 		busy += int64(r.g.shapes[i].count) * r.cost[i]
 	}
-	if r.units > 0 {
-		// Each unit left out keeps every worker busy for one period: the
-		// summed cost of 2D consecutive steady-state ops.
-		d := int32(r.g.workers())
-		var period int64
-		for w := int32(0); w < d; w++ {
-			for _, sh := range r.g.shape[r.g.base[w]+d : r.g.base[w]+3*d] {
-				period += r.cost[sh]
-			}
-		}
-		busy += int64(r.units) * period
-	}
 	return float64(total-busy) / float64(total)
-}
-
-// Extend turns the read-out of a two-unit direct-concatenation Chimera
-// schedule (D, 2D + r), r < D — the short side of
-// ChimeraConfig.ReplayEquivalent — into the read-out of (D, (2+units)·D + r),
-// or reports false and changes nothing. It verifies on the finish array in
-// place that the replay has reached its steady state: program indices
-// D … 3D/2 of every worker finish exactly λ before the indices 2D later, one
-// int64 λ for all D workers. Every unit left out then repeats that period, so
-// makespan, compute-ends and grad-ready times move on by units·λ, bit for bit
-// what the full replay computes. Any other schedule, or a replay that has not
-// settled (per-worker speed factors usually have not), is refused: the caller
-// replays the full schedule instead.
-func (r *Readout) Extend(units int) bool {
-	g := r.g
-	d := int32(g.workers())
-	if units < 1 || r.units != 0 || !g.direct || g.n/int(d) != 2 {
-		return false
-	}
-	lambda := r.end[3*d] - r.end[d]
-	for w := int32(0); w < d; w++ {
-		for id := g.base[w] + d; id <= g.base[w]+d+d/2; id++ {
-			if r.end[id+2*d]-r.end[id] != lambda {
-				return false
-			}
-		}
-	}
-	r.units, r.shift = units, int64(units)*lambda
-	r.makespan += r.shift
-	for i := range r.ready {
-		r.ready[i].At += r.shift
-	}
-	return true
 }
 
 // Release hands the Readout back to the pool so the next replay reuses its
@@ -788,12 +724,8 @@ func (r *Readout) Release() {
 // array, an op started its cost before it finished, and a worker was busy
 // for the summed cost of its ops. The returned arrays are the read-out's own:
 // Timeline.Release hands them back together with the read-out, and neither
-// may be read afterwards. An Extended read-out holds the short schedule's
-// finish times only, so Timeline panics on it.
+// may be read afterwards.
 func (r *Readout) Timeline() *Timeline {
-	if r.units != 0 {
-		panic("schedule: an extended read-out has no per-op timeline")
-	}
 	g, tl := r.g, &r.tl
 	d := g.workers()
 	r.start = grow(r.start, len(g.shape))

@@ -9,8 +9,7 @@ import (
 // TestGraphOrderIsTopological pins the one thing compile promises about
 // Graph.order — a permutation of the node ids with every predecessor ahead of
 // its consumer — over every generator and every list-scheduled re-placement
-// of each, and the same of the order the slot walk of ChimeraConfig.Graph
-// writes without sorting. Which valid order it is stays free: the replay
+// of each. Which valid order it is stays free: the replay
 // kernel is a max-plus recurrence, so finish times cannot depend on it (the
 // graph-vs-interpreter suite holds them bit-identical). The matrix compiles
 // back to back on one goroutine, so the pooled scratch block is reused
@@ -24,18 +23,6 @@ func TestGraphOrderIsTopological(t *testing.T) {
 		}
 		if err := g.OrderError(); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	for _, cfg := range []ChimeraConfig{
-		{D: 2, N: 1}, {D: 2, N: 7}, {D: 4, N: 3}, {D: 6, N: 17}, {D: 8, N: 44}, {D: 16, N: 256},
-		{D: 8, N: 8, Concat: ForwardDoubling}, {D: 64, N: 161},
-	} {
-		g, err := cfg.Graph()
-		if err != nil {
-			t.Fatalf("slot walk %+v: %v", cfg, err)
-		}
-		if err := g.OrderError(); err != nil {
-			t.Fatalf("slot walk %+v: %v", cfg, err)
 		}
 	}
 }

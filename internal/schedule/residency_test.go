@@ -147,13 +147,12 @@ func TestResidencyMatchesOpWalk(t *testing.T) {
 	}
 }
 
-// periodicNs lists the long micro-batch counts the closed-form residency
-// and steady-state replay suites check at depth d: every N up to 6D+3 for
-// the small depths, and for all depths every N ≤ 1024 the planner's
-// power-of-two B sweep reaches from a 2^a or 3·2^a per-pipeline mini-batch,
-// plus — for the residues at and next to the unit boundaries — the two
-// shortest N that share the residue, and for the two odd-sized trailing
-// units the longest.
+// periodicNs lists the long micro-batch counts the closed-form suites check
+// at depth d: every N up to 6D+3 for the small depths, and for all depths
+// every N ≤ 1024 the planner's power-of-two B sweep reaches from a 2^a or
+// 3·2^a per-pipeline mini-batch, plus — for the residues at and next to the
+// unit boundaries — the two shortest N that share the residue, and for the
+// two odd-sized trailing units the longest.
 func periodicNs(d int) []int {
 	seen := map[int]bool{}
 	add := func(n int) {

@@ -34,15 +34,8 @@ type Scheduler interface {
 	Schedule(g *Graph, costs CostModel, speed []float64) (*Schedule, error)
 }
 
-// Source returns the schedule this graph was compiled from. A graph written
-// from the slot formulas (ChimeraConfig.Graph) builds that schedule on first
-// use, with its Graph() pre-set to g.
-func (g *Graph) Source() *Schedule {
-	if g.lazy != nil {
-		return g.lazy.get(g)
-	}
-	return g.s
-}
+// Source returns the schedule this graph was compiled from.
+func (g *Graph) Source() *Schedule { return g.s }
 
 // UniformSpeed reports whether the factor list carries no heterogeneity
 // signal: empty, or all entries equal (placement is then irrelevant — a

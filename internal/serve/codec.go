@@ -363,6 +363,13 @@ func (r PlanRequest) Resolve() (perfmodel.PlanRequest, error) {
 		if r.P%d != 0 {
 			return out, fmt.Errorf("plan: speed_factors length %d must divide p=%d", d, r.P)
 		}
+		// Speed factors make the planner build and replay the candidate's
+		// schedule, and the search reaches N = B̂/W at B = 1: bound that
+		// schedule as /v1/simulate bounds its own.
+		if n := r.MiniBatch / (r.P / d); d*n > MaxScheduleOps {
+			return out, fmt.Errorf("plan: d=%d n=%d exceeds the limits (d·n ≤ %d): speed_factors fix d, and the micro-batch search reaches n = mini_batch·d/p",
+				d, n, MaxScheduleOps)
+		}
 		if err := sim.CheckSpeedFactors("speed_factors", r.SpeedFactors...); err != nil {
 			return out, fmt.Errorf("plan: %w", err)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -87,6 +88,44 @@ func TestPlanSpeedFactorValidation(t *testing.T) {
 	}
 	if want := sim.EncodeSpeedFactors([]float64{1, 1, 2, 1}); preq.SpeedFactors != want {
 		t.Fatalf("plan SpeedFactors = %q, want %q", preq.SpeedFactors, want)
+	}
+}
+
+// TestPlanSpeedFactorsBoundTheSchedule: speed factors make the planner build
+// the candidate's schedule, whose N the micro-batch search takes to
+// mini_batch·d/p at b = 1, so /v1/plan bounds d·n as /v1/simulate does. A
+// request past the bound is refused before it reaches the engine — no
+// schedule miss — and one at the bound resolves.
+func TestPlanSpeedFactorsBoundTheSchedule(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	mk := func(p, miniBatch int, factors string) string {
+		return fmt.Sprintf(`{"model":{"preset":"bert48"},"p":%d,"mini_batch":%d,"max_b":1,"speed_factors":%s,"platform":{"preset":"pizdaint"}}`,
+			p, miniBatch, factors)
+	}
+	eight := `[1,1,1,1,1,1,1,1.5]`
+	status, body := post(t, ts, "/v1/plan", mk(8, MaxMiniBatch, eight))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "d=8 n=1048576 exceeds the limits (d·n ≤ 1048576)") {
+		t.Fatalf("an oversized speed-factor plan answered %d: %s", status, body)
+	}
+	if st := s.Engine().Stats(); st.ScheduleMisses != 0 {
+		t.Fatalf("the refused request built %d schedules", st.ScheduleMisses)
+	}
+	for _, c := range []struct {
+		p, miniBatch int
+		ok           bool
+	}{
+		{8, MaxScheduleOps / 8, true},      // d·n at the bound
+		{8, MaxScheduleOps/8 + 8, false},   // one n past it
+		{16, MaxScheduleOps / 4, true},     // two pipelines of depth 8
+		{16, MaxScheduleOps/4 + 16, false}, // past it
+	} {
+		var req PlanRequest
+		if err := DecodeStrict(strings.NewReader(mk(c.p, c.miniBatch, eight)), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.Resolve(); (err == nil) != c.ok {
+			t.Errorf("p=%d mini_batch=%d: resolve error %v, want accepted %v", c.p, c.miniBatch, err, c.ok)
+		}
 	}
 }
 

@@ -48,10 +48,11 @@ func TestFacadeMetrics(t *testing.T) {
 
 // TestFacadeReplayMetrics: after one plan whose ranking holds a candidate
 // with N ≥ 3D (the first request of bench/golden/plan.json), /metrics shows
-// that a homogeneous plan replays nothing — its critical paths, compute
-// terms and free regions are closed-form — and after the same request on a
-// cluster uniformly 1.5× slower, that the engine serves that plan's two
-// Eq. 1 replays from the short schedule.
+// that a homogeneous plan never touches the schedule memo — its critical
+// paths, compute terms and free regions are closed-form — and after the
+// same request on a cluster uniformly 1.5× slower, that the engine builds
+// that plan's one D = 4 schedule once and replays Eq. 1's two terms on it:
+// one miss, one hit.
 func TestFacadeReplayMetrics(t *testing.T) {
 	srv := chimera.NewServer(chimera.ServeConfig{CacheCapacity: 64, Registry: chimera.NewMetricsRegistry()})
 	ts := httptest.NewServer(srv.Handler())
@@ -63,14 +64,12 @@ func TestFacadeReplayMetrics(t *testing.T) {
 		series []string
 	}{
 		{`{` + model + `}`, []string{
-			`engine_replays_total{path="extended"} 0`,
-			`engine_replays_total{path="full"} 0`,
-			`engine_replays_total{path="refused"} 0`,
+			`engine_cache_misses_total{table="schedules"} 0`,
+			`engine_cache_hits_total{table="schedules"} 0`,
 		}},
 		{`{` + model + `,"speed_factors":[1.5,1.5,1.5,1.5]}`, []string{
-			`engine_replays_total{path="extended"} 2`, // one D = 4 candidate × Eq. 1's two replays
-			`engine_replays_total{path="full"} 0`,
-			`engine_replays_total{path="refused"} 0`,
+			`engine_cache_misses_total{table="schedules"} 1`,
+			`engine_cache_hits_total{table="schedules"} 1`,
 		}},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(step.body))
