@@ -18,31 +18,17 @@ const (
 	histSubCount = 1 << histSubBits // 8 sub-buckets per octave
 	histOctaves  = 40               // 1 ns .. 2^40 ns ≈ 18.3 min
 	histBuckets  = histOctaves*histSubCount + 1
-
-	// histShards spreads the record path's atomic adds over independent
-	// cache lines; the shard is picked by hashing the recorded value, so
-	// concurrent recorders of different durations rarely collide.
-	histShards = 8
 )
 
-// histShard is one shard's bucket array plus its count/sum, padded so
-// adjacent shards never share a cache line.
-type histShard struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sumNS   atomic.Uint64
-	_       [64]byte
-}
-
-// Histogram is a lock-free duration histogram: Observe is one hash, two or
-// three atomic adds, and no allocation. Snapshots merge the shards with
-// plain atomic loads (callers may record concurrently; a snapshot is a
-// consistent-enough view, never a torn bucket). Nil receivers no-op.
+// Histogram is a lock-free duration histogram: one bucket array plus a
+// running sum, so Observe is two atomic adds and no allocation. Snapshot
+// reads the buckets with plain atomic loads and takes the count from
+// their sum, so callers may record concurrently and a snapshot's count
+// always agrees with its buckets. Nil receivers no-op.
 type Histogram struct {
-	shards [histShards]histShard
+	buckets [histBuckets]atomic.Uint64
+	sumNS   atomic.Uint64
 }
-
-func newHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a nanosecond duration onto its log bucket.
 func bucketIndex(ns uint64) int {
@@ -90,10 +76,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > 0 {
 		ns = uint64(d)
 	}
-	sh := &h.shards[(ns*0x9E3779B97F4A7C15>>57)&(histShards-1)]
-	sh.buckets[bucketIndex(ns)].Add(1)
-	sh.count.Add(1)
-	sh.sumNS.Add(ns)
+	h.buckets[bucketIndex(ns)].Add(1)
+	h.sumNS.Add(ns)
 }
 
 // Since records the time elapsed since start (Observe(time.Since(start))).
@@ -103,53 +87,33 @@ func (h *Histogram) Since(start time.Time) {
 	}
 }
 
-// HistSnapshot is a merged, point-in-time view of a histogram.
+// HistSnapshot is a point-in-time view of a histogram.
 type HistSnapshot struct {
 	Count   uint64
 	SumNS   uint64
 	Buckets [histBuckets]uint64
 }
 
-// Snapshot merges the shards.
+// Snapshot reads the histogram; Count is the sum of the buckets read.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
-	for i := range h.shards {
-		sh := &h.shards[i]
-		s.Count += sh.count.Load()
-		s.SumNS += sh.sumNS.Load()
-		for b := range sh.buckets {
-			s.Buckets[b] += sh.buckets[b].Load()
-		}
+	s.SumNS = h.sumNS.Load()
+	for b := range h.buckets {
+		c := h.buckets[b].Load()
+		s.Buckets[b] = c
+		s.Count += c
 	}
 	return s
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.shards {
-		n += h.shards[i].count.Load()
-	}
-	return n
-}
-
 // Quantile returns the q-quantile (q in [0, 1]) as a duration, linearly
 // interpolated within the log bucket holding the target rank. Zero when the
-// histogram is empty. Accuracy is bounded by the bucket width: at 8
+// snapshot is empty. Accuracy is bounded by the bucket width: at 8
 // sub-buckets per octave the estimate is within ~12.5% of the exact sample
-// quantile.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantile computes a quantile from an immutable snapshot (so one snapshot
-// can answer p50/p95/p99 consistently).
+// quantile. One snapshot answers p50/p95/p99 consistently.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestBucketGeometry pins the bucket map: indices are monotone in the
@@ -68,7 +69,7 @@ func TestHistogramQuantileOracle(t *testing.T) {
 	}
 	for name, gen := range workloads {
 		t.Run(name, func(t *testing.T) {
-			h := newHistogram()
+			h := &Histogram{}
 			const n = 20000
 			samples := make([]float64, n)
 			for i := range samples {
@@ -77,10 +78,11 @@ func TestHistogramQuantileOracle(t *testing.T) {
 				h.Observe(d)
 			}
 			sort.Float64s(samples)
+			snap := h.Snapshot()
 			for _, q := range []float64{0.50, 0.95, 0.99} {
 				idx := int(math.Ceil(q*float64(n))) - 1
 				exact := samples[idx]
-				got := float64(h.Quantile(q))
+				got := float64(snap.Quantile(q))
 				relErr := math.Abs(got-exact) / exact
 				// One sub-bucket is 2^(1/8)-1 ≈ 9% wide; allow 15% for
 				// interpolation slack at bucket edges.
@@ -89,7 +91,7 @@ func TestHistogramQuantileOracle(t *testing.T) {
 						q, got, exact, 100*relErr)
 				}
 			}
-			if got := h.Count(); got != n {
+			if got := snap.Count; got != n {
 				t.Fatalf("count = %d, want %d", got, n)
 			}
 		})
@@ -98,9 +100,9 @@ func TestHistogramQuantileOracle(t *testing.T) {
 
 // TestHistogramConcurrent hammers Observe from many goroutines while
 // snapshots run — run under -race this is the lock-free record path's
-// correctness gate; the final count and sum must be exact.
+// correctness gate; the final count and bucket sum must be exact.
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram()
+	h := &Histogram{}
 	const goroutines, per = 8, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -140,29 +142,72 @@ func TestHistogramConcurrent(t *testing.T) {
 
 // TestHistogramEdgeCases: empty, zero and negative durations, overflow.
 func TestHistogramEdgeCases(t *testing.T) {
-	h := newHistogram()
-	if q := h.Quantile(0.5); q != 0 {
+	h := &Histogram{}
+	if q := h.Snapshot().Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v, want 0", q)
 	}
 	h.Observe(0)
 	h.Observe(-time.Second)
-	if c := h.Count(); c != 2 {
+	if c := h.Snapshot().Count; c != 2 {
 		t.Fatalf("count = %d, want 2", c)
 	}
-	if q := h.Quantile(0.5); q > 2 {
+	if q := h.Snapshot().Quantile(0.5); q > 2 {
 		t.Fatalf("zero-valued quantile = %v, want ~1ns", q)
 	}
 	// Overflow bucket: beyond 2^40 ns.
-	h2 := newHistogram()
+	h2 := &Histogram{}
 	h2.Observe(30 * time.Minute)
-	if q := h2.Quantile(0.5); q < time.Duration(1)<<40 {
+	if q := h2.Snapshot().Quantile(0.5); q < time.Duration(1)<<40 {
 		t.Fatalf("overflow quantile = %v, want >= 2^40 ns", q)
 	}
 	// Nil receiver no-ops.
 	var nilH *Histogram
 	nilH.Observe(time.Second)
 	nilH.Since(time.Now())
-	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 {
+	if s := nilH.Snapshot(); s.Count != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram not inert")
+	}
+}
+
+// TestHistogramFootprint pins a histogram to its bucket array plus the
+// running sum. A serve replica holds dozens of them for its whole life.
+func TestHistogramFootprint(t *testing.T) {
+	if got, limit := unsafe.Sizeof(Histogram{}), uintptr((histBuckets+1)*8); got > limit {
+		t.Fatalf("sizeof(Histogram) = %d bytes, want <= %d", got, limit)
+	}
+}
+
+// BenchmarkHistogramObserve is the serial record path.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := &Histogram{}
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Duration(i&1023) * time.Microsecond)
+	}
+}
+
+// BenchmarkHistogramObserveParallel is the record path under contention:
+// run it at -cpu 1,2,... to see what every recorder sharing one bucket
+// array costs.
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	h := &Histogram{}
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			h.Observe(time.Duration(i&1023) * time.Microsecond)
+		}
+	})
+}
+
+// BenchmarkHistogramSnapshot is one read of every bucket, what each
+// histogram series costs a /metrics or /v1/stats render.
+func BenchmarkHistogramSnapshot(b *testing.B) {
+	h := &Histogram{}
+	for i := 0; i < 1024; i++ {
+		h.Observe(time.Duration(i) * time.Microsecond)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.Snapshot().Count != 1024 {
+			b.Fatal("snapshot lost observations")
+		}
 	}
 }

@@ -1,9 +1,8 @@
 // Package obs is the zero-dependency observability core behind the engine,
 // the serving tier and the fleet layer: a named registry of atomic counters
-// and gauges, sharded log-bucket histograms whose record path is a single
-// atomic add (no locks, no allocation), and lightweight request-scoped
-// spans kept in a ring-buffered "flight recorder" of the most recent
-// requests.
+// and gauges, log-bucket histograms whose record path is two atomic adds
+// (no locks, no allocation), and lightweight request-scoped spans kept in
+// a ring-buffered "flight recorder" of the most recent requests.
 //
 // Everything is nil-safe: a nil *Registry hands out nil instruments, and
 // every instrument method on a nil receiver is a no-op. Code can therefore
@@ -220,7 +219,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	s := r.intern(name, help, labels, kindHistogram, func(s *series) { s.hist = newHistogram() })
+	s := r.intern(name, help, labels, kindHistogram, func(s *series) { s.hist = &Histogram{} })
 	return s.hist
 }
 

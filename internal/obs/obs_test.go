@@ -46,7 +46,7 @@ func TestNilRegistry(t *testing.T) {
 	g.Inc()
 	g.Dec()
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments not inert")
 	}
 	r.CounterFunc("f_total", "", func() uint64 { return 1 })

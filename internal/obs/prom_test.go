@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -72,5 +74,79 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	want := `x_total{k="a\"b\\c\n"} 1`
 	if !strings.Contains(b.String(), want) {
 		t.Fatalf("escaping drifted: %q does not contain %q", b.String(), want)
+	}
+}
+
+// TestPrometheusHistogramNeverTorn renders a histogram while goroutines
+// record into it. Every render must be a valid cumulative histogram: the
+// finite buckets never decrease, and the +Inf bucket equals _count and is
+// at least each finite bucket. Every snapshot's Count must equal the sum
+// of its buckets.
+func TestPrometheusHistogramNeverTorn(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("torn_seconds", "", L("k", "v"))
+	const observers, renders = 4, 300
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < observers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(time.Duration(i*(g+1)%4096) * time.Microsecond)
+				}
+			}
+		}(g)
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	value := func(line string) uint64 {
+		v, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		return v
+	}
+	var b strings.Builder
+	for n := 0; n < renders; n++ {
+		snap := h.Snapshot()
+		var sum uint64
+		for _, c := range snap.Buckets {
+			sum += c
+		}
+		if snap.Count != sum {
+			t.Fatalf("snapshot %d: Count %d != bucket sum %d", n, snap.Count, sum)
+		}
+
+		b.Reset()
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var finite, inf, count uint64
+		var sawInf, sawCount bool
+		for _, line := range strings.Split(b.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, `torn_seconds_bucket{k="v",le="+Inf"}`):
+				inf, sawInf = value(line), true
+			case strings.HasPrefix(line, "torn_seconds_bucket{"):
+				v := value(line)
+				if v < finite {
+					t.Fatalf("render %d: bucket %q below the previous one (%d)", n, line, finite)
+				}
+				finite = v
+			case strings.HasPrefix(line, "torn_seconds_count{"):
+				count, sawCount = value(line), true
+			}
+		}
+		if !sawInf || !sawCount {
+			t.Fatalf("render %d: no +Inf bucket or _count:\n%s", n, b.String())
+		}
+		if inf != count || inf < finite {
+			t.Fatalf("render %d: +Inf %d, _count %d, largest finite bucket %d", n, inf, count, finite)
+		}
 	}
 }
