@@ -49,13 +49,13 @@ race-sweep:
 bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# bench-smoke runs every in-module benchmark of the planner core and of
-# the metrics core (internal/obs) once. `go test` only compiles
-# benchmarks; one iteration each runs the checks they carry (a kernel
-# benchmark times the row width it names, a histogram snapshot checks its
-# count). It measures nothing.
+# bench-smoke runs every in-module benchmark of the planner core (with
+# the memory model in internal/sim) and of the metrics core (internal/obs)
+# once. `go test` only compiles benchmarks; one iteration each runs the
+# checks they carry (a kernel benchmark times the row width it names, a
+# histogram snapshot checks its count). It measures nothing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/obs
 
 # cli-smoke runs the four CLIs no test drives: a verified chimera-train
 # run, a PipeDream run, chimera-sim and chimera-viz refusing an unknown
@@ -115,6 +115,10 @@ fuzz:
 	$(call fuzz-one,./internal/sim/,FuzzDecodeSpeedFactors)
 # Profile memory model vs the op-walk oracle.
 	$(call fuzz-one,./internal/sim/,FuzzPeakMemoryEquivalence)
+# Direct Chimera's closed-form fit vs the residency fit on the built
+# schedule (random even D ≤ 64, N ≤ 8D, B, W, ZeRO, model shape), at a
+# device memory within bytes of either threshold.
+	$(call fuzz-one,./internal/sim/,FuzzChimeraFitEquivalence)
 # Fleet scenario resolvers (example scenarios as seeds): never panic; an
 # accepted classic trace stays within the event bound and resolves the same
 # cluster and jobs as its elastic twin.

@@ -2,10 +2,10 @@
 // planner (§3.4 configuration selection) and the experiment sweeps (§4.2):
 // it fans a grid of simulator configurations out over a GOMAXPROCS-sized
 // worker pool and memoizes the expensive, repeatedly-shared intermediates —
-// schedule construction, critical-path counts, full simulator evaluations
-// and closed-form residency profiles — keyed by their value-type
-// descriptions. The pool is a bounded fan-out: the participants of a
-// ForEach call claim its indices off one shared counter (pool.go).
+// schedule construction, critical-path counts and full simulator
+// evaluations — keyed by their value-type descriptions. The pool is a
+// bounded fan-out: the participants of a ForEach call claim its indices off
+// one shared counter (pool.go).
 //
 // Two properties make the fan-out safe and the results reproducible:
 //
@@ -29,9 +29,9 @@ import (
 )
 
 // ScheduleKey identifies a schedule construction: the memoization key for
-// generated schedules and their derived analyses (critical paths, residency
-// profiles). The zero F and Concat values mean "scheme defaults" (F=1,
-// direct concatenation).
+// generated schedules and their derived analyses (critical paths). The
+// zero F and Concat values mean "scheme defaults" (F=1, direct
+// concatenation).
 type ScheduleKey struct {
 	// Scheme is the generator name: "chimera", "gpipe", "dapple", "gems",
 	// "pipedream", "pipedream-2bw", "1f1b".
@@ -65,8 +65,7 @@ func ChimeraKey(d, n, f int, concat schedule.ConcatMode) ScheduleKey {
 // cache entry: chimera's F=0 means F=1, and any concatenation mode with
 // N ≤ D builds the direct schedule (the generator's `n <= d || Direct`
 // branch); non-chimera schemes ignore F and Concat entirely. Every memo
-// boundary (Schedule, CriticalPath, Evaluate, Residency) canonicalizes
-// first.
+// boundary (Schedule, CriticalPath, Evaluate) canonicalizes first.
 func (k ScheduleKey) canonical() ScheduleKey {
 	// The placement-policy axis: "fixed" is the identity policy, and every
 	// list policy defers to the fixed placement when its speed factors carry
@@ -96,9 +95,9 @@ func (k ScheduleKey) canonical() ScheduleKey {
 
 // chimera returns the configuration of a fixed-placement Chimera key (ok
 // false for a list scheduler's re-placement or a baseline scheme). Its
-// closed forms — schedule.ChimeraConfig's Residency and CriticalPath —
-// decide their own scope: the engine asks them first and builds and walks
-// the schedule only when they have no answer.
+// closed-form critical path, schedule.ChimeraConfig.CriticalPath, decides
+// its own scope: the engine asks it first and builds and probes the
+// schedule only when it has no answer.
 func (k ScheduleKey) chimera() (cfg schedule.ChimeraConfig, ok bool) {
 	return schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}, k.Scheme == "chimera" && k.Scheduler == ""
 }
@@ -252,10 +251,9 @@ type Engine struct {
 	// interpreter (see ReferenceCore) instead of the compiled graph core.
 	refCore bool
 
-	schedules   *Memo[ScheduleKey, schedOutcome]
-	criticals   *Memo[ScheduleKey, critOutcome]
-	outcomes    *Memo[Spec, Outcome]
-	residencies *Memo[ScheduleKey, *schedule.Residency]
+	schedules *Memo[ScheduleKey, schedOutcome]
+	criticals *Memo[ScheduleKey, critOutcome]
+	outcomes  *Memo[Spec, Outcome]
 
 	// obsReg is the registry attached by Observe (nil = uninstrumented);
 	// met holds the handles initObserve resolves from it.
@@ -329,7 +327,6 @@ func New(opts ...Option) *Engine {
 	e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
 	e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 	e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
-	e.residencies = NewMemoCap[ScheduleKey, *schedule.Residency](e.capacity)
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s
@@ -404,32 +401,6 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 		return nil, err
 	}
 	return s.Graph()
-}
-
-// Residency returns the activation-residency profile of the schedule
-// identified by key — what (*sim.MemoryFit).Fits prices. A key whose
-// profile schedule.ChimeraConfig.Residency gives builds nothing: the
-// residency table memoizes that profile, which is the same at every N ≥ D,
-// under the key at min(N, D), and holds nothing else. Every other key's
-// profile, and a key Chimera rejects, goes to its own memoized schedule,
-// which walks the profile once and caches it as it does its graph.
-func (e *Engine) Residency(key ScheduleKey) (*schedule.Residency, error) {
-	key = key.canonical()
-	if cfg, ok := key.chimera(); ok {
-		rk := key
-		rk.N = min(key.N, key.D)
-		if r, ok := e.residencies.Cached(rk); ok {
-			return r, nil
-		}
-		if r, _ := cfg.Residency(); r != nil {
-			return e.residencies.Do(rk, func() *schedule.Residency { return r }), nil
-		}
-	}
-	s, err := e.Schedule(key)
-	if err != nil {
-		return nil, err
-	}
-	return s.Residency(), nil
 }
 
 // CriticalPath returns the (Cf, Cb) critical-path counts for the schedule
@@ -556,5 +527,4 @@ func (e *Engine) Reset() {
 	e.schedules.Reset()
 	e.criticals.Reset()
 	e.outcomes.Reset()
-	e.residencies.Reset()
 }

@@ -35,11 +35,10 @@ type engMetrics struct {
 //	engine_sweep_seconds               histogram, whole grid sweeps
 //	engine_worker_busy_nanoseconds_total{worker=N}  counter per pool slot
 //	engine_cache_{hits,misses,evictions}_total{table=...}  read-through funcs,
-//	                                   table=schedules|criticals|outcomes|
-//	                                   residencies
+//	                                   table=schedules|criticals|outcomes
 //	engine_cache_entries{table=...}    gauge func, resident keys
-//	engine_cache_hit_ratio             gauge func, Stats.HitRate (the
-//	                                   first three tables)
+//	engine_cache_hit_ratio             gauge func, Stats.HitRate (all
+//	                                   three tables)
 //
 // The cache series read the engine's existing atomic counters at
 // scrape time (CounterFunc), so their bookkeeping costs the hot path
@@ -79,7 +78,6 @@ func (e *Engine) initObserve() {
 		{"schedules", e.schedules},
 		{"criticals", e.criticals},
 		{"outcomes", e.outcomes},
-		{"residencies", e.residencies},
 	}
 	for _, t := range tables {
 		memo := t.memo

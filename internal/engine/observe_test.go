@@ -43,12 +43,6 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	if _, _, err := e.CriticalPath(ChimeraKey(4, 8, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
 	}
-	// (4, 4) and (4, 16) share the closed-form entry min(N, D) = 4.
-	for _, n := range []int{4, 16, 2} {
-		if _, err := e.Residency(ChimeraKey(4, n, 1, schedule.Direct)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// The graph of a schedule the evaluation above built: a schedule hit.
 	if _, err := e.Graph(ChimeraKey(4, 8, 1, schedule.Direct)); err != nil {
 		t.Fatal(err)
@@ -88,35 +82,14 @@ func TestObserveRecordsEngineSeries(t *testing.T) {
 	if snap.Gauges[`engine_cache_entries{table="outcomes"}`] != 3 {
 		t.Fatalf("outcome entries gauge = %g, want 3", snap.Gauges[`engine_cache_entries{table="outcomes"}`])
 	}
-	for series, want := range map[string]uint64{
-		`engine_cache_hits_total{table="residencies"}`:      1,
-		`engine_cache_misses_total{table="residencies"}`:    2,
-		`engine_cache_evictions_total{table="residencies"}`: 0,
-	} {
-		if got, ok := snap.Counters[series]; !ok || got != want {
-			t.Fatalf("%s = %d (registered %v), want %d", series, got, ok, want)
-		}
-	}
-	if got, ok := snap.Gauges[`engine_cache_entries{table="residencies"}`]; !ok || got != 2 {
-		t.Fatalf("residencies entries gauge = %g (registered %v), want 2", got, ok)
-	}
-	// The free regions are closed-form or replayed, never a table, and
-	// every replay is the full schedule's: no replay-path series.
+	// The free regions and residency profiles are closed-form or read off
+	// a built schedule, never a table, and every replay is the full
+	// schedule's: no such series.
 	for series := range snap.Counters {
-		if strings.Contains(series, `table="freeregions"`) || strings.HasPrefix(series, "engine_replays_total") {
+		if strings.Contains(series, `table="freeregions"`) || strings.Contains(series, `table="residencies"`) ||
+			strings.HasPrefix(series, "engine_replays_total") {
 			t.Fatalf("%s is still published", series)
 		}
-	}
-	// A bounded table evicts like the other three.
-	breg := obs.NewRegistry()
-	bounded := New(Workers(1), Capacity(1), Observe(breg))
-	for _, n := range []int{2, 4} {
-		if _, err := bounded.Residency(ChimeraKey(4, n, 1, schedule.Direct)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := breg.Snapshot().Counters[`engine_cache_evictions_total{table="residencies"}`]; got != 1 {
-		t.Fatalf("Capacity(1) residencies evictions = %d, want 1", got)
 	}
 	if r := snap.Gauges["engine_cache_hit_ratio"]; r <= 0 || r >= 1 {
 		t.Fatalf("hit ratio = %g, want in (0, 1)", r)

@@ -43,19 +43,20 @@ func benchPlan(b *testing.B, e *engine.Engine, cold bool) {
 }
 
 // BenchmarkPlanCold resets the engine before every plan: the closed-form
-// residency profiles of the memory fit and critical paths are all paid
-// for, as on a one-shot chimera-plan; Eq. 1's compute term and free regions
-// are closed-form, so no graph is written and nothing replays. 426 allocs
-// and 0.15 MB per op (three plans), ≈ 0.21–0.24 ms on a busy 2-core Xeon
-// host at -cpu 1; writing and replaying one graph per candidate for the
-// compute term cost 561 allocs, 0.62 MB and ≈ 1.2–1.3 ms there.
+// critical paths are all paid for, as on a one-shot chimera-plan; the
+// memory fit is priced once per candidate and Eq. 1's compute term and
+// free regions are closed-form, so no profile is built, no graph is
+// written and nothing replays. 134 allocs and 32 KB per op (three plans),
+// ≈ 51–58 µs on a busy 2-core Xeon host at -cpu 1, where building and
+// memoizing a closed-form residency profile per (D, min(N, D)) for the
+// fit cost 426 allocs, 0.15 MB and ≈ 0.23–0.24 ms.
 func BenchmarkPlanCold(b *testing.B) { benchPlan(b, engine.New(engine.Workers(1)), true) }
 
 // BenchmarkPlanWarm plans on a primed engine: memory fit, memo hits and
 // the closed forms of Eq. 1's compute term and free regions are what is
-// left: 110 allocs, 27 KB and ≈ 0.13–0.16 ms per op (three plans, busy
-// 2-core Xeon host, -cpu 1), where one compute replay per candidate cost
-// ≈ 0.39 ms.
+// left: 110 allocs, 27 KB and ≈ 43–54 µs per op (three plans, busy 2-core
+// Xeon host, -cpu 1), where pricing a memoized residency profile per B
+// tried cost ≈ 0.11–0.13 ms.
 func BenchmarkPlanWarm(b *testing.B) {
 	e := engine.New(engine.Workers(1))
 	for _, req := range benchRequests() {

@@ -12,11 +12,11 @@
 // uses the model only to choose (W, D) — the paper's reduced tuning space.
 //
 // PlanBatchOn fans the (W, D) candidates out over the shared
-// internal/engine worker pool and reuses its memoized critical paths and
-// residency profiles; for a homogeneous candidate Eq. 1's compute term and
-// free regions are closed-form too, so a plan builds and replays no
-// schedule. The ranking is deterministic and identical whether the engine
-// runs on one worker or many.
+// internal/engine worker pool and reuses its memoized critical paths; the
+// fixed placement's memory fit is closed-form (sim.ChimeraFit), and for a
+// homogeneous candidate so are Eq. 1's compute term and free regions, so a
+// plan builds and replays no schedule. The ranking is deterministic and
+// identical whether the engine runs on one worker or many.
 package perfmodel
 
 import (
@@ -365,8 +365,10 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 	outPreds := make([][]*Prediction, len(reqs))
 	outErrs := make([]error, len(reqs))
 	factorsOf := make([][]float64, len(reqs))
-	// Normalize into a private copy: the MaxB default must reach planOne
-	// without mutating the caller's slice.
+	// Normalize into a private copy: the MaxB and platform defaults must
+	// reach planOne without mutating the caller's slice. The platform's are
+	// the simulator's own, which the memory fit applies anyway; Eq. 1 needs
+	// them too.
 	norm := make([]PlanRequest, len(reqs))
 	copy(norm, reqs)
 	reqs = norm
@@ -376,6 +378,7 @@ func planBatch(e *engine.Engine, reqs []PlanRequest, one candidateSearch) ([][]*
 		if req.MaxB == 0 {
 			req.MaxB = 64
 		}
+		req.Device, req.Network = sim.DefaultPlatform(req.Device, req.Network)
 		factors, err := sim.DecodeSpeedFactors(req.SpeedFactors)
 		if err != nil {
 			outErrs[ri] = fmt.Errorf("perfmodel: %w", err)
@@ -509,23 +512,25 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // sched "" plans the fixed placement; a policy name plans the re-shaped
 // schedule that policy produces for the request's speed factors.
 //
-// The search is one pass over B, largest first, and asks only residency
-// profiles (engine.Residency — for the fixed placement closed-form, so the
-// search builds no schedule): it stops at the first B that fits plainly,
-// remembering on the way the first that fits with recomputation. For the
-// (D, N = B̂/(W·B)) it settles on, the fixed placement's (Cf, Cb) are
-// closed-form (engine.CriticalPath), and without speed factors so are
-// Eq. 1's compute term (schedule.ChimeraConfig.ComputeMakespan) and free
-// regions (schedule.ChimeraConfig.FreeRegions): a homogeneous candidate,
-// cold or warm, builds no schedule, writes no graph and replays nothing.
-// Speed factors replay both terms on the candidate's one memoized graph
+// The search is one pass over B, largest first: it stops at the first B
+// that fits plainly, remembering on the way the first that fits with
+// recomputation. The fixed placement's memory does not depend on speed
+// factors, and sim.ChimeraFit prices it once per candidate and answers
+// each B in closed form, so its search builds no schedule and reads no
+// residency profile; a list policy's fit prices the profile its own
+// memoized schedule walks. For the (D, N = B̂/(W·B)) the search settles on,
+// the fixed placement's (Cf, Cb) are closed-form (engine.CriticalPath), and
+// without speed factors so are Eq. 1's compute term
+// (schedule.ChimeraConfig.ComputeMakespan) and free regions
+// (schedule.ChimeraConfig.FreeRegions): a homogeneous candidate, cold or
+// warm, builds no schedule, writes no graph and replays nothing. Speed
+// factors replay both terms on the candidate's one memoized graph
 // (engine.Graph): the first replay builds and compiles the schedule, the
 // second reuses it.
 // BenchmarkPlanCold and BenchmarkPlanWarm give the cost of three plans:
-// 426 allocs and ≈ 0.21–0.24 ms cold, 110 allocs and ≈ 0.13–0.16 ms warm
-// (busy 2-core Xeon host, -cpu 1). (model, D) is fixed for the whole
-// candidate, so the stage table is derived once and priced by every fit
-// and by Eq. 1, and the fits share one scratch.
+// 134 allocs and ≈ 51–58 µs cold, 110 allocs and ≈ 43–54 µs warm (busy
+// 2-core Xeon host, -cpu 1). (model, D) is fixed for the whole candidate,
+// so the stage table is derived once and priced by every fit and by Eq. 1.
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.
@@ -540,32 +545,53 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		}
 		return key
 	}
+	// No B builds at a depth Chimera rejects (its rules read N only as
+	// N ≥ 1), and the candidate reports nothing.
+	if (schedule.ChimeraConfig{D: d, N: perPipe}).Validate() != nil {
+		return nil, nil
+	}
 	cfg := sim.Config{
 		Model: req.Model, W: w, SpeedFactors: factors,
 		Device: req.Device, Network: req.Network,
 	}
-	// Partitioned at the first B whose profile resolves: a candidate that
-	// never gets that far reports nothing, not a partition error.
 	var stages []model.Stage
-	var fit sim.MemoryFit
+	var fixed sim.ChimeraFit
+	if sched == "" {
+		// Every B has a fit at a depth Chimera builds: price it once.
+		var err error
+		if stages, err = req.Model.Partition(d); err != nil {
+			return nil, err
+		}
+		if err := fixed.Price(cfg, stages); err != nil {
+			return nil, err
+		}
+	}
+	var policy sim.MemoryFit
 	plainB, recB := 0, 0 // first B fitting plainly / with recomputation
 	for b := req.MaxB; b >= 1 && plainB == 0; b /= 2 {
 		if perPipe%b != 0 {
 			continue
 		}
-		res, err := e.Residency(keyOf(b))
-		if err != nil {
-			continue
-		}
-		if stages == nil {
-			if stages, err = req.Model.Partition(d); err != nil {
+		var plain, withRec bool
+		if sched == "" {
+			plain, withRec = fixed.Fits(b, perPipe/b)
+		} else {
+			// Partitioned at the first B whose schedule resolves: a
+			// candidate that never gets that far reports nothing, not a
+			// partition error.
+			s, err := e.Schedule(keyOf(b))
+			if err != nil {
+				continue
+			}
+			if stages == nil {
+				if stages, err = req.Model.Partition(d); err != nil {
+					return nil, err
+				}
+			}
+			cfg.MicroBatch = b
+			if plain, withRec, err = policy.Fits(cfg, stages, s.Residency()); err != nil {
 				return nil, err
 			}
-		}
-		cfg.MicroBatch = b
-		plain, withRec, err := fit.Fits(cfg, stages, res)
-		if err != nil {
-			return nil, err
 		}
 		switch {
 		case plain:

@@ -64,3 +64,30 @@ func TestPlanBatchOnEmpty(t *testing.T) {
 		t.Fatalf("empty batch returned %d/%d results", len(preds), len(errs))
 	}
 }
+
+// TestPlanDefaultsPlatform: a request without a device or network plans on
+// the simulator's defaults, Piz Daint on Aries, exactly as one that names
+// them. The memory fit always applied them; Eq. 1 must price on the same
+// device, not divide by a zero peak rate.
+func TestPlanDefaultsPlatform(t *testing.T) {
+	named := PlanRequest{
+		Model: model.Config{Name: "l24", Layers: 24, Hidden: 1024, Heads: 16, Vocab: 30522, SeqLen: 128},
+		P:     16, MiniBatch: 256, Device: sim.PizDaintNode(), Network: sim.AriesNetwork(),
+	}
+	want, err := PlanOn(engine.New(engine.Workers(1)), named)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("named platform: %d rows (%v)", len(want), err)
+	}
+	for name, mutate := range map[string]func(*PlanRequest){
+		"zero device":  func(r *PlanRequest) { r.Device = sim.Device{} },
+		"zero network": func(r *PlanRequest) { r.Network = sim.Network{} },
+		"zero both":    func(r *PlanRequest) { r.Device, r.Network = sim.Device{}, sim.Network{} },
+	} {
+		req := named
+		mutate(&req)
+		got, err := PlanOn(engine.New(engine.Workers(1)), req)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: (%v)\n got %+v\nwant %+v", name, err, dump(got), dump(want))
+		}
+	}
+}

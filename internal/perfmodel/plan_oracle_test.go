@@ -219,11 +219,11 @@ func TestWarmPlanMatchesCold(t *testing.T) {
 }
 
 // TestPlanOneUnresolvableProfiles: planOne derives its stage table once per
-// candidate, and must still not ask for it before a residency profile
-// resolves. At an odd D no Chimera schedule exists, so every B's lookup
-// errors and the candidate reports nothing — as the reference does — even
-// though 48 layers do not split into 5 stages either: partitioning earlier
-// would turn a silently skipped candidate into an error.
+// candidate, and must still not ask for it before a memory fit resolves.
+// At an odd D no Chimera schedule exists, so no B has a fit and the
+// candidate reports nothing — as the reference does — even though 48
+// layers do not split into 5 stages either: partitioning earlier would
+// turn a silently skipped candidate into an error.
 func TestPlanOneUnresolvableProfiles(t *testing.T) {
 	req := PlanRequest{
 		Model: model.BERT48(), P: 15, MiniBatch: 192, MaxB: 64,
@@ -234,8 +234,8 @@ func TestPlanOneUnresolvableProfiles(t *testing.T) {
 		t.Fatal("test premise: the model must not partition at this depth")
 	}
 	e := engine.New(engine.Workers(1))
-	if _, err := e.Residency(engine.ChimeraKey(d, req.MiniBatch/w, 0, schedule.Direct)); err == nil {
-		t.Fatal("test premise: no residency profile may resolve at this depth")
+	if err := (schedule.ChimeraConfig{D: d, N: req.MiniBatch / w}).Validate(); err == nil {
+		t.Fatal("test premise: Chimera must reject this depth")
 	}
 	want, werr := twoPassPlanOne(e, req, w, d, "", nil)
 	got, gerr := planOne(e, req, w, d, "", nil)

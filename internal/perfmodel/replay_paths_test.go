@@ -2,10 +2,12 @@ package perfmodel
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/obs"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
@@ -55,11 +57,14 @@ func TestPlanNeverBuildsLongSchedule(t *testing.T) {
 }
 
 // TestColdPlanBuildsOnlyReplayedSchedules: a homogeneous plan, cold and
-// then warm, never touches the schedule memo — every profile the memory fit
-// asks for, every critical path and both of Eq. 1's replayed terms are
-// closed-form — while still probing one critical path per candidate.
+// then warm, never touches the schedule memo — the memory fit, every
+// critical path and both of Eq. 1's replayed terms are closed-form — while
+// still probing one critical path per candidate. Nor does it leave any
+// residency state behind: the fit is priced per candidate, so the critical
+// paths are the only entries the engine holds.
 func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
-	e := engine.New(engine.Workers(1))
+	reg := obs.NewRegistry()
+	e := engine.New(engine.Workers(1), engine.Observe(reg))
 	for i, req := range benchRequests() {
 		e.Reset()
 		for _, temp := range []string{"cold", "warm"} {
@@ -73,6 +78,11 @@ func TestColdPlanBuildsOnlyReplayedSchedules(t *testing.T) {
 			}
 			if st.CriticalMisses < uint64(len(preds)) {
 				t.Fatalf("request %d, %s: %d candidates probed %d critical paths, want one each", i, temp, len(preds), st.CriticalMisses)
+			}
+			for series, entries := range reg.Snapshot().Gauges {
+				if strings.HasPrefix(series, "engine_cache_entries") && series != `engine_cache_entries{table="criticals"}` && entries != 0 {
+					t.Fatalf("request %d, %s: %s = %g, want only critical paths held", i, temp, series, entries)
+				}
 			}
 		}
 	}

@@ -76,6 +76,13 @@ func (cfg ChimeraConfig) check() (int, error) {
 	return f, nil
 }
 
+// Validate returns the error Chimera returns for cfg, or nil for a
+// configuration it builds, without building anything.
+func (cfg ChimeraConfig) Validate() error {
+	_, err := cfg.check()
+	return err
+}
+
 // closedForm reports whether cfg is in the closed forms' scope: one pipeline
 // per direction (F ≤ 1) and direct concatenation past N = D, whose every op
 // §3.1's slot formulas fix. Residency, CriticalPath, FreeRegions and
@@ -90,31 +97,43 @@ func (cfg ChimeraConfig) closedForm() bool {
 // (closedForm): build the schedule and walk it. Invalid configurations
 // return Chimera's error.
 //
-// Worker w hosts down stage w and up stage D−1−w, and its one Pareto row,
-// in half-micro-batch units with n = min(N, D), is
-// [2·min(⌈n/2⌉, D−w), 2·min(⌊n/2⌋, w+1)]. DESIGN.md §3 item 4 derives it:
-// a placement's backwards trail its forwards by a fixed lag, so its count
-// is the forwards of the last lag slots, and the first unit reaches both
-// maxima at once. For N ≥ D a worker's peak is D/2 + min(D/2, w+1, D−w)
-// micro-batches, Table 2's range of (D/2 + 1)·Ma to D·Ma.
-// The oracle sweep (TestChimeraClosedForms), TestResidencyEquivalentScope
-// and FuzzResidencyClosedForm hold it to the walk.
+// Worker w hosts down stage w and up stage D−1−w, and its one Pareto row
+// is ResidencyRow(w). The oracle sweep (TestChimeraClosedForms),
+// TestResidencyEquivalentScope and FuzzResidencyClosedForm hold it to the
+// walk.
 func (cfg ChimeraConfig) Residency() (*Residency, error) {
 	if _, err := cfg.check(); err != nil || !cfg.closedForm() {
 		return nil, err
 	}
-	d, n := cfg.D, min(cfg.N, cfg.D)
+	d := cfg.D
 	r := &Residency{Scheme: "chimera", Synchronous: true, Replicas: 2, Workers: make([]WorkerResidency, d)}
 	hosted := make([]StagePlacement, 2*d)
 	counts := make([]int32, 2*d)
 	peaks := make([][]int32, d)
 	for w := range r.Workers {
 		hosted[2*w], hosted[2*w+1] = StagePlacement{Replica: 0, Stage: w}, StagePlacement{Replica: 1, Stage: d - 1 - w}
-		counts[2*w], counts[2*w+1] = int32(2*min((n+1)/2, d-w)), int32(2*min(n/2, w+1))
+		counts[2*w], counts[2*w+1] = cfg.ResidencyRow(w)
 		peaks[w] = counts[2*w : 2*w+2 : 2*w+2]
 		r.Workers[w] = WorkerResidency{Hosted: hosted[2*w : 2*w+2 : 2*w+2], Peaks: peaks[w : w+1 : w+1]}
 	}
 	return r, nil
+}
+
+// ResidencyRow returns worker w's one Pareto row of the profile Residency
+// gives, in half-micro-batch units: down resident units of its down stage
+// w and up of its up stage D−1−w. With n = min(N, D) the row is
+// [2·min(⌈n/2⌉, D−w), 2·min(⌊n/2⌋, w+1)]. DESIGN.md §3 item 4 derives it:
+// a placement's backwards trail its forwards by a fixed lag, so its count
+// is the forwards of the last lag slots, and the first unit reaches both
+// maxima at once. For N ≥ D a worker's peak is D/2 + min(D/2, w+1, D−w)
+// micro-batches, Table 2's range of (D/2 + 1)·Ma to D·Ma.
+//
+// It checks nothing and allocates nothing: cfg must be one Residency
+// answers for and 0 ≤ w < D. A memory fit that tries many N at one depth
+// reads the rows here instead of building a profile per N.
+func (cfg ChimeraConfig) ResidencyRow(w int) (down, up int32) {
+	n := min(cfg.N, cfg.D)
+	return int32(2 * min((n+1)/2, cfg.D-w)), int32(2 * min(n/2, w+1))
 }
 
 // CriticalPath returns the (Cf, Cb) that CriticalPath probes on the schedule

@@ -62,3 +62,31 @@ func BenchmarkFitsMemory(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChimeraFit is the planner's memory search at one candidate:
+// price direct Chimera's fit once, then try B = 64, 32, …, 1 at N = 256/B,
+// as BenchmarkFitsMemory's residency fit would once per B. Each B is O(D)
+// integer work and allocates nothing.
+func BenchmarkChimeraFit(b *testing.B) {
+	for _, d := range []int{8, 32} {
+		b.Run(fmt.Sprintf("D%d", d), func(b *testing.B) {
+			m := model.GPT2()
+			stages, err := m.Partition(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Model: m, W: 2}
+			var fit ChimeraFit
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fit.Price(cfg, stages); err != nil {
+					b.Fatal(err)
+				}
+				for mb := 64; mb >= 1; mb /= 2 {
+					fit.Fits(mb, 256/mb)
+				}
+			}
+		})
+	}
+}

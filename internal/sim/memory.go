@@ -12,8 +12,9 @@ import (
 // bytes per stage. The zero value is ready to use. One value may be driven
 // through any sequence of configurations, depths and schemes — every call
 // re-sizes, clears and refills it, and nothing carries over — so a search
-// over many micro-batch sizes (the planner's, per candidate) allocates once.
-// Not safe for concurrent use.
+// over many micro-batch sizes allocates once. The planner drives it for the
+// list placement policies, whose profiles their own schedules walk; direct
+// Chimera's fixed placement has ChimeraFit. Not safe for concurrent use.
 type MemoryFit struct {
 	weights []int64 // per worker
 	act     []int64 // per stage
@@ -69,15 +70,7 @@ func (m *MemoryFit) price(cfg *Config, stages []model.Stage, res *schedule.Resid
 		}
 		for _, pl := range wr.Hosted {
 			params := stages[pl.Stage].Params()
-			if cfg.ZeRO && res.Synchronous {
-				// ZeRO-1: weights + gradients stay replicated (8 B/param); the
-				// optimizer state (momentum, 4 B/param) is sharded across the
-				// stage's holder group.
-				r := int64(res.Replicas * cfg.W)
-				m.weights[w] += params * (8 + (4+r-1)/r)
-			} else {
-				m.weights[w] += params * model.BytesPerParamTraining
-			}
+			m.weights[w] += stateBytes(params, cfg.ZeRO && res.Synchronous, res.Replicas*cfg.W)
 			// Extra stashed versions store weights only (fp32), not
 			// gradients or optimizer state.
 			m.weights[w] += (versions - 1) * params * 4
@@ -87,6 +80,18 @@ func (m *MemoryFit) price(cfg *Config, stages []model.Stage, res *schedule.Resid
 	for i := range stages {
 		m.act[i] = stages[i].ActivationBytes(cfg.MicroBatch)
 	}
+}
+
+// stateBytes is the training state of one stage replica of params
+// parameters. With ZeRO-1 (zero), weights and gradients stay replicated
+// (8 B/param) and the optimizer state (momentum, 4 B/param) is sharded
+// across the stage's r holders.
+func stateBytes(params int64, zero bool, r int) int64 {
+	if !zero {
+		return params * model.BytesPerParamTraining
+	}
+	holders := int64(r)
+	return params * (8 + (4+holders-1)/holders)
 }
 
 // activationPeak prices one worker's residency profile: the most bytes any
@@ -139,13 +144,12 @@ func FitsMemory(cfg Config) (plain, withRecompute bool, err error) {
 }
 
 // Fits is FitsMemory answered from a residency profile and the caller's
-// stage table — cfg.Model partitioned at the profile's depth, which the
-// planner's micro-batch search (through engine.Residency) derives once per
-// candidate rather than once per B tried — reusing m's storage. cfg.Schedule
-// is not consulted, so a caller holding the profile of an equivalent
-// (shorter) schedule never builds the schedule it is asking about. Nothing
-// but the storage outlives the call: cfg is validated and the scratch
-// cleared every time.
+// stage table — cfg.Model partitioned at the profile's depth, which a
+// micro-batch search derives once per candidate rather than once per B
+// tried — reusing m's storage. cfg.Schedule is not consulted, so a caller
+// holding the profile of an equivalent (shorter) schedule never builds the
+// schedule it is asking about. Nothing but the storage outlives the call:
+// cfg is validated and the scratch cleared every time.
 func (m *MemoryFit) Fits(cfg Config, stages []model.Stage, res *schedule.Residency) (plain, withRecompute bool, err error) {
 	if err := validateFor(&cfg, len(res.Workers)); err != nil {
 		return false, false, err
@@ -166,6 +170,86 @@ func (m *MemoryFit) fits(cfg *Config, stages []model.Stage, res *schedule.Reside
 			plain = false
 		}
 		if m.weights[w]+activationPeak(cfg, m.act, &res.Workers[w], true) > cfg.Device.MemBytes {
+			withRecompute = false
+		}
+	}
+	return plain, withRecompute
+}
+
+// ChimeraFit is (*MemoryFit).Fits for direct Chimera's fixed placement,
+// priced once for every micro-batch size: the planner's greedy B search at
+// one (model, D, W, device, ZeRO). Price derives what B does not change —
+// per worker the training state of the two stages it hosts, per stage
+// ActivationBytes(1), and BoundaryBytes(1) — and Fits scales them by B.
+// ActivationBytes(b) and BoundaryBytes(b) are exactly b times their value
+// at 1 in int64, and worker w's one residency row is
+// schedule.ChimeraConfig.ResidencyRow(w), so each answer is O(D) integer
+// work that allocates nothing and equals (*MemoryFit).Fits on the profile
+// schedule.ChimeraConfig.Residency gives. The zero value is ready to use;
+// Price re-sizes and refills it, so one value may serve many candidates.
+// Not safe for concurrent use.
+type ChimeraFit struct {
+	weights  []int64 // per worker: training state of stages w and D−1−w
+	act      []int64 // per stage: activation bytes of one sample
+	boundary int64   // boundary bytes of one sample
+	mem      int64   // device memory, after validateFor's defaults
+}
+
+// Price prices cfg for Chimera at the depth of stages, cfg.Model
+// partitioned for it. cfg.MicroBatch and cfg.Schedule are not read; Fits
+// takes B. It checks once what (*MemoryFit).Fits checks on every call for
+// a B ≥ 1, validateFor's rules, and returns Chimera's error for a depth
+// Chimera does not build.
+func (f *ChimeraFit) Price(cfg Config, stages []model.Stage) error {
+	d := len(stages)
+	if err := (schedule.ChimeraConfig{D: d, N: 1}).Validate(); err != nil {
+		return err
+	}
+	cfg.MicroBatch = 1
+	if err := validateFor(&cfg, d); err != nil {
+		return err
+	}
+	f.weights, f.act = zeroed(f.weights, d), zeroed(f.act, d)
+	for w := range d / 2 {
+		// Workers w and D−1−w host the same two stages. Chimera is
+		// synchronous with two replicas: r = 2·W holders.
+		both := stateBytes(stages[w].Params(), cfg.ZeRO, 2*cfg.W) + stateBytes(stages[d-1-w].Params(), cfg.ZeRO, 2*cfg.W)
+		f.weights[w], f.weights[d-1-w] = both, both
+	}
+	for i := range stages {
+		f.act[i] = stages[i].ActivationBytes(1)
+	}
+	f.boundary = cfg.Model.BoundaryBytes(1)
+	f.mem = cfg.Device.MemBytes
+	return nil
+}
+
+// Fits reports whether the priced configuration fits device memory at
+// micro-batch size b ≥ 1 and N = n ≥ 1 micro-batches per pipeline, without
+// and with recomputation: activationPeak over worker w's one row, with
+// act[stage] = b·ActivationBytes(1) and boundary = b·BoundaryBytes(1).
+func (f *ChimeraFit) Fits(b, n int) (plain, withRecompute bool) {
+	d := len(f.weights)
+	rows := schedule.ChimeraConfig{D: d, N: n}
+	scale := int64(b)
+	boundary := scale * f.boundary
+	plain, withRecompute = true, true
+	for w := 0; w < d && (plain || withRecompute); w++ {
+		down, up := rows.ResidencyRow(w)
+		actDown, actUp := scale*f.act[w], scale*f.act[d-1-w]
+		if f.weights[w]+max(int64(down)*actDown+int64(up)*actUp, 0)/2 > f.mem {
+			plain = false
+		}
+		// The recompute working set: the largest stage activation among
+		// the placements resident in the row.
+		var workingSet int64
+		if down > 0 {
+			workingSet = max(workingSet, actDown)
+		}
+		if up > 0 {
+			workingSet = max(workingSet, actUp)
+		}
+		if f.weights[w]+(max(int64(down)*boundary+int64(up)*boundary, 0)/2+workingSet) > f.mem {
 			withRecompute = false
 		}
 	}

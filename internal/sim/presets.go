@@ -104,6 +104,21 @@ func AriesNetwork() Network {
 	return Network{Name: "Aries", Alpha: 1.8e-6, Beta: 1.0 / 2.5e9, BetaP2P: 1.0 / 1.5e9}
 }
 
+// DefaultPlatform returns dev and net with the simulator's defaults filled
+// in: a device with no PeakFLOPS is a Piz Daint node, a network with
+// neither α nor β is Aries. It is the one statement of those defaults:
+// every Config is validated through it, and the planner applies it to a
+// request's platform.
+func DefaultPlatform(dev Device, net Network) (Device, Network) {
+	if dev.PeakFLOPS == 0 {
+		dev = PizDaintNode()
+	}
+	if net.Beta == 0 && net.Alpha == 0 {
+		net = AriesNetwork()
+	}
+	return dev, net
+}
+
 // V100Node is one V100 (32 GB) of the paper's small cluster.
 func V100Node() Device {
 	return Device{Name: "V100", PeakFLOPS: 15.7e12, MemBytes: 32 << 30, EffHalfB: 3, EffFloor: 0.18}

@@ -275,12 +275,7 @@ func validateFor(cfg *Config, d int) error {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
-	if cfg.Device.PeakFLOPS == 0 {
-		cfg.Device = PizDaintNode()
-	}
-	if cfg.Network.Beta == 0 && cfg.Network.Alpha == 0 {
-		cfg.Network = AriesNetwork()
-	}
+	cfg.Device, cfg.Network = DefaultPlatform(cfg.Device, cfg.Network)
 	return nil
 }
 
