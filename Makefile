@@ -58,14 +58,21 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/obs
 
 # cli-smoke runs the four CLIs no test drives: a verified chimera-train
-# run, a PipeDream run, chimera-sim and chimera-viz refusing an unknown
-# -concat name, and chimera-plan planning as a table and as -json and
-# refusing an odd-length -speed list (the /v1/plan codec's rule). The
-# binaries are built first so a compile error cannot pass for a refusal.
+# run, a PipeDream run, a chimera-sim -json run (AutoRun: the memory fit,
+# then the simulation with its per-worker peaks) and a refused one (48
+# layers do not split into 5 stages), chimera-sim and chimera-viz refusing
+# an unknown -concat name, and chimera-plan planning as a table and as
+# -json and refusing an odd-length -speed list (the /v1/plan codec's
+# rule). The binaries are built first so a compile error cannot pass for a
+# refusal.
 cli-smoke:
 	$(GO) build -o bin/ ./cmd/chimera-train ./cmd/chimera-sim ./cmd/chimera-viz ./cmd/chimera-plan
 	bin/chimera-train -iters 3
 	bin/chimera-train -scheme pipedream -iters 2 -verify=false
+	bin/chimera-sim -json -d 4 -w 8 -b 8
+	@out="$$(bin/chimera-sim -scheme gpipe -d 5 -w 1 -b 8 -bhat 40 2>&1)"; status=$$?; \
+	if [ $$status -eq 0 ]; then echo "chimera-sim accepted 48 layers at D=5"; exit 1; fi; \
+	case "$$out" in *"do not split evenly"*) ;; *) echo "chimera-sim at D=5: $$out"; exit 1;; esac
 	@for cli in chimera-sim chimera-viz; do \
 		if bin/$$cli -concat bogus; then echo "$$cli accepted -concat bogus"; exit 1; fi; \
 	done
@@ -113,11 +120,12 @@ fuzz:
 	$(call fuzz-one,./internal/schedule/,FuzzComputeMakespanClosedForm)
 # Speed-factor codec round-trip.
 	$(call fuzz-one,./internal/sim/,FuzzDecodeSpeedFactors)
-# Profile memory model vs the op-walk oracle.
+# Profile memory model (PeakMemory, FitsMemory) vs the op-walk oracle, on
+# the fuzzer's schedule, model shape and batch.
 	$(call fuzz-one,./internal/sim/,FuzzPeakMemoryEquivalence)
-# Direct Chimera's closed-form fit vs the residency fit on the built
-# schedule (random even D ≤ 64, N ≤ 8D, B, W, ZeRO, model shape), at a
-# device memory within bytes of either threshold.
+# Direct Chimera's closed-form fit vs FitsMemory on the built schedule
+# (random even D ≤ 64, N ≤ 8D, B, W, ZeRO, model shape), at a device memory
+# within bytes of either threshold.
 	$(call fuzz-one,./internal/sim/,FuzzChimeraFitEquivalence)
 # Fleet scenario resolvers (example scenarios as seeds): never panic; an
 # accepted classic trace stays within the event bound and resolves the same

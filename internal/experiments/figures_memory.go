@@ -40,11 +40,10 @@ func Figure9() (*Report, error) {
 			}
 			cfg := sim.Config{Model: c.m, Schedule: s, MicroBatch: c.b, W: c.w,
 				Device: plat.dev, Network: plat.net}
-			stages, err := c.m.Partition(c.d)
-			if err != nil {
+			if err := c.m.CheckDepth(c.d); err != nil {
 				return nil, err
 			}
-			mem := sim.PeakMemory(&cfg, stages)
+			mem := sim.PeakMemory(&cfg)
 			lo, hi := mem[0], mem[0]
 			peakWorker := 0
 			for w, m := range mem {

@@ -81,22 +81,25 @@ type Stage struct {
 	cfg       Config
 }
 
-// Partition splits the model into d stages with an equal number of layers
-// (the paper's setting: repetitive structures partition into balanced
-// stages; the embedding joins stage 0 and the head the last stage, which is
-// what creates the weight imbalance discussed in §4.1).
-func (c Config) Partition(d int) ([]Stage, error) {
+// Stage returns stage i of the model split into d stages with an equal
+// number of layers (the paper's setting: repetitive structures partition
+// into balanced stages; the embedding joins stage 0 and the head the last
+// stage, which is what creates the weight imbalance discussed in §4.1).
+// Stage i of d is a function of (c, d, i) alone, so callers derive it where
+// they read it. It checks nothing: d must pass CheckDepth and 0 ≤ i < d.
+func (c Config) Stage(i, d int) Stage {
+	return Stage{Index: i, Layers: c.Layers / d, Embedding: i == 0, Head: i == d-1, cfg: c}
+}
+
+// CheckDepth reports whether the model splits into d balanced stages.
+func (c Config) CheckDepth(d int) error {
 	if d < 1 {
-		return nil, fmt.Errorf("model: D must be ≥ 1, got %d", d)
+		return fmt.Errorf("model: D must be ≥ 1, got %d", d)
 	}
 	if c.Layers%d != 0 {
-		return nil, fmt.Errorf("model: %d layers do not split evenly into %d stages", c.Layers, d)
+		return fmt.Errorf("model: %d layers do not split evenly into %d stages", c.Layers, d)
 	}
-	out := make([]Stage, d)
-	for i := range out {
-		out[i] = Stage{Index: i, Layers: c.Layers / d, Embedding: i == 0, Head: i == d-1, cfg: c}
-	}
-	return out, nil
+	return nil
 }
 
 // Params returns the stage's parameter count.

@@ -27,17 +27,14 @@ func TestParamCountsMatchTable4(t *testing.T) {
 
 func TestPartitionEvenAndDecorated(t *testing.T) {
 	cfg := GPT2()
-	stages, err := cfg.Partition(16)
-	if err != nil {
+	if err := cfg.CheckDepth(16); err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) != 16 {
-		t.Fatalf("got %d stages", len(stages))
-	}
 	var total int64
-	for i, s := range stages {
-		if s.Layers != 4 {
-			t.Fatalf("stage %d has %d layers", i, s.Layers)
+	for i := range 16 {
+		s := cfg.Stage(i, 16)
+		if s.Index != i || s.Layers != 4 {
+			t.Fatalf("stage %d is index %d with %d layers", i, s.Index, s.Layers)
 		}
 		if s.Embedding != (i == 0) || s.Head != (i == 15) {
 			t.Fatalf("stage %d embedding/head flags wrong", i)
@@ -50,10 +47,10 @@ func TestPartitionEvenAndDecorated(t *testing.T) {
 }
 
 func TestPartitionRejectsUneven(t *testing.T) {
-	if _, err := BERT48().Partition(5); err == nil {
+	if err := BERT48().CheckDepth(5); err == nil {
 		t.Fatal("48 layers into 5 stages should fail")
 	}
-	if _, err := BERT48().Partition(0); err == nil {
+	if err := BERT48().CheckDepth(0); err == nil {
 		t.Fatal("zero stages should fail")
 	}
 }
@@ -62,22 +59,21 @@ func TestPartitionRejectsUneven(t *testing.T) {
 // weight-heaviest stage (embedding) for realistic depths.
 func TestDoubleImbalance(t *testing.T) {
 	for _, d := range []int{8, 16, 32} {
-		stages, err := GPT2().Partition(d)
-		if err != nil {
+		if err := GPT2().CheckDepth(d); err != nil {
 			t.Fatal(err)
 		}
+		first := GPT2().Stage(0, d)
 		for i := 1; i < d-1; i++ {
-			if stages[0].Params() <= stages[i].Params() {
+			if st := GPT2().Stage(i, d); first.Params() <= st.Params() {
 				t.Errorf("D=%d: stage0 (%d) not heavier than stage %d (%d)",
-					d, stages[0].Params(), i, stages[i].Params())
+					d, first.Params(), i, st.Params())
 			}
 		}
 	}
 }
 
 func TestActivationBytesScaleLinearlyInB(t *testing.T) {
-	stages, _ := BERT48().Partition(4)
-	s := stages[1]
+	s := BERT48().Stage(1, 4)
 	a1 := s.ActivationBytes(1)
 	a8 := s.ActivationBytes(8)
 	if a8 != 8*a1 {
@@ -89,20 +85,18 @@ func TestActivationBytesScaleLinearlyInB(t *testing.T) {
 }
 
 func TestHeadStageStoresLogits(t *testing.T) {
-	stages, _ := GPT2().Partition(8)
-	mid, last := stages[3], stages[7]
+	mid, last := GPT2().Stage(3, 8), GPT2().Stage(7, 8)
 	if last.ActivationBytes(1) <= mid.ActivationBytes(1) {
 		t.Fatal("head stage should store extra logits activations")
 	}
 }
 
 func TestFLOPsMonotonicAndHeadHeavy(t *testing.T) {
-	stages, _ := GPT2().Partition(8)
-	mid := stages[2]
+	mid := GPT2().Stage(2, 8)
 	if mid.FwdFLOPs(2) != 2*mid.FwdFLOPs(1) {
 		t.Fatal("FLOPs must scale linearly in B")
 	}
-	if stages[7].FwdFLOPs(1) <= mid.FwdFLOPs(1) {
+	if GPT2().Stage(7, 8).FwdFLOPs(1) <= mid.FwdFLOPs(1) {
 		t.Fatal("head stage adds vocabulary projection FLOPs")
 	}
 }
@@ -116,8 +110,7 @@ func TestBoundaryBytes(t *testing.T) {
 }
 
 func TestWeightBytesUseTrainingState(t *testing.T) {
-	stages, _ := BERT48().Partition(48)
-	s := stages[1]
+	s := BERT48().Stage(1, 48)
 	if s.WeightBytes() != s.Params()*BytesPerParamTraining {
 		t.Fatal("weight bytes must include gradient and momentum state")
 	}
@@ -127,8 +120,7 @@ func TestWeightBytesUseTrainingState(t *testing.T) {
 // GPT-2 stage at D=32 but not hundreds — the regime the paper's Figure 9
 // operates in.
 func TestMemoryScaleSanity(t *testing.T) {
-	stages, _ := GPT2().Partition(32)
-	s := stages[16]
+	s := GPT2().Stage(16, 32)
 	const device = 16 << 30
 	perMB := s.ActivationBytes(1)
 	if perMB*4 > device {
@@ -149,9 +141,7 @@ func TestBERT48Seq512Variant(t *testing.T) {
 	if b.BoundaryBytes(1) <= a.BoundaryBytes(1) {
 		t.Fatal("boundary bytes must grow with sequence length")
 	}
-	sa, _ := a.Partition(4)
-	sb, _ := b.Partition(4)
-	if sb[1].ActivationBytes(1) <= sa[1].ActivationBytes(1) {
+	if b.Stage(1, 4).ActivationBytes(1) <= a.Stage(1, 4).ActivationBytes(1) {
 		t.Fatal("activation bytes must grow with sequence length")
 	}
 }
@@ -167,8 +157,7 @@ func TestGPT2Small32Scale(t *testing.T) {
 }
 
 func TestEmbeddingStageActivationExtra(t *testing.T) {
-	stages, _ := GPT2().Partition(8)
-	if stages[0].ActivationBytes(1) <= stages[1].ActivationBytes(1) {
+	if GPT2().Stage(0, 8).ActivationBytes(1) <= GPT2().Stage(1, 8).ActivationBytes(1) {
 		t.Fatal("embedding stage stores the embedded input activations")
 	}
 }

@@ -82,11 +82,7 @@ func PredictWithCritical(cfg sim.Config, cf, cb int) (*Prediction, error) {
 // the caller.
 func predictBuilt(cfg sim.Config, cf, cb int) (*Prediction, error) {
 	s := cfg.Schedule
-	stages, err := cfg.Model.Partition(s.D)
-	if err != nil {
-		return nil, err
-	}
-	return predict(cfg, &replayed{n: s.N, replicas: len(s.Replicas), built: s}, stages, cf, cb)
+	return predict(cfg, &replayed{n: s.N, replicas: len(s.Replicas), built: s}, s.D, cf, cb)
 }
 
 // replayed is what Eq. 1 reads of a schedule: its micro-batch and replica
@@ -177,10 +173,10 @@ func (s *replayed) computeMakespan(opCost func(int, schedule.Op) int64, d int, e
 	return ro.Makespan(), nil
 }
 
-// predict is Eq. 1 over the caller's stage table — cfg.Model partitioned at
-// the schedule's depth — and the caller's replay of the schedule; it reads
-// nothing of cfg.Schedule.
-func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Prediction, error) {
+// predict is Eq. 1 over cfg.Model split into d stages, a depth it splits
+// into, and the caller's replay of the schedule; it reads nothing of
+// cfg.Schedule.
+func predict(cfg sim.Config, s *replayed, d, cf, cb int) (*Prediction, error) {
 	// Micro-benchmarked Ft per stage (the embedding and head stages are
 	// heavier than the repeated middle stages; at extreme depths — one
 	// layer per stage — the head becomes the pipeline's rate limiter, so a
@@ -197,7 +193,7 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 		btMult = 3.0
 	}
 	const quantum = 1e-9
-	ftOf := func(stage int) float64 { return float64(stages[stage].FwdFLOPs(1)) * b / rate }
+	ftOf := func(stage int) float64 { return float64(cfg.Model.Stage(stage, d).FwdFLOPs(1)) * b / rate }
 	// factor(w) is the heterogeneous-cluster seam: per-worker compute-time
 	// multipliers (1 when the cluster is homogeneous; ×1.0 is exact, so the
 	// homogeneous prediction is bit-identical to the factor-free one).
@@ -208,13 +204,13 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 		return cfg.SpeedFactors[w]
 	}
 	var meanFLOPs float64
-	equalBody, body := true, stages[0].FwdFLOPs(1) // stages 0 … D−2 carry equal FLOPs
-	for i, st := range stages {
-		fl := st.FwdFLOPs(1)
+	equalBody, body := true, cfg.Model.Stage(0, d).FwdFLOPs(1) // stages 0 … D−2 carry equal FLOPs
+	for i := range d {
+		fl := cfg.Model.Stage(i, d).FwdFLOPs(1)
 		meanFLOPs += float64(fl)
-		equalBody = equalBody && (i == len(stages)-1 || fl == body)
+		equalBody = equalBody && (i == d-1 || fl == body)
 	}
-	meanFLOPs /= float64(len(stages))
+	meanFLOPs /= float64(d)
 	makespan, err := s.computeMakespan(func(w int, op schedule.Op) int64 {
 		c := ftOf(op.Stage) * float64(len(op.Micros))
 		if op.Kind == schedule.Backward {
@@ -224,7 +220,7 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 			}
 		}
 		return int64(factor(w) * c / quantum)
-	}, len(stages), equalBody, cfg.SpeedFactors)
+	}, d, equalBody, cfg.SpeedFactors)
 	if err != nil {
 		return nil, err
 	}
@@ -243,12 +239,11 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	}
 	scale := ft / 1000 // seconds per replay unit
 	r := s.replicas * cfg.W
-	// A stage's allreduce prices its parameters alone, and Partition gives
-	// every stage the same layers: the embedding stage 0, the middle stages
-	// and the head stage D−1 take three costs, each computed once.
-	d := len(stages)
+	// A stage's allreduce prices its parameters alone, and every stage has
+	// the same layers: the embedding stage 0, the middle stages and the head
+	// stage D−1 take three costs, each computed once.
 	allreduce := func(stage int) float64 {
-		return cfg.Network.AllReduceCost(cfg.Allreduce, r, stages[stage].Params()*4)
+		return cfg.Network.AllReduceCost(cfg.Allreduce, r, cfg.Model.Stage(stage, d).Params()*4)
 	}
 	costs := [3]float64{allreduce(0), 0, allreduce(d - 1)}
 	if d > 2 {
@@ -256,7 +251,7 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	}
 	var unoverlapped float64
 	var regions [2]schedule.FreeRegion // a Chimera worker's two placements
-	for w := range stages {
+	for w := range d {
 		// Placements arrive ordered by (stage, replica): the float sum below
 		// does not commute, so a fixed order is what makes the prediction a
 		// function of its inputs.
@@ -285,7 +280,7 @@ func predict(cfg sim.Config, s *replayed, stages []model.Stage, cf, cb int) (*Pr
 	}
 	t := compute + unoverlapped
 	return &Prediction{
-		W: cfg.W, D: len(stages), B: cfg.MicroBatch, N: s.n, Recompute: cfg.Recompute,
+		W: cfg.W, D: d, B: cfg.MicroBatch, N: s.n, Recompute: cfg.Recompute,
 		Cf: cf, Cb: cb, IterTime: t,
 		Throughput: float64(cfg.MicroBatch*s.n*cfg.W) / t,
 	}, nil
@@ -517,9 +512,11 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // recomputation. The fixed placement's memory does not depend on speed
 // factors, and sim.ChimeraFit prices it once per candidate and answers
 // each B in closed form, so its search builds no schedule and reads no
-// residency profile; a list policy's fit prices the profile its own
-// memoized schedule walks. For the (D, N = B̂/(W·B)) the search settles on,
-// the fixed placement's (Cf, Cb) are closed-form (engine.CriticalPath), and
+// residency profile; a list policy's fit is sim.FitsMemory on its own
+// memoized schedule, whose profile the schedule caches. No stage table is
+// built: every stage is model.Config.Stage(i, D), derived where it is
+// read. For the (D, N = B̂/(W·B)) the search settles on, the fixed
+// placement's (Cf, Cb) are closed-form (engine.CriticalPath), and
 // without speed factors so are Eq. 1's compute term
 // (schedule.ChimeraConfig.ComputeMakespan) and free regions
 // (schedule.ChimeraConfig.FreeRegions): a homogeneous candidate, cold or
@@ -528,9 +525,8 @@ func plannerSchedulers(name string, factors []float64) ([]string, error) {
 // (engine.Graph): the first replay builds and compiles the schedule, the
 // second reuses it.
 // BenchmarkPlanCold and BenchmarkPlanWarm give the cost of three plans:
-// 134 allocs and ≈ 51–58 µs cold, 110 allocs and ≈ 43–54 µs warm (busy
-// 2-core Xeon host, -cpu 1). (model, D) is fixed for the whole candidate,
-// so the stage table is derived once and priced by every fit and by Eq. 1.
+// 119 allocs and ≈ 46–56 µs cold, 95 allocs and ≈ 40–51 µs warm (busy
+// 2-core Xeon host, -cpu 1).
 func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors []float64) (*Prediction, error) {
 	perPipe := req.MiniBatch / w
 	// The canonical factor encoding is loop-invariant: encode it once.
@@ -554,19 +550,13 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		Model: req.Model, W: w, SpeedFactors: factors,
 		Device: req.Device, Network: req.Network,
 	}
-	var stages []model.Stage
 	var fixed sim.ChimeraFit
 	if sched == "" {
 		// Every B has a fit at a depth Chimera builds: price it once.
-		var err error
-		if stages, err = req.Model.Partition(d); err != nil {
-			return nil, err
-		}
-		if err := fixed.Price(cfg, stages); err != nil {
+		if err := fixed.Price(cfg, d); err != nil {
 			return nil, err
 		}
 	}
-	var policy sim.MemoryFit
 	plainB, recB := 0, 0 // first B fitting plainly / with recomputation
 	for b := req.MaxB; b >= 1 && plainB == 0; b /= 2 {
 		if perPipe%b != 0 {
@@ -576,20 +566,16 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 		if sched == "" {
 			plain, withRec = fixed.Fits(b, perPipe/b)
 		} else {
-			// Partitioned at the first B whose schedule resolves: a
-			// candidate that never gets that far reports nothing, not a
-			// partition error.
+			// A B whose schedule does not resolve has no fit; the fit
+			// prices the profile cached on the memoized schedule. Eq. 1's
+			// cfg is left as it is.
 			s, err := e.Schedule(keyOf(b))
 			if err != nil {
 				continue
 			}
-			if stages == nil {
-				if stages, err = req.Model.Partition(d); err != nil {
-					return nil, err
-				}
-			}
-			cfg.MicroBatch = b
-			if plain, withRec, err = policy.Fits(cfg, stages, s.Residency()); err != nil {
+			fit := cfg
+			fit.Schedule, fit.MicroBatch = s, b
+			if plain, withRec, err = sim.FitsMemory(fit); err != nil {
 				return nil, err
 			}
 		}
@@ -617,7 +603,7 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 	pred, err := predict(cfg, &replayed{
 		n: key.N, replicas: 2, // F = 1: one down and one up replica
 		e: e, key: key,
-	}, stages, cf, cb)
+	}, d, cf, cb)
 	if err != nil {
 		return nil, err
 	}

@@ -218,19 +218,18 @@ func TestWarmPlanMatchesCold(t *testing.T) {
 	}
 }
 
-// TestPlanOneUnresolvableProfiles: planOne derives its stage table once per
-// candidate, and must still not ask for it before a memory fit resolves.
-// At an odd D no Chimera schedule exists, so no B has a fit and the
-// candidate reports nothing — as the reference does — even though 48
-// layers do not split into 5 stages either: partitioning earlier would
-// turn a silently skipped candidate into an error.
+// TestPlanOneUnresolvableProfiles: planOne must not check the model's depth
+// before a memory fit resolves. At an odd D no Chimera schedule exists, so
+// no B has a fit and the candidate reports nothing — as the reference does
+// — even though 48 layers do not split into 5 stages either: checking the
+// depth earlier would turn a silently skipped candidate into an error.
 func TestPlanOneUnresolvableProfiles(t *testing.T) {
 	req := PlanRequest{
 		Model: model.BERT48(), P: 15, MiniBatch: 192, MaxB: 64,
 		Device: sim.PizDaintNode(), Network: sim.AriesNetwork(),
 	}
 	const w, d = 3, 5
-	if _, err := req.Model.Partition(d); err == nil {
+	if err := req.Model.CheckDepth(d); err == nil {
 		t.Fatal("test premise: the model must not partition at this depth")
 	}
 	e := engine.New(engine.Workers(1))

@@ -22,9 +22,12 @@ import (
 // to call; the copy sums in (stage, replica) order.
 func closurePerNodePredict(cfg sim.Config, cf, cb int) (*Prediction, error) {
 	s := cfg.Schedule
-	stages, err := cfg.Model.Partition(s.D)
-	if err != nil {
+	if err := cfg.Model.CheckDepth(s.D); err != nil {
 		return nil, err
+	}
+	stages := make([]model.Stage, s.D) // the oracle's own table
+	for i := range stages {
+		stages[i] = cfg.Model.Stage(i, s.D)
 	}
 	b := float64(cfg.MicroBatch)
 	rate := cfg.Device.PeakFLOPS * cfg.Device.Efficiency(b)

@@ -124,6 +124,7 @@ func TestPredictValidatesLikeSimRun(t *testing.T) {
 		"negative micro-batch": func(c *sim.Config) { c.MicroBatch = -2 },
 		"zero W":               func(c *sim.Config) { c.W = 0 },
 		"nil schedule":         func(c *sim.Config) { c.Schedule = nil },
+		"uneven depth":         func(c *sim.Config) { c.Model.Layers = 46 },
 		"zero device":          func(c *sim.Config) { c.Device = sim.Device{} },
 		"zero network":         func(c *sim.Config) { c.Network = sim.Network{} },
 	} {

@@ -122,8 +122,8 @@ func upTo(d, n, max int) bool { return n <= max || slices.Contains(periodicNs(d)
 // the first five errors a sequential sweep would. Each form reports as a
 // subtest under the name of the test it replaces:
 //
-//   - TestResidencyPeriodic: ChimeraConfig.Residency is the walk of the
-//     schedule, struct for struct, and at N ≥ D each worker's peak is
+//   - TestResidencyPeriodic: the profile built from ChimeraConfig.ResidencyRow
+//     is the walk of the schedule, struct for struct, and at N ≥ D each worker's peak is
 //     Table 2's D/2 + min(D/2, w+1, D−w) micro-batches; every even D ≤ 128
 //     (32 under -short or -race), every N ≤ 2D + 1 and every long N of
 //     periodicNs.
@@ -182,7 +182,7 @@ func TestChimeraClosedForms(t *testing.T) {
 
 // checkResidencyForm: the closed-form residency profile is the walk.
 func checkResidencyForm(p *sweepPoint) error {
-	got, err := p.cfg.Residency()
+	got, err := closedFormResidency(p.cfg)
 	if err != nil || got == nil {
 		return fmt.Errorf("no closed-form residency (%v)", err)
 	}

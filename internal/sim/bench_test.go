@@ -31,13 +31,9 @@ func BenchmarkPeakMemoryBERTD16(b *testing.B) {
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	stages, err := cfg.Model.Partition(16)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PeakMemory(&cfg, stages)
+		PeakMemory(&cfg)
 	}
 }
 
@@ -70,17 +66,12 @@ func BenchmarkFitsMemory(b *testing.B) {
 func BenchmarkChimeraFit(b *testing.B) {
 	for _, d := range []int{8, 32} {
 		b.Run(fmt.Sprintf("D%d", d), func(b *testing.B) {
-			m := model.GPT2()
-			stages, err := m.Partition(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{Model: m, W: 2}
+			cfg := Config{Model: model.GPT2(), W: 2}
 			var fit ChimeraFit
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := fit.Price(cfg, stages); err != nil {
+				if err := fit.Price(cfg, d); err != nil {
 					b.Fatal(err)
 				}
 				for mb := 64; mb >= 1; mb /= 2 {

@@ -201,11 +201,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	s := cfg.Schedule
-	stages, err := cfg.Model.Partition(s.D)
-	if err != nil {
-		return nil, err
-	}
-	rc := cfg.replayConfig(stages)
+	rc := cfg.replayConfig()
 	ro, err := cfg.replay(s, rc)
 	if err != nil {
 		return nil, err
@@ -214,7 +210,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		BubbleRatio:  ro.BubbleRatio(),
 		ComputeSpan:  float64(ro.Makespan()) * timeQuantum,
-		PeakMemBytes: PeakMemory(&cfg, stages),
+		PeakMemBytes: PeakMemory(&cfg),
 		MiniBatch:    cfg.MicroBatch * s.N * cfg.W,
 	}
 	for _, m := range res.PeakMemBytes {
@@ -225,9 +221,9 @@ func Run(cfg Config) (*Result, error) {
 
 	var iterEnd float64
 	if s.Synchronous {
-		iterEnd = syncFinish(&cfg, stages, ro)
+		iterEnd = syncFinish(&cfg, ro)
 	} else {
-		iterEnd = asyncFinish(&cfg, stages, rc, ro.Makespan())
+		iterEnd = asyncFinish(&cfg, rc, ro.Makespan())
 	}
 	res.IterTime = iterEnd
 	span := res.ComputeSpan
@@ -255,7 +251,8 @@ func (cfg *Config) Validate() error {
 }
 
 // validateFor checks (and defaults) everything about cfg that does not need
-// the schedule itself, only its depth d.
+// the schedule itself, only its depth d — last, that the model splits into
+// d stages.
 func validateFor(cfg *Config, d int) error {
 	if cfg.MicroBatch < 1 {
 		return fmt.Errorf("sim: micro-batch must be ≥1, got %d", cfg.MicroBatch)
@@ -276,7 +273,7 @@ func validateFor(cfg *Config, d int) error {
 		}
 	}
 	cfg.Device, cfg.Network = DefaultPlatform(cfg.Device, cfg.Network)
-	return nil
+	return cfg.Model.CheckDepth(d)
 }
 
 func toQ(sec float64) int64 { return int64(math.Round(sec / timeQuantum)) }
@@ -284,20 +281,22 @@ func toQ(sec float64) int64 { return int64(math.Round(sec / timeQuantum)) }
 // replayConfig prices the schedule's ops and cross-worker edges in replay
 // units. Both cores take the same pure per-shape hooks: graph replay calls
 // them once per op shape, the reference interpreter once per op.
-func (c *Config) replayConfig(stages []model.Stage) schedule.ReplayConfig {
+func (c *Config) replayConfig() schedule.ReplayConfig {
+	d := c.Schedule.D
 	return schedule.ReplayConfig{
-		OpCost:   func(w int, op schedule.Op) int64 { return toQ(opSeconds(c, stages, w, op)) },
+		OpCost:   func(w int, op schedule.Op) int64 { return toQ(opSeconds(c, d, w, op)) },
 		EdgeCost: func(op schedule.Op) int64 { return toQ(edgeSeconds(c, op)) },
 	}
 }
 
-// opSeconds is the compute time of one schedule op on worker w: FLOPs over
-// the device's effective rate at the op's effective batch size, scaled by
-// the worker's speed factor (the heterogeneity seam). Doubled forwards run
-// two micro-batches jointly (better efficiency); halved backwards run half a
-// micro-batch (worse efficiency) — exactly the trade-offs of §3.5.
-func opSeconds(cfg *Config, stages []model.Stage, w int, op schedule.Op) float64 {
-	st := stages[op.Stage]
+// opSeconds is the compute time of one schedule op on worker w of a depth-d
+// pipeline: FLOPs over the device's effective rate at the op's effective
+// batch size, scaled by the worker's speed factor (the heterogeneity seam).
+// Doubled forwards run two micro-batches jointly (better efficiency);
+// halved backwards run half a micro-batch (worse efficiency) — exactly the
+// trade-offs of §3.5.
+func opSeconds(cfg *Config, d, w int, op schedule.Op) float64 {
+	st := cfg.Model.Stage(op.Stage, d)
 	b := float64(cfg.MicroBatch)
 	if op.Kind == schedule.Forward {
 		b *= float64(len(op.Micros))
@@ -331,7 +330,7 @@ func edgeSeconds(cfg *Config, op schedule.Op) float64 {
 // synchronized across all workers holding a replica of s and across the W
 // data-parallel copies: r = replicas·W members (§3.3: local gradient size
 // unchanged, member count grows with W).
-func syncFinish(cfg *Config, stages []model.Stage, ro readout) float64 {
+func syncFinish(cfg *Config, ro readout) float64 {
 	s := cfg.Schedule
 	r := len(s.Replicas) * cfg.W
 	var worst float64
@@ -352,7 +351,7 @@ func syncFinish(cfg *Config, stages []model.Stage, ro readout) float64 {
 			cf = 1
 		}
 		for _, gr := range ro.GradReady(w) {
-			bytes := int64(float64(stages[gr.Stage].Params()*4) * cf)
+			bytes := int64(float64(cfg.Model.Stage(gr.Stage, s.D).Params()*4) * cf)
 			ops = append(ops, arOp{
 				ready:   float64(gr.At) * timeQuantum,
 				cost:    cfg.Network.AllReduceCost(cfg.Allreduce, r, bytes),
@@ -433,7 +432,7 @@ func syncFinish(cfg *Config, stages []model.Stage, ro readout) float64 {
 // synchronization adds per the scheme: PipeDream after every micro-batch
 // backward across the W pipelines; PipeDream-2BW one accumulated allreduce,
 // half-overlapped.
-func asyncFinish(cfg *Config, stages []model.Stage, rc schedule.ReplayConfig, makespan int64) float64 {
+func asyncFinish(cfg *Config, rc schedule.ReplayConfig, makespan int64) float64 {
 	s := cfg.Schedule
 	steady := float64(makespan) * timeQuantum
 	if doubled, err := schedule.ByName(s.Scheme, s.D, 2*s.N); err == nil {
@@ -445,7 +444,7 @@ func asyncFinish(cfg *Config, stages []model.Stage, rc schedule.ReplayConfig, ma
 	var worstSync float64
 	for w := 0; w < s.D; w++ {
 		var sync float64
-		bytes := stages[w].Params() * 4 // single-pipeline placement: stage w on worker w
+		bytes := cfg.Model.Stage(w, s.D).Params() * 4 // single-pipeline placement: stage w on worker w
 		switch s.Scheme {
 		case "pipedream":
 			// Per-micro-batch gradient synchronization across W replicas.

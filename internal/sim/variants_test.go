@@ -12,19 +12,15 @@ import (
 // (batching efficiency), and a halved backward is more than half a full
 // backward (efficiency loss at smaller B).
 func TestSimForwardDoublingCosts(t *testing.T) {
-	stages, err := model.BERT48().Partition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{Model: model.BERT48(), MicroBatch: 2, W: 1,
 		Device: PizDaintNode(), Network: AriesNetwork()}
-	single := opSeconds(&cfg, stages, 0, schedule.Op{Kind: schedule.Forward, Stage: 1, Micros: []int{0}})
-	doubled := opSeconds(&cfg, stages, 0, schedule.Op{Kind: schedule.Forward, Stage: 1, Micros: []int{0, 1}})
+	single := opSeconds(&cfg, 4, 0, schedule.Op{Kind: schedule.Forward, Stage: 1, Micros: []int{0}})
+	doubled := opSeconds(&cfg, 4, 0, schedule.Op{Kind: schedule.Forward, Stage: 1, Micros: []int{0, 1}})
 	if !(doubled > single && doubled < 2*single) {
 		t.Fatalf("doubled forward %v vs single %v: want in (1x, 2x)", doubled, single)
 	}
-	full := opSeconds(&cfg, stages, 0, schedule.Op{Kind: schedule.Backward, Stage: 1, Micros: []int{0}})
-	half := opSeconds(&cfg, stages, 0, schedule.Op{Kind: schedule.Backward, Stage: 1, Micros: []int{0}, Half: 1})
+	full := opSeconds(&cfg, 4, 0, schedule.Op{Kind: schedule.Backward, Stage: 1, Micros: []int{0}})
+	half := opSeconds(&cfg, 4, 0, schedule.Op{Kind: schedule.Backward, Stage: 1, Micros: []int{0}, Half: 1})
 	if !(half < full && half > full/2) {
 		t.Fatalf("half backward %v vs full %v: want in (0.5x, 1x)", half, full)
 	}
