@@ -22,10 +22,10 @@ race:
 # (plan curves shared by a live sim and its forks) twenty times, and the
 # planner core five times, under the race detector; one failing run fails
 # the target. The engine runs at -cpu 1,2,4: on one P a pool saturates and
-# nested calls run in place, on two the caller and one helper contend for
-# every index of a call, on four there are spare tokens for nested calls —
-# different code, and the runner's core count should not pick which is
-# swept. The fleet run is -short: its single-threaded oracle suites shrink
+# top-level callers queue for its token, on two the caller and one helper
+# contend for every index of a call, on four a caller lends several
+# helpers at once — different code, and the runner's core count should not
+# pick which is swept. The fleet run is -short: its single-threaded oracle suites shrink
 # (the classic-trace differential, TestClassicTraceIsArrivalsOnlyReplay,
 # runs a quarter of its seeds), the concurrency tests do not. The schedule and perfmodel packages are in
 # because graph compile and replay draw from two process-wide pools
@@ -50,12 +50,12 @@ bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # bench-smoke runs every in-module benchmark of the planner core (with
-# the memory model in internal/sim) and of the metrics core (internal/obs)
-# once. `go test` only compiles benchmarks; one iteration each runs the
+# the memory model in internal/sim), of the fleet allocator and of the
+# metrics core (internal/obs) once. `go test` only compiles benchmarks; one iteration each runs the
 # checks they carry (a kernel benchmark times the row width it names, a
 # histogram snapshot checks its count). It measures nothing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/obs
 
 # cli-smoke runs the four CLIs no test drives: a verified chimera-train
 # run, a PipeDream run, a chimera-sim -json run (AutoRun: the memory fit,

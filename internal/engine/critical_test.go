@@ -51,7 +51,7 @@ func TestCriticalPathProbesOutOfScope(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", key, err)
 		}
-		full, err := buildSchedule(key.canonical())
+		full, err := buildSchedule(New().canonical(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestCriticalPathProbesOutOfScope(t *testing.T) {
 		}
 	}
 	for _, key := range []ScheduleKey{ChimeraKey(5, 8, 1, schedule.Direct), ChimeraKey(8, 12, 1, schedule.ForwardDoubling)} {
-		_, berr := buildSchedule(key.canonical())
+		_, berr := buildSchedule(New().canonical(key))
 		if _, _, err := New(Workers(1)).CriticalPath(key); err == nil || berr == nil || err.Error() != berr.Error() {
 			t.Errorf("%+v: critical path error %v, construction %v", key, err, berr)
 		}

@@ -66,7 +66,7 @@ func ChimeraKey(d, n, f int, concat schedule.ConcatMode) ScheduleKey {
 // N ≤ D builds the direct schedule (the generator's `n <= d || Direct`
 // branch); non-chimera schemes ignore F and Concat entirely. Every memo
 // boundary (Schedule, CriticalPath, Evaluate) canonicalizes first.
-func (k ScheduleKey) canonical() ScheduleKey {
+func (e *Engine) canonical(k ScheduleKey) ScheduleKey {
 	// The placement-policy axis: "fixed" is the identity policy, and every
 	// list policy defers to the fixed placement when its speed factors carry
 	// no heterogeneity signal, so all of those keys collapse onto the fixed
@@ -77,7 +77,7 @@ func (k ScheduleKey) canonical() ScheduleKey {
 	}
 	if k.Scheduler == "" {
 		k.Speed = ""
-	} else if factors, err := decodeSpeed(k.Speed); err == nil && schedule.UniformSpeed(factors) {
+	} else if factors, err := e.decodeSpeed(k.Speed); err == nil && schedule.UniformSpeed(factors) {
 		k.Scheduler, k.Speed = "", ""
 	}
 	if k.Scheme != "chimera" {
@@ -156,29 +156,29 @@ type Spec struct {
 	Network      sim.Network
 }
 
-// decodedSpeed interns sim.DecodeSpeedFactors results keyed by the
-// canonical encoded string, so key canonicalization and sim.Config
-// materialization do zero decoding and zero allocation after a factor
-// string's first use. Interned slices are shared across evaluations and
-// must be treated as read-only (the simulator only reads them).
-var decodedSpeed sync.Map // string → *decodedFactors
-
+// decodedFactors is a speed memo entry: sim.DecodeSpeedFactors' result.
 type decodedFactors struct {
 	factors []float64
 	err     error
 }
 
-func decodeSpeed(enc string) ([]float64, error) {
+// decodeSpeed is sim.DecodeSpeedFactors through the engine's speed memo, so
+// canonicalizing a key decodes nothing and allocates nothing after a factor
+// string's first use. The strings come from clients (/v1/simulate and a
+// heterogeneous /v1/plan), so the memo has the engine's entry bound: a
+// daemon's engine keeps no more decoded strings than outcomes. Decoded
+// slices are shared and read-only.
+func (e *Engine) decodeSpeed(enc string) ([]float64, error) {
 	if enc == "" {
 		return nil, nil
 	}
-	if v, ok := decodedSpeed.Load(enc); ok {
-		d := v.(*decodedFactors)
-		return d.factors, d.err
+	d, ok := e.speeds.Cached(enc)
+	if !ok {
+		d = e.speeds.Do(enc, func() decodedFactors {
+			factors, err := sim.DecodeSpeedFactors(enc)
+			return decodedFactors{factors, err}
+		})
 	}
-	factors, err := sim.DecodeSpeedFactors(enc)
-	v, _ := decodedSpeed.LoadOrStore(enc, &decodedFactors{factors, err})
-	d := v.(*decodedFactors)
 	return d.factors, d.err
 }
 
@@ -186,7 +186,7 @@ func decodeSpeed(enc string) ([]float64, error) {
 // The speed-factor string must be valid (callers validate at construction);
 // Evaluate surfaces a decode error as the outcome's Err.
 func (sp Spec) Config(s *schedule.Schedule) (sim.Config, error) {
-	factors, err := decodeSpeed(sp.SpeedFactors)
+	factors, err := sim.DecodeSpeedFactors(sp.SpeedFactors)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -254,6 +254,7 @@ type Engine struct {
 	schedules *Memo[ScheduleKey, schedOutcome]
 	criticals *Memo[ScheduleKey, critOutcome]
 	outcomes  *Memo[Spec, Outcome]
+	speeds    *Memo[string, decodedFactors]
 
 	// obsReg is the registry attached by Observe (nil = uninstrumented);
 	// met holds the handles initObserve resolves from it.
@@ -327,6 +328,7 @@ func New(opts ...Option) *Engine {
 	e.schedules = NewMemoCap[ScheduleKey, schedOutcome](e.capacity)
 	e.criticals = NewMemoCap[ScheduleKey, critOutcome](e.capacity)
 	e.outcomes = NewMemoCap[Spec, Outcome](e.capacity)
+	e.speeds = NewMemoCap[string, decodedFactors](e.capacity)
 	e.slots = make(chan int, e.workers)
 	for s := 0; s < e.workers; s++ {
 		e.slots <- s
@@ -359,7 +361,7 @@ func (e *Engine) WorkerCount() int { return e.workers }
 // Schedule returns the memoized schedule for key, constructing it on first
 // use. The returned schedule is shared: callers must not mutate it.
 func (e *Engine) Schedule(key ScheduleKey) (*schedule.Schedule, error) {
-	key = key.canonical()
+	key = e.canonical(key)
 	if out, ok := e.schedules.Cached(key); ok {
 		return out.s, out.err
 	}
@@ -381,7 +383,7 @@ func (e *Engine) Schedule(key ScheduleKey) (*schedule.Schedule, error) {
 // buildSchedule constructs the schedule key names through schedule.Build,
 // the one constructor of every scheme and placement policy.
 func buildSchedule(key ScheduleKey) (*schedule.Schedule, error) {
-	factors, err := decodeSpeed(key.Speed)
+	factors, err := sim.DecodeSpeedFactors(key.Speed)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +411,7 @@ func (e *Engine) Graph(key ScheduleKey) (*schedule.Graph, error) {
 // compiles and replays nothing. Every other key runs schedule.CriticalPath's
 // two probes on its own memoized schedule.
 func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
-	key = key.canonical()
+	key = e.canonical(key)
 	if out, ok := e.criticals.Cached(key); ok {
 		return out.cf, out.cb, out.err
 	}
@@ -443,7 +445,7 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 // and a hit records the time spent recalling (including any wait on another
 // goroutine's in-flight computation) in engine_memo_wait_seconds.
 func (e *Engine) Evaluate(spec Spec) Outcome {
-	spec.Sched = spec.Sched.canonical()
+	spec.Sched = e.canonical(spec.Sched)
 	m := e.met
 	if m == nil {
 		// Completed-hit fast path: no closure, no allocation — repeat
@@ -527,4 +529,5 @@ func (e *Engine) Reset() {
 	e.schedules.Reset()
 	e.criticals.Reset()
 	e.outcomes.Reset()
+	e.speeds.Reset()
 }

@@ -15,7 +15,7 @@ import (
 
 // asCaller runs f beneath a frame that onCaller can find, so a pool body can
 // tell whether it is running on the goroutine that called ForEach or on a
-// helper's — the same trick the pool plays with runBody.
+// helper's.
 //
 //go:noinline
 func asCaller(f func()) { f() }

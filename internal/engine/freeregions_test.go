@@ -23,7 +23,7 @@ func FuzzFreeRegions(f *testing.F) {
 		key := ScheduleKey{Scheme: "chimera", D: d, N: 1 + int(n16)%(8*d), F: 1 + int(f8%2), Concat: schedule.ConcatMode(mode % 3)}
 		cm := schedule.CostModel{FUnit: 1000, BUnit: 2000 + 1000*int64(b8%2)}
 		g, err := New(Workers(1)).Graph(key)
-		s, berr := buildSchedule(key.canonical())
+		s, berr := buildSchedule(New().canonical(key))
 		if (err == nil) != (berr == nil) || (err != nil && err.Error() != berr.Error()) {
 			t.Fatalf("%+v: graph error %v, Chimera %v", key, err, berr)
 		}
@@ -37,7 +37,7 @@ func FuzzFreeRegions(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer built.Release()
-		cfg, _ := key.canonical().chimera()
+		cfg, _ := New().canonical(key).chimera()
 		closed, ok, err := cfg.FreeRegions(cm)
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func sameSchedule(a, b *schedule.Schedule) bool {
 // builds for key replays to.
 func sameAsBuilt(t *testing.T, key ScheduleKey, rc schedule.ReplayConfig, r *schedule.Readout) {
 	t.Helper()
-	built, err := buildSchedule(key.canonical())
+	built, err := buildSchedule(New().canonical(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOneGraphPerKey(t *testing.T) {
 		if sg, err := s.Graph(); sg != g || err != nil {
 			t.Fatalf("%+v: the schedule's graph is not the one Graph returned (%v)", key, err)
 		}
-		want, err := buildSchedule(key.canonical())
+		want, err := buildSchedule(New().canonical(key))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,24 +30,11 @@ import (
 // so concurrent ForEach/Sweep/Plan callers collectively run at most n
 // bodies at a time.
 //
-// Admission asks nothing about who is calling. ForEach takes a token with a
-// non-blocking receive and runs; the pool keeps no record of which goroutine
-// holds which slot. Only when every token is out does it ask the one
-// question that matters — "is this call already inside a pool body?" — and
-// answers it from the caller's own stack: every body, on every path, is
-// entered through runBody, so a goroutine with runBody's call site among its
-// return addresses is executing a body and already occupies a token (its
-// own, or the one under which an enclosing in-place call runs). Such a
-// nested call runs its children in place, serially, on that token; it never
-// waits, so nested evaluation cannot deadlock under saturation. Any other
-// caller on a saturated pool blocks until a token returns. A nested call
-// that does find a spare token simply takes it and is a caller like any
-// other: it may be lent helpers, and it joins them before it returns.
-//
-// The stack carries function addresses, not engines: a body of engine A that
-// calls into a saturated engine B is also "inside a body" and runs in place
-// on B, one body over B's bound. No path in this repository nests across
-// engines.
+// Admission is a blocking receive of one token; the pool asks nothing about
+// who is calling. A body therefore must not call ForEach on the engine that
+// runs it: the bodies of a saturated pool hold every token, and a nested call
+// would wait for one forever. No body in this repository fans out again —
+// Sweep's evaluate one spec and the planner's search one candidate.
 type call struct {
 	fn      func(int)
 	n       int64
@@ -62,76 +48,20 @@ type call struct {
 // ForEach runs fn(i) for every i in [0, n) on the engine's worker pool and
 // returns when all calls have completed. fn must write results into
 // per-index slots (not append to shared state) so that the output is
-// deterministic regardless of execution order. fn may call ForEach (or
-// Sweep/Plan helpers that do) on the same engine: the nested call takes a
-// spare worker slot if there is one and otherwise runs in place on the slot
-// its enclosing body occupies. If fn panics — on the calling goroutine or on
-// a helper's — no further index is claimed, ForEach panics with the first
-// such value once every body already running has returned, and every slot is
-// released on the way, so a recovered panic costs the engine nothing.
+// deterministic regardless of execution order. fn must not call ForEach on
+// the same engine, directly or through Sweep or a planner entry point: the
+// caller waits for a free slot token, and on a saturated pool the bodies
+// hold them all. A single body, or a one-slot pool, runs inline on the
+// caller. If fn panics — on the calling goroutine or on a helper's — no
+// further index is claimed, ForEach panics with the first such value once
+// every body already running has returned, and every slot is released on
+// the way, so a recovered panic costs the engine nothing.
 func (e *Engine) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	var slot int
-	select {
-	case slot = <-e.slots:
-	default:
-		if insideBody() {
-			// Nested call on a saturated pool. The enclosing body's interval
-			// already covers these, so they are not timed again.
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-			return
-		}
-		slot = <-e.slots // blocks: enforces the engine-wide Workers bound
-	}
+	slot := <-e.slots // blocks: enforces the engine-wide Workers bound
 	defer func() { e.slots <- slot }()
-	e.forEachOn(slot, n, fn)
-}
-
-// runBody is the one call site through which every pool body is entered. It
-// is kept out of line so that site's return address is on the stack of any
-// goroutine executing a body; insideBody looks for it.
-//
-//go:noinline
-func runBody(fn func(int), i int) { fn(i) }
-
-// bodyPC is the return address of runBody's call to fn, read once off a
-// probe body's own stack.
-var bodyPC = func() (pc uintptr) {
-	runBody(func(int) {
-		var pcs [2]uintptr // this closure, then its caller: runBody
-		runtime.Callers(1, pcs[:])
-		pc = pcs[1]
-	}, 0)
-	return pc
-}()
-
-// insideBody reports whether the calling goroutine is executing a pool
-// body, by scanning its return addresses for bodyPC. It runs only when the
-// pool is saturated; the buffer lives on the stack, and a stack deeper than
-// the buffer is read in windows.
-func insideBody() bool {
-	var pcs [64]uintptr
-	for skip := 0; ; skip += len(pcs) {
-		n := runtime.Callers(skip, pcs[:])
-		for _, pc := range pcs[:n] {
-			if pc == bodyPC {
-				return true
-			}
-		}
-		if n < len(pcs) {
-			return false
-		}
-	}
-}
-
-// forEachOn runs the call on the calling goroutine, which holds slot, and on
-// whatever helpers it can lend idle tokens to. One body, or a one-slot pool,
-// has nobody to share with and runs inline.
-func (e *Engine) forEachOn(slot, n int, fn func(int)) {
 	if n == 1 || e.workers == 1 {
 		for i := 0; i < n; i++ {
 			e.runTimed(slot, fn, i)
@@ -199,15 +129,15 @@ func (e *Engine) help(slot int, c *call) {
 }
 
 // runTimed runs one body on slot, charging its wall time to the slot's busy
-// counter when a registry is attached. A slot is held by one goroutine and
-// each nesting level holds its own, so a slot's intervals never overlap.
+// counter when a registry is attached. A slot is held by one goroutine at a
+// time, so its intervals never overlap.
 func (e *Engine) runTimed(slot int, fn func(int), i int) {
 	m := e.met
 	if m == nil {
-		runBody(fn, i)
+		fn(i)
 		return
 	}
 	start := time.Now()
-	runBody(fn, i)
+	fn(i)
 	m.workerBusy[slot].Add(uint64(time.Since(start)))
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,48 +12,9 @@ import (
 	"chimera/internal/sim"
 )
 
-// TestForEachNestedNoDeadlock: a ForEach body may itself evaluate through
-// the engine (the fleet allocator's per-job evaluations call PlanOn, whose
-// grid fans out on the same engine). The old fixed fan-out pool deadlocked
-// here under saturation: the outer bodies held every worker slot and the
-// inner ForEach blocked forever waiting for one. The pool detects re-entry
-// and runs nested task sets on the slot the enclosing body already holds.
-func TestForEachNestedNoDeadlock(t *testing.T) {
-	e := New(Workers(2))
-	done := make(chan struct{})
-	var total atomic.Int64
-	go func() {
-		defer close(done)
-		e.ForEach(8, func(i int) {
-			e.ForEach(8, func(j int) {
-				e.ForEach(2, func(k int) {
-					total.Add(int64(i*16 + j*2 + k + 1))
-				})
-			})
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("nested ForEach deadlocked under saturation")
-	}
-	// Σ (i·16 + j·2 + k + 1) over i,j ∈ [0,8), k ∈ [0,2).
-	want := int64(0)
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			for k := 0; k < 2; k++ {
-				want += int64(i*16 + j*2 + k + 1)
-			}
-		}
-	}
-	if got := total.Load(); got != want {
-		t.Fatalf("nested ForEach ran wrong body set: sum %d, want %d", got, want)
-	}
-}
-
 // awaitForEach fails the test unless done closes within the timeout: the
-// pool tests below turn a hang (a leaked token, a nested call waiting for
-// one) into a failure with a name.
+// pool tests below turn a hang (a leaked token, a helper never joined) into
+// a failure with a name.
 func awaitForEach(t *testing.T, done <-chan struct{}, what string) {
 	t.Helper()
 	select {
@@ -135,75 +95,6 @@ func TestForEachPanicReleasesSlot(t *testing.T) {
 	requireAllTokensHome(t, e)
 }
 
-// TestHelperBodyNestsOnSaturatedPool: four bodies meet at a barrier, so the
-// owner and three helpers hold all four tokens at once; each then nests
-// three deep while the pool is still saturated. The helpers' goroutines were
-// never admitted through ForEach — only their stacks say they are inside a
-// body — and every nested call must run in place rather than wait.
-func TestHelperBodyNestsOnSaturatedPool(t *testing.T) {
-	const workers = 4
-	e := New(Workers(workers))
-	var arrived, nested sync.WaitGroup
-	arrived.Add(workers)
-	nested.Add(workers)
-	var leaves atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.ForEach(workers, func(int) {
-			arrived.Done()
-			arrived.Wait() // all four tokens are out from here …
-			e.ForEach(3, func(int) {
-				e.ForEach(3, func(int) {
-					e.ForEach(3, func(int) { leaves.Add(1) })
-				})
-			})
-			nested.Done()
-			nested.Wait() // … to here
-		})
-	}()
-	awaitForEach(t, done, "bodies nesting on a saturated pool")
-	if got, want := leaves.Load(), int64(workers*27); got != want {
-		t.Fatalf("nested bodies ran %d leaves, want %d", got, want)
-	}
-	requireAllTokensHome(t, e)
-}
-
-// TestWorkersBoundNestedBodies is TestWorkersBoundEngineWide with the
-// counter moved into nested bodies: four top-level callers whose bodies
-// call back in, some finding a spare token and some running in place, never
-// have more than Workers(n) leaf bodies executing at once.
-func TestWorkersBoundNestedBodies(t *testing.T) {
-	const cap = 3
-	e := New(Workers(cap))
-	var inFlight, peak atomic.Int32
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.ForEach(6, func(int) {
-				e.ForEach(4, func(int) {
-					cur := inFlight.Add(1)
-					for {
-						p := peak.Load()
-						if cur <= p || peak.CompareAndSwap(p, cur) {
-							break
-						}
-					}
-					time.Sleep(time.Millisecond)
-					inFlight.Add(-1)
-				})
-			})
-		}()
-	}
-	wg.Wait()
-	if got := peak.Load(); got > cap {
-		t.Fatalf("observed %d concurrent nested bodies, Workers(%d) should bound engine-wide", got, cap)
-	}
-	requireAllTokensHome(t, e)
-}
-
 // TestSaturatedTopLevelCallerBlocks: running in place is for calls already
 // inside a body. A fresh goroutine calling a saturated pool waits for a
 // token — its body must not start while the only token's holder is still
@@ -254,19 +145,16 @@ func TestSaturatedTopLevelCallerBlocks(t *testing.T) {
 
 // TestWorkerBusyBoundedByWall: engine_worker_busy_nanoseconds_total is time
 // a slot spent inside bodies, so it cannot exceed the wall time it is read
-// over. Bodies a nested call runs in place sit inside the enclosing body's
-// interval and must not be charged a second time.
+// over, and it covers every body the slot ran.
 func TestWorkerBusyBoundedByWall(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Workers(1), Observe(reg))
 	start := time.Now()
-	e.ForEach(4, func(int) {
-		e.ForEach(4, func(int) { time.Sleep(time.Millisecond) })
-	})
+	e.ForEach(16, func(int) { time.Sleep(time.Millisecond) })
 	elapsed := time.Since(start)
 	busy := time.Duration(reg.Snapshot().Counters[`engine_worker_busy_nanoseconds_total{worker="0"}`])
 	if busy > elapsed {
-		t.Fatalf("slot 0 busy %v over %v of wall time: nested bodies double-counted", busy, elapsed)
+		t.Fatalf("slot 0 busy %v over %v of wall time: bodies double-counted", busy, elapsed)
 	}
 	if busy < 16*time.Millisecond {
 		t.Fatalf("slot 0 busy %v, want at least the 16 ms its bodies slept", busy)
@@ -370,10 +258,32 @@ func TestMemoHitAllocFree(t *testing.T) {
 	}
 }
 
+// TestSpeedMemoBoundedByCapacity: speed-factor strings are client-supplied
+// (/v1/simulate, a heterogeneous /v1/plan), so a bounded engine keeps no more
+// decoded strings than its capacity, however many distinct ones it is sent.
+func TestSpeedMemoBoundedByCapacity(t *testing.T) {
+	const capacity, distinct = 4, 500
+	e := New(Workers(1), Capacity(capacity))
+	spec := testGrid(model.BERT48(), 16, 128, []int{4}, []int{2})[0]
+	spec.Sched.Scheduler = "heft"
+	for i := 1; i <= distinct; i++ {
+		spec.SpeedFactors = sim.EncodeSpeedFactors([]float64{1, 1, 1 + float64(i)/1000, 1})
+		spec.Sched.Speed = spec.SpeedFactors
+		if o := e.Evaluate(spec); o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
+	if n := e.Stats().OutcomeEntries; n > capacity {
+		t.Fatalf("%d outcomes resident on a Capacity(%d) engine", n, capacity)
+	}
+	if n := e.speeds.Len(); n > capacity {
+		t.Fatalf("%d distinct speed strings left %d decoded entries on a Capacity(%d) engine", distinct, n, capacity)
+	}
+}
+
 // BenchmarkForEachAdmission is what a small plan pays the pool before any
-// body runs: idle (token free, shallow stack), the same from 30 frames down
-// (a net/http handler's depth), and a nested call on a saturated pool (stack
-// scan, then its body in place).
+// body runs: idle (token free, shallow stack), and the same from 30 frames
+// down (a net/http handler's depth).
 func BenchmarkForEachAdmission(b *testing.B) {
 	noop := func(int) {}
 	b.Run("idle", func(b *testing.B) {
@@ -387,15 +297,6 @@ func BenchmarkForEachAdmission(b *testing.B) {
 		e := New(Workers(1))
 		b.ReportAllocs()
 		down(30, func() {
-			for i := 0; i < b.N; i++ {
-				e.ForEach(1, noop)
-			}
-		})
-	})
-	b.Run("nested", func(b *testing.B) {
-		e := New(Workers(1))
-		b.ReportAllocs()
-		e.ForEach(1, func(int) {
 			for i := 0; i < b.N; i++ {
 				e.ForEach(1, noop)
 			}

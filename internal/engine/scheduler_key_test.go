@@ -14,6 +14,7 @@ import (
 // heterogeneous list keys survive, and keyOf stays buildSchedule's inverse
 // for re-shaped schedules.
 func TestSchedulerKeyCanonical(t *testing.T) {
+	e := New()
 	fixed := ChimeraKey(8, 16, 0, schedule.Direct)
 	aliases := []ScheduleKey{
 		{Scheme: "chimera", D: 8, N: 16, Scheduler: "fixed"},
@@ -22,16 +23,15 @@ func TestSchedulerKeyCanonical(t *testing.T) {
 		{Scheme: "chimera", D: 8, N: 16, Scheduler: "heft", Speed: "1.5,1.5,1.5,1.5,1.5,1.5,1.5,1.5"},
 	}
 	for _, alias := range aliases {
-		if got := alias.canonical(); got != fixed.canonical() {
-			t.Errorf("canonical(%+v) = %+v, want the fixed representative %+v", alias, got, fixed.canonical())
+		if got := e.canonical(alias); got != e.canonical(fixed) {
+			t.Errorf("canonical(%+v) = %+v, want the fixed representative %+v", alias, got, e.canonical(fixed))
 		}
 	}
 
 	het := ScheduleKey{Scheme: "chimera", D: 8, N: 16, Scheduler: "heft", Speed: "1,1,1,1,2,1,1,1"}
-	if got := het.canonical(); got.Scheduler != "heft" || got.Speed != het.Speed {
+	if got := e.canonical(het); got.Scheduler != "heft" || got.Speed != het.Speed {
 		t.Fatalf("heterogeneous key collapsed: %+v", got)
 	}
-	e := New()
 	s, err := e.Schedule(het)
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,8 @@ func TestSchedulerKeyCanonical(t *testing.T) {
 	if s.Scheduler != "heft" {
 		t.Fatalf("built schedule's Scheduler = %q, want heft", s.Scheduler)
 	}
-	if got := keyOf(s); got != het.canonical() {
-		t.Fatalf("keyOf = %+v, want %+v", got, het.canonical())
+	if got := keyOf(s); got != e.canonical(het) {
+		t.Fatalf("keyOf = %+v, want %+v", got, e.canonical(het))
 	}
 
 	// One cache entry serves the fixed key and all its aliases.

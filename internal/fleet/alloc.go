@@ -81,10 +81,9 @@ type Allocator struct {
 	// through it once and is read by index afterwards.
 	plans *engine.Memo[perfmodel.PlanRequest, planResult]
 	// curveHits counts candidate-plan values read from already-resolved
-	// curve slots; planned counts planner runs. With the memo's own hit
-	// count they are the bid counters PlanStats reports.
+	// curve slots. With the memo's own counts it makes the bid counters
+	// PlanStats reports.
 	curveHits atomic.Uint64
-	planned   atomic.Uint64
 	// met holds the instrument handles attached by Observe (nil =
 	// uninstrumented).
 	met *fleetMetrics
@@ -113,8 +112,8 @@ func NewAllocator(e *engine.Engine) *Allocator {
 // search reads counts once: as a hit when it came from a resolved curve slot
 // or the plan memo, as a miss when the planner had to run.
 func (a *Allocator) PlanStats() (hits, misses uint64) {
-	memoHits, _ := a.plans.Stats()
-	return a.curveHits.Load() + memoHits, a.planned.Load()
+	memoHits, misses := a.plans.Stats()
+	return a.curveHits.Load() + memoHits, misses
 }
 
 // Allocate solves the request with its policy. The result is deterministic:
@@ -220,28 +219,25 @@ func equalSplit(pool []node, jobs int) [][]node {
 
 // plan returns the best §3.4 prediction for a full PlanRequest through the
 // plan memo; a zero result (no prediction, no error) means the request
-// admits no feasible configuration. It never waits on another caller's
-// planner run: scan calls plan from goroutines that are not pool bodies (a
-// live sim and its what-if forks apply concurrently), and such a caller can
-// be inside PlanOn waiting for a slot token. Pool bodies parked on its
-// single-flight entry would be holding the very tokens it waits for. Two
-// concurrent first requests for one key may therefore both run the planner
-// — they compute equal results and the memo keeps one.
+// admits no feasible configuration. Concurrent first requests for one key
+// (a live sim and its what-if forks apply concurrently) share one planner
+// run. No pool body calls plan, so its owner waiting for a slot token inside
+// PlanOn never waits on a goroutine parked here.
 func (a *Allocator) plan(req perfmodel.PlanRequest) planResult {
 	if out, ok := a.plans.Cached(req); ok {
 		return out
 	}
-	a.planned.Add(1)
-	var out planResult
-	preds, err := perfmodel.PlanOn(a.eng, req)
-	switch {
-	case err == nil:
-		out.pred = preds[0]
-	case !errors.Is(err, perfmodel.ErrInfeasible):
-		out.err = err
-	}
-	a.plans.Put(req, out)
-	return out
+	return a.plans.Do(req, func() planResult {
+		var out planResult
+		preds, err := perfmodel.PlanOn(a.eng, req)
+		switch {
+		case err == nil:
+			out.pred = preds[0]
+		case !errors.Is(err, perfmodel.ErrInfeasible):
+			out.err = err
+		}
+		return out
+	})
 }
 
 // planCurve is one (cluster, job) pair's plan table over the job's
@@ -252,12 +248,12 @@ func (a *Allocator) plan(req perfmodel.PlanRequest) planResult {
 // value cannot move between breakpoints, so no search reads anything else,
 // and the table, sized from the request, never grows. A slot is resolved
 // through the plan memo, published with an atomic store and immutable
-// afterwards, so a live sim, its what-if forks and concurrent pool bodies
-// read and fill one curve without a lock (none could be held across the
-// planner, see plan); racing resolvers publish equal values. A curve lives
-// as long as its owner — an ElasticSim (one per vocabulary job, shared with
-// its forks) or one Allocate call — so the plan memo stays the allocator's
-// only retained cache.
+// afterwards: a live sim and its what-if forks read and fill one curve
+// concurrently, without a lock, and racing resolvers publish equal values
+// of the memo's one planner run. A curve lives as long as its owner — an
+// ElasticSim (one per vocabulary job, shared with its forks) or one
+// Allocate call — so the plan memo stays the allocator's only retained
+// cache.
 type planCurve struct {
 	// req is the job's plan request with P unset, sched the cluster's
 	// list-scheduling policy ("" = none). listTop is the largest breakpoint
@@ -517,10 +513,9 @@ type bidder struct {
 // counts job evaluations (one per job per round) — the re-plan work measure
 // the elastic benchmark reports. A share is scanned once per call and rest
 // prepared once, so a round walks no node list. Rounds and jobs run serially
-// in input order, so the selection and *evals are deterministic; the
-// planning they may need was done up front, in parallel, by resolveAhead.
+// in input order, so the selection and *evals are deterministic; a curve
+// slot is planned where a scan or ahead first reaches it (reach).
 func (a *Allocator) greedyGrow(bids []bidder, shares [][]node, rest []node, evals *int) ([][]node, []node, error) {
-	a.resolveAhead(bids, shares, len(rest))
 	states := make([]prefixScan, len(bids))
 	hits := 0
 	defer func() { a.curveHits.Add(uint64(hits)) }()
@@ -562,58 +557,6 @@ func (a *Allocator) greedyGrow(bids []bidder, shares [][]node, rest []node, eval
 		off += len(grant)
 	}
 	return shares, rest[off:], nil
-}
-
-// resolveAhead resolves every curve slot greedyGrow's rounds can read and
-// nobody has resolved yet — each job's breakpoints up to its share plus the
-// whole remaining pool; later rounds only read within that range. Slots the
-// plan memo already holds (a fresh curve on a warm allocator) are published
-// on the spot; the rest are planned as one irregular task set on the engine
-// pool, one plan per body. Every plan nests further ForEach calls (PlanOn
-// fans its (W, D, B) grid out on the same engine), which take a spare slot
-// token if there is one and otherwise run in place on the one their body
-// already holds. With nothing to plan — every re-plan on a warm allocator —
-// the pool is not entered at all. Which slots get resolved here never
-// changes a value a scan reads, only who plans it.
-func (a *Allocator) resolveAhead(bids []bidder, shares [][]node, rest int) {
-	type coldSlot struct {
-		cv *planCurve
-		i  int
-	}
-	var cold []coldSlot
-	var queued map[perfmodel.PlanRequest]bool // jobs may share a request
-	for bi, b := range bids {
-		cv := b.curve
-		for i, p := range cv.points {
-			if p > len(shares[bi])+rest {
-				break
-			}
-			if cv.slots[i].Load() != nil {
-				continue
-			}
-			req := cv.request(p)
-			if out, ok := a.plans.Cached(req); ok {
-				cv.slots[i].Store(&out)
-				continue
-			}
-			if queued[req] {
-				continue
-			}
-			if queued == nil {
-				queued = make(map[perfmodel.PlanRequest]bool)
-			}
-			queued[req] = true
-			cold = append(cold, coldSlot{cv, i})
-		}
-	}
-	if len(cold) == 0 {
-		return
-	}
-	a.eng.ForEach(len(cold), func(k int) {
-		cv, i := cold[k].cv, cold[k].i
-		out := a.plan(cv.request(cv.points[i]))
-		cv.slots[i].Store(&out)
-	})
 }
 
 func nodeIDs(nodes []node) []int {

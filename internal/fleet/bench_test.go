@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chimera/internal/engine"
@@ -90,6 +91,23 @@ func BenchmarkAllocateWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := a.Allocate(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllocateCold is one static planner-guided allocation of the storm
+// vocabulary over the 96-node pool with nothing cached: each op plans on a
+// fresh allocator and a fresh GOMAXPROCS-sized engine, so every plan a scan
+// reads runs the planner, whose candidates fan out on the pool. Run it at
+// -cpu 1,2.
+func BenchmarkAllocateCold(b *testing.B) {
+	sc := stormScenario()
+	req := Request{Cluster: sc.Cluster, Jobs: sc.Jobs, Policy: PlannerGuided}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := NewAllocator(engine.New(engine.Workers(runtime.GOMAXPROCS(0))))
 		if _, err := a.Allocate(req); err != nil {
 			b.Fatal(err)
 		}

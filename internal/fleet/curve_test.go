@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,15 +9,18 @@ import (
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/perfmodel"
+	"chimera/internal/schedule"
+	"chimera/internal/sim"
 )
 
 // TestForkSharesCurvesUnderRace: a live sim and its what-if forks apply
 // concurrently (the controller ingests hypotheses outside its state lock)
 // and all read and fill the same plan curves. Starting from nearly cold
 // curves on a four-worker engine — so slots are resolved by racing
-// goroutines, inside pool bodies — every sim must end exactly where its
-// serial twin does. Run under -race this is the memory-model
-// check on the curve's atomic publication.
+// goroutines — every sim must end exactly where its serial twin does. Run
+// under -race this is the memory-model check on the curve's atomic
+// publication.
 func TestForkSharesCurvesUnderRace(t *testing.T) {
 	sc := ElasticScenario{Cluster: pizDaintCluster(32, nil), Jobs: smallMix(), MigrationPenalty: 10}
 	const shared = 2 // batches every sim has in common before the fork
@@ -97,8 +101,8 @@ func TestForkSharesCurvesUnderRace(t *testing.T) {
 // TestGreedyGrowSameJobColdCurves: two instances of one job bid on one
 // curve, and a third job asks for the very same plans through a curve of
 // its own, all cold, on a four-worker engine — from two goroutines at once.
-// The pool bodies that resolve the slots must neither wait on each other's
-// plans (TestPlanNeverWaitsForAnotherPlanner) nor disagree.
+// The goroutines that resolve the slots share each plan and must not
+// disagree.
 func TestGreedyGrowSameJobColdCurves(t *testing.T) {
 	c := pizDaintCluster(24, nil)
 	job := Job{Name: "twin", Model: model.BERT48(), MiniBatch: 64}
@@ -137,45 +141,73 @@ func TestGreedyGrowSameJobColdCurves(t *testing.T) {
 	}
 }
 
-// TestPlanNeverWaitsForAnotherPlanner: Allocator.plan does not single-flight.
-// A caller that is not a pool body waits for a slot token inside PlanOn; if
-// it waited there as the owner of an in-flight entry, a body that holds the
-// token and asks for the same plan would park on that entry for good. The
-// body below holds a one-slot engine's only token while an outside goroutine
-// starts the same plan first: it must plan for itself and return, and the
-// outsider after it. (The sleep only gives the outsider time to get stuck; a
-// slow machine can only make this test pass.)
-func TestPlanNeverWaitsForAnotherPlanner(t *testing.T) {
-	e := engine.New(engine.Workers(1))
-	a := NewAllocator(e)
-	job := Job{Name: "one", Model: model.BERT48(), MiniBatch: 64}
-	req := newPlanCurve(pizDaintCluster(8, nil), job).request(4)
-	var inside, outside planResult
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var outsider sync.WaitGroup
-		outsider.Add(1)
-		e.ForEach(1, func(int) {
-			go func() {
-				defer outsider.Done()
-				outside = a.plan(req)
-			}()
-			time.Sleep(20 * time.Millisecond)
-			inside = a.plan(req)
+// TestFanOutBodiesNeverReenterPool pins ForEach's contract on every path
+// that fans out: a cold plan batch (homogeneous and list-scheduled), a sweep,
+// a planner-guided allocation on a straggled cluster and an elastic ingest,
+// each on a fresh one-slot engine. The caller holds the only token while its
+// bodies run, so a body that called ForEach on the same engine would wait for
+// that token forever.
+func TestFanOutBodiesNeverReenterPool(t *testing.T) {
+	sc := stormScenario()
+	batches := stormEpisode(t, sc, 0)[:20]
+	het := pizDaintCluster(16, []float64{1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1.5})
+	het.Scheduler = "auto"
+	req := perfmodel.PlanRequest{Model: model.BERT48(), MiniBatch: 64, P: 16, Device: het.Device, Network: het.Network}
+	listed := req
+	listed.P, listed.Scheduler = 4, "auto"
+	listed.SpeedFactors = sim.EncodeSpeedFactors([]float64{1, 2, 1, 1})
+	paths := []struct {
+		name string
+		run  func(e *engine.Engine) error
+	}{
+		{"PlanBatchOn", func(e *engine.Engine) error {
+			_, errs := perfmodel.PlanBatchOn(e, []perfmodel.PlanRequest{req, listed})
+			return errors.Join(errs...)
+		}},
+		{"Sweep", func(e *engine.Engine) error {
+			spec := engine.Spec{
+				Sched: engine.ChimeraKey(4, 8, 1, schedule.Direct), Model: model.BERT48(),
+				MicroBatch: 4, W: 2, AutoRecompute: true, Device: het.Device, Network: het.Network,
+			}
+			gpipe := spec
+			gpipe.Sched = engine.ScheduleKey{Scheme: "gpipe", D: 4, N: 8}
+			for _, o := range e.Sweep([]engine.Spec{spec, gpipe}) {
+				if o.Err != nil {
+					return o.Err
+				}
+			}
+			return nil
+		}},
+		{"Allocate", func(e *engine.Engine) error {
+			_, err := NewAllocator(e).Allocate(Request{Cluster: het, Jobs: sc.Jobs[:4], Policy: PlannerGuided})
+			return err
+		}},
+		{"Ingest", func(e *engine.Engine) error {
+			s, err := NewAllocator(e).NewElasticSim(sc)
+			if err != nil {
+				return err
+			}
+			for _, batch := range batches {
+				if err := s.Ingest(batch); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- p.run(engine.New(engine.Workers(1))) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("did not return on a one-slot engine: a pool body called back into the pool")
+			}
 		})
-		outsider.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("a pool body waited on a plan whose owner is waiting for the body's token")
-	}
-	if inside.err != nil || inside.pred == nil {
-		t.Fatalf("plan inside the body: %+v", inside)
-	}
-	if !reflect.DeepEqual(inside, outside) {
-		t.Fatalf("the two planners disagree:\n inside %+v\noutside %+v", inside.pred, outside.pred)
 	}
 }
 

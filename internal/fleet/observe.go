@@ -28,10 +28,12 @@ type fleetMetrics struct {
 //	                              is the mean jobs re-evaluated per batch
 //	fleet_allocator_bids_total{result="hit"|"miss"}  candidate-plan values
 //	                              ("bids") the search read, as PlanStats
-//	                              counts them: a hit came from a resolved
-//	                              plan-curve slot (added once per scan, not
-//	                              per read) or from the plan memo, a miss
-//	                              ran the planner
+//	                              counts them, each once: a hit came from a
+//	                              resolved plan-curve slot (added once per
+//	                              scan, not per read) or from the plan memo
+//	                              (a wait on another reader's planner run
+//	                              included), a miss ran the planner and is
+//	                              not also a hit
 //
 // A nil registry leaves the allocator uninstrumented. Instrumentation never
 // changes results: every hook is a clock read plus atomic adds outside the

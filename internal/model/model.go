@@ -119,9 +119,6 @@ func (s Stage) Params() int64 {
 // paper's PyTorch/GLOO setup).
 const BytesPerParamTraining = 12
 
-// WeightBytes returns the training-state bytes of one replica of this stage.
-func (s Stage) WeightBytes() int64 { return s.Params() * BytesPerParamTraining }
-
 // actFloatsPerToken estimates stored forward activations per token per
 // layer: 34h + 5·a·T floats (hidden streams plus attention score and
 // probability matrices).

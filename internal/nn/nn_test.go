@@ -213,7 +213,7 @@ func TestMultipleMicroBatchesInFlight(t *testing.T) {
 
 	pa, pb := a.Params(), b.Params()
 	for i := range pa {
-		if d := tensor.MaxAbsDiff(pa[i].Grad, pb[i].Grad); d > 1e-6 {
+		if d := maxAbsDiff(pa[i].Grad, pb[i].Grad); d > 1e-6 {
 			t.Fatalf("param %s grads diverge by %v under interleaving", pa[i].Name, d)
 		}
 	}
@@ -238,7 +238,7 @@ func TestStageRecomputeMatchesDirect(t *testing.T) {
 	recomp.Forward(0, x.Clone())
 	dxr := recomp.Backward(0, dy)
 
-	if d := tensor.MaxAbsDiff(dxd, dxr); d > 1e-6 {
+	if d := maxAbsDiff(dxd, dxr); d > 1e-6 {
 		t.Fatalf("recompute dx differs by %v", d)
 	}
 	gvd, gvr := direct.GradVector(), recomp.GradVector()
@@ -258,8 +258,8 @@ func TestStageGradAndWeightVectorRoundTrip(t *testing.T) {
 	s.Backward(0, dy)
 
 	gv := s.GradVector()
-	if len(gv) != s.ParamElements() {
-		t.Fatalf("grad vector len %d != %d", len(gv), s.ParamElements())
+	if n := paramElements(s.Params()); len(gv) != n {
+		t.Fatalf("grad vector len %d != %d", len(gv), n)
 	}
 	for i := range gv {
 		gv[i] *= 2
@@ -290,7 +290,7 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 func TestParamCountAndCollect(t *testing.T) {
 	layers := []Layer{NewLinear("a", 3, 4), NewLayerNorm("ln", 4)}
 	// Linear: 3*4+4 = 16; LN: 4+4 = 8.
-	if n := ParamCount(layers); n != 24 {
+	if n := paramElements(CollectParams(layers)); n != 24 {
 		t.Fatalf("param count %d", n)
 	}
 	if len(CollectParams(layers)) != 4 {
@@ -326,7 +326,9 @@ func TestBlockTrainsToLowerLoss(t *testing.T) {
 		g = blk.Backward(0, g)
 		emb.Backward(0, g)
 		for _, p := range CollectParams(layers) {
-			tensor.AXPY(p.Value, -0.5, p.Grad)
+			for i := range p.Value.Data {
+				p.Value.Data[i] -= 0.5 * p.Grad.Data[i]
+			}
 		}
 		return loss
 	}
@@ -338,4 +340,22 @@ func TestBlockTrainsToLowerLoss(t *testing.T) {
 	if last >= first {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)
 	}
+}
+
+// paramElements sums the element counts of ps.
+func paramElements(ps []*Param) int {
+	n := 0
+	for _, p := range ps {
+		n += p.Value.Len()
+	}
+	return n
+}
+
+// maxAbsDiff returns max |a-b| over all elements of two equal-length tensors.
+func maxAbsDiff(a, b *tensor.Tensor) float64 {
+	var m float64
+	for i := range a.Data {
+		m = max(m, math.Abs(float64(a.Data[i])-float64(b.Data[i])))
+	}
+	return m
 }

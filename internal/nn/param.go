@@ -43,17 +43,6 @@ type Layer interface {
 	DropCache(mb int)
 }
 
-// ParamCount sums the element counts of all parameters of the given layers.
-func ParamCount(layers []Layer) int {
-	n := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			n += p.Value.Len()
-		}
-	}
-	return n
-}
-
 // InitAll seeds every parameter of the layers with N(0, std²) values; biases
 // and layernorm parameters keep their conventional init (0 / 1) because each
 // layer initializes itself at construction, so InitAll only perturbs weights

@@ -119,12 +119,3 @@ func (s *Stage) SetWeightVector(v []float32) {
 		panic("nn: weight vector length mismatch")
 	}
 }
-
-// ParamElements returns the total number of scalar parameters.
-func (s *Stage) ParamElements() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
-}

@@ -59,7 +59,7 @@ func TestCompressedSyncReplicaConsistency(t *testing.T) {
 		}
 		for st := 0; st < 4; st++ {
 			w0 := tr.StageWeights(st, 0)
-			for h := 1; h < tr.HolderCount(st); h++ {
+			for h := 1; h < tr.groups[st].Size(); h++ {
 				wh := tr.StageWeights(st, h)
 				for i := range w0 {
 					if w0[i] != wh[i] {

@@ -445,9 +445,6 @@ func (t *Trainer) StageWeights(stage, holderIdx int) []float32 {
 	return nil
 }
 
-// HolderCount returns the number of workers holding a replica of stage.
-func (t *Trainer) HolderCount(stage int) int { return t.groups[stage].Size() }
-
 // replicasByStage orders a worker's replica ids by the stage each one hosts
 // here, ascending — the deadlock-free global collective order.
 func replicasByStage(m map[int]schedule.StagePlacement) []int {

@@ -35,7 +35,7 @@ func pinTrainer(cfg Config) (func(*data.Batch) (float64, error), func() [][]floa
 	return tr.TrainIteration, func() [][]float32 {
 		var out [][]float32
 		for st := 0; st < tr.d; st++ {
-			for h := 0; h < tr.HolderCount(st); h++ {
+			for h := 0; h < tr.groups[st].Size(); h++ {
 				out = append(out, tr.StageWeights(st, h))
 			}
 		}
@@ -184,7 +184,7 @@ func TestReplicaWeightConsistency(t *testing.T) {
 	}
 	for st := 0; st < 4; st++ {
 		w0 := tr.StageWeights(st, 0)
-		for h := 1; h < tr.HolderCount(st); h++ {
+		for h := 1; h < tr.groups[st].Size(); h++ {
 			if d := maxDiff(w0, tr.StageWeights(st, h)); d != 0 {
 				t.Errorf("stage %d holder %d diverged by %v", st, h, d)
 			}

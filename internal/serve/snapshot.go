@@ -181,7 +181,3 @@ func (s *Server) SnapshotAgeSeconds() float64 {
 	}
 	return time.Since(time.Unix(0, nano)).Seconds()
 }
-
-// RestoredEntries reports how many cache entries the last RestoreSnapshot
-// call inserted.
-func (s *Server) RestoredEntries() int64 { return s.restoredEntries.Load() }

@@ -38,8 +38,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || dst.RestoredEntries() != 2 {
-		t.Fatalf("restored %d entries (gauge %d), want 2", n, dst.RestoredEntries())
+	if n != 2 || restoredGauge(dst) != 2 {
+		t.Fatalf("restored %d entries (gauge %g), want 2", n, restoredGauge(dst))
 	}
 	if age := dst.SnapshotAgeSeconds(); age <= 0 || age > 60 {
 		t.Fatalf("restored snapshot age %.3fs, want the source's creation time", age)
@@ -131,9 +131,15 @@ func TestSnapshotRestoreSmallerAndWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || warm.RestoredEntries() != 2 {
-		t.Fatalf("warm restore reported %d inserts (gauge %d), want 2 — the existing entry is not recounted", n, warm.RestoredEntries())
+	if n != 2 || restoredGauge(warm) != 2 {
+		t.Fatalf("warm restore reported %d inserts (gauge %g), want 2 — the existing entry is not recounted", n, restoredGauge(warm))
 	}
+}
+
+// restoredGauge reads serve_snapshot_restored_entries, the cache entries the
+// server's last RestoreSnapshot inserted, off its registry.
+func restoredGauge(s *Server) float64 {
+	return s.obs.reg.Snapshot().Gauges["serve_snapshot_restored_entries"]
 }
 
 // TestSnapshotRestoresParentFixture: testdata/parent_v1.chimsnap was written

@@ -34,7 +34,7 @@ func oracleWeightMemory(cfg *Config, stages []model.Stage, w int) int64 {
 			r := int64(len(s.Replicas) * cfg.W)
 			bytes += st.Params() * (8 + (4+r-1)/r)
 		} else {
-			bytes += st.WeightBytes()
+			bytes += st.Params() * model.BytesPerParamTraining
 		}
 		if !s.Synchronous {
 			versions := 1

@@ -130,14 +130,6 @@ func Scale(dst, a *Tensor, s float32) *Tensor {
 	return dst
 }
 
-// AXPY computes dst += alpha * src.
-func AXPY(dst *Tensor, alpha float32, src *Tensor) {
-	checkSameLen(dst, src)
-	for i := range dst.Data {
-		dst.Data[i] += alpha * src.Data[i]
-	}
-}
-
 // AddBiasRows adds bias (length C) to each row of x (R×C), in place.
 func AddBiasRows(x, bias *Tensor) {
 	r, c := x.Shape[0], x.Shape[1]
@@ -306,19 +298,6 @@ func RowMeanVar(x *Tensor) (mean, variance []float32) {
 		variance[i] = float32(vs / float64(c))
 	}
 	return mean, variance
-}
-
-// MaxAbsDiff returns max |a-b| over all elements.
-func MaxAbsDiff(a, b *Tensor) float64 {
-	checkSameLen(a, b)
-	var m float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func checkSameLen(a, b *Tensor) {
