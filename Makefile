@@ -50,12 +50,14 @@ bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # bench-smoke runs every in-module benchmark of the planner core (with
-# the memory model in internal/sim), of the fleet allocator and of the
-# metrics core (internal/obs) once. `go test` only compiles benchmarks; one iteration each runs the
+# the memory model in internal/sim), of the engine, of the fleet allocator,
+# of the live controller and of the metrics core (internal/obs) once.
+# `go test` only compiles benchmarks; one iteration each runs the
 # checks they carry (a kernel benchmark times the row width it names, a
-# histogram snapshot checks its count). It measures nothing.
+# histogram snapshot checks its count, a controller batch checks its
+# reply). It measures nothing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/obs
 
 # cli-smoke runs the four CLIs no test drives: a verified chimera-train
 # run, a PipeDream run, a chimera-sim -json run (AutoRun: the memory fit,

@@ -24,6 +24,7 @@
 package controller
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -212,16 +213,18 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.version++
+	// The allocation is left out of both headers: it is encoded once, below,
+	// and spliced into each.
 	resp := EventsResponse{
 		Accepted: len(events), Version: c.version, Now: c.sim.Now(),
 		ReplanMillis: float64(elapsed) / float64(time.Millisecond),
 		Nodes:        c.sim.NodeCount(), Residents: c.sim.Residents(),
-		Allocation: c.sim.Shares(),
 	}
 	update := AllocationResponse{
 		Version: resp.Version, Now: resp.Now, Events: c.sim.EventCount(),
-		Nodes: resp.Nodes, Residents: resp.Residents, Allocation: resp.Allocation,
+		Nodes: resp.Nodes, Residents: resp.Residents,
 	}
+	shares := c.sim.Shares()
 	c.mu.Unlock()
 
 	c.eventsTotal.Add(uint64(resp.Accepted))
@@ -229,14 +232,45 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c.replanSeconds.Observe(elapsed)
 	c.nodesGauge.Set(int64(resp.Nodes))
 	c.residentsG.Set(int64(resp.Residents))
-	// Nobody listening, nothing to encode: a subscriber that attaches after
+	alloc, err := json.Marshal(shares)
+	if err != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+err.Error())
+		return
+	}
+	// Nobody listening, nothing to frame: a subscriber that attaches after
 	// this check reads the state this batch produced from its own snapshot.
 	if c.hub.subscribed() {
-		if raw, err := json.Marshal(update); err == nil {
-			c.hub.publish(raw)
+		if head, err := allocationHead(update); err == nil {
+			c.hub.publish(sseFrame("allocation", head, alloc, closeBrace))
 		}
 	}
-	httpd.WriteJSON(w, http.StatusOK, resp)
+	head, err := allocationHead(resp)
+	if err != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	httpd.WriteEncoded(w, http.StatusOK, bytes.Join([][]byte{head, alloc, closeBrace}, nil))
+}
+
+var (
+	nilAllocation = []byte(`"allocation":null}`)
+	closeBrace    = []byte(`}`)
+)
+
+// allocationHead encodes v, whose last field is a nil Allocation, up to
+// that field's null: head, the allocation's encoding and closeBrace joined
+// are json.Marshal of v carrying that allocation. An encoding that does not
+// end in the nil allocation (a field after it) is an error, never a wrong
+// body.
+func allocationHead(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasSuffix(raw, nilAllocation) {
+		return nil, fmt.Errorf("controller: %T does not end in a nil allocation", v)
+	}
+	return raw[:len(raw)-len("null}")], nil
 }
 
 // AllocationResponse is GET /v1/fleet/allocation (and each SSE update's
@@ -416,31 +450,41 @@ func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if poisoned {
-		writeSSE(w, "error", []byte(`{"error":"controller poisoned"}`))
+		w.Write(sseFrame("error", []byte(`{"error":"controller poisoned"}`)))
 		fl.Flush()
 		return
 	}
 	if raw, err := json.Marshal(snap); err == nil {
-		writeSSE(w, "allocation", raw)
+		w.Write(sseFrame("allocation", raw))
 		fl.Flush()
 	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case msg, ok := <-sub:
+		case frame, ok := <-sub:
 			if !ok {
 				return // hub closed (shutdown)
 			}
-			writeSSE(w, "allocation", msg)
+			w.Write(frame)
 			fl.Flush()
 		}
 	}
 }
 
-// writeSSE frames one server-sent event.
-func writeSSE(w http.ResponseWriter, event string, data []byte) {
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+// sseFrame frames one server-sent event whose data is the concatenation of
+// data's parts, in one buffer.
+func sseFrame(event string, data ...[]byte) []byte {
+	n := len("event: \ndata: \n\n") + len(event)
+	for _, p := range data {
+		n += len(p)
+	}
+	frame := make([]byte, 0, n)
+	frame = append(append(append(frame, "event: "...), event...), "\ndata: "...)
+	for _, p := range data {
+		frame = append(frame, p...)
+	}
+	return append(frame, "\n\n"...)
 }
 
 // HealthResponse is GET /healthz: liveness plus the state machine's vitals.

@@ -8,10 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
-
-	"chimera/internal/serve"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/replies.golden from current output")
@@ -23,20 +20,12 @@ var replanMillis = regexp.MustCompile(`"replan_ms":[-+.0-9eE]+`)
 // TestControllerRepliesGolden pins the controller's reply bodies byte for
 // byte on examples/fleet/controller.json, driven by the CI smoke test's two
 // batches: the log before the first batch and after the last, each events
-// acknowledgment (replan_ms zeroed), the allocation, one what-if and the
-// first SSE allocation frame. Regenerate with -update only for an intended
-// wire change.
+// acknowledgment (replan_ms zeroed), the allocation, one what-if, the
+// first SSE allocation frame (the subscribe snapshot) and the update frame
+// a third batch publishes to that subscriber. Regenerate with -update only
+// for an intended wire change.
 func TestControllerRepliesGolden(t *testing.T) {
-	f, err := os.Open("../../examples/fleet/controller.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc serve.FleetScenario
-	err = serve.DecodeStrict(f, &sc)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := exampleScenario(t)
 	_, ts := newTestController(t, Config{Scenario: sc, Workers: 1})
 
 	var out bytes.Buffer
@@ -72,18 +61,15 @@ func TestControllerRepliesGolden(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
-	var frame strings.Builder
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("stream read: %v", err)
-		}
-		frame.WriteString(line)
-		if line == "\n" {
-			break
-		}
+	section("GET /v1/fleet/stream (first frame)", resp.StatusCode, readFrame(t, br))
+	// The snapshot above is handleStream's own; the batch below is the
+	// update the hub publishes to every subscriber.
+	const third = `{"events":[{"at":120,"kind":"node_join"}]}`
+	status, body = post(t, ts, "/v1/fleet/events", third)
+	if status != http.StatusOK {
+		t.Fatalf("POST %s: %d %s", third, status, body)
 	}
-	section("GET /v1/fleet/stream (first frame)", resp.StatusCode, []byte(frame.String()))
+	section("GET /v1/fleet/stream (update frame after POST /v1/fleet/events "+third+")", resp.StatusCode, readFrame(t, br))
 
 	path := filepath.Join("testdata", "replies.golden")
 	if *updateGolden {

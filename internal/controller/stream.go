@@ -2,7 +2,8 @@ package controller
 
 import "sync"
 
-// hub fans allocation updates out to the SSE subscribers. Publishing never
+// hub fans allocation updates out to the SSE subscribers, each update one
+// frame built once and shared by every subscriber. Publishing never
 // blocks: a subscriber whose buffer is full skips that update — each update
 // carries the full current allocation, so a skipped one is superseded by
 // the next, and a stalled client can never back-pressure ingestion.
@@ -44,13 +45,13 @@ func (h *hub) subscribed() bool {
 	return len(h.subs) > 0
 }
 
-// publish delivers msg to every subscriber that has buffer room.
-func (h *hub) publish(msg []byte) {
+// publish delivers frame to every subscriber that has buffer room.
+func (h *hub) publish(frame []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for ch := range h.subs {
 		select {
-		case ch <- msg:
+		case ch <- frame:
 		default:
 		}
 	}

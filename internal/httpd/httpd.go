@@ -54,10 +54,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) bool {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
 		return false
 	}
+	WriteEncoded(w, status, raw)
+	return true
+}
+
+// WriteEncoded replies with raw, a body already encoded as JSON, in one
+// Write.
+func WriteEncoded(w http.ResponseWriter, status int, raw []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(raw)
-	return true
 }
 
 // WriteError replies with an ErrorResponse carrying msg.

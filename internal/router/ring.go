@@ -9,6 +9,7 @@
 package router
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -100,15 +101,16 @@ func (r *Ring) Owners(key string, n int) []string {
 	h := mix64(fnv64a(key))
 	// First point at or clockwise-after h (wrapping to 0).
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	// n is at most the replica count, so the owners picked so far are
+	// scanned rather than kept in a set, which would allocate past eight:
+	// the result is the walk's one allocation.
 	owners := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for range r.points {
 		if i == len(r.points) {
 			i = 0
 		}
 		rep := r.points[i].replica
-		if !seen[rep] {
-			seen[rep] = true
+		if !slices.Contains(owners, rep) {
 			owners = append(owners, rep)
 			if len(owners) == n {
 				break

@@ -136,6 +136,24 @@ func TestRingOwnersDistinct(t *testing.T) {
 	}
 }
 
+// TestRingOwnersAllocatesOnlyItsResult: a forward's owner walk allocates
+// the slice it returns and nothing else, at every failover depth. Sixteen
+// replicas: a set of more than eight owners would not fit on the stack.
+func TestRingOwnersAllocatesOnlyItsResult(t *testing.T) {
+	ring := NewRing(ringReplicas(16), 0)
+	keys := ringKeys(64)
+	for _, n := range []int{1, 4, 16} {
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			ring.Owners(keys[i%len(keys)], n)
+			i++
+		})
+		if allocs != 1 {
+			t.Fatalf("Owners(key, %d) made %.1f allocations, want 1 (the result slice)", n, allocs)
+		}
+	}
+}
+
 // TestRingEmpty: the empty ring degrades to no owners, not a panic.
 func TestRingEmpty(t *testing.T) {
 	ring := NewRing(nil, 0)

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"chimera/internal/engine"
+	"chimera/internal/httpd"
 	"chimera/internal/obs"
 	"chimera/internal/perfmodel"
 )
@@ -245,9 +246,7 @@ func (c *cache[K]) handle(w http.ResponseWriter, r *http.Request) {
 		c.srv.unprocessable(w, out.err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.body)
+	httpd.WriteEncoded(w, http.StatusOK, out.body)
 }
 
 // table reports the cache's counters for /v1/stats and the serve_cache_*
