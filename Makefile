@@ -49,24 +49,32 @@ race-sweep:
 bench-build:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# bench-smoke runs every in-module benchmark of the planner core (with
-# the memory model in internal/sim), of the engine, of the fleet allocator,
-# of the live controller and of the metrics core (internal/obs) once.
+# bench-smoke runs every in-module benchmark of the root package (one per
+# paper table and figure, bench_test.go), of the planner core (with the
+# memory model in internal/sim), of the engine, of the fleet allocator, of
+# the live controller and of the metrics core (internal/obs) once.
 # `go test` only compiles benchmarks; one iteration each runs the
-# checks they carry (a kernel benchmark times the row width it names, a
-# histogram snapshot checks its count, a controller batch checks its
-# reply). It measures nothing.
+# checks they carry (a figure benchmark fails when its experiment does, a
+# kernel benchmark times the row width it names, a histogram snapshot
+# checks its count, a controller batch checks its reply). It measures
+# nothing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/obs
 
-# cli-smoke runs the four CLIs no test drives: a verified chimera-train
-# run, a PipeDream run, a chimera-sim -json run (AutoRun: the memory fit,
-# then the simulation with its per-worker peaks) and a refused one (48
-# layers do not split into 5 stages), chimera-sim and chimera-viz refusing
-# an unknown -concat name, and chimera-plan planning as a table and as
-# -json and refusing an odd-length -speed list (the /v1/plan codec's
-# rule). The binaries are built first so a compile error cannot pass for a
-# refusal.
+# cli-smoke builds chimera-train, chimera-sim, chimera-viz and chimera-plan
+# and runs them end to end: a verified chimera-train run, a PipeDream run,
+# a chimera-sim -json run (AutoRun: the memory fit, then the simulation with
+# its per-worker peaks) and a refused one (48 layers do not split into 5
+# stages), chimera-sim and chimera-viz refusing an unknown -concat name, and
+# chimera-plan planning as a table and as -json and refusing an odd-length
+# -speed list (the /v1/plan codec's rule). Their Go tests pin the refusal
+# messages (cmd/chimera-sim, cmd/chimera-viz); here one probe per input that
+# once crashed a CLI must exit 1 within 20 s without a panic or a fatal
+# runtime error: chimera-sim -b 0 and -w 0 (a division by zero), chimera-viz
+# one op above serve.MaxScheduleOps (D·N = 1024·1025; an unbounded schedule
+# ran out of memory), chimera-train -b 0 (a hang) and -heads 0 (a division
+# by zero). The binaries are built first so a compile error cannot pass for
+# a refusal.
 cli-smoke:
 	$(GO) build -o bin/ ./cmd/chimera-train ./cmd/chimera-sim ./cmd/chimera-viz ./cmd/chimera-plan
 	bin/chimera-train -iters 3
@@ -77,6 +85,13 @@ cli-smoke:
 	case "$$out" in *"do not split evenly"*) ;; *) echo "chimera-sim at D=5: $$out"; exit 1;; esac
 	@for cli in chimera-sim chimera-viz; do \
 		if bin/$$cli -concat bogus; then echo "$$cli accepted -concat bogus"; exit 1; fi; \
+	done
+	@for probe in "chimera-sim -b 0" "chimera-sim -w 0" "chimera-viz -d 1024 -n 1025" \
+		"chimera-train -b 0" "chimera-train -heads 0"; do \
+		out="$$(timeout 20 bin/$$probe 2>&1)"; status=$$?; \
+		if [ $$status -ne 1 ]; then echo "$$probe: exit $$status, want 1: $$out"; exit 1; fi; \
+		case "$$out" in *"panic:"*|*"fatal error:"*) echo "$$probe crashed: $$out"; exit 1;; esac; \
+		echo "$$probe: $$out"; \
 	done
 	bin/chimera-plan -model bert48 -p 16 -bhat 128
 	bin/chimera-plan -model bert48 -p 16 -bhat 128 -json

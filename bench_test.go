@@ -4,8 +4,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for paper-vs-measured notes. cmd/chimera-bench
-// prints the full row/series output of the same harnesses.
+// and see DESIGN.md §4's experiment index for what each one reproduces.
+// cmd/chimera-bench prints the full row/series output of the same
+// harnesses; `make bench-smoke` runs each benchmark once.
 package chimera_test
 
 import (

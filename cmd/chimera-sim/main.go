@@ -1,7 +1,8 @@
 // chimera-sim simulates one training iteration of a pipeline scheme on a
 // calibrated cluster and prints throughput, bubble ratio and per-worker
-// memory. With -json it emits the same wire shape chimera-serve's
-// /v1/simulate serves (one serialization path, internal/serve's codecs).
+// memory. It is a client of /v1/simulate: its flags resolve through
+// serve.SimulateRequest.Spec and run on an engine as that endpoint does, so
+// it refuses what the service refuses, and -json prints the endpoint's reply.
 //
 // Example:
 //
@@ -16,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"chimera/internal/engine"
 	"chimera/internal/schedule"
 	"chimera/internal/serve"
 	"chimera/internal/sim"
@@ -38,37 +40,32 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the /v1/simulate wire format instead of the report")
 	flag.Parse()
 
-	m, err := serve.ResolveModel(*modelName)
-	check(err)
-	if *bhat%(*w**b) != 0 {
-		check(fmt.Errorf("B̂=%d not divisible by W·B=%d", *bhat, *w**b))
+	n := 1 // N = B̂/(W·B); a -w or -b below 1 is the codec's to refuse
+	if wb := *w * *b; wb > 0 {
+		if *bhat%wb != 0 {
+			check(fmt.Errorf("B̂=%d not divisible by W·B=%d", *bhat, wb))
+		}
+		n = *bhat / wb
 	}
-	n := *bhat / (*w * *b)
 	factors, err := sim.DecodeSpeedFactors(*speed)
 	check(err)
-	mode, err := serve.ResolveConcat(*concat)
-	check(err)
-	s, err := schedule.Build(schedule.Spec{
-		Scheme: *scheme, Scheduler: *scheduler, D: *d, N: n, F: *f,
-		Concat: mode, SpeedFactors: factors,
-	})
-	check(err)
-
-	dev, net, err := serve.ResolvePlatform(*platform)
-	check(err)
-	cfg := sim.Config{Model: m, Schedule: s, MicroBatch: *b, W: *w, Recompute: *recompute,
-		SpeedFactors: factors, Device: dev, Network: net}
-	var res *sim.Result
-	usedRecompute := *recompute
-	if *auto && !*recompute {
-		res, usedRecompute, err = sim.AutoRun(cfg)
-	} else {
-		res, err = sim.Run(cfg)
+	ref := serve.ScheduleRef{Scheme: *scheme, D: *d, N: n, Scheduler: *scheduler}
+	// A non-default -f or -concat is sent too: the codec refuses it off chimera.
+	if *scheme == "chimera" || *f != 1 || *concat != "direct" {
+		ref.F, ref.Concat = *f, *concat
 	}
+	spec, err := serve.SimulateRequest{
+		Model: serve.ModelRef{Preset: *modelName}, Schedule: ref,
+		MicroBatch: *b, W: *w, Recompute: *recompute, AutoRecompute: *auto && !*recompute,
+		SpeedFactors: factors, Platform: serve.PlatformRef{Preset: *platform},
+	}.Spec()
 	check(err)
+	out := engine.Default().Evaluate(spec)
+	check(out.Err)
+	res := out.Result
 
 	if *jsonOut {
-		raw, err := json.MarshalIndent(serve.SimulateResponse{Result: res, Recompute: usedRecompute}, "", "  ")
+		raw, err := json.MarshalIndent(serve.SimulateResponse{Result: res, Recompute: out.Recompute}, "", "  ")
 		check(err)
 		fmt.Println(string(raw))
 		if res.OOM {
@@ -77,7 +74,7 @@ func main() {
 		return
 	}
 	fmt.Printf("%s %s: D=%d W=%d B=%d N=%d (B̂=%d) recompute=%v\n",
-		*scheme, m.Name, *d, *w, *b, n, res.MiniBatch, usedRecompute)
+		*scheme, spec.Model.Name, *d, *w, *b, n, res.MiniBatch, out.Recompute)
 	fmt.Printf("iteration time : %.4f s\n", res.IterTime)
 	fmt.Printf("throughput     : %.1f sequences/s\n", res.Throughput)
 	fmt.Printf("bubble ratio   : %.3f\n", res.BubbleRatio)
@@ -85,7 +82,7 @@ func main() {
 	fmt.Printf("per-worker peak memory (GiB):\n")
 	for wk, mem := range res.PeakMemBytes {
 		marker := ""
-		if mem > cfg.Device.MemBytes {
+		if mem > spec.Device.MemBytes {
 			marker = "  << OOM"
 		}
 		fmt.Printf("  P%-3d %.2f%s\n", wk, float64(mem)/(1<<30), marker)

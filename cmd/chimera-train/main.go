@@ -41,13 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "weight and data seed")
 	flag.Parse()
 
-	var s *schedule.Schedule
-	var err error
-	if *scheme == "chimera" {
-		s, err = schedule.Chimera(schedule.ChimeraConfig{D: *d, N: *n, F: *f, Concat: schedule.Direct})
-	} else {
-		s, err = schedule.ByName(*scheme, *d, *n)
-	}
+	s, err := schedule.Build(schedule.Spec{Scheme: *scheme, D: *d, N: *n, F: *f})
 	check(err)
 
 	spec := pipeline.ModelSpec{Vocab: *vocab, Dim: *dim, Heads: *heads, SeqLen: *seqLen, Layers: *layers, Seed: *seed}

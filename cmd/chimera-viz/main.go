@@ -1,5 +1,7 @@
 // chimera-viz renders pipeline schedules as ASCII timelines (the paper's
-// Figures 2/3/7/8) or Chrome-trace JSON.
+// Figures 2/3/7/8), SVG or Chrome-trace JSON. It is a client of /v1/render:
+// its flags resolve through serve.ScheduleRef.Key, size caps included, so it
+// refuses what the service refuses.
 //
 // Example:
 //
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"chimera/internal/engine"
 	"chimera/internal/schedule"
 	"chimera/internal/serve"
 	"chimera/internal/trace"
@@ -29,14 +32,14 @@ func main() {
 	svg := flag.String("svg", "", "write an SVG Gantt chart to this file instead")
 	flag.Parse()
 
-	mode, err := serve.ResolveConcat(*concat)
-	check(err)
-	var s *schedule.Schedule
-	if *scheme == "chimera" {
-		s, err = schedule.Chimera(schedule.ChimeraConfig{D: *d, N: *n, F: *f, Concat: mode})
-	} else {
-		s, err = schedule.ByName(*scheme, *d, *n)
+	ref := serve.ScheduleRef{Scheme: *scheme, D: *d, N: *n}
+	// A non-default -f or -concat is sent too: the codec refuses it off chimera.
+	if *scheme == "chimera" || *f != 1 || *concat != "direct" {
+		ref.F, ref.Concat = *f, *concat
 	}
+	key, err := ref.Key()
+	check(err)
+	s, err := engine.Default().Schedule(key)
 	check(err)
 	cm := schedule.UnitPractical
 	if *equal {

@@ -5,8 +5,8 @@
 //
 // Absolute numbers come from the calibrated simulator, not the authors'
 // Piz Daint testbed; the shapes — who wins, by what factor, where
-// crossovers fall — are the reproduction targets recorded in
-// EXPERIMENTS.md.
+// crossovers fall — are the reproduction targets, listed per experiment in
+// DESIGN.md §4's evaluation index.
 package experiments
 
 import (

@@ -40,6 +40,14 @@ type ModelSpec struct {
 
 // Validate checks the spec against a pipeline depth.
 func (m ModelSpec) Validate(d int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Vocab", m.Vocab}, {"Dim", m.Dim}, {"Heads", m.Heads}, {"SeqLen", m.SeqLen}, {"Layers", m.Layers}} {
+		if f.v < 1 {
+			return fmt.Errorf("pipeline: ModelSpec.%s must be ≥ 1, got %d", f.name, f.v)
+		}
+	}
 	if m.Layers%d != 0 {
 		return fmt.Errorf("pipeline: %d layers do not split into %d stages", m.Layers, d)
 	}
@@ -130,6 +138,9 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	if cfg.W < 1 {
 		return nil, fmt.Errorf("pipeline: W must be ≥1")
+	}
+	if cfg.MicroBatch < 1 {
+		return nil, fmt.Errorf("pipeline: MicroBatch must be ≥ 1, got %d", cfg.MicroBatch)
 	}
 	if err := cfg.Spec.Validate(s.D); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"chimera/internal/data"
@@ -251,6 +252,39 @@ func TestTrainerRejections(t *testing.T) {
 	badSpec.Layers = 6 // not divisible by D=4
 	if _, err := New(Config{Schedule: s, W: 1, Spec: badSpec, MicroBatch: 1}); err == nil {
 		t.Error("indivisible layer count must be rejected")
+	}
+}
+
+// TestNewRefusesWhatCannotRun: a micro-batch or a model dimension below 1
+// is an error naming the field, not a hang in TrainIteration or a panic in
+// Validate or tensor.New.
+func TestNewRefusesWhatCannotRun(t *testing.T) {
+	s, err := schedule.Chimera(schedule.ChimeraConfig{D: 2, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"MicroBatch", func(c *Config) { c.MicroBatch = 0 }},
+		{"MicroBatch", func(c *Config) { c.MicroBatch = -1 }},
+		{"Vocab", func(c *Config) { c.Spec.Vocab = 0 }},
+		{"Dim", func(c *Config) { c.Spec.Dim = 0 }},
+		{"Heads", func(c *Config) { c.Spec.Heads = 0 }},
+		{"SeqLen", func(c *Config) { c.Spec.SeqLen = 0 }},
+		{"Layers", func(c *Config) { c.Spec.Layers = 0 }},
+		{"Layers", func(c *Config) { c.Spec.Layers = -2 }},
+	} {
+		cfg := Config{Schedule: s, W: 1, Spec: tinySpec, MicroBatch: 1}
+		tc.edit(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: New returned %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+	if _, err := NewReference(tinySpec, 2, 0, nil); err == nil || !strings.Contains(err.Error(), "MicroBatch") {
+		t.Errorf("NewReference with micro-batch 0 returned %v, want an error naming MicroBatch", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"chimera/internal/data"
 	"chimera/internal/nn"
 	"chimera/internal/optim"
@@ -25,6 +27,9 @@ type Reference struct {
 func NewReference(spec ModelSpec, d, microBatch int, newOpt func() optim.Optimizer) (*Reference, error) {
 	if err := spec.Validate(d); err != nil {
 		return nil, err
+	}
+	if microBatch < 1 {
+		return nil, fmt.Errorf("pipeline: MicroBatch must be ≥ 1, got %d", microBatch)
 	}
 	if newOpt == nil {
 		newOpt = func() optim.Optimizer { return &optim.SGD{LR: 0.1} }
