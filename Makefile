@@ -117,7 +117,13 @@ define fuzz-one
 	$(GO) test -fuzz='^$(2)$$' -fuzztime=$(FUZZTIME) -run '^$$' $(1)
 endef
 
+# fuzz first lists every fuzz test in the module and fails on one that no
+# fuzz-one line below names: a new target would otherwise only ever replay
+# its seed corpus (the reverse of fuzz-one's check).
 fuzz:
+	@missing="$$($(GO) test -list '^Fuzz' ./... | grep '^Fuzz' | sort -u | while read t; do \
+		grep -q "fuzz-one,[^,]*,$$t)" $(firstword $(MAKEFILE_LIST)) || echo "$$t"; done)"; \
+	if [ -n "$$missing" ]; then echo "fuzz: not fuzzed by make fuzz:" $$missing; exit 1; fi
 # Graph replay vs the reference interpreter.
 	$(call fuzz-one,./internal/schedule/,FuzzGraphReplayEquivalence)
 # Closed-form residency vs op walk (random even D ≤ 256, N ≤ 4096, concat
@@ -144,6 +150,10 @@ fuzz:
 # (random even D ≤ 64, N ≤ 8D, B, W, ZeRO, model shape), at a device memory
 # within bytes of either threshold.
 	$(call fuzz-one,./internal/sim/,FuzzChimeraFitEquivalence)
+# Free regions read off the engine's graph for a Chimera key vs the built
+# schedule's own and vs the closed form where it answers (random even
+# D ≤ 64, N ≤ 8D, F ∈ {1, 2}, concat mode, backward cost).
+	$(call fuzz-one,./internal/engine/,FuzzFreeRegions)
 # Fleet scenario resolvers (example scenarios as seeds): never panic; an
 # accepted classic trace stays within the event bound and resolves the same
 # cluster and jobs as its elastic twin.

@@ -299,11 +299,14 @@ func Capacity(n int) Option {
 	}
 }
 
-// ReferenceCore routes every simulator evaluation through the retained
-// map-interpreter replay core (internal/refinterp) instead of the compiled
-// dependency-graph core. This is the seed implementation's evaluation path,
-// kept runnable as the oracle: bench/ generates its goldens through it and
-// tests assert the optimized core's equivalence. Never use it on a hot path.
+// ReferenceCore routes every simulator evaluation (Evaluate and Sweep)
+// through the retained map-interpreter replay core (internal/refinterp)
+// instead of the compiled dependency-graph core. This is the seed
+// implementation's evaluation path, kept runnable as the oracle: tests
+// assert the optimized core's equivalence. It reaches nothing else: the
+// planner (perfmodel.PlanOn) and the fleet allocator never call Evaluate, so
+// on an engine built with it they still read the closed forms and the graph
+// replay. Never use it on a hot path.
 func ReferenceCore() Option {
 	return func(e *Engine) { e.refCore = true }
 }

@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"chimera/internal/model"
-	"chimera/internal/perfmodel"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
@@ -13,18 +14,15 @@ import (
 // end-to-end iteration time — the §3.4 design choice.
 func AblationAllreduce() (*Report, error) {
 	r := newReport("ablation-allreduce", "Allreduce algorithm choice (Rabenseifner vs ring)")
-	m, plat := model.GPT2(), pizDaint()
-	sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 8, N: 8})
-	if err != nil {
-		return nil, err
-	}
 	for _, alg := range []sim.AllReduceAlg{sim.ARRabenseifner, sim.ARRing} {
 		for _, w := range []int{8, 64, 256} {
-			res, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 1, W: w,
-				Device: plat.dev, Network: plat.net, Allreduce: alg, Recompute: true})
-			if err != nil {
-				return nil, err
+			spec := directChimera(model.GPT2(), 8, 8, 1, w)
+			spec.Allreduce, spec.Recompute = alg, true
+			o := eng.Evaluate(spec)
+			if o.Err != nil {
+				return nil, o.Err
 			}
+			res := o.Result
 			name := "rabenseifner"
 			if alg == sim.ARRing {
 				name = "ring"
@@ -57,7 +55,9 @@ func AblationGreedyB() (*Report, error) {
 			bestB = b
 		}
 	}
-	// The greedy pick: largest feasible without recompute.
+	// The greedy pick: largest feasible without recompute. This is the greedy
+	// rule under test, so it reads the memory model directly rather than
+	// through an evaluation.
 	greedy := 0
 	for _, b := range powersOfTwo(32) {
 		sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 512 / (8 * b), Concat: schedule.Direct})
@@ -80,23 +80,15 @@ func AblationGreedyB() (*Report, error) {
 // recomputation against its memory savings.
 func AblationRecompute() (*Report, error) {
 	r := newReport("ablation-recompute", "Activation recomputation cost/benefit (GPT-2, D=32)")
-	m, plat := model.GPT2(), pizDaint()
-	sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 32, N: 32, Concat: schedule.Direct})
-	if err != nil {
-		return nil, err
-	}
 	for _, rec := range []bool{false, true} {
-		res, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 1, W: 2,
-			Device: plat.dev, Network: plat.net, Recompute: rec})
-		if err != nil {
-			return nil, err
+		spec := directChimera(model.GPT2(), 32, 32, 1, 2)
+		spec.Recompute = rec
+		o := eng.Evaluate(spec)
+		if o.Err != nil {
+			return nil, o.Err
 		}
-		var peak int64
-		for _, b := range res.PeakMemBytes {
-			if b > peak {
-				peak = b
-			}
-		}
+		res := o.Result
+		peak := slices.Max(res.PeakMemBytes)
 		r.addf("recompute=%-5v iter=%.3fs peak=%.2f GiB oom=%v", rec, res.IterTime, float64(peak)/(1<<30), res.OOM)
 		r.Metrics[fmt.Sprintf("iter:recompute=%v", rec)] = res.IterTime
 	}
@@ -107,22 +99,16 @@ func AblationRecompute() (*Report, error) {
 // parameter η, showing when eager-sync-opt's advantage appears.
 func AblationInterference() (*Report, error) {
 	r := newReport("ablation-interference", "Eager-sync progression overhead η sweep (Bert-48, D=4)")
-	m, plat := model.BERT48(), pizDaint()
-	sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 8, Concat: schedule.Direct})
-	if err != nil {
-		return nil, err
-	}
 	for _, eta := range []float64{0.05, 0.15, 0.3} {
-		opt, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 8, W: 16,
-			Device: plat.dev, Network: plat.net, Sync: sim.SyncEagerOpt, Interference: eta})
-		if err != nil {
-			return nil, err
+		spec := directChimera(model.BERT48(), 4, 8, 8, 16)
+		spec.Sync, spec.Interference = sim.SyncEagerOpt, eta
+		o := eng.Evaluate(spec)
+		spec.Sync = sim.SyncEager
+		e := eng.Evaluate(spec)
+		if o.Err != nil || e.Err != nil {
+			return nil, errors.Join(o.Err, e.Err)
 		}
-		eager, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 8, W: 16,
-			Device: plat.dev, Network: plat.net, Sync: sim.SyncEager, Interference: eta})
-		if err != nil {
-			return nil, err
-		}
+		opt, eager := o.Result, e.Result
 		r.addf("η=%.2f: eager-opt/eager speedup %.3fx", eta, opt.Throughput/eager.Throughput)
 		r.Metrics[fmt.Sprintf("eta=%.2f", eta)] = opt.Throughput / eager.Throughput
 	}
@@ -133,19 +119,13 @@ func AblationInterference() (*Report, error) {
 // configuration grid.
 func ModelAccuracy() (*Report, error) {
 	r := newReport("model-accuracy", "Performance model error (paper: within 10%)")
-	m, plat := model.BERT48(), pizDaint()
 	var worst float64
 	for _, c := range []struct{ w, d, b int }{{16, 2, 16}, {8, 4, 8}, {4, 8, 16}, {2, 16, 16}} {
-		n := 512 / c.w / c.b
-		sch, err := schedule.Chimera(schedule.ChimeraConfig{D: c.d, N: n, Concat: schedule.Direct})
+		pt, err := versusModel(directChimera(model.BERT48(), c.d, 512/c.w/c.b, c.b, c.w))
 		if err != nil {
 			return nil, err
 		}
-		e, err := perfmodel.ModelError(sim.Config{Model: m, Schedule: sch, MicroBatch: c.b, W: c.w,
-			Device: plat.dev, Network: plat.net})
-		if err != nil {
-			return nil, err
-		}
+		e := pt.modelErr
 		r.addf("W=%-3d D=%-3d B=%-3d error=%.1f%%", c.w, c.d, c.b, e*100)
 		if e > worst {
 			worst = e
@@ -161,23 +141,15 @@ func ModelAccuracy() (*Report, error) {
 // allgather it adds to each iteration.
 func AblationZeRO() (*Report, error) {
 	r := newReport("ablation-zero", "ZeRO-1 optimizer-state sharding (GPT-2, D=16, W=32)")
-	m, plat := model.GPT2(), pizDaint()
-	sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 16, N: 16, Concat: schedule.Direct})
-	if err != nil {
-		return nil, err
-	}
 	for _, zero := range []bool{false, true} {
-		res, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 1, W: 32,
-			Device: plat.dev, Network: plat.net, ZeRO: zero})
-		if err != nil {
-			return nil, err
+		spec := directChimera(model.GPT2(), 16, 16, 1, 32)
+		spec.ZeRO = zero
+		o := eng.Evaluate(spec)
+		if o.Err != nil {
+			return nil, o.Err
 		}
-		var peak int64
-		for _, b := range res.PeakMemBytes {
-			if b > peak {
-				peak = b
-			}
-		}
+		res := o.Result
+		peak := slices.Max(res.PeakMemBytes)
 		r.addf("zero=%-5v iter=%.3fs peak=%.2f GiB throughput=%.1f seq/s",
 			zero, res.IterTime, float64(peak)/(1<<30), res.Throughput)
 		r.Metrics[fmt.Sprintf("peak:zero=%v", zero)] = float64(peak)
@@ -191,20 +163,17 @@ func AblationZeRO() (*Report, error) {
 // sync-bound GPT-2 configuration.
 func AblationCompression() (*Report, error) {
 	r := newReport("ablation-compression", "Gradient compression (GPT-2, D=8, W=64)")
-	m, plat := model.GPT2(), pizDaint()
-	sch, err := schedule.Chimera(schedule.ChimeraConfig{D: 8, N: 8})
-	if err != nil {
-		return nil, err
-	}
 	for _, c := range []struct {
 		name   string
 		factor float64
 	}{{"fp32 (exact)", 1.0}, {"int8 quantized", 0.26}, {"top-1% sparse", 0.02}} {
-		res, err := sim.Run(sim.Config{Model: m, Schedule: sch, MicroBatch: 1, W: 64,
-			Device: plat.dev, Network: plat.net, Recompute: true, CompressionFactor: c.factor})
-		if err != nil {
-			return nil, err
+		spec := directChimera(model.GPT2(), 8, 8, 1, 64)
+		spec.Recompute, spec.CompressionFactor = true, c.factor
+		o := eng.Evaluate(spec)
+		if o.Err != nil {
+			return nil, o.Err
 		}
+		res := o.Result
 		r.addf("%-15s iter=%.3fs sync=%.3fs throughput=%.1f seq/s",
 			c.name, res.IterTime, res.SyncTime, res.Throughput)
 		r.Metrics["iter:"+c.name] = res.IterTime

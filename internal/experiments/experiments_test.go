@@ -242,6 +242,34 @@ func TestFigure19MoreAtDeeperPipes(t *testing.T) {
 	}
 }
 
+// TestFigure13ModelWithinBoundAndRanksBest pins §4.2.2's two claims on
+// both of Figure 13's panels: every point's model error is within 10%, and
+// the configuration the model picks is the practical best.
+func TestFigure13ModelWithinBoundAndRanksBest(t *testing.T) {
+	r, err := Figure13()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for k, v := range r.Metrics {
+		if strings.HasPrefix(k, "error%:") {
+			points++
+			if v > 10 {
+				t.Errorf("%s = %.1f%%, above the paper's 10%%", k, v)
+			}
+		}
+	}
+	if points != 8 {
+		t.Errorf("%d points compared, want 8 (four per panel)", points)
+	}
+	for _, m := range []string{model.BERT48().Name, model.GPT2().Name} {
+		pick, best := r.Metrics["pick:"+m], r.Metrics["best:"+m]
+		if best <= 0 || pick != best {
+			t.Errorf("%s: the model's pick reaches %.1f seq/s, the practical best %.1f", m, pick, best)
+		}
+	}
+}
+
 // TestModelAccuracyWithinPaperBound: Eq. 1 within 10%.
 func TestModelAccuracyWithinPaperBound(t *testing.T) {
 	r, err := ModelAccuracy()

@@ -43,6 +43,8 @@ func Figure9() (*Report, error) {
 			if err := c.m.CheckDepth(c.d); err != nil {
 				return nil, err
 			}
+			// Memory only, nothing to replay: the memory model is read
+			// directly rather than through an engine.Spec evaluation.
 			mem := sim.PeakMemory(&cfg)
 			lo, hi := mem[0], mem[0]
 			peakWorker := 0

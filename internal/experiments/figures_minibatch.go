@@ -6,7 +6,6 @@ import (
 	"chimera/internal/engine"
 	"chimera/internal/model"
 	"chimera/internal/schedule"
-	"chimera/internal/sim"
 )
 
 // chimeraVariant simulates one Chimera concatenation variant at fixed
@@ -99,33 +98,27 @@ func Figure18() (*Report, error) {
 // "1 pipe" is 1F1B with flushes.
 func Figure19() (*Report, error) {
 	r := newReport("figure-19", "Chimera with more than two pipelines (GPT-2 32L, B̂=64, 64 nodes)")
-	m, plat := model.GPT2Small32(), pizDaint()
 	for _, cfg := range []struct{ w, d int }{{2, 32}, {4, 16}} {
 		n := 64 / cfg.w // B=1
 		r.addf("W=%d, D=%d (N=%d, B=1):", cfg.w, cfg.d, n)
 		// Single pipeline baseline: 1F1B with flush.
-		if s, err := schedule.OneF1B(cfg.d, n); err == nil {
-			res, err := sim.Run(sim.Config{Model: m, Schedule: s, MicroBatch: 1, W: cfg.w,
-				Device: plat.dev, Network: plat.net})
-			if err == nil && !res.OOM {
-				r.addf("  1 pipe  (1F1B)   %7.1f seq/s  bubble=%.3f", res.Throughput, res.BubbleRatio)
-				r.Metrics[fmt.Sprintf("d%d:pipes=1", cfg.d)] = res.Throughput
-			}
+		spec := directChimera(model.GPT2Small32(), cfg.d, n, 1, cfg.w)
+		spec.Sched = engine.ScheduleKey{Scheme: "1f1b", D: cfg.d, N: n}
+		if o := eng.Evaluate(spec); o.Err == nil && !o.Result.OOM {
+			r.addf("  1 pipe  (1F1B)   %7.1f seq/s  bubble=%.3f", o.Result.Throughput, o.Result.BubbleRatio)
+			r.Metrics[fmt.Sprintf("d%d:pipes=1", cfg.d)] = o.Result.Throughput
 		}
 		for f := 1; 2*f <= cfg.d; f *= 2 {
 			if (cfg.d/2)%f != 0 {
 				continue
 			}
-			s, err := schedule.Chimera(schedule.ChimeraConfig{D: cfg.d, N: n, F: f, Concat: schedule.Direct})
-			if err != nil {
-				continue
-			}
-			res, err := sim.Run(sim.Config{Model: m, Schedule: s, MicroBatch: 1, W: cfg.w,
-				Device: plat.dev, Network: plat.net})
-			if err != nil || res.OOM {
+			spec.Sched = engine.ChimeraKey(cfg.d, n, f, schedule.Direct)
+			o := eng.Evaluate(spec)
+			if o.Err != nil || o.Result.OOM {
 				r.addf("  %2d pipes: infeasible", 2*f)
 				continue
 			}
+			res := o.Result
 			r.addf("  %2d pipes         %7.1f seq/s  bubble=%.3f", 2*f, res.Throughput, res.BubbleRatio)
 			r.Metrics[fmt.Sprintf("d%d:pipes=%d", cfg.d, 2*f)] = res.Throughput
 		}

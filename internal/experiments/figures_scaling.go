@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
@@ -54,13 +55,7 @@ func Figure1() (*Report, error) {
 			r.addf("%-14s infeasible", scheme)
 			continue
 		}
-		var peak int64
-		for _, mm := range best.res.PeakMemBytes {
-			if mm > peak {
-				peak = mm
-			}
-		}
-		r.addf("%-14s %s  peak-mem=%s", scheme, fmtPoint(best), gib(peak))
+		r.addf("%-14s %s  peak-mem=%s", scheme, fmtPoint(best), gib(slices.Max(best.res.PeakMemBytes)))
 		r.Metrics["throughput:"+scheme] = best.res.Throughput
 		r.Metrics["bubble:"+scheme] = best.res.BubbleRatio
 	}

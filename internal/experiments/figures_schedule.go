@@ -8,6 +8,10 @@ import (
 	"chimera/internal/trace"
 )
 
+// The figures in this file (2, 6, 7, 8), like Tables 2 and 3, draw or
+// analyze a schedule's unit-cost replay and simulate no point, so they build
+// their schedules directly instead of evaluating an engine.Spec.
+
 // Figure2 renders the schedule timelines of Fig. 2 (all schemes, D=4, N=4,
 // backward = 2× forward) plus Chimera's construction view of Fig. 3.
 func Figure2(d, n int) (*Report, error) {

@@ -2,18 +2,22 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"chimera/internal/engine"
 	"chimera/internal/model"
+	"chimera/internal/perfmodel"
 	"chimera/internal/schedule"
 	"chimera/internal/sim"
 )
 
-// eng is the shared evaluation engine: every figure sweep fans its grid out
-// over the same worker pool and reuses the same memoized schedules and
-// simulator results. Figures that first search a grid for the best point
-// and then re-walk it for printing (Figure 10/11 style) hit the cache on
-// the second walk instead of simulating everything twice.
+// eng is the shared evaluation engine and the suite's only way to simulate
+// a point: every figure point is an engine.Spec evaluated here, so every
+// figure sweep fans its grid out over the same worker pool and reuses the
+// same memoized schedules and simulator results. Figures that first search
+// a grid for the best point and then re-walk it for printing (Figure 10/11
+// style) hit the cache on the second walk instead of simulating everything
+// twice.
 var eng = engine.Default()
 
 // platform bundles a device and network (Piz Daint or the V100 cluster).
@@ -90,6 +94,55 @@ func outcomePoint(o engine.Outcome) (*sim.Result, bool) {
 		return nil, false
 	}
 	return o.Result, o.Recompute
+}
+
+// directChimera is the spec of a direct-concatenation Chimera point (F = 1,
+// N micro-batches of size b per worker) on w Piz Daint replicas; callers set
+// the knobs they vary before evaluating it on eng.
+func directChimera(m model.Config, d, n, b, w int) engine.Spec {
+	plat := pizDaint()
+	return engine.Spec{Sched: engine.ChimeraKey(d, n, 0, schedule.Direct), Model: m,
+		MicroBatch: b, W: w, Device: plat.dev, Network: plat.net}
+}
+
+// modelPoint is §4.2.2's comparison at one point: the simulated result, the
+// recomputation it ran with, the Eq. 1 prediction for the same
+// configuration and the model error |predicted − simulated| / simulated
+// iteration time.
+type modelPoint struct {
+	res       *sim.Result
+	recompute bool
+	pred      *perfmodel.Prediction
+	modelErr  float64
+}
+
+// versusModel evaluates spec on eng and Eq. 1 beside it, with the
+// recomputation the evaluation chose and (Cf, Cb) from the engine's
+// memoized critical path for the spec's schedule.
+func versusModel(spec engine.Spec) (modelPoint, error) {
+	o := eng.Evaluate(spec)
+	if o.Err != nil {
+		return modelPoint{}, o.Err
+	}
+	s, err := eng.Schedule(spec.Sched)
+	if err != nil {
+		return modelPoint{}, err
+	}
+	cfg, err := spec.Config(s)
+	if err != nil {
+		return modelPoint{}, err
+	}
+	cfg.Recompute = o.Recompute
+	cf, cb, err := eng.CriticalPath(spec.Sched)
+	if err != nil {
+		return modelPoint{}, err
+	}
+	pred, err := perfmodel.PredictWithCritical(cfg, cf, cb)
+	if err != nil {
+		return modelPoint{}, err
+	}
+	return modelPoint{res: o.Result, recompute: o.Recompute, pred: pred,
+		modelErr: math.Abs(pred.IterTime-o.Result.IterTime) / o.Result.IterTime}, nil
 }
 
 // sweepResult is one evaluated grid point: the best-throughput selection

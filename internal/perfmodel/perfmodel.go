@@ -22,7 +22,6 @@ package perfmodel
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -609,18 +608,4 @@ func planOne(e *engine.Engine, req PlanRequest, w, d int, sched string, factors 
 	}
 	pred.Scheduler = sched
 	return pred, nil
-}
-
-// ModelError returns |predicted − simulated| / simulated iteration time for
-// a configuration — the §4.2.2 accuracy metric (paper: within 10%).
-func ModelError(cfg sim.Config) (float64, error) {
-	pred, err := Predict(cfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return math.Abs(pred.IterTime-res.IterTime) / res.IterTime, nil
 }

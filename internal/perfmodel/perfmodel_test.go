@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"chimera/internal/engine"
@@ -57,6 +58,20 @@ func chimeraCfg(t *testing.T, d, n, b, w int) sim.Config {
 	}
 }
 
+// modelError returns |predicted − simulated| / simulated iteration time for
+// a configuration — the §4.2.2 accuracy metric (paper: within 10%).
+func modelError(cfg sim.Config) (float64, error) {
+	pred, err := Predict(cfg)
+	if err != nil {
+		return 0, err
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return math.Abs(pred.IterTime-res.IterTime) / res.IterTime, nil
+}
+
 // TestModelErrorWithin10Percent reproduces the §4.2.2 claim: Eq. 1 predicts
 // the simulated iteration time within 10% across representative Bert-48
 // configurations on 32 workers.
@@ -66,7 +81,7 @@ func TestModelErrorWithin10Percent(t *testing.T) {
 	} {
 		n := 512 / c.w / c.b
 		cfg := chimeraCfg(t, c.d, n, c.b, c.w)
-		e, err := ModelError(cfg)
+		e, err := modelError(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +185,7 @@ func TestPredictErrorPaths(t *testing.T) {
 	if _, err := Predict(cfg); err == nil {
 		t.Fatal("48 layers into 5 stages must fail prediction")
 	}
-	if _, err := ModelError(cfg); err == nil {
+	if _, err := modelError(cfg); err == nil {
 		t.Fatal("model error must propagate partition failure")
 	}
 }

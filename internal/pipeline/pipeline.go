@@ -57,6 +57,29 @@ func (m ModelSpec) Validate(d int) error {
 	return nil
 }
 
+// checkBatch refuses a batch the model cannot consume: every sequence's
+// tokens and targets must be SeqLen long and every target id in
+// [0, Vocab). Token ids need no check: the embedding maps an unknown id to
+// id 0. Run before any worker starts, it keeps a bad batch from panicking
+// one worker while its peers wait on it.
+func (m ModelSpec) checkBatch(b *data.Batch) error {
+	if len(b.Targets) != len(b.Tokens) {
+		return fmt.Errorf("pipeline: batch has %d target rows for %d sequences", len(b.Targets), len(b.Tokens))
+	}
+	for i, toks := range b.Tokens {
+		if len(toks) != m.SeqLen || len(b.Targets[i]) != m.SeqLen {
+			return fmt.Errorf("pipeline: sequence %d has %d tokens and %d targets, need SeqLen = %d",
+				i, len(toks), len(b.Targets[i]), m.SeqLen)
+		}
+		for _, id := range b.Targets[i] {
+			if id < 0 || id >= m.Vocab {
+				return fmt.Errorf("pipeline: sequence %d has target id %d, outside [0, Vocab = %d)", i, id, m.Vocab)
+			}
+		}
+	}
+	return nil
+}
+
 // Config configures a Trainer.
 type Config struct {
 	// Schedule is a synchronous schedule or PipeDream's; PipeDream
@@ -211,12 +234,16 @@ func buildStage(spec ModelSpec, d, stageIdx int) *nn.Stage {
 }
 
 // TrainIteration runs one training iteration over batch, which must contain
-// exactly MicroBatch·N·W sequences. Returns the mean loss.
+// exactly MicroBatch·N·W sequences of SeqLen tokens and targets, every
+// target id in [0, Vocab). Returns the mean loss.
 func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 	s := t.cfg.Schedule
 	need := t.cfg.MicroBatch * s.N * t.w
 	if batch.Sequences() != need {
 		return 0, fmt.Errorf("pipeline: batch has %d sequences, need B·N·W = %d", batch.Sequences(), need)
+	}
+	if err := t.cfg.Spec.checkBatch(batch); err != nil {
+		return 0, err
 	}
 	// Per-rank loss slots summed in rank order: a sum in completion order
 	// would make the loss's last bits depend on goroutine scheduling.

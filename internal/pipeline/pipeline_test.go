@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"chimera/internal/data"
 	"chimera/internal/optim"
@@ -285,6 +287,65 @@ func TestNewRefusesWhatCannotRun(t *testing.T) {
 	}
 	if _, err := NewReference(tinySpec, 2, 0, nil); err == nil || !strings.Contains(err.Error(), "MicroBatch") {
 		t.Errorf("NewReference with micro-batch 0 returned %v, want an error naming MicroBatch", err)
+	}
+}
+
+// TestBatchContentValidation: a batch whose sequences are not SeqLen long,
+// or whose target ids fall outside [0, Vocab), is an error naming the field
+// from both TrainIterations. Unchecked, it panicked one pipeline worker
+// while the others waited in comm.Recv for good, so each case runs under a
+// deadline.
+func TestBatchContentValidation(t *testing.T) {
+	s, err := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seqs = 2 * 4 // B·N·W with B = 2, W = 1
+	short := tinyBatch(t, seqs)
+	short.Targets[3] = short.Targets[3][:tinySpec.SeqLen-1]
+	negative := tinyBatch(t, seqs)
+	negative.Targets[5][1] = -1
+	for _, tc := range []struct {
+		name, field string
+		batch       *data.Batch
+	}{
+		{"long sequences", "SeqLen", data.NewStream(tinySpec.Vocab, tinySpec.SeqLen+1, 42).Next(seqs)},
+		{"short targets", "SeqLen", short},
+		{"targets beyond the vocabulary", "Vocab", data.NewStream(4*tinySpec.Vocab, tinySpec.SeqLen, 42).Next(seqs)},
+		{"negative target", "Vocab", negative},
+		{"missing target rows", "target rows", &data.Batch{Tokens: short.Tokens, Targets: short.Targets[:seqs-1]}},
+	} {
+		tr, err := New(Config{Schedule: s, W: 1, Spec: tinySpec, MicroBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewReference(tinySpec, 4, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name string
+			iter func(*data.Batch) (float64, error)
+		}{{"Trainer", tr.TrainIteration}, {"Reference", ref.TrainIteration}} {
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err := run.iter(tc.batch)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s, %s: got %v, want an error naming %s", tc.name, run.name, err, tc.field)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s, %s: TrainIteration still running after 5 s", tc.name, run.name)
+			}
+		}
 	}
 }
 

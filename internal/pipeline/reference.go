@@ -43,9 +43,13 @@ func NewReference(spec ModelSpec, d, microBatch int, newOpt func() optim.Optimiz
 }
 
 // TrainIteration consumes a whole mini-batch (any multiple of the
-// micro-batch size), accumulating gradients micro-batch by micro-batch and
+// micro-batch size) of SeqLen tokens and targets per sequence, every target
+// id in [0, Vocab), accumulating gradients micro-batch by micro-batch and
 // applying one optimizer step. Returns the mean loss.
 func (r *Reference) TrainIteration(batch *data.Batch) (float64, error) {
+	if err := r.spec.checkBatch(batch); err != nil {
+		return 0, err
+	}
 	nMicros := batch.Sequences() / r.b
 	rows := r.b * r.spec.SeqLen
 	for _, st := range r.stages {

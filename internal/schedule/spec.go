@@ -18,10 +18,6 @@ type Spec struct {
 	// N > D scaling mode. Both must be zero-valued for other schemes.
 	F      int
 	Concat ConcatMode
-	// CostModel supplies op durations for list-scheduler ranking and
-	// packing; nil defaults to UnitPractical (forward 1, backward 2).
-	// Ignored by the fixed policy.
-	CostModel *CostModel
 	// SpeedFactors[w] is worker w's compute-time multiplier (1 = nominal).
 	// Empty means homogeneous; otherwise the length must equal D. List
 	// policies return the base schedule unchanged when the factors carry no
@@ -32,7 +28,8 @@ type Spec struct {
 // Build constructs the schedule a Spec describes: generate the scheme, then
 // run the placement policy over its compiled graph. With Scheduler "" or
 // "fixed" the scheme's schedule is returned as-is — bit-identical to calling
-// the generator directly, with no eager graph compilation.
+// the generator directly, with no eager graph compilation. A list policy
+// ranks and packs ops under UnitPractical (forward 1, backward 2).
 func Build(spec Spec) (*Schedule, error) {
 	policy := spec.Scheduler
 	if policy == "" {
@@ -64,13 +61,9 @@ func Build(spec Spec) (*Schedule, error) {
 	if policy == "fixed" {
 		return base, nil
 	}
-	cm := UnitPractical
-	if spec.CostModel != nil {
-		cm = *spec.CostModel
-	}
 	g, err := base.Graph()
 	if err != nil {
 		return nil, err
 	}
-	return sch.Schedule(g, cm, spec.SpeedFactors)
+	return sch.Schedule(g, UnitPractical, spec.SpeedFactors)
 }
