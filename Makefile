@@ -97,10 +97,18 @@ cli-smoke:
 	bin/chimera-plan -model bert48 -p 16 -bhat 128 -json
 	@if bin/chimera-plan -speed 1,2,1; then echo "chimera-plan accepted -speed 1,2,1"; exit 1; fi
 
+# lint also keeps the reference replay interpreter (internal/refinterp) an
+# oracle: the library has one replay core, the compiled graph, and only
+# tests may import the interpreter they hold it to. `go list`'s .Imports
+# leaves out test files' imports.
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' chimera/internal/refinterp( |$$)')"; \
+	if [ -n "$$out" ]; then \
+		echo "only tests may import chimera/internal/refinterp; imported by:"; echo "$$out" | cut -d' ' -f1; exit 1; \
 	fi
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on

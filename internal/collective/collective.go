@@ -92,11 +92,22 @@ func AllReduce(c *comm.Communicator, g Group, opTag int, data []float32) {
 // Handle is an outstanding nonblocking allreduce started with IAllReduce.
 type Handle struct {
 	done chan struct{}
+	// failure is what the allreduce panicked with (nil when it completed);
+	// written before done is closed.
+	failure any
 }
 
 // Wait blocks until the allreduce has completed. After Wait returns, the
-// buffer passed to IAllReduce holds the reduced result.
-func (h *Handle) Wait() { <-h.done }
+// buffer passed to IAllReduce holds the reduced result. If the allreduce
+// panicked — comm.ErrAborted when a peer's failure aborted the world —
+// Wait panics with the same value on the caller's goroutine, where the
+// caller can recover it.
+func (h *Handle) Wait() {
+	<-h.done
+	if h.failure != nil {
+		panic(h.failure)
+	}
+}
 
 // IAllReduce starts an allreduce on a dedicated progression goroutine,
 // emulating a nonblocking collective (cf. Hoefler et al., the mechanism
@@ -104,11 +115,13 @@ func (h *Handle) Wait() { <-h.done }
 // touch data until Wait returns. Each member must use a private communicator
 // clone obtained from the same world (the pipeline executor allocates
 // per-purpose communicators so progression does not race worker traffic).
+// A panic of the allreduce ends the goroutine and is raised again by Wait.
 func IAllReduce(c *comm.Communicator, g Group, opTag int, data []float32) *Handle {
 	h := &Handle{done: make(chan struct{})}
 	go func() {
+		defer close(h.done)
+		defer func() { h.failure = recover() }()
 		AllReduce(c, g, opTag, data)
-		close(h.done)
 	}()
 	return h
 }

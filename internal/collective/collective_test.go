@@ -221,3 +221,19 @@ func TestSplitChunksCoverExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIAllReduceWaitRaisesAbort: a nonblocking allreduce whose peer never
+// joins ends when the world is aborted, and Wait panics with the
+// progression goroutine's comm.ErrAborted on the caller's goroutine.
+func TestIAllReduceWaitRaisesAbort(t *testing.T) {
+	w := comm.NewWorld(2)
+	h := IAllReduce(w.Rank(0), NewGroup(0, 1), 0, []float32{1, 2})
+	w.Abort()
+	defer func() {
+		if r := recover(); r != comm.ErrAborted {
+			t.Fatalf("Wait panicked with %v, want comm.ErrAborted", r)
+		}
+	}()
+	h.Wait()
+	t.Fatal("Wait returned after the world was aborted")
+}

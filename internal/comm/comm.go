@@ -9,9 +9,14 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// ErrAborted is the value Send, Recv and Barrier panic with once their
+// World has been aborted.
+var ErrAborted = errors.New("comm: world aborted")
 
 // Message is the unit of transfer between ranks. Payloads are float32 slices
 // (activations, gradients) accompanied by an integer tag that disambiguates
@@ -28,6 +33,9 @@ type World struct {
 	size   int
 	inbox  []chan Message
 	barier *barrier
+	// aborted is closed by Abort; every blocking call selects on it.
+	aborted   chan struct{}
+	abortOnce sync.Once
 }
 
 // DefaultQueueDepth is the per-rank mailbox capacity. It is sized generously
@@ -40,11 +48,31 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: world size must be positive, got %d", size))
 	}
-	w := &World{size: size, inbox: make([]chan Message, size), barier: newBarrier(size)}
+	w := &World{size: size, inbox: make([]chan Message, size), barier: newBarrier(size), aborted: make(chan struct{})}
 	for i := range w.inbox {
 		w.inbox[i] = make(chan Message, DefaultQueueDepth)
 	}
 	return w
+}
+
+// Abort ends the world: every Send, Recv and Barrier on it, waiting or
+// later, panics with ErrAborted. A rank that fails calls it so that its
+// peers stop waiting for messages it will never send. Abort is idempotent
+// and safe for concurrent use.
+func (w *World) Abort() {
+	w.abortOnce.Do(func() {
+		close(w.aborted)
+		w.barier.abort()
+	})
+}
+
+// checkAborted panics with ErrAborted once the world has been aborted.
+func (w *World) checkAborted() {
+	select {
+	case <-w.aborted:
+		panic(ErrAborted)
+	default:
+	}
 }
 
 // Size returns the number of ranks in the world.
@@ -86,15 +114,21 @@ func (c *Communicator) Send(dst, tag int, data []float32) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("comm: send to invalid rank %d", dst))
 	}
+	c.world.checkAborted()
 	buf := make([]float32, len(data))
 	copy(buf, data)
-	c.world.inbox[dst] <- Message{Source: c.rank, Tag: tag, Data: buf}
+	select {
+	case c.world.inbox[dst] <- Message{Source: c.rank, Tag: tag, Data: buf}:
+	case <-c.world.aborted:
+		panic(ErrAborted)
+	}
 }
 
 // Recv blocks until a message with the given source and tag arrives and
 // returns its payload. Messages from other (source, tag) pairs that arrive in
 // the meantime are queued for later Recv calls.
 func (c *Communicator) Recv(src, tag int) []float32 {
+	c.world.checkAborted()
 	key := matchKey{source: src, tag: tag}
 	if q := c.pending[key]; len(q) > 0 {
 		msg := q[0]
@@ -102,7 +136,12 @@ func (c *Communicator) Recv(src, tag int) []float32 {
 		return msg.Data
 	}
 	for {
-		msg := <-c.world.inbox[c.rank]
+		var msg Message
+		select {
+		case msg = <-c.world.inbox[c.rank]:
+		case <-c.world.aborted:
+			panic(ErrAborted)
+		}
 		if msg.Source == src && msg.Tag == tag {
 			return msg.Data
 		}
@@ -114,13 +153,15 @@ func (c *Communicator) Recv(src, tag int) []float32 {
 // Barrier blocks until all ranks in the world have entered it.
 func (c *Communicator) Barrier() { c.world.barier.await() }
 
-// barrier is a reusable counting barrier.
+// barrier is a reusable counting barrier. Once aborted, it releases its
+// waiters and refuses new ones, each with a panic of ErrAborted.
 type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	phase int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	size    int
+	count   int
+	phase   int
+	aborted bool
 }
 
 func newBarrier(size int) *barrier {
@@ -131,16 +172,29 @@ func newBarrier(size int) *barrier {
 
 func (b *barrier) await() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.aborted {
+		panic(ErrAborted)
+	}
 	phase := b.phase
 	b.count++
 	if b.count == b.size {
 		b.count = 0
 		b.phase++
 		b.cond.Broadcast()
-	} else {
-		for phase == b.phase {
-			b.cond.Wait()
-		}
+		return
 	}
+	for phase == b.phase {
+		if b.aborted {
+			panic(ErrAborted)
+		}
+		b.cond.Wait()
+	}
+}
+
+func (b *barrier) abort() {
+	b.mu.Lock()
+	b.aborted = true
+	b.cond.Broadcast()
 	b.mu.Unlock()
 }

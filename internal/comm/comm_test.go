@@ -142,3 +142,35 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 	}()
 	c.Send(5, 0, nil)
 }
+
+// TestAbortReleasesWaiters: Abort makes a waiting Recv and a waiting
+// Barrier panic with ErrAborted, and so every Send, Recv and Barrier after
+// it.
+func TestAbortReleasesWaiters(t *testing.T) {
+	w := NewWorld(3)
+	aborted := func(call func()) (err any) {
+		defer func() { err = recover() }()
+		call()
+		return nil
+	}
+	got := make(chan any, 2)
+	go func() { got <- aborted(func() { w.Rank(1).Recv(0, 0) }) }()
+	go func() { got <- aborted(func() { w.Rank(2).Barrier() }) }()
+	w.Abort()
+	w.Abort() // idempotent
+	for i := 0; i < 2; i++ {
+		if r := <-got; r != ErrAborted {
+			t.Fatalf("waiter released with %v, want ErrAborted", r)
+		}
+	}
+	c := w.Rank(0)
+	for name, call := range map[string]func(){
+		"Send":    func() { c.Send(1, 0, []float32{1}) },
+		"Recv":    func() { c.Recv(1, 0) },
+		"Barrier": c.Barrier,
+	} {
+		if r := aborted(call); r != ErrAborted {
+			t.Fatalf("%s after Abort: %v, want a panic with ErrAborted", name, r)
+		}
+	}
+}

@@ -247,10 +247,6 @@ type Engine struct {
 	// situation), not just per call. See pool.go.
 	slots chan int
 
-	// refCore routes evaluations through the retained reference replay
-	// interpreter (see ReferenceCore) instead of the compiled graph core.
-	refCore bool
-
 	schedules *Memo[ScheduleKey, schedOutcome]
 	criticals *Memo[ScheduleKey, critOutcome]
 	outcomes  *Memo[Spec, Outcome]
@@ -299,17 +295,14 @@ func Capacity(n int) Option {
 	}
 }
 
-// ReferenceCore routes every simulator evaluation (Evaluate and Sweep)
-// through the retained map-interpreter replay core (internal/refinterp)
-// instead of the compiled dependency-graph core. This is the seed
-// implementation's evaluation path, kept runnable as the oracle: tests
-// assert the optimized core's equivalence. It reaches nothing else: the
-// planner (perfmodel.PlanOn) and the fleet allocator never call Evaluate, so
-// on an engine built with it they still read the closed forms and the graph
-// replay. Never use it on a hot path.
-func ReferenceCore() Option {
-	return func(e *Engine) { e.refCore = true }
-}
+// ReferenceCore has no effect. It selected a second replay core for
+// Evaluate when the simulator had one; the simulator now replays only the
+// compiled graph, and the reference interpreter (internal/refinterp) is an
+// oracle the tests hold the graph's read-outs to. It remains because the
+// benchmark's golden generator (bench/goldengen.go) still passes it; its
+// engines run only the planner and the fleet allocator, which never call
+// Evaluate. Delete it with that caller.
+func ReferenceCore() Option { return func(*Engine) {} }
 
 // ForDaemon resolves a daemon's engine configuration: own when the caller
 // supplied an engine (it keeps whatever instrumentation it was built with),
@@ -443,35 +436,33 @@ func (e *Engine) CriticalPath(key ScheduleKey) (cf, cb int, err error) {
 	return out.cf, out.cb, out.err
 }
 
-// Evaluate runs (or recalls) one simulator evaluation. With observability
+// Evaluate runs (or recalls) one simulator evaluation. A completed hit is
+// one map probe: no closure runs and nothing allocates. With observability
 // attached, a memo miss records its compute time in engine_evaluate_seconds
 // and a hit records the time spent recalling (including any wait on another
-// goroutine's in-flight computation) in engine_memo_wait_seconds.
+// goroutine's in-flight computation) in engine_memo_wait_seconds; the clock
+// is read only then.
 func (e *Engine) Evaluate(spec Spec) Outcome {
 	spec.Sched = e.canonical(spec.Sched)
 	m := e.met
-	if m == nil {
-		// Completed-hit fast path: no closure, no allocation — repeat
-		// lookups of an interned key cost one map probe.
-		if out, ok := e.outcomes.Cached(spec); ok {
-			return out
-		}
-		return e.outcomes.Do(spec, func() Outcome { return e.evaluate(spec) })
+	var start time.Time
+	if m != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	if out, ok := e.outcomes.Cached(spec); ok {
-		m.wait.Since(start)
-		return out
-	}
+	out, ok := e.outcomes.Cached(spec)
 	computed := false
-	out := e.outcomes.Do(spec, func() Outcome {
-		computed = true
-		return e.evaluate(spec)
-	})
-	if computed {
-		m.evaluate.Since(start)
-	} else {
-		m.wait.Since(start)
+	if !ok {
+		out = e.outcomes.Do(spec, func() Outcome {
+			computed = true
+			return e.evaluate(spec)
+		})
+	}
+	if m != nil {
+		if computed {
+			m.evaluate.Since(start)
+		} else {
+			m.wait.Since(start)
+		}
 	}
 	return out
 }
@@ -485,7 +476,6 @@ func (e *Engine) evaluate(spec Spec) Outcome {
 	if err != nil {
 		return Outcome{Err: err}
 	}
-	cfg.ReferenceReplay = e.refCore
 	if spec.AutoRecompute {
 		res, rec, err := sim.AutoRun(cfg)
 		return Outcome{Result: res, Recompute: rec, Err: err}

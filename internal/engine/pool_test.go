@@ -204,19 +204,6 @@ func TestSweepDeterministicAcrossPoolSizes(t *testing.T) {
 	}
 }
 
-// TestReferenceCoreIdenticalOutcomes: the ReferenceCore engine option swaps
-// graph replay for the retained map interpreter; outcomes must stay
-// bit-identical — it is the benchmark's honest baseline only if the two
-// cores compute the same function.
-func TestReferenceCoreIdenticalOutcomes(t *testing.T) {
-	specs := testGrid(model.BERT48(), 16, 128, []int{2, 4, 8}, []int{1, 2, 4, 8})
-	opt := New(Workers(1)).Sweep(specs)
-	ref := New(Workers(1), ReferenceCore()).Sweep(specs)
-	if got, want := outcomeBytes(ref), outcomeBytes(opt); got != want {
-		t.Fatal("reference-core outcomes diverged from optimized core")
-	}
-}
-
 // BenchmarkMemoKeyAllocs measures a warm Evaluate — canonicalisation, memo
 // lookup and outcome return. The zero-alloc hit path (Memo.Cached plus
 // interned speed-factor decoding) keeps this at 0 allocs/op;

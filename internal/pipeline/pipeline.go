@@ -18,6 +18,7 @@ package pipeline
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -139,6 +140,10 @@ type Trainer struct {
 	// maxStash is the deepest weight-version stash each rank held under
 	// PipeDream: Table 2's min(N, D−p) versions on worker p.
 	maxStash []int
+	// failed is the worker failure that ended an iteration. Its worlds are
+	// aborted and its workers' state is torn mid-iteration, so every later
+	// TrainIteration refuses with it.
+	failed error
 }
 
 // New builds a Trainer: W·D workers, stage modules with replica-consistent
@@ -237,6 +242,9 @@ func buildStage(spec ModelSpec, d, stageIdx int) *nn.Stage {
 // exactly MicroBatch·N·W sequences of SeqLen tokens and targets, every
 // target id in [0, Vocab). Returns the mean loss.
 func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
+	if t.failed != nil {
+		return 0, fmt.Errorf("pipeline: an earlier iteration failed: %w", t.failed)
+	}
 	s := t.cfg.Schedule
 	need := t.cfg.MicroBatch * s.N * t.w
 	if batch.Sequences() != need {
@@ -248,7 +256,7 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 	// Per-rank loss slots summed in rank order: a sum in completion order
 	// would make the loss's last bits depend on goroutine scheduling.
 	losses := make([]float64, t.w*t.d)
-	errCh := make(chan error, t.w*t.d)
+	errs := make([]error, t.w*t.d)
 	var wg sync.WaitGroup
 	for copyIdx := 0; copyIdx < t.w; copyIdx++ {
 		for w := 0; w < t.d; w++ {
@@ -257,7 +265,14 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
-						errCh <- fmt.Errorf("worker (%d,%d): %v", copyIdx, w, r)
+						// Its peers may be waiting on this worker's messages
+						// or on a barrier: abort every world so they stop.
+						t.abort()
+						err, ok := r.(error)
+						if !ok {
+							err = fmt.Errorf("%v", r)
+						}
+						errs[copyIdx*t.d+w] = fmt.Errorf("worker (%d,%d): %w", copyIdx, w, err)
 					}
 				}()
 				losses[copyIdx*t.d+w] = t.runWorker(copyIdx, w, batch)
@@ -265,8 +280,8 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 		}
 	}
 	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+	if err := firstFailure(errs); err != nil {
+		t.failed = err
 		return 0, err
 	}
 	t.iter++
@@ -275,6 +290,26 @@ func (t *Trainer) TrainIteration(batch *data.Batch) (float64, error) {
 		total += l
 	}
 	return total / float64(s.N*t.w), nil
+}
+
+// abort ends every world the trainer's workers communicate over.
+func (t *Trainer) abort() {
+	t.p2p.Abort()
+	for _, w := range t.arWorlds {
+		w.Abort()
+	}
+}
+
+// firstFailure picks an iteration's error from the per-rank slots: the
+// lowest rank's own failure, not a peer's comm.ErrAborted that the failure
+// caused; nil when no worker failed.
+func firstFailure(errs []error) error {
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, comm.ErrAborted) {
+			return err
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // tag encodes a p2p message identity; iteration parity prevents adjacent

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"chimera/internal/comm"
 	"chimera/internal/data"
+	"chimera/internal/nn"
 	"chimera/internal/optim"
 	"chimera/internal/schedule"
 )
@@ -344,6 +348,68 @@ func TestBatchContentValidation(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Errorf("%s, %s: TrainIteration still running after 5 s", tc.name, run.name)
+			}
+		}
+	}
+}
+
+// failingStep is an optimizer whose Step panics: a worker failure in the
+// middle of an iteration, after its peers have started waiting on it.
+type failingStep struct{}
+
+func (failingStep) Step([]*nn.Param) { panic("injected optimizer failure") }
+
+// TestWorkerFailureIsAnError: one worker that panics mid-iteration makes
+// TrainIteration return that panic as an error within a deadline — its
+// peers, waiting in Recv, Barrier or an eager allreduce's Wait, are
+// released by aborting the trainer's worlds, and none of their goroutines
+// outlives the call — and every later iteration refuses with it. Before
+// the abort existed, the peers waited for good.
+func TestWorkerFailureIsAnError(t *testing.T) {
+	s, err := schedule.Chimera(schedule.ChimeraConfig{D: 4, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		for _, eager := range []bool{false, true} {
+			name := fmt.Sprintf("W=%d eager=%v", w, eager)
+			before := runtime.NumGoroutine()
+			built := 0
+			tr, err := New(Config{Schedule: s, W: w, Spec: tinySpec, MicroBatch: 2, EagerSync: eager,
+				NewOptimizer: func() optim.Optimizer {
+					built++
+					if built == 1 {
+						return failingStep{}
+					}
+					return &optim.SGD{LR: 0.1}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := tinyBatch(t, 2*s.N*w)
+			done := make(chan error, 1)
+			go func() {
+				_, err := tr.TrainIteration(batch)
+				done <- err
+			}()
+			deadline := time.After(5 * time.Second)
+			select {
+			case err := <-done:
+				if err == nil || errors.Is(err, comm.ErrAborted) || !strings.Contains(err.Error(), "injected optimizer failure") {
+					t.Fatalf("%s: TrainIteration returned %v, want the injected failure", name, err)
+				}
+			case <-deadline:
+				t.Fatalf("%s: TrainIteration still running after 5 s", name)
+			}
+			for runtime.NumGoroutine() > before {
+				select {
+				case <-deadline:
+					t.Fatalf("%s: %d goroutines before the iteration, %d after it", name, before, runtime.NumGoroutine())
+				case <-time.After(time.Millisecond):
+				}
+			}
+			if _, err := tr.TrainIteration(batch); err == nil || !strings.Contains(err.Error(), "injected optimizer failure") {
+				t.Fatalf("%s: the iteration after a failure returned %v, want a refusal naming it", name, err)
 			}
 		}
 	}

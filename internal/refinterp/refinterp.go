@@ -1,16 +1,18 @@
 // Package refinterp retains the original map-based greedy replay
 // interpreter — the implementation of schedule replay before the compiled
-// Graph and its Readout — as an executable reference for that IR:
+// Graph and its Readout — as the tests' executable oracle for that IR:
 //
-//   - the equivalence suite (internal/schedule graph tests) asserts that
-//     graph replay produces bit-identical Timelines and critical paths
-//     across every scheme, cost model and concatenation variant;
-//   - bench/ generates the goldens every benchmark reply is checked
-//     against through this interpreter (engine.ReferenceCore).
+//   - the equivalence suites of internal/schedule assert that graph replay
+//     produces bit-identical Timelines, read-outs and critical paths across
+//     every scheme, cost model and concatenation variant;
+//   - internal/sim holds the read-outs sim.Run prices an iteration from to
+//     this interpreter's timeline under Run's own replay config;
+//   - internal/perfmodel checks Eq. 1's prediction against it.
 //
-// It re-resolves every dependency token through a map on every replay and
-// round-robin rescans the worker op lists — exactly the behavior the graph
-// compile removed. Never use it on a hot path.
+// Only tests import it (`make lint` fails otherwise): the library has one
+// replay core, the compiled graph. It re-resolves every dependency token
+// through a map on every replay and round-robin rescans the worker op
+// lists — exactly the behavior the graph compile removed.
 package refinterp
 
 import (

@@ -307,10 +307,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key string, body
 }
 
 // forwarded is a fully buffered upstream response, ready to relay or merge.
+// It keeps the headers the serve tier's contracts ride on: the body's type,
+// the request id, and a shed reply's drain-aware Retry-After.
 type forwarded struct {
 	status      int
 	contentType string
 	requestID   string
+	retryAfter  string
 	body        []byte
 }
 
@@ -383,6 +386,7 @@ func (rt *Router) forward(r *http.Request, key, path string, body []byte) (*forw
 			status:      resp.StatusCode,
 			contentType: resp.Header.Get("Content-Type"),
 			requestID:   resp.Header.Get("X-Request-Id"),
+			retryAfter:  resp.Header.Get("Retry-After"),
 			body:        respBody,
 		}, nil
 	}
@@ -400,6 +404,9 @@ func relay(w http.ResponseWriter, f *forwarded) {
 	if f.requestID != "" {
 		w.Header().Set("X-Request-Id", f.requestID)
 	}
+	if f.retryAfter != "" {
+		w.Header().Set("Retry-After", f.retryAfter)
+	}
 	w.WriteHeader(f.status)
 	w.Write(f.body)
 }
@@ -409,7 +416,9 @@ func relay(w http.ResponseWriter, f *forwarded) {
 // items a single replica would: each item routes by its /v1/plan cache key
 // (sub-batches land where the equivalent singles would), sub-batches
 // forward with the same failover policy as single requests, and the merged
-// reply marshals through the same serve codec shape.
+// reply marshals through the same serve codec shape. A sub-batch the
+// owner sheds is back-pressure, not a routing failure: the batch answers
+// with that 429 as relayed, so the client sees the replica's Retry-After.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -442,6 +451,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(owners)
 	results := make([]serve.BatchPlanItem, len(req.Requests))
 	errs := make([]error, len(owners))
+	shed := make([]*forwarded, len(owners))
 	var wg sync.WaitGroup
 	for gi, owner := range owners {
 		wg.Add(1)
@@ -463,6 +473,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			f, err := rt.forward(r, cacheKey("/v1/plan", firstRaw), r.URL.Path, subBody)
 			if err != nil {
 				errs[gi] = err
+				return
+			}
+			if f.status == http.StatusTooManyRequests {
+				shed[gi] = f
 				return
 			}
 			if f.status != http.StatusOK {
@@ -488,6 +502,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			rt.unrouted.Add(1)
 			httpd.WriteError(w, http.StatusBadGateway, "router: batch scatter: "+err.Error())
+			return
+		}
+	}
+	for _, f := range shed {
+		if f != nil {
+			relay(w, f)
 			return
 		}
 	}

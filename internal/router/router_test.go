@@ -140,11 +140,14 @@ func TestRouterFailover(t *testing.T) {
 }
 
 // TestRouter429Passthrough: shed responses are the answer, not a failure —
-// no failover, no error count, body relayed verbatim.
+// no failover, no error count, body and Retry-After relayed verbatim. A
+// batch whose sub-batch is shed answers with that 429 too, not a 502, and
+// is not counted as unrouted.
 func TestRouter429Passthrough(t *testing.T) {
 	const shedBody = `{"error":"too busy: 1 requests in flight (limit 1)"}`
 	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "7")
 		w.WriteHeader(http.StatusTooManyRequests)
 		w.Write([]byte(shedBody))
 	}))
@@ -156,13 +159,30 @@ func TestRouter429Passthrough(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	status, body := postURL(t, front.URL+"/v1/plan", planBody)
-	if status != http.StatusTooManyRequests || string(body) != shedBody {
-		t.Fatalf("routed shed: %d %s, want 429 %s", status, body, shedBody)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/plan", planBody},
+		{"/v1/plan:batch", `{"requests":[` + planBody + `]}`},
+	} {
+		resp, err := http.Post(front.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || body.String() != shedBody {
+			t.Fatalf("%s: routed shed: %d %s, want 429 %s", c.path, resp.StatusCode, body.String(), shedBody)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "7" {
+			t.Fatalf("%s: routed shed has Retry-After %q, want the replica's \"7\"", c.path, got)
+		}
 	}
 	rs := rt.reps[shed.URL]
 	if rs.errors.Value() != 0 || rs.failovers.Value() != 0 {
 		t.Fatalf("429 counted as failure: errors=%d failovers=%d, want 0/0", rs.errors.Value(), rs.failovers.Value())
+	}
+	if n := rt.unrouted.Load(); n != 0 {
+		t.Fatalf("a shed batch counted as unrouted %d times, want 0", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"chimera/internal/model"
-	"chimera/internal/refinterp"
 	"chimera/internal/schedule"
 )
 
@@ -75,91 +74,8 @@ type Config struct {
 	// engine interns decoded factor strings); it is never mutated here.
 	SpeedFactors []float64
 
-	// ReferenceReplay evaluates the schedule with the retained map-based
-	// reference interpreter (internal/refinterp) instead of the compiled
-	// dependency-graph core. Timelines are bit-identical either way (the
-	// equivalence suite proves it); the reference is far slower and exists
-	// as the golden oracle: bench/ generates its goldens through it and the
-	// equivalence tests check the graph core against it. Never set it on a
-	// hot path.
-	ReferenceReplay bool
-
 	Device  Device
 	Network Network
-}
-
-// readout is what Run reads off a replay, whichever core produced it.
-type readout interface {
-	Makespan() int64
-	BubbleRatio() float64
-	ComputeEnd(w int) int64
-	// GradReady lists worker w's hosted placements ordered by (stage,
-	// replica), each with its gradient-ready time.
-	GradReady(w int) []schedule.GradReady
-	Release()
-}
-
-// replay evaluates s under rc through the configured core. The returned
-// read-out must be released once the caller is done reading it.
-func (c *Config) replay(s *schedule.Schedule, rc schedule.ReplayConfig) (readout, error) {
-	if c.ReferenceReplay {
-		tl, err := refinterp.ReplayWith(s, rc)
-		if err != nil {
-			return nil, err
-		}
-		return refReadout{s, tl}, nil
-	}
-	r, err := s.Readout(rc)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// refReadout reads the same facts off a reference-interpreter timeline. The
-// reference path compiles no graph (it is the oracle the graph core is
-// checked against), so gradient-ready times come from a walk of the op
-// lists instead of the graph's compile-time index.
-type refReadout struct {
-	s  *schedule.Schedule
-	tl *schedule.Timeline
-}
-
-func (r refReadout) Makespan() int64      { return r.tl.Makespan }
-func (r refReadout) BubbleRatio() float64 { return r.tl.BubbleRatio() }
-func (refReadout) Release()               {}
-
-func (r refReadout) ComputeEnd(w int) int64 {
-	ends := r.tl.End[w]
-	if len(ends) == 0 {
-		return 0
-	}
-	return ends[len(ends)-1]
-}
-
-func (r refReadout) GradReady(w int) []schedule.GradReady {
-	var out []schedule.GradReady
-	ops := r.s.Workers[w]
-next:
-	for i := len(ops) - 1; i >= 0; i-- { // backwards: a placement's last backward is met first
-		if ops[i].Kind != schedule.Backward {
-			continue
-		}
-		pl := schedule.StagePlacement{Replica: ops[i].Replica, Stage: ops[i].Stage}
-		for _, gr := range out {
-			if gr.StagePlacement == pl {
-				continue next
-			}
-		}
-		out = append(out, schedule.GradReady{StagePlacement: pl, At: r.tl.End[w][i]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Replica < out[j].Replica
-	})
-	return out
 }
 
 // speedFactor returns worker w's compute-time multiplier (1 when
@@ -202,7 +118,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	s := cfg.Schedule
 	rc := cfg.replayConfig()
-	ro, err := cfg.replay(s, rc)
+	ro, err := s.Readout(rc)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +139,7 @@ func Run(cfg Config) (*Result, error) {
 	if s.Synchronous {
 		iterEnd = syncFinish(&cfg, ro)
 	} else {
-		iterEnd = asyncFinish(&cfg, rc, ro.Makespan())
+		iterEnd = asyncFinish(&cfg, rc, ro)
 	}
 	res.IterTime = iterEnd
 	span := res.ComputeSpan
@@ -279,8 +195,10 @@ func validateFor(cfg *Config, d int) error {
 func toQ(sec float64) int64 { return int64(math.Round(sec / timeQuantum)) }
 
 // replayConfig prices the schedule's ops and cross-worker edges in replay
-// units. Both cores take the same pure per-shape hooks: graph replay calls
-// them once per op shape, the reference interpreter once per op.
+// units. The hooks are pure functions of an op's shape: the graph replay
+// behind Run calls them once per shape, and the read-out tests hand the
+// same config to the reference interpreter (internal/refinterp), which
+// calls them once per op.
 func (c *Config) replayConfig() schedule.ReplayConfig {
 	d := c.Schedule.D
 	return schedule.ReplayConfig{
@@ -330,7 +248,7 @@ func edgeSeconds(cfg *Config, op schedule.Op) float64 {
 // synchronized across all workers holding a replica of s and across the W
 // data-parallel copies: r = replicas·W members (§3.3: local gradient size
 // unchanged, member count grows with W).
-func syncFinish(cfg *Config, ro readout) float64 {
+func syncFinish(cfg *Config, ro *schedule.Readout) float64 {
 	s := cfg.Schedule
 	r := len(s.Replicas) * cfg.W
 	var worst float64
@@ -432,12 +350,12 @@ func syncFinish(cfg *Config, ro readout) float64 {
 // synchronization adds per the scheme: PipeDream after every micro-batch
 // backward across the W pipelines; PipeDream-2BW one accumulated allreduce,
 // half-overlapped.
-func asyncFinish(cfg *Config, rc schedule.ReplayConfig, makespan int64) float64 {
+func asyncFinish(cfg *Config, rc schedule.ReplayConfig, ro *schedule.Readout) float64 {
 	s := cfg.Schedule
-	steady := float64(makespan) * timeQuantum
+	steady := float64(ro.Makespan()) * timeQuantum
 	if doubled, err := schedule.ByName(s.Scheme, s.D, 2*s.N); err == nil {
-		if ro2, err := cfg.replay(doubled, rc); err == nil {
-			steady = float64(ro2.Makespan()-makespan) * timeQuantum
+		if ro2, err := doubled.Readout(rc); err == nil {
+			steady = float64(ro2.Makespan()-ro.Makespan()) * timeQuantum
 			ro2.Release()
 		}
 	}
