@@ -100,7 +100,10 @@ cli-smoke:
 # lint also keeps the reference replay interpreter (internal/refinterp) an
 # oracle: the library has one replay core, the compiled graph, and only
 # tests may import the interpreter they hold it to. `go list`'s .Imports
-# leaves out test files' imports.
+# leaves out test files' imports. Last, every test, fuzz target and benchmark
+# DESIGN.md or README.md names must exist (scripts/cited-tests.sh; a
+# Parent/Sub name needs "Sub" in Parent's package's test files): a doc's
+# `go test -run` pattern that matches nothing passes without a word.
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -110,6 +113,7 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "only tests may import chimera/internal/refinterp; imported by:"; echo "$$out" | cut -d' ' -f1; exit 1; \
 	fi
+	@GO=$(GO) bash scripts/cited-tests.sh
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on
 # every plain `go test`) for a bounded time per target; CI runs it with the

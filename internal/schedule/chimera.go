@@ -167,9 +167,12 @@ func (cfg ChimeraConfig) CriticalPath() (cf, cb int, ok bool, err error) {
 // is one down micro-batch: the up stage on w waits F + (2D−1−2w)·B, worker
 // 0's (D/2−1)(B−F) more, and at D = 2 one more F. N = 1 has no up pipeline,
 // and its one placement per worker no slack. So N and N + D have one table
-// for N ≥ D (TestFreeRegionsPeriodic pins that on the replay). The form is
-// tabulated from the replay, as CriticalPath's is: the oracle sweep
-// (TestChimeraClosedForms) and FuzzFreeRegionsClosedForm hold it there.
+// for N ≥ D (the oracle sweep's TestChimeraClosedForms/TestFreeRegionsPeriodic
+// pins that on the replay for every even D ≤ 64 and 2D ≤ N ≤ 4D). The form
+// is tabulated from the replay, as CriticalPath's is: the sweep's
+// TestChimeraClosedForms/TestFreeRegionsClosedForm (every even D ≤ 64 and
+// N ≤ 4D + 1, and the critical-path grid) and FuzzFreeRegionsClosedForm
+// hold it there.
 func (cfg ChimeraConfig) FreeRegions(cm CostModel) (f FreeRegions, ok bool, err error) {
 	if _, err := cfg.check(); err != nil || !cfg.closedForm() || cm.P2P != 0 || cm.FUnit <= 0 || (cm.BUnit != 2*cm.FUnit && cm.BUnit != 3*cm.FUnit) {
 		return FreeRegions{}, false, err
@@ -244,13 +247,15 @@ func (p computePath) cost(c ComputeCosts) int64 {
 //   - at k ≥ 1, j = D − 1 and D ≥ 4 only: the head path with one more body
 //     forward, two more body backwards and one head pass of each kind fewer.
 //
-// The families are tabulated from a traced replay. The oracle sweep
-// (TestChimeraClosedForms) proves them on the whole cone at every point of
-// its grid: the replay is convex and positively homogeneous in c, so equality
-// at every extreme ray of each family's region and at one interior point of
-// it is equality on the region (DESIGN.md §3 item 4).
-// TestComputeMakespanPeriodic and FuzzComputeMakespanClosedForm hold it to
-// the replay past the sweep.
+// The families are tabulated from a traced replay. The oracle sweep's
+// TestChimeraClosedForms/ComputeMakespan proves them on the whole cone for
+// every even D ≤ 64 and N ≤ 4D + 1: the replay is convex and positively
+// homogeneous in c, so equality at every extreme ray of each family's region
+// and at one interior point of it is equality on the region (DESIGN.md §3
+// item 4). Past that grid the sweep's
+// TestChimeraClosedForms/TestComputeMakespanPeriodic (the cone's four rays,
+// every even D ≤ 32 and 3D ≤ N ≤ 8D) and FuzzComputeMakespanClosedForm hold
+// it to the replay.
 func (cfg ChimeraConfig) ComputeMakespan(c ComputeCosts) (makespan int64, ok bool, err error) {
 	if _, err := cfg.check(); err != nil || !cfg.closedForm() || !c.inCone() {
 		return 0, false, err

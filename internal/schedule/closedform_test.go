@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -15,12 +16,14 @@ import (
 var planCosts = []CostModel{{FUnit: 1000, BUnit: 2000}, {FUnit: 1000, BUnit: 3000}}
 
 // sweepPoint is one (D, N) of the oracle sweep and what the forms checked at
-// it share: the schedule Chimera builds and its compiled graph, each built on
-// first use and at most once.
+// it share: the schedule Chimera builds, its compiled graph and the
+// free-region tables the replay reads under each of planCosts, each built on
+// first use and at most once, and the tables at N − D if the sweep read them.
 type sweepPoint struct {
-	cfg ChimeraConfig
-	s   *Schedule
-	g   *Graph
+	cfg        ChimeraConfig
+	s          *Schedule
+	g          *Graph
+	free, back []FreeRegions
 }
 
 // schedule is Chimera(cfg).
@@ -58,6 +61,25 @@ func (p *sweepPoint) replay(rc ReplayConfig) (*Readout, error) {
 	return g.Readout(rc), nil
 }
 
+// freeTables are the free-region tables the replay reads under each of
+// planCosts, in that order.
+func (p *sweepPoint) freeTables() ([]FreeRegions, error) {
+	if p.free == nil {
+		g, err := p.graph()
+		if err != nil {
+			return nil, err
+		}
+		free := make([]FreeRegions, len(planCosts))
+		for i, cm := range planCosts {
+			if free[i], err = replayFree(g, p.cfg.D, cm); err != nil {
+				return nil, fmt.Errorf("%+v: %w", cm, err)
+			}
+		}
+		p.free = free
+	}
+	return p.free, nil
+}
+
 // critical is CriticalPath probed on the point's schedule.
 func (p *sweepPoint) critical() (cf, cb int, err error) {
 	s, err := p.schedule()
@@ -67,12 +89,15 @@ func (p *sweepPoint) critical() (cf, cb int, err error) {
 	return CriticalPath(s)
 }
 
-// closedForm is one closed form the oracle sweep holds to the mechanism it
-// replaces, on its own grid of (D, N), and reports as a subtest of its own.
+// closedForm is one closed form, or a property the closed forms rest on,
+// that the oracle sweep holds to the mechanism on its own grid of (D, N) and
+// reports as a subtest of its own. A point of a form whose check compares
+// under each of planCosts counts as that many (D, N, cost) triples.
 type closedForm struct {
-	name  string
-	on    func(d, n int) bool
-	check func(p *sweepPoint) error
+	name    string
+	on      func(d, n int) bool
+	check   func(p *sweepPoint) error
+	perCost bool
 }
 
 // depthSweep is what the oracle sweep found at one depth, per form: the
@@ -82,20 +107,15 @@ type depthSweep struct {
 	errs    [][]error
 }
 
-// sweepDepth checks every form at each (d, N) of its grid.
+// sweepDepth checks every form at each (d, N) of its grid, walking N upward
+// over the union of the grids, all of which lie within N ≤ longestN. Of a
+// point it keeps only the free-region tables, and only until the point one
+// unit longer has been checked against them.
 func sweepDepth(d int, forms []*closedForm) depthSweep {
 	out := depthSweep{checked: make([]int, len(forms)), errs: make([][]error, len(forms))}
-	ns := []int{}
-	for n := 1; n <= 4*d+1; n++ {
-		ns = append(ns, n)
-	}
-	for _, n := range periodicNs(d) {
-		if n > 4*d+1 {
-			ns = append(ns, n)
-		}
-	}
-	for _, n := range ns {
-		p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}}
+	kept := map[int][]FreeRegions{}
+	for n := 1; n <= longestN; n++ {
+		p := &sweepPoint{cfg: ChimeraConfig{D: d, N: n}, back: kept[n-d]}
 		for i, f := range forms {
 			if !f.on(d, n) {
 				continue
@@ -105,22 +125,25 @@ func sweepDepth(d int, forms []*closedForm) depthSweep {
 				out.errs[i] = append(out.errs[i], fmt.Errorf("D=%d N=%d: %w", d, n, err))
 			}
 		}
+		delete(kept, n-d)
+		kept[n] = p.free
 	}
 	return out
 }
 
 // upTo reports whether n is at most max or one of the long N periodicNs
 // lists for depth d.
-func upTo(d, n, max int) bool { return n <= max || slices.Contains(periodicNs(d), n) }
+func upTo(d, n, max int) bool { return n <= max || periodicN(d, n) }
 
 // TestChimeraClosedForms holds every closed form of a fixed-placement,
-// direct, F = 1 Chimera configuration to the general mechanism in one pass:
-// each (D, N) of the union of their grids is built, compiled and replayed
-// once, and every form whose grid holds it is checked against that. The
-// depths are shared out over GOMAXPROCS goroutines, deepest first, each
-// depth on one of them; the results merge in D order, so every form reports
-// the first five errors a sequential sweep would. Each form reports as a
-// subtest under the name of the test it replaces:
+// direct, F = 1 Chimera configuration, and the periodic structure they rest
+// on, to the general mechanism in one pass: each (D, N) of the union of
+// their grids is built, compiled and replayed under each cost model once,
+// and every form whose grid holds it is checked against that. The depths are
+// shared out over GOMAXPROCS goroutines, deepest first, each depth on one of
+// them; the results merge in D order, so every form reports the first five
+// errors a sequential sweep would. Each form reports as a subtest under the
+// name of the test it replaces:
 //
 //   - TestResidencyPeriodic: the profile built from ChimeraConfig.ResidencyRow
 //     is the walk of the schedule, struct for struct, and at N ≥ D each worker's peak is
@@ -133,20 +156,38 @@ func upTo(d, n, max int) bool { return n <= max || slices.Contains(periodicNs(d)
 //   - TestFreeRegionsClosedForm: ChimeraConfig.FreeRegions under either of
 //     Eq. 1's cost models is what (*Readout).FreeRegions reads off the
 //     replay at every point of the critical-path grid and at every even
-//     D ≤ 32 (16 under -short or -race) and N ≤ 4D + 1.
+//     D ≤ 64 (16 under -short or -race) and N ≤ 4D + 1.
+//   - TestFreeRegionsPeriodic: what makes the free regions closed-form in
+//     (D, N mod D, N ≥ D) — from one full unit on, adding a unit changes no
+//     placement's free region: under either cost model the replay's table
+//     at N is the one at N − D, for every even D ≤ 64 (16 under -short or
+//     -race) and 2D ≤ N ≤ 4D.
 //   - ComputeMakespan: ChimeraConfig.ComputeMakespan is the makespan of the
 //     replay on the whole cone it answers on, proved by checkComputeForm's
 //     rays and interior points; every even D ≤ 64 (32 under -short or
 //     -race) and N ≤ 4D + 1.
+//   - TestComputeMakespanPeriodic: past that grid each family grows by a
+//     fixed vector per unit; the closed-form compute makespan is the
+//     replay's at the cone's four rays for every even D ≤ 32 (16 under
+//     -short or -race) and 3D ≤ N ≤ 8D.
+//   - TestChimeraDirectLockstep: checkLockstep's S1 and S2 on the compiled
+//     graph, for every even D ≤ 64 (16 under -short or -race) and
+//     N = uD + r with 3 ≤ u ≤ 7 and r ∈ {0, 1, D/2, D − 1}.
 func TestChimeraClosedForms(t *testing.T) {
-	resD, critD, freeD, computeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(32, 16), exhaustiveD(64, 32)
+	resD, critD, freeD := exhaustiveD(128, 32), exhaustiveD(128, 16), exhaustiveD(64, 16)
+	computeD, raysD, lockD := exhaustiveD(64, 32), exhaustiveD(32, 16), exhaustiveD(64, 16)
 	critOn := func(d, n int) bool { return d <= critD && upTo(d, n, 2*d+1) }
-	freeOn := func(d, n int) bool { return d <= freeD && n <= 4*d+1 }
 	forms := []*closedForm{
 		{name: "TestResidencyPeriodic", on: func(d, n int) bool { return d <= resD && upTo(d, n, 2*d+1) }, check: checkResidencyForm},
 		{name: "TestCriticalPathClosedForm", on: critOn, check: checkCriticalForm},
-		{name: "TestFreeRegionsClosedForm", on: func(d, n int) bool { return freeOn(d, n) || critOn(d, n) }, check: checkFreeForm},
+		{name: "TestFreeRegionsClosedForm", on: func(d, n int) bool { return d <= freeD && n <= 4*d+1 || critOn(d, n) }, check: checkFreeForm},
+		{name: "TestFreeRegionsPeriodic", on: func(d, n int) bool { return d <= freeD && 2*d <= n && n <= 4*d }, check: checkFreePeriodic, perCost: true},
 		{name: "ComputeMakespan", on: func(d, n int) bool { return d <= computeD && n <= 4*d+1 }, check: checkComputeForm},
+		{name: "TestComputeMakespanPeriodic", on: func(d, n int) bool { return d <= raysD && 3*d <= n && n <= 8*d }, check: checkComputeRays},
+		{name: "TestChimeraDirectLockstep", check: checkLockstep, on: func(d, n int) bool {
+			r := n % d
+			return d <= lockD && n/d >= 3 && n/d <= 7 && (r <= 1 || r == d/2 || r == d-1)
+		}},
 	}
 	depths := make([]depthSweep, 64) // D = 2, 4, …, 128
 	var claimed atomic.Int64
@@ -175,7 +216,11 @@ func TestChimeraClosedForms(t *testing.T) {
 			for _, err := range errs[:min(len(errs), 5)] {
 				t.Error(err)
 			}
-			t.Logf("%d (D, N) pairs checked", checked)
+			if f.perCost {
+				t.Logf("%d (D, N, cost) triples checked", checked*len(planCosts))
+			} else {
+				t.Logf("%d (D, N) pairs checked", checked)
+			}
 		})
 	}
 }
@@ -222,39 +267,69 @@ func checkCriticalForm(p *sweepPoint) error {
 // checkFreeForm: under each of Eq. 1's cost models the closed-form free
 // regions are the replay's.
 func checkFreeForm(p *sweepPoint) error {
-	for _, cm := range planCosts {
+	want, err := p.freeTables()
+	if err != nil {
+		return err
+	}
+	for i, cm := range planCosts {
 		got, ok, err := p.cfg.FreeRegions(cm)
 		if err != nil || !ok {
 			return fmt.Errorf("%+v: no closed-form free regions (%v)", cm, err)
 		}
-		r, err := p.replay(cm.ReplayConfig())
-		if err != nil {
-			return err
-		}
-		err = sameFreeRegions(p.cfg.D, got, r)
-		r.Release()
-		if err != nil {
-			return fmt.Errorf("%+v: %w", cm, err)
+		if err := sameFreeRegions(p.cfg.D, got, want[i]); err != nil {
+			return fmt.Errorf("%+v: closed form against the replay: %w", cm, err)
 		}
 	}
 	return nil
 }
 
-// sameFreeRegions reports how got differs, worker for worker, from the free
-// regions r reads (ComputeEnd − GradReady.At per placement), or nil.
-func sameFreeRegions(d int, got FreeRegions, r *Readout) error {
-	want := r.FreeRegions()
-	var gbuf, wbuf [2]FreeRegion
-	for w := range d {
-		g, f := got.AppendWorker(gbuf[:0], w), want.AppendWorker(wbuf[:0], w)
-		if !slices.Equal(g, f) {
-			return fmt.Errorf("worker %d: free regions %+v, replay %+v", w, g, f)
+// checkFreePeriodic: under each of Eq. 1's cost models the replay's free
+// regions at N are those at N − D.
+func checkFreePeriodic(p *sweepPoint) error {
+	got, err := p.freeTables()
+	if err != nil {
+		return err
+	}
+	if p.back == nil {
+		return errors.New("the sweep read no tables at N − D")
+	}
+	for i, cm := range planCosts {
+		if err := sameFreeRegions(p.cfg.D, got[i], p.back[i]); err != nil {
+			return fmt.Errorf("%+v: N against N − D: %w", cm, err)
 		}
-		end, ready := r.ComputeEnd(w), r.GradReady(w)
+	}
+	return nil
+}
+
+// replayFree is the free-region table g's replay under cm reads, checked
+// against the read-out it comes from: ComputeEnd − GradReady.At per
+// placement, on each of the d workers.
+func replayFree(g *Graph, d int, cm CostModel) (FreeRegions, error) {
+	r := g.Readout(cm.ReplayConfig())
+	defer r.Release()
+	table := r.FreeRegions()
+	var buf [2]FreeRegion
+	for w := range d {
+		f, end, ready := table.AppendWorker(buf[:0], w), r.ComputeEnd(w), r.GradReady(w)
+		if len(f) != len(ready) {
+			return FreeRegions{}, fmt.Errorf("worker %d: replay's table %+v, read-out %+v", w, f, ready)
+		}
 		for i, gr := range ready {
 			if f[i] != (FreeRegion{Stage: int32(gr.Stage), Slack: end - gr.At}) {
-				return fmt.Errorf("worker %d: replay's table %+v, read-out %+v ending at %d", w, f[i], gr, end)
+				return FreeRegions{}, fmt.Errorf("worker %d: replay's table %+v, read-out %+v ending at %d", w, f[i], gr, end)
 			}
+		}
+	}
+	return table, nil
+}
+
+// sameFreeRegions reports how got differs, worker for worker, from want, or
+// nil.
+func sameFreeRegions(d int, got, want FreeRegions) error {
+	var gbuf, wbuf [2]FreeRegion
+	for w := range d {
+		if g, f := got.AppendWorker(gbuf[:0], w), want.AppendWorker(wbuf[:0], w); !slices.Equal(g, f) {
+			return fmt.Errorf("worker %d: free regions %+v, want %+v", w, g, f)
 		}
 	}
 	return nil
@@ -281,34 +356,6 @@ func TestFreeRegionsClosedFormAllocFree(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFreeRegionsPeriodic pins what makes the free regions closed-form in
-// (D, N mod D, N ≥ D): from one full unit on, adding a unit changes no
-// placement's free region. The replays of N and N + D agree, table for
-// table, for every even D ≤ 64 (16 under -short or -race), every N from D to
-// 3D and both of Eq. 1's cost models.
-func TestFreeRegionsPeriodic(t *testing.T) {
-	t.Parallel()
-	checked := 0
-	for d := 2; d <= exhaustiveD(64, 16); d += 2 {
-		for _, cm := range planCosts {
-			tables := map[int]FreeRegions{}
-			for n := d; n <= 4*d; n++ {
-				r := mustGraph(t, ChimeraConfig{D: d, N: n}).Readout(cm.ReplayConfig())
-				tables[n] = r.FreeRegions()
-				r.Release()
-				if n-d < d {
-					continue
-				}
-				if !reflect.DeepEqual(tables[n], tables[n-d]) {
-					t.Fatalf("D=%d %+v: the free regions at N=%d differ from those at N=%d", d, cm, n, n-d)
-				}
-				checked++
-			}
-		}
-	}
-	t.Logf("%d (D, N, cost) triples equal those one unit shorter", checked)
 }
 
 // FuzzFreeRegionsClosedForm: over fuzzer-chosen even D ≤ 256, N ≤ 8D, F,
@@ -356,13 +403,15 @@ func FuzzFreeRegionsClosedForm(f *testing.F) {
 		case ok != inScope:
 			t.Fatalf("%+v: closed form answers %v, want %v", cfg, ok, inScope)
 		case ok:
-			p := &sweepPoint{cfg: cfg}
-			r, err := p.replay(cm.ReplayConfig())
+			g, err := (&sweepPoint{cfg: cfg}).graph()
 			if err != nil {
 				t.Fatalf("%+v: %v", cfg, err)
 			}
-			defer r.Release()
-			if err := sameFreeRegions(d, got, r); err != nil {
+			want, err := replayFree(g, d, cm)
+			if err != nil {
+				t.Fatalf("%+v %+v: %v", cfg, cm, err)
+			}
+			if err := sameFreeRegions(d, got, want); err != nil {
 				t.Fatalf("%+v %+v: %v", cfg, cm, err)
 			}
 		}

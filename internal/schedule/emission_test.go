@@ -3,7 +3,7 @@ package schedule
 import (
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -72,12 +72,81 @@ func emissionHeader(d, n, f int) *Schedule {
 	return s
 }
 
+// opCmp is opLess as a three-way comparison, for slices.SortStableFunc.
+func opCmp(a, b Op) int {
+	switch {
+	case opLess(a, b):
+		return -1
+	case opLess(b, a):
+		return 1
+	}
+	return 0
+}
+
 // sortEmission stably sorts every worker's micro-major emission by opLess.
 func sortEmission(s *Schedule) *Schedule {
 	for _, ops := range s.Workers {
-		sort.SliceStable(ops, func(i, j int) bool { return opLess(ops[i], ops[j]) })
+		slices.SortStableFunc(ops, opCmp)
 	}
 	return s
+}
+
+// sameWorkers is reflect.DeepEqual on two schedules' Workers, without
+// reflection: every field of every op compared, prio included.
+func sameWorkers(a, b [][]Op) bool {
+	return deepSlices(a, b, func(x, y []Op) bool { return deepSlices(x, y, sameOp) })
+}
+
+func sameOp(x, y Op) bool {
+	return x.Kind == y.Kind && x.Half == y.Half && x.prio == y.prio && x.Stage == y.Stage && x.Replica == y.Replica &&
+		deepSlices(x.Micros, y.Micros, func(i, j int) bool { return i == j })
+}
+
+// deepSlices is reflect.DeepEqual on two slices whose elements eq compares:
+// nil in both or in neither, of one length, and equal element by element.
+func deepSlices[T any](a, b []T, eq func(T, T) bool) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, eq)
+}
+
+// TestSameWorkersIsDeepEqual holds sameWorkers to reflect.DeepEqual, both
+// ways round, on equal pairs and on pairs that differ in one place each. Op
+// gaining a field fails it until sameOp compares that field too.
+func TestSameWorkersIsDeepEqual(t *testing.T) {
+	if n := reflect.TypeFor[Op]().NumField(); n != 6 {
+		t.Fatalf("Op has %d fields; sameOp compares 6", n)
+	}
+	op := Op{Kind: Backward, Half: 1, prio: 7, Stage: 2, Replica: 1, Micros: []int{3}}
+	with := func(edit func(*Op)) [][]Op {
+		o := op
+		o.Micros = slices.Clone(op.Micros)
+		edit(&o)
+		return [][]Op{{op}, {o}}
+	}
+	same := with(func(*Op) {})
+	for _, c := range []struct {
+		name string
+		a, b [][]Op
+	}{
+		{"equal", same, with(func(*Op) {})},
+		{"no workers", nil, nil},
+		{"nil and empty worker lists", nil, [][]Op{}},
+		{"nil and empty op lists", [][]Op{nil}, [][]Op{{}}},
+		{"one worker more", same, append(with(func(*Op) {}), nil)},
+		{"one op more", same, [][]Op{{op}, {op, op}}},
+		{"nil and empty Micros", with(func(o *Op) { o.Micros = nil }), with(func(o *Op) { o.Micros = []int{} })},
+		{"one micro more", same, with(func(o *Op) { o.Micros = append(o.Micros, 4) })},
+		{"micro id", same, with(func(o *Op) { o.Micros[0] = 4 })},
+		{"Kind", same, with(func(o *Op) { o.Kind = Forward })},
+		{"Half", same, with(func(o *Op) { o.Half = 2 })},
+		{"prio", same, with(func(o *Op) { o.prio++ })},
+		{"Stage", same, with(func(o *Op) { o.Stage++ })},
+		{"Replica", same, with(func(o *Op) { o.Replica = 0 })},
+	} {
+		want := reflect.DeepEqual(c.a, c.b)
+		if got, back := sameWorkers(c.a, c.b), sameWorkers(c.b, c.a); got != want || back != want {
+			t.Errorf("%s: sameWorkers %v and %v reversed, reflect.DeepEqual %v", c.name, got, back, want)
+		}
+	}
 }
 
 // unitEmissionDirect is the direct-concatenation generator as it was before
@@ -193,7 +262,7 @@ func TestChimeraDoublingMatchesUnitEmission(t *testing.T) {
 							t.Fatalf("%+v phase %d: %v", cfg, phase, err)
 						}
 						want := unitEmissionDoubling(t, cfg, phase)
-						if !reflect.DeepEqual(got.Workers, want.Workers) {
+						if !sameWorkers(got.Workers, want.Workers) {
 							t.Fatalf("%+v phase %d: Workers differ from the unit-by-unit emission", cfg, phase)
 						}
 						if !reflect.DeepEqual(got.MicroReplica, want.MicroReplica) {
@@ -225,7 +294,7 @@ func TestChimeraDirectMatchesUnitEmission(t *testing.T) {
 			t.Fatalf("D=%d N=%d F=%d: %v", d, n, f, err)
 		}
 		want := unitEmissionDirect(t, d, n, f)
-		if !reflect.DeepEqual(got.Workers, want.Workers) {
+		if !sameWorkers(got.Workers, want.Workers) {
 			t.Fatalf("D=%d N=%d F=%d: Workers differ from the unit-by-unit emission", d, n, f)
 		}
 		if !reflect.DeepEqual(got.MicroReplica, want.MicroReplica) {
@@ -311,7 +380,7 @@ func TestSettleTiesKeepsTakeOrderOnTies(t *testing.T) {
 		{Kind: Forward, Stage: 0, Micros: m, prio: 0},
 	}
 	want := append([]Op(nil), ops...)
-	sort.SliceStable(want, func(i, j int) bool { return opLess(want[i], want[j]) })
+	slices.SortStableFunc(want, opCmp)
 	var slots slotTable
 	slots.reset(0, 5)
 	for _, op := range ops {

@@ -8,29 +8,31 @@ import (
 	"chimera/internal/schedule"
 )
 
-// TestEngineCriticalPathMatchesFullSchedule: for every even D ≤ 64 and every
-// N of the periodicity list, the (Cf, Cb) the engine memoizes — closed-form,
-// so the engine neither builds nor replays — are the full schedule's own.
+// TestEngineCriticalPathMatchesFullSchedule: for every even D ≤ 128 and
+// every N of the periodicity list, the (Cf, Cb) the engine memoizes for a
+// direct Chimera key are the closed form's, and the engine builds no
+// schedule for them. The oracle sweep's TestCriticalPathClosedForm row holds
+// the closed form to the full schedule's probe at each of these points (on
+// a plain run; -short and -race shrink its depths).
 func TestEngineCriticalPathMatchesFullSchedule(t *testing.T) {
 	e := engine.New(engine.Workers(1))
-	for d := 2; d <= schedule.ExhaustiveD(64, 16); d += 2 {
+	for d := 2; d <= 128; d += 2 {
 		for _, n := range schedule.PeriodicNs(d) {
-			full, err := schedule.Chimera(schedule.ChimeraConfig{D: d, N: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wcf, wcb, err := schedule.CriticalPath(full)
-			if err != nil {
-				t.Fatal(err)
+			wcf, wcb, ok, err := schedule.ChimeraConfig{D: d, N: n}.CriticalPath()
+			if err != nil || !ok {
+				t.Fatalf("D=%d N=%d: no closed form (%v)", d, n, err)
 			}
 			cf, cb, err := e.CriticalPath(engine.ChimeraKey(d, n, 0, schedule.Direct))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cf != wcf || cb != wcb {
-				t.Fatalf("D=%d N=%d: engine critical path (%d, %d), full schedule's (%d, %d)", d, n, cf, cb, wcf, wcb)
+				t.Fatalf("D=%d N=%d: engine critical path (%d, %d), closed form's (%d, %d)", d, n, cf, cb, wcf, wcb)
 			}
 		}
+	}
+	if st := e.Stats(); st.ScheduleMisses != 0 {
+		t.Fatalf("the engine built %d schedules for closed-form keys", st.ScheduleMisses)
 	}
 }
 

@@ -33,9 +33,6 @@ func (g *Graph) OrderError() error {
 // package's hand-built schedules.
 func (g *Graph) Arity() int { return int(g.arity) }
 
-// PeriodicNs and ExhaustiveD hand the periodicity tests' micro-batch counts
-// and depth bound to the external test package, which can import the engine.
-var (
-	PeriodicNs  = periodicNs
-	ExhaustiveD = exhaustiveD
-)
+// PeriodicNs hands the periodicity tests' micro-batch counts to the external
+// test package, which can import the engine.
+var PeriodicNs = periodicNs

@@ -1,6 +1,9 @@
 package schedule
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // exhaustiveD bounds the depth sweep of the exhaustive suites: the full
 // range on a plain run, the short one under -short and under the race
@@ -61,45 +64,41 @@ func sameNode(ga *Graph, a int32, gb *Graph, b int32) bool {
 	return true
 }
 
-// TestChimeraDirectLockstep pins, on the compiled predecessor rows, the
-// periodic structure of a direct schedule that the closed forms' step of one
-// unit rests on (free regions that repeat one unit later, compute-path
-// families that grow by a fixed vector per unit; DESIGN.md §3 item 4), for
-// every even D ≤ 64, 3–7 units and partial last units:
+// checkLockstep pins, on the compiled predecessor rows, the periodic
+// structure of a direct schedule that the closed forms' step of one unit
+// rests on (free regions that repeat one unit later, compute-path families
+// that grow by a fixed vector per unit; DESIGN.md §3 item 4):
 //
 //	S1  every edge joins ops at most one program index apart — the producer
 //	    sits at index i−1 or i of its worker, never later — so the i-th ops
 //	    of all workers are a function of the (i−1)-th alone;
 //	S2  op i+2D repeats op i, predecessors shifted by 2D, outside a head of
 //	    D/2 indices and a tail of D/2−1 indices plus the partial unit.
-func TestChimeraDirectLockstep(t *testing.T) {
-	t.Parallel()
-	for d := 2; d <= exhaustiveD(64, 16); d += 2 {
-		for _, r := range []int{0, 1, d / 2, d - 1} {
-			for units := 3; units <= 7; units++ {
-				n := units*d + r
-				g := mustGraph(t, ChimeraConfig{D: d, N: n})
-				period := int32(2 * d)
-				for w := 0; w < d; w++ {
-					lo, hi := g.base[w], g.base[w+1]
-					for id := lo; id < hi; id++ {
-						i := id - lo
-						for _, p := range g.row(id) {
-							if p, _ = unpack(p); p == int32(g.Nodes()) {
-								continue
-							}
-							pw, _ := g.at(p)
-							if j := p - g.base[pw]; j != i && j != i-1 {
-								t.Fatalf("D=%d N=%d worker %d: op %d waits on op %d of worker %d", d, n, w, i, j, pw)
-							}
-						}
-						regular := i >= period+int32(d/2) && i <= int32(2*d*units-d/2)
-						if regular && !sameNode(g, id-period, g, id) {
-							t.Fatalf("D=%d N=%d worker %d: op %d does not repeat op %d", d, n, w, i, i-period)
-						}
-					}
+func checkLockstep(p *sweepPoint) error {
+	g, err := p.graph()
+	if err != nil {
+		return err
+	}
+	d, units := p.cfg.D, p.cfg.N/p.cfg.D
+	period := int32(2 * d)
+	for w := 0; w < d; w++ {
+		lo, hi := g.base[w], g.base[w+1]
+		for id := lo; id < hi; id++ {
+			i := id - lo
+			for _, q := range g.row(id) {
+				if q, _ = unpack(q); q == int32(g.Nodes()) {
+					continue
 				}
+				qw, _ := g.at(q)
+				if j := q - g.base[qw]; j != i && j != i-1 {
+					return fmt.Errorf("worker %d: op %d waits on op %d of worker %d", w, i, j, qw)
+				}
+			}
+			regular := i >= period+int32(d/2) && i <= int32(2*d*units-d/2)
+			if regular && !sameNode(g, id-period, g, id) {
+				return fmt.Errorf("worker %d: op %d does not repeat op %d", w, i, i-period)
 			}
 		}
 	}
+	return nil
 }

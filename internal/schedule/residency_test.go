@@ -147,41 +147,40 @@ func TestResidencyMatchesOpWalk(t *testing.T) {
 	}
 }
 
+// longestN is the longest micro-batch count the closed-form suites check.
+const longestN = 1024
+
 // periodicNs lists the long micro-batch counts the closed-form suites check
-// at depth d: every N up to 6D+3 for the small depths, and for all depths
-// every N ≤ 1024 the planner's power-of-two B sweep reaches from a 2^a or
-// 3·2^a per-pipeline mini-batch, plus — for the residues at and next to the
-// unit boundaries — the two shortest N that share the residue, and for the
-// two odd-sized trailing units the longest.
+// at depth d, those periodicN holds.
 func periodicNs(d int) []int {
-	seen := map[int]bool{}
-	add := func(n int) {
-		if n >= 2*d && n <= 1024 {
-			seen[n] = true
+	var out []int
+	for n := 2 * d; n <= longestN; n++ {
+		if periodicN(d, n) {
+			out = append(out, n)
 		}
 	}
-	if d <= 16 {
-		for n := 2 * d; n <= 6*d+3; n++ {
-			add(n)
-		}
+	return out
+}
+
+// periodicN reports whether n is one of the long micro-batch counts at depth
+// d, 2D ≤ n ≤ longestN: every n up to 6D+3 for the small depths, and for all
+// depths every n the planner's power-of-two B sweep reaches from a 2^a or
+// 3·2^a per-pipeline mini-batch, plus — for the residues at and next to the
+// unit boundaries — the two shortest n that share the residue, and for the
+// two odd-sized trailing units the longest.
+func periodicN(d, n int) bool {
+	if n < 2*d || n > longestN {
+		return false
 	}
-	for a := 1; a <= 1024; a *= 2 {
-		add(a)
-		add(3 * a)
+	if k := n / 3; d <= 16 && n <= 6*d+3 || n&(n-1) == 0 || n%3 == 0 && k&(k-1) == 0 {
+		return true
 	}
 	for _, r := range []int{0, 1, d / 2, d - 1} {
-		add(2*d + r)
-		add(3*d + r)
+		if n == 2*d+r || n == 3*d+r {
+			return true
+		}
 	}
-	for _, r := range []int{1, d - 1} {
-		add(1024 - (1024-r)%d)
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	return n == longestN-(longestN-1)%d || n == longestN-(longestN-d+1)%d
 }
 
 // closedFormResidency builds the residency profile of the schedule Chimera
