@@ -99,13 +99,17 @@ type Admission struct {
 	retryAfter  func() string
 }
 
+// DefaultMaxInflight is the admission bound a zero maxInflight selects:
+// 4×GOMAXPROCS.
+func DefaultMaxInflight() int { return 4 * runtime.GOMAXPROCS(0) }
+
 // NewAdmission bounds concurrently admitted requests to maxInflight
-// (≤ 0 selects 4×GOMAXPROCS). A shed request gets 429 with shedMessage as
+// (≤ 0 selects DefaultMaxInflight). A shed request gets 429 with shedMessage as
 // its error and retryAfter() as its Retry-After header; onShed runs once
 // per shed request.
 func NewAdmission(maxInflight int, shedMessage string, onShed func(), retryAfter func() string) *Admission {
 	if maxInflight <= 0 {
-		maxInflight = 4 * runtime.GOMAXPROCS(0)
+		maxInflight = DefaultMaxInflight()
 	}
 	return &Admission{
 		slots:       make(chan struct{}, maxInflight),

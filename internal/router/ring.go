@@ -91,16 +91,21 @@ func (r *Ring) Owner(key string) string {
 // clockwise. This is the retry sequence — when the owner is down or
 // draining, the next entry inherits the key, and only that key's shard
 // moves (consistent hashing's minimal-disruption property).
-func (r *Ring) Owners(key string, n int) []string {
+func (r *Ring) Owners(key string, n int) []string { return r.ownersAt(keyPos(key), n) }
+
+// keyPos is a key's position on the circle.
+func keyPos(key string) uint64 { return mix64(fnv64a(key)) }
+
+// ownersAt is Owners for a key already placed on the circle at pos.
+func (r *Ring) ownersAt(pos uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
 	if n > len(r.replicas) {
 		n = len(r.replicas)
 	}
-	h := mix64(fnv64a(key))
-	// First point at or clockwise-after h (wrapping to 0).
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	// First point at or clockwise-after pos (wrapping to 0).
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= pos })
 	// n is at most the replica count, so the owners picked so far are
 	// scanned rather than kept in a set, which would allocate past eight:
 	// the result is the walk's one allocation.

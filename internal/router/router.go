@@ -36,7 +36,9 @@ type Config struct {
 	// HealthTimeout bounds each /readyz probe (0 = 1s).
 	HealthTimeout time.Duration
 	// Client issues the forwarded requests (nil = a client with a 60s
-	// timeout; plans on a cold engine take seconds, not milliseconds).
+	// timeout, since plans on a cold engine take seconds, that keeps as
+	// many idle connections per replica as a default replica admits heavy
+	// requests: httpd.DefaultMaxInflight).
 	Client *http.Client
 	// Registry, when non-nil, receives the router_* series; the router
 	// otherwise creates its own. GET /metrics serves it either way.
@@ -119,6 +121,7 @@ type Router struct {
 	healthWait  time.Duration
 	reg         *obs.Registry
 	started     time.Time
+	memo        *routeMemo
 
 	unrouted atomic.Uint64 // requests refused because no replica answered
 }
@@ -150,7 +153,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
+		// DefaultTransport keeps two idle connections per host, so a burst
+		// of more concurrent forwards would close and redial the rest.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = httpd.DefaultMaxInflight()
+		tr.MaxIdleConns = tr.MaxIdleConnsPerHost * len(ring.Replicas())
+		client = &http.Client{Transport: tr, Timeout: 60 * time.Second}
 	}
 	rt := &Router{
 		ring:        ring,
@@ -161,6 +169,7 @@ func New(cfg Config) (*Router, error) {
 		healthWait:  healthWait,
 		reg:         reg,
 		started:     time.Now(),
+		memo:        newRouteMemo(),
 	}
 	for _, rep := range ring.Replicas() {
 		label := obs.L("replica", rep)
@@ -177,18 +186,22 @@ func New(cfg Config) (*Router, error) {
 	}
 	reg.CounterFunc("router_unrouted_total", "requests refused because every eligible replica failed",
 		rt.unrouted.Load)
+	reg.CounterFunc("router_route_memo_hits_total", "cached-endpoint requests and batch items placed on the ring by the route memo",
+		rt.memo.hits.Load)
+	reg.CounterFunc("router_route_memo_misses_total", "cached-endpoint requests and batch items that derived their canonical key",
+		rt.memo.misses.Load)
 	reg.GaugeFunc("router_replicas", "configured replica count",
 		func() float64 { return float64(len(ring.Replicas())) })
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", rt.handleKeyed(cacheKey))
+	mux.HandleFunc("POST /v1/plan", rt.handleKeyed(rt.memo.pos))
 	mux.HandleFunc("POST /v1/plan:batch", rt.handleBatch)
-	mux.HandleFunc("POST /v1/fleet/plan", rt.handleKeyed(cacheKey))
-	mux.HandleFunc("POST /v1/fleet/simulate", rt.handleKeyed(cacheKey))
-	mux.HandleFunc("POST /v1/simulate", rt.handleKeyed(rawKey))
-	mux.HandleFunc("POST /v1/analyze", rt.handleKeyed(rawKey))
-	mux.HandleFunc("POST /v1/render", rt.handleKeyed(rawKey))
-	mux.HandleFunc("GET /v1/schedules", rt.handleKeyed(pathKey))
+	mux.HandleFunc("POST /v1/fleet/plan", rt.handleKeyed(rt.memo.pos))
+	mux.HandleFunc("POST /v1/fleet/simulate", rt.handleKeyed(rt.memo.pos))
+	mux.HandleFunc("POST /v1/simulate", rt.handleKeyed(byKey(rawKey)))
+	mux.HandleFunc("POST /v1/analyze", rt.handleKeyed(byKey(rawKey)))
+	mux.HandleFunc("POST /v1/render", rt.handleKeyed(byKey(rawKey)))
+	mux.HandleFunc("GET /v1/schedules", rt.handleKeyed(byKey(pathKey)))
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /metrics", httpd.Metrics(reg))
 	rt.Daemon = httpd.NewDaemon(mux, httpd.Lifecycle{Background: rt.Start})
@@ -248,14 +261,20 @@ func (rt *Router) CheckNow(ctx context.Context) {
 	wg.Wait()
 }
 
-// keyFunc derives a request's routing key from its body.
-type keyFunc func(path string, body []byte) string
+// posFunc places a request on the ring by its path and body.
+type posFunc func(path string, body []byte) uint64
+
+// byKey places a request at its routing key's position.
+func byKey(key func(path string, body []byte) string) posFunc {
+	return func(path string, body []byte) uint64 { return keyPos(key(path, body)) }
+}
 
 // cacheKey routes the cached endpoints by the serve tier's own canonical
 // cache key, so every equivalent request — however its optional fields are
 // spelled — lands on the replica whose caches already hold it. Bodies that
 // fail to decode or resolve fall back to a raw-body hash; the owning replica
-// then emits the same 400 a direct request would get.
+// then emits the same 400 a direct request would get. The route memo
+// (routeMemo.pos) stands in front of it.
 func cacheKey(path string, body []byte) string {
 	if key, ok := serve.CanonicalKey(path, body); ok {
 		return key
@@ -273,12 +292,12 @@ func rawKey(path string, body []byte) string {
 // pathKey routes body-less GETs by path alone.
 func pathKey(path string, _ []byte) string { return "path:" + path }
 
-// handleKeyed forwards one request to its key's owner, failing over along
-// the ring on transport errors and 5xx.
-func (rt *Router) handleKeyed(key keyFunc) http.HandlerFunc {
+// handleKeyed forwards one request to the owner of its ring position,
+// failing over along the ring on transport errors and 5xx.
+func (rt *Router) handleKeyed(at posFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if body, ok := readBody(w, r); ok {
-			rt.proxy(w, r, key(r.URL.Path, body), body)
+			rt.proxy(w, r, at(r.URL.Path, body), body)
 		}
 	}
 }
@@ -294,10 +313,10 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, err == nil
 }
 
-// proxy forwards body to key's owners and relays the answer, or 502 when
-// every attempt failed.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	resp, err := rt.forward(r, key, r.URL.Path, body)
+// proxy forwards body to the owners of ring position pos and relays the
+// answer, or 502 when every attempt failed.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, pos uint64, body []byte) {
+	resp, err := rt.forward(r, pos, r.URL.Path, body)
 	if err != nil {
 		rt.unrouted.Add(1)
 		httpd.WriteError(w, http.StatusBadGateway, err.Error())
@@ -317,16 +336,17 @@ type forwarded struct {
 	body        []byte
 }
 
-// forward tries the key's owners in ring order (at most maxAttempts
-// distinct replicas), skipping replicas the health loop marked not-ready.
+// forward tries the owners of ring position pos in ring order (at most
+// maxAttempts distinct replicas), skipping replicas the health loop marked
+// not-ready.
 // Transport errors and 5xx fail over to the next owner; everything else —
 // including 429 shed and 4xx validation errors — is the answer, relayed
 // as-is so the serve tier's back-pressure and error contracts pass through
 // unchanged. When every replica is marked not-ready the owners are tried
 // anyway: a stale health view should degrade to extra attempts, not an
 // outage.
-func (rt *Router) forward(r *http.Request, key, path string, body []byte) (*forwarded, error) {
-	owners := rt.ring.Owners(key, len(rt.ring.Replicas()))
+func (rt *Router) forward(r *http.Request, pos uint64, path string, body []byte) (*forwarded, error) {
+	owners := rt.ring.ownersAt(pos, len(rt.ring.Replicas()))
 	candidates := make([]*replicaState, 0, len(owners))
 	for _, rep := range owners {
 		if rs := rt.reps[rep]; rs.ready.Load() {
@@ -428,12 +448,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err := serve.DecodeStrict(bytes.NewReader(body), &req); err != nil || len(req.Requests) == 0 || len(req.Requests) > serve.MaxBatchItems {
 		// Malformed, empty, or oversized: forward whole to one replica so
 		// the client gets the serve tier's own 400, byte-identical.
-		rt.proxy(w, r, rawKey(r.URL.Path, body), body)
+		rt.proxy(w, r, keyPos(rawKey(r.URL.Path, body)), body)
 		return
 	}
-	// Group item indices by owning replica. Items that fail to resolve
-	// still route (by raw item hash) — the owner reports the same per-item
-	// error a direct batch would.
+	// Group item indices by owning replica, placing each item on the ring
+	// once, through the route memo. Items that fail to resolve still route
+	// (by raw item hash) — the owner reports the same per-item error a
+	// direct batch would.
+	pos := make([]uint64, len(req.Requests))
 	groups := make(map[string][]int)
 	for i, item := range req.Requests {
 		raw, err := json.Marshal(item)
@@ -441,7 +463,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			httpd.WriteError(w, http.StatusBadRequest, "router: encode item: "+err.Error())
 			return
 		}
-		owner := rt.ring.Owner(cacheKey("/v1/plan", raw))
+		pos[i] = rt.memo.pos("/v1/plan", raw)
+		owner := rt.ring.ownersAt(pos[i], 1)[0]
 		groups[owner] = append(groups[owner], i)
 	}
 	owners := make([]string, 0, len(groups))
@@ -466,11 +489,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				errs[gi] = err
 				return
 			}
-			// The group key is its first item's plan key: that is the key
-			// whose ownership placed the group, so failover walks the same
-			// owner sequence a single request for it would.
-			firstRaw, _ := json.Marshal(req.Requests[idxs[0]])
-			f, err := rt.forward(r, cacheKey("/v1/plan", firstRaw), r.URL.Path, subBody)
+			// The group forwards at its first item's position: that is the
+			// key whose ownership placed the group, so failover walks the
+			// same owner sequence a single request for it would.
+			f, err := rt.forward(r, pos[idxs[0]], r.URL.Path, subBody)
 			if err != nil {
 				errs[gi] = err
 				return

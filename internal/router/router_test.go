@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"chimera/internal/httpd"
 	"chimera/internal/serve"
 )
 
@@ -380,11 +386,14 @@ func TestRouterHealth(t *testing.T) {
 	check("unrouted")
 }
 
-// TestRouterMetricsEndpoint: the router serves its own Prometheus series.
+// TestRouterMetricsEndpoint: the router serves its own Prometheus series,
+// the route memo's included: a body posted twice is one miss, then one hit.
 func TestRouterMetricsEndpoint(t *testing.T) {
 	f := newFleet(t, 2)
-	if status, body := postURL(t, f.front.URL+"/v1/plan", planBody); status != http.StatusOK {
-		t.Fatalf("plan: %d %s", status, body)
+	for i := 0; i < 2; i++ {
+		if status, body := postURL(t, f.front.URL+"/v1/plan", planBody); status != http.StatusOK {
+			t.Fatalf("plan: %d %s", status, body)
+		}
 	}
 	resp, err := http.Get(f.front.URL + "/metrics")
 	if err != nil {
@@ -394,9 +403,86 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	text := buf.String()
-	for _, series := range []string{"router_requests_total", "router_replica_up", "router_request_duration_seconds", "router_replicas"} {
+	for _, series := range []string{"router_requests_total", "router_replica_up", "router_request_duration_seconds", "router_replicas",
+		"\nrouter_route_memo_hits_total 1\n", "\nrouter_route_memo_misses_total 1\n"} {
 		if !strings.Contains(text, series) {
-			t.Fatalf("/metrics missing %s:\n%.400s", series, text)
+			t.Fatalf("/metrics missing %q:\n%s", series, text)
 		}
+	}
+}
+
+// TestRouterDefaultClientKeepsConnections: with no Config.Client, the
+// router keeps as many idle connections per replica as a default replica
+// admits heavy requests (DefaultTransport keeps two), so a second burst as
+// wide as the first reuses the first burst's connections instead of
+// redialing. The replica holds each burst's requests until all have
+// arrived, so every request of a burst needs a connection of its own.
+func TestRouterDefaultClientKeepsConnections(t *testing.T) {
+	wave := min(8, httpd.DefaultMaxInflight())
+	var (
+		mu      sync.Mutex
+		arrived int
+		all     chan struct{}
+		dials   atomic.Int64
+	)
+	rep := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		gate := all
+		if arrived++; arrived == wave {
+			close(gate)
+		}
+		mu.Unlock()
+		select {
+		case <-gate:
+		case <-time.After(10 * time.Second):
+			t.Error("a burst never reached the replica whole")
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{}`))
+	}))
+	rep.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	rep.Start()
+	defer rep.Close()
+	rt, err := New(Config{Replicas: []string{rep.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	burst := func() {
+		mu.Lock()
+		arrived, all = 0, make(chan struct{})
+		mu.Unlock()
+		var wg sync.WaitGroup
+		for i := 0; i < wave; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(front.URL+"/v1/plan", "application/json", strings.NewReader(planBody))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("routed request answered %d", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	burst()
+	if n := dials.Load(); n != int64(wave) {
+		t.Fatalf("a burst of %d opened %d connections to the replica, want %d", wave, n, wave)
+	}
+	burst()
+	if n := dials.Load() - int64(wave); n != 0 {
+		t.Fatalf("a second burst of %d opened %d new connections to the replica, want 0", wave, n)
 	}
 }
