@@ -52,14 +52,15 @@ bench-build:
 # bench-smoke runs every in-module benchmark of the root package (one per
 # paper table and figure, bench_test.go), of the planner core (with the
 # memory model in internal/sim), of the engine, of the fleet allocator, of
-# the live controller and of the metrics core (internal/obs) once.
-# `go test` only compiles benchmarks; one iteration each runs the
-# checks they carry (a figure benchmark fails when its experiment does, a
-# kernel benchmark times the row width it names, a histogram snapshot
-# checks its count, a controller batch checks its reply). It measures
-# nothing.
+# the live controller, of the serve tier and of the metrics core
+# (internal/obs) once. `go test` only compiles benchmarks; one iteration
+# each runs the checks they carry (a figure benchmark fails when its
+# experiment does, a kernel benchmark times the row width it names, a
+# histogram snapshot checks its count, a controller batch checks its
+# reply, the serve plan benchmarks check that every timed request missed,
+# or hit, the response cache). It measures nothing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/serve ./internal/obs
 
 # cli-smoke builds chimera-train, chimera-sim, chimera-viz and chimera-plan
 # and runs them end to end: a verified chimera-train run, a PipeDream run,

@@ -317,6 +317,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // answer, or 502 when every attempt failed.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, pos uint64, body []byte) {
 	resp, err := rt.forward(r, pos, r.URL.Path, body)
+	if errors.Is(err, errClientGone) {
+		return
+	}
 	if err != nil {
 		rt.unrouted.Add(1)
 		httpd.WriteError(w, http.StatusBadGateway, err.Error())
@@ -344,7 +347,8 @@ type forwarded struct {
 // as-is so the serve tier's back-pressure and error contracts pass through
 // unchanged. When every replica is marked not-ready the owners are tried
 // anyway: a stale health view should degrade to extra attempts, not an
-// outage.
+// outage. An attempt that fails after the client has gone ends the request
+// with errClientGone.
 func (rt *Router) forward(r *http.Request, pos uint64, path string, body []byte) (*forwarded, error) {
 	owners := rt.ring.ownersAt(pos, len(rt.ring.Replicas()))
 	candidates := make([]*replicaState, 0, len(owners))
@@ -380,6 +384,9 @@ func (rt *Router) forward(r *http.Request, pos uint64, path string, body []byte)
 		epoch := rs.beginObservation()
 		resp, err := rt.client.Do(req)
 		if err != nil {
+			if gone := clientGone(r); gone != nil {
+				return nil, gone
+			}
 			rs.errors.Inc()
 			// Passive detection: route around before the next poll — unless
 			// a health probe landed a newer verdict while this request was
@@ -390,14 +397,15 @@ func (rt *Router) forward(r *http.Request, pos uint64, path string, body []byte)
 		}
 		respBody, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err == nil && resp.StatusCode >= 500 {
+			err = fmt.Errorf("%s: upstream status %d", rs.base, resp.StatusCode)
+		}
 		if err != nil {
+			if gone := clientGone(r); gone != nil {
+				return nil, gone
+			}
 			rs.errors.Inc()
 			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= 500 {
-			rs.errors.Inc()
-			lastErr = fmt.Errorf("%s: upstream status %d", rs.base, resp.StatusCode)
 			continue
 		}
 		rs.requests.Inc()
@@ -414,6 +422,21 @@ func (rt *Router) forward(r *http.Request, pos uint64, path string, body []byte)
 		lastErr = errors.New("no replica available")
 	}
 	return nil, fmt.Errorf("router: all attempts failed: %w", lastErr)
+}
+
+// errClientGone is forward's error once the client's request has ended: an
+// attempt that failed then says nothing about the replica, so it is not
+// counted against it, marks nothing and fails over nowhere, and the request
+// is not unrouted. Nobody is left to read a reply.
+var errClientGone = errors.New("router: client went away")
+
+// clientGone returns errClientGone, with the cause, when r's context has
+// ended.
+func clientGone(r *http.Request) error {
+	if err := r.Context().Err(); err != nil {
+		return fmt.Errorf("%w: %w", errClientGone, err)
+	}
+	return nil
 }
 
 // relay writes a forwarded response to the client verbatim.
@@ -520,6 +543,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(gi, groups[owner])
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if errors.Is(err, errClientGone) {
+			return
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			rt.unrouted.Add(1)

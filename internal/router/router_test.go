@@ -486,3 +486,72 @@ func TestRouterDefaultClientKeepsConnections(t *testing.T) {
 		t.Fatalf("a second burst of %d opened %d new connections to the replica, want 0", wave, n)
 	}
 }
+
+// TestRouterClientDisconnectBlamesNoReplica: a client that gives up before
+// slow replicas answer ends its request, not the replicas' health. The
+// attempt that fails because the client went away counts no replica error,
+// marks no replica down, fails over nowhere and is not unrouted — for a
+// single request and for a batch's sub-forwards alike.
+func TestRouterClientDisconnectBlamesNoReplica(t *testing.T) {
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(2 * time.Second):
+			w.Write([]byte(`{}`))
+		}
+	})
+	var urls []string
+	for range 2 {
+		ts := httptest.NewServer(slow)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, err := New(Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{}, 1)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.Handler().ServeHTTP(w, r)
+		if r.URL.Path != "/healthz" {
+			done <- struct{}{}
+		}
+	}))
+	t.Cleanup(front.Close)
+	impatient := &http.Client{Timeout: 100 * time.Millisecond}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/plan", planBody},
+		{"/v1/plan:batch", `{"requests":[` + planBody + `]}`},
+	} {
+		resp, err := impatient.Post(front.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s: answered %d before the client's timeout", c.path, resp.StatusCode)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the router kept forwarding for 5 s after the client left", c.path)
+		}
+		for _, u := range urls {
+			rs := rt.reps[u]
+			if !rs.ready.Load() || rs.errors.Value() != 0 || rs.failovers.Value() != 0 {
+				t.Fatalf("%s: replica %s blamed for the client's timeout: ready=%v errors=%d failovers=%d",
+					c.path, u, rs.ready.Load(), rs.errors.Value(), rs.failovers.Value())
+			}
+		}
+		if n := rt.unrouted.Load(); n != 0 {
+			t.Fatalf("%s: a client that left counted as unrouted %d times", c.path, n)
+		}
+	}
+	resp, err := http.Get(front.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h.Status != "ok" {
+		t.Fatalf("router health %q (%v), want \"ok\"", h.Status, err)
+	}
+}

@@ -99,6 +99,11 @@ func (s *Server) initObserve(cfg Config) {
 			func() uint64 { return c.table().Evictions }, label)
 		reg.GaugeFunc("serve_cache_entries", "response-cache resident entries",
 			func() float64 { return float64(c.table().Entries) }, label)
+		hits, misses := c.resolveCounts()
+		reg.CounterFunc("serve_resolve_memo_hits_total", "bodies whose cache key the resolve memo held",
+			hits.Load, label)
+		reg.CounterFunc("serve_resolve_memo_misses_total", "bodies resolved to their cache key",
+			misses.Load, label)
 	}
 	o.batchItems = reg.Histogram("serve_batch_items",
 		"items per /v1/plan:batch request (bucketed as seconds: n items = n s)")
