@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sweep lint bench-build bench-smoke cli-smoke fuzz cover clean
+.PHONY: all build test race race-sweep lint audit bench-build bench-smoke cli-smoke fuzz cover clean
 
 all: build lint test
 
@@ -104,8 +104,9 @@ cli-smoke:
 # leaves out test files' imports. Last, every test, fuzz target and benchmark
 # DESIGN.md or README.md names must exist (scripts/cited-tests.sh; a
 # Parent/Sub name needs "Sub" in Parent's package's test files): a doc's
-# `go test -run` pattern that matches nothing passes without a word.
-lint:
+# `go test -run` pattern that matches nothing passes without a word. It runs
+# audit first.
+lint: audit
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
@@ -115,6 +116,14 @@ lint:
 		echo "only tests may import chimera/internal/refinterp; imported by:"; echo "$$out" | cut -d' ' -f1; exit 1; \
 	fi
 	@GO=$(GO) bash scripts/cited-tests.sh
+
+# audit fails on an exported function or method under internal/ that no
+# non-test file of the module or of bench/ uses (scripts/audit, go/parser and
+# go/ast only): one only tests reach belongs in a test file. Methods that
+# only a standard-library interface reaches are on its allowlist, each with
+# its reason.
+audit:
+	$(GO) run ./scripts/audit
 
 # fuzz explores beyond the committed seed corpora (testdata/fuzz replays on
 # every plain `go test`) for a bounded time per target; CI runs it with the
@@ -171,6 +180,10 @@ fuzz:
 # accepted classic trace stays within the event bound and resolves the same
 # cluster and jobs as its elastic twin.
 	$(call fuzz-one,./internal/serve/,FuzzFleetScenarioResolve)
+# Body memo vs a direct-mapped model (a fuzzed sequence of Get calls on a
+# small table): every value is its body's, a failed derive is never served,
+# and the hit and miss counts are the model's.
+	$(call fuzz-one,./internal/httpd/,FuzzBodyMemo)
 # Planner breakpoints vs PlanOn: the fleet searches visit only the listed
 # P values; off the list, PlanOn must answer ErrInfeasible.
 	$(call fuzz-one,./internal/perfmodel/,FuzzPlanBreakpoints)

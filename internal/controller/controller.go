@@ -10,10 +10,10 @@
 // The controller is a single serialized state machine: one mutex orders
 // every ingested batch, so the applied event sequence is exactly the
 // append-only log the sim records. That log is the correctness anchor —
-// replaying it through fleet.SimulateElasticOn reproduces the controller's
-// event records and current allocation bit for bit (the live log is a
-// byte-identical prefix of the replay's; the replay goes on to retire the
-// still-resident instances). Replies carry the fleet results themselves
+// replaying it through fleet.NewAllocator(e).SimulateElastic reproduces the
+// controller's event records and current allocation bit for bit (the live
+// log is a byte-identical prefix of the replay's; the replay goes on to
+// retire the still-resident instances). Replies carry the fleet results themselves
 // (fleet.FinalShare, fleet.EventRecord), which encode exactly as they do in
 // a replay's result, so the bytes are directly comparable.
 //

@@ -112,7 +112,7 @@ func replayLive(t *testing.T, ts *httptest.Server, sc serve.FleetScenario) (LogR
 		t.Fatal(err)
 	}
 	esc.Events = events
-	replay, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
+	replay, err := fleet.NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(esc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,10 +298,10 @@ func Capacity(n int) Option {
 // ReferenceCore has no effect. It selected a second replay core for
 // Evaluate when the simulator had one; the simulator now replays only the
 // compiled graph, and the reference interpreter (internal/refinterp) is an
-// oracle the tests hold the graph's read-outs to. It remains because the
-// benchmark's golden generator (bench/goldengen.go) still passes it; its
-// engines run only the planner and the fleet allocator, which never call
-// Evaluate. Delete it with that caller.
+// oracle the tests hold the graph's read-outs to. bench/ (its golden
+// generator, bench/goldengen.go) is its last caller; its engines run only
+// the planner and the fleet allocator, which never call Evaluate. Delete it
+// with that caller.
 func ReferenceCore() Option { return func(*Engine) {} }
 
 // ForDaemon resolves a daemon's engine configuration: own when the caller

@@ -133,7 +133,7 @@ func TestClassicTraceIsArrivalsOnlyReplay(t *testing.T) {
 // out-bids both hi instances and finishes its remaining work first; at
 // its base priority it would run last.
 func TestSimulateAgesStarvedInstance(t *testing.T) {
-	res, err := SimulateOn(engine.New(engine.Workers(1)), Scenario{
+	res, err := NewAllocator(engine.New(engine.Workers(1))).Simulate(Scenario{
 		Cluster: pizDaintCluster(2, nil),
 		Jobs: []Job{
 			{Name: "lo", Model: model.BERT48(), MiniBatch: 64, Priority: 1, Deadline: 100},
@@ -166,7 +166,7 @@ func TestSimulateAgesStarvedInstance(t *testing.T) {
 // instances carry equal work and depart together, "b" runs on. Re-plans: the
 // arrival batch and the shared departure time, not one per departure.
 func TestSimulateCoFinishersShareOneReplan(t *testing.T) {
-	res, err := SimulateOn(engine.New(engine.Workers(1)), Scenario{
+	res, err := NewAllocator(engine.New(engine.Workers(1))).Simulate(Scenario{
 		Cluster: pizDaintCluster(6, nil),
 		Jobs: []Job{
 			{Name: "a", Model: model.BERT48(), MiniBatch: 64},

@@ -374,7 +374,8 @@ type ElasticResult struct {
 }
 
 // SimulateElasticOn replays an elastic scenario on e (nil selects the
-// shared default engine).
+// shared default engine): NewAllocator(e).SimulateElastic. bench/ is its
+// last caller; delete it with that call.
 func SimulateElasticOn(e *engine.Engine, sc ElasticScenario) (*ElasticResult, error) {
 	return NewAllocator(e).SimulateElastic(sc)
 }

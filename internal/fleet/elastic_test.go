@@ -68,7 +68,7 @@ func TestSameAllocationComparesEveryField(t *testing.T) {
 // TestElasticCompletesEveryJob: every arrival runs and departs under churn,
 // times are ordered, the pool ends at initial − fail − drain + 2 joins.
 func TestElasticCompletesEveryJob(t *testing.T) {
-	res, err := SimulateElasticOn(engine.New(), elasticScenario(ReplanIncremental, 5))
+	res, err := NewAllocator(engine.New()).SimulateElastic(elasticScenario(ReplanIncremental, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestElasticBitDeterministic(t *testing.T) {
 	for _, mode := range []ReplanMode{ReplanIncremental, ReplanFull} {
 		var want []byte
 		for run, e := range []*engine.Engine{engine.New(engine.Workers(1)), engine.New(), engine.New()} {
-			res, err := SimulateElasticOn(e, elasticScenario(mode, 5))
+			res, err := NewAllocator(e).SimulateElastic(elasticScenario(mode, 5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestElasticFailPenalty(t *testing.T) {
 			{At: 10, Kind: EvNodeFail, Node: usedID},
 		},
 	}
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), sc)
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestElasticFailPenalty(t *testing.T) {
 	}
 	if idle >= 0 {
 		sc.Events[1] = Event{At: 10, Kind: EvNodeFail, Node: idle}
-		res, err = SimulateElasticOn(engine.New(engine.Workers(1)), sc)
+		res, err = NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +220,11 @@ func TestElasticDrainHalfPenalty(t *testing.T) {
 			},
 		}
 	}
-	fail, err := SimulateElasticOn(engine.New(engine.Workers(1)), mk(EvNodeFail))
+	fail, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(mk(EvNodeFail))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain, err := SimulateElasticOn(engine.New(engine.Workers(1)), mk(EvNodeDrain))
+	drain, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(mk(EvNodeDrain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestElasticJoinExtends(t *testing.T) {
 			},
 		}
 	}
-	free, err := SimulateElasticOn(engine.New(engine.Workers(1)), mk(0))
+	free, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestElasticJoinExtends(t *testing.T) {
 		t.Fatalf("final share %+v, want the 4-node plan's %d nodes", free.Final, big.NodesUsed)
 	}
 	// A penalty far exceeding the remaining runtime's gain pins the job.
-	stay, err := SimulateElasticOn(engine.New(engine.Workers(1)), mk(1e7))
+	stay, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(mk(1e7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestElasticAgingPreempts(t *testing.T) {
 			{At: 500, Kind: EvArrival, Job: "heartbeat", Work: 1000},
 		},
 	}
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), sc)
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestElasticAgingPreempts(t *testing.T) {
 // probe run so the shared timestamp is float-exact.
 func TestElasticTieBreakOrder(t *testing.T) {
 	job := Job{Name: "solo", Model: model.BERT48(), MiniBatch: 64}
-	probe, err := SimulateElasticOn(engine.New(engine.Workers(1)), ElasticScenario{
+	probe, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(ElasticScenario{
 		Cluster: pizDaintCluster(4, nil),
 		Jobs:    []Job{job},
 		Events:  []Event{{At: 0, Kind: EvArrival, Job: "solo", Work: 10000}},
@@ -357,7 +357,7 @@ func TestElasticTieBreakOrder(t *testing.T) {
 			{At: T, Kind: EvNodeFail, Node: 3},
 		},
 	}
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), sc)
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestElasticTieBreakOrder(t *testing.T) {
 // pool.
 func TestSimulateTieBreakDepartureBeforeArrival(t *testing.T) {
 	jobs := []Job{{Name: "a", Model: model.BERT48(), MiniBatch: 64}}
-	probe, err := SimulateOn(engine.New(engine.Workers(1)), Scenario{
+	probe, err := NewAllocator(engine.New(engine.Workers(1))).Simulate(Scenario{
 		Cluster: pizDaintCluster(2, nil), Jobs: jobs,
 		Trace: []Arrival{{At: 0, Job: "a", Work: 10000}},
 	})
@@ -400,7 +400,7 @@ func TestSimulateTieBreakDepartureBeforeArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	T := probe.Jobs[0].DoneAt
-	res, err := SimulateOn(engine.New(engine.Workers(1)), Scenario{
+	res, err := NewAllocator(engine.New(engine.Workers(1))).Simulate(Scenario{
 		Cluster: pizDaintCluster(2, nil), Jobs: jobs,
 		Trace: []Arrival{
 			{At: 0, Job: "a", Work: 10000},
@@ -452,7 +452,7 @@ func TestElasticIncrementalMatchesFull(t *testing.T) {
 		scenario func(ReplanMode) ElasticScenario
 	}{{"small", small}, {"churn", churnScenario}} {
 		run := func(mode ReplanMode) *ElasticResult {
-			res, err := SimulateElasticOn(engine.New(), tc.scenario(mode))
+			res, err := NewAllocator(engine.New()).SimulateElastic(tc.scenario(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,7 +482,7 @@ func TestElasticEqualSplitChurn(t *testing.T) {
 	job := Job{Name: "solo", Model: model.BERT48(), MiniBatch: 64}
 	ref := soloPlan(t, 4, job)
 	const penalty = 5.0
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), ElasticScenario{
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(ElasticScenario{
 		Cluster:          pizDaintCluster(4, nil),
 		Jobs:             []Job{job},
 		Policy:           EqualSplit,
@@ -520,7 +520,7 @@ func TestElasticEqualSplitChurn(t *testing.T) {
 func TestElasticHeterogeneousFactorBound(t *testing.T) {
 	job := Job{Name: "solo", Model: model.BERT48(), MiniBatch: 256}
 	cap4 := soloPlan(t, 4, job)
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), ElasticScenario{
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(ElasticScenario{
 		Cluster: pizDaintCluster(2, nil),
 		Jobs:    []Job{job},
 		Events: []Event{
@@ -575,7 +575,7 @@ func TestElasticValidation(t *testing.T) {
 		sc := base
 		sc.Events = append([]Event(nil), base.Events...)
 		tc.mut(&sc)
-		_, err := SimulateElasticOn(nil, sc)
+		_, err := NewAllocator(nil).SimulateElastic(sc)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -588,7 +588,7 @@ func TestElasticValidation(t *testing.T) {
 	sc := base
 	sc.Events = append([]Event(nil), base.Events...)
 	sc.Events[3].Node = 99
-	if _, err := SimulateElasticOn(nil, sc); err == nil || !strings.Contains(err.Error(), "absent node") {
+	if _, err := NewAllocator(nil).SimulateElastic(sc); err == nil || !strings.Contains(err.Error(), "absent node") {
 		t.Errorf("failing an absent node: err = %v", err)
 	}
 }
@@ -604,7 +604,7 @@ func TestElasticTrailingChurnMakespan(t *testing.T) {
 		Jobs:    []Job{job},
 		Events:  []Event{{At: 0, Kind: EvArrival, Job: "solo", Work: 1000}},
 	}
-	probe, err := SimulateElasticOn(engine.New(engine.Workers(1)), base)
+	probe, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestElasticTrailingChurnMakespan(t *testing.T) {
 		Event{At: 1e6, Kind: EvNodeJoin},
 		Event{At: 2e6, Kind: EvNodeFail, Node: 0},
 	)
-	res, err := SimulateElasticOn(engine.New(engine.Workers(1)), trailing)
+	res, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(trailing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func TestElasticResidentCap(t *testing.T) {
 	for i := range events {
 		events[i] = Event{At: 0, Kind: EvArrival, Job: "a", Work: 1e9}
 	}
-	_, err := SimulateElasticOn(engine.New(engine.Workers(1)), ElasticScenario{
+	_, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(ElasticScenario{
 		Cluster: pizDaintCluster(4, nil),
 		Jobs:    []Job{{Name: "a", Model: model.BERT48(), MiniBatch: 64}},
 		Events:  events,
@@ -659,7 +659,7 @@ func TestElasticStall(t *testing.T) {
 			{At: 1, Kind: EvNodeFail, Node: 1},
 		},
 	}
-	_, err := SimulateElasticOn(engine.New(engine.Workers(1)), sc)
+	_, err := NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(sc)
 	if err == nil || !strings.Contains(err.Error(), "stalls") {
 		t.Fatalf("want a stall error, got %v", err)
 	}

@@ -65,7 +65,8 @@ type SimResult struct {
 }
 
 // SimulateOn replays a scenario on e (nil selects the shared default
-// engine).
+// engine): NewAllocator(e).Simulate. bench/ is its last caller; delete it
+// with that call.
 func SimulateOn(e *engine.Engine, sc Scenario) (*SimResult, error) {
 	return NewAllocator(e).Simulate(sc)
 }

@@ -25,7 +25,7 @@ func benchScenario(policy Policy) Scenario {
 // TestSimulateCompletesEveryJob: every arrival runs and departs, times are
 // ordered, and utilization is a meaningful fraction.
 func TestSimulateCompletesEveryJob(t *testing.T) {
-	res, err := SimulateOn(engine.New(), benchScenario(PlannerGuided))
+	res, err := NewAllocator(engine.New()).Simulate(benchScenario(PlannerGuided))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSimulateBitDeterministic(t *testing.T) {
 	for _, policy := range []Policy{EqualSplit, PlannerGuided} {
 		var want []byte
 		for run, e := range []*engine.Engine{engine.New(engine.Workers(1)), engine.New(), engine.New()} {
-			res, err := SimulateOn(e, benchScenario(policy))
+			res, err := NewAllocator(e).Simulate(benchScenario(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestSimulateDeadlines(t *testing.T) {
 			{At: 0, Job: "loose", Work: 1000},
 		},
 	}
-	res, err := SimulateOn(engine.New(), sc)
+	res, err := NewAllocator(engine.New()).Simulate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSimulateQueueingWait(t *testing.T) {
 			{At: 0, Job: "second", Work: 1000},
 		},
 	}
-	res, err := SimulateOn(engine.New(engine.Workers(1)), sc)
+	res, err := NewAllocator(engine.New(engine.Workers(1))).Simulate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSimulateValidation(t *testing.T) {
 		sc := base
 		sc.Trace = append([]Arrival(nil), base.Trace...)
 		tc.mut(&sc)
-		if _, err := SimulateOn(nil, sc); err == nil {
+		if _, err := NewAllocator(nil).Simulate(sc); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -41,7 +41,7 @@ func TestElasticSimLiveMatchesReplay(t *testing.T) {
 
 		recorded := liveConfig(trace)
 		recorded.Events = live.Events()
-		replay, err := SimulateElasticOn(engine.New(), recorded)
+		replay, err := NewAllocator(engine.New()).SimulateElastic(recorded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestElasticSimSpotCost(t *testing.T) {
 	// The classic trace path reports the same accounting.
 	trace := sc
 	trace.Events = live.Events()
-	res, err := SimulateElasticOn(engine.New(), trace)
+	res, err := NewAllocator(engine.New()).SimulateElastic(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestGenerateStorm(t *testing.T) {
 	}
 	sc := liveConfig(elasticScenario(ReplanIncremental, 5))
 	sc.Events = a
-	res, err := SimulateElasticOn(engine.New(), sc)
+	res, err := NewAllocator(engine.New()).SimulateElastic(sc)
 	if err != nil {
 		t.Fatalf("storm does not simulate cleanly: %v", err)
 	}

@@ -3,7 +3,9 @@
 // way, made once. It owns the request-body cap, slot-or-429 admission
 // control, the listen → serve → drain → bounded-shutdown lifecycle with its
 // readiness flag and drain-aware Retry-After, the JSON and error reply
-// writers, and the /metrics and pprof mounts. It depends on the standard
+// writers, the /metrics and pprof mounts, and the body memo (memo.go) that
+// lets the router and the replicas skip re-deriving a repeated body. It
+// depends on the standard
 // library and internal/obs only, so any daemon can embed it.
 package httpd
 

@@ -494,18 +494,6 @@ func (t *Trainer) syncAndStep(rank int, pending []pendingAR) {
 	}
 }
 
-// StageGrads returns the (synchronized) gradient vector of one stage from
-// its first holder — identical on all holders after allreduce.
-func (t *Trainer) StageGrads(stage int) []float32 {
-	rank := t.groups[stage].Ranks[0]
-	for rep, pl := range t.place[rank] {
-		if pl.Stage == stage {
-			return t.stages[rank][rep].GradVector()
-		}
-	}
-	return nil
-}
-
 // StageWeights returns the weight vector of one stage from holder idx in
 // its group (for replica-consistency checks).
 func (t *Trainer) StageWeights(stage, holderIdx int) []float32 {

@@ -16,6 +16,24 @@ import (
 	"chimera/internal/schedule"
 )
 
+// The gradient read-outs below serve only the tests that compare a
+// trainer's gradients with the reference's.
+
+// StageGrads returns the (synchronized) gradient vector of one stage from
+// its first holder — identical on all holders after allreduce.
+func (t *Trainer) StageGrads(stage int) []float32 {
+	rank := t.groups[stage].Ranks[0]
+	for rep, pl := range t.place[rank] {
+		if pl.Stage == stage {
+			return t.stages[rank][rep].GradVector()
+		}
+	}
+	return nil
+}
+
+// StageGrads returns the accumulated gradient vector of stage st.
+func (r *Reference) StageGrads(st int) []float32 { return r.stages[st].GradVector() }
+
 var tinySpec = ModelSpec{Vocab: 17, Dim: 8, Heads: 2, SeqLen: 4, Layers: 4, Seed: 7}
 
 func tinyBatch(t *testing.T, sequences int) *data.Batch {

@@ -76,8 +76,5 @@ func (r *Reference) TrainIteration(batch *data.Batch) (float64, error) {
 	return lossSum / float64(nMicros), nil
 }
 
-// StageGrads returns the accumulated gradient vector of stage st.
-func (r *Reference) StageGrads(st int) []float32 { return r.stages[st].GradVector() }
-
 // StageWeights returns the weight vector of stage st.
 func (r *Reference) StageWeights(st int) []float32 { return r.stages[st].WeightVector() }

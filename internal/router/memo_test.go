@@ -8,28 +8,59 @@ import (
 	"sync"
 	"testing"
 
+	"chimera/internal/httpd"
 	"chimera/internal/serve"
 )
 
-// TestRouteMemoAgreesWithCanonicalKey: the route memo is cacheKey's ring
-// position and nothing else. Every body of keyCorpora, interleaved across
-// endpoints and repeated, places where keyPos(cacheKey(path, body)) does on
-// its first call (a miss) and on every later one (a hit). Then enough
-// distinct plan bodies to fill the table twice over overwrite occupied
-// slots, and each overwrite still agrees — for the new body and, on its
-// next call, for the body it displaced. A hit allocates nothing.
+// slotMates returns first and k-1 of the candidate bodies that take first's
+// slot in a body memo built for capacity: in a scratch memo of that size,
+// each one's store displaces first. Tags are unseeded SHA-256 sums, so the
+// router's own memos put them in one slot too.
+func slotMates(capacity, k int, first []byte, candidate func(i int) []byte) [][]byte {
+	m := httpd.NewBodyMemo[struct{}](capacity)
+	get := func(body []byte) { m.Get(body, func() (struct{}, error) { return struct{}{}, nil }) }
+	get(first)
+	mates := [][]byte{first}
+	for i := 0; len(mates) < k; i++ {
+		c := candidate(i)
+		get(c)
+		misses := m.Misses()
+		if get(first); m.Misses() != misses {
+			mates = append(mates, c)
+		}
+	}
+	return mates
+}
+
+// planBodyN is the n-th of a family of distinct, cheap plan requests.
+func planBodyN(n int) []byte {
+	return fmt.Appendf(nil, `{"model":{"preset":"bert48"},"p":4,"mini_batch":%d,"max_b":4,"platform":{"preset":"pizdaint"}}`, 4*(n+1))
+}
+
+// TestRouteMemoAgreesWithCanonicalKey: a router's body memos are cacheKey's
+// ring position and nothing else. Every body of keyCorpora, interleaved
+// across endpoints and repeated, places where keyPos(cacheKey(path, body))
+// does on its first call (a miss) and on every later one (a hit). Then
+// 4,096 distinct plan bodies, twice the /v1/plan memo's 2,048 slots, so at
+// least 2,048 of them overwrite an occupied slot, each miss once and agree;
+// so does every corpus body after them, displaced or not. A hit allocates
+// nothing.
 func TestRouteMemoAgreesWithCanonicalKey(t *testing.T) {
-	m := newRouteMemo()
+	rt, err := New(Config{Replicas: []string{"http://replica-a:1", "http://replica-b:2", "http://replica-c:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	type req struct {
 		path string
 		body []byte
 	}
 	check := func(r req, when string) {
 		t.Helper()
-		if got, want := m.pos(r.path, r.body), keyPos(cacheKey(r.path, r.body)); got != want {
+		if got, want := rt.place(r.path, r.body), keyPos(cacheKey(r.path, r.body)); got != want {
 			t.Fatalf("%s %.60q (%s): memo places at %#x, cacheKey at %#x", r.path, r.body, when, got, want)
 		}
 	}
+	hits, misses := rt.memoSum((*httpd.BodyMemo[uint64]).Hits), rt.memoSum((*httpd.BodyMemo[uint64]).Misses)
 
 	// Round-robin over the corpora, so consecutive calls change endpoint.
 	var corpus []req
@@ -51,57 +82,34 @@ func TestRouteMemoAgreesWithCanonicalKey(t *testing.T) {
 			check(r, fmt.Sprintf("pass %d", pass))
 		}
 	}
-	// A body alone in its slot misses once and then hits; bodies that share
-	// a slot displace each other between calls and miss every time.
-	perSlot := map[*routeSlot]uint64{}
-	for _, r := range corpus {
-		perSlot[m.slot(m.sum(r.path, r.body))]++
-	}
-	var alone uint64
-	for _, n := range perSlot {
-		if n == 1 {
-			alone++
-		}
-	}
 	n := uint64(len(corpus))
-	if hits, misses := m.hits.Load(), m.misses.Load(); hits != 2*alone || misses != 3*n-2*alone {
-		t.Fatalf("three passes over %d bodies, %d alone in their slot: %d hits and %d misses, want %d and %d",
-			n, alone, hits, misses, 2*alone, 3*n-2*alone)
+	if hits()+misses() != 3*n || hits() < n {
+		t.Fatalf("three passes over %d bodies: %d hits and %d misses", n, hits(), misses())
 	}
 
-	overwrites := 0
-	for i := 0; i < 2<<routeMemoBits; i++ {
-		r := req{"/v1/plan", fmt.Appendf(nil, `{"model":{"preset":"bert48"},"p":%d,"mini_batch":%d,"platform":{"preset":"pizdaint"}}`, 4<<(i%3), 64+i)}
-		s := m.slot(m.sum(r.path, r.body))
-		displaced := *s
-		check(r, "overwriting")
-		if displaced.sum == 0 {
-			continue
-		}
-		overwrites++
-		// Find the displaced body among the corpus; when it is one, its next
-		// call misses and must place it where it always was.
-		for _, c := range corpus {
-			if m.sum(c.path, c.body) == displaced.sum {
-				check(c, "displaced")
-				check(r, "after displacing back")
-			}
-		}
+	const distinct = 2 << 11
+	before := misses()
+	for i := 0; i < distinct; i++ {
+		check(req{"/v1/plan", planBodyN(i)}, "overwriting")
 	}
-	if overwrites < 1<<routeMemoBits/2 {
-		t.Fatalf("%d distinct bodies overwrote %d occupied slots; the table was not exercised", 2<<routeMemoBits, overwrites)
+	if got := misses() - before; got != distinct {
+		t.Fatalf("%d distinct bodies missed %d times", distinct, got)
 	}
+	before = misses()
 	for _, r := range corpus {
 		check(r, "after overwrites")
 	}
+	if misses() == before {
+		t.Fatal("4,096 stores displaced no corpus body; the table was not exercised")
+	}
 
 	hit := corpus[0]
-	m.pos(hit.path, hit.body)
-	hits := m.hits.Load()
-	if allocs := testing.AllocsPerRun(100, func() { m.pos(hit.path, hit.body) }); allocs != 0 {
+	rt.place(hit.path, hit.body)
+	before = hits()
+	if allocs := testing.AllocsPerRun(100, func() { rt.place(hit.path, hit.body) }); allocs != 0 {
 		t.Fatalf("a memo hit made %.1f allocations, want 0", allocs)
 	}
-	if m.hits.Load() == hits {
+	if hits() == before {
 		t.Fatal("the allocation probe did not hit the memo")
 	}
 }
@@ -112,18 +120,10 @@ func TestRouteMemoAgreesWithCanonicalKey(t *testing.T) {
 // the memo still agrees with cacheKey afterwards.
 func TestRouteMemoSharedSlotsUnderConcurrency(t *testing.T) {
 	f := newFleet(t, 3)
-	m := f.router.memo
-	// Cheap, distinct plan requests, grouped by the slot this router's seed
-	// puts them in; keep two slots that hold three bodies each.
-	bySlot := map[*routeSlot][][]byte{}
-	var bodies [][]byte
-	for b := 1; len(bodies) < 6; b++ {
-		body := fmt.Appendf(nil, `{"model":{"preset":"bert48"},"p":4,"mini_batch":%d,"max_b":4,"platform":{"preset":"pizdaint"}}`, 4*b)
-		s := m.slot(m.sum("/v1/plan", body))
-		if bySlot[s] = append(bySlot[s], body); len(bySlot[s]) == 3 {
-			bodies = append(bodies, bySlot[s]...)
-		}
-	}
+	// Two slots of the /v1/plan memo, three bodies each, drawn from
+	// disjoint candidates.
+	bodies := append(slotMates(0, 3, planBodyN(0), func(i int) []byte { return planBodyN(2 + 2*i) }),
+		slotMates(0, 3, planBodyN(1), func(i int) []byte { return planBodyN(3 + 2*i) })...)
 
 	direct := httptest.NewServer(serve.New(serve.Config{}).Handler())
 	defer direct.Close()
@@ -161,11 +161,11 @@ func TestRouteMemoSharedSlotsUnderConcurrency(t *testing.T) {
 		t.Error(err)
 	}
 	for _, body := range bodies {
-		if got, want := m.pos("/v1/plan", body), keyPos(cacheKey("/v1/plan", body)); got != want {
+		if got, want := f.router.place("/v1/plan", body), keyPos(cacheKey("/v1/plan", body)); got != want {
 			t.Fatalf("after the concurrent run the memo places %s at %#x, cacheKey at %#x", body, got, want)
 		}
 	}
-	if m.misses.Load() < uint64(len(bodies)) {
-		t.Fatalf("memo saw %d misses for %d distinct bodies; the run did not go through it", m.misses.Load(), len(bodies))
+	if m := f.router.memos["/v1/plan"]; m.Misses() < uint64(len(bodies)) {
+		t.Fatalf("memo saw %d misses for %d distinct bodies; the run did not go through it", m.Misses(), len(bodies))
 	}
 }

@@ -121,7 +121,9 @@ type Router struct {
 	healthWait  time.Duration
 	reg         *obs.Registry
 	started     time.Time
-	memo        *routeMemo
+	// memos place the cached endpoints' bodies on the ring, one per path;
+	// the /v1/plan one also places /v1/plan:batch items.
+	memos map[string]*httpd.BodyMemo[uint64]
 
 	unrouted atomic.Uint64 // requests refused because no replica answered
 }
@@ -169,7 +171,7 @@ func New(cfg Config) (*Router, error) {
 		healthWait:  healthWait,
 		reg:         reg,
 		started:     time.Now(),
-		memo:        newRouteMemo(),
+		memos:       make(map[string]*httpd.BodyMemo[uint64]),
 	}
 	for _, rep := range ring.Replicas() {
 		label := obs.L("replica", rep)
@@ -186,18 +188,19 @@ func New(cfg Config) (*Router, error) {
 	}
 	reg.CounterFunc("router_unrouted_total", "requests refused because every eligible replica failed",
 		rt.unrouted.Load)
-	reg.CounterFunc("router_route_memo_hits_total", "cached-endpoint requests and batch items placed on the ring by the route memo",
-		rt.memo.hits.Load)
+	reg.CounterFunc("router_route_memo_hits_total", "cached-endpoint requests and batch items placed on the ring by a body memo",
+		rt.memoSum((*httpd.BodyMemo[uint64]).Hits))
 	reg.CounterFunc("router_route_memo_misses_total", "cached-endpoint requests and batch items that derived their canonical key",
-		rt.memo.misses.Load)
+		rt.memoSum((*httpd.BodyMemo[uint64]).Misses))
 	reg.GaugeFunc("router_replicas", "configured replica count",
 		func() float64 { return float64(len(ring.Replicas())) })
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", rt.handleKeyed(rt.memo.pos))
+	for _, path := range []string{"/v1/plan", "/v1/fleet/plan", "/v1/fleet/simulate"} {
+		rt.memos[path] = httpd.NewBodyMemo[uint64](0)
+		mux.HandleFunc("POST "+path, rt.handleKeyed(rt.place))
+	}
 	mux.HandleFunc("POST /v1/plan:batch", rt.handleBatch)
-	mux.HandleFunc("POST /v1/fleet/plan", rt.handleKeyed(rt.memo.pos))
-	mux.HandleFunc("POST /v1/fleet/simulate", rt.handleKeyed(rt.memo.pos))
 	mux.HandleFunc("POST /v1/simulate", rt.handleKeyed(byKey(rawKey)))
 	mux.HandleFunc("POST /v1/analyze", rt.handleKeyed(byKey(rawKey)))
 	mux.HandleFunc("POST /v1/render", rt.handleKeyed(byKey(rawKey)))
@@ -273,13 +276,32 @@ func byKey(key func(path string, body []byte) string) posFunc {
 // cache key, so every equivalent request — however its optional fields are
 // spelled — lands on the replica whose caches already hold it. Bodies that
 // fail to decode or resolve fall back to a raw-body hash; the owning replica
-// then emits the same 400 a direct request would get. The route memo
-// (routeMemo.pos) stands in front of it.
+// then emits the same 400 a direct request would get. The path's body memo
+// (Router.place) stands in front of it.
 func cacheKey(path string, body []byte) string {
 	if key, ok := serve.CanonicalKey(path, body); ok {
 		return key
 	}
 	return rawKey(path, body)
+}
+
+// place returns cacheKey(path, body)'s ring position through path's body
+// memo: a repeated body is placed without decoding it.
+func (rt *Router) place(path string, body []byte) uint64 {
+	pos, _ := rt.memos[path].Get(body, func() (uint64, error) { return keyPos(cacheKey(path, body)), nil })
+	return pos
+}
+
+// memoSum sums count over the router's body memos, for the
+// router_route_memo_* series.
+func (rt *Router) memoSum(count func(*httpd.BodyMemo[uint64]) uint64) func() uint64 {
+	return func() uint64 {
+		var n uint64
+		for _, m := range rt.memos {
+			n += count(m)
+		}
+		return n
+	}
 }
 
 // rawKey routes by a hash of the request bytes: no response cache exists
@@ -475,9 +497,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Group item indices by owning replica, placing each item on the ring
-	// once, through the route memo. Items that fail to resolve still route
-	// (by raw item hash) — the owner reports the same per-item error a
-	// direct batch would.
+	// once, through the /v1/plan body memo. Items that fail to resolve
+	// still route (by raw item hash) — the owner reports the same per-item
+	// error a direct batch would.
 	pos := make([]uint64, len(req.Requests))
 	groups := make(map[string][]int)
 	for i, item := range req.Requests {
@@ -486,7 +508,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			httpd.WriteError(w, http.StatusBadRequest, "router: encode item: "+err.Error())
 			return
 		}
-		pos[i] = rt.memo.pos("/v1/plan", raw)
+		pos[i] = rt.place("/v1/plan", raw)
 		owner := rt.ring.ownersAt(pos[i], 1)[0]
 		groups[owner] = append(groups[owner], i)
 	}

@@ -744,6 +744,7 @@ func (r *Readout) Timeline() *Timeline {
 	return tl
 }
 
-// ReplayWith is g.Readout(rc).Timeline(). It is kept only because the
-// benchmark's plan and probe passes call it; library code takes the Readout.
+// ReplayWith is g.Readout(rc).Timeline(). bench/ (its plan and probe
+// passes) is its last caller; library code takes the Readout. Delete it
+// with those calls.
 func (g *Graph) ReplayWith(rc ReplayConfig) *Timeline { return g.Readout(rc).Timeline() }

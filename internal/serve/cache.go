@@ -12,14 +12,10 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
-	"math/bits"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"chimera/internal/engine"
@@ -199,36 +195,36 @@ type responseCache interface {
 	table() CacheTableJSON
 	export() (entries json.RawMessage, n int, err error)
 	decode(entries json.RawMessage) (insert func() int, err error)
-	resolveCounts() (hits, misses *atomic.Uint64)
+	resolveCounts() (hits, misses func() uint64)
 }
 
 // cache is one endpoint's response cache on one server: single-flight, and
-// bounded by the same CacheCapacity as the engine tables. A resolve memo
-// stands in front of it.
+// bounded by the same CacheCapacity as the engine tables. A body memo of
+// the same capacity stands in front of it.
 type cache[K comparable] struct {
 	endpoint[K]
 	srv *Server
 	// requests counts requests reaching the handler.
 	requests *atomic.Uint64
 	memo     *engine.Memo[K, planOutcome]
-	resolved *resolveMemo[K]
+	resolved *httpd.BodyMemo[K]
 }
 
 func newCache[K comparable](s *Server, ep endpoint[K], capacity int, requests *atomic.Uint64) *cache[K] {
 	return &cache[K]{endpoint: ep, srv: s, requests: requests, memo: engine.NewMemoCap[K, planOutcome](capacity),
-		resolved: newResolveMemo[K](capacity)}
+		resolved: httpd.NewBodyMemo[K](capacity)}
 }
 
 func (c *cache[K]) info() *endpointInfo { return &c.endpointInfo }
 
-func (c *cache[K]) resolveCounts() (hits, misses *atomic.Uint64) {
-	return &c.resolved.hits, &c.resolved.misses
+func (c *cache[K]) resolveCounts() (hits, misses func() uint64) {
+	return c.resolved.Hits, c.resolved.Misses
 }
 
 // handle is the cached-endpoint handler: resolve, then answer from the
 // cache, computing and encoding under single-flight on a miss. A body the
-// resolve memo has seen skips the resolve; its compute resolves the body
-// again only if the reply has been evicted.
+// body memo has seen skips the resolve; its compute resolves the body again
+// only if the reply has been evicted.
 func (c *cache[K]) handle(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	span := obs.SpanFrom(r.Context())
@@ -242,15 +238,15 @@ func (c *cache[K]) handle(w http.ResponseWriter, r *http.Request) {
 		c.srv.badRequest(w, err)
 		return
 	}
-	sum := digest(body)
-	key, memoized := c.resolved.load(&sum)
 	var compute computeFunc
-	if !memoized {
-		if key, compute, err = c.resolve(bytes.NewReader(body)); err != nil {
-			c.srv.badRequest(w, err)
-			return
-		}
-		c.resolved.store(&sum, key)
+	key, err := c.resolved.Get(body, func() (K, error) {
+		key, fn, err := c.resolve(bytes.NewReader(body))
+		compute = fn
+		return key, err
+	})
+	if err != nil {
+		c.srv.badRequest(w, err)
+		return
 	}
 	span.StartPhase("cache")
 	computed := false
@@ -287,87 +283,6 @@ func (c *cache[K]) handle(w http.ResponseWriter, r *http.Request) {
 type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
-// A resolve memo has as many slots as the cache it fronts holds entries,
-// rounded up to a power of two; at most resolveMemoMax, so a huge bound
-// does not allocate a huge table at once, and resolveMemoUnbounded (the
-// size of the router's route memo) in front of an unbounded cache.
-const (
-	resolveMemoUnbounded = 1 << 11
-	resolveMemoMax       = 1 << 16
-)
-
-// resolveMemo remembers which cache key a recent body resolved to, so a
-// byte-identical body reaches the response cache without DecodeStrict,
-// Resolve or a key marshal. It is direct-mapped: the SHA-256 of the body
-// picks one slot, which holds that digest and the key. A miss resolves the
-// body as before and overwrites the slot; a body that does not resolve is
-// never stored. No body is kept, and the table, allocated on the first
-// store, never grows.
-//
-// The tag is the whole digest, not a seeded 64-bit sum as in the router's
-// route memo (internal/router/memo.go): there a collision sends a body to
-// another replica, which costs a cache miss; here it would answer one body
-// with another body's reply.
-type resolveMemo[K comparable] struct {
-	n            int        // slot count, a power of two
-	mu           sync.Mutex // guards slots
-	slots        []resolveSlot[K]
-	hits, misses atomic.Uint64
-}
-
-type resolveSlot[K comparable] struct {
-	sum [sha256.Size]byte
-	key K
-}
-
-func newResolveMemo[K comparable](capacity int) *resolveMemo[K] {
-	n := resolveMemoUnbounded
-	if capacity > 0 {
-		n = 1 << bits.Len(uint(min(capacity, resolveMemoMax)-1))
-	}
-	return &resolveMemo[K]{n: n}
-}
-
-// digest is body's tag: its SHA-256 with the last bit set, so no body
-// matches a slot that was never written.
-func digest(body []byte) [sha256.Size]byte {
-	sum := sha256.Sum256(body)
-	sum[sha256.Size-1] |= 1
-	return sum
-}
-
-// slot is the index of the one slot sum may occupy.
-func (m *resolveMemo[K]) slot(sum *[sha256.Size]byte) int {
-	return int(binary.LittleEndian.Uint64(sum[:8]) & uint64(m.n-1))
-}
-
-// load returns the key stored for the body whose digest is sum.
-func (m *resolveMemo[K]) load(sum *[sha256.Size]byte) (key K, ok bool) {
-	m.mu.Lock()
-	if m.slots != nil {
-		if s := &m.slots[m.slot(sum)]; s.sum == *sum {
-			key, ok = s.key, true
-		}
-	}
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return key, ok
-}
-
-// store records that the body whose digest is sum resolves to key.
-func (m *resolveMemo[K]) store(sum *[sha256.Size]byte, key K) {
-	m.mu.Lock()
-	if m.slots == nil {
-		m.slots = make([]resolveSlot[K], m.n)
-	}
-	m.slots[m.slot(sum)] = resolveSlot[K]{*sum, key}
-	m.mu.Unlock()
-}
 
 // table reports the cache's counters for /v1/stats and the serve_cache_*
 // series.

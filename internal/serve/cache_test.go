@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"chimera/internal/httpd"
-	"chimera/internal/perfmodel"
 )
 
 // reply is one handler answer: what a client can compare.
@@ -50,78 +49,15 @@ func memoRequests(bodies [][2]string) []memoRequest {
 	return reqs
 }
 
-// memoModel is the resolve memos' expected state: a direct-mapped table
-// per endpoint that a body which resolves overwrites on a miss and a body
-// that does not (a 400) never touches.
-type memoModel struct {
-	slots        map[string]map[int][32]byte
-	hits, misses map[string]uint64
-}
-
-func newMemoModel() *memoModel {
-	return &memoModel{slots: map[string]map[int][32]byte{}, hits: map[string]uint64{}, misses: map[string]uint64{}}
-}
-
-func (m *memoModel) see(s *Server, r memoRequest) {
-	c := cacheAt(s, r.path)
-	sum := digest([]byte(r.body))
-	i := c.slot(&sum)
-	if m.slots[r.path] == nil {
-		m.slots[r.path] = map[int][32]byte{}
-	}
-	if held, ok := m.slots[r.path][i]; ok && held == sum {
-		m.hits[r.path]++
-		return
-	}
-	m.misses[r.path]++
-	if r.want.status != http.StatusBadRequest {
-		m.slots[r.path][i] = sum
-	}
-}
-
-// memoSlotter is the part of a resolve memo the tests read whatever its key
-// type.
-type memoSlotter interface {
-	slot(sum *[32]byte) int
-}
-
-// cacheAt returns the response cache that answers path and its memo.
-func cacheAt(s *Server, path string) memoSlotter {
-	for _, c := range s.caches {
-		if c.info().path != path {
-			continue
-		}
-		switch c := c.(type) {
-		case *cache[string]:
-			return c.resolved
-		case *cache[perfmodel.PlanRequest]:
-			return c.resolved
-		}
-	}
-	panic("no cache for " + path)
-}
-
-// check requires the server's resolve-memo counters to be the model's.
-func (m *memoModel) check(t *testing.T, s *Server) {
-	t.Helper()
-	for _, c := range s.caches {
-		path := c.info().path
-		hits, misses := c.resolveCounts()
-		if hits.Load() != m.hits[path] || misses.Load() != m.misses[path] {
-			t.Fatalf("%s: resolve memo %d hits / %d misses, want %d / %d",
-				path, hits.Load(), misses.Load(), m.hits[path], m.misses[path])
-		}
-	}
-}
-
-// TestResolveMemoRepliesMatchFreshServer: through the resolve memo, every
+// TestResolveMemoRepliesMatchFreshServer: through the body memo, every
 // reply is byte-equal to a fresh server's, whatever the memo held: for
 // equivalent spellings of one request, for requests that do not resolve
 // (never stored), for a request with no feasible plan (a cached 422), and
 // for string-keyed fleet requests. Two slots and two cache entries make
 // bodies overwrite each other's slots and memo hits find their reply
-// evicted, so the compute that resolves the body again runs too. The memo's
-// hit and miss counts are exactly a direct-mapped table's.
+// evicted, so the compute that resolves the body again runs too. Each
+// endpoint's memo counts each of its requests once, and each one hits
+// (httpd.FuzzBodyMemo pins the exact counts).
 func TestResolveMemoRepliesMatchFreshServer(t *testing.T) {
 	spaced := `{ "model": {"preset": "bert48"}, "p": 16, "mini_batch": 128, "max_b": 16, "platform": {"preset": "pizdaint"} }`
 	reordered := `{"p":16,"platform":{"preset":"pizdaint"},"max_b":16,"mini_batch":128,"model":{"preset":"bert48"}}`
@@ -156,14 +92,14 @@ func TestResolveMemoRepliesMatchFreshServer(t *testing.T) {
 
 	srv := New(Config{CacheCapacity: 2})
 	h := srv.Handler()
-	model := newMemoModel()
+	sent := map[string]uint64{}
 	for pass := range 3 {
 		for i, r := range reqs {
 			if got := serveBody(h, r.path, r.body); got != r.want {
 				t.Fatalf("pass %d, request %d (%s %.60s): %d %.200s, want the fresh server's %d %.200s",
 					pass, i, r.path, r.body, got.status, got.body, r.want.status, r.want.body)
 			}
-			model.see(srv, r)
+			sent[r.path]++
 		}
 		// A body resent at once finds its own slot.
 		for _, r := range []memoRequest{reqs[0], reqs[1], reqs[12]} {
@@ -171,34 +107,36 @@ func TestResolveMemoRepliesMatchFreshServer(t *testing.T) {
 				if got := serveBody(h, r.path, r.body); got != r.want {
 					t.Fatalf("pass %d resend: %d %.200s, want %d %.200s", pass, got.status, got.body, r.want.status, r.want.body)
 				}
-				model.see(srv, r)
+				sent[r.path]++
 			}
 		}
 	}
-	if model.hits["/v1/plan"] == 0 || model.hits["/v1/fleet/plan"] == 0 {
-		t.Fatalf("the sequence never hits the memo: %v", model.hits)
+	for _, c := range srv.caches {
+		path := c.info().path
+		hits, misses := c.resolveCounts()
+		if hits()+misses() != sent[path] || hits() == 0 {
+			t.Fatalf("%s: memo %d hits / %d misses for %d requests", path, hits(), misses(), sent[path])
+		}
 	}
-	model.check(t, srv)
 }
 
-// slotMates returns the first two tenant bodies whose digests pick the same
-// slot of a table of n slots. SHA-256 is unseeded, so the search finds the
-// same pair on every run.
-func slotMates(t *testing.T, n int) (a, b []byte) {
-	t.Helper()
-	m := newResolveMemo[string](n)
-	seen := map[int][]byte{}
-	for k := range 4 * n {
-		body := tenantBody(k)
-		sum := digest(body)
-		i := m.slot(&sum)
-		if prev, ok := seen[i]; ok {
-			return prev, body
+// slotMates returns tenant bodies 0 and the first other that takes its slot
+// in a body memo built for capacity: in a scratch memo of that size, its
+// store displaces body 0. SHA-256 is unseeded, so the search finds the same
+// pair on every run, and a server's memo puts them in one slot too.
+func slotMates(capacity int) (a, b []byte) {
+	m := httpd.NewBodyMemo[struct{}](capacity)
+	get := func(body []byte) { m.Get(body, func() (struct{}, error) { return struct{}{}, nil }) }
+	a = tenantBody(0)
+	get(a)
+	for k := 1; ; k++ {
+		b = tenantBody(k)
+		get(b)
+		misses := m.Misses()
+		if get(a); m.Misses() != misses {
+			return a, b
 		}
-		seen[i] = body
 	}
-	t.Fatal("no two tenant bodies share a slot")
-	return nil, nil
 }
 
 // TestResolveMemoSharedSlot: two bodies with different keys in one slot
@@ -206,7 +144,7 @@ func slotMates(t *testing.T, n int) (a, b []byte) {
 // the other, so every lookup after the first store misses.
 func TestResolveMemoSharedSlot(t *testing.T) {
 	const capacity = 64
-	a, b := slotMates(t, capacity)
+	a, b := slotMates(capacity)
 	reqs := memoRequests([][2]string{{"/v1/plan", string(a)}, {"/v1/plan", string(b)}})
 	if reqs[0].want == reqs[1].want || reqs[0].want.status != http.StatusOK {
 		t.Fatalf("slot mates must be two different plans: %d %.100s / %d %.100s",
@@ -214,18 +152,15 @@ func TestResolveMemoSharedSlot(t *testing.T) {
 	}
 	srv := New(Config{CacheCapacity: capacity})
 	h := srv.Handler()
-	model := newMemoModel()
 	for i := range 6 {
 		r := reqs[i%2]
 		if got := serveBody(h, r.path, r.body); got != r.want {
 			t.Fatalf("request %d: %d %.200s, want %d %.200s", i, got.status, got.body, r.want.status, r.want.body)
 		}
-		model.see(srv, r)
 	}
-	if model.hits["/v1/plan"] != 0 {
-		t.Fatalf("slot mates hit each other's slot %d times", model.hits["/v1/plan"])
+	if hits, misses := srv.planCache.resolveCounts(); hits() != 0 || misses() != 6 {
+		t.Fatalf("slot mates: %d memo hits / %d misses, want 0 / 6", hits(), misses())
 	}
-	model.check(t, srv)
 }
 
 // TestResolveMemoSharedSlotsUnderConcurrency: four callers send six bodies
@@ -261,8 +196,8 @@ func TestResolveMemoSharedSlotsUnderConcurrency(t *testing.T) {
 		t.Error(e)
 	}
 	hits, misses := srv.planCache.resolveCounts()
-	if hits.Load()+misses.Load() != 240 || hits.Load() == 0 {
-		t.Fatalf("resolve memo %d hits / %d misses, want 240 lookups with some hits", hits.Load(), misses.Load())
+	if hits()+misses() != 240 || hits() == 0 {
+		t.Fatalf("resolve memo %d hits / %d misses, want 240 lookups with some hits", hits(), misses())
 	}
 }
 
@@ -292,8 +227,8 @@ func TestResolveMemoOverCapBody(t *testing.T) {
 			t.Fatalf("%s: %d %s, want %d %s", tc.name, got.status, got.body, want.status, want.body)
 		}
 	}
-	if hits, misses := srv.planCache.resolveCounts(); hits.Load() != 0 || misses.Load() != 0 {
-		t.Fatalf("over-cap bodies counted %d memo hits / %d misses, want none", hits.Load(), misses.Load())
+	if hits, misses := srv.planCache.resolveCounts(); hits() != 0 || misses() != 0 {
+		t.Fatalf("over-cap bodies counted %d memo hits / %d misses, want none", hits(), misses())
 	}
 }
 
@@ -332,7 +267,7 @@ func TestResolveMemoHitAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, serve); allocs > maxMemoHitAllocs {
 		t.Fatalf("a memo hit allocates %.0f times, want at most %d", allocs, maxMemoHitAllocs)
 	}
-	if hits.Load() != 101 {
-		t.Fatalf("%d memo hits, want 101", hits.Load())
+	if hits() != 101 {
+		t.Fatalf("%d memo hits, want 101", hits())
 	}
 }

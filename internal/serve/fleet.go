@@ -290,5 +290,6 @@ func NewFleetEventRefs(events []fleet.Event) []FleetEventRef {
 }
 
 // NewFleetFinalShares returns shares as they stand: a fleet.FinalShare
-// carries its own wire shape. It is kept for callers outside this module.
+// carries its own wire shape. bench/ (its golden generator) is its last
+// caller; delete it with that call.
 func NewFleetFinalShares(shares []fleet.FinalShare) []fleet.FinalShare { return shares }

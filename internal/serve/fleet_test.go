@@ -214,7 +214,7 @@ func TestFleetSimulateElasticMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
+	res, err := fleet.NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(esc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestFleetScenarioResolve(t *testing.T) {
 	if len(resolved.Trace) != 2 || resolved.Trace[1].Job != "small" || resolved.Policy != fleet.PlannerGuided {
 		t.Fatalf("scenario resolved wrong: %+v", resolved)
 	}
-	if _, err := fleet.SimulateOn(nil, resolved); err != nil {
+	if _, err := fleet.NewAllocator(nil).Simulate(resolved); err != nil {
 		t.Fatal(err)
 	}
 
@@ -457,7 +457,7 @@ func TestFleetSimulateAtNodeLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := fleet.SimulateElasticOn(engine.New(engine.Workers(1)), esc)
+			res, err := fleet.NewAllocator(engine.New(engine.Workers(1))).SimulateElastic(esc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +467,7 @@ func TestFleetSimulateAtNodeLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := fleet.SimulateOn(engine.New(engine.Workers(1)), classic)
+			res, err := fleet.NewAllocator(engine.New(engine.Workers(1))).Simulate(classic)
 			if err != nil {
 				t.Fatal(err)
 			}
