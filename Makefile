@@ -98,30 +98,31 @@ cli-smoke:
 	bin/chimera-plan -model bert48 -p 16 -bhat 128 -json
 	@if bin/chimera-plan -speed 1,2,1; then echo "chimera-plan accepted -speed 1,2,1"; exit 1; fi
 
-# lint also keeps the reference replay interpreter (internal/refinterp) an
-# oracle: the library has one replay core, the compiled graph, and only
-# tests may import the interpreter they hold it to. `go list`'s .Imports
-# leaves out test files' imports. Last, every test, fuzz target and benchmark
-# DESIGN.md or README.md names must exist (scripts/cited-tests.sh; a
-# Parent/Sub name needs "Sub" in Parent's package's test files): a doc's
-# `go test -run` pattern that matches nothing passes without a word. It runs
-# audit first.
+# lint runs audit first, then vet and gofmt. Last, every test, fuzz target
+# and benchmark DESIGN.md or README.md names must exist
+# (scripts/cited-tests.sh; a Parent/Sub name needs "Sub" in Parent's
+# package's test files): a doc's `go test -run` pattern that matches nothing
+# passes without a word.
 lint: audit
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
-	@out="$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' chimera/internal/refinterp( |$$)')"; \
-	if [ -n "$$out" ]; then \
-		echo "only tests may import chimera/internal/refinterp; imported by:"; echo "$$out" | cut -d' ' -f1; exit 1; \
-	fi
 	@GO=$(GO) bash scripts/cited-tests.sh
 
-# audit fails on an exported function or method under internal/ that no
-# non-test file of the module or of bench/ uses (scripts/audit, go/parser and
-# go/ast only): one only tests reach belongs in a test file. Methods that
-# only a standard-library interface reaches are on its allowlist, each with
-# its reason.
+# audit (scripts/audit) type-checks the non-test code of the module and of
+# bench/ with go/types and fails on two things. First, a package-level
+# declaration under internal/ (func, method, const, var or type, exported or
+# not) that no non-test file uses: one only tests reach belongs in a test
+# file. A method also counts as used when its type implements an interface
+# that has it (error, an exported interface of a loaded package, or one
+# module code writes), and so does every exported method of a type the root
+# facade aliases. What only an unexported standard-library interface
+# reaches is on the allowlist, each entry with its reason. Second, a
+# non-test import against its import table: only tests may import the
+# reference replay interpreter (internal/refinterp; the library has one
+# replay core, the compiled graph), and every import points down DESIGN.md
+# §1's layer diagram, which the table writes as data.
 audit:
 	$(GO) run ./scripts/audit
 

@@ -75,9 +75,6 @@ func (w *World) checkAborted() {
 	}
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Rank returns the communicator handle for the given rank.
 func (w *World) Rank(rank int) *Communicator {
 	if rank < 0 || rank >= w.size {
@@ -104,9 +101,6 @@ type matchKey struct {
 
 // Rank returns this endpoint's rank.
 func (c *Communicator) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Communicator) Size() int { return c.world.size }
 
 // Send delivers data to dst with the given tag. The payload is copied so the
 // caller may reuse the buffer immediately (MPI buffered-send semantics).

@@ -118,8 +118,8 @@ func TestBarrier(t *testing.T) {
 
 func TestWorldSizeAndRankValidation(t *testing.T) {
 	w := NewWorld(4)
-	if w.Size() != 4 {
-		t.Fatalf("size = %d", w.Size())
+	if w.size != 4 {
+		t.Fatalf("size = %d", w.size)
 	}
 	if got := w.Rank(3).Rank(); got != 3 {
 		t.Fatalf("rank = %d", got)

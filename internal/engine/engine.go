@@ -102,31 +102,6 @@ func (k ScheduleKey) chimera() (cfg schedule.ChimeraConfig, ok bool) {
 	return schedule.ChimeraConfig{D: k.D, N: k.N, F: k.F, Concat: k.Concat}, k.Scheme == "chimera" && k.Scheduler == ""
 }
 
-// keyOf returns the ScheduleKey describing an already-built schedule; it is
-// the inverse of buildSchedule and guards the cache's canonical-key
-// invariant (see the engine tests).
-func keyOf(s *schedule.Schedule) ScheduleKey {
-	k := ScheduleKey{
-		Scheme:    s.Scheme,
-		D:         s.D,
-		N:         s.N,
-		Scheduler: s.Scheduler,
-		Speed:     sim.EncodeSpeedFactors(s.PlacementSpeed),
-	}
-	if s.Scheme == "chimera" {
-		k.F = s.F
-		// Backward halving reuses the doubled-forward op structure, so a
-		// halved schedule may set both flags: check HalvedBackward first.
-		switch {
-		case s.HalvedBackward:
-			k.Concat = schedule.BackwardHalving
-		case s.DoubledForward:
-			k.Concat = schedule.ForwardDoubling
-		}
-	}
-	return k
-}
-
 // Spec fully describes one simulator evaluation as a comparable value: the
 // schedule by key plus every sim.Config knob. Being a value type, it serves
 // directly as the result-cache key.

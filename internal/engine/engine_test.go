@@ -182,6 +182,31 @@ func TestMemoSingleflight(t *testing.T) {
 	}
 }
 
+// keyOf returns the ScheduleKey describing an already-built schedule; it is
+// the inverse of buildSchedule and guards the cache's canonical-key
+// invariant in the tests below.
+func keyOf(s *schedule.Schedule) ScheduleKey {
+	k := ScheduleKey{
+		Scheme:    s.Scheme,
+		D:         s.D,
+		N:         s.N,
+		Scheduler: s.Scheduler,
+		Speed:     sim.EncodeSpeedFactors(s.PlacementSpeed),
+	}
+	if s.Scheme == "chimera" {
+		k.F = s.F
+		// Backward halving reuses the doubled-forward op structure, so a
+		// halved schedule may set both flags: check HalvedBackward first.
+		switch {
+		case s.HalvedBackward:
+			k.Concat = schedule.BackwardHalving
+		case s.DoubledForward:
+			k.Concat = schedule.ForwardDoubling
+		}
+	}
+	return k
+}
+
 // TestScheduleKeyCanonical: keys from configs and keys recovered from built
 // schedules must coincide, so cache entries are shared.
 func TestScheduleKeyCanonical(t *testing.T) {

@@ -36,14 +36,6 @@ func NewSpan(name, id string) *Span {
 	return &Span{name: name, id: id, start: time.Now()}
 }
 
-// ID returns the span's request id ("" on nil).
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // StartPhase ends any open phase and opens a new one.
 func (s *Span) StartPhase(name string) {
 	if s == nil {

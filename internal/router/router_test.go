@@ -347,7 +347,7 @@ func TestRouterUnrouted(t *testing.T) {
 	if status != http.StatusBadGateway {
 		t.Fatalf("all-dead plan: %d %s, want 502", status, body)
 	}
-	var e serve.ErrorResponse
+	var e httpd.ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "all attempts failed") {
 		t.Fatalf("all-dead error body %s", body)
 	}

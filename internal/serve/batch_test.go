@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"chimera/internal/httpd"
 )
 
 // batchItemBodies are the per-item request documents the batch tests
@@ -52,7 +54,7 @@ func TestPlanBatchMatchesSequential(t *testing.T) {
 			}
 			continue
 		}
-		var seqErr ErrorResponse
+		var seqErr httpd.ErrorResponse
 		if err := json.Unmarshal(seqBody, &seqErr); err != nil {
 			t.Fatal(err)
 		}

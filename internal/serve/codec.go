@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"chimera/internal/engine"
-	"chimera/internal/httpd"
 	"chimera/internal/model"
 	"chimera/internal/obs"
 	"chimera/internal/perfmodel"
@@ -650,9 +649,6 @@ type StatsResponse struct {
 	// digests. Appended after the legacy fields, which are unchanged.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
-
-// ErrorResponse is the body of every non-2xx reply.
-type ErrorResponse = httpd.ErrorResponse
 
 // ReadyResponse is the /readyz reply: the readiness half of the liveness/
 // readiness split. Status is "ready" (HTTP 200) while the server accepts new

@@ -90,11 +90,6 @@ type FleetEventRef struct {
 	Price float64 `json:"price,omitempty"`
 }
 
-// MaxFleetEvents bounds a trace of either form — elastic events or classic
-// arrivals, which replay as arrival events (the fleet package's bound,
-// re-exported so the wire contract names it).
-const MaxFleetEvents = fleet.MaxEvents
-
 // FleetScenario is the chimera-fleet scenario file format and the
 // /v1/fleet/simulate body: a plan request plus either a classic arrival
 // trace (trace) or an elastic event trace (events, with churn and the

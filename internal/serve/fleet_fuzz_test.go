@@ -7,11 +7,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"chimera/internal/fleet"
 )
 
 // FuzzFleetScenarioResolve: whatever bytes decode as a scenario, none of the
 // three resolvers panics; a scenario accepted as classic carries at most
-// MaxFleetEvents arrivals — the bound that keeps one request's replay short;
+// fleet.MaxEvents arrivals — the bound that keeps one request's replay short;
 // and a classic scenario without elastic knobs is accepted exactly when its
 // elastic twin (the same arrivals sent as events) is, and then resolves the
 // same cluster, jobs and policy: a trace is sugar for arrival events, so the
@@ -32,7 +34,7 @@ func FuzzFleetScenarioResolve(f *testing.F) {
 	}
 	f.Add([]byte(fleetClassicSimBody))
 	f.Add([]byte(fleetElasticBody))
-	f.Add([]byte(classicTraceBody(MaxFleetEvents + 1)))
+	f.Add([]byte(classicTraceBody(fleet.MaxEvents + 1)))
 	f.Add([]byte(strings.Replace(fleetClassicSimBody, `"job":"big"`, `"job":"huge"`, 1)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var sc FleetScenario
@@ -57,8 +59,8 @@ func FuzzFleetScenarioResolve(f *testing.F) {
 		if cerr != nil {
 			return
 		}
-		if len(classic.Trace) > MaxFleetEvents {
-			t.Fatalf("accepted a classic trace of %d arrivals, limit %d", len(classic.Trace), MaxFleetEvents)
+		if len(classic.Trace) > fleet.MaxEvents {
+			t.Fatalf("accepted a classic trace of %d arrivals, limit %d", len(classic.Trace), fleet.MaxEvents)
 		}
 		if !reflect.DeepEqual(classic.Cluster, elastic.Cluster) || !reflect.DeepEqual(classic.Jobs, elastic.Jobs) ||
 			classic.Policy != elastic.Policy {

@@ -10,6 +10,7 @@ import (
 
 	"chimera/internal/engine"
 	"chimera/internal/fleet"
+	"chimera/internal/httpd"
 )
 
 const fleetBody = `{"cluster":{"nodes":16,"platform":{"preset":"pizdaint"}},` +
@@ -173,7 +174,7 @@ func TestFleetPlanRejections(t *testing.T) {
 			t.Errorf("%s: status %d (want 400), body %s", tc.name, status, body)
 			continue
 		}
-		var e ErrorResponse
+		var e httpd.ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: non-JSON error body %s", tc.name, body)
 		}
@@ -408,7 +409,7 @@ func classicTraceBody(n int) string {
 func TestFleetSimulateClassicTraceBounded(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheCapacity: 64})
 	status, body := post(t, ts, "/v1/fleet/simulate", classicTraceBody(28000))
-	if status != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("28000 trace arrivals exceed the limit %d", MaxFleetEvents)) {
+	if status != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("28000 trace arrivals exceed the limit %d", fleet.MaxEvents)) {
 		t.Fatalf("28,000-arrival trace: status %d, body %s", status, body)
 	}
 	if _, planned := srv.allocator.PlanStats(); planned != 0 {
@@ -418,8 +419,8 @@ func TestFleetSimulateClassicTraceBounded(t *testing.T) {
 		t.Fatalf("the refused trace touched the cache: %+v", c)
 	}
 
-	// The bound is MaxFleetEvents exactly.
-	for n, ok := range map[int]bool{MaxFleetEvents: true, MaxFleetEvents + 1: false} {
+	// The bound is fleet.MaxEvents exactly.
+	for n, ok := range map[int]bool{fleet.MaxEvents: true, fleet.MaxEvents + 1: false} {
 		var sc FleetScenario
 		if err := DecodeStrict(strings.NewReader(classicTraceBody(n)), &sc); err != nil {
 			t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"chimera/internal/engine"
+	"chimera/internal/httpd"
 	"chimera/internal/perfmodel"
 	"chimera/internal/schedule"
 	"chimera/internal/trace"
@@ -267,7 +268,7 @@ func TestStrictValidation(t *testing.T) {
 			t.Errorf("%s: status %d (want 400), body %s", tc.name, status, body)
 			continue
 		}
-		var e ErrorResponse
+		var e httpd.ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: non-JSON error body %s", tc.name, body)
 		}
@@ -363,7 +364,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var e ErrorResponse
+	var e httpd.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("429 body not a JSON error: %v", err)
 	}

@@ -45,12 +45,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)

@@ -30,7 +30,7 @@ func transpose(a *Tensor) *Tensor {
 
 func TestNewShapeAndLen(t *testing.T) {
 	x := New(3, 4, 5)
-	if x.Len() != 60 || x.Rank() != 3 || x.Dim(1) != 4 {
+	if x.Len() != 60 || len(x.Shape) != 3 || x.Shape[1] != 4 {
 		t.Fatalf("shape bookkeeping broken: %v", x.Shape)
 	}
 }
