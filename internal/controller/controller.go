@@ -321,16 +321,14 @@ func (c *Controller) handleLog(w http.ResponseWriter, r *http.Request) {
 		c.unavailable(w)
 		return
 	}
-	resp := LogResponse{
-		Version: c.version,
-		Events:  serve.NewFleetEventRefs(c.sim.Events()),
-		Log:     c.sim.Snapshot().Log,
-	}
+	// Both histories are append-only: the clipped views taken under the
+	// lock stay valid while later batches append, so they encode unlocked.
+	version, events, log := c.version, c.sim.Events(), c.sim.Log()
 	c.mu.Unlock()
-	if resp.Log == nil {
-		resp.Log = []fleet.EventRecord{} // "log":[] before the first batch, like "events"
+	if log == nil {
+		log = []fleet.EventRecord{} // "log":[] before the first batch, like "events"
 	}
-	httpd.WriteJSON(w, http.StatusOK, resp)
+	httpd.WriteJSON(w, http.StatusOK, LogResponse{Version: version, Events: serve.NewFleetEventRefs(events), Log: log})
 }
 
 // WhatIfRequest is the POST /v1/fleet/whatif body: a hypothesis to evaluate
@@ -361,10 +359,11 @@ type WhatIfResponse struct {
 }
 
 // handleWhatIf forks the live simulation and applies the hypothesis to the
-// fork. The fork is a deep copy sharing the allocator and the live sim's
-// plan curves, so it only pays for plans nobody has needed before; forking
-// holds the state lock, applying does not — a slow hypothesis never blocks
-// ingestion, and the two may read and fill the curves concurrently.
+// fork. The fork shares the allocator, the live sim's plan curves and its
+// append-only histories, so it copies only the state written in place and
+// pays only for plans nobody has needed before; forking holds the state
+// lock, applying does not — a slow hypothesis never blocks ingestion, and
+// the two may read and fill the curves concurrently.
 func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := serve.DecodeStrict(r.Body, &req); err != nil {

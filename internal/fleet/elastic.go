@@ -8,8 +8,9 @@ package fleet
 // state) decides preempt-and-move vs. stay, and deadline-aware priority
 // aging guarantees starved jobs eventually win quanta. The full-replan
 // policy (re-run the static allocator from scratch at every event) is
-// retained as the reference the benchmark gates against: incremental must
-// reach the same final allocation at a fraction of the planning work.
+// retained as the reference TestElasticIncrementalMatchesFull gates against:
+// incremental must reach the same final allocation at a fraction of the
+// planning work.
 //
 // Everything is deterministic like the rest of the repo: events carry a
 // total order (time, then kind — departures before failures before drains
@@ -62,7 +63,7 @@ const (
 	// for.
 	ReplanIncremental ReplanMode = "incremental"
 	// ReplanFull re-runs the static allocator from scratch at every event —
-	// the reference the benchmark compares against.
+	// the reference TestElasticIncrementalMatchesFull compares against.
 	ReplanFull ReplanMode = "full"
 )
 
@@ -314,8 +315,8 @@ type ElasticJobRun struct {
 // FinalShare is one resident instance's slice of the final allocation —
 // the snapshot taken right after the last trace event's re-plan. It
 // deliberately carries node counts and plans, not node ids: on equal-speed
-// nodes identity is irrelevant, and the benchmark's incremental-vs-full
-// equality gate compares exactly this.
+// nodes identity is irrelevant, and TestElasticIncrementalMatchesFull's
+// incremental-vs-full equality gate compares exactly this.
 type FinalShare struct {
 	Job        string  `json:"job"`
 	Trace      int     `json:"trace"`
@@ -382,7 +383,9 @@ func SimulateElasticOn(e *engine.Engine, sc ElasticScenario) (*ElasticResult, er
 
 // einstance is one resident job instance during an elastic replay.
 type einstance struct {
-	trace     int
+	// run is the instance's one record: its trace index, and StartAt ≥ 0
+	// once it has started. It moves to ElasticSim.done on departure.
+	run       ElasticJobRun
 	job       Job
 	remaining float64
 	// debt is restart penalty seconds still to pay before progress resumes
@@ -404,7 +407,6 @@ type einstance struct {
 	// starvedSince anchors priority aging: the time the instance last lost
 	// (or never had) a feasible allocation; -1 while running.
 	starvedSince float64
-	started      bool
 }
 
 // effPriority is the instance's aged effective priority at time now: base
@@ -459,7 +461,7 @@ func (a *Allocator) SimulateElastic(sc ElasticScenario) (*ElasticResult, error) 
 	if err := s.runToCompletion(); err != nil {
 		return nil, err
 	}
-	s.seal(s.res, len(sc.Events))
+	s.seal(s.res)
 	s.res.Cost = s.costAtMakespan
 	return s.res, nil
 }
@@ -524,7 +526,7 @@ func (s *ElasticSim) freeNodes() []node {
 func finalShares(active []*einstance) []FinalShare {
 	out := make([]FinalShare, 0, len(active))
 	for _, in := range active {
-		fs := FinalShare{Job: in.job.Name, Trace: in.trace, Nodes: len(in.share)}
+		fs := FinalShare{Job: in.job.Name, Trace: in.run.Trace, Nodes: len(in.share)}
 		if in.plan != nil {
 			fs.W, fs.D, fs.B = in.plan.W, in.plan.D, in.plan.B
 			fs.Throughput = in.rate
@@ -596,7 +598,7 @@ func (s *ElasticSim) replan() error {
 	// Settle: penalties, starts, starvation anchors.
 	idStart := 0
 	for i, in := range s.active {
-		run := s.runs[in.trace]
+		run := &in.run
 		ids := oldIDs[idStart:idEnd[i]]
 		idStart = idEnd[i]
 		if oldRates[i] > 0 && !sameAllocation(ids, oldPlans[i], in) {
@@ -613,8 +615,7 @@ func (s *ElasticSim) replan() error {
 		in.failed = false
 		in.needy = false
 		if in.rate > 0 {
-			if !in.started {
-				in.started = true
+			if run.StartAt < 0 {
 				run.StartAt = s.now
 				run.Wait = s.now - run.ArriveAt
 			}

@@ -468,7 +468,7 @@ func checkAgainstOracle(t *testing.T, a *Allocator, c oracleStorm) {
 		for i, in := range got.active {
 			if !reflect.DeepEqual(nodeIDs(in.share), nodeIDs(want.active[i].share)) {
 				t.Fatalf("%s: instance %d holds nodes %v, oracle %v after batch %d",
-					c.name, in.trace, nodeIDs(in.share), nodeIDs(want.active[i].share), b)
+					c.name, in.run.Trace, nodeIDs(in.share), nodeIDs(want.active[i].share), b)
 			}
 		}
 	}
@@ -783,8 +783,7 @@ func TestReplanMatchesOracleRandomStates(t *testing.T) {
 		pool = pool[:len(pool)-r.Intn(4)]
 		for i := 0; i < 5+r.Intn(5); i++ {
 			j := jobs[r.Intn(len(jobs))]
-			in := &einstance{trace: i, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
-			s.runs[i] = &ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}
+			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
 			n := Quantum * r.Intn(5)
 			if r.Intn(3) == 0 || n > len(pool) {
 				n = 0
@@ -938,8 +937,7 @@ func TestReplanMatchesOracleSparse(t *testing.T) {
 		pool = pool[:len(pool)-r.Intn(3)]
 		for i := 0; i < 3+r.Intn(5); i++ {
 			j := jobs[r.Intn(len(jobs))]
-			in := &einstance{trace: i, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
-			s.runs[i] = &ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}
+			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
 			n := Quantum * r.Intn(8)
 			if r.Intn(3) == 0 || n > len(pool) {
 				n = 0
@@ -995,18 +993,15 @@ func TestPreemptPricesBetweenBreakpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.now = 100 * DefaultAgingTau
-	d := &einstance{trace: 0, job: jobs[0], curve: s.curves["donor"], remaining: 1e6, starvedSince: -1}
+	d := &einstance{run: ElasticJobRun{Job: jobs[0].Name, Trace: 0, StartAt: -1, DoneAt: -1}, job: jobs[0], curve: s.curves["donor"], remaining: 1e6, starvedSince: -1}
 	if err := a.applyShare(d, append([]node(nil), s.present...)); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.share) != 4 {
 		t.Fatalf("donor drives %d nodes, want all 4", len(d.share))
 	}
-	st := &einstance{trace: 1, job: jobs[1], curve: s.curves["starved"], remaining: 1e6, starvedSince: 0}
+	st := &einstance{run: ElasticJobRun{Job: jobs[1].Name, Trace: 1, StartAt: -1, DoneAt: -1}, job: jobs[1], curve: s.curves["starved"], remaining: 1e6, starvedSince: 0}
 	s.active = []*einstance{d, st}
-	for i, in := range s.active {
-		s.runs[i] = &ElasticJobRun{Job: in.job.Name, Trace: i, StartAt: -1, DoneAt: -1}
-	}
 	got, want := s.Fork(), s.Fork()
 	want.replanWith = oracleReplan
 	if err := got.ReplanNow(); err != nil {

@@ -21,11 +21,12 @@ package fleet
 // timestamp, and allowing a later batch at an already-processed time would
 // split what replay merges into a single re-plan, breaking bit-equality.
 //
-// Fork supports what-if forecasting: a deep copy of the simulation state
-// that shares the allocator and the per-job plan curves, so a fork pays only
-// for plans nobody has needed before.
+// Fork supports what-if forecasting: a copy of the state written in place
+// that shares the allocator, the per-job plan curves and the append-only
+// histories, so a fork pays only for plans nobody has needed before.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -53,8 +54,10 @@ type ElasticSim struct {
 	// the oracle equivalence test drives the pre-curve search through.
 	replanWith func(s *ElasticSim, full bool) error
 
-	res  *ElasticResult
-	runs map[int]*ElasticJobRun
+	res *ElasticResult
+	// done holds departed instances' records in departure order (a
+	// resident's lives on its einstance); append-only, like res.Log.
+	done []ElasticJobRun
 
 	// The live pool, fastest-first; joins get sequential fresh ids.
 	// presentPrice is Σ price over present — the integrand of res.Cost.
@@ -103,7 +106,6 @@ func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
 	return &ElasticSim{
 		a: a, sc: sc, byName: byName, curves: curves, tau: sc.agingTau(),
 		res:     res,
-		runs:    make(map[int]*ElasticJobRun),
 		present: sortedPool(sc.Cluster),
 		nextID:  sc.Cluster.Nodes,
 	}
@@ -186,15 +188,15 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 	// 1) Departures, in arrival (= trace) order.
 	for _, in := range departing {
 		in.remaining = 0 // absorb float residue
-		run := s.runs[in.trace]
-		run.DoneAt = s.now
-		if d := in.job.Deadline; d > 0 && s.now-run.ArriveAt > d {
-			run.MissedDeadline = true
+		in.run.DoneAt = s.now
+		if d := in.job.Deadline; d > 0 && s.now-in.run.ArriveAt > d {
+			in.run.MissedDeadline = true
 		}
+		s.done = append(s.done, in.run)
 		i := slices.Index(s.active, in)
 		s.active = append(s.active[:i], s.active[i+1:]...)
 		s.res.Events++
-		s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvDeparture, Job: in.job.Name, Trace: in.trace, Node: -1})
+		s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvDeparture, Job: in.job.Name, Trace: in.run.Trace, Node: -1})
 		s.makespan, s.poolAtMakespan, s.costAtMakespan = s.now, s.poolSeconds, s.costSeconds
 		changed = true
 	}
@@ -209,9 +211,9 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 				return fmt.Errorf("fleet: events[%d] would make %d instances resident, above the limit %d",
 					ie.idx, len(s.active)+1, MaxResident)
 			}
-			s.runs[ie.idx] = &ElasticJobRun{Job: ev.Job, Trace: ie.idx, ArriveAt: ev.At, StartAt: -1, DoneAt: -1}
 			s.active = append(s.active, &einstance{
-				trace: ie.idx, job: s.byName[ev.Job], curve: s.curves[ev.Job], remaining: ev.Work,
+				run: ElasticJobRun{Job: ev.Job, Trace: ie.idx, ArriveAt: ev.At, StartAt: -1, DoneAt: -1},
+				job: s.byName[ev.Job], curve: s.curves[ev.Job], remaining: ev.Work,
 				needy: true, starvedSince: s.now,
 			})
 			s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvArrival, Job: ev.Job, Trace: ie.idx, Node: -1})
@@ -310,28 +312,29 @@ func (s *ElasticSim) runToCompletion() error {
 	}
 	stuck := make([]string, len(s.active))
 	for i, in := range s.active {
-		stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.trace)
+		stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.run.Trace)
 	}
 	return fmt.Errorf("fleet: elastic trace stalls — no events left and no resident instance can run (%v)", stuck)
 }
 
 // seal fills r's makespan-anchored pool figures (makespan, final pool,
-// utilization) and the runs of the arrivals among the first n trace
-// indices, in trace order, with their mean wait. Cost is the caller's: a
-// completed trace anchors it at the makespan, a snapshot at the current
+// utilization) and every arrival's run — the departed ones and the
+// residents', in trace order — with their mean wait. Cost is the caller's:
+// a completed trace anchors it at the makespan, a snapshot at the current
 // time.
-func (s *ElasticSim) seal(r *ElasticResult, n int) {
+func (s *ElasticSim) seal(r *ElasticResult) {
 	r.Makespan = s.makespan
 	r.FinalNodes = len(s.present)
 	if s.poolAtMakespan > 0 {
 		r.Utilization = s.busySeconds / s.poolAtMakespan
 	}
-	r.Jobs, r.MeanWait = nil, 0
-	for i := 0; i < n; i++ {
-		if run, ok := s.runs[i]; ok {
-			r.Jobs = append(r.Jobs, *run)
-			r.MeanWait += run.Wait
-		}
+	r.Jobs, r.MeanWait = append([]ElasticJobRun(nil), s.done...), 0
+	for _, in := range s.active {
+		r.Jobs = append(r.Jobs, in.run)
+	}
+	slices.SortFunc(r.Jobs, func(x, y ElasticJobRun) int { return cmp.Compare(x.Trace, y.Trace) })
+	for _, run := range r.Jobs {
+		r.MeanWait += run.Wait
 	}
 	if len(r.Jobs) > 0 {
 		r.MeanWait /= float64(len(r.Jobs))
@@ -428,10 +431,13 @@ func (s *ElasticSim) Now() float64 { return s.now }
 // EventCount is how many live events have been ingested.
 func (s *ElasticSim) EventCount() int { return len(s.events) }
 
-// Events returns a copy of the raw ingested event log in applied order —
-// the trace that, replayed through SimulateElastic, reproduces this
-// simulation bit for bit.
-func (s *ElasticSim) Events() []Event { return append([]Event(nil), s.events...) }
+// Events returns the raw ingested event log in applied order — the trace
+// that, replayed through SimulateElastic, reproduces this simulation bit for
+// bit — as a clipped view, which stays valid because the log is append-only.
+func (s *ElasticSim) Events() []Event { return slices.Clip(s.events) }
+
+// Log returns the processed-event records so far, a clipped view like Events.
+func (s *ElasticSim) Log() []EventRecord { return slices.Clip(s.res.Log) }
 
 // Shares snapshots the allocation currently in effect (resident instances
 // in arrival order).
@@ -443,48 +449,31 @@ func (s *ElasticSim) NodeCount() int { return len(s.present) }
 func (s *ElasticSim) Residents() int { return len(s.active) }
 
 // Cost is the bill so far: Σ price over the present pool integrated to the
-// current time — Snapshot().Cost without the snapshot.
+// current time.
 func (s *ElasticSim) Cost() float64 { return s.costSeconds }
 
-// Snapshot returns the result so far: the counters, the processed event
-// log, the per-arrival runs in trace order, the allocation in effect, and
-// cost/utilization integrated to the current time (unlike a completed
-// trace's result, which anchors them at the makespan).
-func (s *ElasticSim) Snapshot() ElasticResult {
-	out := *s.res
-	out.Log = append([]EventRecord(nil), s.res.Log...)
-	s.seal(&out, len(s.events))
-	out.Cost = s.Cost()
-	out.Final = finalShares(s.active)
-	return out
-}
-
-// Fork deep-copies the simulation state for what-if exploration: the copy
-// can ingest hypothetical events or move knobs without touching the live
-// sim. The allocator and the per-job plan curves are shared — curve slots
-// are published atomically, so the fork and the live sim may apply
-// concurrently — and a fork only pays for plans its hypothesis is the first
-// to need.
+// Fork copies the simulation state for what-if exploration: the copy can
+// ingest hypothetical events or move knobs without touching the live sim.
+// It clones only what is written in place; the append-only histories
+// (res.Log, events, done) and each share are shared clipped, so the next
+// append on either side reallocates. The allocator and the per-job plan
+// curves are shared too — curve slots are published atomically, so the fork
+// and the live sim may apply concurrently — and a fork only pays for plans
+// its hypothesis is the first to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
 	c.byName = maps.Clone(s.byName)
 	c.sc.Jobs = append([]Job(nil), s.sc.Jobs...)
 	res := *s.res
-	res.Log = append([]EventRecord(nil), s.res.Log...)
-	res.Jobs = append([]ElasticJobRun(nil), s.res.Jobs...)
-	res.Final = append([]FinalShare(nil), s.res.Final...)
+	res.Log = slices.Clip(s.res.Log)
 	c.res = &res
-	c.runs = make(map[int]*ElasticJobRun, len(s.runs))
-	for k, v := range s.runs {
-		run := *v
-		c.runs[k] = &run
-	}
+	c.events = slices.Clip(s.events)
+	c.done = slices.Clip(s.done)
 	c.present = append([]node(nil), s.present...)
-	c.events = append([]Event(nil), s.events...)
 	c.active = make([]*einstance, len(s.active))
 	for i, in := range s.active {
 		dup := *in
-		dup.share = append([]node(nil), in.share...)
+		dup.share = slices.Clip(in.share)
 		c.active[i] = &dup
 	}
 	return &c

@@ -306,18 +306,6 @@ type chimeraFree struct {
 
 // Chimera builds the bidirectional pipeline schedule of §3.1–§3.6.
 func Chimera(cfg ChimeraConfig) (*Schedule, error) {
-	return chimera(cfg, doublingUpPhase)
-}
-
-// doublingUpPhase staggers the up pipelines of a doubled/halved unit against
-// the down pipelines. The value is fixed by measurement (see
-// TestDoublingPhaseChoice): it minimizes the replayed makespan over the
-// candidate phases for the evaluated depths.
-const doublingUpPhase = 0
-
-// chimera is Chimera with the 1F2B units' up-pipeline phase as an argument,
-// so the test that justifies the constant can build the alternatives.
-func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 	f, err := cfg.check()
 	if err != nil {
 		return nil, err
@@ -344,7 +332,7 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 		s.DoubledForward = true
 		s.HalvedBackward = cfg.Concat == BackwardHalving
 	}
-	buildChimera(s, f, upPhase)
+	buildChimera(s, f)
 	return s, nil
 }
 
@@ -353,7 +341,7 @@ func chimera(cfg ChimeraConfig, upPhase int) (*Schedule, error) {
 // emitting micro-major and sorting, each worker's ops are enumerated twice
 // straight from the formulas — once to count ops per slot, once to place
 // them — and opLess settles the slots that hold more than one op.
-func buildChimera(s *Schedule, f, upPhase int) {
+func buildChimera(s *Schedule, f int) {
 	d, n := s.D, s.N
 	// Direct: a forward and a backward per micro-batch, a unit every 2D
 	// slots, whose last backward runs D/f − 2 slots into the next unit.
@@ -363,10 +351,10 @@ func buildChimera(s *Schedule, f, upPhase int) {
 		// backwards per micro-batch. Doubling: a unit's D forwards carry 2D
 		// micro-batches (3D ops), and the odd residual unit is a plain one
 		// (2D ops).
-		perWorker, hi = 3*n, 3*n+d+upPhase
+		perWorker, hi = 3*n, 3*n+d
 		if !s.HalvedBackward {
 			units := n / d
-			perWorker, hi = 3*d*(units/2)+2*d*(units%2), 3*d*((units+1)/2)+d+upPhase
+			perWorker, hi = 3*d*(units/2)+2*d*(units%2), 3*d*((units+1)/2)+d
 		}
 	}
 	// stageOn[r·D + w] is the stage of replica r that worker w hosts.
@@ -381,9 +369,9 @@ func buildChimera(s *Schedule, f, upPhase int) {
 	for w := range s.Workers {
 		dst := backing[perWorker*w : perWorker*(w+1) : perWorker*(w+1)]
 		slots.reset(0, int32(hi))
-		s.workerOps(w, f, upPhase, stageOn, &slots, nil)
+		s.workerOps(w, f, stageOn, &slots, nil)
 		ties := slots.prefix()
-		s.workerOps(w, f, upPhase, stageOn, &slots, dst)
+		s.workerOps(w, f, stageOn, &slots, dst)
 		if ties {
 			settleTies(dst)
 		}
@@ -402,9 +390,9 @@ func buildChimera(s *Schedule, f, upPhase int) {
 // worker w: with a nil dst it only counts the ops into slots, otherwise it
 // writes each op to the index slots hands out for its slot. Both calls are
 // static, which keeps slots on the caller's stack.
-func (s *Schedule) workerOps(w, f, upPhase int, stageOn []int32, slots *slotTable, dst []Op) {
+func (s *Schedule) workerOps(w, f int, stageOn []int32, slots *slotTable, dst []Op) {
 	if s.DoubledForward {
-		s.doublingWorkerOps(w, f, upPhase, stageOn, slots, dst)
+		s.doublingWorkerOps(w, f, stageOn, slots, dst)
 		return
 	}
 	s.directWorkerOps(w, f, stageOn, slots, dst)
@@ -464,13 +452,12 @@ func (s *Schedule) directWorkerOps(w, f int, stageOn []int32, slots *slotTable, 
 // Both share the "1F2B" unit shape, 3D slots per worker: the pipeline dealt
 // position j of a unit (D/2f positions each, dealt like direct
 // concatenation's micro-batches) runs stage st's forward at slot st + 3j and
-// its two backwards at 2D − 1 − st + 3j and one slot later, up pipelines
-// shifted by upPhase. Under halving a position is one micro-batch, its
-// backward run as two half-size passes, so a unit covers D micro-batches;
-// under doubling it is two, carried by one forward and one backward each,
-// so a unit covers 2D, and an odd residual unit of D micro-batches is a
-// plain bidirectional one.
-func (s *Schedule) doublingWorkerOps(w, f, upPhase int, stageOn []int32, slots *slotTable, dst []Op) {
+// its two backwards at 2D − 1 − st + 3j and one slot later. Under halving a
+// position is one micro-batch, its backward run as two half-size passes, so
+// a unit covers D micro-batches; under doubling it is two, carried by one
+// forward and one backward each, so a unit covers 2D, and an odd residual
+// unit of D micro-batches is a plain bidirectional one.
+func (s *Schedule) doublingWorkerOps(w, f int, stageOn []int32, slots *slotTable, dst []Op) {
 	d, n := s.D, s.N
 	micros := microTable(n)
 	per := d / (2 * f) // positions per pipeline per unit
@@ -482,13 +469,9 @@ func (s *Schedule) doublingWorkerOps(w, f, upPhase int, stageOn []int32, slots *
 	for pi := 0; pi < 2*f; pi++ {
 		rep := dealReplica(f, pi)
 		st := int(stageOn[rep*d+w])
-		phase := 0
-		if rep >= f { // replicas f..2f-1 are the up pipelines
-			phase = upPhase
-		}
 		for u := 0; u < units; u++ {
 			for j := 0; j < per; j++ {
-				at := 3*d*u + phase + 3*j
+				at := 3*d*u + 3*j
 				m := width * (d*u + pi*per + j)
 				fw := micros[m : m+width : m+width]
 				slots.put(dst, Forward, 0, int32(at+st), st, rep, fw)

@@ -201,23 +201,23 @@ func TestDoublingMemoryDoubles(t *testing.T) {
 	}
 }
 
-// TestDoublingPhaseChoice documents that the configured up-pipeline phase is
-// the best of the candidate offsets for the evaluated depths (a measured
-// design choice, cf. DESIGN.md ablations).
+// TestDoublingPhaseChoice documents that forward doubling's up pipelines
+// run in phase with the down pipelines: staggering them by 1–4 slots — as
+// the unit-by-unit emission oracle still can — never replays shorter at the
+// evaluated depths, and Chimera replays to the phase-0 span.
 func TestDoublingPhaseChoice(t *testing.T) {
-	span := func(d, n, phase int) int64 {
-		s, err := chimera(ChimeraConfig{D: d, N: n, Concat: ForwardDoubling}, phase)
-		if err != nil {
-			t.Fatal(err)
-		}
+	span := func(s *Schedule) int64 {
 		return mustReadout(t, s, UnitPractical).Makespan()
 	}
 	for _, c := range []struct{ d, n int }{{4, 8}, {8, 16}, {16, 32}} {
-		best := span(c.d, c.n, doublingUpPhase)
-		for p := 0; p <= 4; p++ {
-			if s := span(c.d, c.n, p); s < best {
-				t.Errorf("D=%d N=%d: phase %d (span %d) beats configured phase %d (span %d)",
-					c.d, c.n, p, s, doublingUpPhase, best)
+		cfg := ChimeraConfig{D: c.d, N: c.n, F: 1, Concat: ForwardDoubling}
+		best := span(unitEmissionDoubling(t, cfg, 0))
+		if s := span(mustChimera(t, cfg)); s != best {
+			t.Errorf("D=%d N=%d: Chimera spans %d, phase 0 %d", c.d, c.n, s, best)
+		}
+		for p := 1; p <= 4; p++ {
+			if s := span(unitEmissionDoubling(t, cfg, p)); s < best {
+				t.Errorf("D=%d N=%d: phase %d (span %d) beats phase 0 (span %d)", c.d, c.n, p, s, best)
 			}
 		}
 	}

@@ -242,9 +242,9 @@ func unitEmissionDoubling(t *testing.T, cfg ChimeraConfig, upPhase int) *Schedul
 // TestChimeraDoublingMatchesUnitEmission is the byte-identity gate of the
 // worker-major doubling/halving enumeration: for every even D ≤ 32 (a
 // quarter of that under -short or -race), every legal F of 1, 2, 4, 8,
-// N/D from 2 to 9 (odd counts give doubling its residual plain unit), both
-// modes and up-pipeline phases 0–4, Workers and MicroReplica equal the
-// unit-by-unit emission's, unexported slots included.
+// N/D from 2 to 9 (odd counts give doubling its residual plain unit) and
+// both modes, Workers and MicroReplica equal the unit-by-unit emission's,
+// unexported slots included.
 func TestChimeraDoublingMatchesUnitEmission(t *testing.T) {
 	t.Parallel()
 	checked := 0
@@ -255,24 +255,22 @@ func TestChimeraDoublingMatchesUnitEmission(t *testing.T) {
 			}
 			for k := 2; k <= 9; k++ {
 				for _, mode := range []ConcatMode{ForwardDoubling, BackwardHalving} {
-					for phase := 0; phase <= 4; phase++ {
-						cfg := ChimeraConfig{D: d, N: k * d, F: f, Concat: mode}
-						got, err := chimera(cfg, phase)
-						if err != nil {
-							t.Fatalf("%+v phase %d: %v", cfg, phase, err)
-						}
-						want := unitEmissionDoubling(t, cfg, phase)
-						if !sameWorkers(got.Workers, want.Workers) {
-							t.Fatalf("%+v phase %d: Workers differ from the unit-by-unit emission", cfg, phase)
-						}
-						if !reflect.DeepEqual(got.MicroReplica, want.MicroReplica) {
-							t.Fatalf("%+v phase %d: MicroReplica %v, unit-by-unit emission %v", cfg, phase, got.MicroReplica, want.MicroReplica)
-						}
-						if got.DoubledForward != want.DoubledForward || got.HalvedBackward != want.HalvedBackward {
-							t.Fatalf("%+v phase %d: variant flags differ", cfg, phase)
-						}
-						checked++
+					cfg := ChimeraConfig{D: d, N: k * d, F: f, Concat: mode}
+					got, err := Chimera(cfg)
+					if err != nil {
+						t.Fatalf("%+v: %v", cfg, err)
 					}
+					want := unitEmissionDoubling(t, cfg, 0)
+					if !sameWorkers(got.Workers, want.Workers) {
+						t.Fatalf("%+v: Workers differ from the unit-by-unit emission", cfg)
+					}
+					if !reflect.DeepEqual(got.MicroReplica, want.MicroReplica) {
+						t.Fatalf("%+v: MicroReplica %v, unit-by-unit emission %v", cfg, got.MicroReplica, want.MicroReplica)
+					}
+					if got.DoubledForward != want.DoubledForward || got.HalvedBackward != want.HalvedBackward {
+						t.Fatalf("%+v: variant flags differ", cfg)
+					}
+					checked++
 				}
 			}
 		}
