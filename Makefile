@@ -188,6 +188,11 @@ fuzz:
 # Planner breakpoints vs PlanOn: the fleet searches visit only the listed
 # P values; off the list, PlanOn must answer ErrInfeasible.
 	$(call fuzz-one,./internal/perfmodel/,FuzzPlanBreakpoints)
+# Elastic preemption vs the quantum-walk oracle: one incremental re-plan from
+# a fuzzed resident state (up to 12 nodes of four speeds, two to six sparse
+# jobs, capped or not, shares, starvation ages, penalty); equal results and
+# node ids.
+	$(call fuzz-one,./internal/fleet/,FuzzPreemptMatchesOracle)
 
 # cover writes the per-function coverage summary CI archives.
 cover:

@@ -746,126 +746,303 @@ func (s *ElasticSim) extendRunning() error {
 // ones. For each starved instance (arrival order) every (donor, quanta)
 // candidate is scored by the aged objective change
 // eff_s·tp_s(new) − eff_d·(tp_d(old) − tp_d(shrunk)); the best strictly
-// positive candidate wins (ties: lower donor trace index, then fewer
+// positive candidate wins (ties: lower donor arrival index, then fewer
 // quanta), the donor pays the migration penalty through the usual restart
 // diff, and aging guarantees a starved job's side of the comparison grows
 // without bound — it eventually wins quanta.
 //
-// The free pool and each donor's shrink values, node table and uniform tail
-// are kept until a move is applied. A donor releases the tail of its share,
-// so candidate k puts the starved side on its share and free plus
-// share[n−kQ:], and one ahead search prices it: one table lookup per starved
-// breakpoint it reaches, never a walk of the released nodes. While the
-// released nodes are all of one speed, each search extends the last, and
-// only the k that reach a new starved breakpoint are priced — every
-// candidate still counts in JobsEvaluated.
+// Each side of a candidate is priced once per epoch — until a move is
+// applied — not once per (starved instance, donor) pair; see preemption.
+// Every candidate still counts in JobsEvaluated.
 func (s *ElasticSim) preemptForStarved() error {
-	var (
-		free []node
-		// shrink[at[i]+j] is resident i's throughput on the first points[j]
-		// nodes of its share, lists[i] its share prepared for ahead and
-		// tail[i] where the share's uniform tail starts; at[i] < 0 until it
-		// has been scanned as a donor.
-		shrink   []float64
-		at, tail []int
-		lists    []nodeList
-		fresh    bool // free, shrink, at, tail and lists reflect the current shares
-		hits     int
-	)
-	defer func() { s.a.curveHits.Add(uint64(hits)) }()
-	for _, in := range s.active {
+	p := preemption{s: s}
+	defer func() { s.a.curveHits.Add(uint64(p.hits)) }()
+	for i, in := range s.active {
 		if in.rate > 0 {
 			continue
 		}
-		if at == nil {
-			at, tail, lists = make([]int, len(s.active)), make([]int, len(s.active)), make([]nodeList, len(s.active))
-			shrink = make([]float64, 0, len(s.present)/Quantum)
-		}
-		if !fresh {
-			free, shrink, fresh = s.freeNodes(), shrink[:0], true
-			for i := range at {
-				at[i] = -1
+		if !p.fresh {
+			if err := p.newEpoch(); err != nil {
+				return err
 			}
 		}
-		base := prefixScan{hits: &hits}
-		if err := s.a.scan(in.curve, &base, in.share); err != nil {
+		best, err := p.search(in)
+		if err != nil {
 			return err
 		}
-		if err := s.a.scan(in.curve, &base, free); err != nil {
-			return err
-		}
-		effS := in.effPriority(s.now, s.tau)
-		var donor *einstance
-		bestK, bestNet := 0, 0.0
-		for di, d := range s.active {
-			if d == in || d.rate <= 0 || len(d.share) < Quantum {
-				continue
-			}
-			n, points := len(d.share), d.curve.points
-			if at[di] < 0 {
-				at[di] = len(shrink)
-				st := prefixScan{hits: &hits}
-				for _, p := range points {
-					if p > n {
-						break
-					}
-					if err := s.a.scan(d.curve, &st, d.share[st.n:p]); err != nil {
-						return err
-					}
-					shrink = append(shrink, st.best.tp)
-				}
-				lists[di].prepare(d.share)
-				for tail[di] = n - 1; tail[di] > 0 && d.share[tail[di]-1].Factor == d.share[n-1].Factor; tail[di]-- {
-				}
-			}
-			s.res.JobsEvaluated += 1 + n/Quantum // the donor and each candidate
-			effD := d.effPriority(s.now, s.tau)
-			cand := base.fork()
-			for k := 1; k <= n/Quantum; {
-				keep := n - k*Quantum
-				if keep < tail[di] {
-					cand = base.fork() // the released nodes mix speeds: reprice from the base
-				}
-				if err := s.a.ahead(in.curve, &cand, &lists[di], keep, func(int, jobValue) {}); err != nil {
-					return err
-				}
-				if cand.best.pred != nil {
-					loss := d.rate
-					if j := sort.SearchInts(points, keep+1) - 1; j >= 0 {
-						loss -= shrink[at[di]+j]
-					}
-					// Strictly-greater replacement: candidates are priced in
-					// (donor arrival order, quanta ascending), so equal nets
-					// keep the earliest donor and the smallest eviction.
-					if net := effS*cand.best.tp - effD*loss; net > bestNet {
-						donor, bestK, bestNet = d, k, net
-					}
-				}
-				// The starved side changes next where it reaches a new
-				// breakpoint, or at k+1 if that releases a node outside the
-				// share's uniform tail; in between it ties k at a larger loss.
-				next := math.MaxInt
-				if cand.next < len(in.curve.points) {
-					next = (in.curve.points[cand.next] - base.n + Quantum - 1) / Quantum
-				}
-				if keep-Quantum < tail[di] {
-					next = k + 1
-				}
-				k = next
-			}
-		}
-		if donor == nil {
+		if best.donor < 0 {
 			continue
 		}
-		keep := len(donor.share) - bestK*Quantum
-		grown := slices.Concat(in.share, free, donor.share[keep:])
+		donor := s.active[best.donor]
+		keep := len(donor.share) - best.k*Quantum
+		grown := slices.Concat(in.share, p.free, donor.share[keep:])
 		if err := s.a.applyShare(donor, donor.share[:keep:keep]); err != nil {
 			return err
 		}
 		if err := s.a.applyShare(in, grown); err != nil {
 			return err
 		}
-		fresh = false
+		p.donors[best.donor].reset()
+		p.donors[i].reset()
+		p.fresh = false
 	}
 	return nil
+}
+
+// preemption is one preemptForStarved call's pricing state; nothing in it
+// outlives the call, so a what-if fork shares nothing mutable with the live
+// sim.
+//
+// A donor releases the tail of its share. While the released nodes are all
+// of its tail's speed f, the starved side is its job's scan of the free pool
+// extended by k quanta of speed f, the same whichever donor releases them, so
+// for each (f, k) only the donor losing the least, cheapest_f(k) =
+// min eff_d·loss_d(k), can win. A starved instance holds no nodes (applyShare
+// drops a share no plan fits), so its side depends on its job and the free
+// pool alone: one scan of the free pool per job, extended once along the
+// widest tail of each speed. The starved value is flat between the job's
+// breakpoints while cheapest_f is nondecreasing in k (a minimum of
+// nondecreasing losses over a shrinking donor set), so only the k that reach
+// a new breakpoint are priced. Candidates whose released nodes mix speeds are
+// priced per donor, at every k.
+type preemption struct {
+	s     *ElasticSim
+	hits  int
+	fresh bool // free, speeds and sides reflect the current shares
+	free  []node
+	// donors[i] is resident i's side of the candidates that evict from it,
+	// kept until its share changes; cost holds their tables.
+	donors []donorSide
+	cost   []float64
+	// speeds has one entry per donor tail speed, its cheapest table in
+	// cheapest.
+	speeds   []tailSpeed
+	cheapest []cheapDonor
+	// sides are the starved sides priced this epoch, their values in steps.
+	sides []starvedSide
+	steps []starvedStep
+	// evals is what one search adds to JobsEvaluated: the donor and each of
+	// its candidates, for every donor.
+	evals int
+}
+
+// donorSide is a running instance as a donor: quanta > 0 once priced.
+// cost[at+k−1] is eff_d·(rate − value on share[:n−kQ]), the aged throughput
+// it loses by releasing k quanta (k = 1..quanta); the last ku of them lie in
+// its share's uniform tail of speed f, speeds[speed] this epoch; list is the
+// share prepared for ahead.
+type donorSide struct {
+	quanta, at, ku, speed int
+	f                     float64
+	list                  nodeList
+}
+
+// reset marks the side unpriced, keeping the list's table for reuse.
+func (ds *donorSide) reset() { *ds = donorSide{list: ds.list} }
+
+// tailSpeed is one donor tail speed: cheapest[at+k−1] for k = 1..top, where
+// top is the widest tail's quanta and wide its donor.
+type tailSpeed struct {
+	f             float64
+	at, top, wide int
+}
+
+// cheapDonor is the least cost of releasing k tail quanta of one speed and
+// the earliest donor charging it.
+type cheapDonor struct {
+	cost  float64
+	donor int
+}
+
+// starvedSide is a starved job's side of this epoch's candidates: base is
+// its scan of the free pool, steps[at:end] its value after k tail quanta of
+// speeds[speed].f at each k where that value rises.
+type starvedSide struct {
+	curve   *planCurve
+	base    prefixScan
+	at, end int
+}
+
+type starvedStep struct {
+	speed, k int
+	tp       float64
+}
+
+// candidate is the best move of a search: evict k quanta from resident
+// donor (−1: none yet) for an objective change of net.
+type candidate struct {
+	net      float64
+	donor, k int
+}
+
+// offer keeps the better of c and (net, donor, k): a larger net, then the
+// earlier donor, then fewer quanta — the order of a donor-major, quanta
+// ascending walk that keeps the first of equal nets. Only a positive net
+// wins.
+func (c *candidate) offer(net float64, donor, k int) {
+	if net > c.net || net == c.net && c.donor >= 0 && (donor < c.donor || donor == c.donor && k < c.k) {
+		*c = candidate{net: net, donor: donor, k: k}
+	}
+}
+
+// newEpoch refreshes what the last move invalidated: the free pool, the
+// donors whose shares changed, the per-speed tables and the starved sides.
+func (p *preemption) newEpoch() error {
+	s := p.s
+	if p.donors == nil {
+		p.donors, p.sides, p.steps = make([]donorSide, len(s.active)), make([]starvedSide, 0, len(s.curves)), make([]starvedStep, 0, 2*len(s.curves))
+		p.cost, p.cheapest = make([]float64, 0, len(s.present)/Quantum), make([]cheapDonor, 0, len(s.present)/Quantum)
+	}
+	p.free, p.evals, p.fresh = s.freeNodes(), 0, true
+	p.speeds, p.cheapest = p.speeds[:0], p.cheapest[:0]
+	p.sides, p.steps = p.sides[:0], p.steps[:0]
+	for i, d := range s.active {
+		ds := &p.donors[i]
+		if d.rate <= 0 || len(d.share) < Quantum {
+			ds.reset()
+			continue
+		}
+		if ds.quanta == 0 {
+			if err := p.price(ds, d); err != nil {
+				return err
+			}
+		}
+		p.evals += 1 + ds.quanta
+		if ds.ku == 0 {
+			continue
+		}
+		ds.speed = slices.IndexFunc(p.speeds, func(t tailSpeed) bool { return t.f == ds.f })
+		switch {
+		case ds.speed < 0:
+			ds.speed = len(p.speeds)
+			p.speeds = append(p.speeds, tailSpeed{f: ds.f, top: ds.ku, wide: i})
+		case ds.ku > p.speeds[ds.speed].top:
+			p.speeds[ds.speed].top, p.speeds[ds.speed].wide = ds.ku, i
+		}
+	}
+	for j := range p.speeds {
+		t := &p.speeds[j]
+		t.at = len(p.cheapest)
+		for range t.top {
+			p.cheapest = append(p.cheapest, cheapDonor{cost: math.Inf(1), donor: -1})
+		}
+	}
+	for i := range p.donors {
+		ds := &p.donors[i]
+		if ds.ku == 0 {
+			continue
+		}
+		at := p.speeds[ds.speed].at
+		for k := 1; k <= ds.ku; k++ {
+			if c := &p.cheapest[at+k-1]; p.cost[ds.at+k-1] < c.cost {
+				c.cost, c.donor = p.cost[ds.at+k-1], i
+			}
+		}
+	}
+	return nil
+}
+
+// price fills d's donor side: one scan of its share, walked once up to each
+// candidate's kept prefix.
+func (p *preemption) price(ds *donorSide, d *einstance) error {
+	n := len(d.share)
+	ds.quanta, ds.at, ds.f = n/Quantum, len(p.cost), d.share[n-1].Factor
+	tail := n - 1
+	for tail > 0 && d.share[tail-1].Factor == ds.f {
+		tail--
+	}
+	ds.ku = (n - tail) / Quantum
+	ds.list.prepare(d.share)
+	effD := d.effPriority(p.s.now, p.s.tau)
+	p.cost = slices.Grow(p.cost, ds.quanta)[:ds.at+ds.quanta]
+	st := prefixScan{hits: &p.hits}
+	for k := ds.quanta; k >= 1; k-- {
+		keep := n - k*Quantum
+		if err := p.s.a.scan(d.curve, &st, d.share[st.n:keep]); err != nil {
+			return err
+		}
+		p.cost[ds.at+k-1] = effD * (d.rate - st.best.tp)
+	}
+	return nil
+}
+
+// side returns the starved job's side for this epoch, pricing it on first
+// use: the free pool scanned once, then extended along each speed's widest
+// tail, one step per breakpoint reached.
+func (p *preemption) side(cv *planCurve) (*starvedSide, error) {
+	for i := range p.sides {
+		if p.sides[i].curve == cv {
+			return &p.sides[i], nil
+		}
+	}
+	sd := starvedSide{curve: cv, base: prefixScan{hits: &p.hits}, at: len(p.steps)}
+	if err := p.s.a.scan(cv, &sd.base, p.free); err != nil {
+		return nil, err
+	}
+	for j, t := range p.speeds {
+		from := len(p.steps)
+		// A step that does not raise the value ties an earlier k at a cost at
+		// least as high: it never wins.
+		add := func(k int, v jobValue) {
+			switch n := len(p.steps); {
+			case v.pred == nil:
+			case n > from && p.steps[n-1].k == k:
+				p.steps[n-1].tp = v.tp
+			case n == from || p.steps[n-1].tp < v.tp:
+				p.steps = append(p.steps, starvedStep{speed: j, k: k, tp: v.tp})
+			}
+		}
+		add(1, sd.base.best)
+		l := &p.donors[t.wide].list
+		st := sd.base.fork()
+		if err := p.s.a.ahead(cv, &st, l, len(l.nodes)-t.top*Quantum, add); err != nil {
+			return nil, err
+		}
+	}
+	sd.end = len(p.steps)
+	p.sides = append(p.sides, sd)
+	return &p.sides[len(p.sides)-1], nil
+}
+
+// search prices every candidate of one starved instance and returns the
+// best.
+func (p *preemption) search(in *einstance) (candidate, error) {
+	best := candidate{donor: -1}
+	sd, err := p.side(in.curve)
+	if err != nil {
+		return best, err
+	}
+	p.s.res.JobsEvaluated += p.evals
+	effS := in.effPriority(p.s.now, p.s.tau)
+	for _, st := range p.steps[sd.at:sd.end] {
+		t := p.speeds[st.speed]
+		c := p.cheapest[t.at+st.k-1]
+		net := effS*st.tp - c.cost
+		if net <= 0 || net < best.net {
+			continue
+		}
+		// A dearer donor can round to the same net: the earliest one wins.
+		donor := c.donor
+		for i := range donor {
+			if ds := &p.donors[i]; ds.ku >= st.k && ds.speed == st.speed && effS*st.tp-p.cost[ds.at+st.k-1] == net {
+				donor = i
+				break
+			}
+		}
+		best.offer(net, donor, st.k)
+	}
+	for i := range p.donors {
+		ds := &p.donors[i]
+		n := len(ds.list.nodes)
+		for k := ds.ku + 1; k <= ds.quanta; k++ {
+			cand := sd.base.fork()
+			if err := p.s.a.ahead(in.curve, &cand, &ds.list, n-k*Quantum, func(int, jobValue) {}); err != nil {
+				return best, err
+			}
+			if cand.best.pred != nil {
+				best.offer(effS*cand.best.tp-p.cost[ds.at+k-1], i, k)
+			}
+		}
+	}
+	return best, nil
 }

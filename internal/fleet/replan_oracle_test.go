@@ -1017,3 +1017,217 @@ func TestPreemptPricesBetweenBreakpoints(t *testing.T) {
 		t.Fatalf("starved job holds nodes %v, want the fast pair [0 1]", ids)
 	}
 }
+
+// addResident places an instance of the sim's job name on share, starved
+// since starvedSince (−1: running), as the instance arriving next.
+func addResident(tb testing.TB, s *ElasticSim, name string, share []node, starvedSince float64) *einstance {
+	tb.Helper()
+	in := &einstance{
+		run: ElasticJobRun{Job: name, Trace: len(s.active), StartAt: -1, DoneAt: -1},
+		job: s.byName[name], curve: s.curves[name], remaining: 1e6, starvedSince: starvedSince,
+	}
+	if err := s.a.applyShare(in, share); err != nil {
+		tb.Fatal(err)
+	}
+	s.active = append(s.active, in)
+	return in
+}
+
+// replanLikeOracle runs one re-plan on a fork of s and on a fork driven by the
+// oracle, requires equal results and node ids, and returns the first fork.
+func replanLikeOracle(tb testing.TB, s *ElasticSim) *ElasticSim {
+	tb.Helper()
+	got, want := s.Fork(), s.Fork()
+	want.replanWith = oracleReplan
+	if err := got.ReplanNow(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := want.ReplanNow(); err != nil {
+		tb.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		tb.Fatalf("re-plan differs from the oracle:\n got %+v\nwant %+v", got.Snapshot(), want.Snapshot())
+	}
+	for i, in := range got.active {
+		if !reflect.DeepEqual(nodeIDs(in.share), nodeIDs(want.active[i].share)) {
+			tb.Fatalf("instance %d holds nodes %v, oracle %v", i, nodeIDs(in.share), nodeIDs(want.active[i].share))
+		}
+	}
+	return got
+}
+
+// TestPreemptPricesMixedTailPastBreakpoint: a donor whose share ends in a
+// uniform slow tail, and a starved job capped at one breakpoint. Evicting
+// inside the tail gives it slow nodes at that breakpoint; the first eviction
+// that reaches past the tail gives it fast ones at the same breakpoint, and a
+// long-starved job values that more than the donor's extra loss. The
+// starved side does not move between the two, so the eviction past the tail
+// must be priced even though no breakpoint of either side lies between them.
+func TestPreemptPricesMixedTailPastBreakpoint(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	for _, row := range []struct {
+		factors []float64
+		cap     int
+		fast    []int // the starved job's nodes: a pair of speed 1
+	}{
+		{[]float64{1, 1, 1.2, 1.2, 1.2, 1.2}, 2, []int{0, 1}},
+		{[]float64{1, 1, 1.2, 1.2, 1.2, 1.2, 1.2, 1.2}, 2, []int{0, 1}},
+		{[]float64{1, 1, 1, 1, 1.2, 1.2, 1.2, 1.2}, 4, []int{2, 3}},
+	} {
+		jobs := []Job{
+			{Name: "donor", Model: layerModel(12), MiniBatch: 96},
+			{Name: "starved", Model: layerModel(30), MiniBatch: 3, Priority: 2, MaxNodes: row.cap},
+		}
+		s, err := a.NewElasticSim(ElasticScenario{Cluster: pizDaintCluster(len(row.factors), row.factors), Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.now = 100 * DefaultAgingTau
+		if d := addResident(t, s, "donor", slices.Clone(s.present), -1); len(d.share) != len(row.factors) {
+			t.Fatalf("%v: donor drives %d nodes, want all %d", row.factors, len(d.share), len(row.factors))
+		}
+		addResident(t, s, "starved", nil, 0)
+		got := replanLikeOracle(t, s)
+		if ids := nodeIDs(got.active[1].share); !reflect.DeepEqual(ids, row.fast) {
+			t.Fatalf("%v: starved job holds nodes %v, want the fast pair %v", row.factors, ids, row.fast)
+		}
+	}
+}
+
+// TestPreemptTiesPickEarliestDonorFewestQuanta: clones of one job hold equal
+// shares, so every candidate of one donor ties the same candidate of the
+// others. On one speed and on two (each share fast nodes, then a slow tail,
+// so a deep eviction mixes speeds) the move must take the earliest donor's.
+// Then the starved job ages so far that every net with the same starved
+// value rounds equal, and the first clone is aged a little, so it is not
+// the cheapest donor: the earliest donor still wins, and where more quanta
+// hand the starved job the same pair, the fewest do — inside a uniform
+// share, and past a tail, where every eviction is priced on its own.
+func TestPreemptTiesPickEarliestDonorFewestQuanta(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	for _, row := range []struct {
+		fast, slow float64
+		// Each clone holds nfast nodes of speed fast, then nslow of speed
+		// slow; the first keeps kept of them.
+		nfast, nslow, kept int
+	}{
+		{1, 1, 2, 2, 2},
+		{1, 1.2, 2, 2, 0},  // the fast pair lies past the tail
+		{1, 1.05, 4, 2, 2}, // two and three quanta both reach a fast pair
+	} {
+		var pool []float64
+		for range 3 * row.nfast {
+			pool = append(pool, row.fast)
+		}
+		for range 3 * row.nslow {
+			pool = append(pool, row.slow)
+		}
+		for _, rounded := range []bool{false, true} {
+			jobs := []Job{
+				{Name: "clone", Model: layerModel(12), MiniBatch: 96},
+				{Name: "starved", Model: layerModel(30), MiniBatch: 3, Priority: 2, MaxNodes: 2},
+			}
+			starvedSince, firstAged := 0.0, -1.0
+			if rounded {
+				// Aging on deadline/2 makes the starved side ~1e25 times its
+				// priority: far past the donors' costs, so all nets round equal.
+				jobs[1].Deadline = 1e-20
+				firstAged = 100*DefaultAgingTau - 300
+			}
+			s, err := a.NewElasticSim(ElasticScenario{Cluster: pizDaintCluster(len(pool), pool), Jobs: jobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.now = 100 * DefaultAgingTau
+			n := row.nfast + row.nslow
+			for i := range 3 {
+				fast, slow := s.present[i*row.nfast:], s.present[3*row.nfast+i*row.nslow:]
+				share := slices.Concat(fast[:row.nfast], slow[:row.nslow])
+				since := -1.0
+				if i == 0 {
+					since = firstAged
+				}
+				if d := addResident(t, s, "clone", share, since); len(d.share) != n {
+					t.Fatalf("clone %d drives %d nodes, want %d", i, len(d.share), n)
+				}
+			}
+			addResident(t, s, "starved", nil, starvedSince)
+			got := replanLikeOracle(t, s)
+			label := fmt.Sprintf("pool %v, rounded %v", pool, rounded)
+			if n := len(got.active[0].share); n != row.kept {
+				t.Fatalf("%s: the first clone kept %d nodes, want %d", label, n, row.kept)
+			}
+			for i := 1; i < 3; i++ {
+				if m := len(got.active[i].share); m != n {
+					t.Fatalf("%s: clone %d holds %d nodes, want its %d", label, i, m, n)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPreemptMatchesOracle runs one incremental re-plan from a fuzzed
+// resident state against the oracle, snapshots and node ids both. speeds
+// gives up to 12 nodes of factors {1, 1.2, 1.5, 2}; residents gives two to
+// six instances, four bytes each: a sparse-vocabulary job, a cap (0 keeps
+// the job's own, else 2–8 nodes), a share of 0–6 quanta handed out in pool
+// order, and a starvation age in half-taus (0 on a running instance: not
+// starved). shuffle (0: none) permutes the pool first; penalty is the
+// migration penalty. The seeds are TestPreemptPricesMixedTailPastBreakpoint's
+// rows.
+func FuzzPreemptMatchesOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 1, 1}, []byte{0, 0, 3, 0, 1, 1, 0, 200}, int64(0), uint8(0))
+	f.Add([]byte{0, 0, 1, 1, 1, 1, 1, 1}, []byte{0, 0, 4, 0, 1, 1, 0, 200}, int64(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1}, []byte{0, 0, 4, 0, 1, 2, 0, 200}, int64(0), uint8(0))
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	mix := sparseMix()
+	f.Fuzz(func(t *testing.T, speeds, residents []byte, shuffle int64, penalty uint8) {
+		speeds = speeds[:min(len(speeds), 12)]
+		n := min(len(residents)/4, 6)
+		if len(speeds) < Quantum || n < 2 {
+			t.Skip()
+		}
+		factors := make([]float64, len(speeds))
+		for i, b := range speeds {
+			factors[i] = []float64{1, 1.2, 1.5, 2}[b%4]
+		}
+		var jobs []Job
+		names := make([]string, n)
+		for i := range n {
+			j := mix[residents[4*i]%4]
+			if c := 2 * int(residents[4*i+1]%5); c > 0 {
+				j.MaxNodes = c
+			}
+			j.Name = fmt.Sprintf("%s/%d", j.Name, j.MaxNodes)
+			if !slices.ContainsFunc(jobs, func(x Job) bool { return x.Name == j.Name }) {
+				jobs = append(jobs, j)
+			}
+			names[i] = j.Name
+		}
+		s, err := a.NewElasticSim(ElasticScenario{
+			Cluster: pizDaintCluster(len(factors), factors), Jobs: jobs, MigrationPenalty: float64(penalty),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.now = 128 * DefaultAgingTau
+		pool := slices.Clone(s.present)
+		if shuffle != 0 {
+			r := rand.New(rand.NewSource(shuffle))
+			r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		}
+		for i := range n {
+			k := Quantum * int(residents[4*i+2]%7)
+			if k > len(pool) {
+				k = 0
+			}
+			age := float64(residents[4*i+3]) * DefaultAgingTau / 2
+			in := addResident(t, s, names[i], slices.Clone(pool[:k]), s.now-age)
+			if in.rate > 0 && age == 0 {
+				in.starvedSince = -1
+			}
+			pool = pool[len(in.share):]
+		}
+		replanLikeOracle(t, s)
+	})
+}
