@@ -56,8 +56,8 @@ bench-build:
 # (internal/obs) once. `go test` only compiles benchmarks; one iteration
 # each runs the checks they carry (a figure benchmark fails when its
 # experiment does, a kernel benchmark times the row width it names, a
-# histogram snapshot checks its count, a controller batch checks its
-# reply, the serve plan benchmarks check that every timed request missed,
+# histogram snapshot checks its count, a controller batch or what-if checks
+# its reply, the serve plan benchmarks check that every timed request missed,
 # or hit, the response cache). It measures nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/schedule ./internal/perfmodel ./internal/engine ./internal/sim ./internal/fleet ./internal/controller ./internal/serve ./internal/obs
@@ -193,6 +193,12 @@ fuzz:
 # jobs, capped or not, shares, starvation ages, penalty); equal results and
 # node ids.
 	$(call fuzz-one,./internal/fleet/,FuzzPreemptMatchesOracle)
+# Controller allocation encoding vs json.Marshal: a fuzzed next allocation
+# encoded against a fuzzed base (unsorted and duplicated traces, escaped and
+# invalid-UTF-8 job names, floats at the 'e' cut-offs, -0, subnormals, NaN
+# and infinities): the same bytes, each share's span its own encoding, and
+# an error exactly where json.Marshal errs.
+	$(call fuzz-one,./internal/controller/,FuzzAllocationEncoding)
 
 # cover writes the per-function coverage summary CI archives.
 cover:

@@ -80,6 +80,10 @@ type Controller struct {
 	sim      *fleet.ElasticSim
 	version  uint64 // batches applied
 	poisoned error  // non-nil once an apply-phase failure corrupted the sim
+	// alloc is the newest encoded allocation, replaced under mu by each
+	// batch; every allocation reply splices its bytes, and the next
+	// version (or a what-if fork) reuses them for each unchanged share.
+	alloc *encodedAllocation
 
 	eventsTotal   *obs.Counter   // events accepted
 	batchesTotal  *obs.Counter   // batches applied
@@ -109,6 +113,10 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	enc, err := (*encodedAllocation)(nil).encode(0, sim.Shares())
+	if err != nil {
+		return nil, err
+	}
 	mux := http.NewServeMux()
 	h := newHub()
 	c := &Controller{
@@ -117,6 +125,7 @@ func New(cfg Config) (*Controller, error) {
 		started: time.Now(),
 		hub:     h,
 		sim:     sim,
+		alloc:   enc,
 
 		eventsTotal:   reg.Counter("controller_events_total", "live events accepted into the simulation"),
 		batchesTotal:  reg.Counter("controller_batches_total", "event batches applied"),
@@ -213,8 +222,10 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.version++
-	// The allocation is left out of both headers: it is encoded once, below,
-	// and spliced into each.
+	// The allocation is left out of both headers: it is encoded once, under
+	// the lock so that versions replace each other in order, and spliced
+	// into each.
+	alloc, encErr := c.encodedLocked()
 	resp := EventsResponse{
 		Accepted: len(events), Version: c.version, Now: c.sim.Now(),
 		ReplanMillis: float64(elapsed) / float64(time.Millisecond),
@@ -224,7 +235,6 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Version: resp.Version, Now: resp.Now, Events: c.sim.EventCount(),
 		Nodes: resp.Nodes, Residents: resp.Residents,
 	}
-	shares := c.sim.Shares()
 	c.mu.Unlock()
 
 	c.eventsTotal.Add(uint64(resp.Accepted))
@@ -232,24 +242,46 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c.replanSeconds.Observe(elapsed)
 	c.nodesGauge.Set(int64(resp.Nodes))
 	c.residentsG.Set(int64(resp.Residents))
-	alloc, err := json.Marshal(shares)
-	if err != nil {
-		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+err.Error())
+	if encErr != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+encErr.Error())
 		return
 	}
 	// Nobody listening, nothing to frame: a subscriber that attaches after
 	// this check reads the state this batch produced from its own snapshot.
 	if c.hub.subscribed() {
 		if head, err := allocationHead(update); err == nil {
-			c.hub.publish(sseFrame("allocation", head, alloc, closeBrace))
+			c.hub.publish(sseFrame("allocation", head, alloc.raw, closeBrace))
 		}
 	}
-	head, err := allocationHead(resp)
+	writeAllocation(w, resp, alloc)
+}
+
+// encodedLocked returns the current version's encoded allocation, encoding
+// it against the previous version's bytes if a batch applied since; c.mu
+// must be held. A failed encoding leaves the previous version in place: it
+// stays a correct base, because reuse compares share values, and the next
+// call encodes again.
+func (c *Controller) encodedLocked() (*encodedAllocation, error) {
+	if c.alloc.version == c.version {
+		return c.alloc, nil
+	}
+	next, err := c.alloc.encode(c.version, c.sim.Shares())
+	if err != nil {
+		return nil, err
+	}
+	c.alloc = next
+	return next, nil
+}
+
+// writeAllocation replies 200 with v's encoding, alloc's bytes spliced in
+// as v's nil allocation.
+func writeAllocation(w http.ResponseWriter, v any, alloc *encodedAllocation) {
+	head, err := allocationHead(v)
 	if err != nil {
 		httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	httpd.WriteEncoded(w, http.StatusOK, bytes.Join([][]byte{head, alloc, closeBrace}, nil))
+	httpd.WriteEncoded(w, http.StatusOK, bytes.Join([][]byte{head, alloc.raw, closeBrace}, nil))
 }
 
 var (
@@ -291,18 +323,24 @@ func (c *Controller) handleAllocation(w http.ResponseWriter, r *http.Request) {
 		c.unavailable(w)
 		return
 	}
-	resp := c.allocationLocked()
+	head, alloc, err := c.allocationLocked()
 	c.mu.Unlock()
-	httpd.WriteJSON(w, http.StatusOK, resp)
+	if err != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+err.Error())
+		return
+	}
+	writeAllocation(w, head, alloc)
 }
 
-// allocationLocked snapshots the current allocation; c.mu must be held.
-func (c *Controller) allocationLocked() AllocationResponse {
+// allocationLocked snapshots the current allocation: the response with a
+// nil Allocation, and the encoding to splice in its place; c.mu must be
+// held.
+func (c *Controller) allocationLocked() (AllocationResponse, *encodedAllocation, error) {
+	alloc, err := c.encodedLocked()
 	return AllocationResponse{
 		Version: c.version, Now: c.sim.Now(), Events: c.sim.EventCount(),
 		Nodes: c.sim.NodeCount(), Residents: c.sim.Residents(),
-		Allocation: c.sim.Shares(),
-	}
+	}, alloc, err
 }
 
 // LogResponse is GET /v1/fleet/events/log: the raw ingested events (the
@@ -387,7 +425,7 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fork := c.sim.Fork()
-	baseVersion := c.version
+	baseVersion, base := c.version, c.alloc
 	c.mu.Unlock()
 
 	if req.MigrationPenalty != nil {
@@ -414,12 +452,16 @@ func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.whatifsTotal.Inc()
-	httpd.WriteJSON(w, http.StatusOK, WhatIfResponse{
+	alloc, err := base.encode(baseVersion, fork.Shares())
+	if err != nil {
+		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+err.Error())
+		return
+	}
+	writeAllocation(w, WhatIfResponse{
 		BaseVersion: baseVersion, Now: fork.Now(),
 		Nodes: fork.NodeCount(), Residents: fork.Residents(),
-		Cost:       fork.Cost(),
-		Allocation: fork.Shares(),
-	})
+		Cost: fork.Cost(),
+	}, alloc)
 }
 
 // handleStream is GET /v1/fleet/stream: a server-sent-event stream with one
@@ -443,9 +485,13 @@ func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	poisoned := c.poisoned != nil
-	var snap AllocationResponse
+	var (
+		snap  AllocationResponse
+		alloc *encodedAllocation
+		err   error
+	)
 	if !poisoned {
-		snap = c.allocationLocked()
+		snap, alloc, err = c.allocationLocked()
 	}
 	c.mu.Unlock()
 	if poisoned {
@@ -453,9 +499,11 @@ func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return
 	}
-	if raw, err := json.Marshal(snap); err == nil {
-		w.Write(sseFrame("allocation", raw))
-		fl.Flush()
+	if err == nil {
+		if head, err := allocationHead(snap); err == nil {
+			w.Write(sseFrame("allocation", head, alloc.raw, closeBrace))
+			fl.Flush()
+		}
 	}
 	for {
 		select {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -73,11 +74,16 @@ func readFrame(t testing.TB, br *bufio.Reader) []byte {
 
 // TestControllerRepliesAreReferenceEncoding holds every batch of the seeded
 // storm to json.Marshal of the public types: the events reply re-encodes
-// to itself through EventsResponse, and the update frame the batch
-// publishes carries exactly the GET /v1/fleet/allocation body at that
-// version. Replies built from a shared allocation encoding must stay
-// indistinguishable from the reference encoder; a field placed after
-// "allocation" breaks that sharing and fails here.
+// to itself through EventsResponse, the update frame the batch publishes
+// carries exactly the GET /v1/fleet/allocation body at that version, and
+// that body re-encodes to itself through AllocationResponse. After every
+// fourth batch, as in the benchmark's storm, a what-if asks for one more
+// arrival (every eighth also moves the migration penalty): its reply
+// re-encodes to itself through WhatIfResponse; and a late subscriber's
+// snapshot frame carries exactly the GET body. Replies built from a shared
+// allocation encoding, each version's spliced from the last one's bytes,
+// must stay indistinguishable from the reference encoder; a field placed
+// after "allocation" breaks that sharing and fails here.
 func TestControllerRepliesAreReferenceEncoding(t *testing.T) {
 	sc := exampleScenario(t)
 	_, ts := newTestController(t, Config{Scenario: sc, Workers: 1})
@@ -119,6 +125,59 @@ func TestControllerRepliesAreReferenceEncoding(t *testing.T) {
 		if data = bytes.TrimSuffix(data, []byte("\n\n")); !bytes.Equal(data, alloc) {
 			t.Fatalf("storm batch %d (version %d): update frame differs from GET /v1/fleet/allocation:\nframe: %s\nget:   %s", i, ack.Version, data, alloc)
 		}
+		var got AllocationResponse
+		requireReferenceEncoding(t, fmt.Sprintf("storm batch %d: GET /v1/fleet/allocation", i), alloc, &got)
+		if i%4 != 3 {
+			continue
+		}
+
+		hyp := WhatIfRequest{Events: serve.NewFleetEventRefs([]fleet.Event{{
+			At: ack.Now + 15, Kind: fleet.EvArrival, Job: sc.Jobs[i%len(sc.Jobs)].Name, Work: 5000,
+		}})}
+		if i%8 == 7 {
+			penalty := float64(i)
+			hyp.MigrationPenalty = &penalty
+		}
+		body, err := json.Marshal(hyp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, reply = post(t, ts, "/v1/fleet/whatif", string(body))
+		if status != http.StatusOK {
+			t.Fatalf("storm batch %d: whatif %s: %d %s", i, body, status, reply)
+		}
+		var wi WhatIfResponse
+		requireReferenceEncoding(t, fmt.Sprintf("storm batch %d: whatif %s", i, body), reply, &wi)
+		if wi.BaseVersion != ack.Version {
+			t.Fatalf("storm batch %d: whatif forked version %d, want %d", i, wi.BaseVersion, ack.Version)
+		}
+
+		late, err := http.Get(ts.URL + "/v1/fleet/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := readFrame(t, bufio.NewReader(late.Body))
+		late.Body.Close()
+		data, ok = bytes.CutPrefix(snap, []byte("event: allocation\ndata: "))
+		if !ok || !bytes.Equal(data, append(alloc, "\n\n"...)) {
+			t.Fatalf("storm batch %d (version %d): late subscriber's snapshot differs from GET /v1/fleet/allocation:\nframe: %q\nget:   %s", i, ack.Version, snap, alloc)
+		}
+	}
+}
+
+// requireReferenceEncoding requires reply to be json.Marshal of its own
+// decode into v.
+func requireReferenceEncoding(t *testing.T, what string, reply []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(reply, v); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply, want) {
+		t.Fatalf("%s: reply is not the reference encoding:\ngot:  %s\nwant: %s", what, reply, want)
 	}
 }
 
@@ -201,6 +260,61 @@ func BenchmarkControllerEvents(b *testing.B) {
 	}
 	b.StopTimer()
 	stop()
+}
+
+// BenchmarkControllerWhatIf posts what-ifs through Handler() against a
+// controller that has ingested the first half of the seeded storm: one op
+// is one fork, one more arrival of a vocabulary job (as the benchmark's
+// storm asks after every fourth batch), the fork's re-plan and its reply,
+// whose shares are mostly the live allocation's. Each reply is checked for
+// its base version. Plans stay memoized, so the fork, the re-plan and the
+// encoding weigh in the allocs/op.
+func BenchmarkControllerWhatIf(b *testing.B) {
+	sc := exampleScenario(b)
+	bodies := stormBodies(b, sc)
+	c, err := New(Config{Scenario: sc, Engine: engine.New(engine.Workers(1))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := c.Handler()
+	var ack EventsResponse
+	for _, body := range bodies[:len(bodies)/2] {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/events", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("storm batch: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var hyps [][]byte
+	for _, j := range sc.Jobs {
+		body, err := json.Marshal(WhatIfRequest{Events: serve.NewFleetEventRefs([]fleet.Event{{
+			At: ack.Now + 15, Kind: fleet.EvArrival, Job: j.Name, Work: 5000,
+		}})})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hyps = append(hyps, body)
+	}
+	prefix := []byte(fmt.Sprintf(`{"base_version":%d,`, ack.Version))
+	whatIf := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/whatif", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || !bytes.HasPrefix(rec.Body.Bytes(), prefix) || !bytes.Contains(rec.Body.Bytes(), []byte(`"allocation":[{`)) {
+			b.Fatalf("whatif %s: %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range hyps {
+		whatIf(body) // warm the plans each hypothesis needs
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		whatIf(hyps[i%len(hyps)])
+	}
 }
 
 // TestAllocationHeadRefusesTrailingFields: the splice holds only while the

@@ -502,19 +502,27 @@ func insertSorted(pool []node, n node) []node {
 }
 
 // freeNodes returns present minus every resident instance's share,
-// fastest-first.
+// fastest-first. It marks the held ids in the sim's scratch table and the
+// walk over present clears each mark it meets: every share is a subset of
+// present (a node leaving the pool leaves its share at once), and even a
+// mark left behind would only name an id that never returns, since ids are
+// never reused. A call costs the pool, not the id range.
 func (s *ElasticSim) freeNodes() []node {
-	assigned := make([]bool, s.nextID) // node ids are dense below nextID
+	if len(s.assigned) < s.nextID { // node ids are dense below nextID
+		s.assigned = make([]bool, 2*s.nextID)
+	}
 	held := 0
 	for _, in := range s.active {
 		for _, n := range in.share {
-			assigned[n.ID] = true
+			s.assigned[n.ID] = true
 		}
 		held += len(in.share)
 	}
 	free := make([]node, 0, len(s.present)-held)
 	for _, n := range s.present {
-		if !assigned[n.ID] {
+		if s.assigned[n.ID] {
+			s.assigned[n.ID] = false
+		} else {
 			free = append(free, n)
 		}
 	}

@@ -64,6 +64,10 @@ type ElasticSim struct {
 	present      []node
 	nextID       int
 	presentPrice float64
+	// assigned is freeNodes' scratch table by node id, all false between
+	// calls; each fork gets its own, since a fork applies concurrently with
+	// the sim it came from.
+	assigned []bool
 
 	active []*einstance // arrival order — the re-planners' input order
 
@@ -462,6 +466,7 @@ func (s *ElasticSim) Cost() float64 { return s.costSeconds }
 // its hypothesis is the first to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
+	c.assigned = nil
 	c.byName = maps.Clone(s.byName)
 	c.sc.Jobs = append([]Job(nil), s.sc.Jobs...)
 	res := *s.res
