@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -246,11 +247,11 @@ func (c *Controller) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpd.WriteError(w, http.StatusInternalServerError, "controller: encoding the allocation: "+encErr.Error())
 		return
 	}
-	// Nobody listening, nothing to frame: a subscriber that attaches after
+	// Nobody listening, nothing to encode: a subscriber that attaches after
 	// this check reads the state this batch produced from its own snapshot.
 	if c.hub.subscribed() {
 		if head, err := allocationHead(update); err == nil {
-			c.hub.publish(sseFrame("allocation", head, alloc.raw, closeBrace))
+			c.hub.publish(frame{head: head, alloc: alloc})
 		}
 	}
 	writeAllocation(w, resp, alloc)
@@ -274,14 +275,15 @@ func (c *Controller) encodedLocked() (*encodedAllocation, error) {
 }
 
 // writeAllocation replies 200 with v's encoding, alloc's bytes spliced in
-// as v's nil allocation.
+// as v's nil allocation: head, alloc.raw and closeBrace go out as parts,
+// never joined.
 func writeAllocation(w http.ResponseWriter, v any, alloc *encodedAllocation) {
 	head, err := allocationHead(v)
 	if err != nil {
 		httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	httpd.WriteEncoded(w, http.StatusOK, bytes.Join([][]byte{head, alloc.raw, closeBrace}, nil))
+	httpd.WriteEncoded(w, http.StatusOK, head, alloc.raw, closeBrace)
 }
 
 var (
@@ -397,9 +399,9 @@ type WhatIfResponse struct {
 }
 
 // handleWhatIf forks the live simulation and applies the hypothesis to the
-// fork. The fork shares the allocator, the live sim's plan curves and its
-// append-only histories, so it copies only the state written in place and
-// pays only for plans nobody has needed before; forking holds the state
+// fork. The fork shares the allocator and the live sim's plan curves, and
+// its histories start empty, so it copies only the state written in place
+// and pays only for plans nobody has needed before; forking holds the state
 // lock, applying does not — a slow hypothesis never blocks ingestion, and
 // the two may read and fill the curves concurrently.
 func (c *Controller) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -495,13 +497,13 @@ func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if poisoned {
-		w.Write(sseFrame("error", []byte(`{"error":"controller poisoned"}`)))
+		writeEvent(w, "error", []byte(`{"error":"controller poisoned"}`))
 		fl.Flush()
 		return
 	}
 	if err == nil {
 		if head, err := allocationHead(snap); err == nil {
-			w.Write(sseFrame("allocation", head, alloc.raw, closeBrace))
+			frame{head: head, alloc: alloc}.write(w)
 			fl.Flush()
 		}
 	}
@@ -509,29 +511,37 @@ func (c *Controller) handleStream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case frame, ok := <-sub:
+		case f, ok := <-sub:
 			if !ok {
 				return // hub closed (shutdown)
 			}
-			w.Write(frame)
+			f.write(w)
 			fl.Flush()
 		}
 	}
 }
 
-// sseFrame frames one server-sent event whose data is the concatenation of
-// data's parts, in one buffer.
-func sseFrame(event string, data ...[]byte) []byte {
-	n := len("event: \ndata: \n\n") + len(event)
+// frame is one "allocation" event of the stream: its data is head,
+// alloc.raw and closeBrace, the parts of the AllocationResponse encoding.
+// The hub hands the same frame to every subscriber, and each writes the
+// parts into its own connection's buffer.
+type frame struct {
+	head  []byte
+	alloc *encodedAllocation
+}
+
+func (f frame) write(w io.Writer) { writeEvent(w, "allocation", f.head, f.alloc.raw, closeBrace) }
+
+// writeEvent writes one server-sent event whose data is the concatenation of
+// data's parts.
+func writeEvent(w io.Writer, event string, data ...[]byte) {
+	io.WriteString(w, "event: ")
+	io.WriteString(w, event)
+	io.WriteString(w, "\ndata: ")
 	for _, p := range data {
-		n += len(p)
+		w.Write(p)
 	}
-	frame := make([]byte, 0, n)
-	frame = append(append(append(frame, "event: "...), event...), "\ndata: "...)
-	for _, p := range data {
-		frame = append(frame, p...)
-	}
-	return append(frame, "\n\n"...)
+	io.WriteString(w, "\n\n")
 }
 
 // HealthResponse is GET /healthz: liveness plus the state machine's vitals.

@@ -3,23 +3,24 @@ package controller
 import "sync"
 
 // hub fans allocation updates out to the SSE subscribers, each update one
-// frame built once and shared by every subscriber. Publishing never
-// blocks: a subscriber whose buffer is full skips that update — each update
-// carries the full current allocation, so a skipped one is superseded by
-// the next, and a stalled client can never back-pressure ingestion.
+// frame (the encoded parts, not a framed copy) shared by every subscriber.
+// Publishing never blocks: a subscriber whose buffer is full skips that
+// update — each update carries the full current allocation, so a skipped
+// one is superseded by the next, and a stalled client can never
+// back-pressure ingestion.
 type hub struct {
 	mu     sync.Mutex
-	subs   map[chan []byte]struct{}
+	subs   map[chan frame]struct{}
 	closed bool
 }
 
 func newHub() *hub {
-	return &hub{subs: make(map[chan []byte]struct{})}
+	return &hub{subs: make(map[chan frame]struct{})}
 }
 
 // subscribe registers a new subscriber channel.
-func (h *hub) subscribe() chan []byte {
-	ch := make(chan []byte, 8)
+func (h *hub) subscribe() chan frame {
+	ch := make(chan frame, 8)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -31,7 +32,7 @@ func (h *hub) subscribe() chan []byte {
 }
 
 // unsubscribe removes a subscriber; safe to call after closeAll.
-func (h *hub) unsubscribe(ch chan []byte) {
+func (h *hub) unsubscribe(ch chan frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.subs, ch)
@@ -45,13 +46,13 @@ func (h *hub) subscribed() bool {
 	return len(h.subs) > 0
 }
 
-// publish delivers frame to every subscriber that has buffer room.
-func (h *hub) publish(frame []byte) {
+// publish delivers f to every subscriber that has buffer room.
+func (h *hub) publish(f frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for ch := range h.subs {
 		select {
-		case ch <- frame:
+		case ch <- f:
 		default:
 		}
 	}

@@ -258,14 +258,21 @@ func TestWarmScanAllocations(t *testing.T) {
 	}
 }
 
+// maxStormCurveReads is TestStormEpisodeCounts' ceiling on resolved curve
+// slots read over the seven storm episodes: the count once each side of a
+// preemption candidate was priced once per epoch (DESIGN.md §5).
+const maxStormCurveReads = 58227
+
 // TestStormEpisodeCounts pins the repository benchmark's seven storm
 // episodes in process, each on a fresh allocator as the benchmark runs
 // them: the re-plan work measure is unchanged by how values are read
 // (727,734 job evaluations over 1,172 batches), the planner runs once per
 // distinct (job, breakpoint) an episode touches (331 in all; the quantum
 // walk also planned the 130 worker counts off the planner's grid) and is
-// never asked again, and the bid counters still show a search that is
-// almost all reuse.
+// never asked again, and the searches read resolved curve slots at most
+// 58,227 times. That is a ceiling, not a share: a search that stops
+// re-reading a slot it has already read is faster, and must not fail a
+// floor on hits/(hits+planned) while planner runs stay pinned above.
 func TestStormEpisodeCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seven full episodes; single-threaded")
@@ -288,8 +295,8 @@ func TestStormEpisodeCounts(t *testing.T) {
 	if batches != 1172 || evals != 727734 || planned != 331 {
 		t.Fatalf("batches %d, job evaluations %d, planner runs %d; want 1172, 727734, 331", batches, evals, planned)
 	}
-	t.Logf("bid hits %d, planner runs %d", hits, planned)
-	if share := float64(hits) / float64(hits+planned); share < 0.99 {
-		t.Fatalf("bid hit share %.4f, want ≥ 0.99 (%d hits, %d planner runs)", share, hits, planned)
+	t.Logf("curve reads %d, planner runs %d", hits, planned)
+	if hits > maxStormCurveReads {
+		t.Fatalf("%d curve reads over the seven episodes, want ≤ %d", hits, maxStormCurveReads)
 	}
 }

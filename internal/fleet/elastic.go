@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"chimera/internal/engine"
 	"chimera/internal/perfmodel"
@@ -502,29 +503,35 @@ func insertSorted(pool []node, n node) []node {
 }
 
 // freeNodes returns present minus every resident instance's share,
-// fastest-first. It marks the held ids in the sim's scratch table and the
-// walk over present clears each mark it meets: every share is a subset of
-// present (a node leaving the pool leaves its share at once), and even a
-// mark left behind would only name an id that never returns, since ids are
-// never reused. A call costs the pool, not the id range.
+// fastest-first; it runs inside a re-plan. It marks the held ids in the
+// scratch's table and the walk over present clears each mark it meets: every
+// share is a subset of present (a node leaving the pool leaves its share at
+// once), so the walk meets them all, and a call costs the pool, not the id
+// range. Were a mark left behind, the whole table is cleared, so the pooled
+// table is all false for whichever sim takes it next.
 func (s *ElasticSim) freeNodes() []node {
-	if len(s.assigned) < s.nextID { // node ids are dense below nextID
-		s.assigned = make([]bool, 2*s.nextID)
+	sc := s.scratch
+	if len(sc.assigned) < s.nextID { // node ids are dense below nextID
+		sc.assigned = make([]bool, 2*s.nextID)
 	}
 	held := 0
 	for _, in := range s.active {
 		for _, n := range in.share {
-			s.assigned[n.ID] = true
+			sc.assigned[n.ID] = true
 		}
 		held += len(in.share)
 	}
 	free := make([]node, 0, len(s.present)-held)
 	for _, n := range s.present {
-		if s.assigned[n.ID] {
-			s.assigned[n.ID] = false
+		if sc.assigned[n.ID] {
+			sc.assigned[n.ID] = false
+			held--
 		} else {
 			free = append(free, n)
 		}
+	}
+	if held != 0 {
+		clear(sc.assigned)
 	}
 	return free
 }
@@ -563,6 +570,43 @@ func (a *Allocator) applyShare(in *einstance, share []node) error {
 	return nil
 }
 
+// replanScratch is one re-plan's working tables: freeNodes' marks, the
+// pre-replan snapshot and preemptForStarved's pricing tables. A re-plan takes
+// one from scratchPool and puts it back on exit with its references into
+// shares, plans and curves dropped, so nothing mutable is shared: a fork and
+// the sim it came from each take their own. The tables are not kept on each
+// sim because a controller's what-if forks would each grow a set of their
+// own, and the live sim would hold its set between batches; pooled, a
+// handful serve every re-plan of the process.
+type replanScratch struct {
+	// assigned marks held node ids for freeNodes, all false between calls.
+	assigned []bool
+	// The pre-replan snapshot for restart detection: instance i's node ids
+	// are oldIDs[idEnd[i-1]:idEnd[i]], its plan and rate oldPlans[i] and
+	// oldRates[i].
+	oldIDs   []int
+	idEnd    []int
+	oldPlans []*perfmodel.Prediction
+	oldRates []float64
+	pre      preemption
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(replanScratch) }}
+
+// takeScratch lends s a pooled scratch for the re-plan about to run;
+// putScratch returns it.
+func (s *ElasticSim) takeScratch() {
+	s.scratch = scratchPool.Get().(*replanScratch)
+}
+
+func (s *ElasticSim) putScratch() {
+	sc := s.scratch
+	s.scratch = nil
+	clear(sc.oldPlans)
+	sc.pre.release()
+	scratchPool.Put(sc)
+}
+
 // replan re-plans after an event batch and settles the consequences:
 // restart penalties for changed running instances, start times, starvation
 // anchors.
@@ -573,21 +617,23 @@ func (s *ElasticSim) replan() error {
 	res := s.res
 	defer s.a.observeReplan(res, res.JobsEvaluated)()
 	res.Reallocations++
+	s.takeScratch()
+	defer s.putScratch()
 
-	// Snapshot the pre-replan execution state for restart detection; instance
-	// i's node ids are oldIDs[idEnd[i-1]:idEnd[i]].
-	oldIDs := make([]int, 0, len(s.present))
-	idEnd := make([]int, len(s.active))
-	oldPlans := make([]*perfmodel.Prediction, len(s.active))
-	oldRates := make([]float64, len(s.active))
-	for i, in := range s.active {
+	// Snapshot the pre-replan execution state for restart detection, each
+	// table grown to size at once when the scratch is new.
+	sc, n := s.scratch, len(s.active)
+	oldIDs, idEnd := slices.Grow(sc.oldIDs[:0], len(s.present)), slices.Grow(sc.idEnd[:0], n)
+	oldPlans, oldRates := slices.Grow(sc.oldPlans[:0], n), slices.Grow(sc.oldRates[:0], n)
+	for _, in := range s.active {
 		for _, n := range in.share {
 			oldIDs = append(oldIDs, n.ID)
 		}
-		idEnd[i] = len(oldIDs)
-		oldPlans[i] = in.plan
-		oldRates[i] = in.rate
+		idEnd = append(idEnd, len(oldIDs))
+		oldPlans = append(oldPlans, in.plan)
+		oldRates = append(oldRates, in.rate)
 	}
+	sc.oldIDs, sc.idEnd, sc.oldPlans, sc.oldRates = oldIDs, idEnd, oldPlans, oldRates
 
 	full := res.Policy == EqualSplit || s.sc.replan() == ReplanFull
 	var err error
@@ -763,7 +809,8 @@ func (s *ElasticSim) extendRunning() error {
 // applied — not once per (starved instance, donor) pair; see preemption.
 // Every candidate still counts in JobsEvaluated.
 func (s *ElasticSim) preemptForStarved() error {
-	p := preemption{s: s}
+	p := &s.scratch.pre
+	p.s, p.hits, p.fresh, p.donors = s, 0, false, p.donors[:0]
 	defer func() { s.a.curveHits.Add(uint64(p.hits)) }()
 	for i, in := range s.active {
 		if in.rate > 0 {
@@ -797,9 +844,9 @@ func (s *ElasticSim) preemptForStarved() error {
 	return nil
 }
 
-// preemption is one preemptForStarved call's pricing state; nothing in it
-// outlives the call, so a what-if fork shares nothing mutable with the live
-// sim.
+// preemption is one preemptForStarved call's pricing state. Its tables live
+// in the re-plan's pooled scratch and are reused from call to call; what
+// points into the sim is dropped when the scratch goes back (release).
 //
 // A donor releases the tail of its share. While the released nodes are all
 // of its tail's speed f, the starved side is its job's scan of the free pool
@@ -897,9 +944,13 @@ func (c *candidate) offer(net float64, donor, k int) {
 // donors whose shares changed, the per-speed tables and the starved sides.
 func (p *preemption) newEpoch() error {
 	s := p.s
-	if p.donors == nil {
-		p.donors, p.sides, p.steps = make([]donorSide, len(s.active)), make([]starvedSide, 0, len(s.curves)), make([]starvedStep, 0, 2*len(s.curves))
-		p.cost, p.cheapest = make([]float64, 0, len(s.present)/Quantum), make([]cheapDonor, 0, len(s.present)/Quantum)
+	if len(p.donors) == 0 { // the call's first epoch: size the tables
+		p.donors = slices.Grow(p.donors, len(s.active))[:len(s.active)]
+		for i := range p.donors {
+			p.donors[i].reset()
+		}
+		p.sides, p.steps = slices.Grow(p.sides[:0], len(s.curves)), slices.Grow(p.steps[:0], 2*len(s.curves))
+		p.cost, p.cheapest = slices.Grow(p.cost[:0], len(s.present)/Quantum), slices.Grow(p.cheapest[:0], len(s.present)/Quantum)
 	}
 	p.free, p.evals, p.fresh = s.freeNodes(), 0, true
 	p.speeds, p.cheapest = p.speeds[:0], p.cheapest[:0]
@@ -948,6 +999,16 @@ func (p *preemption) newEpoch() error {
 		}
 	}
 	return nil
+}
+
+// release drops what points into the sim — the sim, the free pool, the
+// donors' shares and the starved sides' curves — keeping the tables.
+func (p *preemption) release() {
+	p.s, p.free = nil, nil
+	for i := range p.donors {
+		p.donors[i].list.nodes = nil
+	}
+	clear(p.sides[:cap(p.sides)])
 }
 
 // price fills d's donor side: one scan of its share, walked once up to each

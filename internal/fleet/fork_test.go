@@ -66,12 +66,14 @@ func TestForkLeavesLiveSimUnchanged(t *testing.T) {
 }
 
 // TestForkBytesFlatInHistory: Fork copies only the state written in place,
-// so the bytes one fork allocates do not grow with the history behind it. A
-// live sim holding one resident forks after its first arrival and again
-// after 4,000 (each earlier one has departed, so both forks copy the same
-// pool and one instance); the two must allocate within 2× of each other.
-// Copying the histories costs hundreds of kilobytes at 4,000 events, where
-// a fork of the resident state costs a few.
+// and a fork's histories start at the fork, so the bytes a fork allocates do
+// not grow with the history behind it — neither for Fork alone nor for a
+// what-if's Fork plus a one-arrival Ingest, whose first append would copy a
+// shared history. A live sim holding one resident forks after its first
+// arrival and again after 4,000 (each earlier one has departed, so both
+// forks copy the same pool and one instance); the two must allocate within
+// 2× of each other. Copying the histories costs hundreds of kilobytes at
+// 4,000 events, where a fork of the resident state costs a few.
 func TestForkBytesFlatInHistory(t *testing.T) {
 	sc := ElasticScenario{
 		Cluster: pizDaintCluster(16, nil),
@@ -83,11 +85,20 @@ func TestForkBytesFlatInHistory(t *testing.T) {
 	}
 	const forks = 64
 	held := make([]*ElasticSim, forks)
-	perFork := func() uint64 {
+	fork := func(i int) { held[i] = live.Fork() }
+	whatIf := func(i int) {
+		f := live.Fork()
+		if err := f.Ingest([]Event{{At: live.Now() + 1, Job: "bert", Work: 100}}); err != nil {
+			t.Fatal(err)
+		}
+		held[i] = f
+	}
+	perOp := func(op func(int)) uint64 {
+		op(0) // resolves the plans a what-if's re-plan reads
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := range held {
-			held[i] = live.Fork()
+			op(i)
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / forks
@@ -98,7 +109,7 @@ func TestForkBytesFlatInHistory(t *testing.T) {
 		}
 	}
 	arrive(0)
-	short := perFork()
+	shortFork, shortWhatIf := perOp(fork), perOp(whatIf)
 	for i := 1; i < 4000; i++ {
 		arrive(i)
 	}
@@ -106,9 +117,14 @@ func TestForkBytesFlatInHistory(t *testing.T) {
 		t.Fatalf("live sim holds %d residents, %d events, %d departed; want 1, 4000, 3999",
 			live.Residents(), live.EventCount(), len(live.done))
 	}
-	long := perFork()
-	t.Logf("bytes per fork: %d at 1 event, %d at 4,000", short, long)
-	if long > 2*short || short > 2*long {
-		t.Fatalf("a fork allocates %d bytes at 1 event and %d at 4,000 events: not within 2×", short, long)
+	longFork, longWhatIf := perOp(fork), perOp(whatIf)
+	for _, c := range []struct {
+		what        string
+		short, long uint64
+	}{{"fork", shortFork, longFork}, {"fork and one-arrival ingest", shortWhatIf, longWhatIf}} {
+		t.Logf("bytes per %s: %d at 1 event, %d at 4,000", c.what, c.short, c.long)
+		if c.long > 2*c.short || c.short > 2*c.long {
+			t.Errorf("a %s allocates %d bytes at 1 event and %d at 4,000 events: not within 2×", c.what, c.short, c.long)
+		}
 	}
 }

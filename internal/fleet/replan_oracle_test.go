@@ -1231,3 +1231,49 @@ func FuzzPreemptMatchesOracle(f *testing.F) {
 		replanLikeOracle(t, s)
 	})
 }
+
+// TestPreemptEpochAllocatesNoTables: preemptForStarved's tables (the donors
+// with their prepared shares, the cost and cheapest tables, the per-speed
+// rows, the starved sides and their steps) live in the re-plan's scratch,
+// so once a scratch has held them, pricing allocates none. Three donors of
+// a high-priority job hold a shuffled mixed-speed pool — each share needs a
+// sparse table — and a just-starved job of low priority is priced against
+// every candidate and wins none: on one scratch, an epoch that applies no
+// share must allocate nothing. (The scratch is held across the runs rather
+// than pooled between them: under -race, sync.Pool drops a quarter of what
+// is put back.)
+func TestPreemptEpochAllocatesNoTables(t *testing.T) {
+	a := NewAllocator(engine.New(engine.Workers(1)))
+	jobs := []Job{
+		{Name: "donor", Model: layerModel(12), MiniBatch: 96, Priority: 64},
+		{Name: "starved", Model: layerModel(30), MiniBatch: 3},
+	}
+	factors := []float64{1, 1.2, 1.5, 1, 1.2, 1.5, 1, 1.2, 1.5, 1, 1.2, 1.5}
+	s, err := a.NewElasticSim(ElasticScenario{Cluster: pizDaintCluster(len(factors), factors), Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.now = DefaultAgingTau
+	pool := slices.Clone(s.present)
+	rand.New(rand.NewSource(3)).Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	for i := range 3 {
+		if d := addResident(t, s, "donor", slices.Clone(pool[4*i:4*i+4]), -1); len(d.share) != 4 {
+			t.Fatalf("donor %d drives %d nodes, want 4", i, len(d.share))
+		}
+	}
+	addResident(t, s, "starved", nil, s.now)
+	before := s.Shares()
+	s.takeScratch()
+	defer s.putScratch()
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := s.preemptForStarved(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if after := s.Shares(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the starved job won a move, so the epoch is not the one this test prices:\n%+v\n%+v", before, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("an epoch that applies no share allocates %v times, want 0", allocs)
+	}
+}

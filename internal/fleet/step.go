@@ -22,8 +22,9 @@ package fleet
 // split what replay merges into a single re-plan, breaking bit-equality.
 //
 // Fork supports what-if forecasting: a copy of the state written in place
-// that shares the allocator, the per-job plan curves and the append-only
-// histories, so a fork pays only for plans nobody has needed before.
+// that shares the allocator and the per-job plan curves, so a fork pays only
+// for plans nobody has needed before. Its histories start empty at the fork:
+// no what-if reads the past.
 
 import (
 	"cmp"
@@ -64,10 +65,9 @@ type ElasticSim struct {
 	present      []node
 	nextID       int
 	presentPrice float64
-	// assigned is freeNodes' scratch table by node id, all false between
-	// calls; each fork gets its own, since a fork applies concurrently with
-	// the sim it came from.
-	assigned []bool
+	// scratch is the pooled working tables of the re-plan in progress, nil
+	// between re-plans (see replanScratch), so a fork never shares it.
+	scratch *replanScratch
 
 	active []*einstance // arrival order — the re-planners' input order
 
@@ -81,8 +81,11 @@ type ElasticSim struct {
 
 	// Live-mode bookkeeping: the append-only raw event log in applied
 	// (sorted) order — replaying it through SimulateElastic is the
-	// determinism anchor — and the newest applied batch time.
+	// determinism anchor — and the newest applied batch time. A fork's log
+	// starts empty; forked counts the events ingested before the fork, so
+	// trace indices and the event limit continue from the live count.
 	events    []Event
+	forked    int
 	lastBatch float64
 	live      bool
 }
@@ -378,7 +381,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("fleet: ingest: empty event batch")
 	}
-	if total := len(s.events) + len(batch); total > MaxEvents {
+	if total := s.EventCount() + len(batch); total > MaxEvents {
 		return fmt.Errorf("fleet: ingest: %d events would exceed the trace limit %d", total, MaxEvents)
 	}
 	churn := false
@@ -387,7 +390,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 			return err
 		}
 		churn = churn || ev.kind() != EvArrival
-		if len(s.events) > 0 && ev.At <= s.lastBatch {
+		if s.EventCount() > 0 && ev.At <= s.lastBatch {
 			return fmt.Errorf("fleet: ingest: events[%d] at t=%g is not after the last ingested batch (t=%g)", i, ev.At, s.lastBatch)
 		}
 	}
@@ -420,7 +423,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	// recorded log replays with identical indices.
 	for i := range sorted {
 		s.events = append(s.events, sorted[i].ev)
-		sorted[i].idx = len(s.events) - 1
+		sorted[i].idx = s.EventCount() - 1
 	}
 	if err := s.stepAll(sorted); err != nil {
 		return &ApplyError{Err: err}
@@ -432,15 +435,18 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 // Now is the simulation's current time (the newest processed step).
 func (s *ElasticSim) Now() float64 { return s.now }
 
-// EventCount is how many live events have been ingested.
-func (s *ElasticSim) EventCount() int { return len(s.events) }
+// EventCount is how many live events have been ingested, a fork's count
+// including those ingested before it.
+func (s *ElasticSim) EventCount() int { return s.forked + len(s.events) }
 
 // Events returns the raw ingested event log in applied order — the trace
 // that, replayed through SimulateElastic, reproduces this simulation bit for
 // bit — as a clipped view, which stays valid because the log is append-only.
+// A fork's covers only the events it ingested itself.
 func (s *ElasticSim) Events() []Event { return slices.Clip(s.events) }
 
-// Log returns the processed-event records so far, a clipped view like Events.
+// Log returns the processed-event records so far, a clipped view like Events
+// (a fork's, only its own).
 func (s *ElasticSim) Log() []EventRecord { return slices.Clip(s.res.Log) }
 
 // Shares snapshots the allocation currently in effect (resident instances
@@ -458,28 +464,30 @@ func (s *ElasticSim) Cost() float64 { return s.costSeconds }
 
 // Fork copies the simulation state for what-if exploration: the copy can
 // ingest hypothetical events or move knobs without touching the live sim.
-// It clones only what is written in place; the append-only histories
-// (res.Log, events, done) and each share are shared clipped, so the next
-// append on either side reallocates. The allocator and the per-job plan
-// curves are shared too — curve slots are published atomically, so the fork
-// and the live sim may apply concurrently — and a fork only pays for plans
-// its hypothesis is the first to need.
+// It clones only what is written in place, the residents into one slab;
+// each share is shared clipped, so the next append on either side
+// reallocates. The histories (res.Log, events, done) start empty at the
+// fork: Events, Log and Snapshot of a fork cover only what it ingested,
+// while EventCount, the event limit and new trace indices continue from the
+// live count. The allocator and the per-job plan curves are shared too —
+// curve slots are published atomically, so the fork and the live sim may
+// apply concurrently — and a fork only pays for plans its hypothesis is the
+// first to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
-	c.assigned = nil
 	c.byName = maps.Clone(s.byName)
 	c.sc.Jobs = append([]Job(nil), s.sc.Jobs...)
 	res := *s.res
-	res.Log = slices.Clip(s.res.Log)
+	res.Log = nil
 	c.res = &res
-	c.events = slices.Clip(s.events)
-	c.done = slices.Clip(s.done)
+	c.events, c.done, c.forked = nil, nil, s.EventCount()
 	c.present = append([]node(nil), s.present...)
+	slab := make([]einstance, len(s.active))
 	c.active = make([]*einstance, len(s.active))
 	for i, in := range s.active {
-		dup := *in
-		dup.share = slices.Clip(in.share)
-		c.active[i] = &dup
+		slab[i] = *in
+		slab[i].share = slices.Clip(in.share)
+		c.active[i] = &slab[i]
 	}
 	return &c
 }

@@ -60,12 +60,28 @@ func WriteJSON(w http.ResponseWriter, status int, v any) bool {
 	return true
 }
 
-// WriteEncoded replies with raw, a body already encoded as JSON, in one
-// Write.
-func WriteEncoded(w http.ResponseWriter, status int, raw []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteEncoded replies with a body already encoded as JSON, the
+// concatenation of parts, writing each part as it stands: a body spliced
+// from pieces goes out without being joined first. Several parts carry a
+// Content-Length summed from them, so the server neither buffers nor chunks
+// them, however long. A single part is left to the server's own framing (a
+// Content-Length it computes when the body fits its buffer): the header
+// value would cost two allocations on the serve tier's cache-hit path,
+// which allocates two in all (serve.TestResolveMemoHitAllocs).
+func WriteEncoded(w http.ResponseWriter, status int, parts ...[]byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if len(parts) > 1 {
+		n := 0
+		for _, p := range parts {
+			n += len(p)
+		}
+		h.Set("Content-Length", strconv.Itoa(n))
+	}
 	w.WriteHeader(status)
-	w.Write(raw)
+	for _, p := range parts {
+		w.Write(p)
+	}
 }
 
 // WriteError replies with an ErrorResponse carrying msg.

@@ -210,3 +210,39 @@ func TestShutdownBoundedAndHooked(t *testing.T) {
 		t.Fatal("Serve returned before Background stopped")
 	}
 }
+
+// TestWriteEncodedParts: a reply written as three parts, more than 2 KB in
+// all (past what the server buffers before it chunks), arrives as their
+// concatenation byte for byte, under a Content-Length that sums them and
+// without chunked transfer encoding.
+func TestWriteEncodedParts(t *testing.T) {
+	head := []byte(`{"version":7,"allocation":`)
+	body := []byte(`[` + strings.Repeat(`{"job":"bert","nodes":8},`, 120) + `{"job":"gpt2","nodes":2}]`)
+	tail := []byte(`}`)
+	want := string(head) + string(body) + string(tail)
+	if len(want) <= 2048 {
+		t.Fatalf("the reply is %d bytes, want more than 2 KB", len(want))
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteEncoded(w, http.StatusOK, head, body, tail)
+	}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(got) != want {
+		t.Fatalf("status %d, body %q; want 200, %q", resp.StatusCode, got, want)
+	}
+	if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, transfer encoding %v; want %d and none", resp.ContentLength, resp.TransferEncoding, len(want))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+}
