@@ -225,18 +225,18 @@ func TestWarmScanAllocations(t *testing.T) {
 		t.Fatalf("scenario holds only %d residents", len(s.active))
 	}
 
-	in := s.active[0]
-	nodes := s.present[:in.curve.points[len(in.curve.points)-1]]
-	if _, err := a.jobValue(in.curve, nodes); err != nil { // resolve every slot once
+	cv := s.curves[s.active[0].job]
+	nodes := s.present[:cv.points[len(cv.points)-1]]
+	if _, err := a.jobValue(cv, nodes); err != nil { // resolve every slot once
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		var st prefixScan
-		if err := a.scan(in.curve, &st, nodes[:Quantum]); err != nil {
+		if err := a.scan(cv, &st, nodes[:Quantum]); err != nil {
 			t.Fatal(err)
 		}
 		resumed := st.fork()
-		if err := a.scan(in.curve, &resumed, nodes[Quantum:]); err != nil {
+		if err := a.scan(cv, &resumed, nodes[Quantum:]); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

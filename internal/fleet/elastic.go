@@ -183,13 +183,10 @@ func (sc ElasticScenario) Validate() error {
 	if len(sc.Events) > MaxEvents {
 		return fmt.Errorf("fleet: %d events exceed the limit %d", len(sc.Events), MaxEvents)
 	}
-	byName := make(map[string]bool, len(sc.Jobs))
-	for _, j := range sc.Jobs {
-		byName[j.Name] = true
-	}
+	index := jobIndex(sc.Jobs)
 	arrivals, joins := 0, 0
 	for i, ev := range sc.Events {
-		if err := validateEvent(byName, "events", i, ev); err != nil {
+		if err := validateEvent(index, "events", i, ev); err != nil {
 			return err
 		}
 		switch ev.kind() {
@@ -229,18 +226,28 @@ func (sc ElasticScenario) validateConfig() error {
 	return nil
 }
 
-// validateEvent checks one event's shape against the job vocabulary. Shared
-// by the trace validators and the controller's live ingestion path, so all
-// reject a malformed event with the same message (where[i] names the event
-// in its container: events or a classic trace by index, a live batch by
-// position).
-func validateEvent[V any](byName map[string]V, where string, i int, ev Event) error {
+// jobIndex maps each job's name to its position — the one name lookup of
+// the trace validators and of ElasticSim.
+func jobIndex(jobs []Job) map[string]int {
+	index := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		index[j.Name] = i
+	}
+	return index
+}
+
+// validateEvent checks one event's shape against the job vocabulary's index.
+// Shared by the trace validators and the controller's live ingestion path,
+// so all reject a malformed event with the same message (where[i] names the
+// event in its container: events or a classic trace by index, a live batch
+// by position).
+func validateEvent(index map[string]int, where string, i int, ev Event) error {
 	if ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0) {
 		return fmt.Errorf("fleet: %s[%d] time must be finite and ≥ 0, got %g", where, i, ev.At)
 	}
 	switch ev.kind() {
 	case EvArrival:
-		if _, ok := byName[ev.Job]; !ok {
+		if _, ok := index[ev.Job]; !ok {
 			return fmt.Errorf("fleet: %s[%d] names unknown job %q", where, i, ev.Job)
 		}
 		if !(ev.Work > 0) || math.IsInf(ev.Work, 0) {
@@ -384,10 +391,13 @@ func SimulateElasticOn(e *engine.Engine, sc ElasticScenario) (*ElasticResult, er
 
 // einstance is one resident job instance during an elastic replay.
 type einstance struct {
-	// run is the instance's one record: its trace index, and StartAt ≥ 0
-	// once it has started. It moves to ElasticSim.done on departure.
-	run       ElasticJobRun
-	job       Job
+	// run is the instance's one record: its job's name, its trace index, and
+	// StartAt ≥ 0 once it has started. It moves to ElasticSim.done on
+	// departure.
+	run ElasticJobRun
+	// job indexes the sim's job table: jobs[job] and curves[job] are the
+	// instance's job and plan curve.
+	job       int
 	remaining float64
 	// debt is restart penalty seconds still to pay before progress resumes
 	// (the instance holds its nodes but produces nothing).
@@ -395,12 +405,8 @@ type einstance struct {
 	rate float64
 	// share is the instance's nodes, trimmed to the even prefix its plan
 	// actually drives (idle nodes return to the free pool at re-plan time).
-	share  []node
-	plan   *perfmodel.Prediction
-	factor float64
-	// curve is the job's plan curve, owned by the simulation and shared by
-	// every instance of the job (and by forks).
-	curve *planCurve
+	share []node
+	plan  *perfmodel.Prediction
 	// needy marks the instance for re-planning this round; failed marks a
 	// forced restart caused by node_fail (full penalty instead of half).
 	needy  bool
@@ -410,18 +416,19 @@ type einstance struct {
 	starvedSince float64
 }
 
-// effPriority is the instance's aged effective priority at time now: base
-// priority grown linearly with starvation age on the scenario's tau,
-// accelerated for deadline jobs (tau' = min(tau, deadline/2)).
-func (in *einstance) effPriority(now, tau float64) float64 {
-	p := in.job.priority()
+// effPriority is the instance's aged effective priority now: base priority
+// grown linearly with starvation age on the scenario's tau, accelerated for
+// deadline jobs (tau' = min(tau, deadline/2)).
+func (s *ElasticSim) effPriority(in *einstance) float64 {
+	j, tau := &s.jobs[in.job], s.tau
+	p := j.priority()
 	if in.starvedSince < 0 {
 		return p
 	}
-	if d := in.job.Deadline; d > 0 && d/2 < tau {
+	if d := j.Deadline; d > 0 && d/2 < tau {
 		tau = d / 2
 	}
-	return p * (1 + (now-in.starvedSince)/tau)
+	return p * (1 + (s.now-in.starvedSince)/tau)
 }
 
 // sameAllocation reports whether a re-plan left an instance's execution
@@ -458,7 +465,7 @@ func (a *Allocator) SimulateElastic(sc ElasticScenario) (*ElasticResult, error) 
 	}
 	// The final allocation is the one in effect right after the last trace
 	// event's re-plan.
-	s.res.Final = finalShares(s.active)
+	s.res.Final = s.Shares()
 	if err := s.runToCompletion(); err != nil {
 		return nil, err
 	}
@@ -536,48 +543,31 @@ func (s *ElasticSim) freeNodes() []node {
 	return free
 }
 
-// finalShares snapshots the allocation in effect (resident instances in
-// arrival order).
-func finalShares(active []*einstance) []FinalShare {
-	out := make([]FinalShare, 0, len(active))
-	for _, in := range active {
-		fs := FinalShare{Job: in.job.Name, Trace: in.run.Trace, Nodes: len(in.share)}
-		if in.plan != nil {
-			fs.W, fs.D, fs.B = in.plan.W, in.plan.D, in.plan.B
-			fs.Throughput = in.rate
-			fs.Weighted = in.job.priority() * in.rate
-		}
-		out = append(out, fs)
-	}
-	return out
-}
-
 // applyShare installs a (possibly oversized) share on an instance: the
-// share is trimmed to the even prefix the best plan drives, and rate, plan
-// and straggler factor refresh from it.
-func (a *Allocator) applyShare(in *einstance, share []node) error {
-	v, err := a.jobValue(in.curve, share)
+// share is trimmed to the even prefix the best plan drives, and rate and
+// plan refresh from it.
+func (s *ElasticSim) applyShare(in *einstance, share []node) error {
+	v, err := s.a.jobValue(s.curves[in.job], share)
 	if err != nil {
 		return err
 	}
 	if v.pred == nil {
-		in.share = nil
-		in.plan, in.rate, in.factor = nil, 0, 1
+		in.share, in.plan, in.rate = nil, nil, 0
 		return nil
 	}
 	in.share = share[:v.used:v.used]
-	in.plan, in.rate, in.factor = v.pred, v.tp, v.factor
+	in.plan, in.rate = v.pred, v.tp
 	return nil
 }
 
 // replanScratch is one re-plan's working tables: freeNodes' marks, the
 // pre-replan snapshot and preemptForStarved's pricing tables. A re-plan takes
 // one from scratchPool and puts it back on exit with its references into
-// shares, plans and curves dropped, so nothing mutable is shared: a fork and
-// the sim it came from each take their own. The tables are not kept on each
-// sim because a controller's what-if forks would each grow a set of their
-// own, and the live sim would hold its set between batches; pooled, a
-// handful serve every re-plan of the process.
+// the sim, its shares and plans dropped, so nothing mutable is shared: a
+// fork and the sim it came from each take their own. The tables are not
+// kept on each sim because a controller's what-if forks would each grow a
+// set of their own, and the live sim would hold its set between batches;
+// pooled, a handful serve every re-plan of the process.
 type replanScratch struct {
 	// assigned marks held node ids for freeNodes, all false between calls.
 	assigned []bool
@@ -635,7 +625,7 @@ func (s *ElasticSim) replan() error {
 	}
 	sc.oldIDs, sc.idEnd, sc.oldPlans, sc.oldRates = oldIDs, idEnd, oldPlans, oldRates
 
-	full := res.Policy == EqualSplit || s.sc.replan() == ReplanFull
+	full := res.Replan == ReplanFull // newElasticSim folds equal-split in
 	var err error
 	switch {
 	case s.replanWith != nil:
@@ -656,7 +646,7 @@ func (s *ElasticSim) replan() error {
 		ids := oldIDs[idStart:idEnd[i]]
 		idStart = idEnd[i]
 		if oldRates[i] > 0 && !sameAllocation(ids, oldPlans[i], in) {
-			pen := s.sc.MigrationPenalty * float64(oldPlans[i].D)
+			pen := s.penalty * float64(oldPlans[i].D)
 			if !in.failed {
 				pen /= 2 // graceful: the pipeline flushes instead of discarding
 			}
@@ -685,7 +675,7 @@ func (s *ElasticSim) replan() error {
 func (s *ElasticSim) bidders(ins []*einstance) []bidder {
 	bids := make([]bidder, len(ins))
 	for i, in := range ins {
-		bids[i] = bidder{curve: in.curve, prio: in.effPriority(s.now, s.tau)}
+		bids[i] = bidder{curve: s.curves[in.job], prio: s.effPriority(in)}
 	}
 	return bids
 }
@@ -698,7 +688,7 @@ func (s *ElasticSim) replanFull() error {
 		return err
 	}
 	for i, in := range s.active {
-		if err := s.a.applyShare(in, shares[i]); err != nil {
+		if err := s.applyShare(in, shares[i]); err != nil {
 			return err
 		}
 	}
@@ -735,7 +725,7 @@ func (s *ElasticSim) replanIncremental() error {
 			return err
 		}
 		for i, in := range needy {
-			if err := s.a.applyShare(in, shares[i]); err != nil {
+			if err := s.applyShare(in, shares[i]); err != nil {
 				return err
 			}
 		}
@@ -766,17 +756,17 @@ func (s *ElasticSim) extendRunning() error {
 		if in.rate <= 0 || len(free) < Quantum {
 			continue
 		}
-		st := prefixScan{hits: &hits}
-		if err := s.a.scan(in.curve, &st, in.share); err != nil {
+		cv, st := s.curves[in.job], prefixScan{hits: &hits}
+		if err := s.a.scan(cv, &st, in.share); err != nil {
 			return err
 		}
 		s.res.JobsEvaluated++
 		bestK, bestNet := 0, 0.0
-		err := s.a.ahead(in.curve, &st, &l, 0, func(k int, v jobValue) {
+		err := s.a.ahead(cv, &st, &l, 0, func(k int, v jobValue) {
 			if v.tp <= in.rate {
 				return
 			}
-			pen := s.sc.MigrationPenalty * float64(in.plan.D) / 2
+			pen := s.penalty * float64(in.plan.D) / 2
 			if net := (v.tp-in.rate)*(in.remaining/v.tp) - pen*v.tp; net > bestNet {
 				bestK, bestNet = k, net
 			}
@@ -787,7 +777,7 @@ func (s *ElasticSim) extendRunning() error {
 		if bestK == 0 {
 			continue
 		}
-		if err := s.a.applyShare(in, slices.Concat(in.share, free[:bestK*Quantum])); err != nil {
+		if err := s.applyShare(in, slices.Concat(in.share, free[:bestK*Quantum])); err != nil {
 			return err
 		}
 		free = s.freeNodes()
@@ -831,10 +821,10 @@ func (s *ElasticSim) preemptForStarved() error {
 		donor := s.active[best.donor]
 		keep := len(donor.share) - best.k*Quantum
 		grown := slices.Concat(in.share, p.free, donor.share[keep:])
-		if err := s.a.applyShare(donor, donor.share[:keep:keep]); err != nil {
+		if err := s.applyShare(donor, donor.share[:keep:keep]); err != nil {
 			return err
 		}
-		if err := s.a.applyShare(in, grown); err != nil {
+		if err := s.applyShare(in, grown); err != nil {
 			return err
 		}
 		p.donors[best.donor].reset()
@@ -913,7 +903,7 @@ type cheapDonor struct {
 // its scan of the free pool, steps[at:end] its value after k tail quanta of
 // speeds[speed].f at each k where that value rises.
 type starvedSide struct {
-	curve   *planCurve
+	job     int
 	base    prefixScan
 	at, end int
 }
@@ -949,7 +939,7 @@ func (p *preemption) newEpoch() error {
 		for i := range p.donors {
 			p.donors[i].reset()
 		}
-		p.sides, p.steps = slices.Grow(p.sides[:0], len(s.curves)), slices.Grow(p.steps[:0], 2*len(s.curves))
+		p.sides, p.steps = slices.Grow(p.sides[:0], len(s.jobs)), slices.Grow(p.steps[:0], 2*len(s.jobs))
 		p.cost, p.cheapest = slices.Grow(p.cost[:0], len(s.present)/Quantum), slices.Grow(p.cheapest[:0], len(s.present)/Quantum)
 	}
 	p.free, p.evals, p.fresh = s.freeNodes(), 0, true
@@ -1002,7 +992,7 @@ func (p *preemption) newEpoch() error {
 }
 
 // release drops what points into the sim — the sim, the free pool, the
-// donors' shares and the starved sides' curves — keeping the tables.
+// donors' shares and the starved sides' plans — keeping the tables.
 func (p *preemption) release() {
 	p.s, p.free = nil, nil
 	for i := range p.donors {
@@ -1022,12 +1012,12 @@ func (p *preemption) price(ds *donorSide, d *einstance) error {
 	}
 	ds.ku = (n - tail) / Quantum
 	ds.list.prepare(d.share)
-	effD := d.effPriority(p.s.now, p.s.tau)
+	effD := p.s.effPriority(d)
 	p.cost = slices.Grow(p.cost, ds.quanta)[:ds.at+ds.quanta]
 	st := prefixScan{hits: &p.hits}
 	for k := ds.quanta; k >= 1; k-- {
 		keep := n - k*Quantum
-		if err := p.s.a.scan(d.curve, &st, d.share[st.n:keep]); err != nil {
+		if err := p.s.a.scan(p.s.curves[d.job], &st, d.share[st.n:keep]); err != nil {
 			return err
 		}
 		p.cost[ds.at+k-1] = effD * (d.rate - st.best.tp)
@@ -1035,16 +1025,17 @@ func (p *preemption) price(ds *donorSide, d *einstance) error {
 	return nil
 }
 
-// side returns the starved job's side for this epoch, pricing it on first
-// use: the free pool scanned once, then extended along each speed's widest
-// tail, one step per breakpoint reached.
-func (p *preemption) side(cv *planCurve) (*starvedSide, error) {
+// side returns job's starved side for this epoch, pricing it on first use:
+// the free pool scanned once, then extended along each speed's widest tail,
+// one step per breakpoint reached.
+func (p *preemption) side(job int) (*starvedSide, error) {
 	for i := range p.sides {
-		if p.sides[i].curve == cv {
+		if p.sides[i].job == job {
 			return &p.sides[i], nil
 		}
 	}
-	sd := starvedSide{curve: cv, base: prefixScan{hits: &p.hits}, at: len(p.steps)}
+	cv := p.s.curves[job]
+	sd := starvedSide{job: job, base: prefixScan{hits: &p.hits}, at: len(p.steps)}
 	if err := p.s.a.scan(cv, &sd.base, p.free); err != nil {
 		return nil, err
 	}
@@ -1077,12 +1068,12 @@ func (p *preemption) side(cv *planCurve) (*starvedSide, error) {
 // best.
 func (p *preemption) search(in *einstance) (candidate, error) {
 	best := candidate{donor: -1}
-	sd, err := p.side(in.curve)
+	sd, err := p.side(in.job)
 	if err != nil {
 		return best, err
 	}
 	p.s.res.JobsEvaluated += p.evals
-	effS := in.effPriority(p.s.now, p.s.tau)
+	effS := p.s.effPriority(in)
 	for _, st := range p.steps[sd.at:sd.end] {
 		t := p.speeds[st.speed]
 		c := p.cheapest[t.at+st.k-1]
@@ -1105,7 +1096,7 @@ func (p *preemption) search(in *einstance) (candidate, error) {
 		n := len(ds.list.nodes)
 		for k := ds.ku + 1; k <= ds.quanta; k++ {
 			cand := sd.base.fork()
-			if err := p.s.a.ahead(in.curve, &cand, &ds.list, n-k*Quantum, func(int, jobValue) {}); err != nil {
+			if err := p.s.a.ahead(p.s.curves[in.job], &cand, &ds.list, n-k*Quantum, func(int, jobValue) {}); err != nil {
 				return best, err
 			}
 			if cand.best.pred != nil {

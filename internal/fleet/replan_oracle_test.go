@@ -200,18 +200,24 @@ func oracleFreeNodes(present []node, active []*einstance) []node {
 	return free
 }
 
-func (a *Allocator) oracleApplyShare(sc ElasticScenario, in *einstance, share []node) error {
-	v, err := a.oracleJobValue(sc.Cluster, in.job, share)
+// oracleCluster is the cluster the sim's curves were built on, as far as a
+// plan request reads it.
+func oracleCluster(s *ElasticSim) Cluster {
+	cv := s.curves[0]
+	return Cluster{Device: cv.req.Device, Network: cv.req.Network, Scheduler: cv.sched}
+}
+
+func (a *Allocator) oracleApplyShare(s *ElasticSim, in *einstance, share []node) error {
+	v, err := a.oracleJobValue(oracleCluster(s), s.jobs[in.job], share)
 	if err != nil {
 		return err
 	}
 	if v.pred == nil {
-		in.share = nil
-		in.plan, in.rate, in.factor = nil, 0, 1
+		in.share, in.plan, in.rate = nil, nil, 0
 		return nil
 	}
 	in.share = share[:v.used:v.used]
-	in.plan, in.rate, in.factor = v.pred, v.tp, v.factor
+	in.plan, in.rate = v.pred, v.tp
 	return nil
 }
 
@@ -219,19 +225,19 @@ func (a *Allocator) oracleApplyShare(sc ElasticScenario, in *einstance, share []
 // over the sim's state.
 func oracleReplan(s *ElasticSim, full bool) error {
 	if full {
-		return s.a.oracleReplanFull(s.sc, s.res, s.active, s.present, s.now, s.tau)
+		return s.a.oracleReplanFull(s)
 	}
-	return s.a.oracleReplanIncremental(s.sc, s.res, s.active, s.present, s.now, s.tau)
+	return s.a.oracleReplanIncremental(s)
 }
 
-func (a *Allocator) oracleReplanFull(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
-	jobs := make([]Job, len(active))
-	for i, in := range active {
-		jobs[i] = in.job
-		jobs[i].Priority = in.effPriority(now, tau)
+func (a *Allocator) oracleReplanFull(s *ElasticSim) error {
+	res := s.res
+	jobs := make([]Job, len(s.active))
+	for i, in := range s.active {
+		jobs[i] = s.jobs[in.job]
+		jobs[i].Priority = s.effPriority(in)
 	}
-	pool := present[:len(present)/Quantum*Quantum]
+	pool := s.present[:len(s.present)/Quantum*Quantum]
 	var shares [][]node
 	if res.Policy == EqualSplit {
 		shares = equalSplit(pool, len(jobs))
@@ -241,23 +247,22 @@ func (a *Allocator) oracleReplanFull(sc ElasticScenario, res *ElasticResult, act
 		res.JobsEvaluated += len(jobs)
 	} else {
 		var err error
-		shares, _, err = a.oracleGreedyGrow(sc.Cluster, jobs, make([][]node, len(jobs)), pool, &res.JobsEvaluated)
+		shares, _, err = a.oracleGreedyGrow(oracleCluster(s), jobs, make([][]node, len(jobs)), pool, &res.JobsEvaluated)
 		if err != nil {
 			return err
 		}
 	}
-	for i, in := range active {
-		if err := a.oracleApplyShare(sc, in, shares[i]); err != nil {
+	for i, in := range s.active {
+		if err := a.oracleApplyShare(s, in, shares[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (a *Allocator) oracleReplanIncremental(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
+func (a *Allocator) oracleReplanIncremental(s *ElasticSim) error {
 	var needy []*einstance
-	for _, in := range active {
+	for _, in := range s.active {
 		if in.needy || in.rate <= 0 {
 			needy = append(needy, in)
 		}
@@ -266,48 +271,48 @@ func (a *Allocator) oracleReplanIncremental(sc ElasticScenario, res *ElasticResu
 		jobs := make([]Job, len(needy))
 		bases := make([][]node, len(needy))
 		for i, in := range needy {
-			jobs[i] = in.job
-			jobs[i].Priority = in.effPriority(now, tau)
+			jobs[i] = s.jobs[in.job]
+			jobs[i].Priority = s.effPriority(in)
 			bases[i] = in.share
 		}
-		free := oracleFreeNodes(present, active)
-		shares, _, err := a.oracleGreedyGrow(sc.Cluster, jobs, bases, free, &res.JobsEvaluated)
+		free := oracleFreeNodes(s.present, s.active)
+		shares, _, err := a.oracleGreedyGrow(oracleCluster(s), jobs, bases, free, &s.res.JobsEvaluated)
 		if err != nil {
 			return err
 		}
 		for i, in := range needy {
-			if err := a.oracleApplyShare(sc, in, shares[i]); err != nil {
+			if err := a.oracleApplyShare(s, in, shares[i]); err != nil {
 				return err
 			}
 		}
 	}
-	if err := a.oracleExtendRunning(sc, res, active, present); err != nil {
+	if err := a.oracleExtendRunning(s); err != nil {
 		return err
 	}
-	return a.oraclePreemptForStarved(sc, res, active, present, now, tau)
+	return a.oraclePreemptForStarved(s)
 }
 
-func (a *Allocator) oracleExtendRunning(sc ElasticScenario, res *ElasticResult, active []*einstance, present []node) error {
-	free := oracleFreeNodes(present, active)
+func (a *Allocator) oracleExtendRunning(s *ElasticSim) error {
+	free := oracleFreeNodes(s.present, s.active)
 	if len(free) < Quantum {
 		return nil
 	}
-	for _, in := range active {
+	for _, in := range s.active {
 		if in.rate <= 0 || len(free) < Quantum {
 			continue
 		}
-		vals, err := a.oraclePrefixValues(sc.Cluster, in.job, withNodes(in.share, free))
+		vals, err := a.oraclePrefixValues(oracleCluster(s), s.jobs[in.job], withNodes(in.share, free))
 		if err != nil {
 			return err
 		}
-		res.JobsEvaluated++
+		s.res.JobsEvaluated++
 		bestK, bestNet := 0, 0.0
 		for k := 1; k*Quantum <= len(free); k++ {
 			v := vals[len(in.share)+k*Quantum]
 			if v.tp <= in.rate {
 				continue
 			}
-			pen := sc.MigrationPenalty * float64(in.plan.D) / 2
+			pen := s.penalty * float64(in.plan.D) / 2
 			net := (v.tp-in.rate)*(in.remaining/v.tp) - pen*v.tp
 			if net > bestNet {
 				bestK, bestNet = k, net
@@ -316,22 +321,22 @@ func (a *Allocator) oracleExtendRunning(sc ElasticScenario, res *ElasticResult, 
 		if bestK == 0 {
 			continue
 		}
-		if err := a.oracleApplyShare(sc, in, withNodes(in.share, free[:bestK*Quantum])); err != nil {
+		if err := a.oracleApplyShare(s, in, withNodes(in.share, free[:bestK*Quantum])); err != nil {
 			return err
 		}
-		free = oracleFreeNodes(present, active)
+		free = oracleFreeNodes(s.present, s.active)
 	}
 	return nil
 }
 
-func (a *Allocator) oraclePreemptForStarved(sc ElasticScenario, res *ElasticResult, active []*einstance,
-	present []node, now, tau float64) error {
-	for _, s := range active {
+func (a *Allocator) oraclePreemptForStarved(es *ElasticSim) error {
+	c := oracleCluster(es)
+	for _, s := range es.active {
 		if s.rate > 0 {
 			continue
 		}
-		free := oracleFreeNodes(present, active)
-		effS := s.effPriority(now, tau)
+		free := oracleFreeNodes(es.present, es.active)
+		effS := es.effPriority(s)
 		type move struct {
 			donor *einstance
 			k     int
@@ -339,25 +344,25 @@ func (a *Allocator) oraclePreemptForStarved(sc ElasticScenario, res *ElasticResu
 			share []node
 		}
 		var best *move
-		for _, d := range active {
+		for _, d := range es.active {
 			if d == s || d.rate <= 0 || len(d.share) < Quantum {
 				continue
 			}
-			dVals, err := a.oraclePrefixValues(sc.Cluster, d.job, d.share)
+			dVals, err := a.oraclePrefixValues(c, es.jobs[d.job], d.share)
 			if err != nil {
 				return err
 			}
-			res.JobsEvaluated++
-			effD := d.effPriority(now, tau)
+			es.res.JobsEvaluated++
+			effD := es.effPriority(d)
 			for k := 1; k*Quantum <= len(d.share); k++ {
 				keep := len(d.share) - k*Quantum
 				released := d.share[keep:]
 				cand := withNodes(withNodes(s.share, free), released)
-				sv, err := a.oracleJobValue(sc.Cluster, s.job, cand)
+				sv, err := a.oracleJobValue(c, es.jobs[s.job], cand)
 				if err != nil {
 					return err
 				}
-				res.JobsEvaluated++
+				es.res.JobsEvaluated++
 				if sv.pred == nil {
 					continue
 				}
@@ -374,10 +379,10 @@ func (a *Allocator) oraclePreemptForStarved(sc ElasticScenario, res *ElasticResu
 			continue
 		}
 		keep := len(best.donor.share) - best.k*Quantum
-		if err := a.oracleApplyShare(sc, best.donor, best.donor.share[:keep:keep]); err != nil {
+		if err := a.oracleApplyShare(es, best.donor, best.donor.share[:keep:keep]); err != nil {
 			return err
 		}
-		if err := a.oracleApplyShare(sc, s, best.share); err != nil {
+		if err := a.oracleApplyShare(es, s, best.share); err != nil {
 			return err
 		}
 	}
@@ -783,12 +788,12 @@ func TestReplanMatchesOracleRandomStates(t *testing.T) {
 		pool = pool[:len(pool)-r.Intn(4)]
 		for i := 0; i < 5+r.Intn(5); i++ {
 			j := jobs[r.Intn(len(jobs))]
-			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
+			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: s.index[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
 			n := Quantum * r.Intn(5)
 			if r.Intn(3) == 0 || n > len(pool) {
 				n = 0
 			}
-			if err := a.applyShare(in, append([]node(nil), pool[:n]...)); err != nil {
+			if err := s.applyShare(in, append([]node(nil), pool[:n]...)); err != nil {
 				t.Fatal(err)
 			}
 			pool = pool[n:]
@@ -937,12 +942,12 @@ func TestReplanMatchesOracleSparse(t *testing.T) {
 		pool = pool[:len(pool)-r.Intn(3)]
 		for i := 0; i < 3+r.Intn(5); i++ {
 			j := jobs[r.Intn(len(jobs))]
-			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: j, curve: s.curves[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
+			in := &einstance{run: ElasticJobRun{Job: j.Name, Trace: i, StartAt: -1, DoneAt: -1}, job: s.index[j.Name], remaining: 1e5 * (1 + r.Float64()), starvedSince: -1}
 			n := Quantum * r.Intn(8)
 			if r.Intn(3) == 0 || n > len(pool) {
 				n = 0
 			}
-			if err := a.applyShare(in, append([]node(nil), pool[:n]...)); err != nil {
+			if err := s.applyShare(in, append([]node(nil), pool[:n]...)); err != nil {
 				t.Fatal(err)
 			}
 			pool = pool[len(in.share):]
@@ -993,14 +998,14 @@ func TestPreemptPricesBetweenBreakpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.now = 100 * DefaultAgingTau
-	d := &einstance{run: ElasticJobRun{Job: jobs[0].Name, Trace: 0, StartAt: -1, DoneAt: -1}, job: jobs[0], curve: s.curves["donor"], remaining: 1e6, starvedSince: -1}
-	if err := a.applyShare(d, append([]node(nil), s.present...)); err != nil {
+	d := &einstance{run: ElasticJobRun{Job: jobs[0].Name, Trace: 0, StartAt: -1, DoneAt: -1}, job: 0, remaining: 1e6, starvedSince: -1}
+	if err := s.applyShare(d, append([]node(nil), s.present...)); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.share) != 4 {
 		t.Fatalf("donor drives %d nodes, want all 4", len(d.share))
 	}
-	st := &einstance{run: ElasticJobRun{Job: jobs[1].Name, Trace: 1, StartAt: -1, DoneAt: -1}, job: jobs[1], curve: s.curves["starved"], remaining: 1e6, starvedSince: 0}
+	st := &einstance{run: ElasticJobRun{Job: jobs[1].Name, Trace: 1, StartAt: -1, DoneAt: -1}, job: 1, remaining: 1e6, starvedSince: 0}
 	s.active = []*einstance{d, st}
 	got, want := s.Fork(), s.Fork()
 	want.replanWith = oracleReplan
@@ -1024,9 +1029,9 @@ func addResident(tb testing.TB, s *ElasticSim, name string, share []node, starve
 	tb.Helper()
 	in := &einstance{
 		run: ElasticJobRun{Job: name, Trace: len(s.active), StartAt: -1, DoneAt: -1},
-		job: s.byName[name], curve: s.curves[name], remaining: 1e6, starvedSince: starvedSince,
+		job: s.index[name], remaining: 1e6, starvedSince: starvedSince,
 	}
-	if err := s.a.applyShare(in, share); err != nil {
+	if err := s.applyShare(in, share); err != nil {
 		tb.Fatal(err)
 	}
 	s.active = append(s.active, in)

@@ -91,12 +91,9 @@ func (sc Scenario) Validate() error {
 	if len(sc.Trace) > MaxEvents {
 		return fmt.Errorf("fleet: %d trace arrivals exceed the limit %d", len(sc.Trace), MaxEvents)
 	}
-	known := make(map[string]bool, len(sc.Jobs))
-	for _, j := range sc.Jobs {
-		known[j.Name] = true
-	}
+	index := jobIndex(sc.Jobs)
 	for i, arr := range sc.Trace {
-		if err := validateEvent(known, "trace", i, arr.event()); err != nil {
+		if err := validateEvent(index, "trace", i, arr.event()); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,6 @@ func (s *ElasticSim) Snapshot() ElasticResult {
 	out.Log = s.Log()
 	s.seal(&out)
 	out.Cost = s.Cost()
-	out.Final = finalShares(s.active)
+	out.Final = s.Shares()
 	return out
 }

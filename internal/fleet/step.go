@@ -22,14 +22,13 @@ package fleet
 // split what replay merges into a single re-plan, breaking bit-equality.
 //
 // Fork supports what-if forecasting: a copy of the state written in place
-// that shares the allocator and the per-job plan curves, so a fork pays only
-// for plans nobody has needed before. Its histories start empty at the fork:
-// no what-if reads the past.
+// that shares the allocator, the name index and the per-job plan curves, so a
+// fork pays only for plans nobody has needed before. Its histories start
+// empty at the fork: no what-if reads the past.
 
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 )
@@ -41,16 +40,22 @@ type indexedEvent struct {
 	idx int
 }
 
-// ElasticSim is the elastic simulator's resumable state machine. Not safe
-// for concurrent use; the controller serializes access.
+// ElasticSim is the elastic simulator's resumable state machine. It holds
+// the job vocabulary once, as a table its instances index: jobs[i] is a
+// scenario job (SetDeadline rewrites its Deadline, nothing else changes),
+// curves[i] its plan curve and index maps a name to i. The table is the
+// sim's own — the caller's scenario is not retained — and curves and index
+// are never written after construction, so forks share them: a plan any of
+// them resolves is read by all by index. Not safe for concurrent use; the
+// controller serializes access.
 type ElasticSim struct {
 	a      *Allocator
-	sc     ElasticScenario
-	byName map[string]Job
-	// curves holds one plan curve per vocabulary job, built once and shared
-	// with every fork: a plan any of them resolves is read by all by index.
-	curves map[string]*planCurve
-	tau    float64
+	jobs   []Job
+	curves []*planCurve
+	index  map[string]int
+	// penalty is the migration penalty (SetMigrationPenalty moves it), tau
+	// the priority-aging time constant.
+	penalty, tau float64
 	// replanWith, when non-nil, replaces the built-in re-planners — the seam
 	// the oracle equivalence test drives the pre-curve search through.
 	replanWith func(s *ElasticSim, full bool) error
@@ -93,11 +98,9 @@ type ElasticSim struct {
 // newElasticSim builds the stepper state shared by both modes. The scenario
 // must already be validated (at least its config part).
 func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
-	byName := make(map[string]Job, len(sc.Jobs))
-	curves := make(map[string]*planCurve, len(sc.Jobs))
-	for _, j := range sc.Jobs {
-		byName[j.Name] = j
-		curves[j.Name] = newPlanCurve(sc.Cluster, j)
+	curves := make([]*planCurve, len(sc.Jobs))
+	for i, j := range sc.Jobs {
+		curves[i] = newPlanCurve(sc.Cluster, j)
 	}
 	res := &ElasticResult{
 		Policy:       (Request{Policy: sc.Policy}).policy(),
@@ -111,7 +114,8 @@ func newElasticSim(a *Allocator, sc ElasticScenario) *ElasticSim {
 		res.Replan = ReplanFull
 	}
 	return &ElasticSim{
-		a: a, sc: sc, byName: byName, curves: curves, tau: sc.agingTau(),
+		a: a, jobs: slices.Clone(sc.Jobs), curves: curves, index: jobIndex(sc.Jobs),
+		penalty: sc.MigrationPenalty, tau: sc.agingTau(),
 		res:     res,
 		present: sortedPool(sc.Cluster),
 		nextID:  sc.Cluster.Nodes,
@@ -196,14 +200,14 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 	for _, in := range departing {
 		in.remaining = 0 // absorb float residue
 		in.run.DoneAt = s.now
-		if d := in.job.Deadline; d > 0 && s.now-in.run.ArriveAt > d {
+		if d := s.jobs[in.job].Deadline; d > 0 && s.now-in.run.ArriveAt > d {
 			in.run.MissedDeadline = true
 		}
 		s.done = append(s.done, in.run)
 		i := slices.Index(s.active, in)
 		s.active = append(s.active[:i], s.active[i+1:]...)
 		s.res.Events++
-		s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvDeparture, Job: in.job.Name, Trace: in.run.Trace, Node: -1})
+		s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvDeparture, Job: in.run.Job, Trace: in.run.Trace, Node: -1})
 		s.makespan, s.poolAtMakespan, s.costAtMakespan = s.now, s.poolSeconds, s.costSeconds
 		changed = true
 	}
@@ -220,7 +224,7 @@ func (s *ElasticSim) stepBatch(t float64, batch []indexedEvent) error {
 			}
 			s.active = append(s.active, &einstance{
 				run: ElasticJobRun{Job: ev.Job, Trace: ie.idx, ArriveAt: ev.At, StartAt: -1, DoneAt: -1},
-				job: s.byName[ev.Job], curve: s.curves[ev.Job], remaining: ev.Work,
+				job: s.index[ev.Job], remaining: ev.Work,
 				needy: true, starvedSince: s.now,
 			})
 			s.res.Log = append(s.res.Log, EventRecord{At: s.now, Kind: EvArrival, Job: ev.Job, Trace: ie.idx, Node: -1})
@@ -319,7 +323,7 @@ func (s *ElasticSim) runToCompletion() error {
 	}
 	stuck := make([]string, len(s.active))
 	for i, in := range s.active {
-		stuck[i] = fmt.Sprintf("%s#%d", in.job.Name, in.run.Trace)
+		stuck[i] = fmt.Sprintf("%s#%d", in.run.Job, in.run.Trace)
 	}
 	return fmt.Errorf("fleet: elastic trace stalls — no events left and no resident instance can run (%v)", stuck)
 }
@@ -386,7 +390,7 @@ func (s *ElasticSim) Ingest(batch []Event) error {
 	}
 	churn := false
 	for i, ev := range batch {
-		if err := validateEvent(s.byName, "events", i, ev); err != nil {
+		if err := validateEvent(s.index, "events", i, ev); err != nil {
 			return err
 		}
 		churn = churn || ev.kind() != EvArrival
@@ -451,7 +455,19 @@ func (s *ElasticSim) Log() []EventRecord { return slices.Clip(s.res.Log) }
 
 // Shares snapshots the allocation currently in effect (resident instances
 // in arrival order).
-func (s *ElasticSim) Shares() []FinalShare { return finalShares(s.active) }
+func (s *ElasticSim) Shares() []FinalShare {
+	out := make([]FinalShare, 0, len(s.active))
+	for _, in := range s.active {
+		fs := FinalShare{Job: in.run.Job, Trace: in.run.Trace, Nodes: len(in.share)}
+		if in.plan != nil {
+			fs.W, fs.D, fs.B = in.plan.W, in.plan.D, in.plan.B
+			fs.Throughput = in.rate
+			fs.Weighted = s.jobs[in.job].priority() * in.rate
+		}
+		out = append(out, fs)
+	}
+	return out
+}
 
 // NodeCount is the present pool size; Residents the resident instance
 // count.
@@ -464,19 +480,18 @@ func (s *ElasticSim) Cost() float64 { return s.costSeconds }
 
 // Fork copies the simulation state for what-if exploration: the copy can
 // ingest hypothetical events or move knobs without touching the live sim.
-// It clones only what is written in place, the residents into one slab;
-// each share is shared clipped, so the next append on either side
-// reallocates. The histories (res.Log, events, done) start empty at the
-// fork: Events, Log and Snapshot of a fork cover only what it ingested,
-// while EventCount, the event limit and new trace indices continue from the
-// live count. The allocator and the per-job plan curves are shared too —
-// curve slots are published atomically, so the fork and the live sim may
-// apply concurrently — and a fork only pays for plans its hypothesis is the
-// first to need.
+// It clones only what is written in place: the job table (at most MaxJobs
+// entries), the pool, and the residents into one slab; each share is shared
+// clipped, so the next append on either side reallocates. The histories
+// (res.Log, events, done) start empty at the fork: Events, Log and Snapshot
+// of a fork cover only what it ingested, while EventCount, the event limit
+// and new trace indices continue from the live count. The allocator, the
+// name index and the per-job plan curves are shared — curve slots are
+// published atomically, so the fork and the live sim may apply concurrently
+// — and a fork only pays for plans its hypothesis is the first to need.
 func (s *ElasticSim) Fork() *ElasticSim {
 	c := *s
-	c.byName = maps.Clone(s.byName)
-	c.sc.Jobs = append([]Job(nil), s.sc.Jobs...)
+	c.jobs = slices.Clone(s.jobs)
 	res := *s.res
 	res.Log = nil
 	c.res = &res
@@ -499,33 +514,23 @@ func (s *ElasticSim) SetMigrationPenalty(p float64) error {
 	if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 		return fmt.Errorf("fleet: migration penalty must be finite and ≥ 0, got %g", p)
 	}
-	s.sc.MigrationPenalty = p
+	s.penalty = p
 	return nil
 }
 
-// SetDeadline moves a job's deadline (0 removes it) in the job vocabulary
-// and on every resident instance of the job. Intended for what-if forks,
-// like SetMigrationPenalty.
+// SetDeadline moves a job's deadline (0 removes it) in the sim's job table,
+// which every resident instance of the job reads; the scenario the sim was
+// built from is untouched. Intended for what-if forks, like
+// SetMigrationPenalty.
 func (s *ElasticSim) SetDeadline(job string, d float64) error {
-	j, ok := s.byName[job]
+	i, ok := s.index[job]
 	if !ok {
 		return fmt.Errorf("fleet: unknown job %q", job)
 	}
 	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return fmt.Errorf("fleet: deadline must be finite and ≥ 0, got %g", d)
 	}
-	j.Deadline = d
-	s.byName[job] = j
-	for i := range s.sc.Jobs {
-		if s.sc.Jobs[i].Name == job {
-			s.sc.Jobs[i].Deadline = d
-		}
-	}
-	for _, in := range s.active {
-		if in.job.Name == job {
-			in.job.Deadline = d
-		}
-	}
+	s.jobs[i].Deadline = d
 	return nil
 }
 

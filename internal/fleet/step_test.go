@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"chimera/internal/engine"
 )
@@ -187,7 +188,8 @@ func TestElasticSimIngestRules(t *testing.T) {
 func TestElasticSimFork(t *testing.T) {
 	trace := elasticScenario(ReplanIncremental, 5)
 	a := NewAllocator(engine.New())
-	live, err := a.NewElasticSim(liveConfig(trace))
+	sc := liveConfig(trace)
+	live, err := a.NewElasticSim(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +222,26 @@ func TestElasticSimFork(t *testing.T) {
 	if string(beforeLog) != string(afterLog) {
 		t.Fatalf("fork mutated the parent's log:\n%s\n%s", beforeLog, afterLog)
 	}
-	if live.sc.MigrationPenalty != 5 {
-		t.Fatalf("fork knob leaked: parent penalty %g", live.sc.MigrationPenalty)
+	if live.penalty != 5 {
+		t.Fatalf("fork knob leaked: parent penalty %g", live.penalty)
 	}
 	for _, in := range live.active {
-		if in.job.Name == "bert-large" && in.job.Deadline == 100 {
+		if j := live.jobs[in.job]; j.Name == "bert-large" && j.Deadline == 100 {
 			t.Fatal("fork deadline leaked into the parent's resident instance")
 		}
+	}
+
+	// A live sim's deadline move writes its own job table, not the scenario
+	// it was built from.
+	before := sc.Jobs[0].Deadline
+	if err := live.SetDeadline(sc.Jobs[0].Name, 777); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Jobs[0].Deadline != before {
+		t.Fatalf("SetDeadline wrote through to the caller's scenario: deadline %g, was %g", sc.Jobs[0].Deadline, before)
+	}
+	if got := live.jobs[live.index[sc.Jobs[0].Name]].Deadline; got != 777 {
+		t.Fatalf("SetDeadline left the sim's job at deadline %g, want 777", got)
 	}
 
 	// Unknown job and bad knobs error.
@@ -235,6 +250,15 @@ func TestElasticSimFork(t *testing.T) {
 	}
 	if err := fork.SetMigrationPenalty(-1); err == nil {
 		t.Fatal("want a negative-penalty error")
+	}
+}
+
+// TestEinstanceSize makes re-bloating a resident instance a decision: it
+// indexes the sim's job table rather than carrying its job, and a fork copies
+// every resident into its slab.
+func TestEinstanceSize(t *testing.T) {
+	if size := unsafe.Sizeof(einstance{}); size > 176 {
+		t.Fatalf("einstance is %d bytes, want ≤ 176 (the job is an index into the sim's table)", size)
 	}
 }
 
