@@ -193,11 +193,11 @@ fuzz:
 # jobs, capped or not, shares, starvation ages, penalty); equal results and
 # node ids.
 	$(call fuzz-one,./internal/fleet/,FuzzPreemptMatchesOracle)
-# Controller allocation encoding vs json.Marshal: a fuzzed next allocation
-# encoded against a fuzzed base (unsorted and duplicated traces, escaped and
-# invalid-UTF-8 job names, floats at the 'e' cut-offs, -0, subnormals, NaN
-# and infinities): the same bytes, each share's span its own encoding, and
-# an error exactly where json.Marshal errs.
+# Controller allocation reuse and splicing vs json.Marshal: a fuzzed next
+# allocation encoded against a fuzzed base (-0 against 0, duplicated and
+# unsorted traces, a job renamed under the same trace, NaN and infinities):
+# the same bytes, each share's span its own encoding, and an error exactly
+# where json.Marshal errs.
 	$(call fuzz-one,./internal/controller/,FuzzAllocationEncoding)
 
 # cover writes the per-function coverage summary CI archives.

@@ -1,10 +1,9 @@
 package controller
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
-	"unicode/utf8"
 
 	"chimera/internal/fleet"
 )
@@ -31,10 +30,11 @@ func (a *encodedAllocation) start(i int) int {
 
 // encode builds version's encoding of next against base (nil encodes every
 // share): a share identical to base's share of the same trace reuses base's
-// bytes, any other is written by appendShare. Shares arrive in ascending
+// bytes, any other is json.Marshal of the share. Shares arrive in ascending
 // trace order (residents in arrival order), so one merge walk finds each
-// match; a share out of that order is only a miss, never a wrong body. A
-// NaN or infinite float is an error, as it is for json.Marshal.
+// match; a share out of that order is only a miss, never a wrong body.
+// json.Marshal's error (a NaN or infinite float) comes back naming the
+// share's trace.
 func (base *encodedAllocation) encode(version uint64, next []fleet.FinalShare) (*encodedAllocation, error) {
 	a := &encodedAllocation{version: version, shares: next}
 	if next == nil {
@@ -61,10 +61,11 @@ func (base *encodedAllocation) encode(version uint64, next []fleet.FinalShare) (
 			raw = append(raw, base.raw[base.start(j):base.ends[j]]...)
 			j++
 		} else {
-			var err error
-			if raw, err = appendShare(raw, s); err != nil {
-				return nil, err
+			one, err := json.Marshal(s)
+			if err != nil {
+				return nil, fmt.Errorf("controller: share of trace %d: %w", s.Trace, err)
 			}
+			raw = append(raw, one...)
 		}
 		a.ends[i] = len(raw)
 	}
@@ -79,93 +80,4 @@ func sameShare(a, b fleet.FinalShare) bool {
 		a.W == b.W && a.D == b.D && a.B == b.B &&
 		math.Float64bits(a.Throughput) == math.Float64bits(b.Throughput) &&
 		math.Float64bits(a.Weighted) == math.Float64bits(b.Weighted)
-}
-
-// appendShare appends s's JSON object exactly as json.Marshal writes a
-// fleet.FinalShare.
-func appendShare(b []byte, s fleet.FinalShare) ([]byte, error) {
-	b = appendQuoted(append(b, `{"job":`...), s.Job)
-	b = strconv.AppendInt(append(b, `,"trace":`...), int64(s.Trace), 10)
-	b = strconv.AppendInt(append(b, `,"nodes":`...), int64(s.Nodes), 10)
-	b = strconv.AppendInt(append(b, `,"w":`...), int64(s.W), 10)
-	b = strconv.AppendInt(append(b, `,"d":`...), int64(s.D), 10)
-	b = strconv.AppendInt(append(b, `,"b":`...), int64(s.B), 10)
-	b, err := appendFloat(append(b, `,"throughput":`...), s.Throughput)
-	if err != nil {
-		return nil, fmt.Errorf("controller: throughput of trace %d: %w", s.Trace, err)
-	}
-	if b, err = appendFloat(append(b, `,"weighted":`...), s.Weighted); err != nil {
-		return nil, fmt.Errorf("controller: weighted throughput of trace %d: %w", s.Trace, err)
-	}
-	return append(b, '}'), nil
-}
-
-// appendFloat appends f as encoding/json writes a float64: 'f' format, or
-// 'e' below 1e-6 or from 1e21 in magnitude, with a one-digit negative
-// exponent unpadded (e-7, not e-07).
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("unsupported value %v", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendQuoted appends s as encoding/json quotes a string: HTML-escaped
-// (<, >, & as \u003c, \u003e, \u0026), control bytes escaped, each invalid
-// UTF-8 byte as \ufffd, and U+2028 and U+2029 escaped.
-func appendQuoted(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(append(b, s[start:]...), '"')
 }

@@ -116,3 +116,51 @@ func checkEncoding(t *testing.T, side string, shares []fleet.FinalShare, enc *en
 		}
 	}
 }
+
+// TestEncodeReusesUnchangedShares pins the reuse no reply byte shows: an
+// unchanged share costs encode no allocation, so 64 shares against an
+// identical base allocate as often as 1 (the allocation, its ends and its
+// bytes), and each changed share adds the same constant (json.Marshal's).
+// json.Marshal draws its buffer from a sync.Pool, which drops Puts on
+// purpose under the race detector, so there the counts are logged, not
+// asserted.
+func TestEncodeReusesUnchangedShares(t *testing.T) {
+	shares := func(n int) []fleet.FinalShare {
+		s := make([]fleet.FinalShare, n)
+		for i := range s {
+			s[i] = fleet.FinalShare{Job: "gpt2-research", Trace: i, Nodes: 8, W: 2, D: 4, B: 16, Throughput: 1.5, Weighted: 3}
+		}
+		return s
+	}
+	// allocs encodes n shares, the first changed of them with another
+	// throughput of the same width, against base's n.
+	allocs := func(n, changed int) float64 {
+		base, err := (*encodedAllocation)(nil).encode(0, shares(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := shares(n)
+		for i := range next[:changed] {
+			next[i].Throughput = 2.5
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := base.encode(1, next); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, all := allocs(1, 0), allocs(64, 0)
+	perChange := allocs(64, 1) - all
+	eight := allocs(64, 8)
+	if raceEnabled {
+		t.Logf("under -race (not gated): 1 share %v allocs, 64 shares %v, +%v for one change, %v for eight", one, all, perChange, eight)
+		return
+	}
+	if all != one {
+		t.Fatalf("64 unchanged shares allocate %v times, 1 allocates %v: an unchanged share is re-encoded", all, one)
+	}
+	if perChange <= 0 || eight != all+8*perChange {
+		t.Fatalf("one changed share adds %v allocations and eight take %v against %v unchanged, want a positive constant per change", perChange, eight, all)
+	}
+	t.Logf("%v allocs unchanged, +%v per changed share", all, perChange)
+}

@@ -71,7 +71,11 @@ const (
 // ReplanModes lists the supported re-plan mode names.
 func ReplanModes() []string { return []string{string(ReplanIncremental), string(ReplanFull)} }
 
-// MaxEvents bounds an elastic trace for the same reason.
+// MaxEvents bounds one trace's events, so one scenario cannot provoke
+// unbounded replay work: ElasticScenario.Validate and Scenario.Validate
+// refuse a longer trace. A live sim counts every event it has ingested
+// against it (Ingest refuses a batch that would take EventCount past it),
+// so it also caps how long a controller can live.
 const MaxEvents = 4096
 
 // MaxResident bounds how many instances may be resident at once — the same
